@@ -27,6 +27,12 @@ use std::time::Instant;
 /// table-driven boxplus lane is scored against.
 const PR4_SUM_PRODUCT_F32_MBPS: f64 = 0.140;
 
+/// The exact f32 sum-product lanes as PR 11's `BENCH_decoder.json` recorded
+/// them (coded Mbit/s, scalar libm boxplus check by check) — the yardstick
+/// for the lane-parallel passes that replaced those sweeps.
+const PR11_FLOODING_SUM_PRODUCT_F32_MBPS: f64 = 0.130;
+const PR11_ZIGZAG_SUM_PRODUCT_F32_MBPS: f64 = 0.146;
+
 /// The seed repository's min-sum check kernel, verbatim: branchy
 /// two-minima tracking and multiplicative sign application. Embedded so the
 /// baseline times the code the repository actually shipped rather than
@@ -383,6 +389,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let baseline_mbps = rows[0].coded_mbps;
     let speedup = mbps("flooding_min_sum_f32") / baseline_mbps;
     let speedup_table_vs_pr4 = mbps("flooding_table_sum_product_f32") / PR4_SUM_PRODUCT_F32_MBPS;
+    let speedup_flooding_sp_vs_pr11 =
+        mbps("flooding_sum_product_f32") / PR11_FLOODING_SUM_PRODUCT_F32_MBPS;
+    let speedup_zigzag_sp_vs_pr11 =
+        mbps("zigzag_sum_product_f32") / PR11_ZIGZAG_SUM_PRODUCT_F32_MBPS;
     let speedup_fused_vs_indirect =
         mbps("quantized_partitioned_fused") / mbps("quantized_partitioned_indirect");
     let speedup_quantized_simd_vs_fused =
@@ -395,6 +405,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "speedup (flooding_table_sum_product_f32 vs PR-4 sum-product {PR4_SUM_PRODUCT_F32_MBPS} \
          Mbit/s): {speedup_table_vs_pr4:.2}x"
+    );
+    println!(
+        "speedup (exact sum-product f32 vs PR 11): flooding {speedup_flooding_sp_vs_pr11:.2}x, \
+         zigzag {speedup_zigzag_sp_vs_pr11:.2}x"
     );
     println!("speedup (quantized fused vs indirect partition): {speedup_fused_vs_indirect:.2}x");
     println!(
@@ -427,6 +441,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     json.push_str(&format!("  \"speedup_min_sum_f32_vs_seed\": {speedup:.3},\n"));
     json.push_str(&format!("  \"pr4_sum_product_f32_mbps\": {PR4_SUM_PRODUCT_F32_MBPS:.3},\n"));
     json.push_str(&format!("  \"speedup_sum_product_vs_pr4\": {speedup_table_vs_pr4:.3},\n"));
+    json.push_str(&format!(
+        "  \"pr11_sum_product_f32_mbps\": {{\"flooding\": \
+         {PR11_FLOODING_SUM_PRODUCT_F32_MBPS:.3}, \"zigzag\": \
+         {PR11_ZIGZAG_SUM_PRODUCT_F32_MBPS:.3}}},\n"
+    ));
+    json.push_str(&format!(
+        "  \"speedup_sum_product_f32_vs_pr11\": {{\"flooding\": \
+         {speedup_flooding_sp_vs_pr11:.3}, \"zigzag\": {speedup_zigzag_sp_vs_pr11:.3}}},\n"
+    ));
     json.push_str(&format!(
         "  \"speedup_quantized_fused_vs_indirect\": {speedup_fused_vs_indirect:.3},\n"
     ));

@@ -14,7 +14,9 @@
 //! `TannerGraph::var_edges` yields — so a-posteriori totals are
 //! bit-identical to a per-variable gather.
 
-use crate::llr_ops::{boxplus_correction_table, boxplus_table_with, CheckRule, LlrFloat};
+use crate::llr_ops::{
+    boxplus_correction_table, boxplus_lanes, boxplus_table_with, CheckRule, LlrFloat,
+};
 use crate::simd::SimdTier;
 use dvbs2_ldpc::TannerGraph;
 
@@ -164,14 +166,42 @@ struct DegreeClass {
     checks: Vec<u32>,
 }
 
+impl DegreeClass {
+    /// Whether this is the class [`BlockedChecks::for_chain`] isolates
+    /// check 0 in (chain layouts only).
+    fn is_chain_head(&self) -> bool {
+        self.checks[0] == 0
+    }
+
+    /// Information edges per check in a chain layout: every check has a
+    /// right parity edge, every check but 0 a left one.
+    fn info_degree(&self) -> usize {
+        self.degree - if self.is_chain_head() { 1 } else { 2 }
+    }
+}
+
 impl BlockedChecks {
     pub(crate) fn new(graph: &TannerGraph) -> Self {
+        Self::grouped(graph, false)
+    }
+
+    /// The layout for the chain-decoupled zigzag sweep over a DVB-S2 (IRA)
+    /// graph: check 0, the only check without a left parity edge, gets a
+    /// class of its own (the first), so within every class the information
+    /// edges are the same leading columns and the parity edges the same
+    /// trailing ones.
+    pub(crate) fn for_chain(graph: &TannerGraph) -> Self {
+        Self::grouped(graph, true)
+    }
+
+    fn grouped(graph: &TannerGraph, isolate_first: bool) -> Self {
         let offsets = graph.check_offsets();
         let edge_vars = graph.edge_vars();
         let mut classes: Vec<DegreeClass> = Vec::new();
         for c in 0..graph.check_count() {
             let degree = (offsets[c + 1] - offsets[c]) as usize;
-            match classes.iter_mut().find(|k| k.degree == degree) {
+            let closed = usize::from(isolate_first && c > 0);
+            match classes.iter_mut().skip(closed).find(|k| k.degree == degree) {
                 Some(class) => class.checks.push(c as u32),
                 None => classes.push(DegreeClass { degree, slot_base: 0, checks: vec![c as u32] }),
             }
@@ -227,6 +257,33 @@ pub(crate) fn accumulate_totals_slotted<F: LlrFloat>(
 /// enough that the stripe's state plus its plane columns stay L1-resident.
 const STRIPE: usize = 1024;
 
+/// Gather plus extrinsics for a class of degree below 3, one check at a
+/// time through the rule's special-cased path.
+fn degenerate_class_pass<F: LlrFloat>(
+    rule: &CheckRule,
+    slot_vars: &[u32],
+    totals: &[F],
+    v2c_t: &mut [F],
+    c2v_t: &mut [F],
+    class: &DegreeClass,
+) {
+    let (d, m, base) = (class.degree, class.checks.len(), class.slot_base);
+    let mut tmp_in = [F::ZERO; 2];
+    let mut tmp_out = [F::ZERO; 2];
+    for i in 0..m {
+        for (j, t) in tmp_in[..d].iter_mut().enumerate() {
+            let s = base + j * m + i;
+            *t = totals[slot_vars[s] as usize] - c2v_t[s];
+        }
+        rule.extrinsic_t(&tmp_in[..d], &mut tmp_out[..d]);
+        for (j, (&inp, &out)) in tmp_in[..d].iter().zip(&tmp_out[..d]).enumerate() {
+            let s = base + j * m + i;
+            v2c_t[s] = inp;
+            c2v_t[s] = out;
+        }
+    }
+}
+
 /// Check-node half-iteration for the min-sum rules over the transposed
 /// planes (`v2c_t`/`c2v_t` in [`BlockedChecks`] slot order): gathers every
 /// input (`v2c_t[s] = totals[var] - c2v_t[s]`) and writes every extrinsic
@@ -260,21 +317,7 @@ pub(crate) fn blocked_min_sum_pass<F: LlrFloat>(
         let m = class.checks.len();
         let base = class.slot_base;
         if d < 3 {
-            // Degenerate checks take the rule's special-cased path.
-            let mut tmp_in = [F::ZERO; 2];
-            let mut tmp_out = [F::ZERO; 2];
-            for i in 0..m {
-                for (j, t) in tmp_in[..d].iter_mut().enumerate() {
-                    let s = base + j * m + i;
-                    *t = totals[slot_vars[s] as usize] - c2v_t[s];
-                }
-                rule.extrinsic_t(&tmp_in[..d], &mut tmp_out[..d]);
-                for (j, (&inp, &out)) in tmp_in[..d].iter().zip(&tmp_out[..d]).enumerate() {
-                    let s = base + j * m + i;
-                    v2c_t[s] = inp;
-                    c2v_t[s] = out;
-                }
-            }
+            degenerate_class_pass(rule, slot_vars, totals, v2c_t, c2v_t, class);
             continue;
         }
         let mut i0 = 0;
@@ -330,20 +373,157 @@ pub(crate) fn blocked_min_sum_pass<F: LlrFloat>(
     }
 }
 
-/// Check-node half-iteration for the table-driven sum-product rule over the
-/// transposed planes: the prefix/suffix structure of the scalar
-/// `TableSumProduct` kernel run column by column, so the serial boxplus
+/// One stripe of a degree class's column-major plane region: `lanes`
+/// consecutive checks, whose `j`-th messages sit `stride` slots apart.
+#[derive(Clone, Copy)]
+struct Stripe {
+    /// Slot of the stripe's first lane in column 0.
+    first: usize,
+    /// Checks in the class (the distance between columns).
+    stride: usize,
+    lanes: usize,
+}
+
+impl Stripe {
+    /// The stripes of `class`, in lane order.
+    fn of(class: &DegreeClass) -> impl Iterator<Item = (usize, Stripe)> {
+        let (base, m) = (class.slot_base, class.checks.len());
+        (0..m)
+            .step_by(STRIPE)
+            .map(move |i0| (i0, Stripe { first: base + i0, stride: m, lanes: STRIPE.min(m - i0) }))
+    }
+
+    /// Slot range of the stripe's lanes in column `j`.
+    fn col(&self, j: usize) -> std::ops::Range<usize> {
+        let start = self.first + j * self.stride;
+        start..start + self.lanes
+    }
+
+    /// The stripe's lanes of `plane` in column `j`, mutably, with those in
+    /// column `j + 1` beside them.
+    fn col_and_next<'a, F>(&self, plane: &'a mut [F], j: usize) -> (&'a mut [F], &'a [F]) {
+        let (this, next) = plane[self.col(j).start..self.col(j + 1).end].split_at_mut(self.stride);
+        (&mut this[..self.lanes], &next[..self.lanes])
+    }
+}
+
+/// Gathers columns `0..cols` of a stripe: `v2c_t[s] = totals[var] - c2v_t[s]`.
+#[inline(always)]
+fn gather_stripe<F: LlrFloat>(
+    slot_vars: &[u32],
+    totals: &[F],
+    v2c_t: &mut [F],
+    c2v_t: &[F],
+    stripe: Stripe,
+    cols: usize,
+) {
+    for j in 0..cols {
+        let vars = &slot_vars[stripe.col(j)];
+        let old = &c2v_t[stripe.col(j)];
+        for (i, x) in v2c_t[stripe.col(j)].iter_mut().enumerate() {
+            *x = totals[vars[i] as usize] - old[i];
+        }
+    }
+}
+
+/// Prefix/suffix extrinsics over columns `0..k` (`k >= 2`) of one gathered
+/// stripe, under the pairwise operator `op`: the structure of the scalar
+/// sum-product kernels run column by column, so the serial boxplus
 /// recurrences of a whole stripe of checks interleave. Check by check the
-/// chain of dependent table lookups is the bottleneck (each one must retire
+/// chain of dependent operations is the bottleneck (each one must retire
 /// before the next starts); column by column every lane's chain advances one
-/// link per pass over a dense array, and the out-of-order core overlaps
-/// hundreds of them.
+/// link per pass over a dense array — independent lanes the vectorizer (or,
+/// for a table lookup, the out-of-order core) overlaps.
 ///
-/// All accumulation runs in `f32` exactly like the scalar kernel, and the
-/// `c2v` plane doubles as the suffix store — `f32 -> F -> f32` round-trips
-/// are lossless in both precisions, so per check the operation sequence (and
-/// therefore the output, bit for bit) is identical to
-/// [`CheckRule::extrinsic_t`] on that check's messages.
+/// All accumulation runs in `f32`, and the `c2v` plane doubles as the suffix
+/// store — `f32 -> F -> f32` round-trips are lossless in both precisions.
+/// Per lane the operation sequence is
+/// `suffix[j] = in[j] op suffix[j+1]`, `out[j] = prefix[j-1] op suffix[j+1]`,
+/// `prefix[j] = prefix[j-1] op in[j]`, exactly that of
+/// `table_sum_product_extrinsic`. On return column `j` of `c2v_t` holds the
+/// fold of every column but `j`, and `prefix` the fold of columns
+/// `0..k - 1` (the last column's extrinsic).
+#[inline(always)]
+fn prefix_suffix_stripe<F: LlrFloat>(
+    v2c_t: &[F],
+    c2v_t: &mut [F],
+    stripe: Stripe,
+    k: usize,
+    op: impl Fn(f32, f32) -> f32,
+    prefix: &mut [f32; STRIPE],
+) {
+    let as32 = |x: F| x.to_f64() as f32;
+    let of32 = |x: f32| F::from_f64(x as f64);
+    let b = stripe.lanes;
+    let prefix = &mut prefix[..b];
+    // Suffix sweep into the c2v plane, seeded with in[k-1] rounded once to
+    // f32 (column 0's suffix is never read, so it is never computed).
+    for (s, &x) in c2v_t[stripe.col(k - 1)].iter_mut().zip(&v2c_t[stripe.col(k - 1)]) {
+        *s = of32(as32(x));
+    }
+    for j in (1..k - 1).rev() {
+        let (this, next) = stripe.col_and_next(c2v_t, j);
+        let input = &v2c_t[stripe.col(j)];
+        for i in 0..b {
+            this[i] = of32(op(as32(input[i]), as32(next[i])));
+        }
+    }
+    // Forward sweep: out[j] = prefix[j-1] op suffix[j+1], reading each
+    // suffix column before the next iteration overwrites it.
+    for (p, &x) in prefix.iter_mut().zip(&v2c_t[stripe.col(0)]) {
+        *p = as32(x);
+    }
+    c2v_t.copy_within(stripe.col(1), stripe.first);
+    for j in 1..k - 1 {
+        let (this, next) = stripe.col_and_next(c2v_t, j);
+        let input = &v2c_t[stripe.col(j)];
+        for i in 0..b {
+            this[i] = of32(op(prefix[i], as32(next[i])));
+            prefix[i] = op(prefix[i], as32(input[i]));
+        }
+    }
+    for (s, &p) in c2v_t[stripe.col(k - 1)].iter_mut().zip(prefix.iter()) {
+        *s = of32(p);
+    }
+}
+
+/// Check-node half-iteration for a sum-product rule over the transposed
+/// planes: every class gathered and run through [`prefix_suffix_stripe`]
+/// under the rule's pairwise operator, stripe by stripe. Like the min-sum
+/// pass it leaves the totals to [`accumulate_totals_slotted`].
+#[inline(always)]
+fn blocked_prefix_suffix_pass<F: LlrFloat>(
+    blocked: &BlockedChecks,
+    totals: &[F],
+    v2c_t: &mut [F],
+    c2v_t: &mut [F],
+    op: impl Fn(f32, f32) -> f32 + Copy,
+) {
+    let slot_vars = &blocked.slot_vars[..];
+    let mut prefix = [0.0f32; STRIPE];
+    for class in &blocked.classes {
+        let d = class.degree;
+        if d < 3 {
+            // Pass-through under either sum-product rule.
+            degenerate_class_pass(&CheckRule::SumProduct, slot_vars, totals, v2c_t, c2v_t, class);
+            continue;
+        }
+        for (_, stripe) in Stripe::of(class) {
+            // Gather every column first: the suffix sweep overwrites `c2v`,
+            // which the gather still reads.
+            gather_stripe(slot_vars, totals, v2c_t, c2v_t, stripe, d);
+            prefix_suffix_stripe(v2c_t, c2v_t, stripe, d, op, &mut prefix);
+        }
+    }
+}
+
+/// The table-driven sum-product rule through [`blocked_prefix_suffix_pass`]:
+/// per check the operation sequence (and therefore the output, bit for bit)
+/// is that of [`CheckRule::extrinsic_t`] on the check's messages.
+///
+/// Kept out of line: inlined into the decoder's iteration loop, the lookup
+/// loops lose their unrolling and the pass runs at about half speed.
+#[inline(never)]
 pub(crate) fn blocked_table_sum_product_pass<F: LlrFloat>(
     blocked: &BlockedChecks,
     totals: &[F],
@@ -351,81 +531,132 @@ pub(crate) fn blocked_table_sum_product_pass<F: LlrFloat>(
     c2v_t: &mut [F],
 ) {
     let table = boxplus_correction_table();
-    let as32 = |x: F| x.to_f64() as f32;
-    let of32 = |x: f32| F::from_f64(x as f64);
+    blocked_prefix_suffix_pass(blocked, totals, v2c_t, c2v_t, move |a, b| {
+        boxplus_table_with(table, a, b)
+    });
+}
+
+/// Exact sum-product through [`blocked_prefix_suffix_pass`] under
+/// [`boxplus_lanes`]: the `f32` fast path, where the branch-free operator
+/// lets every column sweep vectorize across the stripe's checks. (The `f64`
+/// reference keeps the scalar check-by-check kernel, whose operation order
+/// the seed-embedded regression suite pins.)
+#[inline(always)]
+pub(crate) fn blocked_sum_product_pass<F: LlrFloat>(
+    blocked: &BlockedChecks,
+    totals: &[F],
+    v2c_t: &mut [F],
+    c2v_t: &mut [F],
+) {
+    blocked_prefix_suffix_pass(blocked, totals, v2c_t, c2v_t, boxplus_lanes);
+}
+
+/// Phase A of the chain-decoupled zigzag sweep over a
+/// [`BlockedChecks::for_chain`] layout: the information edges of every
+/// check, which depend on nothing but the previous totals, lane-parallel
+/// per class. Leaves each check's information-only extrinsics `E_j` in the
+/// information columns of `c2v_t` (the parity columns are not touched) and
+/// its all-information fold `I_c` in `info_fold[c]`.
+#[inline(always)]
+pub(crate) fn chain_info_pass(
+    blocked: &BlockedChecks,
+    totals: &[f32],
+    v2c_t: &mut [f32],
+    c2v_t: &mut [f32],
+    info_fold: &mut [f32],
+) {
     let slot_vars = &blocked.slot_vars[..];
+    let mut fold = [0.0f32; STRIPE];
     for class in &blocked.classes {
-        let d = class.degree;
-        let m = class.checks.len();
-        let base = class.slot_base;
-        if d < 3 {
-            // Degenerate checks take the rule's special-cased path.
-            let mut tmp_in = [F::ZERO; 2];
-            let mut tmp_out = [F::ZERO; 2];
-            for i in 0..m {
-                for (j, t) in tmp_in[..d].iter_mut().enumerate() {
-                    let s = base + j * m + i;
-                    *t = totals[slot_vars[s] as usize] - c2v_t[s];
-                }
-                CheckRule::TableSumProduct.extrinsic_t(&tmp_in[..d], &mut tmp_out[..d]);
-                for (j, (&inp, &out)) in tmp_in[..d].iter().zip(&tmp_out[..d]).enumerate() {
-                    let s = base + j * m + i;
-                    v2c_t[s] = inp;
-                    c2v_t[s] = out;
+        let k = class.info_degree();
+        // A check without information edges folds to the boxplus identity —
+        // except a lone degree-1 check 0, which by the scalar kernels'
+        // convention says nothing at all.
+        let identity = if class.degree == 1 { 0.0 } else { f32::INFINITY };
+        for (i0, stripe) in Stripe::of(class) {
+            let b = stripe.lanes;
+            gather_stripe(slot_vars, totals, v2c_t, c2v_t, stripe, k);
+            match k {
+                0 => fold[..b].fill(identity),
+                1 => fold[..b].copy_from_slice(&v2c_t[stripe.col(0)]),
+                _ => {
+                    prefix_suffix_stripe(v2c_t, c2v_t, stripe, k, boxplus_lanes, &mut fold);
+                    for (f, &x) in fold[..b].iter_mut().zip(&v2c_t[stripe.col(k - 1)]) {
+                        *f = boxplus_lanes(*f, x);
+                    }
                 }
             }
-            continue;
+            for (&c, &f) in class.checks[i0..i0 + b].iter().zip(&fold[..b]) {
+                info_fold[c as usize] = f;
+            }
         }
-        let mut i0 = 0;
-        while i0 < m {
-            let b = STRIPE.min(m - i0);
-            // Gather every column first: the suffix sweep below overwrites
-            // `c2v`, which the gather still reads.
-            for j in 0..d {
-                let col = base + j * m + i0;
-                let vars = &slot_vars[col..col + b];
+    }
+}
+
+/// Phase C of the chain-decoupled zigzag sweep: with the chain's forward
+/// recurrence done (`left_in[c]`/`right_in[c]` the parity inputs of check
+/// `c`, `fwd[c]` its forward message), finishes every check lane-parallel —
+/// `B_c = I_c ⊞ R_c` into the left parity column and `bwd[c]`,
+/// `out_j = E_j ⊞ (L_c ⊞ R_c)` over the information columns, `fwd[c]` into
+/// the right parity column. Check 0 has no left edge: its information
+/// outputs fold with `R_0` alone.
+///
+/// The per-check values are staged into stripe-local arrays first: indexed
+/// loads in the same loop as the boxplus would keep it from vectorizing.
+#[inline(always)]
+pub(crate) fn chain_combine_pass(
+    blocked: &BlockedChecks,
+    c2v_t: &mut [f32],
+    info_fold: &[f32],
+    left_in: &[f32],
+    right_in: &[f32],
+    fwd: &[f32],
+    bwd: &mut [f32],
+) {
+    let mut both = [0.0f32; STRIPE];
+    let mut right = [0.0f32; STRIPE];
+    let mut back = [0.0f32; STRIPE];
+    for class in &blocked.classes {
+        let k = class.info_degree();
+        let head = class.is_chain_head();
+        for (i0, stripe) in Stripe::of(class) {
+            let b = stripe.lanes;
+            let checks = &class.checks[i0..i0 + b];
+            let (both, right, back) = (&mut both[..b], &mut right[..b], &mut back[..b]);
+            for (i, &c) in checks.iter().enumerate() {
+                both[i] = left_in[c as usize];
+                right[i] = right_in[c as usize];
+                back[i] = info_fold[c as usize];
+            }
+            if head {
+                both.copy_from_slice(right);
+            } else {
                 for i in 0..b {
-                    v2c_t[col + i] = totals[vars[i] as usize] - c2v_t[col + i];
+                    both[i] = boxplus_lanes(both[i], right[i]);
+                    back[i] = boxplus_lanes(back[i], right[i]);
                 }
             }
-            // Suffix sweep into the c2v plane:
-            // suffix[j] = in[j] ⊞ suffix[j+1], seeded with in[d-1] rounded
-            // once to f32 (column 0's suffix is never read, so it is never
-            // computed).
-            let tail = base + (d - 1) * m + i0;
-            for i in 0..b {
-                c2v_t[tail + i] = of32(as32(v2c_t[tail + i]));
-            }
-            for j in (1..d - 1).rev() {
-                let col = base + j * m + i0;
-                for i in 0..b {
-                    let s =
-                        boxplus_table_with(table, as32(v2c_t[col + i]), as32(c2v_t[col + m + i]));
-                    c2v_t[col + i] = of32(s);
+            if k == 1 {
+                // The lone information edge's extrinsic is the identity.
+                c2v_t[stripe.col(0)].copy_from_slice(both);
+            } else {
+                for j in 0..k {
+                    for (e, &p) in c2v_t[stripe.col(j)].iter_mut().zip(both.iter()) {
+                        *e = boxplus_lanes(*e, p);
+                    }
                 }
             }
-            // Forward sweep: out[j] = prefix[j-1] ⊞ suffix[j+1], reading
-            // each suffix column before the next iteration overwrites it.
-            let mut prefix = [0.0f32; STRIPE];
-            let col0 = base + i0;
-            for i in 0..b {
-                prefix[i] = as32(v2c_t[col0 + i]);
-            }
-            for i in 0..b {
-                c2v_t[col0 + i] = c2v_t[col0 + m + i];
-            }
-            for j in 1..d - 1 {
-                let col = base + j * m + i0;
-                for i in 0..b {
-                    let out = boxplus_table_with(table, prefix[i], as32(c2v_t[col + m + i]));
-                    prefix[i] = boxplus_table_with(table, prefix[i], as32(v2c_t[col + i]));
-                    c2v_t[col + i] = of32(out);
+            let mut parity = k;
+            if !head {
+                c2v_t[stripe.col(parity)].copy_from_slice(back);
+                for (&c, &x) in checks.iter().zip(back.iter()) {
+                    bwd[c as usize] = x;
                 }
+                parity += 1;
             }
-            for i in 0..b {
-                c2v_t[tail + i] = of32(prefix[i]);
+            for (x, &c) in c2v_t[stripe.col(parity)].iter_mut().zip(checks) {
+                *x = fwd[c as usize];
             }
-            i0 += b;
         }
     }
 }
@@ -611,23 +842,28 @@ macro_rules! tier_kernel_clones {
     };
 }
 
-macro_rules! tier_accumulate_clones {
-    ($(#[$doc:meta])* $dispatch:ident, $base:ident, $avx2:ident, $avx512:ident;
+/// Tier clones of a kernel without a closure argument; `<F>` after the
+/// dispatcher's name makes all three generic over the message precision.
+macro_rules! tier_clones {
+    ($(#[$doc:meta])* $dispatch:ident $(<$f:ident>)?, $base:ident, $avx2:ident, $avx512:ident;
      ($($arg:ident: $ty:ty),* $(,)?)) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
-        unsafe fn $avx2<F: LlrFloat>($($arg: $ty),*) {
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn $avx2$(<$f: LlrFloat>)?($($arg: $ty),*) {
             $base($($arg),*);
         }
 
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx512f")]
-        unsafe fn $avx512<F: LlrFloat>($($arg: $ty),*) {
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn $avx512$(<$f: LlrFloat>)?($($arg: $ty),*) {
             $base($($arg),*);
         }
 
         $(#[$doc])*
-        pub(crate) fn $dispatch<F: LlrFloat>(tier: SimdTier, $($arg: $ty),*) {
+        #[allow(clippy::too_many_arguments)]
+        pub(crate) fn $dispatch$(<$f: LlrFloat>)?(tier: SimdTier, $($arg: $ty),*) {
             match tier {
                 #[cfg(target_arch = "x86_64")]
                 SimdTier::Avx2 => unsafe { $avx2($($arg),*) },
@@ -660,17 +896,17 @@ tier_kernel_clones!(
     )
 );
 
-tier_accumulate_clones!(
+tier_clones!(
     /// [`accumulate_totals_slotted`] dispatched onto the selected SIMD tier.
-    accumulate_totals_slotted_tier, accumulate_totals_slotted,
+    accumulate_totals_slotted_tier<F>, accumulate_totals_slotted,
     accumulate_totals_slotted_avx2, accumulate_totals_slotted_avx512;
     (edge_vars: &[u32], edge_to_slot: &[u32], llr: &[F], c2v_t: &[F], totals: &mut [F])
 );
 
-tier_accumulate_clones!(
+tier_clones!(
     /// [`batched_accumulate_totals_slotted`] dispatched onto the selected
     /// SIMD tier.
-    batched_accumulate_totals_slotted_tier, batched_accumulate_totals_slotted,
+    batched_accumulate_totals_slotted_tier<F>, batched_accumulate_totals_slotted,
     batched_accumulate_totals_slotted_avx2, batched_accumulate_totals_slotted_avx512;
     (
         edge_vars: &[u32],
@@ -679,6 +915,40 @@ tier_accumulate_clones!(
         llr: &[F],
         c2v_t: &[F],
         totals: &mut [F],
+    )
+);
+
+tier_clones!(
+    /// [`blocked_sum_product_pass`] dispatched onto the selected SIMD tier.
+    blocked_sum_product_pass_tier<F>, blocked_sum_product_pass,
+    blocked_sum_product_pass_avx2, blocked_sum_product_pass_avx512;
+    (blocked: &BlockedChecks, totals: &[F], v2c_t: &mut [F], c2v_t: &mut [F])
+);
+
+tier_clones!(
+    /// [`chain_info_pass`] dispatched onto the selected SIMD tier.
+    chain_info_pass_tier, chain_info_pass, chain_info_pass_avx2, chain_info_pass_avx512;
+    (
+        blocked: &BlockedChecks,
+        totals: &[f32],
+        v2c_t: &mut [f32],
+        c2v_t: &mut [f32],
+        info_fold: &mut [f32],
+    )
+);
+
+tier_clones!(
+    /// [`chain_combine_pass`] dispatched onto the selected SIMD tier.
+    chain_combine_pass_tier, chain_combine_pass,
+    chain_combine_pass_avx2, chain_combine_pass_avx512;
+    (
+        blocked: &BlockedChecks,
+        c2v_t: &mut [f32],
+        info_fold: &[f32],
+        left_in: &[f32],
+        right_in: &[f32],
+        fwd: &[f32],
+        bwd: &mut [f32],
     )
 );
 
@@ -914,6 +1184,52 @@ mod tests {
         }
         run::<f32>(29);
         run::<f64>(31);
+    }
+
+    #[test]
+    fn blocked_sum_product_pass_tracks_f64_kernel_per_check() {
+        // Four checks of every degree 3..=30 over private variables, so the
+        // gathered inputs are the totals themselves: random mixed-sign
+        // messages salted with exact zeros and saturated values of both
+        // signs. Every lane-pass extrinsic must sit within 1e-4 (relative
+        // once saturated) of the f64 scalar kernel's.
+        let mut rng = crate::test_support::SplitMix64(41);
+        let mut edges = Vec::new();
+        for (c, d) in (3..=30u32).flat_map(|d| [d; 4]).enumerate() {
+            for _ in 0..d {
+                edges.push((c as u32, edges.len() as u32));
+            }
+        }
+        let graph = TannerGraph::from_edges(edges.len(), 4 * 28, &edges);
+        let blocked = BlockedChecks::new(&graph);
+        let totals: Vec<f32> = (0..edges.len())
+            .map(|_| match rng.next_u64() % 16 {
+                0 => 0.0,
+                1 => crate::LLR_CLAMP as f32,
+                2 => -(crate::LLR_CLAMP as f32),
+                _ => (50.0 * rng.next_f64() - 25.0) as f32,
+            })
+            .collect();
+        let mut v2c_t = vec![0.0f32; edges.len()];
+        let mut c2v_t = vec![0.0f32; edges.len()];
+        for tier in SimdTier::available() {
+            c2v_t.fill(0.0);
+            blocked_sum_product_pass_tier(tier, &blocked, &totals, &mut v2c_t, &mut c2v_t);
+            for c in 0..graph.check_count() {
+                let range = graph.check_edges(c);
+                let ins: Vec<f64> = range.clone().map(|e| totals[e] as f64).collect();
+                let mut want = vec![0.0f64; ins.len()];
+                CheckRule::SumProduct.extrinsic(&ins, &mut want);
+                for (e, &w) in range.zip(&want) {
+                    let got = c2v_t[blocked.edge_to_slot[e] as usize] as f64;
+                    assert!(
+                        (got - w).abs() <= 1e-4 * w.abs().max(1.0),
+                        "{tier:?} check {c} (degree {}) edge {e}: {got} vs {w}",
+                        ins.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

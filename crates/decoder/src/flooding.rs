@@ -14,8 +14,8 @@
 
 use crate::engine::{
     accumulate_totals, accumulate_totals_slotted, accumulate_totals_slotted_tier,
-    blocked_min_sum_pass_tier, blocked_table_sum_product_pass, fused_check_pass,
-    hard_decisions_into, load_llrs, syndrome_ok_totals, BlockedChecks, Precision,
+    blocked_min_sum_pass_tier, blocked_sum_product_pass_tier, blocked_table_sum_product_pass,
+    fused_check_pass, hard_decisions_into, load_llrs, syndrome_ok_totals, BlockedChecks, Precision,
 };
 use crate::llr_ops::{CheckRule, LlrFloat};
 use crate::simd::SimdTier;
@@ -98,13 +98,32 @@ impl<F: LlrFloat> Engine<F> {
 
         for _ in 0..config.max_iterations {
             iterations += 1;
-            // Both half-iterations per pass. The min-sum and table
-            // sum-product rules run column-major kernels over the
-            // transposed planes (dense, branchless, lane-parallel) followed
-            // by the edge-order totals accumulation through the slot
-            // permutation; exact sum-product streams check by check with
-            // the kernel fused between gather and scatter.
+            // Both half-iterations per pass. The min-sum, table sum-product
+            // and f32 exact sum-product rules run column-major kernels over
+            // the transposed planes (dense, branchless, lane-parallel)
+            // followed by the edge-order totals accumulation through the
+            // slot permutation. f64 exact sum-product — the reference the
+            // seed-embedded regression suite pins bit for bit — streams
+            // check by check with the scalar kernel fused between gather
+            // and scatter.
             match config.rule {
+                CheckRule::SumProduct if config.precision == Precision::F32 => {
+                    blocked_sum_product_pass_tier(
+                        tier,
+                        blocked,
+                        &self.totals,
+                        &mut self.v2c,
+                        &mut self.c2v,
+                    );
+                    accumulate_totals_slotted_tier(
+                        tier,
+                        edge_vars,
+                        blocked.edge_to_slot(),
+                        &self.llr,
+                        &self.c2v,
+                        &mut self.totals_next,
+                    );
+                }
                 CheckRule::SumProduct => {
                     fused_check_pass(
                         graph,

@@ -18,11 +18,20 @@
 //! place: the forward message of check `c` *is* `c2v[end(c) - 1]` and the
 //! backward message to parity node `j` *is* `c2v[end(j + 1) - 2]` — no
 //! separate forward/backward arrays and no per-check scratch copies.
+//!
+//! The schedule is sequential only *along the chain*. A check's information
+//! edges depend on nothing but the previous iteration's totals — which is
+//! why the paper runs 360 functional units side by side — so the `f32`
+//! exact sum-product decoder splits the sweep into three phases (see
+//! `Decoupled`): the information edges of every check lane-parallel, one
+//! scalar boxplus per check down the chain, and a lane-parallel combine.
 
 use crate::engine::{
-    accumulate_totals, hard_decisions_into, load_llrs, syndrome_ok_totals, Precision,
+    accumulate_totals, accumulate_totals_slotted_tier, chain_combine_pass_tier,
+    chain_info_pass_tier, hard_decisions_into, load_llrs, syndrome_ok_totals, BlockedChecks,
+    Precision,
 };
-use crate::llr_ops::{CheckRule, LlrFloat};
+use crate::llr_ops::{boxplus_t, CheckRule, LlrFloat};
 use crate::simd::SimdTier;
 use crate::tile::{lane_accumulate_totals, zigzag_lane_sweep_tier};
 use crate::{DecodeResult, Decoder, DecoderConfig};
@@ -40,7 +49,10 @@ use std::sync::Arc;
 /// kernel family the tiled batch decoder uses, so single-frame and tiled
 /// decodes share one code path (and the per-lane operation order keeps the
 /// results bit-identical to the historical scalar sweep, pinned by the
-/// seed-embedded regression suite). The exact sum-product rules keep the
+/// seed-embedded regression suite). `f32` exact sum-product runs the
+/// chain-decoupled sweep, lane-parallel across checks on the same tier
+/// ladder with one scalar boxplus per check left on the chain; `f64` exact
+/// sum-product (the bit-pinned reference) and the table rule keep the
 /// scalar check-by-check sweep.
 #[derive(Debug, Clone)]
 pub struct ZigzagDecoder {
@@ -54,6 +66,8 @@ pub struct ZigzagDecoder {
 enum Core {
     F64(Engine<f64>),
     F32(Engine<f32>),
+    /// `f32` exact sum-product: the chain-decoupled sweep.
+    Decoupled(Box<Decoupled>),
 }
 
 /// Message planes and working buffers at one precision.
@@ -90,7 +104,8 @@ impl<F: LlrFloat> Engine<F> {
         out: &mut DecodeResult,
     ) {
         // The min-sum rules route through the tiled decoder's lane sweep at
-        // width 1; the exact sum-product rules stream check by check.
+        // width 1; f64 exact and table sum-product stream check by check
+        // (f32 exact sum-product never gets here: it has `Decoupled`).
         match config.rule.min_sum_correct::<F>() {
             Some(correct) => {
                 self.decode_lanes(graph, config, tier, channel_llrs, out, move |m| {
@@ -243,6 +258,149 @@ impl<F: LlrFloat> Engine<F> {
     }
 }
 
+/// The chain-decoupled zigzag sweep for `f32` exact sum-product.
+///
+/// With `I_c` the boxplus fold of check `c`'s information inputs, `E_j` the
+/// fold of all of them but `j`, `L_c`/`R_c` its left/right parity inputs,
+/// the check's outputs are
+///
+/// ```text
+/// forward  F_c   = I_c ⊞ L_c      L_c = llr[K+c-1] + F_{c-1}   (this sweep)
+/// backward B_c   = I_c ⊞ R_c      R_c = llr[K+c]   + B_{c+1}   (last sweep)
+/// info     out_j = E_j ⊞ (L_c ⊞ R_c)
+/// ```
+///
+/// so only `F` carries a dependency from check to check. Phase A computes
+/// every `E_j` and `I_c` lane-parallel over the column-major planes, phase
+/// B walks the chain with one scalar boxplus per check, phase C finishes
+/// `B_c` and `out_j` lane-parallel. This is the scalar sweep's arithmetic
+/// reassociated (boxplus is associative up to rounding), not an
+/// approximation of it; the decoded words and iteration counts track the
+/// `f64` reference frame for frame.
+///
+/// Built only for the decoders that take this path: the column-major
+/// layout and the per-check chain arrays are memory the other rules'
+/// engines should not carry.
+#[derive(Debug, Clone)]
+struct Decoupled {
+    /// Message planes in `blocked`'s slot order.
+    planes: Engine<f32>,
+    blocked: BlockedChecks,
+    chain: Chain,
+}
+
+/// Per-check state of the chain-decoupled sweep, indexed by check.
+#[derive(Debug, Clone)]
+struct Chain {
+    /// `I_c`.
+    info_fold: Vec<f32>,
+    /// `L_c` and `R_c` (`L_0` is unused: check 0 has no left edge).
+    left_in: Vec<f32>,
+    right_in: Vec<f32>,
+    /// `F_c`.
+    fwd: Vec<f32>,
+    /// `B_c`, one element longer than the chain: `B_0` is unused and the
+    /// trailing zero stands for the backward message the last check never
+    /// receives.
+    bwd: Vec<f32>,
+}
+
+impl Chain {
+    fn new(n_check: usize) -> Self {
+        Chain {
+            info_fold: vec![0.0; n_check],
+            left_in: vec![0.0; n_check],
+            right_in: vec![0.0; n_check],
+            fwd: vec![0.0; n_check],
+            bwd: vec![0.0; n_check + 1],
+        }
+    }
+
+    /// Phase B: the forward recurrence down the chain, and every check's
+    /// parity inputs for phase C. The serial dependency is one boxplus per
+    /// check; it stays on the scalar libm form, whose dependent latency is
+    /// a fraction of the lane polynomial's.
+    fn forward(&mut self, parity_llr: &[f32]) {
+        let mut forward = self.info_fold[0]; // F_0 = I_0: no left edge
+        self.fwd[0] = forward;
+        self.right_in[0] = parity_llr[0] + self.bwd[1];
+        for c in 1..self.fwd.len() {
+            let left = parity_llr[c - 1] + forward;
+            forward = boxplus_t(self.info_fold[c], left);
+            self.left_in[c] = left;
+            self.fwd[c] = forward;
+            self.right_in[c] = parity_llr[c] + self.bwd[c + 1];
+        }
+    }
+}
+
+impl Decoupled {
+    fn new(graph: &TannerGraph) -> Self {
+        Decoupled {
+            planes: Engine::new(graph),
+            blocked: BlockedChecks::for_chain(graph),
+            chain: Chain::new(graph.check_count()),
+        }
+    }
+
+    /// One full decode into `out`; allocation-free like [`Engine::decode_into`].
+    fn decode_into(
+        &mut self,
+        graph: &TannerGraph,
+        config: &DecoderConfig,
+        tier: SimdTier,
+        channel_llrs: &[f64],
+        out: &mut DecodeResult,
+    ) {
+        let k = graph.info_len();
+        let edge_vars = graph.edge_vars();
+        load_llrs(&mut self.planes.llr, channel_llrs);
+        self.planes.c2v.fill(0.0);
+        self.chain.bwd.fill(0.0);
+        // First-iteration gather sources: totals = llr plus all-zero messages.
+        accumulate_totals(edge_vars, &self.planes.llr, &self.planes.c2v, &mut self.planes.totals);
+        let mut iterations = 0;
+        let mut converged = false;
+
+        for _ in 0..config.max_iterations {
+            iterations += 1;
+            chain_info_pass_tier(
+                tier,
+                &self.blocked,
+                &self.planes.totals,
+                &mut self.planes.v2c,
+                &mut self.planes.c2v,
+                &mut self.chain.info_fold,
+            );
+            self.chain.forward(&self.planes.llr[k..]);
+            chain_combine_pass_tier(
+                tier,
+                &self.blocked,
+                &mut self.planes.c2v,
+                &self.chain.info_fold,
+                &self.chain.left_in,
+                &self.chain.right_in,
+                &self.chain.fwd,
+                &mut self.chain.bwd,
+            );
+            accumulate_totals_slotted_tier(
+                tier,
+                edge_vars,
+                self.blocked.edge_to_slot(),
+                &self.planes.llr,
+                &self.planes.c2v,
+                &mut self.planes.totals_next,
+            );
+            std::mem::swap(&mut self.planes.totals, &mut self.planes.totals_next);
+            if config.early_stop && syndrome_ok_totals(graph, &self.planes.totals) {
+                converged = true;
+                break;
+            }
+        }
+        self.planes.finish(graph, iterations, converged, out);
+    }
+}
+
 impl ZigzagDecoder {
     /// Creates a decoder for a DVB-S2 Tanner graph.
     ///
@@ -261,9 +419,12 @@ impl ZigzagDecoder {
             "IRA structure requires one parity variable per check"
         );
         let tier = SimdTier::resolve(config.simd);
-        let core = match config.precision {
-            Precision::F64 => Core::F64(Engine::new(&graph)),
-            Precision::F32 => Core::F32(Engine::new(&graph)),
+        let core = match (config.precision, config.rule) {
+            (Precision::F64, _) => Core::F64(Engine::new(&graph)),
+            (Precision::F32, CheckRule::SumProduct) => {
+                Core::Decoupled(Box::new(Decoupled::new(&graph)))
+            }
+            (Precision::F32, _) => Core::F32(Engine::new(&graph)),
         };
         ZigzagDecoder { graph, config, tier, core }
     }
@@ -273,8 +434,9 @@ impl ZigzagDecoder {
         &self.config
     }
 
-    /// The SIMD dispatch tier the min-sum lane sweep runs on (the exact
-    /// sum-product rules are scalar regardless).
+    /// The SIMD dispatch tier the min-sum lane sweep and the `f32` exact
+    /// sum-product sweep run on (`f64` exact sum-product and the table rule
+    /// are scalar regardless).
     pub fn simd_tier(&self) -> SimdTier {
         self.tier
     }
@@ -292,6 +454,9 @@ impl Decoder for ZigzagDecoder {
         match &mut self.core {
             Core::F64(e) => e.decode_into(&self.graph, &self.config, self.tier, channel_llrs, out),
             Core::F32(e) => e.decode_into(&self.graph, &self.config, self.tier, channel_llrs, out),
+            Core::Decoupled(e) => {
+                e.decode_into(&self.graph, &self.config, self.tier, channel_llrs, out)
+            }
         }
     }
 

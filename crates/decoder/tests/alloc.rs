@@ -4,8 +4,10 @@
 //! `new()`; after a warm-up decode, each subsequent `decode()` must perform
 //! exactly ONE heap allocation — the `BitVec` handed back in the result —
 //! and match it with one deallocation. A counting global allocator enforces
-//! this; the test lives in its own integration-test binary so no other
-//! test's allocations can leak into the counters.
+//! this. The counters are per thread: the harness runs the tests of this
+//! binary on threads of their own, side by side, and each audit must see
+//! only what its own decodes allocate (the decoders audited here never
+//! spawn).
 
 use dvbs2_decoder::test_support::{noisy_llrs, small_code};
 use dvbs2_decoder::{
@@ -13,27 +15,44 @@ use dvbs2_decoder::{
     QuantizedZigzagDecoder, Quantizer, ZigzagDecoder,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
+use std::thread::LocalKey;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-static DEALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+// Const-initialised and without destructors, so touching them from inside
+// the allocator neither allocates nor registers anything.
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static DEALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
 
+fn bump(counter: &'static LocalKey<Cell<usize>>) {
+    // `try_with`: the allocator still runs while a thread tears down.
+    let _ = counter.try_with(|count| count.set(count.get() + 1));
+}
+
+/// `(allocations, deallocations)` made so far by the calling thread.
+fn counts() -> (usize, usize) {
+    (ALLOCATIONS.with(Cell::get), DEALLOCATIONS.with(Cell::get))
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters are
+// plain thread-local integers.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        bump(&ALLOCATIONS);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        bump(&DEALLOCATIONS);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        bump(&ALLOCATIONS);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -47,11 +66,10 @@ static ALLOC: CountingAllocator = CountingAllocator;
 fn assert_single_allocation_per_decode(name: &str, decoder: &mut dyn Decoder, llrs: &[f64]) {
     let mut results = vec![decoder.decode(llrs)]; // warm-up
     for round in 0..3 {
-        let before_alloc = ALLOCATIONS.load(Ordering::SeqCst);
-        let before_dealloc = DEALLOCATIONS.load(Ordering::SeqCst);
+        let before = counts();
         let result = decoder.decode(llrs);
-        let allocated = ALLOCATIONS.load(Ordering::SeqCst) - before_alloc;
-        let deallocated = DEALLOCATIONS.load(Ordering::SeqCst) - before_dealloc;
+        let after = counts();
+        let (allocated, deallocated) = (after.0 - before.0, after.1 - before.1);
         assert_eq!(
             allocated, 1,
             "{name} round {round}: expected the result BitVec to be the only \
@@ -74,15 +92,27 @@ fn assert_zero_allocation_decode_into(name: &str, decoder: &mut dyn Decoder, llr
     decoder.decode_into(llrs, &mut out); // warm-up: sizes out.bits
     let reference = out.clone();
     for round in 0..3 {
-        let before_alloc = ALLOCATIONS.load(Ordering::SeqCst);
-        let before_dealloc = DEALLOCATIONS.load(Ordering::SeqCst);
+        let before = counts();
         decoder.decode_into(llrs, &mut out);
-        let allocated = ALLOCATIONS.load(Ordering::SeqCst) - before_alloc;
-        let deallocated = DEALLOCATIONS.load(Ordering::SeqCst) - before_dealloc;
+        let after = counts();
+        let (allocated, deallocated) = (after.0 - before.0, after.1 - before.1);
         assert_eq!(allocated, 0, "{name} round {round}: decode_into allocated {allocated}");
         assert_eq!(deallocated, 0, "{name} round {round}: decode_into freed {deallocated}");
     }
     assert_eq!(out, reference, "{name}: decode_into must be deterministic across reuse");
+}
+
+/// The float configurations both audits cover. `sum-product f32` is the
+/// lane-parallel pair — the column-major flooding pass and the
+/// chain-decoupled zigzag sweep — whose stripe state lives on the stack.
+fn audited_configs() -> [(&'static str, DecoderConfig); 4] {
+    let f32_config = DecoderConfig::default().with_precision(Precision::F32);
+    [
+        ("sum-product f64", DecoderConfig::default()),
+        ("min-sum f64", DecoderConfig::default().with_rule(CheckRule::NormalizedMinSum(0.8))),
+        ("sum-product f32", f32_config),
+        ("table sum-product f32", f32_config.with_rule(CheckRule::TableSumProduct)),
+    ]
 }
 
 #[test]
@@ -91,12 +121,7 @@ fn decode_into_is_allocation_free_after_warm_up() {
     let graph = Arc::new(graph);
     let (_, llrs) = noisy_llrs(&code, 1.4, 31);
 
-    let configs = [
-        ("sum-product f64", DecoderConfig::default()),
-        ("min-sum f64", DecoderConfig::default().with_rule(CheckRule::NormalizedMinSum(0.8))),
-        ("sum-product f32", DecoderConfig::default().with_precision(Precision::F32)),
-    ];
-    for (label, config) in configs {
+    for (label, config) in audited_configs() {
         let mut flooding = FloodingDecoder::new(Arc::clone(&graph), config);
         assert_zero_allocation_decode_into(&format!("flooding {label}"), &mut flooding, &llrs);
         let mut zigzag = ZigzagDecoder::new(Arc::clone(&graph), config);
@@ -120,12 +145,7 @@ fn decoders_do_not_allocate_after_warm_up() {
     let graph = Arc::new(graph);
     let (_, llrs) = noisy_llrs(&code, 1.4, 31);
 
-    let configs = [
-        ("sum-product f64", DecoderConfig::default()),
-        ("min-sum f64", DecoderConfig::default().with_rule(CheckRule::NormalizedMinSum(0.8))),
-        ("sum-product f32", DecoderConfig::default().with_precision(Precision::F32)),
-    ];
-    for (label, config) in configs {
+    for (label, config) in audited_configs() {
         let mut flooding = FloodingDecoder::new(Arc::clone(&graph), config);
         assert_single_allocation_per_decode(&format!("flooding {label}"), &mut flooding, &llrs);
         let mut zigzag = ZigzagDecoder::new(Arc::clone(&graph), config);

@@ -1,0 +1,183 @@
+//! The lane-parallel `f32` exact sum-product decoders against the scalar
+//! `f64` references: flooding through the column-major pass, zigzag through
+//! the chain-decoupled sweep. Both reassociate the boxplus chains and
+//! evaluate the corrections with the vector softplus, so the contract is
+//! behavioural — same decoded word, iteration count within one — plus
+//! bit-identity of the full result across SIMD tiers.
+
+use dvbs2_decoder::test_support::{noisy_llrs, SplitMix64};
+use dvbs2_decoder::{Decoder, DecoderConfig, FloodingDecoder, Precision, SimdTier, ZigzagDecoder};
+use dvbs2_ldpc::{
+    AddressTable, CodeParams, CodeRate, DegreeClass, DvbS2Code, FrameSize, TannerGraph,
+};
+use std::sync::Arc;
+
+/// Ten iterations past the default cap, so no frame of the sets below
+/// converges on the cap's edge.
+fn reference_config() -> DecoderConfig {
+    DecoderConfig::default().with_max_iterations(40)
+}
+
+fn f32_config() -> DecoderConfig {
+    reference_config().with_precision(Precision::F32)
+}
+
+/// `(f64 reference, f32 lane-parallel)` pairs for both schedules.
+type Pair = (&'static str, Box<dyn Decoder>, Box<dyn Decoder>);
+
+fn decoder_pairs(graph: &Arc<TannerGraph>) -> Vec<Pair> {
+    let reference = reference_config();
+    vec![
+        (
+            "flooding",
+            Box::new(FloodingDecoder::new(Arc::clone(graph), reference)),
+            Box::new(FloodingDecoder::new(Arc::clone(graph), f32_config())),
+        ),
+        (
+            "zigzag",
+            Box::new(ZigzagDecoder::new(Arc::clone(graph), reference)),
+            Box::new(ZigzagDecoder::new(Arc::clone(graph), f32_config())),
+        ),
+    ]
+}
+
+fn assert_tracks_reference(label: &str, graph: &Arc<TannerGraph>, frames: &[Vec<f64>]) {
+    for (schedule, mut reference, mut fast) in decoder_pairs(graph) {
+        for (index, llrs) in frames.iter().enumerate() {
+            let want = reference.decode(llrs);
+            let got = fast.decode(llrs);
+            // A frame the reference cannot decode is chaotic in its last
+            // bits; there only the iteration count is held.
+            if want.converged {
+                assert!(got.converged, "{label} {schedule} frame {index}: did not converge");
+                assert_eq!(got.bits, want.bits, "{label} {schedule} frame {index}: decoded word");
+            }
+            assert!(
+                got.iterations.abs_diff(want.iterations) <= 1,
+                "{label} {schedule} frame {index}: {} iterations, reference {}",
+                got.iterations,
+                want.iterations
+            );
+        }
+    }
+}
+
+#[test]
+fn f32_sum_product_tracks_f64_on_dvbs2_codes() {
+    // The regression suite's frame set on R1/2 (clean, near threshold, below
+    // threshold), then the two served rates at the ends of the degree range:
+    // R1/4 (check degree 4, two information edges per check) and R3/4.
+    let mut r1_2: Vec<(f64, u64)> =
+        (0..4).flat_map(|seed| [(2.0, 9000 + seed), (1.0, 9100 + seed)]).collect();
+    r1_2.push((0.2, 9200));
+    let sets = [
+        (CodeRate::R1_2, r1_2),
+        (CodeRate::R1_4, (0..3).map(|seed| (1.6, 9300 + seed)).collect()),
+        (CodeRate::R3_4, (0..3).map(|seed| (2.8, 9400 + seed)).collect()),
+    ];
+    for (rate, points) in sets {
+        let code = DvbS2Code::new(rate, FrameSize::Short).unwrap();
+        let graph = Arc::new(code.tanner_graph());
+        let frames: Vec<Vec<f64>> =
+            points.iter().map(|&(ebn0_db, seed)| noisy_llrs(&code, ebn0_db, seed).1).collect();
+        assert_tracks_reference(&format!("{rate:?}"), &graph, &frames);
+    }
+}
+
+/// A 360-bit-group IRA code small enough to pick its check degree freely:
+/// `info_degree` information edges on every check, check 0 included.
+fn tiny_chain_graph(info_degree: usize) -> TannerGraph {
+    let q = 3;
+    let k = if info_degree == 0 { 0 } else { 360 };
+    let n_check = 360 * q;
+    let params = CodeParams {
+        rate: CodeRate::R1_4, // nominal: only the sizes below are used
+        frame: FrameSize::Short,
+        n: k + n_check,
+        k,
+        n_check,
+        q,
+        check_degree: info_degree + 2,
+        hi: DegreeClass { count: k, degree: 3 * info_degree },
+        lo: DegreeClass { count: 0, degree: 3 },
+    };
+    // One group of 360 bits; bit m reaches checks `x + 3 m`, so the row
+    // 0..3·info_degree gives every check exactly `info_degree` edges.
+    let rows = if k == 0 { vec![] } else { vec![(0..3 * info_degree as u32).collect()] };
+    let table = AddressTable::from_rows(&params, rows).expect("balanced rows");
+    TannerGraph::for_code(&params, &table)
+}
+
+#[test]
+fn f32_sum_product_handles_short_checks_and_the_chain_head() {
+    // Information degree 0, 1 and 2 — the folds the decoupled sweep
+    // special-cases (identity, the lone edge, the sibling edge) — and 3, the
+    // first general one, on check 0 (one parity edge) as well as along the
+    // chain. Every linear code
+    // holds the all-zero word, so noisy positive LLRs are valid frames.
+    for info_degree in 0..=3 {
+        let graph = Arc::new(tiny_chain_graph(info_degree));
+        assert_eq!(graph.check_degree(0), info_degree + 1);
+        assert_eq!(graph.check_degree(1), info_degree + 2);
+        let frames: Vec<Vec<f64>> = (0..6u64)
+            .map(|seed| {
+                let mut rng = SplitMix64(77 + seed);
+                let sigma = 0.5 + 0.04 * seed as f64;
+                (0..graph.var_count())
+                    .map(|_| 2.0 * (1.0 + sigma * rng.next_gaussian()) / (sigma * sigma))
+                    .collect()
+            })
+            .collect();
+        assert_tracks_reference(&format!("info degree {info_degree}"), &graph, &frames);
+    }
+}
+
+#[test]
+fn f32_sum_product_survives_erased_and_saturated_inputs() {
+    let code = DvbS2Code::new(CodeRate::R1_2, FrameSize::Short).unwrap();
+    let graph = Arc::new(code.tanner_graph());
+    let (codeword, mut llrs) = noisy_llrs(&code, 2.0, 11);
+    for (i, l) in llrs.iter_mut().enumerate() {
+        let sign = if codeword.get(i) { -1.0 } else { 1.0 };
+        match i % 23 {
+            0 => *l = 0.0,
+            1 => *l = f64::NAN,
+            2 => *l = sign * f64::INFINITY,
+            3 => *l = sign * 1e300,
+            _ => {}
+        }
+    }
+    assert_tracks_reference("erased/saturated", &graph, &[llrs]);
+}
+
+#[test]
+fn f32_sum_product_is_bit_identical_across_simd_tiers() {
+    // The lane passes dispatch per tier; every tier must give the scalar
+    // tier's full DecodeResult bit for bit (CI also forces DVBS2_SIMD=scalar
+    // over this suite).
+    let code = DvbS2Code::new(CodeRate::R1_2, FrameSize::Short).unwrap();
+    let graph = Arc::new(code.tanner_graph());
+    let scalar = f32_config().with_simd_tier(Some(SimdTier::Scalar));
+    let mut flooding_reference = FloodingDecoder::new(Arc::clone(&graph), scalar);
+    let mut zigzag_reference = ZigzagDecoder::new(Arc::clone(&graph), scalar);
+    for tier in SimdTier::available() {
+        let config = f32_config().with_simd_tier(Some(tier));
+        let mut flooding = FloodingDecoder::new(Arc::clone(&graph), config);
+        let mut zigzag = ZigzagDecoder::new(Arc::clone(&graph), config);
+        assert_eq!(flooding.simd_tier(), tier);
+        assert_eq!(zigzag.simd_tier(), tier);
+        for (ebn0_db, seed) in [(2.0, 300), (1.0, 301), (0.2, 302)] {
+            let (_, llrs) = noisy_llrs(&code, ebn0_db, seed);
+            assert_eq!(
+                flooding.decode(&llrs),
+                flooding_reference.decode(&llrs),
+                "flooding {tier:?} seed {seed}"
+            );
+            assert_eq!(
+                zigzag.decode(&llrs),
+                zigzag_reference.decode(&llrs),
+                "zigzag {tier:?} seed {seed}"
+            );
+        }
+    }
+}
