@@ -12,7 +12,7 @@
 use dvbs2::decoder::{
     detected_cpu_features, hard_decisions, syndrome_ok, CheckRule, DecodeResult, Decoder,
     DecoderConfig, FloodingDecoder, Precision, QCheckArithmetic, QuantizedZigzagDecoder, Quantizer,
-    SimdTier, TileSchedule, TiledBatchDecoder, ZigzagDecoder,
+    SimdTier, ZigzagDecoder,
 };
 use dvbs2::hardware::{hw_chain_partition, CnSchedule, ConnectivityRom};
 use dvbs2::ldpc::{CodeRate, FrameSize, TannerGraph};
@@ -32,6 +32,33 @@ const PR4_SUM_PRODUCT_F32_MBPS: f64 = 0.140;
 /// for the lane-parallel passes that replaced those sweeps.
 const PR11_FLOODING_SUM_PRODUCT_F32_MBPS: f64 = 0.130;
 const PR11_ZIGZAG_SUM_PRODUCT_F32_MBPS: f64 = 0.146;
+
+/// The PR whose code the committed record was taken with. Bump it in the PR
+/// that re-records the file.
+const RECORDED_BY: &str = "PR 13 (ISSUE 18)";
+
+/// Lines of Rust under `dir`, build output excluded: the recorded
+/// trajectory of the "net LoC goes down" aim.
+fn rust_lines(dir: &std::path::Path) -> usize {
+    let Ok(entries) = std::fs::read_dir(dir) else { return 0 };
+    entries
+        .flatten()
+        .map(|entry| {
+            let path = entry.path();
+            if path.is_dir() {
+                if path.file_name().is_some_and(|name| name == "target") {
+                    0
+                } else {
+                    rust_lines(&path)
+                }
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                std::fs::read_to_string(&path).map_or(0, |text| text.lines().count())
+            } else {
+                0
+            }
+        })
+        .sum()
+}
 
 /// The seed repository's min-sum check kernel, verbatim: branchy
 /// two-minima tracking and multiplicative sign application. Embedded so the
@@ -276,25 +303,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ];
 
-    // Hardware-partitioned quantized lanes: the natural schedule's chain
+    // Quantized lanes. `quantized_sequential` is the decoder the default
+    // profiles serve at R8/9 and R9/10: the fused sweep with one lane in
+    // graph order. The partitioned pair runs the natural schedule's chain
     // partition (the same construction the differential oracle verifies
-    // bit-exact against the golden model), once through the reference
-    // LUT-indirection sweep, once through the permutation-baked scalar
-    // fused planes, and once through the sub-chain-major SIMD lane planes.
-    // Same numerics throughout (all three are bit-exact), different memory
-    // layout and kernels — the chain isolates each layer's speedup.
+    // bit-exact against the golden model), once through the scalar fused
+    // planes and once through the sub-chain-major SIMD lane planes — same
+    // numerics (bit-exact), different memory layout and kernels.
+    variants.push((
+        "quantized_sequential",
+        Box::new(QuantizedZigzagDecoder::new(Arc::clone(&graph), Quantizer::paper_6bit(), base)),
+    ));
     let rom = ConnectivityRom::build(system.code().params(), system.code().table());
     let schedule = CnSchedule::natural(&rom);
     let partition = hw_chain_partition(&rom, &schedule, &graph);
-    variants.push((
-        "quantized_partitioned_indirect",
-        Box::new(QuantizedZigzagDecoder::with_partition_indirect(
-            Arc::clone(&graph),
-            QCheckArithmetic::lut(Quantizer::paper_6bit()),
-            base,
-            partition.clone(),
-        )),
-    ));
     variants.push((
         "quantized_partitioned_fused",
         Box::new(QuantizedZigzagDecoder::with_partition_fused(
@@ -316,76 +338,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let rows = measure_all(&mut variants, &frame.llrs, n, k, rounds, frames_per_window);
 
-    // Multi-frame tiled batched lanes: eight distinct noisy frames decoded
-    // per call as cache-sized tiles, once per thread count. Same min-sum
-    // f32 numerics as `flooding_min_sum_f32` (results are bit-identical per
-    // frame), so the 1-thread ratio isolates the tiling win and the
-    // thread-count rows record per-core scaling — honestly including the
-    // case where the host has a single vCPU and the extra threads just
-    // contend.
-    const BATCH: usize = 8;
-    const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-    const THREAD_NAMES: [&str; 3] = [
-        "batched_tiled_min_sum_f32_x8_t1",
-        "batched_tiled_min_sum_f32_x8_t2",
-        "batched_tiled_min_sum_f32_x8_t4",
-    ];
-    let batch_frames: Vec<Vec<f64>> =
-        (0..BATCH).map(|_| system.transmit_frame(&mut rng, 2.0).llrs).collect();
-    let batch_llrs: Vec<&[f64]> = batch_frames.iter().map(|f| f.as_slice()).collect();
-    let tiled_rows: Vec<Measurement> = THREAD_COUNTS
-        .iter()
-        .zip(THREAD_NAMES)
-        .map(|(&threads, name)| {
-            let mut batched = TiledBatchDecoder::new(
-                Arc::clone(&graph),
-                min_sum.with_precision(Precision::F32),
-                TileSchedule::Flooding,
-                BATCH,
-            )
-            .with_threads(threads);
-            let warm = batched.decode_batch(&batch_llrs);
-            for r in &warm {
-                assert_eq!(
-                    r.iterations, 30,
-                    "tiled lane: benchmark contract is 30 fixed iterations"
-                );
-            }
-            let mut best = f64::INFINITY;
-            let mut total_frames = 0usize;
-            let mut total_seconds = 0f64;
-            for _ in 0..rounds {
-                let start = Instant::now();
-                for _ in 0..frames_per_window {
-                    std::hint::black_box(batched.decode_batch(std::hint::black_box(&batch_llrs)));
-                }
-                let seconds = start.elapsed().as_secs_f64();
-                best = best.min(seconds / (frames_per_window * BATCH) as f64);
-                total_frames += frames_per_window * BATCH;
-                total_seconds += seconds;
-            }
-            let m = Measurement {
-                name,
-                coded_mbps: n as f64 / best / 1e6,
-                info_mbps: k as f64 / best / 1e6,
-                frames: total_frames,
-                seconds: total_seconds,
-            };
-            println!(
-                "{:<28} {:>8.2} Mbit/s coded  {:>8.2} Mbit/s info  (best of {} frames, {:.2} s)",
-                m.name, m.coded_mbps, m.info_mbps, m.frames, m.seconds
-            );
-            m
-        })
-        .collect();
-
-    let mbps = |name: &str| {
-        rows.iter()
-            .chain(tiled_rows.iter())
-            .find(|m| m.name == name)
-            .map(|m| m.coded_mbps)
-            .unwrap_or(0.0)
-    };
+    let mbps =
+        |name: &str| rows.iter().find(|m| m.name == name).map(|m| m.coded_mbps).unwrap_or(0.0);
     let baseline_mbps = rows[0].coded_mbps;
     let speedup = mbps("flooding_min_sum_f32") / baseline_mbps;
     let speedup_table_vs_pr4 = mbps("flooding_table_sum_product_f32") / PR4_SUM_PRODUCT_F32_MBPS;
@@ -393,11 +347,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mbps("flooding_sum_product_f32") / PR11_FLOODING_SUM_PRODUCT_F32_MBPS;
     let speedup_zigzag_sp_vs_pr11 =
         mbps("zigzag_sum_product_f32") / PR11_ZIGZAG_SUM_PRODUCT_F32_MBPS;
-    let speedup_fused_vs_indirect =
-        mbps("quantized_partitioned_fused") / mbps("quantized_partitioned_indirect");
     let speedup_quantized_simd_vs_fused =
         mbps("quantized_partitioned_simd") / mbps("quantized_partitioned_fused");
-    let speedup_batched = tiled_rows[0].coded_mbps / mbps("flooding_min_sum_f32");
     let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
     let tier = SimdTier::resolve(None);
     let features = detected_cpu_features();
@@ -410,27 +361,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "speedup (exact sum-product f32 vs PR 11): flooding {speedup_flooding_sp_vs_pr11:.2}x, \
          zigzag {speedup_zigzag_sp_vs_pr11:.2}x"
     );
-    println!("speedup (quantized fused vs indirect partition): {speedup_fused_vs_indirect:.2}x");
     println!(
         "speedup (quantized {} lanes vs scalar fused): {speedup_quantized_simd_vs_fused:.2}x",
         quantized_simd_tier.name()
     );
-    println!(
-        "speedup (tiled batched x{BATCH}, 1 thread, vs single-frame min-sum f32): \
-         {speedup_batched:.2}x"
-    );
-    for (m, &threads) in tiled_rows.iter().zip(THREAD_COUNTS.iter()) {
-        println!(
-            "tiled scaling: {threads} thread(s) -> {:.2} Mbit/s ({:.2}x of 1-thread)",
-            m.coded_mbps,
-            m.coded_mbps / tiled_rows[0].coded_mbps
-        );
-    }
     println!("cpu: {cores} core(s), dispatch tier {}, features {:?}", tier.name(), features);
 
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"benchmark\": \"decoder_throughput\",\n");
+    json.push_str(&format!("  \"recorded_by\": \"{RECORDED_BY}\",\n"));
+    let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    let workspace: usize = ["crates", "tests", "examples", "benchmark"]
+        .iter()
+        .map(|dir| rust_lines(&root.join(dir)))
+        .sum();
+    json.push_str(&format!(
+        "  \"loc\": {{\"decoder_src\": {}, \"workspace\": {workspace}}},\n",
+        rust_lines(&root.join("crates/decoder/src"))
+    ));
     json.push_str(&format!(
         "  \"code\": {{\"n\": {n}, \"k\": {k}, \"rate\": \"1/2\", \"frame\": \"normal\"}},\n"
     ));
@@ -450,9 +399,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  \"speedup_sum_product_f32_vs_pr11\": {{\"flooding\": \
          {speedup_flooding_sp_vs_pr11:.3}, \"zigzag\": {speedup_zigzag_sp_vs_pr11:.3}}},\n"
     ));
-    json.push_str(&format!(
-        "  \"speedup_quantized_fused_vs_indirect\": {speedup_fused_vs_indirect:.3},\n"
-    ));
     json.push_str(&format!("  \"quantized_simd_tier\": \"{}\",\n", quantized_simd_tier.name()));
     json.push_str(&format!(
         "  \"speedup_quantized_simd_vs_fused\": {speedup_quantized_simd_vs_fused:.3},\n"
@@ -464,22 +410,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         tier.name(),
         features.iter().map(|f| format!("\"{f}\"")).collect::<Vec<_>>().join(", ")
     ));
-    json.push_str(&format!("  \"batch_frames\": {BATCH},\n"));
-    json.push_str(&format!("  \"speedup_batched_vs_single_min_sum_f32\": {speedup_batched:.3},\n"));
-    json.push_str("  \"tiled_thread_scaling\": [\n");
-    for (i, (m, &threads)) in tiled_rows.iter().zip(THREAD_COUNTS.iter()).enumerate() {
-        json.push_str(&format!(
-            "    {{\"threads\": {threads}, \"coded_mbps\": {:.3}, \"scaling_vs_1_thread\": \
-             {:.3}}}{}\n",
-            m.coded_mbps,
-            m.coded_mbps / tiled_rows[0].coded_mbps,
-            if i + 1 < tiled_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
     json.push_str("  \"results\": [\n");
-    let all_rows: Vec<&Measurement> = rows.iter().chain(tiled_rows.iter()).collect();
-    for (i, m) in all_rows.iter().enumerate() {
+    for (i, m) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"coded_mbps\": {:.3}, \"info_mbps\": {:.3}, \"frames\": {}, \"seconds\": {:.3}}}{}\n",
             m.name,
@@ -487,7 +419,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             m.info_mbps,
             m.frames,
             m.seconds,
-            if i + 1 < all_rows.len() { "," } else { "" }
+            if i + 1 < rows.len() { "," } else { "" }
         ));
     }
     json.push_str("  ]\n}\n");

@@ -27,6 +27,10 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
+/// The PR whose code the committed record was taken with. Bump it in the PR
+/// that re-records the file.
+const RECORDED_BY: &str = "PR 13 (ISSUE 18)";
+
 fn usage() -> ! {
     eprintln!(
         "usage: pipeline_soak [--frames N] [--seed S] [--workers W] [--quick]\n\
@@ -401,6 +405,7 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"benchmark\": \"pipeline_soak\",\n");
+    json.push_str(&format!("  \"recorded_by\": \"{RECORDED_BY}\",\n"));
     json.push_str(&format!("  \"seed\": {},\n", options.seed));
     json.push_str(&format!("  \"workers\": {},\n", options.workers));
     let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);

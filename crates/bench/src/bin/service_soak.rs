@@ -36,6 +36,10 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
+/// The PR whose code the committed record was taken with. Bump it in the PR
+/// that re-records the file.
+const RECORDED_BY: &str = "PR 13 (ISSUE 18)";
+
 fn usage() -> ! {
     eprintln!(
         "usage: service_soak [--frames N] [--seed S] [--interval-us U] [--quick]\n\
@@ -776,6 +780,7 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"benchmark\": \"service_soak\",\n");
+    json.push_str(&format!("  \"recorded_by\": \"{RECORDED_BY}\",\n"));
     json.push_str(&format!("  \"seed\": {},\n", options.seed));
     json.push_str(&format!("  \"frames_per_stream\": {},\n", options.frames));
     json.push_str(&format!("  \"interval_us\": {},\n", options.interval.as_micros()));

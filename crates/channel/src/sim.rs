@@ -161,16 +161,12 @@ where
 /// global indices `first_frame..first_frame + count` — and returns one
 /// [`FrameOutcome`] per index, in order.
 ///
-/// This is the entry point for **multi-frame batched decoders** (the
-/// decoder crate's tiled batch decoder) that amortize graph traversal
-/// across codewords: a worker can generate the chunk's noise realizations
-/// (seeded per global index, so outcomes stay bit-reproducible at any
-/// thread count) and decode them in one batched call. The chunking, work
+/// A worker that wants a whole chunk at once can generate its noise
+/// realizations (seeded per global index, so outcomes stay bit-reproducible
+/// at any thread count) and process them in one call. The chunking, work
 /// stealing and deterministic early-out are identical to
 /// [`monte_carlo_frames`], which is implemented on top of this by mapping
-/// the per-frame closure over each chunk. Thread-parallel frame lanes
-/// compose: this function's per-thread workers each hold their own batch
-/// decoder, so `threads × tile lanes` is the full parallelism product.
+/// the per-frame closure over each chunk.
 ///
 /// # Panics
 ///

@@ -661,141 +661,6 @@ pub(crate) fn chain_combine_pass(
     }
 }
 
-/// Multi-frame check-node half-iteration over the transposed planes: the
-/// batched counterpart of [`blocked_min_sum_pass`].
-///
-/// Layout: every plane slot and every variable owns `batch` consecutive
-/// lanes, one per frame (`plane[slot * batch + frame]`,
-/// `totals[var * batch + frame]` — frame-major interleaving, the GPU
-/// multi-codeword trick). One `slot_vars` load then serves `batch` gathers
-/// from consecutive addresses, amortizing the only indexed access of the
-/// kernel across every frame in the batch; all other loops run over
-/// contiguous lane runs exactly like the single-frame kernel.
-///
-/// Stripes shrink from [`STRIPE`] checks to `STRIPE / batch` so the state
-/// arrays keep the same L1 footprint. Per (check, frame) lane the arithmetic
-/// is identical, in identical order, to [`blocked_min_sum_pass`] on that
-/// frame alone — striping groups lanes but never reorders a check's own
-/// recurrence — so batched decodes are bit-identical per frame to
-/// single-frame decodes at the same precision.
-///
-/// # Panics
-///
-/// Debug-asserts `1 <= batch <= STRIPE`.
-#[inline(always)]
-pub(crate) fn batched_min_sum_pass<F: LlrFloat>(
-    blocked: &BlockedChecks,
-    rule: &CheckRule,
-    batch: usize,
-    totals: &[F],
-    v2c_t: &mut [F],
-    c2v_t: &mut [F],
-    correct: impl Fn(F) -> F,
-) {
-    debug_assert!((1..=STRIPE).contains(&batch), "batch {batch} out of range");
-    let slot_vars = &blocked.slot_vars[..];
-    for class in &blocked.classes {
-        let d = class.degree;
-        let m = class.checks.len();
-        let base = class.slot_base;
-        if d < 3 {
-            // Degenerate checks take the rule's special-cased path, one
-            // (check, frame) lane at a time.
-            let mut tmp_in = [F::ZERO; 2];
-            let mut tmp_out = [F::ZERO; 2];
-            for i in 0..m {
-                for fb in 0..batch {
-                    for (j, t) in tmp_in[..d].iter_mut().enumerate() {
-                        let s = base + j * m + i;
-                        *t = totals[slot_vars[s] as usize * batch + fb] - c2v_t[s * batch + fb];
-                    }
-                    rule.extrinsic_t(&tmp_in[..d], &mut tmp_out[..d]);
-                    for (j, (&inp, &out)) in tmp_in[..d].iter().zip(&tmp_out[..d]).enumerate() {
-                        let s = base + j * m + i;
-                        v2c_t[s * batch + fb] = inp;
-                        c2v_t[s * batch + fb] = out;
-                    }
-                }
-            }
-            continue;
-        }
-        let checks_per_stripe = (STRIPE / batch).max(1);
-        let mut i0 = 0;
-        while i0 < m {
-            let bc = checks_per_stripe.min(m - i0);
-            let lanes = bc * batch;
-            let mut min1 = [F::INFINITY; STRIPE];
-            let mut min2 = [F::INFINITY; STRIPE];
-            let mut min_col = [0u32; STRIPE];
-            let mut negative_signs = [0u32; STRIPE];
-            for j in 0..d {
-                let col = base + j * m + i0;
-                let vars = &slot_vars[col..col + bc];
-                let pbase = col * batch;
-                let v2c_col = &mut v2c_t[pbase..pbase + lanes];
-                let c2v_col = &c2v_t[pbase..pbase + lanes];
-                let jj = j as u32;
-                for (i, &var) in vars.iter().enumerate() {
-                    let tb = var as usize * batch;
-                    let lb = i * batch;
-                    for fb in 0..batch {
-                        v2c_col[lb + fb] = totals[tb + fb] - c2v_col[lb + fb];
-                    }
-                }
-                for l in 0..lanes {
-                    let x = v2c_col[l];
-                    let mag = x.abs();
-                    let smaller = mag < min1[l];
-                    min2[l] = min2[l].min(min1[l].max(mag));
-                    min1[l] = min1[l].min(mag);
-                    let mask = (smaller as u32).wrapping_neg();
-                    min_col[l] = (jj & mask) | (min_col[l] & !mask);
-                    negative_signs[l] += x.is_negative() as u32;
-                }
-            }
-            for j in 0..d {
-                let col = base + j * m + i0;
-                let pbase = col * batch;
-                let v2c_col = &v2c_t[pbase..pbase + lanes];
-                let c2v_col = &mut c2v_t[pbase..pbase + lanes];
-                let jj = j as u32;
-                for l in 0..lanes {
-                    let mag = correct(F::select(min_col[l] == jj, min2[l], min1[l]));
-                    let flip = (negative_signs[l] + v2c_col[l].is_negative() as u32) & 1 == 1;
-                    c2v_col[l] = mag.flip_sign_if(flip);
-                }
-            }
-            i0 += bc;
-        }
-    }
-}
-
-/// Batched a-posteriori totals: per frame identical (bit-identical
-/// summation order) to [`accumulate_totals_slotted`] — ascending edge
-/// order, channel LLR added last — with every addition amortizing its
-/// `edge_vars`/`edge_to_slot` loads across the `batch` frame lanes.
-#[inline(always)]
-pub(crate) fn batched_accumulate_totals_slotted<F: LlrFloat>(
-    edge_vars: &[u32],
-    edge_to_slot: &[u32],
-    batch: usize,
-    llr: &[F],
-    c2v_t: &[F],
-    totals: &mut [F],
-) {
-    totals.fill(F::ZERO);
-    for (&v, &slot) in edge_vars.iter().zip(edge_to_slot) {
-        let tb = v as usize * batch;
-        let sb = slot as usize * batch;
-        for fb in 0..batch {
-            totals[tb + fb] += c2v_t[sb + fb];
-        }
-    }
-    for (t, &l) in totals.iter_mut().zip(llr) {
-        *t = l + *t;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Runtime SIMD dispatch.
 //
@@ -805,45 +670,12 @@ pub(crate) fn batched_accumulate_totals_slotted<F: LlrFloat>(
 // the wrapper's feature set and the auto-vectorizer emits 256-/512-bit code
 // without a compile-time `target-cpu` floor. The clones are the SAME Rust —
 // identical operation order, no contraction — so every tier is bit-identical
-// (pinned by `tests/tiled.rs`). Callers resolve a `SimdTier` once per
+// (pinned by `tests/sum_product_f32.rs`). Callers resolve a `SimdTier` once per
 // decoder via `SimdTier::resolve`, which guarantees the tier is supported,
 // making the `unsafe` target-feature calls sound.
 
-macro_rules! tier_kernel_clones {
-    ($(#[$doc:meta])* $dispatch:ident, $base:ident, $avx2:ident, $avx512:ident;
-     ($($arg:ident: $ty:ty),* $(,)?)) => {
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        unsafe fn $avx2<F: LlrFloat>($($arg: $ty,)* correct: impl Fn(F) -> F) {
-            $base($($arg,)* correct);
-        }
-
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx512f")]
-        unsafe fn $avx512<F: LlrFloat>($($arg: $ty,)* correct: impl Fn(F) -> F) {
-            $base($($arg,)* correct);
-        }
-
-        $(#[$doc])*
-        #[allow(clippy::too_many_arguments)]
-        pub(crate) fn $dispatch<F: LlrFloat>(
-            tier: SimdTier,
-            $($arg: $ty,)*
-            correct: impl Fn(F) -> F,
-        ) {
-            match tier {
-                #[cfg(target_arch = "x86_64")]
-                SimdTier::Avx2 => unsafe { $avx2($($arg,)* correct) },
-                #[cfg(target_arch = "x86_64")]
-                SimdTier::Avx512 => unsafe { $avx512($($arg,)* correct) },
-                _ => $base($($arg,)* correct),
-            }
-        }
-    };
-}
-
-/// Tier clones of a kernel without a closure argument; `<F>` after the
-/// dispatcher's name makes all three generic over the message precision.
+/// Tier clones of a kernel; `<F>` after the dispatcher's name makes all three
+/// generic over the message precision.
 macro_rules! tier_clones {
     ($(#[$doc:meta])* $dispatch:ident $(<$f:ident>)?, $base:ident, $avx2:ident, $avx512:ident;
      ($($arg:ident: $ty:ty),* $(,)?)) => {
@@ -875,24 +707,17 @@ macro_rules! tier_clones {
     };
 }
 
-tier_kernel_clones!(
+tier_clones!(
     /// [`blocked_min_sum_pass`] dispatched onto the selected SIMD tier.
-    blocked_min_sum_pass_tier, blocked_min_sum_pass,
+    blocked_min_sum_pass_tier<F>, blocked_min_sum_pass,
     blocked_min_sum_pass_avx2, blocked_min_sum_pass_avx512;
-    (blocked: &BlockedChecks, rule: &CheckRule, totals: &[F], v2c_t: &mut [F], c2v_t: &mut [F])
-);
-
-tier_kernel_clones!(
-    /// [`batched_min_sum_pass`] dispatched onto the selected SIMD tier.
-    batched_min_sum_pass_tier, batched_min_sum_pass,
-    batched_min_sum_pass_avx2, batched_min_sum_pass_avx512;
     (
         blocked: &BlockedChecks,
         rule: &CheckRule,
-        batch: usize,
         totals: &[F],
         v2c_t: &mut [F],
         c2v_t: &mut [F],
+        correct: impl Fn(F) -> F,
     )
 );
 
@@ -901,21 +726,6 @@ tier_clones!(
     accumulate_totals_slotted_tier<F>, accumulate_totals_slotted,
     accumulate_totals_slotted_avx2, accumulate_totals_slotted_avx512;
     (edge_vars: &[u32], edge_to_slot: &[u32], llr: &[F], c2v_t: &[F], totals: &mut [F])
-);
-
-tier_clones!(
-    /// [`batched_accumulate_totals_slotted`] dispatched onto the selected
-    /// SIMD tier.
-    batched_accumulate_totals_slotted_tier<F>, batched_accumulate_totals_slotted,
-    batched_accumulate_totals_slotted_avx2, batched_accumulate_totals_slotted_avx512;
-    (
-        edge_vars: &[u32],
-        edge_to_slot: &[u32],
-        batch: usize,
-        llr: &[F],
-        c2v_t: &[F],
-        totals: &mut [F],
-    )
 );
 
 tier_clones!(
@@ -951,28 +761,6 @@ tier_clones!(
         bwd: &mut [f32],
     )
 );
-
-/// [`syndrome_ok_totals`] for one frame lane of a batched totals plane.
-pub(crate) fn syndrome_ok_totals_lane<F: LlrFloat>(
-    graph: &TannerGraph,
-    totals: &[F],
-    batch: usize,
-    frame: usize,
-) -> bool {
-    let offsets = graph.check_offsets();
-    let edge_vars = graph.edge_vars();
-    for c in 0..graph.check_count() {
-        let range = offsets[c] as usize..offsets[c + 1] as usize;
-        let mut parity = 0u32;
-        for &v in &edge_vars[range] {
-            parity ^= totals[v as usize * batch + frame].is_negative() as u32;
-        }
-        if parity != 0 {
-            return false;
-        }
-    }
-    true
-}
 
 /// `true` when the hard decisions implied by the totals' signs satisfy
 /// every check equation. Equivalent to `syndrome_ok(graph,

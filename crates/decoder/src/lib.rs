@@ -69,7 +69,7 @@ pub use stopping::{
 pub use threshold::{
     ga_converges, ga_threshold_ebn0_db, ga_threshold_sigma, phi, phi_inv, DegreeDistribution,
 };
-pub use tile::{TileGeometry, TileSchedule, TiledBatchDecoder, MAX_TILE_WIDTH};
+pub use tile::{TileSchedule, TiledBatchDecoder};
 pub use zigzag::ZigzagDecoder;
 
 use dvbs2_ldpc::BitVec;

@@ -381,48 +381,6 @@ impl CheckRule {
             CheckRule::OffsetMinSum(beta) => (x.abs() - F::from_f64(beta)).max(F::ZERO).copysign(x),
         }
     }
-
-    /// The rule's magnitude correction as a value, or `None` for the exact
-    /// sum-product rules.
-    ///
-    /// The min-sum lane kernels are generic over a `correct` closure so the
-    /// per-message correction inlines into the recurrence; this helper
-    /// hoists the rule match out of the hot path once, at the call sites
-    /// that dispatch a whole decode (the single-frame zigzag engine and the
-    /// tiled batch decoder share it).
-    pub(crate) fn min_sum_correct<F: LlrFloat>(&self) -> Option<MinSumCorrect<F>> {
-        match *self {
-            CheckRule::NormalizedMinSum(alpha) => {
-                Some(MinSumCorrect::Normalized(F::from_f64(alpha)))
-            }
-            CheckRule::OffsetMinSum(beta) => Some(MinSumCorrect::Offset(F::from_f64(beta))),
-            CheckRule::SumProduct | CheckRule::TableSumProduct => None,
-        }
-    }
-}
-
-/// A min-sum magnitude correction, pre-converted to the message precision.
-///
-/// [`MinSumCorrect::apply`] performs exactly the arithmetic of the matching
-/// [`CheckRule`] arm in [`min_sum_extrinsic`]'s closures, so kernels driven
-/// through it stay bit-identical to kernels that match on the rule inline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum MinSumCorrect<F> {
-    /// Multiplicative normalization (`CheckRule::NormalizedMinSum`).
-    Normalized(F),
-    /// Additive offset with clamping at zero (`CheckRule::OffsetMinSum`).
-    Offset(F),
-}
-
-impl<F: LlrFloat> MinSumCorrect<F> {
-    /// Corrects one extrinsic magnitude.
-    #[inline(always)]
-    pub(crate) fn apply(self, mag: F) -> F {
-        match self {
-            MinSumCorrect::Normalized(alpha) => mag * alpha,
-            MinSumCorrect::Offset(beta) => (mag - beta).max(F::ZERO),
-        }
-    }
 }
 
 /// Forward/backward sum-product extrinsic for `d >= 3`.
@@ -713,19 +671,6 @@ mod tests {
         for (a, b) in out32.iter().zip(&out64) {
             assert_eq!(*a as f64, *b, "f32/f64 table kernels diverged");
         }
-    }
-
-    #[test]
-    fn min_sum_correct_matches_rule_arithmetic() {
-        let mags = [0.0f64, 0.1, 0.25, 1.5, 7.0];
-        let norm = CheckRule::NormalizedMinSum(0.8).min_sum_correct::<f64>().unwrap();
-        let offs = CheckRule::OffsetMinSum(0.3).min_sum_correct::<f64>().unwrap();
-        for &m in &mags {
-            assert_eq!(norm.apply(m), m * 0.8);
-            assert_eq!(offs.apply(m), (m - 0.3).max(0.0));
-        }
-        assert_eq!(CheckRule::SumProduct.min_sum_correct::<f32>(), None);
-        assert_eq!(CheckRule::TableSumProduct.min_sum_correct::<f32>(), None);
     }
 
     #[test]

@@ -30,7 +30,8 @@ use std::sync::Arc;
 /// `GoldenModel` — decoded words, iteration counts and convergence flags —
 /// because the order-dependent quantized boxplus then sees identical
 /// operands in identical order at every check. With `lanes = 1` and no edge
-/// order it degenerates to the plain sequential zigzag.
+/// order it is the plain sequential zigzag — the partition
+/// [`QuantizedZigzagDecoder::new`] runs.
 #[derive(Debug, Clone)]
 pub struct ChainPartition {
     lanes: usize,
@@ -66,8 +67,9 @@ impl ChainPartition {
 
 /// Construction-time fusion of a [`ChainPartition`] into dedicated message
 /// planes: the per-check schedule permutation is baked into the plane
-/// *layout* so the partitioned sweep and both variable-node passes run with
-/// zero extra indirection in their inner loops.
+/// *layout* so the check sweep and both variable-node passes run with zero
+/// extra indirection in their inner loops. Every scalar decode runs on this
+/// plan; the sequential zigzag is its 1-lane, graph-order instance.
 ///
 /// Layout: check `c` (lane `u = c / q_rows`, residue row `r = c % q_rows`)
 /// owns the fixed-stride plane row `r · lanes + u` — the rows are laid out
@@ -152,9 +154,16 @@ impl FusedPlan {
 
 /// Quantized zigzag-schedule decoder.
 ///
+/// One scalar datapath — the fused sweep over a [`ChainPartition`] — plus
+/// its configuration: [`new`](Self::new) / [`with_arithmetic`](Self::with_arithmetic)
+/// run it with one lane in graph order (the sequential zigzag of the paper's
+/// Fig. 2b), [`with_partition_fused`](Self::with_partition_fused) with the
+/// caller's cut, and [`with_partition`](Self::with_partition) adds the SIMD
+/// lane planes on top.
+///
 /// # Chain-boundary semantics vs the hardware `GoldenModel`
 ///
-/// This decoder runs the parity chain as **one** sequential zigzag over all
+/// With one lane the parity chain is **one** sequential zigzag over all
 /// `N − K` checks: the forward input of check `c` is check `c − 1`'s output
 /// from the *same* iteration, for every `c > 0`, and the backward messages
 /// come from the previous iteration. The hardware golden model
@@ -163,18 +172,18 @@ impl FusedPlan {
 /// `q = (N − K) / 360` sub-chain boundaries in two ways:
 ///
 /// * the forward message *entering* a sub-chain's first check comes from the
-///   **previous iteration** (this decoder would use the same iteration's
-///   value from the preceding chain segment);
+///   **previous iteration** (one lane would use the same iteration's value
+///   from the preceding chain segment);
 /// * the backward boundary message is written while processing row `0` but
 ///   read at row `q − 1` of the same sweep, making it **one iteration
-///   fresher** than this decoder's strictly previous-iteration backward
+///   fresher** than the one-lane, strictly previous-iteration backward
 ///   update.
 ///
 /// All non-boundary messages — `359/360` of the chain — are computed
-/// identically, so in the default sequential mode the two models agree on
-/// decoded words and differ only in rare per-frame iteration counts near
-/// threshold, and the differential oracle holds that pair to a decoded-word
-/// agreement contract. In **hardware-partitioned mode**
+/// identically, so with one lane the two models agree on decoded words and
+/// differ only in rare per-frame iteration counts near threshold, and the
+/// differential oracle holds that pair to a decoded-word agreement
+/// contract. In **hardware-partitioned mode**
 /// ([`QuantizedZigzagDecoder::with_partition`] with a [`ChainPartition`]
 /// built by `dvbs2_hardware::hw_chain_partition`) this decoder reproduces
 /// the hardware boundary semantics *and* the schedule's per-check input
@@ -188,29 +197,26 @@ pub struct QuantizedZigzagDecoder {
     arithmetic: QCheckArithmetic,
     max_iterations: usize,
     early_stop: bool,
-    /// Hardware-partitioned check sweep (`None` = plain sequential zigzag).
+    /// The caller's partition (`None` = built by [`Self::new`] /
+    /// [`Self::with_arithmetic`]: one lane, graph order).
     partition: Option<ChainPartition>,
-    /// Permutation-baked plane layout for the partitioned sweep (`None` =
-    /// sequential mode, or the reference LUT-indirection sweep from
-    /// [`QuantizedZigzagDecoder::with_partition_indirect`]).
-    fused: Option<FusedPlan>,
-    /// Sub-chain-major SIMD lane plan (`None` = scalar paths only; built by
+    /// Permutation-baked plane layout of the partition in force.
+    fused: FusedPlan,
+    /// Sub-chain-major SIMD lane plan (`None` = scalar sweep only; built by
     /// [`QuantizedZigzagDecoder::with_partition`] when the partition and
     /// arithmetic are lane-expressible).
     simd: Option<Box<SimdQuant>>,
+    /// Fused-plane messages (see [`FusedPlan`]).
     v2c: Vec<i32>,
     c2v: Vec<i32>,
     backward: Vec<i32>,
     forward: Vec<i32>,
-    /// Per-lane forward registers of the partitioned sweep.
+    /// Per-lane forward registers of the check sweep.
     fwd_regs: Vec<i32>,
-    /// Chain-boundary forward values from the previous iteration
-    /// (partitioned mode's analogue of the functional units' boundary
-    /// state).
+    /// Chain-boundary forward values from the previous iteration (the
+    /// functional units' boundary state).
     boundary: Vec<i32>,
     totals: Vec<i32>,
-    scratch_in: Vec<i32>,
-    scratch_out: Vec<i32>,
     /// Reused hard-decision scratch for the early-stop syndrome test.
     decisions: BitVec,
     /// Reused quantized-channel buffer for the float [`Decoder`] entry.
@@ -219,12 +225,14 @@ pub struct QuantizedZigzagDecoder {
 
 impl QuantizedZigzagDecoder {
     /// Creates a decoder with the given quantizer (see
-    /// [`Quantizer::paper_6bit`]) and iteration policy.
+    /// [`Quantizer::paper_6bit`]) and iteration policy: the sequential
+    /// zigzag, i.e. the fused sweep with one lane in graph order.
     ///
     /// # Panics
     ///
     /// Panics if the graph lacks the IRA parity chain (see
-    /// [`TannerGraph::for_code`]).
+    /// [`TannerGraph::for_code`]), or if its checks do not all have the
+    /// same information degree (every DVB-S2 code's do).
     pub fn new(graph: Arc<TannerGraph>, quantizer: Quantizer, config: DecoderConfig) -> Self {
         Self::with_arithmetic(graph, QCheckArithmetic::lut(quantizer), config)
     }
@@ -241,33 +249,7 @@ impl QuantizedZigzagDecoder {
         arithmetic: QCheckArithmetic,
         config: DecoderConfig,
     ) -> Self {
-        let n_check = graph.check_count();
-        assert!(
-            graph.info_len() < graph.var_count() && graph.var_count() - graph.info_len() == n_check,
-            "quantized zigzag decoder needs an IRA graph from TannerGraph::for_code"
-        );
-        let edges = graph.edge_count();
-        let max_degree = (0..n_check).map(|c| graph.check_degree(c)).max().unwrap_or(0);
-        QuantizedZigzagDecoder {
-            arithmetic,
-            max_iterations: config.max_iterations,
-            early_stop: config.early_stop,
-            partition: None,
-            fused: None,
-            simd: None,
-            v2c: vec![0; edges],
-            c2v: vec![0; edges],
-            backward: vec![0; n_check],
-            forward: vec![0; n_check],
-            fwd_regs: Vec::new(),
-            boundary: Vec::new(),
-            totals: vec![0; graph.var_count()],
-            scratch_in: vec![0; max_degree],
-            scratch_out: vec![0; max_degree],
-            decisions: BitVec::zeros(graph.var_count()),
-            qchannel: Vec::new(),
-            graph,
-        }
+        Self::build(graph, arithmetic, config, None)
     }
 
     /// Creates a decoder that runs the check sweep in **hardware-partitioned
@@ -283,16 +265,12 @@ impl QuantizedZigzagDecoder {
     /// dispatched per `config.simd` / `DVBS2_SIMD` — see
     /// [`simd_tier`](Self::simd_tier). Combinations the lanes cannot
     /// express exactly fall back to the scalar fused sweep of
-    /// [`with_partition_fused`](Self::with_partition_fused); both are
-    /// bit-identical to the reference LUT-indirection sweep of
-    /// [`with_partition_indirect`](Self::with_partition_indirect).
+    /// [`with_partition_fused`](Self::with_partition_fused), which the lanes
+    /// are held bit-identical to.
     ///
     /// # Panics
     ///
-    /// Panics if the graph is not an IRA graph, if `n_check` is not
-    /// divisible by `partition.lanes()`, if the partition's edge order is
-    /// not a per-check permutation of the graph's information edges, if
-    /// the checks do not all have the same information degree, or if
+    /// Same as [`with_partition_fused`](Self::with_partition_fused), or if
     /// `config.simd` forces a tier this CPU does not support.
     pub fn with_partition(
         graph: Arc<TannerGraph>,
@@ -302,13 +280,9 @@ impl QuantizedZigzagDecoder {
     ) -> Self {
         let tier = SimdTier::resolve(config.simd);
         let mut dec = Self::with_partition_fused(graph, arithmetic, config, partition);
-        dec.simd = SimdQuant::try_build(
-            &dec.graph,
-            dec.partition.as_ref().unwrap(),
-            &dec.arithmetic,
-            tier,
-        )
-        .map(Box::new);
+        // Built after the fused constructor has validated the partition.
+        let cut = dec.partition.as_ref().expect("set by with_partition_fused");
+        dec.simd = SimdQuant::try_build(&dec.graph, cut, &dec.arithmetic, tier).map(Box::new);
         dec
     }
 
@@ -321,53 +295,46 @@ impl QuantizedZigzagDecoder {
     ///
     /// # Panics
     ///
-    /// Same as [`with_partition`](Self::with_partition), minus the SIMD
-    /// tier resolution (`config.simd` is ignored).
+    /// Panics if the graph is not an IRA graph, if `n_check` is not
+    /// divisible by `partition.lanes()`, if the partition's edge order is
+    /// not a per-check permutation of the graph's information edges, or if
+    /// the checks do not all have the same information degree
+    /// (`config.simd` is ignored).
     pub fn with_partition_fused(
         graph: Arc<TannerGraph>,
         arithmetic: QCheckArithmetic,
         config: DecoderConfig,
         partition: ChainPartition,
     ) -> Self {
-        let mut dec = Self::with_partition_indirect(graph, arithmetic, config, partition);
-        let plan = FusedPlan::build(&dec.graph, dec.partition.as_ref().unwrap());
-        // The fused planes replace the edge-indexed ones (they are a
-        // superset: every information edge gets a slot, plus two in-row
-        // parity positions per check).
-        dec.v2c = vec![0; plan.plane_len()];
-        dec.c2v = vec![0; plan.plane_len()];
-        dec.fused = Some(plan);
-        dec
+        Self::build(graph, arithmetic, config, Some(partition))
     }
 
-    /// [`with_partition`](Self::with_partition) without construction-time
-    /// fusion: the check sweep gathers and scatters through the per-check
-    /// edge-order LUT on every message. Decode results are bit-identical to
-    /// the fused mode; this reference path is kept for differential tests
-    /// and as the benchmark baseline the fused layout is measured against.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`with_partition`](Self::with_partition), minus the uniform
-    /// information-degree requirement.
-    pub fn with_partition_indirect(
+    /// The one constructor body: validates the partition — the 1-lane,
+    /// graph-order one (the sequential zigzag) when `None` — and bakes it
+    /// into the fused planes.
+    fn build(
         graph: Arc<TannerGraph>,
         arithmetic: QCheckArithmetic,
         config: DecoderConfig,
-        partition: ChainPartition,
+        partition: Option<ChainPartition>,
     ) -> Self {
-        let mut dec = Self::with_arithmetic(graph, arithmetic, config);
-        let n_check = dec.graph.check_count();
-        let lanes = partition.lanes();
+        let n_check = graph.check_count();
+        assert!(
+            graph.info_len() < graph.var_count() && graph.var_count() - graph.info_len() == n_check,
+            "quantized zigzag decoder needs an IRA graph from TannerGraph::for_code"
+        );
+        let sequential = ChainPartition::new(1, None);
+        let cut = partition.as_ref().unwrap_or(&sequential);
+        let lanes = cut.lanes();
         assert!(
             n_check.is_multiple_of(lanes),
             "{n_check} checks cannot be cut into {lanes} equal sub-chains"
         );
-        if let Some(order) = partition.edge_order() {
+        if let Some(order) = cut.edge_order() {
             // Every check contributes exactly `check_degree - 2` information
             // edges in an IRA graph (check 0 has one fewer *parity* edge,
             // not fewer information edges).
-            let info_d = dec.graph.check_edges(0).len() - 1;
+            let info_d = graph.check_edges(0).len() - 1;
             assert_eq!(
                 order.len(),
                 n_check * info_d,
@@ -375,8 +342,6 @@ impl QuantizedZigzagDecoder {
             );
             let mut seen = vec![false; info_d];
             for c in 0..n_check {
-                let d = dec.graph.check_edges(c).len() - if c == 0 { 1 } else { 2 };
-                assert_eq!(d, info_d, "check {c}: non-uniform information degree");
                 seen.fill(false);
                 for &pos in &order[c * info_d..(c + 1) * info_d] {
                     let pos = pos as usize;
@@ -388,22 +353,38 @@ impl QuantizedZigzagDecoder {
                 }
             }
         }
-        dec.fwd_regs = vec![0; lanes];
-        dec.boundary = vec![0; lanes];
-        dec.partition = Some(partition);
-        dec
+        let fused = FusedPlan::build(&graph, cut);
+        QuantizedZigzagDecoder {
+            arithmetic,
+            max_iterations: config.max_iterations,
+            early_stop: config.early_stop,
+            simd: None,
+            v2c: vec![0; fused.plane_len()],
+            c2v: vec![0; fused.plane_len()],
+            backward: vec![0; n_check],
+            forward: vec![0; n_check],
+            fwd_regs: vec![0; fused.lanes],
+            boundary: vec![0; fused.lanes],
+            totals: vec![0; graph.var_count()],
+            decisions: BitVec::zeros(graph.var_count()),
+            qchannel: Vec::new(),
+            partition,
+            fused,
+            graph,
+        }
     }
 
-    /// The hardware partition in use, if the decoder runs in partitioned
-    /// mode.
+    /// The partition the decoder was built with, or `None` for the
+    /// sequential zigzag of [`new`](Self::new) /
+    /// [`with_arithmetic`](Self::with_arithmetic).
     pub fn partition(&self) -> Option<&ChainPartition> {
         self.partition.as_ref()
     }
 
     /// The SIMD dispatch tier the lane-parallel check sweep runs, or
-    /// `None` when decodes take a scalar path (sequential mode,
-    /// LUT-indirection mode, [`with_partition_fused`](Self::with_partition_fused),
-    /// or a partition/arithmetic the lanes cannot express exactly).
+    /// `None` when decodes take the scalar fused sweep (sequential mode,
+    /// [`with_partition_fused`](Self::with_partition_fused), or a
+    /// partition/arithmetic the lanes cannot express exactly).
     pub fn simd_tier(&self) -> Option<SimdTier> {
         self.simd.as_ref().map(|s| s.tier())
     }
@@ -436,20 +417,16 @@ impl QuantizedZigzagDecoder {
         if self.simd.is_some() && self.decode_simd_into(channel, out, None) {
             return;
         }
-        if self.fused.is_some() {
-            self.decode_fused_into(channel, out, None);
-        } else {
-            self.decode_unfused_into(channel, out, None);
-        }
+        self.decode_fused_into(channel, out, None);
     }
 
     /// [`decode_quantized`](Self::decode_quantized) that additionally pushes
     /// one FNV-1a digest of the message state (information-edge c2v messages
     /// in hardware input order, then the forward and backward chain
     /// messages) per completed check sweep. The digest is computed over
-    /// canonical (layout-independent) message order, so fused and
-    /// LUT-indirection decoders over the same partition produce identical
-    /// digest sequences — the per-iteration half of the fused-vs-indirect
+    /// canonical (layout-independent) message order, so the scalar fused
+    /// sweep and the SIMD lane planes over the same partition produce
+    /// identical digest sequences — the per-iteration half of their
     /// equivalence property.
     ///
     /// # Panics
@@ -466,11 +443,7 @@ impl QuantizedZigzagDecoder {
             return out;
         }
         digests.clear();
-        if self.fused.is_some() {
-            self.decode_fused_into(channel, &mut out, Some(digests));
-        } else {
-            self.decode_unfused_into(channel, &mut out, Some(digests));
-        }
+        self.decode_fused_into(channel, &mut out, Some(digests));
         out
     }
 
@@ -502,210 +475,8 @@ impl QuantizedZigzagDecoder {
         ok
     }
 
-    /// Sequential or LUT-indirection-partitioned decode (no fused plan).
-    fn decode_unfused_into(
-        &mut self,
-        channel: &[i32],
-        out: &mut DecodeResult,
-        mut trace: Option<&mut Vec<u64>>,
-    ) {
-        let graph = Arc::clone(&self.graph);
-        assert_eq!(channel.len(), graph.var_count(), "LLR length mismatch");
-        let k = graph.info_len();
-        let n_check = graph.check_count();
-        let q = *self.arithmetic.quantizer();
-
-        self.c2v.fill(0);
-        self.backward.fill(0);
-        self.boundary.fill(0);
-        let partition = self.partition.clone();
-        let mut iterations = 0;
-        let mut converged = false;
-
-        for _ in 0..self.max_iterations {
-            iterations += 1;
-
-            // Information variable nodes (Eq. 4, saturating outputs).
-            for v in 0..k {
-                let edges = graph.var_edges(v);
-                let total: i32 =
-                    channel[v] + edges.iter().map(|&e| self.c2v[e as usize]).sum::<i32>();
-                for &e in edges {
-                    self.v2c[e as usize] = q.saturate(total - self.c2v[e as usize]);
-                }
-            }
-
-            match &partition {
-                None => self.sequential_check_sweep(&graph, channel, q, k, n_check),
-                Some(p) => self.partitioned_check_sweep(&graph, channel, q, k, n_check, p),
-            }
-            if let Some(digests) = trace.as_deref_mut() {
-                digests.push(self.unfused_digest(&graph));
-            }
-
-            for v in 0..k {
-                self.totals[v] = channel[v]
-                    + graph.var_edges(v).iter().map(|&e| self.c2v[e as usize]).sum::<i32>();
-            }
-            for j in 0..n_check {
-                self.totals[k + j] = channel[k + j]
-                    + self.forward[j]
-                    + if j + 1 < n_check { self.backward[j] } else { 0 };
-            }
-            if self.early_stop {
-                hard_decisions_int_into(&self.totals, &mut self.decisions);
-                if syndrome_ok(&graph, &self.decisions) {
-                    converged = true;
-                    break;
-                }
-            }
-        }
-        if out.bits.len() != self.totals.len() {
-            out.bits = BitVec::zeros(self.totals.len());
-        }
-        hard_decisions_int_into(&self.totals, &mut out.bits);
-        if !converged {
-            converged = syndrome_ok(&graph, &out.bits);
-        }
-        out.iterations = iterations;
-        out.converged = converged;
-    }
-
-    /// Sequential check sweep with immediate forward update: the ideal
-    /// zigzag of the paper's Fig. 2b — one chain over all `N − K` checks.
-    fn sequential_check_sweep(
-        &mut self,
-        graph: &TannerGraph,
-        channel: &[i32],
-        q: Quantizer,
-        k: usize,
-        n_check: usize,
-    ) {
-        let mut fwd_prev = 0i32;
-        for c in 0..n_check {
-            let range = graph.check_edges(c);
-            let info_d = range.len() - if c == 0 { 1 } else { 2 };
-            let start = range.start;
-            for i in 0..info_d {
-                self.scratch_in[i] = self.v2c[start + i];
-            }
-            let mut d = info_d;
-            let left_pos = if c > 0 {
-                self.scratch_in[d] = q.sat_add(channel[k + c - 1], fwd_prev);
-                d += 1;
-                Some(d - 1)
-            } else {
-                None
-            };
-            self.scratch_in[d] =
-                q.sat_add(channel[k + c], if c + 1 < n_check { self.backward[c] } else { 0 });
-            let right_pos = d;
-            d += 1;
-
-            self.arithmetic.extrinsic(&self.scratch_in[..d], &mut self.scratch_out[..d]);
-
-            for i in 0..info_d {
-                self.c2v[start + i] = self.scratch_out[i];
-            }
-            if let Some(p) = left_pos {
-                self.backward[c - 1] = self.scratch_out[p];
-            }
-            fwd_prev = self.scratch_out[right_pos];
-            self.forward[c] = fwd_prev;
-        }
-    }
-
-    /// Hardware-partitioned check sweep: `lanes` parallel sub-chains of
-    /// `q_rows = n_check / lanes` checks each, swept in ascending residue
-    /// order exactly like the functional-unit array — lane `u` owns checks
-    /// `u·q_rows..(u+1)·q_rows`, its forward register is seeded from the
-    /// previous iteration's boundary state, and row-0 backward writes are
-    /// consumed at row `q_rows − 1` of the *same* sweep. With an edge order,
-    /// each check's boxplus inputs are gathered in the hardware schedule's
-    /// order instead of the graph's, which is what makes the order-dependent
-    /// quantized arithmetic bit-exact against the golden model.
-    fn partitioned_check_sweep(
-        &mut self,
-        graph: &TannerGraph,
-        channel: &[i32],
-        q: Quantizer,
-        k: usize,
-        n_check: usize,
-        partition: &ChainPartition,
-    ) {
-        let lanes = partition.lanes();
-        let q_rows = n_check / lanes;
-        let order = partition.edge_order();
-        // begin_check_phase: seed every lane's forward register from the
-        // previous iteration's boundary state.
-        self.fwd_regs.copy_from_slice(&self.boundary);
-        for r in 0..q_rows {
-            for u in 0..lanes {
-                let c = u * q_rows + r;
-                let range = graph.check_edges(c);
-                let info_d = range.len() - if c == 0 { 1 } else { 2 };
-                let start = range.start;
-                match order {
-                    Some(ord) => {
-                        let base = c * info_d;
-                        for i in 0..info_d {
-                            self.scratch_in[i] = self.v2c[start + ord[base + i] as usize];
-                        }
-                    }
-                    None => {
-                        for i in 0..info_d {
-                            self.scratch_in[i] = self.v2c[start + i];
-                        }
-                    }
-                }
-                let mut d = info_d;
-                let left_pos = if c > 0 {
-                    self.scratch_in[d] = q.sat_add(channel[k + c - 1], self.fwd_regs[u]);
-                    d += 1;
-                    Some(d - 1)
-                } else {
-                    None
-                };
-                self.scratch_in[d] =
-                    q.sat_add(channel[k + c], if c + 1 < n_check { self.backward[c] } else { 0 });
-                let right_pos = d;
-                d += 1;
-
-                self.arithmetic.extrinsic(&self.scratch_in[..d], &mut self.scratch_out[..d]);
-
-                match order {
-                    Some(ord) => {
-                        let base = c * info_d;
-                        for i in 0..info_d {
-                            self.c2v[start + ord[base + i] as usize] = self.scratch_out[i];
-                        }
-                    }
-                    None => {
-                        for i in 0..info_d {
-                            self.c2v[start + i] = self.scratch_out[i];
-                        }
-                    }
-                }
-                if let Some(p) = left_pos {
-                    self.backward[c - 1] = self.scratch_out[p];
-                }
-                self.fwd_regs[u] = self.scratch_out[right_pos];
-                self.forward[c] = self.fwd_regs[u];
-            }
-        }
-        // end_check_phase: store the boundary forwards for the next
-        // iteration; lane 0 has no predecessor chain.
-        for u in (1..lanes).rev() {
-            self.boundary[u] = self.fwd_regs[u - 1];
-        }
-        self.boundary[0] = 0;
-    }
-
-    /// Fused-plane partitioned decode: the hot path.
-    ///
-    /// Equivalent to [`decode_unfused_into`](Self::decode_unfused_into)
-    /// with a partition — bit-identical `DecodeResult`s — but restructured
-    /// around the permutation-baked [`FusedPlan`] layout:
+    /// The scalar decode, structured around the permutation-baked
+    /// [`FusedPlan`] layout:
     ///
     /// * the check sweep walks the planes strictly linearly (rows are in
     ///   traversal order) and runs the boxplus kernel in place on each row —
@@ -724,13 +495,16 @@ impl QuantizedZigzagDecoder {
     ) {
         let graph = Arc::clone(&self.graph);
         assert_eq!(channel.len(), graph.var_count(), "LLR length mismatch");
-        let plan = self.fused.take().expect("fused plan present");
+        let plan = &self.fused;
         let k = graph.info_len();
         let n_check = graph.check_count();
         let q = *self.arithmetic.quantizer();
         let (lanes, q_rows, stride, info_d) = (plan.lanes, plan.q_rows, plan.stride, plan.info_d);
 
         self.c2v.fill(0);
+        // Both chain directions start empty, so an iteration cap of 0 folds
+        // nothing but the channel into the parity totals below.
+        self.forward.fill(0);
         self.backward.fill(0);
         self.boundary.fill(0);
         let mut iterations = 0;
@@ -856,7 +630,7 @@ impl QuantizedZigzagDecoder {
             }
             self.boundary[0] = 0;
             if let Some(digests) = trace.as_deref_mut() {
-                digests.push(fused_digest(&plan, &self.c2v, &self.forward, &self.backward));
+                digests.push(fused_digest(plan, &self.c2v, &self.forward, &self.backward));
             }
         }
 
@@ -887,40 +661,6 @@ impl QuantizedZigzagDecoder {
         }
         out.iterations = iterations;
         out.converged = converged;
-        self.fused = Some(plan);
-    }
-
-    /// Canonical message digest for the sequential / LUT-indirection paths:
-    /// same stream as [`fused_digest`] (information c2v in hardware input
-    /// order per check, then forward, then backward).
-    fn unfused_digest(&self, graph: &TannerGraph) -> u64 {
-        let order = self.partition.as_ref().and_then(|p| p.edge_order());
-        let mut h = Fnv::new();
-        for c in 0..graph.check_count() {
-            let range = graph.check_edges(c);
-            let info_d = range.len() - if c == 0 { 1 } else { 2 };
-            let start = range.start;
-            match order {
-                Some(ord) => {
-                    let base = c * info_d;
-                    for i in 0..info_d {
-                        h.write_i32(self.c2v[start + ord[base + i] as usize]);
-                    }
-                }
-                None => {
-                    for i in 0..info_d {
-                        h.write_i32(self.c2v[start + i]);
-                    }
-                }
-            }
-        }
-        for &x in &self.forward {
-            h.write_i32(x);
-        }
-        for &x in &self.backward {
-            h.write_i32(x);
-        }
-        h.finish()
     }
 
     /// Quantizes float channel LLRs.
@@ -995,8 +735,8 @@ fn lut_extrinsic_rows(
 
 /// Canonical message digest of a fused-plane decode state: per check (in
 /// check order), the information c2v messages in hardware input order, then
-/// the forward and backward chain messages. Layout-independent — matches
-/// [`QuantizedZigzagDecoder::unfused_digest`] value-for-value.
+/// the forward and backward chain messages. Layout-independent — the SIMD
+/// lane planes' digest matches it value for value.
 fn fused_digest(plan: &FusedPlan, c2v: &[i32], forward: &[i32], backward: &[i32]) -> u64 {
     let mut h = Fnv::new();
     for c in 0..plan.lanes * plan.q_rows {
@@ -1153,9 +893,9 @@ mod tests {
 
     #[test]
     fn single_lane_partition_matches_sequential() {
-        // One sub-chain with no reordering degenerates to the plain
-        // sequential zigzag: boundary[0] is pinned to 0, so the forward
-        // register threads through the whole chain exactly like fwd_prev.
+        // `new` *is* the one-lane, graph-order partition; asking for it by
+        // name (here with the SIMD plan on top) changes nothing but what
+        // `partition()` reports.
         let (code, graph) = small_code();
         let graph = Arc::new(graph);
         let q = Quantizer::paper_6bit();
@@ -1166,6 +906,8 @@ mod tests {
             DecoderConfig::default(),
             ChainPartition::new(1, None),
         );
+        assert!(seq.partition().is_none());
+        assert_eq!(part.partition().map(ChainPartition::lanes), Some(1));
         for seed in 0..3u64 {
             let (_, llrs) = noisy_llrs(&code, 2.4, 4000 + seed);
             let a = seq.decode(&llrs);
@@ -1192,43 +934,6 @@ mod tests {
         let out = dec.decode(&llrs);
         assert!(out.converged);
         assert_eq!(out.bits, cw);
-    }
-
-    #[test]
-    fn fused_partition_matches_indirect_partition() {
-        // The construction-time fused layout must reproduce the reference
-        // LUT-indirection sweep exactly: full DecodeResult plus the
-        // per-iteration message digests, under a non-trivial edge order.
-        let (code, graph) = small_code();
-        let graph = Arc::new(graph);
-        let q = Quantizer::paper_6bit();
-        let n_check = graph.check_count();
-        let info_d = graph.check_edges(0).len() - 1;
-        // Reversing each check's inputs exercises the order-dependence of
-        // the quantized boxplus without needing the hardware schedule.
-        let order: Vec<u32> = (0..n_check).flat_map(|_| (0..info_d as u32).rev()).collect();
-        let mut fused = QuantizedZigzagDecoder::with_partition(
-            Arc::clone(&graph),
-            QCheckArithmetic::lut(q),
-            DecoderConfig::default(),
-            ChainPartition::new(360, Some(order.clone())),
-        );
-        let mut indirect = QuantizedZigzagDecoder::with_partition_indirect(
-            Arc::clone(&graph),
-            QCheckArithmetic::lut(q),
-            DecoderConfig::default(),
-            ChainPartition::new(360, Some(order)),
-        );
-        let (mut da, mut db) = (Vec::new(), Vec::new());
-        for seed in 0..3u64 {
-            let (_, llrs) = noisy_llrs(&code, 2.4, 5000 + seed);
-            let channel = fused.quantize_channel(&llrs);
-            let a = fused.decode_quantized_traced(&channel, &mut da);
-            let b = indirect.decode_quantized_traced(&channel, &mut db);
-            assert_eq!(a, b, "seed {seed}: results diverged");
-            assert_eq!(da, db, "seed {seed}: per-iteration digests diverged");
-            assert_eq!(da.len(), a.iterations, "seed {seed}: one digest per sweep");
-        }
     }
 
     #[test]

@@ -56,7 +56,7 @@
 //! falls back to the scalar fused path.
 //!
 //! The scalar/AVX2/AVX-512 `#[target_feature]` clones follow the
-//! `tile.rs` dispatch pattern; the AVX-512 clone additionally enables
+//! `engine.rs` dispatch pattern; the AVX-512 clone additionally enables
 //! AVX-512BW/VL (512-bit `i16` ops) and is only selected when the CPU
 //! reports them, else the AVX2 clone runs — bit-identical either way.
 
@@ -281,6 +281,9 @@ impl SimdQuant {
             }
         }
         self.c2v.fill(0);
+        // As in the fused path: with both directions empty a cap of 0 leaves
+        // the parity totals at the channel values.
+        self.fwd.fill(0);
         self.bwd.fill(0);
         self.boundary.fill(0);
         let mut iterations = 0;
@@ -387,7 +390,7 @@ impl SimdQuant {
     }
 
     /// Canonical message digest — value-for-value the stream of
-    /// `fused_digest` / `unfused_digest`: per check (check order) the
+    /// `fused_digest`: per check (check order) the
     /// information c2v messages in hardware input order, then the forward,
     /// then the backward chain messages.
     fn digest(&self) -> u64 {
@@ -775,7 +778,7 @@ fn check_sweep(
     boundary[0] = 0;
 }
 
-// Runtime SIMD dispatch — the `tile.rs` clone pattern, extended for the
+// Runtime SIMD dispatch — the `engine.rs` clone pattern, extended for the
 // integer lanes: the AVX-512 clone also enables BW/VL (512-bit i16 ops)
 // and is gated on the CPU actually reporting them, falling back to the
 // AVX2 clone (bit-identical) on F-only parts.

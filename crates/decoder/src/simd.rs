@@ -14,7 +14,8 @@
 //! All tiers are **bit-identical**: the clones contain the same Rust (and
 //! the same operation order), and rustc performs no floating-point
 //! contraction, so wider registers change throughput, never results. The
-//! property tests in `tests/tiled.rs` pin this across every available tier.
+//! tier-identity test in `tests/sum_product_f32.rs` pins this across every
+//! available tier.
 
 /// One rung of the runtime dispatch ladder.
 ///

@@ -1,136 +1,26 @@
-//! Tiled multi-frame decoding: stripe-of-checks × stripe-of-frames tiles
-//! sized to fit the L2 working set, decoded to completion one tile at a
-//! time — optionally on separate threads.
-//!
-//! The retired frame-major `BatchDecoder` interleaved *all* `B` frames into
-//! one plane set: eight normal frames ≈ 14 MiB of messages streaming past
-//! the cache every iteration, which measured **0.46×** a single cache-hot
-//! frame on one core. The fix (the tiled, coalesced access of GPU LDPC
-//! decoders) is to bound the frames *in flight at once*: a
-//! [`TileGeometry`] picks a frame-stripe width `W` such that the per-tile
-//! working set — message planes, channel LLRs, and double-buffered totals
-//! for `W` frames — fits a per-core cache budget, and the batch is decoded
-//! as `ceil(B / W)` independent tiles. Inside a tile the frame-major lane
-//! interleave still amortizes every indexed access across `W` lanes; the
-//! check dimension is striped by the kernels themselves ([`crate::engine`]'s
-//! `STRIPE`). Each tile's working set is touched ~30 times while cache-hot
-//! instead of once per pass over all `B` frames.
-//!
-//! Three properties, all pinned by tests:
-//!
-//! * **Bit-identical per frame** to the matching single-frame decoder
-//!   ([`FloodingDecoder`], [`ZigzagDecoder`], [`LayeredDecoder`]) — full
-//!   [`DecodeResult`], for every tile width, thread count and SIMD tier.
-//!   `W = 1` tiles literally *are* the single-frame decoder; wider tiles
-//!   run lane kernels whose per-lane operation order is the single-frame
-//!   order.
-//! * **One kernel family serves every schedule**: the flooding tiles reuse
-//!   the transposed-plane batched kernels, and the zigzag / layered
-//!   schedules run the same two-minima lane recurrence over frame-lane
-//!   planes — the sequential chain walk is paid once per tile, not once
-//!   per frame.
-//! * **Tiles are independent**, so distinct tiles decode on distinct
-//!   threads ([`TiledBatchDecoder::with_threads`]) with deterministic,
-//!   thread-count-invariant results.
-//!
-//! Only the min-sum rules tile (as before): the exact sum-product kernels
-//! stream check by check and gain nothing from lane interleaving.
+//! Multi-frame entry point, kept only because `benchmark/`'s
+//! `decoder.tiled_ms_f32_x8.*` probe constructs it: a batch is a loop over
+//! the matching single-frame decoder. The frame-interleaved lane engine that
+//! used to live here lost to that loop wherever it interleaved (DESIGN.md
+//! §7.3); new code should call [`Decoder::decode_into`] per frame.
 
-use crate::engine::{
-    batched_accumulate_totals_slotted_tier, batched_min_sum_pass_tier, sanitize_llr,
-    syndrome_ok_totals_lane, BlockedChecks, Precision,
-};
-use crate::llr_ops::{CheckRule, LlrFloat};
-use crate::simd::SimdTier;
 use crate::{DecodeResult, Decoder, DecoderConfig, FloodingDecoder, LayeredDecoder, ZigzagDecoder};
-use dvbs2_ldpc::{BitVec, TannerGraph};
+use dvbs2_ldpc::TannerGraph;
 use std::sync::Arc;
 
-/// One worker's dealt share of a batch: `(tile frames, tile results)`
-/// pairs, disjoint across workers by construction.
-type TileBucket<'f, 'o> = Vec<(&'f [&'f [f64]], &'o mut [DecodeResult])>;
-
-/// Widest frame stripe a tile may carry (lane-recurrence stack arrays are
-/// sized to this).
-pub const MAX_TILE_WIDTH: usize = 32;
-
-/// Default per-tile cache budget: 2 MiB, a typical per-core L2 on the
-/// server parts this workload targets. Override with `DVBS2_TILE_BYTES`.
-const DEFAULT_TILE_BUDGET_BYTES: usize = 2 << 20;
-
-/// Which message-passing schedule the tiles replay.
+/// Which single-frame decoder a [`TiledBatchDecoder`] loops over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TileSchedule {
-    /// Two-phase flooding over the transposed check planes.
+    /// [`FloodingDecoder`].
     Flooding,
-    /// The paper's sequential zigzag sweep down the IRA parity chain.
+    /// [`ZigzagDecoder`].
     Zigzag,
-    /// Layered (horizontal) updates against running totals.
+    /// [`LayeredDecoder`].
     Layered,
 }
 
-impl TileSchedule {
-    /// Stable lower-case identifier (what benchmark reports emit).
-    pub fn name(self) -> &'static str {
-        match self {
-            TileSchedule::Flooding => "flooding",
-            TileSchedule::Zigzag => "zigzag",
-            TileSchedule::Layered => "layered",
-        }
-    }
-}
-
-/// The frames-per-tile sizing decision: how many frame lanes fit the cache
-/// budget for one code/precision combination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TileGeometry {
-    /// Frame lanes per tile, `1..=MAX_TILE_WIDTH`.
-    pub width: usize,
-    /// Per-iteration working set of ONE frame lane in bytes: the `v2c` and
-    /// `c2v` message planes plus the channel-LLR plane and both totals
-    /// buffers.
-    pub bytes_per_frame: usize,
-    /// The cache budget the width was solved against.
-    pub budget_bytes: usize,
-}
-
-impl TileGeometry {
-    /// Sizes a tile for `graph` at `precision`: the widest stripe whose
-    /// working set fits the budget (`DVBS2_TILE_BYTES` when set, 2 MiB
-    /// otherwise), clamped to `1..=`[`MAX_TILE_WIDTH`].
-    ///
-    /// A normal FECFRAME in `f32` (~2.6 MiB of planes) gets `width = 1` —
-    /// exactly the cache-hot single-frame regime — while short frames
-    /// (~0.6 MiB) get multi-lane tiles that amortize the indexed accesses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `DVBS2_TILE_BYTES` is set but not a positive integer.
-    pub fn for_graph(graph: &TannerGraph, precision: Precision) -> Self {
-        let budget_bytes =
-            match std::env::var("DVBS2_TILE_BYTES") {
-                Ok(raw) => raw.parse::<usize>().ok().filter(|&b| b > 0).unwrap_or_else(|| {
-                    panic!("DVBS2_TILE_BYTES={raw:?} is not a positive byte count")
-                }),
-                Err(_) => DEFAULT_TILE_BUDGET_BYTES,
-            };
-        Self::for_budget(graph, precision, budget_bytes)
-    }
-
-    /// [`TileGeometry::for_graph`] with an explicit budget (no environment
-    /// lookup).
-    pub fn for_budget(graph: &TannerGraph, precision: Precision, budget_bytes: usize) -> Self {
-        let elem = match precision {
-            Precision::F32 => std::mem::size_of::<f32>(),
-            Precision::F64 => std::mem::size_of::<f64>(),
-        };
-        let bytes_per_frame = elem * (2 * graph.edge_count() + 3 * graph.var_count());
-        let width = (budget_bytes / bytes_per_frame.max(1)).clamp(1, MAX_TILE_WIDTH);
-        TileGeometry { width, bytes_per_frame, budget_bytes }
-    }
-}
-
-/// Tiled multi-frame min-sum decoder over `B <= max_batch` frames at once.
+/// Decodes up to `max_batch` frames per call, one after the other, on one
+/// single-frame decoder: frame for frame the result *is* that decoder's.
 ///
 /// ```
 /// use dvbs2_decoder::{CheckRule, DecoderConfig, TileSchedule, TiledBatchDecoder};
@@ -140,714 +30,37 @@ impl TileGeometry {
 /// let g = Arc::new(TannerGraph::from_edges(2, 1, &[(0, 0), (0, 1)]));
 /// let config = DecoderConfig::default().with_rule(CheckRule::NormalizedMinSum(0.8));
 /// let mut dec = TiledBatchDecoder::new(g, config, TileSchedule::Flooding, 4);
-/// let frames = [[-2.0, 0.5], [1.0, 2.0]];
-/// let out = dec.decode_batch(&[&frames[0], &frames[1]]);
+/// let out = dec.decode_batch(&[&[-2.0, 0.5], &[1.0, 2.0]]);
 /// assert!(out[0].bits.get(0) && out[0].bits.get(1)); // bit-1 vote wins
-/// assert!(!out[1].bits.get(0) && !out[1].bits.get(1));
+/// assert_eq!(out[1].bits.count_ones(), 0);
 /// ```
 pub struct TiledBatchDecoder {
-    graph: Arc<TannerGraph>,
     config: DecoderConfig,
     schedule: TileSchedule,
-    geometry: TileGeometry,
-    tier: SimdTier,
     max_batch: usize,
-    threads: usize,
-    /// Transposed check planes, built only for the flooding schedule.
-    blocked: Option<BlockedChecks>,
-    /// Per-thread scratch: worker `t` decodes tiles `t, t + T, t + 2T, …`.
-    workers: Vec<Worker>,
-}
-
-/// One thread's decode state.
-enum Worker {
-    /// `width == 1`: the tile IS a single-frame decode, so run the actual
-    /// single-frame decoder — bit-identity and the ≥1× single-core bar are
-    /// then true by construction.
-    Single(Box<dyn Decoder + Send>),
-    /// `width > 1`: frame-lane planes plus the lane kernels.
-    Lanes(LaneCore),
-}
-
-enum LaneCore {
-    F64(LanePlanes<f64>),
-    F32(LanePlanes<f32>),
-}
-
-/// Lane-interleaved message planes at one precision, sized for `width`
-/// frame lanes. The flooding schedule reads them in transposed-slot order
-/// (`plane[slot * w + lane]`); zigzag and layered read them in check-major
-/// edge order (`plane[edge * w + lane]`). Both are dense per column, so the
-/// same buffers serve every schedule.
-struct LanePlanes<F> {
-    llr: Vec<F>,
-    v2c: Vec<F>,
-    c2v: Vec<F>,
-    totals: Vec<F>,
-    totals_next: Vec<F>,
-    /// Layered per-check gather scratch (`max_check_degree * width`).
-    scratch_in: Vec<F>,
-    scratch_out: Vec<F>,
-}
-
-impl<F: LlrFloat> LanePlanes<F> {
-    fn new(graph: &TannerGraph, width: usize) -> Self {
-        let edges = graph.edge_count() * width;
-        let vars = graph.var_count() * width;
-        let scratch = graph.max_check_degree() * width;
-        LanePlanes {
-            llr: vec![F::ZERO; vars],
-            v2c: vec![F::ZERO; edges],
-            c2v: vec![F::ZERO; edges],
-            totals: vec![F::ZERO; vars],
-            totals_next: vec![F::ZERO; vars],
-            scratch_in: vec![F::ZERO; scratch],
-            scratch_out: vec![F::ZERO; scratch],
-        }
-    }
-
-    /// Interleaves the tile's channel LLRs frame-major (lane `l` of
-    /// variable `v` at `v * w + l`), sanitizing at the boundary like
-    /// `load_llrs`.
-    fn load_tile(&mut self, vars: usize, frames: &[&[f64]]) {
-        let w = frames.len();
-        for (l, frame) in frames.iter().enumerate() {
-            assert_eq!(frame.len(), vars, "LLR length mismatch");
-            for (v, &x) in frame.iter().enumerate() {
-                self.llr[v * w + l] = F::from_f64(sanitize_llr(x));
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn decode_tile(
-        &mut self,
-        graph: &TannerGraph,
-        config: &DecoderConfig,
-        schedule: TileSchedule,
-        blocked: Option<&BlockedChecks>,
-        tier: SimdTier,
-        frames: &[&[f64]],
-        out: &mut [DecodeResult],
-    ) {
-        let correct = config.rule.min_sum_correct::<F>().unwrap_or_else(|| {
-            unreachable!("TiledBatchDecoder constructed with non-min-sum rule {:?}", config.rule)
-        });
-        self.decode_tile_with(graph, config, schedule, blocked, tier, frames, out, move |m| {
-            correct.apply(m)
-        });
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn decode_tile_with(
-        &mut self,
-        graph: &TannerGraph,
-        config: &DecoderConfig,
-        schedule: TileSchedule,
-        blocked: Option<&BlockedChecks>,
-        tier: SimdTier,
-        frames: &[&[f64]],
-        out: &mut [DecodeResult],
-        correct: impl Fn(F) -> F + Copy,
-    ) {
-        let w = frames.len();
-        let vars = graph.var_count();
-        let edges = graph.edge_count();
-        self.load_tile(vars, frames);
-        let llr = &self.llr[..vars * w];
-        let mut totals: &mut [F] = &mut self.totals[..vars * w];
-        let mut totals_next: &mut [F] = &mut self.totals_next[..vars * w];
-        let v2c = &mut self.v2c[..edges * w];
-        let c2v = &mut self.c2v[..edges * w];
-        c2v.fill(F::ZERO);
-
-        for slot in out.iter_mut() {
-            if slot.bits.len() != vars {
-                slot.bits = BitVec::zeros(vars);
-            }
-            slot.iterations = 0;
-            slot.converged = false;
-        }
-        let mut remaining = w;
-        let mut iterations = 0;
-
-        match schedule {
-            TileSchedule::Flooding => {
-                let blocked = blocked.expect("flooding tiles carry transposed check planes");
-                let edge_vars = graph.edge_vars();
-                // First-iteration gather sources: totals = llr plus
-                // all-zero messages, accumulated in ascending edge order.
-                batched_accumulate_totals_slotted_tier(
-                    tier,
-                    edge_vars,
-                    blocked.edge_to_slot(),
-                    w,
-                    llr,
-                    c2v,
-                    totals,
-                );
-                for _ in 0..config.max_iterations {
-                    iterations += 1;
-                    batched_min_sum_pass_tier(
-                        tier,
-                        blocked,
-                        &config.rule,
-                        w,
-                        totals,
-                        v2c,
-                        c2v,
-                        correct,
-                    );
-                    batched_accumulate_totals_slotted_tier(
-                        tier,
-                        edge_vars,
-                        blocked.edge_to_slot(),
-                        w,
-                        llr,
-                        c2v,
-                        totals_next,
-                    );
-                    std::mem::swap(&mut totals, &mut totals_next);
-                    if config.early_stop {
-                        latch_converged(graph, totals, w, iterations, out, &mut remaining);
-                        if remaining == 0 {
-                            break;
-                        }
-                    }
-                }
-            }
-            TileSchedule::Zigzag => {
-                lane_accumulate_totals(graph.edge_vars(), w, llr, c2v, totals);
-                for _ in 0..config.max_iterations {
-                    iterations += 1;
-                    zigzag_lane_sweep_tier(
-                        tier,
-                        graph,
-                        &config.rule,
-                        w,
-                        llr,
-                        totals,
-                        v2c,
-                        c2v,
-                        totals_next,
-                        correct,
-                    );
-                    std::mem::swap(&mut totals, &mut totals_next);
-                    if config.early_stop {
-                        latch_converged(graph, totals, w, iterations, out, &mut remaining);
-                        if remaining == 0 {
-                            break;
-                        }
-                    }
-                }
-            }
-            TileSchedule::Layered => {
-                totals.copy_from_slice(llr);
-                for _ in 0..config.max_iterations {
-                    iterations += 1;
-                    layered_lane_sweep_tier(
-                        tier,
-                        graph,
-                        &config.rule,
-                        w,
-                        totals,
-                        c2v,
-                        &mut self.scratch_in,
-                        &mut self.scratch_out,
-                        correct,
-                    );
-                    if config.early_stop {
-                        latch_converged(graph, totals, w, iterations, out, &mut remaining);
-                        if remaining == 0 {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Unconverged lanes (or every lane with early stop off) finish at
-        // the iteration cap with a final syndrome check — exactly the
-        // single-frame decoders' post-loop behavior.
-        for (l, slot) in out.iter_mut().enumerate() {
-            if slot.converged {
-                continue;
-            }
-            slot.iterations = iterations;
-            for v in 0..vars {
-                slot.bits.set(v, totals[v * w + l].is_negative());
-            }
-            slot.converged = syndrome_ok_totals_lane(graph, totals, w, l);
-        }
-    }
-}
-
-/// Snapshots every lane whose syndrome just cleared: the lane latches its
-/// bits and iteration count at its convergence iteration — exactly where a
-/// single-frame decode would stop — while the remaining lanes iterate on.
-fn latch_converged<F: LlrFloat>(
-    graph: &TannerGraph,
-    totals: &[F],
-    w: usize,
-    iterations: usize,
-    out: &mut [DecodeResult],
-    remaining: &mut usize,
-) {
-    for (l, slot) in out.iter_mut().enumerate() {
-        if slot.converged {
-            continue;
-        }
-        if syndrome_ok_totals_lane(graph, totals, w, l) {
-            slot.converged = true;
-            slot.iterations = iterations;
-            for v in 0..graph.var_count() {
-                slot.bits.set(v, totals[v * w + l].is_negative());
-            }
-            *remaining -= 1;
-        }
-    }
-}
-
-/// Per lane identical (bit-identical summation order) to the engine's
-/// `accumulate_totals`: zero-seeded scatter-add in ascending edge order
-/// over the edge-major lane planes, channel LLR added last.
-#[inline(always)]
-pub(crate) fn lane_accumulate_totals<F: LlrFloat>(
-    edge_vars: &[u32],
-    w: usize,
-    llr: &[F],
-    c2v: &[F],
-    totals: &mut [F],
-) {
-    totals.fill(F::ZERO);
-    for (e, &v) in edge_vars.iter().enumerate() {
-        let tb = v as usize * w;
-        let eb = e * w;
-        for l in 0..w {
-            totals[tb + l] += c2v[eb + l];
-        }
-    }
-    for (t, &x) in totals.iter_mut().zip(llr) {
-        *t = x + *t;
-    }
-}
-
-/// One check node's extrinsic update over `w` frame lanes (`inp`/`out` are
-/// `d * w` long, message `j` of lane `l` at `j * w + l`).
-///
-/// Per lane this performs exactly the arithmetic of
-/// [`CheckRule::extrinsic_t`] in the same within-check edge order: degree
-/// `< 3` takes the rule's special-cased path lane by lane, and degree `>= 3`
-/// runs the two-minima recurrence with the first-strict-minimum mask-blend —
-/// the recurrence of `min_sum_extrinsic`, advanced one column for all lanes
-/// at a time so the inner loops are dense and branchless.
-#[inline(always)]
-fn lane_check_extrinsic<F: LlrFloat>(
-    rule: &CheckRule,
-    d: usize,
-    w: usize,
-    inp: &[F],
-    out: &mut [F],
-    correct: impl Fn(F) -> F + Copy,
-) {
-    debug_assert!(w <= MAX_TILE_WIDTH, "tile width {w} out of range");
-    debug_assert_eq!(inp.len(), d * w);
-    debug_assert_eq!(out.len(), d * w);
-    if d < 3 {
-        let mut tmp_in = [F::ZERO; 2];
-        let mut tmp_out = [F::ZERO; 2];
-        for l in 0..w {
-            for (j, t) in tmp_in[..d].iter_mut().enumerate() {
-                *t = inp[j * w + l];
-            }
-            rule.extrinsic_t(&tmp_in[..d], &mut tmp_out[..d]);
-            for (j, &o) in tmp_out[..d].iter().enumerate() {
-                out[j * w + l] = o;
-            }
-        }
-        return;
-    }
-    let mut min1 = [F::INFINITY; MAX_TILE_WIDTH];
-    let mut min2 = [F::INFINITY; MAX_TILE_WIDTH];
-    let mut min_col = [0u32; MAX_TILE_WIDTH];
-    let mut negative_signs = [0u32; MAX_TILE_WIDTH];
-    for j in 0..d {
-        let jj = j as u32;
-        let base = j * w;
-        for l in 0..w {
-            let x = inp[base + l];
-            let mag = x.abs();
-            let smaller = mag < min1[l];
-            min2[l] = min2[l].min(min1[l].max(mag));
-            min1[l] = min1[l].min(mag);
-            let mask = (smaller as u32).wrapping_neg();
-            min_col[l] = (jj & mask) | (min_col[l] & !mask);
-            negative_signs[l] += x.is_negative() as u32;
-        }
-    }
-    for j in 0..d {
-        let jj = j as u32;
-        let base = j * w;
-        for l in 0..w {
-            let mag = correct(F::select(min_col[l] == jj, min2[l], min1[l]));
-            let flip = (negative_signs[l] + inp[base + l].is_negative() as u32) & 1 == 1;
-            out[base + l] = mag.flip_sign_if(flip);
-        }
-    }
-}
-
-/// One full zigzag iteration over `w` frame lanes: the sequential
-/// check-node sweep with immediate forward update, fused with both
-/// variable-node passes — [`ZigzagDecoder`]'s iteration body with every
-/// scalar access widened to a dense `w`-lane column. The chain walk
-/// (offsets, edge indices, the forward/backward slot arithmetic) is paid
-/// once per tile instead of once per frame.
-///
-/// Per lane the operation order is exactly the single-frame sweep's, so
-/// lane results are bit-identical to [`ZigzagDecoder`] at the same
-/// precision.
-#[allow(clippy::too_many_arguments)]
-#[allow(clippy::needless_range_loop)] // the edge index also strides the lane planes
-#[inline(always)]
-fn zigzag_lane_sweep<F: LlrFloat>(
-    graph: &TannerGraph,
-    rule: &CheckRule,
-    w: usize,
-    llr: &[F],
-    totals: &[F],
-    v2c: &mut [F],
-    c2v: &mut [F],
-    totals_next: &mut [F],
-    correct: impl Fn(F) -> F + Copy,
-) {
-    let k = graph.info_len();
-    let n_check = graph.check_count();
-    let offsets = graph.check_offsets();
-    let edge_vars = graph.edge_vars();
-    totals_next.fill(F::ZERO);
-    for c in 0..n_check {
-        let start = offsets[c] as usize;
-        let end = offsets[c + 1] as usize;
-        for e in start..end {
-            let tb = edge_vars[e] as usize * w;
-            let eb = e * w;
-            for l in 0..w {
-                v2c[eb + l] = totals[tb + l] - c2v[eb + l];
-            }
-        }
-        if c > 0 {
-            // Left parity input PN_{c-1} -> CN_c: this sweep's fresh
-            // forward message, still warm at the tail of check c-1's range.
-            let pb = (k + c - 1) * w;
-            let eb = (end - 2) * w;
-            let fb = (start - 1) * w;
-            for l in 0..w {
-                v2c[eb + l] = llr[pb + l] + c2v[fb + l];
-            }
-        }
-        // Right parity input PN_c -> CN_c: last iteration's backward
-        // message (parallel backward update).
-        {
-            let pb = (k + c) * w;
-            let eb = (end - 1) * w;
-            if c + 1 < n_check {
-                let bb = (offsets[c + 2] as usize - 2) * w;
-                for l in 0..w {
-                    v2c[eb + l] = llr[pb + l] + c2v[bb + l];
-                }
-            } else {
-                for l in 0..w {
-                    v2c[eb + l] = llr[pb + l] + F::ZERO;
-                }
-            }
-        }
-        lane_check_extrinsic(
-            rule,
-            end - start,
-            w,
-            &v2c[start * w..end * w],
-            &mut c2v[start * w..end * w],
-            correct,
-        );
-        for e in start..end {
-            let tb = edge_vars[e] as usize * w;
-            let eb = e * w;
-            for l in 0..w {
-                totals_next[tb + l] += c2v[eb + l];
-            }
-        }
-    }
-    for (t, &x) in totals_next.iter_mut().zip(llr) {
-        *t = x + *t;
-    }
-    // Parity totals take the chain's forward + backward form, overwriting
-    // the parity-edge scatter.
-    for j in 0..n_check {
-        let fb = (offsets[j + 1] as usize - 1) * w;
-        let tb = (k + j) * w;
-        if j + 1 < n_check {
-            let bb = (offsets[j + 2] as usize - 2) * w;
-            for l in 0..w {
-                totals_next[tb + l] = llr[tb + l] + c2v[fb + l] + c2v[bb + l];
-            }
-        } else {
-            for l in 0..w {
-                totals_next[tb + l] = llr[tb + l] + c2v[fb + l] + F::ZERO;
-            }
-        }
-    }
-}
-
-/// One full layered iteration over `w` frame lanes: every check reads the
-/// running totals, subtracts its previous contribution, and writes fresh
-/// extrinsics back immediately — [`LayeredDecoder`]'s iteration body over
-/// dense lane columns, bit-identical per lane.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn layered_lane_sweep<F: LlrFloat>(
-    graph: &TannerGraph,
-    rule: &CheckRule,
-    w: usize,
-    totals: &mut [F],
-    c2v: &mut [F],
-    scratch_in: &mut [F],
-    scratch_out: &mut [F],
-    correct: impl Fn(F) -> F + Copy,
-) {
-    let offsets = graph.check_offsets();
-    let edge_vars = graph.edge_vars();
-    for c in 0..graph.check_count() {
-        let start = offsets[c] as usize;
-        let end = offsets[c + 1] as usize;
-        let d = end - start;
-        for (i, e) in (start..end).enumerate() {
-            let tb = edge_vars[e] as usize * w;
-            let eb = e * w;
-            for l in 0..w {
-                scratch_in[i * w + l] = totals[tb + l] - c2v[eb + l];
-            }
-        }
-        lane_check_extrinsic(rule, d, w, &scratch_in[..d * w], &mut scratch_out[..d * w], correct);
-        for (i, e) in (start..end).enumerate() {
-            let tb = edge_vars[e] as usize * w;
-            let eb = e * w;
-            for l in 0..w {
-                totals[tb + l] += scratch_out[i * w + l] - c2v[eb + l];
-                c2v[eb + l] = scratch_out[i * w + l];
-            }
-        }
-    }
-}
-
-// Runtime SIMD dispatch for the lane sweeps — same pattern as the engine's
-// `*_tier` kernels: `#[target_feature]` clones of an `#[inline(always)]`
-// body, selected by a tier that `SimdTier::resolve` has already validated.
-macro_rules! sweep_tier_clones {
-    ($dispatch:ident, $base:ident, $avx2:ident, $avx512:ident;
-     ($($arg:ident: $ty:ty),* $(,)?)) => {
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx2<F: LlrFloat>($($arg: $ty,)* correct: impl Fn(F) -> F + Copy) {
-            $base($($arg,)* correct);
-        }
-
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx512f")]
-        #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx512<F: LlrFloat>($($arg: $ty,)* correct: impl Fn(F) -> F + Copy) {
-            $base($($arg,)* correct);
-        }
-
-        #[allow(clippy::too_many_arguments)]
-        pub(crate) fn $dispatch<F: LlrFloat>(
-            tier: SimdTier,
-            $($arg: $ty,)*
-            correct: impl Fn(F) -> F + Copy,
-        ) {
-            match tier {
-                #[cfg(target_arch = "x86_64")]
-                SimdTier::Avx2 => unsafe { $avx2($($arg,)* correct) },
-                #[cfg(target_arch = "x86_64")]
-                SimdTier::Avx512 => unsafe { $avx512($($arg,)* correct) },
-                _ => $base($($arg,)* correct),
-            }
-        }
-    };
-}
-
-sweep_tier_clones!(
-    zigzag_lane_sweep_tier, zigzag_lane_sweep, zigzag_lane_sweep_avx2, zigzag_lane_sweep_avx512;
-    (
-        graph: &TannerGraph,
-        rule: &CheckRule,
-        w: usize,
-        llr: &[F],
-        totals: &[F],
-        v2c: &mut [F],
-        c2v: &mut [F],
-        totals_next: &mut [F],
-    )
-);
-
-sweep_tier_clones!(
-    layered_lane_sweep_tier, layered_lane_sweep, layered_lane_sweep_avx2,
-    layered_lane_sweep_avx512;
-    (
-        graph: &TannerGraph,
-        rule: &CheckRule,
-        w: usize,
-        totals: &mut [F],
-        c2v: &mut [F],
-        scratch_in: &mut [F],
-        scratch_out: &mut [F],
-    )
-);
-
-impl Worker {
-    fn new(
-        graph: &Arc<TannerGraph>,
-        config: DecoderConfig,
-        schedule: TileSchedule,
-        width: usize,
-    ) -> Self {
-        if width == 1 {
-            let dec: Box<dyn Decoder + Send> = match schedule {
-                TileSchedule::Flooding => Box::new(FloodingDecoder::new(Arc::clone(graph), config)),
-                TileSchedule::Zigzag => Box::new(ZigzagDecoder::new(Arc::clone(graph), config)),
-                TileSchedule::Layered => Box::new(LayeredDecoder::new(Arc::clone(graph), config)),
-            };
-            Worker::Single(dec)
-        } else {
-            let core = match config.precision {
-                Precision::F64 => LaneCore::F64(LanePlanes::new(graph, width)),
-                Precision::F32 => LaneCore::F32(LanePlanes::new(graph, width)),
-            };
-            Worker::Lanes(core)
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn decode_tile(
-        &mut self,
-        graph: &TannerGraph,
-        config: &DecoderConfig,
-        schedule: TileSchedule,
-        blocked: Option<&BlockedChecks>,
-        tier: SimdTier,
-        frames: &[&[f64]],
-        out: &mut [DecodeResult],
-    ) {
-        match self {
-            Worker::Single(dec) => {
-                debug_assert_eq!(frames.len(), 1, "width-1 tiles carry one frame");
-                // Keep the embedded decoder's cap in sync with admission
-                // control's `set_max_iterations` on the tiled decoder.
-                dec.set_max_iterations(config.max_iterations);
-                for (frame, slot) in frames.iter().zip(out.iter_mut()) {
-                    dec.decode_into(frame, slot);
-                }
-            }
-            Worker::Lanes(LaneCore::F64(planes)) => {
-                planes.decode_tile(graph, config, schedule, blocked, tier, frames, out);
-            }
-            Worker::Lanes(LaneCore::F32(planes)) => {
-                planes.decode_tile(graph, config, schedule, blocked, tier, frames, out);
-            }
-        }
-    }
+    decoder: Box<dyn Decoder + Send>,
 }
 
 impl TiledBatchDecoder {
-    /// Creates a tiled decoder for up to `max_batch` simultaneous frames,
-    /// with an auto-sized tile width ([`TileGeometry::for_graph`]), one
-    /// worker thread, and the auto-detected SIMD tier (both overridable via
-    /// [`Self::with_threads`] / [`Self::with_tile_width`] /
-    /// [`DecoderConfig::with_simd_tier`]).
+    /// Creates the decoder `schedule` names, for calls of up to `max_batch` frames.
     ///
     /// # Panics
     ///
-    /// Panics if `max_batch` is 0 or larger than 1024, if `config.rule` is
-    /// not one of the min-sum rules, if a forced SIMD tier is unsupported,
-    /// or if `schedule` is [`TileSchedule::Zigzag`] on a graph without the
-    /// IRA parity-chain structure.
+    /// Panics if `max_batch` is 0, or where the single-frame decoder's
+    /// constructor does.
     pub fn new(
         graph: Arc<TannerGraph>,
         config: DecoderConfig,
         schedule: TileSchedule,
         max_batch: usize,
     ) -> Self {
-        assert!((1..=1024).contains(&max_batch), "max_batch {max_batch} out of range");
-        assert!(
-            matches!(config.rule, CheckRule::NormalizedMinSum(_) | CheckRule::OffsetMinSum(_)),
-            "TiledBatchDecoder batches the min-sum rules; got {:?}",
-            config.rule
-        );
-        if schedule == TileSchedule::Zigzag {
-            assert!(
-                graph.info_len() < graph.var_count(),
-                "zigzag schedule needs a parity chain; use TannerGraph::for_code"
-            );
-            assert_eq!(
-                graph.var_count() - graph.info_len(),
-                graph.check_count(),
-                "IRA structure requires one parity variable per check"
-            );
-        }
-        let tier = SimdTier::resolve(config.simd);
-        let geometry = TileGeometry::for_graph(&graph, config.precision);
-        let blocked = (schedule == TileSchedule::Flooding).then(|| BlockedChecks::new(&graph));
-        let mut decoder = TiledBatchDecoder {
-            graph,
-            config,
-            schedule,
-            geometry,
-            tier,
-            max_batch,
-            threads: 1,
-            blocked,
-            workers: Vec::new(),
+        assert!(max_batch > 0, "max_batch must be at least 1");
+        let decoder: Box<dyn Decoder + Send> = match schedule {
+            TileSchedule::Flooding => Box::new(FloodingDecoder::new(graph, config)),
+            TileSchedule::Zigzag => Box::new(ZigzagDecoder::new(graph, config)),
+            TileSchedule::Layered => Box::new(LayeredDecoder::new(graph, config)),
         };
-        decoder.rebuild_workers();
-        decoder
-    }
-
-    /// Returns the decoder with `threads` worker lanes: tiles of one batch
-    /// are dealt round-robin onto that many threads. Results are
-    /// deterministic and identical for every thread count (tiles are
-    /// independent and the deal is static).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is 0.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "the tiled decoder needs at least one thread");
-        self.threads = threads;
-        self.rebuild_workers();
-        self
-    }
-
-    /// Returns the decoder with an explicit tile width, overriding the
-    /// cache-budget auto-sizing (primarily for tests pinning ragged-tail
-    /// and lane-kernel behavior).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is 0 or larger than [`MAX_TILE_WIDTH`].
-    pub fn with_tile_width(mut self, width: usize) -> Self {
-        assert!(
-            (1..=MAX_TILE_WIDTH).contains(&width),
-            "tile width {width} out of range (1..={MAX_TILE_WIDTH})"
-        );
-        self.geometry.width = width;
-        self.rebuild_workers();
-        self
-    }
-
-    fn rebuild_workers(&mut self) {
-        self.workers = (0..self.threads)
-            .map(|_| Worker::new(&self.graph, self.config, self.schedule, self.geometry.width))
-            .collect();
+        TiledBatchDecoder { config, schedule, max_batch, decoder }
     }
 
     /// Largest number of frames one call may carry.
@@ -860,264 +73,48 @@ impl TiledBatchDecoder {
         &self.config
     }
 
-    /// The schedule the tiles replay.
+    /// The single-frame decoder behind the loop.
     pub fn schedule(&self) -> TileSchedule {
         self.schedule
     }
 
-    /// The tile sizing decision in force.
-    pub fn geometry(&self) -> TileGeometry {
-        self.geometry
-    }
-
-    /// The SIMD dispatch tier the kernels run on.
-    pub fn simd_tier(&self) -> SimdTier {
-        self.tier
-    }
-
-    /// Worker threads tiles are dealt onto.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Sets the iteration cap for subsequent batches (admission control).
+    /// Sets the iteration cap for subsequent batches.
     pub fn set_max_iterations(&mut self, max_iterations: usize) {
         self.config.max_iterations = max_iterations;
+        self.decoder.set_max_iterations(max_iterations);
     }
 
-    /// Decodes `frames.len() <= max_batch` frames as cache-sized tiles.
-    /// Results are bit-identical, frame for frame, to single-frame decodes
-    /// under the same configuration and schedule.
+    /// Decodes `frames.len() <= max_batch` frames.
     ///
     /// # Panics
     ///
-    /// Panics if `frames` is empty or exceeds `max_batch`, or if any frame
-    /// has the wrong LLR length.
+    /// Panics on an empty or oversized batch, or a frame of the wrong length.
     pub fn decode_batch(&mut self, frames: &[&[f64]]) -> Vec<DecodeResult> {
         let mut out = vec![DecodeResult::default(); frames.len()];
         self.decode_batch_into(frames, &mut out);
         out
     }
 
-    /// [`decode_batch`](Self::decode_batch) into caller-owned results
-    /// (allocation-free in the planes once each `out[i].bits` has the
-    /// codeword length).
+    /// [`decode_batch`](Self::decode_batch) into caller-owned results.
     ///
     /// # Panics
     ///
-    /// Same as [`decode_batch`](Self::decode_batch), plus
-    /// `out.len() != frames.len()`.
+    /// As [`decode_batch`](Self::decode_batch), or if `out.len() != frames.len()`.
     pub fn decode_batch_into(&mut self, frames: &[&[f64]], out: &mut [DecodeResult]) {
         assert!(!frames.is_empty(), "empty batch");
-        assert!(
-            frames.len() <= self.max_batch,
-            "batch of {} exceeds max_batch {}",
-            frames.len(),
-            self.max_batch
-        );
+        let max = self.max_batch;
+        assert!(frames.len() <= max, "batch of {} exceeds max_batch {max}", frames.len());
         assert_eq!(out.len(), frames.len(), "result slice length mismatch");
-        let width = self.geometry.width;
-        let n_tiles = frames.len().div_ceil(width);
-        let threads = self.threads.min(n_tiles);
-        // Deal tiles round-robin onto the workers: tile t runs on worker
-        // t % threads. Static and load-agnostic, so results never depend
-        // on scheduling.
-        let mut buckets: Vec<TileBucket<'_, '_>> = (0..threads).map(|_| Vec::new()).collect();
-        let mut rest_frames = frames;
-        let mut rest_out = out;
-        for t in 0..n_tiles {
-            let tw = width.min(rest_frames.len());
-            let (tile_frames, fr) = rest_frames.split_at(tw);
-            let (tile_out, or) = rest_out.split_at_mut(tw);
-            buckets[t % threads].push((tile_frames, tile_out));
-            rest_frames = fr;
-            rest_out = or;
-        }
-        let TiledBatchDecoder { graph, config, schedule, blocked, tier, workers, .. } = &mut *self;
-        let graph = &**graph;
-        let config = &*config;
-        let blocked = blocked.as_ref();
-        let (schedule, tier) = (*schedule, *tier);
-        if threads == 1 {
-            let worker = &mut workers[0];
-            for (tile_frames, tile_out) in buckets.pop().expect("one bucket") {
-                worker.decode_tile(graph, config, schedule, blocked, tier, tile_frames, tile_out);
-            }
-        } else {
-            std::thread::scope(|scope| {
-                for (worker, bucket) in workers.iter_mut().zip(buckets) {
-                    scope.spawn(move || {
-                        for (tile_frames, tile_out) in bucket {
-                            worker.decode_tile(
-                                graph,
-                                config,
-                                schedule,
-                                blocked,
-                                tier,
-                                tile_frames,
-                                tile_out,
-                            );
-                        }
-                    });
-                }
-            });
+        for (frame, slot) in frames.iter().zip(out) {
+            self.decoder.decode_into(frame, slot);
         }
     }
 
-    /// Human-readable decoder name (mirrors [`crate::Decoder::name`]).
+    /// The single-frame decoder's [`Decoder::name`].
     pub fn name(&self) -> &'static str {
-        match self.schedule {
-            TileSchedule::Flooding => "tiled flooding min-sum",
-            TileSchedule::Zigzag => "tiled zigzag min-sum",
-            TileSchedule::Layered => "tiled layered min-sum",
-        }
+        self.decoder.name()
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::test_support::{noisy_llrs, small_code};
-
-    fn config(rule: CheckRule, precision: Precision) -> DecoderConfig {
-        DecoderConfig::default().with_rule(rule).with_precision(precision)
-    }
-
-    fn reference(
-        graph: &Arc<TannerGraph>,
-        cfg: DecoderConfig,
-        schedule: TileSchedule,
-    ) -> Box<dyn Decoder> {
-        match schedule {
-            TileSchedule::Flooding => Box::new(FloodingDecoder::new(Arc::clone(graph), cfg)),
-            TileSchedule::Zigzag => Box::new(ZigzagDecoder::new(Arc::clone(graph), cfg)),
-            TileSchedule::Layered => Box::new(LayeredDecoder::new(Arc::clone(graph), cfg)),
-        }
-    }
-
-    #[test]
-    fn tiled_decode_is_bit_identical_to_single_frame_all_schedules() {
-        let (code, graph) = small_code();
-        let graph = Arc::new(graph);
-        // Mixed difficulty so lanes converge at different iterations.
-        let ebn0 = [4.0, 2.6, 2.4, 0.5];
-        let frames: Vec<Vec<f64>> = ebn0
-            .iter()
-            .enumerate()
-            .map(|(i, &db)| noisy_llrs(&code, db, 900 + i as u64).1)
-            .collect();
-        let views: Vec<&[f64]> = frames.iter().map(|f| f.as_slice()).collect();
-        for schedule in [TileSchedule::Flooding, TileSchedule::Zigzag, TileSchedule::Layered] {
-            for precision in [Precision::F64, Precision::F32] {
-                let cfg = config(CheckRule::NormalizedMinSum(0.8), precision);
-                // Width 3 over 4 frames: one full tile plus a ragged tail.
-                let mut tiled =
-                    TiledBatchDecoder::new(Arc::clone(&graph), cfg, schedule, 4).with_tile_width(3);
-                let mut single = reference(&graph, cfg, schedule);
-                let got = tiled.decode_batch(&views);
-                for (i, frame) in frames.iter().enumerate() {
-                    let want = single.decode(frame);
-                    assert_eq!(got[i], want, "{schedule:?} {precision:?} frame {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn partial_batches_reuse_the_buffers() {
-        let (code, graph) = small_code();
-        let graph = Arc::new(graph);
-        let cfg = config(CheckRule::NormalizedMinSum(0.8), Precision::F32);
-        let mut tiled = TiledBatchDecoder::new(Arc::clone(&graph), cfg, TileSchedule::Flooding, 8)
-            .with_tile_width(2);
-        let mut single = FloodingDecoder::new(Arc::clone(&graph), cfg);
-        // Different batch sizes against the same decoder instance: the
-        // lane interleave depends on the live tile width, so this pins the
-        // dynamic re-interleave including width-1 ragged tails.
-        for (n, seed) in [(1usize, 50u64), (3, 60), (8, 70), (2, 80)] {
-            let frames: Vec<Vec<f64>> =
-                (0..n).map(|i| noisy_llrs(&code, 2.8, seed + i as u64).1).collect();
-            let views: Vec<&[f64]> = frames.iter().map(|f| f.as_slice()).collect();
-            let got = tiled.decode_batch(&views);
-            for (i, frame) in frames.iter().enumerate() {
-                assert_eq!(got[i], single.decode(frame), "batch {n} frame {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn thread_count_does_not_change_results() {
-        let (code, graph) = small_code();
-        let graph = Arc::new(graph);
-        let cfg = config(CheckRule::OffsetMinSum(0.15), Precision::F32);
-        let frames: Vec<Vec<f64>> = (0..5).map(|i| noisy_llrs(&code, 2.6, 40 + i).1).collect();
-        let views: Vec<&[f64]> = frames.iter().map(|f| f.as_slice()).collect();
-        let mut one = TiledBatchDecoder::new(Arc::clone(&graph), cfg, TileSchedule::Layered, 8)
-            .with_tile_width(2);
-        let mut four = TiledBatchDecoder::new(Arc::clone(&graph), cfg, TileSchedule::Layered, 8)
-            .with_tile_width(2)
-            .with_threads(4);
-        assert_eq!(one.decode_batch(&views), four.decode_batch(&views));
-    }
-
-    #[test]
-    fn early_stop_off_runs_all_iterations_per_lane() {
-        let (code, graph) = small_code();
-        let cfg = DecoderConfig {
-            max_iterations: 8,
-            early_stop: false,
-            ..config(CheckRule::NormalizedMinSum(0.8), Precision::F32)
-        };
-        let mut tiled = TiledBatchDecoder::new(Arc::new(graph), cfg, TileSchedule::Flooding, 2)
-            .with_tile_width(2);
-        let frames: Vec<Vec<f64>> = (0..2).map(|i| noisy_llrs(&code, 4.0, 30 + i).1).collect();
-        let views: Vec<&[f64]> = frames.iter().map(|f| f.as_slice()).collect();
-        for r in tiled.decode_batch(&views) {
-            assert_eq!(r.iterations, 8);
-            assert!(r.converged);
-        }
-    }
-
-    #[test]
-    fn geometry_gives_wide_tiles_to_small_working_sets() {
-        let (_, graph) = small_code();
-        let short_f32 = TileGeometry::for_budget(&graph, Precision::F32, 2 << 20);
-        assert!(short_f32.width > 1, "short-frame f32 should tile wider than 1");
-        // A tiny budget degenerates to the single-frame regime, never 0.
-        let tiny = TileGeometry::for_budget(&graph, Precision::F64, 1);
-        assert_eq!(tiny.width, 1);
-        assert!(short_f32.bytes_per_frame > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "min-sum rules")]
-    fn sum_product_rule_is_rejected() {
-        let (_, graph) = small_code();
-        TiledBatchDecoder::new(
-            Arc::new(graph),
-            DecoderConfig::default(),
-            TileSchedule::Flooding,
-            4,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds max_batch")]
-    fn oversized_batch_is_rejected() {
-        let (_, graph) = small_code();
-        let cfg = config(CheckRule::NormalizedMinSum(0.8), Precision::F32);
-        let n = graph.var_count();
-        let mut dec = TiledBatchDecoder::new(Arc::new(graph), cfg, TileSchedule::Flooding, 2);
-        let frame = vec![0.0; n];
-        let views: Vec<&[f64]> = vec![&frame; 3];
-        let _ = dec.decode_batch(&views);
-    }
-
-    #[test]
-    #[should_panic(expected = "parity chain")]
-    fn zigzag_schedule_rejects_non_ira_graphs() {
-        let g = dvbs2_ldpc::TannerGraph::from_edges(2, 1, &[(0, 0), (0, 1)]);
-        let cfg = config(CheckRule::NormalizedMinSum(0.8), Precision::F32);
-        TiledBatchDecoder::new(Arc::new(g), cfg, TileSchedule::Zigzag, 2);
-    }
-}
+mod tests;

@@ -33,7 +33,6 @@ use crate::engine::{
 };
 use crate::llr_ops::{boxplus_t, CheckRule, LlrFloat};
 use crate::simd::SimdTier;
-use crate::tile::{lane_accumulate_totals, zigzag_lane_sweep_tier};
 use crate::{DecodeResult, Decoder, DecoderConfig};
 use dvbs2_ldpc::{BitVec, TannerGraph};
 use std::sync::Arc;
@@ -44,16 +43,12 @@ use std::sync::Arc;
 /// `info_len()..var_count()` must form the accumulator chain, and each
 /// check's parity edges must come last in its edge range.
 ///
-/// The min-sum rules run through the blocked edge-major lane sweep of
-/// the `tile` module at width 1 — the same `#[target_feature]`-dispatched
-/// kernel family the tiled batch decoder uses, so single-frame and tiled
-/// decodes share one code path (and the per-lane operation order keeps the
-/// results bit-identical to the historical scalar sweep, pinned by the
-/// seed-embedded regression suite). `f32` exact sum-product runs the
-/// chain-decoupled sweep, lane-parallel across checks on the same tier
-/// ladder with one scalar boxplus per check left on the chain; `f64` exact
-/// sum-product (the bit-pinned reference) and the table rule keep the
-/// scalar check-by-check sweep.
+/// `f32` exact sum-product runs the chain-decoupled sweep, lane-parallel
+/// across checks on the SIMD tier ladder with one scalar boxplus per check
+/// left on the chain. Every other rule and precision — the min-sum rules,
+/// the table rule, and `f64` exact sum-product, the reference the
+/// seed-embedded regression suite pins bit for bit — runs the scalar
+/// check-by-check sweep.
 #[derive(Debug, Clone)]
 pub struct ZigzagDecoder {
     graph: Arc<TannerGraph>,
@@ -93,74 +88,10 @@ impl<F: LlrFloat> Engine<F> {
         }
     }
 
-    /// One full decode into `out`. Allocation-free once `out.bits` has the
-    /// codeword length (the first call sizes it).
+    /// One full decode into `out`: the scalar check-by-check sweep.
+    /// Allocation-free once `out.bits` has the codeword length (the first
+    /// call sizes it).
     fn decode_into(
-        &mut self,
-        graph: &TannerGraph,
-        config: &DecoderConfig,
-        tier: SimdTier,
-        channel_llrs: &[f64],
-        out: &mut DecodeResult,
-    ) {
-        // The min-sum rules route through the tiled decoder's lane sweep at
-        // width 1; f64 exact and table sum-product stream check by check
-        // (f32 exact sum-product never gets here: it has `Decoupled`).
-        match config.rule.min_sum_correct::<F>() {
-            Some(correct) => {
-                self.decode_lanes(graph, config, tier, channel_llrs, out, move |m| {
-                    correct.apply(m)
-                });
-            }
-            None => self.decode_scalar(graph, config, channel_llrs, out),
-        }
-    }
-
-    /// Min-sum decode through [`zigzag_lane_sweep_tier`] with one frame
-    /// lane: the message planes are edge-major with `w = 1`, so the lane
-    /// kernels read them exactly like this engine's flat layout.
-    fn decode_lanes(
-        &mut self,
-        graph: &TannerGraph,
-        config: &DecoderConfig,
-        tier: SimdTier,
-        channel_llrs: &[f64],
-        out: &mut DecodeResult,
-        correct: impl Fn(F) -> F + Copy,
-    ) {
-        load_llrs(&mut self.llr, channel_llrs);
-        self.c2v.fill(F::ZERO);
-        // First-iteration gather sources: totals = llr plus all-zero
-        // messages (bit-identical to `accumulate_totals` at width 1).
-        lane_accumulate_totals(graph.edge_vars(), 1, &self.llr, &self.c2v, &mut self.totals);
-        let mut iterations = 0;
-        let mut converged = false;
-
-        for _ in 0..config.max_iterations {
-            iterations += 1;
-            zigzag_lane_sweep_tier(
-                tier,
-                graph,
-                &config.rule,
-                1,
-                &self.llr,
-                &self.totals,
-                &mut self.v2c,
-                &mut self.c2v,
-                &mut self.totals_next,
-                correct,
-            );
-            std::mem::swap(&mut self.totals, &mut self.totals_next);
-            if config.early_stop && syndrome_ok_totals(graph, &self.totals) {
-                converged = true;
-                break;
-            }
-        }
-        self.finish(graph, iterations, converged, out);
-    }
-
-    /// The original scalar sweep (sum-product rules).
-    fn decode_scalar(
         &mut self,
         graph: &TannerGraph,
         config: &DecoderConfig,
@@ -237,7 +168,7 @@ impl<F: LlrFloat> Engine<F> {
         self.finish(graph, iterations, converged, out);
     }
 
-    /// Post-loop epilogue shared by both paths: final syndrome check when
+    /// Post-loop epilogue shared with [`Decoupled`]: final syndrome check when
     /// the loop ran to the cap, then hard decisions into `out`.
     fn finish(
         &mut self,
@@ -434,9 +365,8 @@ impl ZigzagDecoder {
         &self.config
     }
 
-    /// The SIMD dispatch tier the min-sum lane sweep and the `f32` exact
-    /// sum-product sweep run on (`f64` exact sum-product and the table rule
-    /// are scalar regardless).
+    /// The SIMD dispatch tier the `f32` exact sum-product sweep runs on
+    /// (every other rule and precision is scalar regardless).
     pub fn simd_tier(&self) -> SimdTier {
         self.tier
     }
@@ -452,8 +382,8 @@ impl Decoder for ZigzagDecoder {
     fn decode_into(&mut self, channel_llrs: &[f64], out: &mut DecodeResult) {
         assert_eq!(channel_llrs.len(), self.graph.var_count(), "LLR length mismatch");
         match &mut self.core {
-            Core::F64(e) => e.decode_into(&self.graph, &self.config, self.tier, channel_llrs, out),
-            Core::F32(e) => e.decode_into(&self.graph, &self.config, self.tier, channel_llrs, out),
+            Core::F64(e) => e.decode_into(&self.graph, &self.config, channel_llrs, out),
+            Core::F32(e) => e.decode_into(&self.graph, &self.config, channel_llrs, out),
             Core::Decoupled(e) => {
                 e.decode_into(&self.graph, &self.config, self.tier, channel_llrs, out)
             }
@@ -570,8 +500,8 @@ mod tests {
 
     #[test]
     fn min_sum_is_bit_identical_across_simd_tiers() {
-        // The lane-sweep routing dispatches per tier; every tier must give
-        // the full scalar-tier DecodeResult bit for bit.
+        // Min-sum runs the scalar sweep whatever the tier: a forced tier is
+        // accepted and changes nothing in the DecodeResult.
         let (code, graph) = small_code();
         let graph = Arc::new(graph);
         for rule in [CheckRule::NormalizedMinSum(0.8), CheckRule::OffsetMinSum(0.15)] {

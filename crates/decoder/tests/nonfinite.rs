@@ -1,4 +1,5 @@
-//! Regression tests for non-finite channel LLRs.
+//! Regression tests for degenerate decoder inputs: non-finite channel LLRs
+//! and an iteration cap of zero.
 //!
 //! A demodulator bug (or a saturated AGC) can hand the decoder `±inf` or
 //! `NaN` soft bits. Before sanitization, an `inf` input made the check-node
@@ -8,19 +9,23 @@
 //! saturating quantizer has the same policy by construction, so frames
 //! containing garbage samples decode like frames containing erasures.
 
-use dvbs2_decoder::test_support::{llrs_for_codeword, small_code};
+use dvbs2_decoder::test_support::{llrs_for_codeword, noisy_llrs, small_code};
 use dvbs2_decoder::{
-    BitFlippingDecoder, CheckRule, Decoder, DecoderConfig, FloodingDecoder, LayeredDecoder,
-    Precision, QuantizedZigzagDecoder, Quantizer, ZigzagDecoder,
+    BitFlippingDecoder, ChainPartition, CheckRule, Decoder, DecoderConfig, FloodingDecoder,
+    LayeredDecoder, Precision, QCheckArithmetic, QuantizedZigzagDecoder, Quantizer, ZigzagDecoder,
 };
 use dvbs2_ldpc::BitVec;
 use std::sync::Arc;
 
-/// Every soft decoder in the matrix, both precisions where applicable.
+/// Every soft decoder in the matrix, both precisions where applicable; the
+/// quantized decoder on each of its paths (sequential, scalar fused over a
+/// 360-lane cut, SIMD lane planes over the same cut).
 fn soft_decoders(graph: &Arc<dvbs2_ldpc::TannerGraph>) -> Vec<Box<dyn Decoder>> {
     let f64_cfg = DecoderConfig::default();
     let f32_cfg = DecoderConfig::default().with_precision(Precision::F32);
     let ms_cfg = DecoderConfig::default().with_rule(CheckRule::NormalizedMinSum(0.8));
+    let lut = || QCheckArithmetic::lut(Quantizer::paper_6bit());
+    let cut = || ChainPartition::new(360, None);
     vec![
         Box::new(FloodingDecoder::new(Arc::clone(graph), f64_cfg)),
         Box::new(FloodingDecoder::new(Arc::clone(graph), f32_cfg)),
@@ -29,6 +34,13 @@ fn soft_decoders(graph: &Arc<dvbs2_ldpc::TannerGraph>) -> Vec<Box<dyn Decoder>> 
         Box::new(ZigzagDecoder::new(Arc::clone(graph), f32_cfg)),
         Box::new(LayeredDecoder::new(Arc::clone(graph), f64_cfg)),
         Box::new(QuantizedZigzagDecoder::new(Arc::clone(graph), Quantizer::paper_6bit(), f64_cfg)),
+        Box::new(QuantizedZigzagDecoder::with_partition_fused(
+            Arc::clone(graph),
+            lut(),
+            f64_cfg,
+            cut(),
+        )),
+        Box::new(QuantizedZigzagDecoder::with_partition(Arc::clone(graph), lut(), f64_cfg, cut())),
     ]
 }
 
@@ -135,4 +147,37 @@ fn bit_flipping_handles_non_finite_signs() {
     let out = dec.decode(&llrs);
     assert!(out.converged);
     assert_eq!(out.bits, cw);
+}
+
+/// An iteration cap of zero (admission control can in principle shed that
+/// far) means "the channel's own hard decisions, `iterations == 0`" — and in
+/// particular nothing of the frame decoded before: a warm decoder must
+/// answer exactly like a fresh one.
+#[test]
+fn zero_iteration_cap_ignores_the_previous_frame() {
+    let (code, graph) = small_code();
+    let graph = Arc::new(graph);
+    let (_, previous) = noisy_llrs(&code, 1.0, 5100);
+    let (_, frame) = noisy_llrs(&code, 1.0, 5101);
+    let all = |graph: &Arc<dvbs2_ldpc::TannerGraph>| {
+        let mut decoders = soft_decoders(graph);
+        decoders
+            .push(Box::new(BitFlippingDecoder::new(Arc::clone(graph), DecoderConfig::default())));
+        decoders
+    };
+    for (mut warm, mut fresh) in all(&graph).into_iter().zip(all(&graph)) {
+        assert!(warm.decode(&previous).iterations > 0, "{}: warm-up must iterate", warm.name());
+        warm.set_max_iterations(0);
+        fresh.set_max_iterations(0);
+        let got = warm.decode(&frame);
+        assert_eq!(got, fresh.decode(&frame), "{}: cap-0 decode read stale state", warm.name());
+        assert_eq!(got.iterations, 0, "{}", warm.name());
+    }
+    // The quantized paths decide on the *quantized* channel.
+    let q = Quantizer::paper_6bit();
+    let want: BitVec = frame.iter().map(|&l| q.quantize(l) < 0).collect();
+    for mut dec in soft_decoders(&graph).into_iter().filter(|d| d.name() == "quantized zigzag") {
+        dec.set_max_iterations(0);
+        assert_eq!(dec.decode(&frame).bits, want);
+    }
 }

@@ -8,14 +8,19 @@
 //! associativity — `channel + edges.map(c2v).sum::<f64>()`, scratch-copy
 //! check updates, forward/backward parity arrays — so any rounding drift in
 //! the refactored engines shows up as a bit-level mismatch here.
+//!
+//! `SeedQuantizedZigzag` does the same for the fixed-point decoder: it is
+//! the sequential quantized sweep `QuantizedZigzagDecoder::new` ran before
+//! that constructor became the 1-lane instance of the fused plan.
 
 // Verbatim seed code: lint style kept as shipped.
 #![allow(clippy::needless_range_loop)]
 
 use dvbs2_decoder::test_support::{noisy_llrs, small_code};
 use dvbs2_decoder::{
-    hard_decisions, syndrome_ok, CheckRule, DecodeResult, Decoder, DecoderConfig, FloodingDecoder,
-    LayeredDecoder, TileSchedule, TiledBatchDecoder, ZigzagDecoder,
+    hard_decisions, hard_decisions_int, syndrome_ok, CheckRule, DecodeResult, Decoder,
+    DecoderConfig, FloodingDecoder, LayeredDecoder, QCheckArithmetic, QuantizedZigzagDecoder,
+    Quantizer, TileSchedule, TiledBatchDecoder, ZigzagDecoder,
 };
 use dvbs2_ldpc::TannerGraph;
 use std::sync::Arc;
@@ -211,9 +216,8 @@ impl SeedZigzag {
 }
 
 /// A scalar reference for the layered schedule: the running-totals sweep
-/// with per-check scratch copies, written in the plain per-frame form the
-/// lane kernels were ported from. Pins the schedule's totals/early-stop
-/// behavior so the tiled lane port cannot drift.
+/// with per-check scratch copies, in the plain per-frame form. Pins the
+/// schedule's totals/early-stop behavior.
 struct SeedLayered {
     graph: Arc<TannerGraph>,
     config: DecoderConfig,
@@ -273,6 +277,121 @@ impl SeedLayered {
     }
 }
 
+/// The sequential quantized zigzag sweep as `QuantizedZigzagDecoder::new`
+/// ran it before it moved onto the fused plan, embedded as a reference:
+/// edge-indexed planes, per-check scratch copies, one forward value threaded
+/// down the whole chain, totals recomputed after every sweep.
+struct SeedQuantizedZigzag {
+    graph: Arc<TannerGraph>,
+    arithmetic: QCheckArithmetic,
+    config: DecoderConfig,
+    v2c: Vec<i32>,
+    c2v: Vec<i32>,
+    backward: Vec<i32>,
+    forward: Vec<i32>,
+    totals: Vec<i32>,
+    scratch_in: Vec<i32>,
+    scratch_out: Vec<i32>,
+}
+
+impl SeedQuantizedZigzag {
+    fn new(graph: Arc<TannerGraph>, arithmetic: QCheckArithmetic, config: DecoderConfig) -> Self {
+        let n_check = graph.check_count();
+        let edges = graph.edge_count();
+        let max_degree = (0..n_check).map(|c| graph.check_degree(c)).max().unwrap_or(0);
+        SeedQuantizedZigzag {
+            arithmetic,
+            config,
+            v2c: vec![0; edges],
+            c2v: vec![0; edges],
+            backward: vec![0; n_check],
+            forward: vec![0; n_check],
+            totals: vec![0; graph.var_count()],
+            scratch_in: vec![0; max_degree],
+            scratch_out: vec![0; max_degree],
+            graph,
+        }
+    }
+
+    fn decode(&mut self, channel_llrs: &[f64]) -> DecodeResult {
+        let graph = Arc::clone(&self.graph);
+        let k = graph.info_len();
+        let n_check = graph.check_count();
+        let q = *self.arithmetic.quantizer();
+        let channel: Vec<i32> = channel_llrs.iter().map(|&l| q.quantize(l)).collect();
+
+        self.c2v.fill(0);
+        self.backward.fill(0);
+        let mut iterations = 0;
+        let mut converged = false;
+
+        for _ in 0..self.config.max_iterations {
+            iterations += 1;
+
+            for v in 0..k {
+                let edges = graph.var_edges(v);
+                let total: i32 =
+                    channel[v] + edges.iter().map(|&e| self.c2v[e as usize]).sum::<i32>();
+                for &e in edges {
+                    self.v2c[e as usize] = q.saturate(total - self.c2v[e as usize]);
+                }
+            }
+
+            let mut fwd_prev = 0i32;
+            for c in 0..n_check {
+                let range = graph.check_edges(c);
+                let info_d = range.len() - if c == 0 { 1 } else { 2 };
+                let start = range.start;
+                for i in 0..info_d {
+                    self.scratch_in[i] = self.v2c[start + i];
+                }
+                let mut d = info_d;
+                let left_pos = if c > 0 {
+                    self.scratch_in[d] = q.sat_add(channel[k + c - 1], fwd_prev);
+                    d += 1;
+                    Some(d - 1)
+                } else {
+                    None
+                };
+                self.scratch_in[d] =
+                    q.sat_add(channel[k + c], if c + 1 < n_check { self.backward[c] } else { 0 });
+                let right_pos = d;
+                d += 1;
+
+                self.arithmetic.extrinsic(&self.scratch_in[..d], &mut self.scratch_out[..d]);
+
+                for i in 0..info_d {
+                    self.c2v[start + i] = self.scratch_out[i];
+                }
+                if let Some(p) = left_pos {
+                    self.backward[c - 1] = self.scratch_out[p];
+                }
+                fwd_prev = self.scratch_out[right_pos];
+                self.forward[c] = fwd_prev;
+            }
+
+            for v in 0..k {
+                self.totals[v] = channel[v]
+                    + graph.var_edges(v).iter().map(|&e| self.c2v[e as usize]).sum::<i32>();
+            }
+            for j in 0..n_check {
+                self.totals[k + j] = channel[k + j]
+                    + self.forward[j]
+                    + if j + 1 < n_check { self.backward[j] } else { 0 };
+            }
+            if self.config.early_stop && syndrome_ok(&graph, &hard_decisions_int(&self.totals)) {
+                converged = true;
+                break;
+            }
+        }
+        let bits = hard_decisions_int(&self.totals);
+        if !converged {
+            converged = syndrome_ok(&graph, &bits);
+        }
+        DecodeResult { bits, iterations, converged }
+    }
+}
+
 /// Frames spanning the interesting regimes on the N = 16200 rate-1/2 code:
 /// clean convergence, slow convergence near threshold, and undecodable.
 fn frame_seeds() -> Vec<(f64, u64)> {
@@ -319,12 +438,9 @@ fn assert_matches_seed(config: DecoderConfig) {
     }
 }
 
-/// The tiled batch decoder against the seed references directly: the whole
-/// regression frame set decoded as one ragged-tiled, two-thread batch per
-/// schedule must reproduce the seed decoders' results frame for frame —
-/// the migrated zigzag/layered lane kernels carry the same totals and
-/// early-stop behavior as the originals, with no single-frame decoder in
-/// the comparison chain.
+/// The batch entry point against the seed references directly: the whole
+/// regression frame set decoded as one batch per schedule must reproduce the
+/// seed decoders' results frame for frame.
 fn assert_tiled_matches_seed(config: DecoderConfig) {
     let (code, graph) = small_code();
     let graph = Arc::new(graph);
@@ -335,9 +451,7 @@ fn assert_tiled_matches_seed(config: DecoderConfig) {
     let mut seed_zigzag = SeedZigzag::new(Arc::clone(&graph), config);
     let mut seed_layered = SeedLayered::new(Arc::clone(&graph), config);
     for schedule in [TileSchedule::Flooding, TileSchedule::Zigzag, TileSchedule::Layered] {
-        let mut tiled = TiledBatchDecoder::new(Arc::clone(&graph), config, schedule, views.len())
-            .with_tile_width(2)
-            .with_threads(2);
+        let mut tiled = TiledBatchDecoder::new(Arc::clone(&graph), config, schedule, views.len());
         let got = tiled.decode_batch(&views);
         for (i, llrs) in frames.iter().enumerate() {
             let want = match schedule {
@@ -370,7 +484,7 @@ fn soa_engines_match_seed_without_early_stop() {
 #[test]
 fn tiled_engines_match_seed_min_sum() {
     // f64 keeps the comparison bit-exact against the double-precision seed
-    // embeds; the tiled kernels are min-sum only.
+    // embeds.
     assert_tiled_matches_seed(DecoderConfig::default().with_rule(CheckRule::NormalizedMinSum(0.8)));
 }
 
@@ -381,4 +495,51 @@ fn tiled_engines_match_seed_without_early_stop() {
         .with_max_iterations(12)
         .with_early_stop(false);
     assert_tiled_matches_seed(config);
+}
+
+#[test]
+fn quantized_sequential_matches_seed() {
+    // `new`/`with_arithmetic` run the fused plan with one lane in graph
+    // order; the embedded sequential sweep is what that must reproduce,
+    // full DecodeResult, for every arithmetic and both stopping policies.
+    let (code, graph) = small_code();
+    let graph = Arc::new(graph);
+    let frames: Vec<Vec<f64>> =
+        frame_seeds().iter().map(|&(db, s)| noisy_llrs(&code, db, s).1).collect();
+    let arithmetics = [
+        ("6-bit LUT", QCheckArithmetic::lut(Quantizer::paper_6bit())),
+        ("5-bit LUT", QCheckArithmetic::lut(Quantizer::paper_5bit())),
+        ("min-sum shift 2", QCheckArithmetic::min_sum_shift(Quantizer::paper_6bit(), 2)),
+    ];
+    let configs = [
+        DecoderConfig::default(),
+        DecoderConfig::default().with_max_iterations(12).with_early_stop(false),
+    ];
+    for (name, arithmetic) in arithmetics {
+        for config in configs {
+            let mut seed = SeedQuantizedZigzag::new(Arc::clone(&graph), arithmetic.clone(), config);
+            let mut new = QuantizedZigzagDecoder::with_arithmetic(
+                Arc::clone(&graph),
+                arithmetic.clone(),
+                config,
+            );
+            for (i, llrs) in frames.iter().enumerate() {
+                let early_stop = config.early_stop;
+                assert_eq!(
+                    new.decode(llrs),
+                    seed.decode(llrs),
+                    "{name}, early stop {early_stop}: diverged from seed on frame {i}"
+                );
+            }
+        }
+    }
+    // `new` is `with_arithmetic` over the LUT rule.
+    let config = DecoderConfig::default();
+    let mut seed = SeedQuantizedZigzag::new(
+        Arc::clone(&graph),
+        QCheckArithmetic::lut(Quantizer::paper_6bit()),
+        config,
+    );
+    let mut new = QuantizedZigzagDecoder::new(Arc::clone(&graph), Quantizer::paper_6bit(), config);
+    assert_eq!(new.decode(&frames[1]), seed.decode(&frames[1]));
 }

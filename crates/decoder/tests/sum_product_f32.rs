@@ -3,10 +3,14 @@
 //! the chain-decoupled sweep. Both reassociate the boxplus chains and
 //! evaluate the corrections with the vector softplus, so the contract is
 //! behavioural — same decoded word, iteration count within one — plus
-//! bit-identity of the full result across SIMD tiers.
+//! bit-identity of the full result across SIMD tiers, which the flooding
+//! min-sum kernels (the other tier-dispatched float path) are held to here
+//! as well.
 
 use dvbs2_decoder::test_support::{noisy_llrs, SplitMix64};
-use dvbs2_decoder::{Decoder, DecoderConfig, FloodingDecoder, Precision, SimdTier, ZigzagDecoder};
+use dvbs2_decoder::{
+    CheckRule, Decoder, DecoderConfig, FloodingDecoder, Precision, SimdTier, ZigzagDecoder,
+};
 use dvbs2_ldpc::{
     AddressTable, CodeParams, CodeRate, DegreeClass, DvbS2Code, FrameSize, TannerGraph,
 };
@@ -152,32 +156,47 @@ fn f32_sum_product_survives_erased_and_saturated_inputs() {
 
 #[test]
 fn f32_sum_product_is_bit_identical_across_simd_tiers() {
-    // The lane passes dispatch per tier; every tier must give the scalar
-    // tier's full DecodeResult bit for bit (CI also forces DVBS2_SIMD=scalar
-    // over this suite).
+    // Every tier-dispatched float kernel — the f32 sum-product lane passes
+    // and the flooding min-sum pass in both precisions — must give the
+    // scalar tier's full DecodeResult bit for bit (CI also forces
+    // DVBS2_SIMD=scalar over this suite).
+    type Make = fn(&Arc<TannerGraph>, DecoderConfig) -> (Box<dyn Decoder>, SimdTier);
+    let flooding: Make = |graph, config| {
+        let decoder = FloodingDecoder::new(Arc::clone(graph), config);
+        let tier = decoder.simd_tier();
+        (Box::new(decoder), tier)
+    };
+    let zigzag: Make = |graph, config| {
+        let decoder = ZigzagDecoder::new(Arc::clone(graph), config);
+        let tier = decoder.simd_tier();
+        (Box::new(decoder), tier)
+    };
+    let min_sum = |rule, precision| reference_config().with_rule(rule).with_precision(precision);
+    let normalized = CheckRule::NormalizedMinSum(0.8);
+    let offset = CheckRule::OffsetMinSum(0.15);
+    let inputs: [(&str, Make, DecoderConfig); 6] = [
+        ("flooding sum-product f32", flooding, f32_config()),
+        ("zigzag sum-product f32", zigzag, f32_config()),
+        ("flooding normalized min-sum f32", flooding, min_sum(normalized, Precision::F32)),
+        ("flooding normalized min-sum f64", flooding, min_sum(normalized, Precision::F64)),
+        ("flooding offset min-sum f32", flooding, min_sum(offset, Precision::F32)),
+        ("flooding offset min-sum f64", flooding, min_sum(offset, Precision::F64)),
+    ];
     let code = DvbS2Code::new(CodeRate::R1_2, FrameSize::Short).unwrap();
     let graph = Arc::new(code.tanner_graph());
-    let scalar = f32_config().with_simd_tier(Some(SimdTier::Scalar));
-    let mut flooding_reference = FloodingDecoder::new(Arc::clone(&graph), scalar);
-    let mut zigzag_reference = ZigzagDecoder::new(Arc::clone(&graph), scalar);
-    for tier in SimdTier::available() {
-        let config = f32_config().with_simd_tier(Some(tier));
-        let mut flooding = FloodingDecoder::new(Arc::clone(&graph), config);
-        let mut zigzag = ZigzagDecoder::new(Arc::clone(&graph), config);
-        assert_eq!(flooding.simd_tier(), tier);
-        assert_eq!(zigzag.simd_tier(), tier);
-        for (ebn0_db, seed) in [(2.0, 300), (1.0, 301), (0.2, 302)] {
-            let (_, llrs) = noisy_llrs(&code, ebn0_db, seed);
-            assert_eq!(
-                flooding.decode(&llrs),
-                flooding_reference.decode(&llrs),
-                "flooding {tier:?} seed {seed}"
-            );
-            assert_eq!(
-                zigzag.decode(&llrs),
-                zigzag_reference.decode(&llrs),
-                "zigzag {tier:?} seed {seed}"
-            );
+    let frames: Vec<Vec<f64>> = [(2.0, 300), (1.0, 301), (0.2, 302)]
+        .iter()
+        .map(|&(ebn0_db, seed)| noisy_llrs(&code, ebn0_db, seed).1)
+        .collect();
+    for (label, make, config) in inputs {
+        let (mut reference, _) = make(&graph, config.with_simd_tier(Some(SimdTier::Scalar)));
+        let want: Vec<_> = frames.iter().map(|llrs| reference.decode(llrs)).collect();
+        for tier in SimdTier::available() {
+            let (mut decoder, resolved) = make(&graph, config.with_simd_tier(Some(tier)));
+            assert_eq!(resolved, tier, "{label}");
+            for (index, llrs) in frames.iter().enumerate() {
+                assert_eq!(decoder.decode(llrs), want[index], "{label} {tier:?} frame {index}");
+            }
         }
     }
 }

@@ -1,15 +1,15 @@
-//! Property tests pinning the tiled batch decoder's transparency contract:
-//! for every schedule, precision, min-sum rule, SIMD dispatch tier, tile
-//! width (including ragged tails) and thread count, a tiled batch decode is
-//! **bit-identical per frame** — full `DecodeResult`, i.e. hard decisions,
-//! iteration count and convergence flag — to the matching single-frame
-//! decoder.
+//! `TiledBatchDecoder` is a loop over one single-frame decoder (kept for the
+//! stack benchmark's probe); these tests hold it to that: for every
+//! schedule, precision, min-sum rule and SIMD dispatch tier a batch decode is
+//! **bit-identical per frame** — full `DecodeResult` — to the matching
+//! single-frame decoder.
 //!
 //! Tiers are forced through the per-decoder `DecoderConfig::with_simd_tier`
 //! hook (race-free under the parallel test runner; the process-global
 //! `DVBS2_SIMD` variable is exercised end-to-end by the CI matrix instead).
 //! Unavailable tiers are skipped, so the suite passes on any x86-64 CPU and
-//! on non-x86 targets — on this ladder `scalar` is always available.
+//! on non-x86 targets — on this ladder `scalar` is always available. The
+//! last test pins, directly on `FloodingDecoder`, that forcing one panics.
 
 use dvbs2_decoder::test_support::{noisy_llrs, small_code};
 use dvbs2_decoder::{
@@ -35,8 +35,7 @@ fn single_frame(
 }
 
 /// Mixed-difficulty frames: early converger, mid-waterfall stragglers and
-/// an undecodable frame that pins the iteration-cap path, so lanes of one
-/// tile latch at different iterations.
+/// an undecodable frame that pins the iteration-cap path.
 fn frames(code: &dvbs2_ldpc::DvbS2Code, n: usize, base_seed: u64) -> Vec<Vec<f64>> {
     let ebn0 = [4.0, 2.6, 2.4, 0.5, 2.8];
     (0..n).map(|i| noisy_llrs(code, ebn0[i % ebn0.len()], base_seed + i as u64).1).collect()
@@ -45,8 +44,6 @@ fn frames(code: &dvbs2_ldpc::DvbS2Code, n: usize, base_seed: u64) -> Vec<Vec<f64
 fn assert_tiled_matches_single(
     schedule: TileSchedule,
     config: DecoderConfig,
-    width: usize,
-    threads: usize,
     n_frames: usize,
     seed: u64,
 ) {
@@ -54,16 +51,14 @@ fn assert_tiled_matches_single(
     let graph = Arc::new(graph);
     let frames = frames(&code, n_frames, seed);
     let views: Vec<&[f64]> = frames.iter().map(|f| f.as_slice()).collect();
-    let mut tiled = TiledBatchDecoder::new(Arc::clone(&graph), config, schedule, n_frames)
-        .with_tile_width(width)
-        .with_threads(threads);
+    let mut tiled = TiledBatchDecoder::new(Arc::clone(&graph), config, schedule, n_frames);
     let mut single = single_frame(&graph, config, schedule);
     let got = tiled.decode_batch(&views);
     for (i, frame) in frames.iter().enumerate() {
         let want = single.decode(frame);
         assert_eq!(
             got[i], want,
-            "{schedule:?} {:?} {:?} tier {:?} width {width} threads {threads} frame {i}",
+            "{schedule:?} {:?} {:?} tier {:?} frame {i}",
             config.rule, config.precision, config.simd,
         );
     }
@@ -71,8 +66,7 @@ fn assert_tiled_matches_single(
 
 /// The full dispatch matrix: every schedule × every available SIMD tier,
 /// with the precision/rule pairing alternating so both precisions and both
-/// min-sum rules are covered per tier. Tiles of width 3 over 5 frames give
-/// one full tile plus a ragged 2-frame tail.
+/// min-sum rules are covered per tier.
 #[test]
 fn tiled_matches_single_frame_across_schedules_and_tiers() {
     for schedule in SCHEDULES {
@@ -85,7 +79,7 @@ fn tiled_matches_single_frame_across_schedules_and_tiers() {
                     .with_rule(rule)
                     .with_precision(precision)
                     .with_simd_tier(Some(tier));
-                assert_tiled_matches_single(schedule, config, 3, 1, 5, 700 + 10 * t as u64);
+                assert_tiled_matches_single(schedule, config, 5, 700 + 10 * t as u64);
             }
         }
     }
@@ -106,8 +100,7 @@ fn all_available_tiers_agree_bit_for_bit() {
                 .with_rule(CheckRule::NormalizedMinSum(0.8))
                 .with_precision(Precision::F32)
                 .with_simd_tier(Some(tier));
-            let mut dec =
-                TiledBatchDecoder::new(Arc::clone(&graph), config, schedule, 4).with_tile_width(2);
+            let mut dec = TiledBatchDecoder::new(Arc::clone(&graph), config, schedule, 4);
             per_tier.push((tier, dec.decode_batch(&views)));
         }
         let (base_tier, baseline) = &per_tier[0];
@@ -117,37 +110,8 @@ fn all_available_tiers_agree_bit_for_bit() {
     }
 }
 
-/// Every tile width — from the degenerate single-frame regime through
-/// ragged tails to one tile swallowing the whole batch — yields the same
-/// results.
-#[test]
-fn tile_width_never_changes_results() {
-    let config = DecoderConfig::default()
-        .with_rule(CheckRule::NormalizedMinSum(0.8))
-        .with_precision(Precision::F32);
-    for schedule in SCHEDULES {
-        for width in [1, 2, 3, 5, 7] {
-            assert_tiled_matches_single(schedule, config, width, 1, 5, 7200);
-        }
-    }
-}
-
-/// Thread-parallel tiles are dealt statically, so any thread count gives
-/// identical results (including more threads than tiles).
-#[test]
-fn thread_count_never_changes_results() {
-    let config = DecoderConfig::default()
-        .with_rule(CheckRule::OffsetMinSum(0.15))
-        .with_precision(Precision::F32);
-    for schedule in SCHEDULES {
-        for threads in [1, 2, 4, 9] {
-            assert_tiled_matches_single(schedule, config, 2, threads, 6, 7300);
-        }
-    }
-}
-
-/// With early stop disabled every lane runs to the cap — the benchmark
-/// contract — and the per-lane finalize still matches single-frame.
+/// With early stop disabled every frame runs to the cap — the benchmark
+/// contract — and still matches single-frame.
 #[test]
 fn fixed_iteration_contract_matches_single_frame() {
     let config = DecoderConfig::default()
@@ -156,7 +120,7 @@ fn fixed_iteration_contract_matches_single_frame() {
         .with_max_iterations(8)
         .with_early_stop(false);
     for schedule in SCHEDULES {
-        assert_tiled_matches_single(schedule, config, 3, 2, 4, 7400);
+        assert_tiled_matches_single(schedule, config, 4, 7400);
     }
 }
 
@@ -170,9 +134,7 @@ fn unavailable_forced_tier_panics() {
         let config = DecoderConfig::default()
             .with_rule(CheckRule::NormalizedMinSum(0.8))
             .with_simd_tier(Some(tier));
-        let result = std::panic::catch_unwind(|| {
-            TiledBatchDecoder::new(Arc::new(graph), config, TileSchedule::Flooding, 2)
-        });
+        let result = std::panic::catch_unwind(|| FloodingDecoder::new(Arc::new(graph), config));
         assert!(result.is_err(), "{tier:?} should be rejected on this CPU");
     }
 }

@@ -61,8 +61,7 @@ pub mod prelude {
     };
     pub use dvbs2_decoder::{
         CheckRule, DecodeResult, Decoder, DecoderConfig, FloodingDecoder, LayeredDecoder,
-        Precision, QuantizedZigzagDecoder, Quantizer, SimdTier, TileSchedule, TiledBatchDecoder,
-        ZigzagDecoder,
+        Precision, QuantizedZigzagDecoder, Quantizer, SimdTier, ZigzagDecoder,
     };
     pub use dvbs2_hardware::{
         optimize_schedule, AnnealOptions, AreaModel, CnSchedule, ConnectivityRom, CoreConfig,
@@ -324,77 +323,6 @@ impl Dvbs2System {
             }
         })
     }
-
-    /// [`simulate_ber`](Self::simulate_ber) with a multi-frame
-    /// [`TiledBatchDecoder`](dvbs2_decoder::TiledBatchDecoder): each
-    /// work-stealing chunk of `batch` frames is generated per-index (same
-    /// RNG streams as the per-frame path) and decoded as cache-sized tiles,
-    /// replaying the configured schedule (flooding, zigzag or layered).
-    ///
-    /// Tiled decodes are bit-identical frame for frame to the matching
-    /// single-frame decoder, so with a min-sum rule and
-    /// `batch == BER_CHUNK_FRAMES` this returns *exactly* the
-    /// [`simulate_ber`](Self::simulate_ber) estimate. Other batch sizes
-    /// still count every frame identically; only the whole-chunk early-out
-    /// granularity (and hence a `target_frame_errors` run's frame total)
-    /// changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured decoder kind is not a tiled schedule
-    /// (flooding, zigzag or layered), if the rule is not a min-sum variant
-    /// (the tiled kernels are min-sum only), or if `batch` is 0 or above
-    /// 1024.
-    pub fn simulate_ber_batched(
-        &self,
-        ebn0_db: f64,
-        stop: dvbs2_channel::StopRule,
-        threads: usize,
-        batch: usize,
-    ) -> dvbs2_channel::BerEstimate {
-        let k = self.params().k;
-        let base = self.config.seed ^ ebn0_db.to_bits();
-        let schedule = match self.config.decoder {
-            DecoderKind::Flooding => dvbs2_decoder::TileSchedule::Flooding,
-            DecoderKind::Zigzag => dvbs2_decoder::TileSchedule::Zigzag,
-            DecoderKind::Layered => dvbs2_decoder::TileSchedule::Layered,
-            kind => panic!("decoder kind {kind:?} has no tiled batch schedule"),
-        };
-        dvbs2_channel::monte_carlo_batches(threads, stop, batch, |_thread| {
-            let mut decoder = dvbs2_decoder::TiledBatchDecoder::new(
-                Arc::clone(&self.graph),
-                self.config.decoder_config,
-                schedule,
-                batch,
-            );
-            let mut results = Vec::new();
-            move |first: u64, count: usize| {
-                let frames: Vec<TransmittedFrame> = (first..first + count as u64)
-                    .map(|frame| {
-                        let seed = dvbs2_channel::mix_seed(base, frame);
-                        let mut rng = SmallRng::seed_from_u64(seed);
-                        self.transmit_frame(&mut rng, ebn0_db)
-                    })
-                    .collect();
-                let llrs: Vec<&[f64]> = frames.iter().map(|f| f.llrs.as_slice()).collect();
-                results.resize(count, dvbs2_decoder::DecodeResult::default());
-                decoder.decode_batch_into(&llrs, &mut results[..count]);
-                results
-                    .iter()
-                    .zip(&frames)
-                    .map(|(out, tx)| {
-                        let bit_errors = out.info_bit_errors(&tx.codeword, k);
-                        FrameOutcome {
-                            bit_errors,
-                            info_bits: k,
-                            frame_error: bit_errors > 0,
-                            iterations: out.iterations,
-                        }
-                    })
-                    .collect()
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -478,33 +406,6 @@ mod tests {
         let one = system.simulate_ber(1.5, StopRule::frames(6), 1);
         let four = system.simulate_ber(1.5, StopRule::frames(6), 4);
         assert_eq!(one, four);
-    }
-
-    #[test]
-    fn batched_ber_matches_per_frame_ber() {
-        // Tiled min-sum decodes are bit-identical per frame for every
-        // schedule, and batch == BER_CHUNK_FRAMES reproduces the chunk
-        // geometry, so the whole estimate — errors, iterations, early-out
-        // point — must match.
-        use dvbs2_decoder::{CheckRule, Precision};
-        for kind in [DecoderKind::Flooding, DecoderKind::Zigzag, DecoderKind::Layered] {
-            let system = Dvbs2System::new(SystemConfig {
-                frame: FrameSize::Short,
-                decoder: kind,
-                decoder_config: DecoderConfig::default()
-                    .with_rule(CheckRule::NormalizedMinSum(0.8))
-                    .with_precision(Precision::F32),
-                ..SystemConfig::default()
-            })
-            .unwrap();
-            let stop = StopRule { max_frames: 24, target_frame_errors: 2 };
-            let reference = system.simulate_ber(1.2, stop, 2);
-            for threads in [1, 4] {
-                let batched =
-                    system.simulate_ber_batched(1.2, stop, threads, Dvbs2System::BER_CHUNK_FRAMES);
-                assert_eq!(batched, reference, "{kind:?} threads {threads}");
-            }
-        }
     }
 
     #[test]

@@ -13,9 +13,7 @@
 
 use crate::{DecoderKind, Dvbs2System, SystemConfig};
 use dvbs2_channel::Modulation;
-use dvbs2_decoder::{
-    CheckRule, Decoder, DecoderConfig, Precision, Quantizer, TileSchedule, TiledBatchDecoder,
-};
+use dvbs2_decoder::{Decoder, DecoderConfig, Precision, Quantizer};
 use dvbs2_ldpc::{CodeError, CodeParams, CodeRate, FrameSize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -39,6 +37,9 @@ impl Modcod {
 }
 
 /// Which decoder a MODCOD slot runs, and under what iteration policy.
+///
+/// A profile always names a single-frame decoder: pipeline workers decode
+/// frame by frame whatever the rule, so no profile is "batchable".
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecoderProfile {
     /// Decoder algorithm / arithmetic.
@@ -53,7 +54,8 @@ impl DecoderProfile {
     /// The mapping mirrors how the paper's core would be provisioned in a
     /// receiver: the highest rates (R 8/9, R 9/10) run the fixed-point
     /// 6-bit zigzag decoder (the synthesized datapath, cheapest per
-    /// iteration), the lowest rates (≤ 2/5, where check degrees are small
+    /// iteration; the sequential one, i.e. the fused sweep with one lane,
+    /// not the 360-lane SIMD planes), the lowest rates (≤ 2/5, where check degrees are small
     /// and waterfalls are steep) keep the flooding reference, and the
     /// mid rates use the zigzag schedule in the f32 fast path.
     pub fn default_for(rate: CodeRate, frame: FrameSize) -> Self {
@@ -125,37 +127,6 @@ impl ModcodEntry {
     /// worker thread; decoders own their scratch state).
     pub fn make_decoder(&self) -> Box<dyn Decoder + Send> {
         self.system.make_decoder_for(self.profile.kind, self.profile.config)
-    }
-
-    /// Creates a multi-frame [`TiledBatchDecoder`] for this slot, or `None`
-    /// when the profile cannot be batched.
-    ///
-    /// Batched decoding is available exactly when it is *transparent*: the
-    /// tiled kernels replay the profile's own schedule (flooding, zigzag or
-    /// layered) with a min-sum rule and are bit-identical, frame for frame,
-    /// to the single-frame decoder — so exactly those three kinds with
-    /// `NormalizedMinSum`/`OffsetMinSum` rules qualify. Pipeline workers
-    /// probe this once per slot and fall back to [`Self::make_decoder`] on
-    /// `None`.
-    pub fn make_batch_decoder(&self, max_batch: usize) -> Option<TiledBatchDecoder> {
-        let schedule = match self.profile.kind {
-            DecoderKind::Flooding => TileSchedule::Flooding,
-            DecoderKind::Zigzag => TileSchedule::Zigzag,
-            DecoderKind::Layered => TileSchedule::Layered,
-            _ => return None,
-        };
-        let batchable = matches!(
-            self.profile.config.rule,
-            CheckRule::NormalizedMinSum(_) | CheckRule::OffsetMinSum(_)
-        );
-        batchable.then(|| {
-            TiledBatchDecoder::new(
-                Arc::clone(self.system.graph()),
-                self.profile.config,
-                schedule,
-                max_batch,
-            )
-        })
     }
 }
 
@@ -335,43 +306,6 @@ mod tests {
             let out = dec.decode(&llrs);
             assert!(out.converged, "slot {slot} ({})", dec.name());
             assert!(out.bits.iter().all(|b| !b), "slot {slot}");
-        }
-    }
-
-    #[test]
-    fn batch_decoders_exist_exactly_for_batchable_profiles() {
-        // Default profiles never batch: the floating-point slots keep the
-        // exact sum-product rule (not min-sum), and the quantized slot is
-        // not a tiled schedule at all.
-        let t = table();
-        for slot in 0..t.len() {
-            assert!(t.entry(slot).make_batch_decoder(8).is_none(), "slot {slot}");
-        }
-        // Min-sum profiles batch for all three tiled schedules, and the
-        // batch decoder matches the slot's single-frame decoder on a clean
-        // frame.
-        let m = Modcod::new(Modulation::Bpsk, CodeRate::R1_2, FrameSize::Short);
-        for (kind, schedule) in [
-            (DecoderKind::Flooding, TileSchedule::Flooding),
-            (DecoderKind::Zigzag, TileSchedule::Zigzag),
-            (DecoderKind::Layered, TileSchedule::Layered),
-        ] {
-            let profile = DecoderProfile {
-                kind,
-                config: DecoderConfig::default()
-                    .with_rule(CheckRule::NormalizedMinSum(0.8))
-                    .with_precision(Precision::F32),
-            };
-            let t = ModcodTable::with_profiles(&[(m, profile)]).unwrap();
-            let entry = t.entry(0);
-            let mut batch = entry.make_batch_decoder(4).expect("min-sum profiles batch");
-            assert_eq!(batch.schedule(), schedule);
-            let llrs = vec![5.0; entry.frame_len()];
-            let single = entry.make_decoder().decode(&llrs);
-            let outs = batch.decode_batch(&[&llrs, &llrs, &llrs]);
-            for (i, out) in outs.iter().enumerate() {
-                assert_eq!(*out, single, "{schedule:?} lane {i}");
-            }
         }
     }
 

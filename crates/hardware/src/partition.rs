@@ -139,51 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_sweep_matches_lut_indirection_sweep_with_digests() {
-        // The construction-time fused layout must replay the PR-4
-        // LUT-indirection sweep exactly — full DecodeResult and the
-        // per-iteration FNV message digests — under both the natural and an
-        // annealed schedule (the latter permutes word order within rows,
-        // which is exactly what the baked permutation must absorb).
-        let code = DvbS2Code::new(CodeRate::R1_2, FrameSize::Short).unwrap();
-        let rom = ConnectivityRom::build(code.params(), code.table());
-        let annealed = optimize_schedule(
-            &rom,
-            MemoryConfig::default(),
-            AnnealOptions { moves: 300, ..AnnealOptions::default() },
-        )
-        .schedule;
-        let graph = Arc::new(code.tanner_graph());
-        for (tag, schedule) in [("natural", CnSchedule::natural(&rom)), ("annealed", annealed)] {
-            let partition = hw_chain_partition(&rom, &schedule, &graph);
-            let config = DecoderConfig::default();
-            let arith = QCheckArithmetic::lut(Quantizer::paper_6bit());
-            let mut fused = QuantizedZigzagDecoder::with_partition(
-                Arc::clone(&graph),
-                arith.clone(),
-                config,
-                partition.clone(),
-            );
-            let mut indirect = QuantizedZigzagDecoder::with_partition_indirect(
-                Arc::clone(&graph),
-                arith,
-                config,
-                partition,
-            );
-            let (mut df, mut di) = (Vec::new(), Vec::new());
-            for seed in 0..3u64 {
-                let (_, llrs) = noisy_llrs(&code, 2.4, 8200 + seed);
-                let channel = fused.quantize_channel(&llrs);
-                let f = fused.decode_quantized_traced(&channel, &mut df);
-                let i = indirect.decode_quantized_traced(&channel, &mut di);
-                assert_eq!(f, i, "{tag} seed {seed}: results diverged");
-                assert_eq!(df, di, "{tag} seed {seed}: digests diverged");
-                assert_eq!(df.len(), f.iterations, "{tag} seed {seed}: one digest per sweep");
-            }
-        }
-    }
-
-    #[test]
     fn simd_lane_planes_are_bit_exact_at_every_tier() {
         // The sub-chain-major SIMD planes must replay the functional-unit
         // array exactly at every dispatch tier this host can run: the full

@@ -19,10 +19,12 @@
 //!   pressure the per-frame iteration cap steps down the
 //!   [`AdmissionController`] ladder (paper Table 3 run backwards) before
 //!   the queue ever rejects.
-//! * **Workers decode batches sized by early-termination behavior**: when
-//!   frames stop early (cheap), a worker grabs larger batches to amortize
-//!   queue traffic; when frames run to the cap (expensive), batches shrink
-//!   to keep latency and reorder depth down.
+//! * **Workers grab batches sized by early-termination behavior, and
+//!   decode them frame by frame**: when frames stop early (cheap), a worker
+//!   pops more frames per grab to amortize queue traffic; when frames run to
+//!   the cap (expensive), grabs shrink to keep latency and reorder depth
+//!   down. A batch is only a grab size — every frame gets its own decode
+//!   and its own admission decision.
 //! * **Egress is in order.** Workers insert into a reorder buffer; whoever
 //!   completes the next-expected sequence drains the run to the egress
 //!   queue. A consumer sees frames in exact submission order.
@@ -33,7 +35,7 @@ use crate::queue::BoundedQueue;
 use crate::stats::{PipelineStats, StatsCore};
 use dvbs2::{ModcodEntry, ModcodTable};
 use dvbs2_channel::LlrFrame;
-use dvbs2_decoder::{syndrome_weight, DecodeResult, Decoder, TiledBatchDecoder};
+use dvbs2_decoder::{syndrome_weight, DecodeResult, Decoder};
 use dvbs2_hardware::{ThroughputModel, ST_0_13_UM};
 use dvbs2_ldpc::BitVec;
 use std::collections::{BTreeMap, HashMap};
@@ -197,9 +199,10 @@ pub struct PipelineConfig {
     pub admission: AdmissionPolicy,
     /// Hardware model the admission ladder is computed against.
     pub throughput_model: ThroughputModel,
-    /// Smallest worker batch.
+    /// Fewest frames a worker pops from ingress per grab. A grab size only:
+    /// the frames are still decoded one at a time.
     pub min_batch: usize,
-    /// Largest worker batch.
+    /// Most frames a worker pops from ingress per grab.
     pub max_batch: usize,
     /// Emit a stats log line every this many emitted frames (0 = never).
     pub log_every: u64,
@@ -479,8 +482,9 @@ impl Drop for DecodePipeline {
     }
 }
 
-/// Decodes batches until the ingress queue closes and drains; the last
-/// worker out accounts stuck frames and closes egress.
+/// Grabs frames from ingress and decodes them one at a time until the queue
+/// closes and drains; the last worker out accounts stuck frames and closes
+/// egress.
 ///
 /// When the quarantine policy is enabled the worker also runs the
 /// syndrome-anomaly detector over its own decodes and takes itself out of
@@ -500,13 +504,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
     // run against it while quarantined.
     let mut last_served: Option<(usize, Arc<ModcodEntry>)> = None;
     let mut decoders: HashMap<usize, Box<dyn Decoder + Send>> = HashMap::new();
-    // Batched decoders are probed lazily per slot; `None` is cached too, so
-    // unbatchable slots pay the profile check once, not per batch. The tiled
-    // decoder stays single-threaded here — the pipeline's parallelism axis
-    // is its own worker pool, one `worker_loop` per thread.
-    let mut batch_decoders: HashMap<usize, Option<TiledBatchDecoder>> = HashMap::new();
     let mut scratch = DecodeResult::default();
-    let mut results: Vec<DecodeResult> = Vec::new();
     let mut batch: Vec<WorkItem> = Vec::new();
     let mut batch_size = shared.config.min_batch;
 
@@ -520,6 +518,8 @@ fn worker_loop(shared: &Shared, worker: usize) {
         }
         shared.space.notify_all();
 
+        let mut iterations_spent = 0usize;
+        let mut cap_budget = 0usize;
         for item in &mut batch {
             if let Some(inj) = injection {
                 if inj.corrupts(worker, decode_count) {
@@ -527,134 +527,62 @@ fn worker_loop(shared: &Shared, worker: usize) {
                 }
             }
             decode_count += 1;
-        }
 
-        let mut iterations_spent = 0usize;
-        let mut cap_budget = 0usize;
-        // Split the grabbed batch into runs of consecutive same-slot frames.
-        // A run of two or more on a batchable slot decodes in one fused
-        // multi-frame pass (bit-identical per frame to the single-frame
-        // decoder, so consumers cannot tell which path ran); everything
-        // else takes the per-frame path.
-        let mut start = 0;
-        while start < batch.len() {
-            let slot = batch[start].frame.modcod;
-            let mut end = start + 1;
-            while end < batch.len() && batch[end].frame.modcod == slot {
-                end += 1;
-            }
+            let slot = item.frame.modcod;
             // Defensive dispatch: submission validates slots against the
             // table, so an undefined slot here means the item was corrupted
             // in flight. Panicking would strand this worker's sequence
             // numbers and hang the reorder stage for every consumer —
-            // instead emit non-converged placeholders so egress stays
+            // instead emit a non-converged placeholder so egress stays
             // gap-free and in order.
             let Some(entry) = shared.table.lookup(slot) else {
-                for item in &batch[start..end] {
-                    shared.stats.record_decode(0, false, false, 0);
-                    let n = item.frame.llrs.len();
-                    let decoded = DecodedFrame {
-                        seq: item.seq,
-                        stream_index: item.frame.stream_index,
-                        modcod: slot,
-                        bits: (0..n).map(|_| false).collect(),
-                        info_len: 0,
-                        iterations: 0,
-                        converged: false,
-                        iteration_cap: 0,
-                        accepted_at: item.accepted_at,
-                        emitted_at: item.accepted_at,
-                    };
-                    emit_in_order(shared, decoded);
-                }
-                start = end;
+                shared.stats.record_decode(0, false, false, 0);
+                let n = item.frame.llrs.len();
+                let decoded = DecodedFrame {
+                    seq: item.seq,
+                    stream_index: item.frame.stream_index,
+                    modcod: slot,
+                    bits: (0..n).map(|_| false).collect(),
+                    info_len: 0,
+                    iterations: 0,
+                    converged: false,
+                    iteration_cap: 0,
+                    accepted_at: item.accepted_at,
+                    emitted_at: item.accepted_at,
+                };
+                emit_in_order(shared, decoded);
                 continue;
             };
             last_served = Some((slot, Arc::clone(entry)));
-            let batched = if end - start >= 2 {
-                batch_decoders
-                    .entry(slot)
-                    .or_insert_with(|| entry.make_batch_decoder(shared.config.max_batch.min(1024)))
-                    .as_mut()
-            } else {
-                None
-            };
-            if let Some(decoder) = batched {
-                // One admission decision per run: every frame in the run
-                // decodes under the same cap, sampled at run start.
-                let occupancy = shared.ingress.len() as f64 / shared.ingress.capacity() as f64;
-                let cap = shared.admission.cap_for(slot, occupancy);
-                let base_cap = shared.admission.base_cap(slot);
-                decoder.set_max_iterations(cap);
-                // `chunks` only matters if the configured batch exceeds the
-                // decoder's 1024-lane ceiling; normally one chunk = the run.
-                for run in batch[start..end].chunks(decoder.max_batch()) {
-                    let llrs: Vec<&[f64]> = run.iter().map(|it| it.frame.llrs.as_slice()).collect();
-                    results.resize(run.len(), DecodeResult::default());
-                    let started = Instant::now();
-                    decoder.decode_batch_into(&llrs, &mut results[..run.len()]);
-                    let ns = started.elapsed().as_nanos() as u64 / run.len() as u64;
-                    for (item, out) in run.iter().zip(&results) {
-                        let early = out.converged && out.iterations < cap;
-                        shared.stats.record_decode(out.iterations, early, cap < base_cap, ns);
-                        if policy.enabled {
-                            health.observe(&policy, out.converged, residual_fraction(entry, out));
-                        }
-                        iterations_spent += out.iterations;
-                        cap_budget += cap;
-                        let decoded = DecodedFrame {
-                            seq: item.seq,
-                            stream_index: item.frame.stream_index,
-                            modcod: slot,
-                            bits: out.bits.clone(),
-                            info_len: entry.info_len(),
-                            iterations: out.iterations,
-                            converged: out.converged,
-                            iteration_cap: cap,
-                            accepted_at: item.accepted_at,
-                            emitted_at: item.accepted_at,
-                        };
-                        emit_in_order(shared, decoded);
-                    }
-                }
-            } else {
-                for item in &batch[start..end] {
-                    let decoder = decoders.entry(slot).or_insert_with(|| entry.make_decoder());
-                    let occupancy = shared.ingress.len() as f64 / shared.ingress.capacity() as f64;
-                    let cap = shared.admission.cap_for(slot, occupancy);
-                    let base_cap = shared.admission.base_cap(slot);
-                    decoder.set_max_iterations(cap);
-                    let started = Instant::now();
-                    decoder.decode_into(&item.frame.llrs, &mut scratch);
-                    let ns = started.elapsed().as_nanos() as u64;
-                    let early = scratch.converged && scratch.iterations < cap;
-                    shared.stats.record_decode(scratch.iterations, early, cap < base_cap, ns);
-                    if policy.enabled {
-                        health.observe(
-                            &policy,
-                            scratch.converged,
-                            residual_fraction(entry, &scratch),
-                        );
-                    }
-                    iterations_spent += scratch.iterations;
-                    cap_budget += cap;
-
-                    let decoded = DecodedFrame {
-                        seq: item.seq,
-                        stream_index: item.frame.stream_index,
-                        modcod: slot,
-                        bits: scratch.bits.clone(),
-                        info_len: entry.info_len(),
-                        iterations: scratch.iterations,
-                        converged: scratch.converged,
-                        iteration_cap: cap,
-                        accepted_at: item.accepted_at,
-                        emitted_at: item.accepted_at,
-                    };
-                    emit_in_order(shared, decoded);
-                }
+            let decoder = decoders.entry(slot).or_insert_with(|| entry.make_decoder());
+            let occupancy = shared.ingress.len() as f64 / shared.ingress.capacity() as f64;
+            let cap = shared.admission.cap_for(slot, occupancy);
+            let base_cap = shared.admission.base_cap(slot);
+            decoder.set_max_iterations(cap);
+            let started = Instant::now();
+            decoder.decode_into(&item.frame.llrs, &mut scratch);
+            let ns = started.elapsed().as_nanos() as u64;
+            let early = scratch.converged && scratch.iterations < cap;
+            shared.stats.record_decode(scratch.iterations, early, cap < base_cap, ns);
+            if policy.enabled {
+                health.observe(&policy, scratch.converged, residual_fraction(entry, &scratch));
             }
-            start = end;
+            iterations_spent += scratch.iterations;
+            cap_budget += cap;
+
+            let decoded = DecodedFrame {
+                seq: item.seq,
+                stream_index: item.frame.stream_index,
+                modcod: slot,
+                bits: scratch.bits.clone(),
+                info_len: entry.info_len(),
+                iterations: scratch.iterations,
+                converged: scratch.converged,
+                iteration_cap: cap,
+                accepted_at: item.accepted_at,
+                emitted_at: item.accepted_at,
+            };
+            emit_in_order(shared, decoded);
         }
         batch.clear();
 

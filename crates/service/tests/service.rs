@@ -372,7 +372,14 @@ fn reinstated_shard_resumes_its_full_routing_share() {
     // known-answer probes reinstate the worker, the weight recovers with
     // no routing-table event, and newly admitted streams must spread
     // evenly across both shards again.
-    const FRAMES_PER_STREAM: u64 = 80;
+    //
+    // The backlog must outlast the detector's warm-up: the faulted worker
+    // needs `min_decodes = 3` corrupted decodes, each running to the
+    // 30-iteration cap, while its healthy neighbour drains the same queue
+    // at one iteration per clean frame. A backlog near those 90
+    // iterations' worth of frames is a coin toss on an idle host
+    // (`--test-threads=1`); this one is several times that.
+    const FRAMES_PER_STREAM: u64 = 400;
     const NEW_STREAMS: u32 = 16;
     let table = short_table(&[CodeRate::R1_2]);
     let n = table.entry(0).frame_len();
