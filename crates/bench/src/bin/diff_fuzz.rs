@@ -9,13 +9,7 @@
 
 use dvbs2::decoder::SimdTier;
 use dvbs2::ldpc::{CodeRate, FrameSize};
-use dvbs2::oracle::{self, CaseSpec, OracleConfig};
-
-/// The SIMD dispatch tiers the sweeps fan the quantized lane path across
-/// on this host, e.g. `"scalar+avx2+avx512"`.
-fn tier_names() -> String {
-    SimdTier::available().iter().map(|t| t.name()).collect::<Vec<_>>().join("+")
-}
+use dvbs2::oracle::{self, CaseSpec, OracleConfig, Sweep};
 
 struct Args {
     cases: u64,
@@ -41,30 +35,22 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().unwrap_or_else(|| usage(&format!("{name} needs a value")));
+        let mut value = || it.next().unwrap_or_else(|| usage(&format!("{flag} needs a value")));
+        let number = |text: String| text.parse::<u64>().unwrap_or_else(|_| usage(&flag));
         match flag.as_str() {
-            "--cases" => args.cases = value("--cases").parse().unwrap_or_else(|_| usage("--cases")),
-            "--fault-cases" => {
-                args.fault_cases =
-                    value("--fault-cases").parse().unwrap_or_else(|_| usage("--fault-cases"));
-            }
-            "--fabric-cases" => {
-                args.fabric_cases =
-                    value("--fabric-cases").parse().unwrap_or_else(|_| usage("--fabric-cases"));
-            }
+            "--cases" => args.cases = number(value()),
+            "--fault-cases" => args.fault_cases = number(value()),
+            "--fabric-cases" => args.fabric_cases = number(value()),
             "--seed" => {
-                let text = value("--seed");
+                let text = value();
                 let parsed = match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
                     Some(hex) => u64::from_str_radix(hex, 16),
                     None => text.parse(),
                 };
-                args.seed = parsed.unwrap_or_else(|_| usage("--seed"));
+                args.seed = parsed.unwrap_or_else(|_| usage(&flag));
             }
-            "--threads" => {
-                args.threads = value("--threads").parse().unwrap_or_else(|_| usage("--threads"));
-            }
-            "--repro" => args.repro = Some(value("--repro")),
+            "--threads" => args.threads = number(value()) as usize,
+            "--repro" => args.repro = Some(value()),
             "--skip-faults" => args.skip_faults = true,
             "--skip-partition" => args.skip_partition = true,
             other => usage(&format!("unknown flag {other}")),
@@ -91,122 +77,73 @@ fn main() {
             Err(e) => usage(&e.to_string()),
         };
         println!("replaying {case}");
-        let violations = oracle::run_case(0, &case);
-        if violations.is_empty() {
+        let report = oracle::run_case(0, &case);
+        println!("evaluated {} contracts: {}", report.evaluated.len(), report.evaluated.join(" "));
+        if report.clean() {
             println!("clean: no contract violated");
             return;
         }
-        for v in &violations {
+        for v in &report.violations {
             println!("VIOLATION {v}");
         }
         std::process::exit(1);
     }
 
-    let config = OracleConfig { master_seed: args.seed, cases: args.cases, threads: args.threads };
     println!(
         "differential oracle: {} cases, master seed {:#x}, {} threads",
-        config.cases, config.master_seed, config.threads
+        args.cases, args.seed, args.threads
     );
-    let report = oracle::run(&config);
-    println!(
-        "covered {} rates ({}), {} frame sizes",
-        report.rates_covered.len(),
-        report.rates_covered.iter().map(|r| r.to_string()).collect::<Vec<_>>().join(" "),
-        report.frames_covered.len(),
-    );
-
+    let tiers = SimdTier::available().iter().map(|t| t.name()).collect::<Vec<_>>().join("+");
     let mut failed = false;
-    if report.clean() {
-        println!("equivalence contracts: PASS ({} cases, 0 violations)", report.cases);
-    } else {
+    // Every sweep is a case source plus a class set over the one oracle
+    // driver, so one loop reports them all.
+    for (label, sweep, master_seed, cases) in [
+        ("equivalence contracts", Sweep::Matrix, args.seed, args.cases),
+        ("fault differential", Sweep::Fault, args.seed ^ 0xFA17, args.fault_cases),
+        ("fabric differential", Sweep::Fabric, args.seed ^ 0xFAB0, args.fabric_cases),
+        ("partition sweep", Sweep::Partition, args.seed, 0),
+    ] {
+        let skip = match sweep {
+            Sweep::Matrix => false,
+            Sweep::Partition => args.skip_partition,
+            Sweep::Fault | Sweep::Fabric => cases == 0,
+        };
+        if skip {
+            continue;
+        }
+        let report = sweep.run(&OracleConfig { master_seed, cases, threads: args.threads });
+        let (rates, frames) = (report.rates_covered.len(), report.frames_covered.len());
+        if sweep == Sweep::Matrix {
+            println!(
+                "covered {rates} rates ({}), {frames} frame sizes",
+                report.rates_covered.iter().map(|r| r.to_string()).collect::<Vec<_>>().join(" "),
+            );
+        }
+        if report.clean() {
+            let n = report.cases;
+            let detail = match sweep {
+                Sweep::Matrix => format!("{n} cases, 0 violations"),
+                Sweep::Fault => format!("{n} faulted cases, bit-exact; sw lane tiers {tiers}"),
+                Sweep::Fabric => format!("{n} multi-core cases, bit-exact"),
+                Sweep::Partition => format!(
+                    "{n} cases across {rates} rates x {frames} frame sizes, bit-exact at tiers {tiers}"
+                ),
+            };
+            println!("{label}: PASS ({detail})");
+            continue;
+        }
         failed = true;
-        println!("equivalence contracts: FAIL ({} violations)", report.violations.len());
+        println!("{label}: FAIL ({} violations)", report.violations.len());
         for v in &report.violations {
-            println!("\nVIOLATION {v}");
-            let contract = v.contract;
+            println!("\nVIOLATION ({label}) {v}");
+            println!("  repro: --repro '{}'", v.case);
+            // Shrink under the sweep's own class set: cheaper than the
+            // full matrix, and it re-runs exactly what found the failure.
             let shrunk = oracle::shrink_case(&v.case, |candidate| {
-                oracle::run_case(v.case_index, candidate)
-                    .iter()
-                    .any(|found| found.contract == contract)
+                let again = sweep.replay(v.case_index, candidate);
+                again.violations.iter().any(|found| found.contract == v.contract)
             });
             println!("  shrunk repro: --repro '{shrunk}'");
-        }
-    }
-
-    if args.fault_cases > 0 {
-        // Fault differential: every case carries a RAM fault, and the
-        // faulted core must stay bit-exact (decisions and per-iteration
-        // message digests) against the equally-faulted golden model.
-        let fault_config = OracleConfig {
-            master_seed: args.seed ^ 0xFA17,
-            cases: args.fault_cases,
-            threads: args.threads,
-        };
-        let fr = oracle::run_fault_differential(&fault_config);
-        if fr.clean() {
-            println!(
-                "fault differential: PASS ({} faulted cases, bit-exact; sw lane tiers {})",
-                fr.cases,
-                tier_names()
-            );
-        } else {
-            failed = true;
-            println!("fault differential: FAIL ({} violations)", fr.violations.len());
-            for v in &fr.violations {
-                println!("\nFAULT-DIFF VIOLATION {v}");
-                println!("  repro: --repro '{}'", v.case);
-            }
-        }
-    }
-
-    if args.fabric_cases > 0 {
-        // Fabric differential: every case runs the multi-core fabric
-        // cross-check (odd indices with a forced fault scenario on top);
-        // every frame must stay bit-exact against the single core and the
-        // cycle counts must decompose exactly.
-        let fabric_config = OracleConfig {
-            master_seed: args.seed ^ 0xFAB0,
-            cases: args.fabric_cases,
-            threads: args.threads,
-        };
-        let fr = oracle::run_fabric_sweep(&fabric_config);
-        if fr.clean() {
-            println!("fabric differential: PASS ({} multi-core cases, bit-exact)", fr.cases);
-        } else {
-            failed = true;
-            println!("fabric differential: FAIL ({} violations)", fr.violations.len());
-            for v in &fr.violations {
-                println!("\nFABRIC VIOLATION {v}");
-                let contract = v.contract;
-                let shrunk = oracle::shrink_case(&v.case, |candidate| {
-                    oracle::run_case(v.case_index, candidate)
-                        .iter()
-                        .any(|found| found.contract == contract)
-                });
-                println!("  shrunk repro: --repro '{shrunk}'");
-            }
-        }
-    }
-
-    if !args.skip_partition {
-        // Boundary-exact mode across every defined rate/frame code point
-        // (11 Normal-frame rates + 10 Short-frame rates).
-        let pr = oracle::run_partition_sweep(args.seed, args.threads);
-        if pr.clean() {
-            println!(
-                "partition sweep: PASS ({} cases across {} rates x {} frame sizes, \
-                 bit-exact at tiers {})",
-                pr.cases,
-                pr.rates_covered.len(),
-                pr.frames_covered.len(),
-                tier_names()
-            );
-        } else {
-            failed = true;
-            println!("partition sweep: FAIL ({} violations)", pr.violations.len());
-            for v in &pr.violations {
-                println!("\nPARTITION VIOLATION {v}");
-            }
         }
     }
 
@@ -220,7 +157,7 @@ fn main() {
         let mut fault_violations = 0;
         for (rate, frame) in points {
             let fr = oracle::run_fault_suite(rate, frame, args.seed);
-            scenarios += fr.scenarios;
+            scenarios += fr.cases;
             fault_violations += fr.violations.len();
             for v in &fr.violations {
                 println!("FAULT VIOLATION ({rate}, {frame}): {v}");

@@ -115,7 +115,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 core,
                 link_latency: 2,
                 arbitration: Arbitration::RoundRobin { start: 0 },
-                double_buffer: false,
             };
             let mut fabric = DecoderFabric::with_natural_schedule(&code, config);
             let quantized: Vec<Vec<i32>> =

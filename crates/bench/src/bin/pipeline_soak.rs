@@ -196,8 +196,6 @@ fn run_backpressure_phase(
             egress_capacity: 4,
             max_in_flight: 10,
             admission: AdmissionPolicy::Adaptive { min_iterations: 4 },
-            min_batch: 1,
-            max_batch: 2,
             ..PipelineConfig::default()
         },
     );

@@ -66,10 +66,6 @@ pub struct FabricConfig {
     pub link_latency: usize,
     /// Bus arbitration policy.
     pub arbitration: Arbitration,
-    /// When set, a core may stream its next frame in while the current one
-    /// decodes (one extra input buffer). Off by default — the paper's core
-    /// serializes I/O and decode, which is what Eq. 8 assumes.
-    pub double_buffer: bool,
 }
 
 impl Default for FabricConfig {
@@ -79,22 +75,15 @@ impl Default for FabricConfig {
             core: CoreConfig::default(),
             link_latency: 2,
             arbitration: Arbitration::default(),
-            double_buffer: false,
         }
     }
 }
 
 impl FabricConfig {
     /// The degenerate fabric that must be cycle- and bit-identical to a bare
-    /// [`HardwareDecoder`]: one core, zero link latency, no double buffering.
+    /// [`HardwareDecoder`]: one core, zero link latency.
     pub fn single(core: CoreConfig) -> Self {
-        FabricConfig {
-            cores: 1,
-            core,
-            link_latency: 0,
-            arbitration: Arbitration::default(),
-            double_buffer: false,
-        }
+        FabricConfig { cores: 1, core, link_latency: 0, arbitration: Arbitration::default() }
     }
 }
 
@@ -114,7 +103,9 @@ pub struct FrameTiming {
     /// Cycles spent requesting the bus without a grant (arbitration stalls).
     pub load_stall_cycles: u64,
     /// Cycles the fully-loaded frame waited in the core's input FIFO for the
-    /// decode engine (only non-zero with double buffering).
+    /// decode engine. Always zero today: like the paper's core (and Eq. 8),
+    /// a port serializes I/O and decode, so the engine is idle when a load
+    /// completes. Kept as a term of the span identity.
     pub input_wait_cycles: u64,
     /// Cycle decoding started.
     pub decode_start: u64,
@@ -206,8 +197,8 @@ struct Port {
     ready: VecDeque<(usize, u64)>,
     /// Frame occupying the decode engine and its end cycle (exclusive).
     decoding: Option<(usize, u64)>,
-    /// Without double buffering the port is busy until the previous frame's
-    /// result has left over the return link.
+    /// The port is busy until the previous frame's result has left over the
+    /// return link.
     busy_until: u64,
 }
 
@@ -396,9 +387,7 @@ impl DecoderFabric {
                     }
                 }
             }
-            // 2. Decode starts (before load starts, so a double-buffered
-            // port whose FIFO drains this cycle can begin its next load in
-            // the same cycle — otherwise the model would invent a bubble).
+            // 2. Decode starts.
             for (c, port) in ports.iter_mut().enumerate() {
                 if port.decoding.is_none() {
                     if let Some(&(f, ready_at)) = port.ready.front() {
@@ -412,18 +401,17 @@ impl DecoderFabric {
                     }
                 }
             }
-            // 3. Load starts: a port picks up its next queued frame when its
-            // input buffer is free (and, without double buffering, the whole
-            // port is idle through the previous frame's return).
+            // 3. Load starts: a port picks up its next queued frame when the
+            // whole port is idle through the previous frame's return (the
+            // paper's core serializes I/O and decode, which is what Eq. 8
+            // assumes).
             for port in ports.iter_mut() {
-                if port.loading.is_none() && !port.queue.is_empty() {
-                    let free = if self.config.double_buffer {
-                        port.ready.is_empty()
-                    } else {
-                        port.ready.is_empty() && port.decoding.is_none() && port.busy_until <= t
-                    };
-                    if free {
-                        let f = port.queue.pop_front().expect("checked non-empty");
+                let free = port.loading.is_none()
+                    && port.ready.is_empty()
+                    && port.decoding.is_none()
+                    && port.busy_until <= t;
+                if free {
+                    if let Some(f) = port.queue.pop_front() {
                         port.loading = Some((f, io_beats));
                         timings[f].first_request = t;
                     }
@@ -562,16 +550,9 @@ mod tests {
                 Arbitration::RoundRobin { start: cores - 1 },
                 Arbitration::Fixed,
             ] {
-                for double_buffer in [false, true] {
-                    let cfg =
-                        FabricConfig { cores, core, link_latency: 2, arbitration, double_buffer };
-                    let out =
-                        DecoderFabric::with_natural_schedule(&code, cfg).decode_batch(&frames);
-                    assert_eq!(
-                        out.outputs, reference,
-                        "P={cores} {arbitration:?} db={double_buffer} changed decoded frames"
-                    );
-                }
+                let cfg = FabricConfig { cores, core, link_latency: 2, arbitration };
+                let out = DecoderFabric::with_natural_schedule(&code, cfg).decode_batch(&frames);
+                assert_eq!(out.outputs, reference, "P={cores} {arbitration:?} changed frames");
             }
         }
     }
@@ -606,27 +587,6 @@ mod tests {
         assert!(out.stats.makespan_cycles <= serial);
         assert!(out.stats.makespan_cycles >= out.stats.bus_busy_cycles);
         assert!(out.stats.bus_utilization() > 0.5, "io-bound run should keep the bus hot");
-    }
-
-    #[test]
-    fn double_buffering_reaches_the_overlapped_cadence() {
-        let code = short_code();
-        let core = CoreConfig { max_iterations: 2, ..CoreConfig::default() };
-        let cfg = FabricConfig {
-            cores: 1,
-            core,
-            link_latency: 0,
-            double_buffer: true,
-            ..FabricConfig::default()
-        };
-        let frames = batch(&code, 4, 2.0, 1234);
-        let out = DecoderFabric::with_natural_schedule(&code, cfg).decode_batch(&frames);
-        let io = out.timings[0].io_beats as u64;
-        for w in out.timings.windows(2) {
-            let cadence = w[1].done_cycle - w[0].done_cycle;
-            let expect = io.max(w[1].decode_cycles as u64);
-            assert_eq!(cadence, expect, "steady-state cadence must be max(io, decode)");
-        }
     }
 
     #[test]

@@ -90,8 +90,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Decoded frames are invariant in the core count, the arbitration
-    /// policy, its starting offset, and double buffering — timing and data
-    /// are separated by construction, faulted or not.
+    /// policy and its starting offset — timing and data are separated by
+    /// construction, faulted or not.
     #[test]
     fn frames_are_p_and_arbitration_invariant(
         seed in any::<u64>(),
@@ -116,33 +116,25 @@ proptest! {
                 Arbitration::RoundRobin { start: cores - 1 },
                 Arbitration::Fixed,
             ] {
-                for double_buffer in [false, true] {
-                    let cfg = FabricConfig {
-                        cores,
-                        core,
-                        link_latency: 2,
-                        arbitration,
-                        double_buffer,
-                    };
-                    let mut fabric = DecoderFabric::with_natural_schedule(&code, cfg);
-                    fabric.set_scenario(scenario);
-                    let out = fabric.decode_batch(&frames);
+                let cfg = FabricConfig { cores, core, link_latency: 2, arbitration };
+                let mut fabric = DecoderFabric::with_natural_schedule(&code, cfg);
+                fabric.set_scenario(scenario);
+                let out = fabric.decode_batch(&frames);
+                prop_assert_eq!(
+                    &out.outputs, &expect,
+                    "P={} {:?} diverged", cores, arbitration
+                );
+                // Contention may reorder grants but never loses cycles:
+                // every span decomposes exactly.
+                for tm in &out.timings {
                     prop_assert_eq!(
-                        &out.outputs, &expect,
-                        "P={} {:?} db={} diverged", cores, arbitration, double_buffer
+                        tm.span_cycles(),
+                        tm.io_beats as u64
+                            + tm.load_stall_cycles
+                            + tm.input_wait_cycles
+                            + tm.decode_cycles as u64
+                            + 2 * cfg.link_latency as u64
                     );
-                    // Contention may reorder grants but never loses cycles:
-                    // every span decomposes exactly.
-                    for tm in &out.timings {
-                        prop_assert_eq!(
-                            tm.span_cycles(),
-                            tm.io_beats as u64
-                                + tm.load_stall_cycles
-                                + tm.input_wait_cycles
-                                + tm.decode_cycles as u64
-                                + 2 * cfg.link_latency as u64
-                        );
-                    }
                 }
             }
         }

@@ -19,8 +19,8 @@
 //!
 //! A suspect worker quarantines *itself*: it stops consuming the shared
 //! ingress queue (traffic implicitly re-routes to the healthy workers — no
-//! frame is dropped or reordered, because quarantine only begins on a batch
-//! boundary after every grabbed frame has been emitted) and re-probes with
+//! frame is dropped or reordered, because quarantine only begins between
+//! frames, where the worker holds nothing un-emitted) and re-probes with
 //! a known-answer test vector — a strongly-received all-zero codeword that
 //! any healthy decoder converges on — until [`QuarantinePolicy::probe_passes`]
 //! consecutive passes reinstate it. A worker never quarantines itself when

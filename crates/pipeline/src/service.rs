@@ -19,12 +19,10 @@
 //!   pressure the per-frame iteration cap steps down the
 //!   [`AdmissionController`] ladder (paper Table 3 run backwards) before
 //!   the queue ever rejects.
-//! * **Workers grab batches sized by early-termination behavior, and
-//!   decode them frame by frame**: when frames stop early (cheap), a worker
-//!   pops more frames per grab to amortize queue traffic; when frames run to
-//!   the cap (expensive), grabs shrink to keep latency and reorder depth
-//!   down. A batch is only a grab size — every frame gets its own decode
-//!   and its own admission decision.
+//! * **Workers take one frame at a time**: pop, decode, emit. A worker never
+//!   holds an admitted frame it is not decoding, so an idle sibling can
+//!   always take the next one and `ingress.len()` — the occupancy admission
+//!   reads — counts every waiting frame.
 //! * **Egress is in order.** Workers insert into a reorder buffer; whoever
 //!   completes the next-expected sequence drains the run to the egress
 //!   queue. A consumer sees frames in exact submission order.
@@ -199,11 +197,6 @@ pub struct PipelineConfig {
     pub admission: AdmissionPolicy,
     /// Hardware model the admission ladder is computed against.
     pub throughput_model: ThroughputModel,
-    /// Fewest frames a worker pops from ingress per grab. A grab size only:
-    /// the frames are still decoded one at a time.
-    pub min_batch: usize,
-    /// Most frames a worker pops from ingress per grab.
-    pub max_batch: usize,
     /// Emit a stats log line every this many emitted frames (0 = never).
     pub log_every: u64,
     /// Syndrome-anomaly quarantine policy (disabled by default).
@@ -222,8 +215,6 @@ impl Default for PipelineConfig {
             max_in_flight: 160,
             admission: AdmissionPolicy::Off,
             throughput_model: ThroughputModel::paper(&ST_0_13_UM),
-            min_batch: 1,
-            max_batch: 8,
             log_every: 0,
             quarantine: QuarantinePolicy::default(),
             fault_injection: None,
@@ -275,14 +266,10 @@ impl DecodePipeline {
     /// # Panics
     ///
     /// Panics on a configuration that cannot run: zero workers, an empty
-    /// table, a zero batch, or `min_batch > max_batch`.
+    /// table, or a zero in-flight budget.
     pub fn start(table: ModcodTable, config: PipelineConfig) -> Self {
         assert!(config.workers > 0, "the pipeline needs at least one worker");
         assert!(!table.is_empty(), "the MODCOD table must define at least one slot");
-        assert!(
-            config.min_batch >= 1 && config.min_batch <= config.max_batch,
-            "batch bounds must satisfy 1 <= min <= max"
-        );
         assert!(config.max_in_flight >= 1, "the in-flight budget must admit a frame");
         let admission =
             AdmissionController::new(config.admission, &table, &config.throughput_model);
@@ -322,6 +309,25 @@ impl DecodePipeline {
         Ok(frame)
     }
 
+    /// Claims the next sequence number for `frame` and pushes it to ingress,
+    /// or hands the frame back when the in-flight budget or the queue is
+    /// full. The sequence number is claimed only when the push succeeds;
+    /// the caller holds the submit lock.
+    fn claim_and_push(&self, sub: &mut SubmitState, frame: SoftFrame) -> Result<u64, SoftFrame> {
+        let shared = &*self.shared;
+        if shared.stats.in_flight.load(Ordering::Relaxed) >= shared.config.max_in_flight {
+            return Err(frame);
+        }
+        let seq = sub.next_seq;
+        let item = WorkItem { seq, accepted_at: Instant::now(), frame };
+        shared.ingress.try_push(item).map_err(|item| item.frame)?;
+        sub.next_seq += 1;
+        shared.stats.in_flight.fetch_add(1, Ordering::Relaxed);
+        shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
+        StatsCore::raise_watermark(&shared.stats.ingress_watermark, shared.ingress.len());
+        Ok(seq)
+    }
+
     /// Offers a frame without blocking. On success the frame's sequence
     /// number (its position in the egress order) is returned; on
     /// backpressure the frame comes back in [`SubmitError::Rejected`].
@@ -333,25 +339,10 @@ impl DecodePipeline {
             return Err(SubmitError::ShutDown(frame));
         }
         let mut sub = shared.submit.lock().expect("no panics hold the submit lock");
-        if shared.stats.in_flight.load(Ordering::Relaxed) >= shared.config.max_in_flight {
+        self.claim_and_push(&mut sub, frame).map_err(|frame| {
             shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::Rejected(frame));
-        }
-        let item = WorkItem { seq: sub.next_seq, accepted_at: Instant::now(), frame };
-        match shared.ingress.try_push(item) {
-            Ok(()) => {
-                let seq = sub.next_seq;
-                sub.next_seq += 1;
-                shared.stats.in_flight.fetch_add(1, Ordering::Relaxed);
-                shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-                StatsCore::raise_watermark(&shared.stats.ingress_watermark, shared.ingress.len());
-                Ok(seq)
-            }
-            Err(item) => {
-                shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                Err(SubmitError::Rejected(item.frame))
-            }
-        }
+            SubmitError::Rejected(frame)
+        })
     }
 
     /// Submits a frame, blocking while the pipeline is full. Fails only
@@ -365,22 +356,9 @@ impl DecodePipeline {
             if shared.shutting_down.load(Ordering::Acquire) {
                 return Err(SubmitError::ShutDown(frame));
             }
-            if shared.stats.in_flight.load(Ordering::Relaxed) < shared.config.max_in_flight {
-                let item = WorkItem { seq: sub.next_seq, accepted_at: Instant::now(), frame };
-                match shared.ingress.try_push(item) {
-                    Ok(()) => {
-                        let seq = sub.next_seq;
-                        sub.next_seq += 1;
-                        shared.stats.in_flight.fetch_add(1, Ordering::Relaxed);
-                        shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-                        StatsCore::raise_watermark(
-                            &shared.stats.ingress_watermark,
-                            shared.ingress.len(),
-                        );
-                        return Ok(seq);
-                    }
-                    Err(item) => frame = item.frame,
-                }
+            match self.claim_and_push(&mut sub, frame) {
+                Ok(seq) => return Ok(seq),
+                Err(back) => frame = back,
             }
             // The timeout guards against missed wakeups; correctness does
             // not depend on it.
@@ -482,7 +460,7 @@ impl Drop for DecodePipeline {
     }
 }
 
-/// Grabs frames from ingress and decodes them one at a time until the queue
+/// Pops frames from ingress and decodes them one at a time until the queue
 /// closes and drains; the last worker out accounts stuck frames and closes
 /// egress.
 ///
@@ -490,8 +468,8 @@ impl Drop for DecodePipeline {
 /// syndrome-anomaly detector over its own decodes and takes itself out of
 /// rotation (stops consuming ingress; traffic implicitly re-routes to the
 /// other workers) when its statistics look like a hardware fault rather
-/// than a hard channel. Quarantine begins only on a batch boundary, after
-/// every grabbed frame has been emitted — no frame is dropped or
+/// than a hard channel. Quarantine begins only between frames, where the
+/// worker holds nothing popped and un-emitted — no frame is dropped or
 /// reordered by the transition.
 fn worker_loop(shared: &Shared, worker: usize) {
     let policy = shared.config.quarantine;
@@ -500,111 +478,80 @@ fn worker_loop(shared: &Shared, worker: usize) {
     // Frames *and* probes this worker has decoded — the clock the fault
     // injection window is defined over.
     let mut decode_count: u64 = 0;
-    // The slot this worker most recently served: the known-answer probes
-    // run against it while quarantined.
-    let mut last_served: Option<(usize, Arc<ModcodEntry>)> = None;
     let mut decoders: HashMap<usize, Box<dyn Decoder + Send>> = HashMap::new();
     let mut scratch = DecodeResult::default();
-    let mut batch: Vec<WorkItem> = Vec::new();
-    let mut batch_size = shared.config.min_batch;
 
-    while let Some(first) = shared.ingress.pop() {
-        batch.push(first);
-        while batch.len() < batch_size {
-            match shared.ingress.try_pop() {
-                Some(item) => batch.push(item),
-                None => break,
+    while let Some(mut item) = shared.ingress.pop() {
+        shared.space.notify_all();
+        if let Some(inj) = injection {
+            if inj.corrupts(worker, decode_count) {
+                WorkerFaultInjection::corrupt_llrs(&mut item.frame.llrs);
             }
         }
-        shared.space.notify_all();
+        decode_count += 1;
 
-        let mut iterations_spent = 0usize;
-        let mut cap_budget = 0usize;
-        for item in &mut batch {
-            if let Some(inj) = injection {
-                if inj.corrupts(worker, decode_count) {
-                    WorkerFaultInjection::corrupt_llrs(&mut item.frame.llrs);
-                }
-            }
-            decode_count += 1;
-
-            let slot = item.frame.modcod;
-            // Defensive dispatch: submission validates slots against the
-            // table, so an undefined slot here means the item was corrupted
-            // in flight. Panicking would strand this worker's sequence
-            // numbers and hang the reorder stage for every consumer —
-            // instead emit a non-converged placeholder so egress stays
-            // gap-free and in order.
-            let Some(entry) = shared.table.lookup(slot) else {
-                shared.stats.record_decode(0, false, false, 0);
-                let n = item.frame.llrs.len();
-                let decoded = DecodedFrame {
-                    seq: item.seq,
-                    stream_index: item.frame.stream_index,
-                    modcod: slot,
-                    bits: (0..n).map(|_| false).collect(),
-                    info_len: 0,
-                    iterations: 0,
-                    converged: false,
-                    iteration_cap: 0,
-                    accepted_at: item.accepted_at,
-                    emitted_at: item.accepted_at,
-                };
-                emit_in_order(shared, decoded);
-                continue;
-            };
-            last_served = Some((slot, Arc::clone(entry)));
-            let decoder = decoders.entry(slot).or_insert_with(|| entry.make_decoder());
-            let occupancy = shared.ingress.len() as f64 / shared.ingress.capacity() as f64;
-            let cap = shared.admission.cap_for(slot, occupancy);
-            let base_cap = shared.admission.base_cap(slot);
-            decoder.set_max_iterations(cap);
-            let started = Instant::now();
-            decoder.decode_into(&item.frame.llrs, &mut scratch);
-            let ns = started.elapsed().as_nanos() as u64;
-            let early = scratch.converged && scratch.iterations < cap;
-            shared.stats.record_decode(scratch.iterations, early, cap < base_cap, ns);
-            if policy.enabled {
-                health.observe(&policy, scratch.converged, residual_fraction(entry, &scratch));
-            }
-            iterations_spent += scratch.iterations;
-            cap_budget += cap;
-
+        let slot = item.frame.modcod;
+        // Defensive dispatch: submission validates slots against the
+        // table, so an undefined slot here means the item was corrupted
+        // in flight. Panicking would strand this worker's sequence
+        // numbers and hang the reorder stage for every consumer —
+        // instead emit a non-converged placeholder so egress stays
+        // gap-free and in order.
+        let Some(entry) = shared.table.lookup(slot) else {
+            shared.stats.record_decode(0, false, false, 0);
+            let n = item.frame.llrs.len();
             let decoded = DecodedFrame {
                 seq: item.seq,
                 stream_index: item.frame.stream_index,
                 modcod: slot,
-                bits: scratch.bits.clone(),
-                info_len: entry.info_len(),
-                iterations: scratch.iterations,
-                converged: scratch.converged,
-                iteration_cap: cap,
+                bits: (0..n).map(|_| false).collect(),
+                info_len: 0,
+                iterations: 0,
+                converged: false,
+                iteration_cap: 0,
                 accepted_at: item.accepted_at,
                 emitted_at: item.accepted_at,
             };
             emit_in_order(shared, decoded);
-        }
-        batch.clear();
-
-        // Early-termination-aware batch sizing: when decodes finish well
-        // under their cap (early stops), frames are cheap — take bigger
-        // batches; when they run the budget out, shrink to keep the
-        // reorder window and latency small.
-        batch_size = if iterations_spent * 2 < cap_budget {
-            (batch_size * 2).min(shared.config.max_batch)
-        } else {
-            (batch_size / 2).max(shared.config.min_batch)
+            continue;
         };
+        let decoder = decoders.entry(slot).or_insert_with(|| entry.make_decoder());
+        let occupancy = shared.ingress.len() as f64 / shared.ingress.capacity() as f64;
+        let cap = shared.admission.cap_for(slot, occupancy);
+        let base_cap = shared.admission.base_cap(slot);
+        decoder.set_max_iterations(cap);
+        let started = Instant::now();
+        decoder.decode_into(&item.frame.llrs, &mut scratch);
+        let ns = started.elapsed().as_nanos() as u64;
+        let early = scratch.converged && scratch.iterations < cap;
+        shared.stats.record_decode(scratch.iterations, early, cap < base_cap, ns);
+        if policy.enabled {
+            health.observe(&policy, scratch.converged, residual_fraction(entry, &scratch));
+        }
 
-        // Every grabbed frame has been emitted, so quarantining here drops
-        // and reorders nothing: this worker simply stops consuming ingress
-        // and the others absorb the traffic.
+        let decoded = DecodedFrame {
+            seq: item.seq,
+            stream_index: item.frame.stream_index,
+            modcod: slot,
+            bits: scratch.bits.clone(),
+            info_len: entry.info_len(),
+            iterations: scratch.iterations,
+            converged: scratch.converged,
+            iteration_cap: cap,
+            accepted_at: item.accepted_at,
+            emitted_at: item.accepted_at,
+        };
+        emit_in_order(shared, decoded);
+
+        // The frame has been emitted, so quarantining here drops and
+        // reorders nothing: this worker simply stops consuming ingress and
+        // the others absorb the traffic.
         if policy.enabled && health.suspect(&policy) {
             shared.stats.faults_suspected.fetch_add(1, Ordering::Relaxed);
             if try_enter_quarantine(shared) {
-                let served = last_served.as_ref().expect("suspicion requires prior decodes");
+                // The known-answer probes run against the slot just served.
                 let reinstated =
-                    quarantine(shared, worker, served, &mut decoders, &mut decode_count);
+                    quarantine(shared, worker, (slot, entry), &mut decoders, &mut decode_count);
                 health.reset();
                 if !reinstated {
                     // Shutdown arrived while quarantined; fall through to
@@ -615,7 +562,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
                 // This is the last healthy worker: degraded service beats
                 // no service, so keep decoding and make the verdict
                 // re-accumulate from fresh evidence instead of firing on
-                // every batch.
+                // every frame.
                 health.reset();
             }
         }
@@ -681,16 +628,15 @@ fn try_enter_quarantine(shared: &Shared) -> bool {
 fn quarantine(
     shared: &Shared,
     worker: usize,
-    served: &(usize, Arc<ModcodEntry>),
+    (slot, entry): (usize, &ModcodEntry),
     decoders: &mut HashMap<usize, Box<dyn Decoder + Send>>,
     decode_count: &mut u64,
 ) -> bool {
     let policy = shared.config.quarantine;
     shared.stats.quarantines.fetch_add(1, Ordering::Relaxed);
-    let (slot, entry) = served;
     let n = entry.frame_len();
-    let decoder = decoders.entry(*slot).or_insert_with(|| entry.make_decoder());
-    decoder.set_max_iterations(shared.admission.base_cap(*slot));
+    let decoder = decoders.entry(slot).or_insert_with(|| entry.make_decoder());
+    decoder.set_max_iterations(shared.admission.base_cap(slot));
     let mut probe = DecodeResult::default();
     let mut consecutive_passes = 0u32;
     while !shared.shutting_down.load(Ordering::Acquire) {

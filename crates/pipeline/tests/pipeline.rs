@@ -157,74 +157,6 @@ fn multithreaded_decode_is_bit_identical_to_single_threaded() {
 }
 
 #[test]
-fn batched_worker_path_is_bit_identical_to_per_frame_path() {
-    // The multi-frame-grab test: with min_batch > 1 each of two workers pops
-    // up to 8 same-slot frames per grab and holds them while it decodes them
-    // one by one. A grab size must never show at egress: order is
-    // submission order and every frame matches the single-frame reference
-    // decoder exactly — bits, iterations and convergence.
-    use dvbs2::decoder::{CheckRule, Precision};
-    const FRAMES: u64 = 32;
-    let profile = DecoderProfile {
-        kind: DecoderKind::Flooding,
-        config: DecoderConfig::default()
-            .with_rule(CheckRule::NormalizedMinSum(0.8))
-            .with_precision(Precision::F32)
-            .with_max_iterations(12),
-    };
-    let table = ModcodTable::with_profiles(&[(
-        Modcod::new(Modulation::Bpsk, CodeRate::R1_2, FrameSize::Short),
-        profile,
-    )])
-    .unwrap();
-    let mut source = NoisySource { table: table.clone(), seed: 0xBA7C, ebn0_offset_db: 0.2 };
-    let reference = reference_decode(&table, &mut source, FRAMES);
-
-    let pipeline = DecodePipeline::start(
-        table,
-        PipelineConfig {
-            workers: 2,
-            ingress_capacity: 16,
-            egress_capacity: 16,
-            max_in_flight: 48,
-            admission: AdmissionPolicy::Off,
-            min_batch: 4,
-            max_batch: 8,
-            ..PipelineConfig::default()
-        },
-    );
-    let outputs = std::thread::scope(|scope| {
-        let consumer = scope.spawn(|| {
-            let mut outputs = Vec::new();
-            while let Some(frame) = pipeline.next_decoded() {
-                outputs.push(frame);
-                if outputs.len() as u64 == FRAMES {
-                    break;
-                }
-            }
-            outputs
-        });
-        for i in 0..FRAMES {
-            pipeline.submit(soft_frame(&mut source, i)).unwrap();
-        }
-        consumer.join().unwrap()
-    });
-
-    assert_eq!(outputs.len() as u64, FRAMES);
-    for (i, out) in outputs.iter().enumerate() {
-        assert_eq!(out.seq, i as u64, "egress must stay in submission order");
-        let (ref_bits, ref_iterations, ref_converged) = &reference[i];
-        assert_eq!(&out.bits, ref_bits, "frame {i}: bits differ from single-frame decode");
-        assert_eq!(out.iterations, *ref_iterations, "frame {i}");
-        assert_eq!(out.converged, *ref_converged, "frame {i}");
-    }
-    let stats = pipeline.finish();
-    assert_eq!(stats.decoded, FRAMES);
-    assert_eq!(stats.dropped, 0);
-    assert_eq!(stats.histogram_total(), stats.decoded);
-}
-
-#[test]
 fn try_submit_backpressure_is_explicit_and_lossless() {
     const FRAMES: u64 = 40;
     let table = mixed_table(8);
@@ -329,8 +261,6 @@ fn adaptive_admission_sheds_iterations_before_frames() {
             egress_capacity: 4,
             max_in_flight: 9,
             admission: AdmissionPolicy::Adaptive { min_iterations: 4 },
-            min_batch: 1,
-            max_batch: 2,
             ..PipelineConfig::default()
         },
     );
