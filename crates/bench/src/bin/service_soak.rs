@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 
 /// The PR whose code the committed record was taken with. Bump it in the PR
 /// that re-records the file.
-const RECORDED_BY: &str = "PR 13 (ISSUE 18)";
+const RECORDED_BY: &str = "PR 15 (ISSUE 21)";
 
 fn usage() -> ! {
     eprintln!(

@@ -97,26 +97,13 @@ struct FusedPlan {
 
 impl FusedPlan {
     /// Bakes `partition`'s edge order (identity if `None`) into the fused
-    /// layout for `graph`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checks do not all have the same information degree —
-    /// the fixed-stride row layout (and the hardware's functional-unit
-    /// array) needs uniform rows. Every DVB-S2 code satisfies this.
+    /// layout for `graph`. The constructor has validated both.
     fn build(graph: &TannerGraph, partition: &ChainPartition) -> FusedPlan {
         let n_check = graph.check_count();
         let k = graph.info_len();
         let lanes = partition.lanes();
         let q_rows = n_check / lanes;
         let info_d = graph.check_edges(0).len() - 1;
-        for c in 1..n_check {
-            assert_eq!(
-                graph.check_edges(c).len() - 2,
-                info_d,
-                "check {c}: non-uniform information degree; fused layout needs uniform rows"
-            );
-        }
         let stride = info_d + 2;
         let order = partition.edge_order();
         // Invert the per-check permutation into an edge -> plane-slot map,
@@ -145,10 +132,40 @@ impl FusedPlan {
         }
         FusedPlan { lanes, q_rows, stride, info_d, var_slots }
     }
+}
 
-    /// Total fused-plane length.
-    fn plane_len(&self) -> usize {
-        self.lanes * self.q_rows * self.stride
+/// The scalar fused sweep's plan and `i32` message planes. A decoder
+/// without SIMD lane planes builds it at construction; one with them
+/// builds it only if a decode ever takes the out-of-rail fallback.
+#[derive(Debug, Clone)]
+struct FusedState {
+    plan: FusedPlan,
+    /// Fused-plane messages (see [`FusedPlan`]).
+    v2c: Vec<i32>,
+    c2v: Vec<i32>,
+    backward: Vec<i32>,
+    forward: Vec<i32>,
+    /// Per-lane forward registers of the check sweep.
+    fwd_regs: Vec<i32>,
+    /// Chain-boundary forward values from the previous iteration (the
+    /// functional units' boundary state).
+    boundary: Vec<i32>,
+}
+
+impl FusedState {
+    fn new(graph: &TannerGraph, partition: &ChainPartition) -> FusedState {
+        let plan = FusedPlan::build(graph, partition);
+        let plane = plan.lanes * plan.q_rows * plan.stride;
+        let n_check = graph.check_count();
+        FusedState {
+            v2c: vec![0; plane],
+            c2v: vec![0; plane],
+            backward: vec![0; n_check],
+            forward: vec![0; n_check],
+            fwd_regs: vec![0; plan.lanes],
+            boundary: vec![0; plan.lanes],
+            plan,
+        }
     }
 }
 
@@ -158,8 +175,9 @@ impl FusedPlan {
 /// its configuration: [`new`](Self::new) / [`with_arithmetic`](Self::with_arithmetic)
 /// run it with one lane in graph order (the sequential zigzag of the paper's
 /// Fig. 2b), [`with_partition_fused`](Self::with_partition_fused) with the
-/// caller's cut, and [`with_partition`](Self::with_partition) adds the SIMD
-/// lane planes on top.
+/// caller's cut, and [`with_partition`](Self::with_partition) runs the same
+/// cut on the SIMD lane planes, keeping the scalar sweep as a fallback it
+/// builds only if a decode needs it.
 ///
 /// # Chain-boundary semantics vs the hardware `GoldenModel`
 ///
@@ -200,22 +218,15 @@ pub struct QuantizedZigzagDecoder {
     /// The caller's partition (`None` = built by [`Self::new`] /
     /// [`Self::with_arithmetic`]: one lane, graph order).
     partition: Option<ChainPartition>,
-    /// Permutation-baked plane layout of the partition in force.
-    fused: FusedPlan,
     /// Sub-chain-major SIMD lane plan (`None` = scalar sweep only; built by
     /// [`QuantizedZigzagDecoder::with_partition`] when the partition and
     /// arithmetic are lane-expressible).
     simd: Option<Box<SimdQuant>>,
-    /// Fused-plane messages (see [`FusedPlan`]).
-    v2c: Vec<i32>,
-    c2v: Vec<i32>,
-    backward: Vec<i32>,
-    forward: Vec<i32>,
-    /// Per-lane forward registers of the check sweep.
-    fwd_regs: Vec<i32>,
-    /// Chain-boundary forward values from the previous iteration (the
-    /// functional units' boundary state).
-    boundary: Vec<i32>,
+    /// The scalar fused sweep. A lane decoder holds lane state only: this
+    /// stays `None` beside a SIMD plan until a raw `decode_quantized*`
+    /// channel exceeds the quantizer rail (the float [`Decoder`] entry
+    /// saturates through the quantizer, so it never does).
+    fused: Option<Box<FusedState>>,
     totals: Vec<i32>,
     /// Reused hard-decision scratch for the early-stop syndrome test.
     decisions: BitVec,
@@ -249,7 +260,7 @@ impl QuantizedZigzagDecoder {
         arithmetic: QCheckArithmetic,
         config: DecoderConfig,
     ) -> Self {
-        Self::build(graph, arithmetic, config, None)
+        Self::build(graph, arithmetic, config, None, None)
     }
 
     /// Creates a decoder that runs the check sweep in **hardware-partitioned
@@ -266,7 +277,10 @@ impl QuantizedZigzagDecoder {
     /// [`simd_tier`](Self::simd_tier). Combinations the lanes cannot
     /// express exactly fall back to the scalar fused sweep of
     /// [`with_partition_fused`](Self::with_partition_fused), which the lanes
-    /// are held bit-identical to.
+    /// are held bit-identical to. A decoder that got its lane planes holds
+    /// lane state only: the scalar planes are built by the first
+    /// [`decode_quantized`](Self::decode_quantized) whose raw channel
+    /// exceeds the quantizer rail, if one ever does.
     ///
     /// # Panics
     ///
@@ -279,11 +293,7 @@ impl QuantizedZigzagDecoder {
         partition: ChainPartition,
     ) -> Self {
         let tier = SimdTier::resolve(config.simd);
-        let mut dec = Self::with_partition_fused(graph, arithmetic, config, partition);
-        // Built after the fused constructor has validated the partition.
-        let cut = dec.partition.as_ref().expect("set by with_partition_fused");
-        dec.simd = SimdQuant::try_build(&dec.graph, cut, &dec.arithmetic, tier).map(Box::new);
-        dec
+        Self::build(graph, arithmetic, config, Some(partition), Some(tier))
     }
 
     /// [`with_partition`](Self::with_partition) pinned to the **scalar
@@ -306,23 +316,33 @@ impl QuantizedZigzagDecoder {
         config: DecoderConfig,
         partition: ChainPartition,
     ) -> Self {
-        Self::build(graph, arithmetic, config, Some(partition))
+        Self::build(graph, arithmetic, config, Some(partition), None)
     }
 
     /// The one constructor body: validates the partition — the 1-lane,
     /// graph-order one (the sequential zigzag) when `None` — and bakes it
-    /// into the fused planes.
+    /// into the SIMD lane planes when `simd` names a tier and the lanes can
+    /// express it, into the scalar fused planes otherwise.
     fn build(
         graph: Arc<TannerGraph>,
         arithmetic: QCheckArithmetic,
         config: DecoderConfig,
         partition: Option<ChainPartition>,
+        simd: Option<SimdTier>,
     ) -> Self {
         let n_check = graph.check_count();
         assert!(
             graph.info_len() < graph.var_count() && graph.var_count() - graph.info_len() == n_check,
             "quantized zigzag decoder needs an IRA graph from TannerGraph::for_code"
         );
+        let info_d = graph.check_edges(0).len() - 1;
+        for c in 1..n_check {
+            assert_eq!(
+                graph.check_edges(c).len() - 2,
+                info_d,
+                "check {c}: non-uniform information degree; fused layout needs uniform rows"
+            );
+        }
         let sequential = ChainPartition::new(1, None);
         let cut = partition.as_ref().unwrap_or(&sequential);
         let lanes = cut.lanes();
@@ -334,7 +354,6 @@ impl QuantizedZigzagDecoder {
             // Every check contributes exactly `check_degree - 2` information
             // edges in an IRA graph (check 0 has one fewer *parity* edge,
             // not fewer information edges).
-            let info_d = graph.check_edges(0).len() - 1;
             assert_eq!(
                 order.len(),
                 n_check * info_d,
@@ -353,23 +372,18 @@ impl QuantizedZigzagDecoder {
                 }
             }
         }
-        let fused = FusedPlan::build(&graph, cut);
+        let simd = simd.and_then(|tier| SimdQuant::try_build(&graph, cut, &arithmetic, tier));
+        let fused = simd.is_none().then(|| Box::new(FusedState::new(&graph, cut)));
         QuantizedZigzagDecoder {
             arithmetic,
             max_iterations: config.max_iterations,
             early_stop: config.early_stop,
-            simd: None,
-            v2c: vec![0; fused.plane_len()],
-            c2v: vec![0; fused.plane_len()],
-            backward: vec![0; n_check],
-            forward: vec![0; n_check],
-            fwd_regs: vec![0; fused.lanes],
-            boundary: vec![0; fused.lanes],
+            simd: simd.map(Box::new),
+            fused,
             totals: vec![0; graph.var_count()],
             decisions: BitVec::zeros(graph.var_count()),
             qchannel: Vec::new(),
             partition,
-            fused,
             graph,
         }
     }
@@ -495,18 +509,26 @@ impl QuantizedZigzagDecoder {
     ) {
         let graph = Arc::clone(&self.graph);
         assert_eq!(channel.len(), graph.var_count(), "LLR length mismatch");
-        let plan = &self.fused;
+        // Moved out so the sweep can borrow the planes beside the decoder's
+        // shared scratch, then moved back; a lane decoder builds it here, on
+        // the first out-of-rail channel.
+        let mut state = self.fused.take().unwrap_or_else(|| {
+            let cut = self.partition.as_ref().expect("only with_partition leaves this unbuilt");
+            Box::new(FusedState::new(&graph, cut))
+        });
+        let FusedState { plan, v2c, c2v, backward, forward, fwd_regs, boundary } = &mut *state;
+        let plan = &*plan;
         let k = graph.info_len();
         let n_check = graph.check_count();
         let q = *self.arithmetic.quantizer();
         let (lanes, q_rows, stride, info_d) = (plan.lanes, plan.q_rows, plan.stride, plan.info_d);
 
-        self.c2v.fill(0);
+        c2v.fill(0);
         // Both chain directions start empty, so an iteration cap of 0 folds
         // nothing but the channel into the parity totals below.
-        self.forward.fill(0);
-        self.backward.fill(0);
-        self.boundary.fill(0);
+        forward.fill(0);
+        backward.fill(0);
+        boundary.fill(0);
         let mut iterations = 0;
         let mut converged = false;
 
@@ -521,21 +543,20 @@ impl QuantizedZigzagDecoder {
                 let slots = &plan.var_slots[pos..pos + n_e];
                 let mut sum = 0i32;
                 for &s in slots {
-                    sum += self.c2v[s as usize];
+                    sum += c2v[s as usize];
                 }
                 let total = channel[v] + sum;
                 self.totals[v] = total;
                 for &s in slots {
                     let s = s as usize;
-                    self.v2c[s] = q.saturate(total - self.c2v[s]);
+                    v2c[s] = q.saturate(total - c2v[s]);
                 }
                 pos += n_e;
             }
             if self.early_stop && it > 0 {
                 for j in 0..n_check {
-                    self.totals[k + j] = channel[k + j]
-                        + self.forward[j]
-                        + if j + 1 < n_check { self.backward[j] } else { 0 };
+                    self.totals[k + j] =
+                        channel[k + j] + forward[j] + if j + 1 < n_check { backward[j] } else { 0 };
                 }
                 hard_decisions_int_into(&self.totals, &mut self.decisions);
                 if syndrome_ok(&graph, &self.decisions) {
@@ -561,7 +582,7 @@ impl QuantizedZigzagDecoder {
             // kernel below turns one serial boxplus chain per check into
             // `blk` chains advancing in lockstep — the chain's lookup
             // latency is the sweep's bottleneck, not arithmetic throughput.
-            self.fwd_regs.copy_from_slice(&self.boundary);
+            fwd_regs.copy_from_slice(&*boundary);
             for r in 0..q_rows {
                 let mut u0 = 0usize;
                 while u0 < lanes {
@@ -574,29 +595,20 @@ impl QuantizedZigzagDecoder {
                         let c = u * q_rows + r;
                         let row = base + x * stride;
                         if c > 0 {
-                            self.v2c[row + info_d] =
-                                q.sat_add(channel[k + c - 1], self.fwd_regs[u]);
-                            self.v2c[row + info_d + 1] = q.sat_add(
+                            v2c[row + info_d] = q.sat_add(channel[k + c - 1], fwd_regs[u]);
+                            v2c[row + info_d + 1] = q.sat_add(
                                 channel[k + c],
-                                if c + 1 < n_check { self.backward[c] } else { 0 },
+                                if c + 1 < n_check { backward[c] } else { 0 },
                             );
                         } else {
-                            self.v2c[row + info_d] = q.sat_add(channel[k], self.backward[0]);
+                            v2c[row + info_d] = q.sat_add(channel[k], backward[0]);
                         }
                     }
                     // Check 0's short row (no left parity input) keeps the
                     // scalar path; every other LUT block runs interleaved.
                     let interleaved = match &self.arithmetic {
                         QCheckArithmetic::Lut(bp) if !(r == 0 && u0 == 0) => {
-                            lut_extrinsic_rows(
-                                bp,
-                                &self.v2c,
-                                &mut self.c2v,
-                                base,
-                                stride,
-                                info_d + 2,
-                                blk,
-                            );
+                            lut_extrinsic_rows(bp, &*v2c, &mut *c2v, base, stride, info_d + 2, blk);
                             true
                         }
                         _ => false,
@@ -606,8 +618,7 @@ impl QuantizedZigzagDecoder {
                             let c = (u0 + x) * q_rows + r;
                             let row = base + x * stride;
                             let d = if c > 0 { info_d + 2 } else { info_d + 1 };
-                            self.arithmetic
-                                .extrinsic(&self.v2c[row..row + d], &mut self.c2v[row..row + d]);
+                            self.arithmetic.extrinsic(&v2c[row..row + d], &mut c2v[row..row + d]);
                         }
                     }
                     for x in 0..blk {
@@ -615,22 +626,22 @@ impl QuantizedZigzagDecoder {
                         let c = u * q_rows + r;
                         let row = base + x * stride;
                         if c > 0 {
-                            self.backward[c - 1] = self.c2v[row + info_d];
-                            self.fwd_regs[u] = self.c2v[row + info_d + 1];
+                            backward[c - 1] = c2v[row + info_d];
+                            fwd_regs[u] = c2v[row + info_d + 1];
                         } else {
-                            self.fwd_regs[u] = self.c2v[row + info_d];
+                            fwd_regs[u] = c2v[row + info_d];
                         }
-                        self.forward[c] = self.fwd_regs[u];
+                        forward[c] = fwd_regs[u];
                     }
                     u0 += blk;
                 }
             }
             for u in (1..lanes).rev() {
-                self.boundary[u] = self.fwd_regs[u - 1];
+                boundary[u] = fwd_regs[u - 1];
             }
-            self.boundary[0] = 0;
+            boundary[0] = 0;
             if let Some(digests) = trace.as_deref_mut() {
-                digests.push(fused_digest(plan, &self.c2v, &self.forward, &self.backward));
+                digests.push(fused_digest(plan, &*c2v, &*forward, &*backward));
             }
         }
 
@@ -641,15 +652,14 @@ impl QuantizedZigzagDecoder {
                 let n_e = graph.var_edges(v).len();
                 let mut sum = 0i32;
                 for &s in &plan.var_slots[pos..pos + n_e] {
-                    sum += self.c2v[s as usize];
+                    sum += c2v[s as usize];
                 }
                 self.totals[v] = channel[v] + sum;
                 pos += n_e;
             }
             for j in 0..n_check {
-                self.totals[k + j] = channel[k + j]
-                    + self.forward[j]
-                    + if j + 1 < n_check { self.backward[j] } else { 0 };
+                self.totals[k + j] =
+                    channel[k + j] + forward[j] + if j + 1 < n_check { backward[j] } else { 0 };
             }
         }
         if out.bits.len() != self.totals.len() {
@@ -661,6 +671,7 @@ impl QuantizedZigzagDecoder {
         }
         out.iterations = iterations;
         out.converged = converged;
+        self.fused = Some(state);
     }
 
     /// Quantizes float channel LLRs.

@@ -87,9 +87,8 @@ enum LaneKernel {
 /// Sub-chain-major SoA plan + state for the SIMD quantized decode.
 ///
 /// Built by [`SimdQuant::try_build`] when the partition/arithmetic pair is
-/// lane-expressible; owned by `QuantizedZigzagDecoder` alongside (not
-/// instead of) the scalar `FusedPlan`, which remains the fallback and the
-/// differential reference.
+/// lane-expressible; a `QuantizedZigzagDecoder` that holds one holds no
+/// scalar planes until an out-of-rail channel forces the fused fallback.
 #[derive(Debug, Clone)]
 pub(crate) struct SimdQuant {
     tier: SimdTier,
@@ -99,15 +98,7 @@ pub(crate) struct SimdQuant {
     info_d: usize,
     max_mag: i16,
     kernel: LaneKernel,
-    /// Per-variable absolute plane slots (variable-major, graph edge
-    /// order) — the generic variable-node fallback for synthetic edge
-    /// orders that are not lane rotations.
-    var_slots: Vec<u32>,
-    /// Rotation-structured variable-node plan: real DVB-S2 codes are
-    /// quasi-cyclic with lifting 360, so the `lanes` variables of one
-    /// (row, position) plane vector are one 360-block rotated by a
-    /// constant offset. Verified against the graph at build time.
-    rot: Option<Vec<RotEntry>>,
+    vn: VnPlan,
     // --- i16 message state, all lane-major ---
     v2c: Vec<i16>,
     c2v: Vec<i16>,
@@ -126,6 +117,24 @@ pub(crate) struct SimdQuant {
     // --- check-0 scalar fix-up scratch ---
     fix_in: Vec<i32>,
     fix_out: Vec<i32>,
+    /// Per-lane syndrome accumulator of the early-termination test.
+    syn: Vec<i32>,
+}
+
+/// How the variable-node side reaches the lane planes.
+#[derive(Debug, Clone)]
+enum VnPlan {
+    /// Rotation-structured plan, row-major (`info_d` entries per residue
+    /// row): real DVB-S2 codes are quasi-cyclic with lifting 360, so the
+    /// `lanes` variables of one (row, position) plane vector are one
+    /// 360-block rotated by a constant offset. Verified against the graph
+    /// at build time. The lane-domain early-termination test needs it.
+    Rotation(Vec<RotEntry>),
+    /// Per-variable absolute plane slots (variable-major, graph edge
+    /// order) — the fallback for edge orders that are not lane rotations
+    /// (ascending-variable order breaks at the lane wrap; synthetic test
+    /// orders).
+    Slots(Vec<u32>),
 }
 
 /// One (row, position) plane vector of the rotation VN plan: the `lanes`
@@ -204,15 +213,24 @@ impl SimdQuant {
                 edge_slot[e] = ((r * stride + i) * lanes + u) as u32;
             }
         }
-        let mut var_slots = Vec::with_capacity(n_check * info_d);
-        for v in 0..k {
-            for &e in graph.var_edges(v) {
-                let slot = edge_slot[e as usize];
-                debug_assert_ne!(slot, u32::MAX, "information edge missing from lane layout");
-                var_slots.push(slot);
+        let vn = match build_rotation(graph, &edge_slot, lanes, q_rows, stride, info_d) {
+            Some(rot) => VnPlan::Rotation(rot),
+            None => {
+                let mut var_slots = Vec::with_capacity(n_check * info_d);
+                for v in 0..k {
+                    for &e in graph.var_edges(v) {
+                        let slot = edge_slot[e as usize];
+                        debug_assert_ne!(
+                            slot,
+                            u32::MAX,
+                            "information edge missing from lane layout"
+                        );
+                        var_slots.push(slot);
+                    }
+                }
+                VnPlan::Slots(var_slots)
             }
-        }
-        let rot = build_rotation(graph, &edge_slot, lanes, q_rows, stride, info_d);
+        };
 
         let plane = q_rows * stride * lanes;
         Some(SimdQuant {
@@ -223,8 +241,7 @@ impl SimdQuant {
             info_d,
             max_mag,
             kernel,
-            var_slots,
-            rot,
+            vn,
             v2c: vec![0; plane],
             c2v: vec![0; plane],
             fwd: vec![0; n_check],
@@ -238,6 +255,7 @@ impl SimdQuant {
             scr4: vec![0; lanes],
             fix_in: vec![0; stride],
             fix_out: vec![0; stride],
+            syn: vec![0; lanes],
         })
     }
 
@@ -293,13 +311,9 @@ impl SimdQuant {
             // Fused totals + variable-node pass (identical values to the
             // scalar fused pass: integer addition is order-independent).
             self.vn_pass(graph, channel, k, totals);
-            if early_stop && it > 0 {
-                self.parity_totals(channel, k, totals);
-                hard_decisions_int_into(totals, decisions);
-                if syndrome_ok(graph, decisions) {
-                    converged = true;
-                    break;
-                }
+            if early_stop && it > 0 && self.syndrome_clear(graph, channel, k, totals, decisions) {
+                converged = true;
+                break;
             }
             iterations += 1;
 
@@ -334,8 +348,10 @@ impl SimdQuant {
         if !converged {
             // The loop ended right after a sweep: fold it into the totals.
             self.vn_pass(graph, channel, k, totals);
-            self.parity_totals(channel, k, totals);
         }
+        // The lane test reads the chain state where it lies, so the parity
+        // totals are materialized here, once per decode.
+        self.parity_totals(channel, k, totals);
         if out.bits.len() != totals.len() {
             out.bits = BitVec::zeros(totals.len());
         }
@@ -351,8 +367,8 @@ impl SimdQuant {
     /// Totals + saturated v2c for the information side, dispatched through
     /// the rotation plan when the graph's QC structure allows.
     fn vn_pass(&mut self, graph: &TannerGraph, channel: &[i32], k: usize, totals: &mut [i32]) {
-        match &self.rot {
-            Some(rot) => vn_pass_rot_tier(
+        match &self.vn {
+            VnPlan::Rotation(rot) => vn_pass_rot_tier(
                 self.tier,
                 rot,
                 self.lanes,
@@ -363,15 +379,48 @@ impl SimdQuant {
                 &mut self.v2c,
                 totals,
             ),
-            None => vn_pass_generic(
+            VnPlan::Slots(var_slots) => vn_pass_generic(
                 graph,
-                &self.var_slots,
+                var_slots,
                 self.max_mag,
                 channel,
                 &self.c2v,
                 &mut self.v2c,
                 totals,
             ),
+        }
+    }
+
+    /// The early-termination test on the totals `vn_pass` just wrote:
+    /// `syndrome_ok(hard_decisions(totals))`, parity side included. With the
+    /// rotation plan it runs in the lanes and leaves `totals[k..]` alone;
+    /// otherwise it is the scalar test over materialized parity totals.
+    fn syndrome_clear(
+        &mut self,
+        graph: &TannerGraph,
+        channel: &[i32],
+        k: usize,
+        totals: &mut [i32],
+        decisions: &mut BitVec,
+    ) -> bool {
+        match &self.vn {
+            VnPlan::Rotation(rot) => lane_syndrome_tier(
+                self.tier,
+                rot,
+                self.lanes,
+                self.q_rows,
+                self.info_d,
+                &totals[..k],
+                &self.pchan,
+                &self.fwd,
+                &self.bwd,
+                &mut self.syn,
+            ),
+            VnPlan::Slots(_) => {
+                self.parity_totals(channel, k, totals);
+                hard_decisions_int_into(totals, decisions);
+                syndrome_ok(graph, decisions)
+            }
         }
     }
 
@@ -628,6 +677,64 @@ fn vn_pass_rot(
     }
 }
 
+/// Lane-domain early-termination test: `true` when the hard decisions of
+/// the current totals satisfy every check.
+///
+/// The sign bit of an XOR of `i32`s is the XOR of their sign bits, and a
+/// hard decision *is* the sign bit, so the syndrome of the `lanes` checks
+/// of residue row `r` is the sign of one lane vector: the XOR of the row's
+/// information totals (each `RotEntry` a rotated block, as in
+/// [`vn_pass_rot`]), of its own parity totals `pchan + fwd + bwd`
+/// ([`SimdQuant::parity_totals`]' value; `pchan` is the channel exactly,
+/// `decode_into` has checked the rail) and of the left neighbour's — row
+/// `r - 1` lane-aligned, or at `r == 0` row `q_rows - 1` shifted one lane,
+/// with nothing for check 0. By construction the result equals
+/// `syndrome_ok(hard_decisions_int(totals))` over the materialized totals.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn lane_syndrome(
+    rot: &[RotEntry],
+    lanes: usize,
+    q_rows: usize,
+    info_d: usize,
+    info_totals: &[i32],
+    pchan: &[i16],
+    fwd: &[i16],
+    bwd: &[i16],
+    syn: &mut [i32],
+) -> bool {
+    let parity = |s: usize| pchan[s] as i32 + fwd[s] as i32 + bwd[s] as i32;
+    for r in 0..q_rows {
+        let row = r * lanes;
+        if r > 0 {
+            for (u, acc) in syn.iter_mut().enumerate() {
+                *acc = parity(row + u) ^ parity(row - lanes + u);
+            }
+        } else {
+            let last = (q_rows - 1) * lanes;
+            syn[0] = parity(0);
+            for (u, acc) in syn.iter_mut().enumerate().skip(1) {
+                *acc = parity(u) ^ parity(last + u - 1);
+            }
+        }
+        for e in &rot[r * info_d..(r + 1) * info_d] {
+            let (block, off) = (e.block as usize, e.off as usize);
+            let split = lanes - off;
+            let t = &info_totals[block..block + lanes];
+            for (acc, &x) in syn[..split].iter_mut().zip(&t[off..]) {
+                *acc ^= x;
+            }
+            for (acc, &x) in syn[split..].iter_mut().zip(&t[..off]) {
+                *acc ^= x;
+            }
+        }
+        if syn.iter().fold(0, |any, &x| any | x) < 0 {
+            return false;
+        }
+    }
+    true
+}
+
 /// Variable-major VN pass for non-rotation (synthetic) slot maps — the
 /// fused pass's walk over `var_slots`, in the i16 lane domain.
 fn vn_pass_generic(
@@ -784,23 +891,27 @@ fn check_sweep(
 // AVX2 clone (bit-identical) on F-only parts.
 macro_rules! qtier_clones {
     ($dispatch:ident, $base:ident, $avx2:ident, $avx512:ident;
-     ($($arg:ident: $ty:ty),* $(,)?)) => {
+     ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
         #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx2($($arg: $ty),*) {
-            $base($($arg),*);
+        unsafe fn $avx2($($arg: $ty),*) $(-> $ret)? {
+            $base($($arg),*)
         }
 
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
         #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx512($($arg: $ty),*) {
-            $base($($arg),*);
+        unsafe fn $avx512($($arg: $ty),*) $(-> $ret)? {
+            $base($($arg),*)
         }
 
         #[allow(clippy::too_many_arguments)]
-        fn $dispatch(tier: SimdTier, $($arg: $ty),*) {
+        fn $dispatch(tier: SimdTier, $($arg: $ty),*) $(-> $ret)? {
+            // SAFETY: the clones only add target features to safe bodies;
+            // `tier` comes from `SimdTier::resolve`, which panics on a tier
+            // this CPU lacks, and the BW/VL clone is further gated on
+            // `wide_i16_available`.
             match tier {
                 #[cfg(target_arch = "x86_64")]
                 SimdTier::Avx2 => unsafe { $avx2($($arg),*) },
@@ -828,6 +939,21 @@ qtier_clones!(
         v2c: &mut [i16],
         totals: &mut [i32],
     )
+);
+
+qtier_clones!(
+    lane_syndrome_tier, lane_syndrome, lane_syndrome_avx2, lane_syndrome_avx512;
+    (
+        rot: &[RotEntry],
+        lanes: usize,
+        q_rows: usize,
+        info_d: usize,
+        info_totals: &[i32],
+        pchan: &[i16],
+        fwd: &[i16],
+        bwd: &[i16],
+        syn: &mut [i32],
+    ) -> bool
 );
 
 qtier_clones!(
@@ -860,6 +986,165 @@ qtier_clones!(
 mod tests {
     use super::*;
     use crate::quant::{QBoxplus, Quantizer};
+    use crate::stopping::hard_decisions_int;
+    use crate::test_support::{rotation_partition, SplitMix64};
+    use dvbs2_ldpc::{
+        AddressTable, CodeParams, CodeRate, DegreeClass, DvbS2Code, Encoder, FrameSize,
+    };
+
+    /// A quasi-cyclic IRA code with two residue rows: the smallest the lane
+    /// planes accept, where row 0's left neighbour is the *next* row
+    /// shifted one lane. (The rate/frame labels are unused placeholders.)
+    fn two_row_code() -> (TannerGraph, Encoder) {
+        let class = DegreeClass { count: 360, degree: 3 };
+        let params = CodeParams {
+            rate: CodeRate::R1_2,
+            frame: FrameSize::Short,
+            n: 1440,
+            k: 720,
+            n_check: 720,
+            q: 2,
+            check_degree: 5,
+            hi: class,
+            lo: class,
+        };
+        let rows = vec![vec![0, 101, 302], vec![5, 416, 633]];
+        let table = AddressTable::from_rows(&params, rows).unwrap();
+        (TannerGraph::for_code(&params, &table), Encoder::new(params, &table).unwrap())
+    }
+
+    /// Lane planes whose totals and chain state decide `word`: random
+    /// magnitudes, signs from the bits. Returns the information totals.
+    fn state_deciding(
+        sq: &mut SimdQuant,
+        word: &BitVec,
+        k: usize,
+        rng: &mut SplitMix64,
+    ) -> Vec<i32> {
+        let m = sq.max_mag as u64;
+        fn draw(rng: &mut SplitMix64, negative: bool, lo: u64, hi: u64) -> i32 {
+            let mag = (lo + rng.next_u64() % (hi - lo + 1)) as i32;
+            if negative {
+                -mag
+            } else {
+                mag
+            }
+        }
+        let info = (0..k).map(|v| draw(rng, word.get(v), 1, 4 * m)).collect();
+        for u in 0..sq.lanes {
+            for r in 0..sq.q_rows {
+                // The channel term outweighs the two chain terms, so its
+                // sign is the sum's.
+                let (s, neg) = (r * sq.lanes + u, word.get(k + u * sq.q_rows + r));
+                sq.pchan[s] = draw(rng, neg, m, m) as i16;
+                let negative = rng.next_bool();
+                sq.fwd[s] = draw(rng, negative, 0, (m - 1) / 2) as i16;
+                let negative = rng.next_bool();
+                sq.bwd[s] = draw(rng, negative, 0, (m - 1) / 2) as i16;
+            }
+        }
+        info
+    }
+
+    /// The lane test and the scalar test on the same state.
+    fn both_tests(sq: &mut SimdQuant, graph: &TannerGraph, info: &[i32]) -> (bool, bool) {
+        let k = graph.info_len();
+        let VnPlan::Rotation(rot) = &sq.vn else { panic!("no rotation plan") };
+        let lane = lane_syndrome_tier(
+            sq.tier,
+            rot,
+            sq.lanes,
+            sq.q_rows,
+            sq.info_d,
+            info,
+            &sq.pchan,
+            &sq.fwd,
+            &sq.bwd,
+            &mut sq.syn,
+        );
+        let mut channel = vec![0i32; graph.var_count()];
+        for u in 0..sq.lanes {
+            for r in 0..sq.q_rows {
+                channel[k + u * sq.q_rows + r] = sq.pchan[r * sq.lanes + u] as i32;
+            }
+        }
+        let mut totals = info.to_vec();
+        totals.resize(graph.var_count(), 0);
+        sq.parity_totals(&channel, k, &mut totals);
+        (lane, syndrome_ok(graph, &hard_decisions_int(&totals)))
+    }
+
+    #[test]
+    fn lane_syndrome_is_the_scalar_syndrome_test() {
+        let real = |rate| {
+            let code = DvbS2Code::new(rate, FrameSize::Short).unwrap();
+            (code.tanner_graph(), code.encoder().unwrap())
+        };
+        let codes = [
+            ("R1/2", real(CodeRate::R1_2)),
+            ("R8/9", real(CodeRate::R8_9)),
+            ("q=2", two_row_code()),
+        ];
+        let arith = QCheckArithmetic::lut(Quantizer::paper_6bit());
+        for (name, (graph, encoder)) in &codes {
+            let k = graph.info_len();
+            let partition = rotation_partition(graph);
+            for tier in SimdTier::available() {
+                let what = format!("{name} {tier:?}");
+                let mut sq = SimdQuant::try_build(graph, &partition, &arith, tier).unwrap();
+                let (lanes, q_rows) = (sq.lanes, sq.q_rows);
+                let mut rng = SplitMix64(0x5EED ^ k as u64);
+                for round in 0..4 {
+                    let message: BitVec = (0..k).map(|_| rng.next_bool()).collect();
+                    let word = encoder.encode(&message).unwrap();
+                    let mut info = state_deciding(&mut sq, &word, k, &mut rng);
+                    assert_eq!(both_tests(&mut sq, graph, &info), (true, true), "{what}: codeword");
+
+                    // One flipped information sign.
+                    let v = (rng.next_u64() % k as u64) as usize;
+                    info[v] = -info[v];
+                    assert_eq!(
+                        both_tests(&mut sq, graph, &info),
+                        (false, false),
+                        "{what}: info {v}"
+                    );
+                    info[v] = -info[v];
+
+                    // One flipped parity sign at each chain position the
+                    // lane test treats differently: check 0's own bit, a
+                    // sub-chain boundary, the end of the chain.
+                    let mid = 1 + (rng.next_u64() % (lanes as u64 - 1)) as usize;
+                    for (r, u) in [(0, 0), (0, mid), (q_rows - 1, lanes - 1)] {
+                        let s = r * lanes + u;
+                        for plane in [&mut sq.pchan, &mut sq.fwd, &mut sq.bwd] {
+                            plane[s] = -plane[s];
+                        }
+                        let flipped = both_tests(&mut sq, graph, &info);
+                        assert_eq!(flipped, (false, false), "{what}: parity r={r} u={u}");
+                        for plane in [&mut sq.pchan, &mut sq.fwd, &mut sq.bwd] {
+                            plane[s] = -plane[s];
+                        }
+                    }
+                    assert_eq!(both_tests(&mut sq, graph, &info), (true, true), "{what}: restored");
+
+                    // Arbitrary totals and chain state, zeros included.
+                    let m = sq.max_mag as i64;
+                    let mut any =
+                        |span: i64| (rng.next_u64() % (2 * span as u64 + 1)) as i64 - span;
+                    for x in info.iter_mut() {
+                        *x = any(3) as i32;
+                    }
+                    for s in 0..lanes * q_rows {
+                        sq.pchan[s] = any(m) as i16;
+                        sq.fwd[s] = any(2) as i16;
+                        sq.bwd[s] = any(2) as i16;
+                    }
+                    let (lane, scalar) = both_tests(&mut sq, graph, &info);
+                    assert_eq!(lane, scalar, "{what}: random state, round {round}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn lane_combine_matches_scalar_combine_exhaustively() {

@@ -6,7 +6,8 @@
 
 #![allow(missing_docs)]
 
-use dvbs2_ldpc::{BitVec, CodeRate, DvbS2Code, FrameSize, TannerGraph};
+use crate::ChainPartition;
+use dvbs2_ldpc::{BitVec, CodeRate, DvbS2Code, FrameSize, TannerGraph, PARALLELISM};
 
 /// A tiny deterministic PRNG (SplitMix64) for fixtures.
 #[derive(Debug, Clone)]
@@ -43,6 +44,34 @@ pub fn small_code() -> (DvbS2Code, TannerGraph) {
     let code = DvbS2Code::new(CodeRate::R1_2, FrameSize::Short).unwrap();
     let graph = code.tanner_graph();
     (code, graph)
+}
+
+/// The 360-lane cut of a quasi-cyclic IRA graph with every check's inputs
+/// in lane 0's graph order carried along the code's rotation. This is the
+/// structure of a `dvbs2_hardware::hw_chain_partition` order (which this
+/// crate cannot depend on): the lane planes find their rotation plan and
+/// run the paths the served decoder runs. Ascending-variable order does
+/// not have it, because it flips where a rotation wraps.
+pub fn rotation_partition(graph: &TannerGraph) -> ChainPartition {
+    let lanes = PARALLELISM;
+    let n_check = graph.check_count();
+    let q_rows = n_check / lanes;
+    let info_d = graph.check_edges(0).len() - 1;
+    let mut order = Vec::with_capacity(n_check * info_d);
+    for c in 0..n_check {
+        let (u, r) = (c / q_rows, c % q_rows);
+        let lane0 = graph.check_edges(r).start;
+        let start = graph.check_edges(c).start;
+        for i in 0..info_d {
+            let v0 = graph.var_of_edge(lane0 + i);
+            let v = v0 - v0 % lanes + (v0 % lanes + u) % lanes;
+            let pos = (0..info_d)
+                .position(|p| graph.var_of_edge(start + p) == v)
+                .expect("the graph is quasi-cyclic with lifting 360");
+            order.push(pos as u32);
+        }
+    }
+    ChainPartition::new(lanes, Some(order))
 }
 
 /// Noise-free channel LLRs for a codeword: `+mag` for bit 0, `-mag` for 1.

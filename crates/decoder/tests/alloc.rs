@@ -9,10 +9,10 @@
 //! only what its own decodes allocate (the decoders audited here never
 //! spawn).
 
-use dvbs2_decoder::test_support::{noisy_llrs, small_code};
+use dvbs2_decoder::test_support::{noisy_llrs, rotation_partition, small_code};
 use dvbs2_decoder::{
     CheckRule, DecodeResult, Decoder, DecoderConfig, FloodingDecoder, LayeredDecoder, Precision,
-    QuantizedZigzagDecoder, Quantizer, ZigzagDecoder,
+    QCheckArithmetic, QuantizedZigzagDecoder, Quantizer, ZigzagDecoder,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -137,6 +137,16 @@ fn decode_into_is_allocation_free_after_warm_up() {
         DecoderConfig::default(),
     );
     assert_zero_allocation_decode_into("quantized 6-bit", &mut quantized, &llrs);
+    // The served shape: 360 lanes in a rotation order, early stop on, so
+    // the lane-domain syndrome test runs every iteration after the first.
+    let mut lanes = QuantizedZigzagDecoder::with_partition(
+        Arc::clone(&graph),
+        QCheckArithmetic::lut(Quantizer::paper_6bit()),
+        DecoderConfig::default(),
+        rotation_partition(&graph),
+    );
+    assert!(lanes.simd_tier().is_some());
+    assert_zero_allocation_decode_into("quantized 6-bit, 360 lanes", &mut lanes, &llrs);
 }
 
 #[test]

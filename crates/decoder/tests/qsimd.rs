@@ -10,7 +10,7 @@
 //! `DVBS2_SIMD` variable is exercised end-to-end by the CI matrix instead).
 //! Unavailable tiers are skipped — except by the test that pins the panic.
 
-use dvbs2_decoder::test_support::{noisy_llrs, small_code, SplitMix64};
+use dvbs2_decoder::test_support::{noisy_llrs, rotation_partition, small_code, SplitMix64};
 use dvbs2_decoder::{
     ChainPartition, DecoderConfig, QCheckArithmetic, QuantizedZigzagDecoder, Quantizer, SimdTier,
 };
@@ -94,6 +94,40 @@ fn simd_matches_fused_across_tiers_lane_counts_and_arithmetics() {
                     &format!("{name} tier {tier:?} lanes {lanes}"),
                 );
             }
+        }
+    }
+}
+
+/// A rotation-structured order (what the hardware partition has) takes the
+/// rotation variable-node pass and the lane-domain early-termination test;
+/// both are bit-exact against the fused sweep's scalar ones, early stops
+/// included.
+#[test]
+fn rotation_order_early_stop_matches_fused() {
+    let (_, graph) = small_code();
+    let graph = Arc::new(graph);
+    let partition = rotation_partition(&graph);
+    for tier in SimdTier::available() {
+        let config = DecoderConfig::default().with_simd_tier(Some(tier));
+        for (name, arith) in arithmetics() {
+            let mut simd = QuantizedZigzagDecoder::with_partition(
+                Arc::clone(&graph),
+                arith.clone(),
+                config,
+                partition.clone(),
+            );
+            assert_eq!(simd.simd_tier(), Some(tier));
+            let mut fused = QuantizedZigzagDecoder::with_partition_fused(
+                Arc::clone(&graph),
+                arith,
+                config,
+                partition.clone(),
+            );
+            let channels = noisy_channels(&simd, 3, 9300);
+            let what = format!("{name} tier {tier:?} rotation order");
+            assert_bit_exact(&mut simd, &mut fused, &channels, &what);
+            let stopped_early = channels.iter().any(|c| simd.decode_quantized(c).iterations < 30);
+            assert!(stopped_early, "{what}: no frame exercised the early stop");
         }
     }
 }
@@ -200,11 +234,15 @@ fn out_of_rail_channel_falls_back_to_fused() {
     // outside the SIMD plan's saturation headroom guarantee.
     let mut channel = vec![1i32; graph.var_count()];
     channel[graph.info_len() + 3] = 1000;
+    // The lane decoder builds its scalar planes on the first such frame
+    // and reuses them on the second.
     let (mut da, mut db) = (Vec::new(), Vec::new());
-    let a = simd.decode_quantized_traced(&channel, &mut da);
-    let b = fused.decode_quantized_traced(&channel, &mut db);
-    assert_eq!(a, b, "fallback frame results diverged");
-    assert_eq!(da, db, "fallback frame digests diverged");
+    for round in 0..2 {
+        let a = simd.decode_quantized_traced(&channel, &mut da);
+        let b = fused.decode_quantized_traced(&channel, &mut db);
+        assert_eq!(a, b, "round {round}: fallback frame results diverged");
+        assert_eq!(da, db, "round {round}: fallback frame digests diverged");
+    }
 }
 
 /// A partition the SIMD plan cannot serve (single-row sub-chains) reports

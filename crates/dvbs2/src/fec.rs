@@ -7,12 +7,10 @@
 //! residual errors per frame, which is what removes the LDPC error floor
 //! at quasi-error-free operating points.
 
-use crate::{DecoderKind, SystemConfig};
+use crate::{Dvbs2System, SystemConfig};
 use dvbs2_bch::{BchCode, BchDecoder, BchEncoder};
-use dvbs2_decoder::{
-    Decoder, FloodingDecoder, LayeredDecoder, QuantizedZigzagDecoder, ZigzagDecoder,
-};
-use dvbs2_ldpc::{BitVec, CodeError, DvbS2Code, Encoder, TannerGraph};
+use dvbs2_decoder::Decoder;
+use dvbs2_ldpc::{BitVec, CodeError, DvbS2Code, TannerGraph};
 use std::sync::Arc;
 
 /// Result of decoding one FEC frame.
@@ -37,10 +35,8 @@ pub struct FecDecodeResult {
 /// [`crate::Dvbs2System::simulate_ber`], which wraps it): the chunked API is
 /// bit-reproducible for a given seed at any thread count.
 pub struct FecChain {
-    config: SystemConfig,
-    ldpc: DvbS2Code,
-    graph: Arc<TannerGraph>,
-    ldpc_encoder: Encoder,
+    /// The inner code's context; its `make_decoder` built `inner`.
+    system: Dvbs2System,
     bch_encoder: BchEncoder,
     bch_decoder: BchDecoder,
     inner: Box<dyn Decoder + Send>,
@@ -49,8 +45,8 @@ pub struct FecChain {
 impl std::fmt::Debug for FecChain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FecChain")
-            .field("rate", &self.config.rate)
-            .field("frame", &self.config.frame)
+            .field("rate", &self.system.config().rate)
+            .field("frame", &self.system.config().frame)
             .field("inner", &self.inner.name())
             .finish()
     }
@@ -63,37 +59,14 @@ impl FecChain {
     ///
     /// Returns [`CodeError`] for undefined rate/frame combinations.
     pub fn new(config: SystemConfig) -> Result<Self, CodeError> {
-        let ldpc = DvbS2Code::new(config.rate, config.frame)?;
-        let graph = Arc::new(ldpc.tanner_graph());
-        let ldpc_encoder = ldpc.encoder()?;
+        let system = Dvbs2System::new(config)?;
         let bch = BchCode::new(config.rate, config.frame)?;
-        debug_assert_eq!(bch.params().n, ldpc.params().k);
-        let inner: Box<dyn Decoder + Send> = match config.decoder {
-            DecoderKind::Flooding => {
-                Box::new(FloodingDecoder::new(Arc::clone(&graph), config.decoder_config))
-            }
-            DecoderKind::Zigzag => {
-                Box::new(ZigzagDecoder::new(Arc::clone(&graph), config.decoder_config))
-            }
-            DecoderKind::Layered => {
-                Box::new(LayeredDecoder::new(Arc::clone(&graph), config.decoder_config))
-            }
-            DecoderKind::Quantized(q) => {
-                Box::new(QuantizedZigzagDecoder::new(Arc::clone(&graph), q, config.decoder_config))
-            }
-            DecoderKind::BitFlipping => Box::new(dvbs2_decoder::BitFlippingDecoder::new(
-                Arc::clone(&graph),
-                config.decoder_config,
-            )),
-        };
+        debug_assert_eq!(bch.params().n, system.params().k);
         Ok(FecChain {
             bch_encoder: BchEncoder::new(bch.clone()),
             bch_decoder: BchDecoder::new(bch),
-            config,
-            ldpc,
-            graph,
-            ldpc_encoder,
-            inner,
+            inner: system.make_decoder(),
+            system,
         })
     }
 
@@ -104,17 +77,17 @@ impl FecChain {
 
     /// Number of channel bits per FEC frame (`N_ldpc`).
     pub fn frame_len(&self) -> usize {
-        self.ldpc.params().n
+        self.system.params().n
     }
 
     /// The inner LDPC code.
     pub fn ldpc(&self) -> &DvbS2Code {
-        &self.ldpc
+        self.system.code()
     }
 
     /// The shared Tanner graph of the inner code.
     pub fn graph(&self) -> &Arc<TannerGraph> {
-        &self.graph
+        self.system.graph()
     }
 
     /// Overall information rate `K_bch / N_ldpc`.
@@ -129,7 +102,7 @@ impl FecChain {
     /// Returns [`CodeError::MessageLength`] on a wrong-length input.
     pub fn encode(&self, data: &BitVec) -> Result<BitVec, CodeError> {
         let bch_word = self.bch_encoder.encode(data)?;
-        self.ldpc_encoder.encode(&bch_word)
+        self.system.encoder.encode(&bch_word)
     }
 
     /// Decodes one frame of channel LLRs through both codes.
@@ -139,7 +112,7 @@ impl FecChain {
     /// Panics if `llrs.len() != N_ldpc`.
     pub fn decode(&mut self, llrs: &[f64]) -> FecDecodeResult {
         let inner = self.inner.decode(llrs);
-        let k_ldpc = self.ldpc.params().k;
+        let k_ldpc = self.system.params().k;
         let received: BitVec = (0..k_ldpc).map(|i| inner.bits.get(i)).collect();
         match self.bch_decoder.decode(&received) {
             Ok(outcome) => {

@@ -72,15 +72,16 @@ pub mod prelude {
 
 use dvbs2_channel::{AwgnChannel, FrameOutcome, Modulation};
 use dvbs2_decoder::{
-    Decoder, DecoderConfig, FloodingDecoder, LayeredDecoder, QuantizedZigzagDecoder, Quantizer,
-    ZigzagDecoder,
+    ChainPartition, Decoder, DecoderConfig, FloodingDecoder, LayeredDecoder, QCheckArithmetic,
+    QuantizedZigzagDecoder, Quantizer, ZigzagDecoder,
 };
+use dvbs2_hardware::{hw_chain_partition, CnSchedule, ConnectivityRom};
 use dvbs2_ldpc::{
     BitVec, CodeError, CodeParams, CodeRate, DvbS2Code, Encoder, FrameSize, TannerGraph,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which decoder the system instantiates.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -92,7 +93,15 @@ pub enum DecoderKind {
     Zigzag,
     /// Layered schedule (extension).
     Layered,
-    /// Fixed-point zigzag with the given quantizer.
+    /// The paper's datapath with the given message quantizer: the zigzag
+    /// schedule cut into the core's 360 functional-unit sub-chains, each
+    /// check's inputs in the natural check-node schedule's order
+    /// (`hw_chain_partition`), on the SIMD lane planes. With
+    /// [`Quantizer::paper_6bit`] it is word-, iteration- and
+    /// convergence-equal to the hardware `GoldenModel` on that schedule,
+    /// and it is what every MODCOD slot serves by default
+    /// ([`DecoderProfile::default_for`]). The one-lane sequential zigzag is
+    /// [`QuantizedZigzagDecoder::new`], not a kind.
     Quantized(Quantizer),
     /// Hard-decision Gallager-B bit flipping (baseline, several dB worse).
     BitFlipping,
@@ -144,6 +153,10 @@ pub struct Dvbs2System {
     code: DvbS2Code,
     graph: Arc<TannerGraph>,
     encoder: Encoder,
+    /// The [`DecoderKind::Quantized`] plan: built by the first decoder that
+    /// needs it, shared by every later one (each worker of each shard
+    /// reaches this system through its `Arc<ModcodEntry>`).
+    hw_partition: OnceLock<ChainPartition>,
 }
 
 impl Dvbs2System {
@@ -156,7 +169,7 @@ impl Dvbs2System {
         let code = DvbS2Code::new(config.rate, config.frame)?;
         let graph = Arc::new(code.tanner_graph());
         let encoder = code.encoder()?;
-        Ok(Dvbs2System { config, code, graph, encoder })
+        Ok(Dvbs2System { config, code, graph, encoder, hw_partition: OnceLock::new() })
     }
 
     /// The configuration.
@@ -188,7 +201,8 @@ impl Dvbs2System {
     /// Creates a decoder of an explicit kind/config over this system's
     /// graph, independent of the configured [`SystemConfig::decoder`] — the
     /// MODCOD dispatch table uses this to attach per-MODCOD decoder
-    /// profiles to one shared code context.
+    /// profiles to one shared code context. The one place a
+    /// [`DecoderKind`] becomes a decoder.
     pub fn make_decoder_for(
         &self,
         kind: DecoderKind,
@@ -199,7 +213,18 @@ impl Dvbs2System {
             DecoderKind::Flooding => Box::new(FloodingDecoder::new(graph, config)),
             DecoderKind::Zigzag => Box::new(ZigzagDecoder::new(graph, config)),
             DecoderKind::Layered => Box::new(LayeredDecoder::new(graph, config)),
-            DecoderKind::Quantized(q) => Box::new(QuantizedZigzagDecoder::new(graph, q, config)),
+            DecoderKind::Quantized(q) => {
+                let partition = self.hw_partition.get_or_init(|| {
+                    let rom = ConnectivityRom::build(self.code.params(), self.code.table());
+                    hw_chain_partition(&rom, &CnSchedule::natural(&rom), &graph)
+                });
+                Box::new(QuantizedZigzagDecoder::with_partition(
+                    graph,
+                    QCheckArithmetic::lut(q),
+                    config,
+                    partition.clone(),
+                ))
+            }
             DecoderKind::BitFlipping => {
                 Box::new(dvbs2_decoder::BitFlippingDecoder::new(graph, config))
             }

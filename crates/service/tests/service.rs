@@ -303,12 +303,20 @@ fn degraded_shard_sheds_its_streams_to_healthy_shards() {
     // pipeline quarantines the worker (syndrome anomaly), the shard
     // reports itself degraded, and the monitor must migrate its streams
     // to the healthy shard — all without dropping or reordering a frame.
-    const FRAMES_PER_STREAM: u64 = 60;
+    //
+    // Sized by backlog, not by the clock: the faulted worker needs
+    // `min_decodes = 3` corrupted decodes, each running to the 30-iteration
+    // cap (about 45 clean decodes' time), and takes its next frame only if
+    // one is queued when it finishes. The backlog therefore has to outlast
+    // two of them on the one healthy neighbour that drains the same queue
+    // — some 90 clean frames — and this one holds several times that. The
+    // test then waits for the monitor instead of racing it.
+    const BACKLOG_PER_STREAM: u64 = 300;
+    const AFTER_PER_STREAM: u64 = 20;
     let rates = [CodeRate::R1_2];
     let table = short_table(&rates);
     let n = table.entry(0).frame_len();
     let keys: Vec<StreamKey> = (0..4).map(|s| StreamKey::new(1, s)).collect();
-    let total = keys.len() * FRAMES_PER_STREAM as usize;
     let tier = ServiceTier::start(
         table,
         ServiceConfig {
@@ -334,21 +342,38 @@ fn degraded_shard_sheds_its_streams_to_healthy_shards() {
             }),
         },
     );
-
-    let outputs = run_with_consumer(&tier, total, || {
-        for _ in 0..FRAMES_PER_STREAM {
+    let submit_rounds = |rounds: u64| {
+        for _ in 0..rounds {
             for key in &keys {
-                let frame = ServiceFrame { key: *key, modcod: 0, llrs: vec![6.0; n] };
-                submit_retrying(&tier, frame);
+                submit_retrying(&tier, ServiceFrame { key: *key, modcod: 0, llrs: vec![6.0; n] });
             }
-            // Pace submissions so the detector and monitor get to act
-            // while traffic is still flowing.
-            std::thread::sleep(std::time::Duration::from_millis(1));
         }
-    });
+    };
 
+    // Phase 1: the backlog that lets the detector reach its verdict.
+    let backlog = keys.len() * BACKLOG_PER_STREAM as usize;
+    let mut outputs = run_with_consumer(&tier, backlog, || submit_rounds(BACKLOG_PER_STREAM));
+
+    // The fault never heals, so the shard stays degraded until the monitor
+    // (on its own 2 ms timer, no traffic needed) has moved its streams.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while tier.stats().fault_migrations == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the monitor never migrated streams off the degraded shard: {:?}",
+            tier.shards()
+        );
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+
+    // Phase 2: the moved streams keep their order on the healthy shard.
+    let after = keys.len() * AFTER_PER_STREAM as usize;
+    outputs.extend(run_with_consumer(&tier, after, || submit_rounds(AFTER_PER_STREAM)));
+
+    let total = backlog + after;
     assert_eq!(outputs.len(), total, "containment must not drop frames");
-    let expected: HashMap<StreamKey, u64> = keys.iter().map(|&k| (k, FRAMES_PER_STREAM)).collect();
+    let expected: HashMap<StreamKey, u64> =
+        keys.iter().map(|&k| (k, BACKLOG_PER_STREAM + AFTER_PER_STREAM)).collect();
     assert_per_stream_order(&outputs, &expected);
 
     let stats = tier.finish();

@@ -3,7 +3,7 @@
 use dvbs2::channel::StopRule;
 use dvbs2::decoder::{CheckRule, DecoderConfig, Quantizer};
 use dvbs2::ldpc::{CodeRate, FrameSize};
-use dvbs2::{DecoderKind, Dvbs2System, SystemConfig};
+use dvbs2::{DecoderKind, Dvbs2System, FecChain, SystemConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -163,4 +163,34 @@ fn undecodable_snr_reports_failure_not_panic() {
     let out = sys.make_decoder().decode(&frame.llrs);
     assert!(!out.converged);
     assert!(out.bits.hamming_distance(&frame.codeword) > 0);
+}
+
+#[test]
+fn parity_residue_frames_deliver_exact_data_through_the_fec_chain() {
+    // Near the waterfall the served 6-bit datapath leaves a few wrong
+    // *parity* bits on the odd frame: the LDPC decode reports
+    // non-converged, yet the information word is exact, and the FEC chain
+    // must hand the data field on untouched (DESIGN.md §8).
+    use dvbs2::channel::{noise_sigma, AwgnChannel, Modulation};
+    let mut chain = FecChain::new(SystemConfig {
+        rate: CodeRate::R1_2,
+        frame: FrameSize::Short,
+        decoder: DecoderKind::Quantized(Quantizer::paper_6bit()),
+        ..SystemConfig::default()
+    })
+    .unwrap();
+    let sigma = noise_sigma(1.4, chain.rate());
+    let mut rng = SmallRng::seed_from_u64(1400);
+    let mut parity_only = 0;
+    for frame in 0..150 {
+        let data = chain.random_data(&mut rng);
+        let mut samples = Modulation::Bpsk.modulate(&chain.encode(&data).unwrap());
+        AwgnChannel::new(sigma).corrupt(&mut rng, &mut samples);
+        let out = chain.decode(&Modulation::Bpsk.demap(&samples, sigma));
+        assert_eq!(out.data, data, "frame {frame}: {out:?}");
+        if !out.ldpc_converged && out.bch_corrected == Some(0) {
+            parity_only += 1;
+        }
+    }
+    assert!(parity_only > 0, "no frame ended with parity-only residue");
 }

@@ -3,13 +3,16 @@
 //! configurations, early stop, and across rates — plus agreement with the
 //! algorithmic fixed-point decoder on decodable frames.
 
-use dvbs2::decoder::{Decoder, DecoderConfig, QCheckArithmetic, QuantizedZigzagDecoder, Quantizer};
+use dvbs2::channel::Modulation;
+use dvbs2::decoder::{
+    Decoder, DecoderConfig, QCheckArithmetic, QuantizedZigzagDecoder, Quantizer, SimdTier,
+};
 use dvbs2::hardware::{
-    optimize_schedule, AnnealOptions, CnSchedule, ConnectivityRom, CoreConfig, GoldenModel,
-    HardwareDecoder, MemoryConfig, TestVectorSet,
+    hw_chain_partition, optimize_schedule, AnnealOptions, CnSchedule, ConnectivityRom, CoreConfig,
+    GoldenModel, HardwareDecoder, MemoryConfig, TestVectorSet,
 };
 use dvbs2::ldpc::{CodeRate, DvbS2Code, FrameSize};
-use dvbs2::{Dvbs2System, SystemConfig};
+use dvbs2::{DecoderKind, Dvbs2System, SystemConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -194,5 +197,94 @@ fn generated_test_vectors_replay_on_the_core() {
         let out = hw.decode_quantized(&frame.channel);
         assert_eq!(out.result.bits, frame.expected_bits, "frame {i}");
         assert_eq!(out.result.iterations, frame.expected_iterations, "frame {i}");
+    }
+}
+
+/// The stack benchmark's `serve_mixed_default` slots: short QPSK frames
+/// near each rate's waterfall, where decodes stop early at 7–17 iterations.
+const SERVED_SLOTS: [(CodeRate, f64); 4] =
+    [(CodeRate::R1_4, 2.2), (CodeRate::R1_2, 1.4), (CodeRate::R3_4, 2.8), (CodeRate::R8_9, 4.2)];
+
+fn qpsk_system(rate: CodeRate, frame: FrameSize) -> Dvbs2System {
+    Dvbs2System::new(SystemConfig {
+        rate,
+        frame,
+        modulation: Modulation::Qpsk,
+        ..SystemConfig::default()
+    })
+    .unwrap()
+}
+
+#[test]
+fn lane_early_stop_matches_the_fused_sweep_at_the_served_slots() {
+    // The lane-domain syndrome test changes when work is done, never what
+    // is decided: results and per-iteration digests equal the scalar fused
+    // sweep's, whose early stop is the scalar test.
+    let arithmetic = QCheckArithmetic::lut(Quantizer::paper_6bit());
+    for (rate, ebn0_db) in SERVED_SLOTS {
+        let system = qpsk_system(rate, FrameSize::Short);
+        let rom = ConnectivityRom::build(system.params(), system.code().table());
+        let partition = hw_chain_partition(&rom, &CnSchedule::natural(&rom), system.graph());
+        let mut fused = QuantizedZigzagDecoder::with_partition_fused(
+            Arc::clone(system.graph()),
+            arithmetic.clone(),
+            DecoderConfig::default(),
+            partition.clone(),
+        );
+        let mut rng = SmallRng::seed_from_u64(2100 + rate as u64);
+        let channels: Vec<Vec<i32>> = (0..4)
+            .map(|_| fused.quantize_channel(&system.transmit_frame(&mut rng, ebn0_db).llrs))
+            .collect();
+        for tier in SimdTier::available() {
+            let mut lanes = QuantizedZigzagDecoder::with_partition(
+                Arc::clone(system.graph()),
+                arithmetic.clone(),
+                DecoderConfig::default().with_simd_tier(Some(tier)),
+                partition.clone(),
+            );
+            assert_eq!(lanes.simd_tier(), Some(tier));
+            let (mut lane_digests, mut fused_digests) = (Vec::new(), Vec::new());
+            for (i, channel) in channels.iter().enumerate() {
+                let a = lanes.decode_quantized_traced(channel, &mut lane_digests);
+                let b = fused.decode_quantized_traced(channel, &mut fused_digests);
+                assert_eq!(a, b, "{rate} {tier:?} frame {i}");
+                assert_eq!(lane_digests, fused_digests, "{rate} {tier:?} frame {i}");
+            }
+        }
+    }
+}
+
+#[test]
+fn the_served_quantized_kind_is_the_golden_model() {
+    // What the tier serves is what the core computes: word, iteration
+    // count and convergence flag on the natural schedule.
+    let q = Quantizer::paper_6bit();
+    let normal = (CodeRate::R1_2, 1.4, FrameSize::Normal);
+    let points = SERVED_SLOTS.iter().map(|&(rate, db)| (rate, db, FrameSize::Short));
+    for (rate, ebn0_db, frame) in points.chain([normal]) {
+        let system = qpsk_system(rate, frame);
+        let rom = ConnectivityRom::build(system.params(), system.code().table());
+        let mut golden = GoldenModel::new(system.code(), CnSchedule::natural(&rom), q, 30, true);
+        let mut rng = SmallRng::seed_from_u64(2200 + rate as u64);
+        let frames = if frame == FrameSize::Short { 3 } else { 1 };
+        let llrs: Vec<Vec<f64>> =
+            (0..frames).map(|_| system.transmit_frame(&mut rng, ebn0_db).llrs).collect();
+        let expected: Vec<_> = llrs
+            .iter()
+            .map(|llrs| golden.decode_quantized(&golden.quantize_channel(llrs)))
+            .collect();
+        assert!(
+            expected.iter().any(|out| out.converged && out.iterations < 30),
+            "{rate} {frame:?}"
+        );
+        for tier in SimdTier::available() {
+            let mut served = system.make_decoder_for(
+                DecoderKind::Quantized(q),
+                DecoderConfig::default().with_simd_tier(Some(tier)),
+            );
+            for (i, (llrs, golden_out)) in llrs.iter().zip(&expected).enumerate() {
+                assert_eq!(&served.decode(llrs), golden_out, "{rate} {frame:?} {tier:?} frame {i}");
+            }
+        }
     }
 }
