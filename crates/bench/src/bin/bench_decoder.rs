@@ -16,13 +16,14 @@
 //! (`--quick` shortens the per-variant measurement window.)
 
 use dvbs2::decoder::{
-    detected_cpu_features, hard_decisions, syndrome_ok, CheckRule, DecodeResult, Decoder,
-    DecoderConfig, FloodingDecoder, Precision, QCheckArithmetic, QuantizedZigzagDecoder, Quantizer,
-    SimdTier, ZigzagDecoder,
+    hard_decisions, syndrome_ok, CheckRule, DecodeResult, Decoder, DecoderConfig, FloodingDecoder,
+    Precision, QCheckArithmetic, QuantizedZigzagDecoder, Quantizer, ZigzagDecoder,
 };
 use dvbs2::hardware::{hw_chain_partition, CnSchedule, ConnectivityRom};
 use dvbs2::ldpc::{CodeRate, FrameSize, TannerGraph};
 use dvbs2::{DecoderKind, Dvbs2System, SystemConfig};
+use dvbs2_bench::args::{parse_env, Flag};
+use dvbs2_bench::json::{write_record, Json, Object};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -39,9 +40,8 @@ const PR4_SUM_PRODUCT_F32_MBPS: f64 = 0.140;
 const PR11_FLOODING_SUM_PRODUCT_F32_MBPS: f64 = 0.130;
 const PR11_ZIGZAG_SUM_PRODUCT_F32_MBPS: f64 = 0.146;
 
-/// The PR whose code the committed record was taken with. Bump it in the PR
-/// that re-records the file.
-const RECORDED_BY: &str = "PR 15 (ISSUE 21)";
+const FLAGS: &[Flag] =
+    &[Flag::switch("--quick", "CI budget: shortens the per-variant measurement window")];
 
 /// Lines of Rust under `dir`, build output excluded: the recorded
 /// trajectory of the "net LoC goes down" aim.
@@ -320,7 +320,7 @@ fn measure_early_stop(rounds: usize) -> Result<EarlyStopLane, Box<dyn std::error
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = parse_env("bench_decoder", FLAGS).has("--quick");
     let (rounds, frames_per_window) = if quick { (2, 1) } else { (5, 3) };
 
     let system = Dvbs2System::new(SystemConfig {
@@ -429,9 +429,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mbps("zigzag_sum_product_f32") / PR11_ZIGZAG_SUM_PRODUCT_F32_MBPS;
     let speedup_quantized_simd_vs_fused =
         mbps("quantized_partitioned_simd") / mbps("quantized_partitioned_fused");
-    let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-    let tier = SimdTier::resolve(None);
-    let features = detected_cpu_features();
     println!("\nspeedup (flooding_min_sum_f32 vs seed): {speedup:.2}x");
     println!(
         "speedup (flooding_table_sum_product_f32 vs PR-4 sum-product {PR4_SUM_PRODUCT_F32_MBPS} \
@@ -445,77 +442,71 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "speedup (quantized {} lanes vs scalar fused): {speedup_quantized_simd_vs_fused:.2}x",
         quantized_simd_tier.name()
     );
-    println!("cpu: {cores} core(s), dispatch tier {}, features {:?}", tier.name(), features);
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"decoder_throughput\",\n");
-    json.push_str(&format!("  \"recorded_by\": \"{RECORDED_BY}\",\n"));
     let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let workspace: usize = ["crates", "tests", "examples", "benchmark"]
         .iter()
         .map(|dir| rust_lines(&root.join(dir)))
         .sum();
-    json.push_str(&format!(
-        "  \"loc\": {{\"decoder_src\": {}, \"workspace\": {workspace}}},\n",
-        rust_lines(&root.join("crates/decoder/src"))
-    ));
-    json.push_str(&format!(
-        "  \"code\": {{\"n\": {n}, \"k\": {k}, \"rate\": \"1/2\", \"frame\": \"normal\"}},\n"
-    ));
-    json.push_str("  \"iterations\": 30,\n");
-    json.push_str("  \"early_stop\": false,\n");
-    json.push_str("  \"min_sum_alpha\": 0.8,\n");
-    json.push_str("  \"units\": \"decoded Mbit/s; coded counts all N bits per frame, info counts the K systematic bits\",\n");
-    json.push_str(&format!("  \"speedup_min_sum_f32_vs_seed\": {speedup:.3},\n"));
-    json.push_str(&format!("  \"pr4_sum_product_f32_mbps\": {PR4_SUM_PRODUCT_F32_MBPS:.3},\n"));
-    json.push_str(&format!("  \"speedup_sum_product_vs_pr4\": {speedup_table_vs_pr4:.3},\n"));
-    json.push_str(&format!(
-        "  \"pr11_sum_product_f32_mbps\": {{\"flooding\": \
-         {PR11_FLOODING_SUM_PRODUCT_F32_MBPS:.3}, \"zigzag\": \
-         {PR11_ZIGZAG_SUM_PRODUCT_F32_MBPS:.3}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"speedup_sum_product_f32_vs_pr11\": {{\"flooding\": \
-         {speedup_flooding_sp_vs_pr11:.3}, \"zigzag\": {speedup_zigzag_sp_vs_pr11:.3}}},\n"
-    ));
-    json.push_str(&format!("  \"quantized_simd_tier\": \"{}\",\n", quantized_simd_tier.name()));
-    json.push_str(&format!(
-        "  \"speedup_quantized_simd_vs_fused\": {speedup_quantized_simd_vs_fused:.3},\n"
-    ));
-    json.push_str(&format!(
-        "  \"cpu\": {{\"cores\": {cores}, \"single_vcpu\": {}, \"dispatch_tier\": \"{}\", \
-         \"features\": [{}]}},\n",
-        cores == 1,
-        tier.name(),
-        features.iter().map(|f| format!("\"{f}\"")).collect::<Vec<_>>().join(", ")
-    ));
-    json.push_str(&format!(
-        "  \"quantized_partitioned_simd_early_stop\": {{\"code\": \"R1/2 short\", \"ebn0_db\": 1.4, \
-         \"frames_per_s\": {:.1}, \"mean_iterations\": {:.2}, \"us_per_iteration\": {:.2}, \
-         \"fixed_30_us_per_iteration\": {:.2}, \"cost_vs_fixed\": {early_stop_cost:.3}}},\n",
-        early_stop.frames_per_s,
-        early_stop.mean_iterations,
-        early_stop.us_per_iteration,
-        early_stop.fixed_us_per_iteration
-    ));
-    json.push_str("  \"results\": [\n");
-    for (i, m) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"coded_mbps\": {:.3}, \"info_mbps\": {:.3}, \"frames\": {}, \"seconds\": {:.3}}}{}\n",
-            m.name,
-            m.coded_mbps,
-            m.info_mbps,
-            m.frames,
-            m.seconds,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_decoder.json");
-    std::fs::write(out_path, &json)?;
-    println!("wrote {out_path}");
+    let pair = |flooding: f64, zigzag: f64| {
+        Object::new().with("flooding", Json::Num(flooding, 3)).with("zigzag", Json::Num(zigzag, 3))
+    };
+    let record = Object::new()
+        .with("benchmark", "decoder_throughput")
+        .provenance()
+        .with(
+            "loc",
+            Object::new()
+                .with("decoder_src", rust_lines(&root.join("crates/decoder/src")))
+                .with("workspace", workspace),
+        )
+        .with(
+            "code",
+            Object::new().with("n", n).with("k", k).with("rate", "1/2").with("frame", "normal"),
+        )
+        .with("iterations", 30u32)
+        .with("early_stop", false)
+        .with("min_sum_alpha", Json::Num(0.8, 1))
+        .with(
+            "units",
+            "decoded Mbit/s; coded counts all N bits per frame, info counts the K systematic bits",
+        )
+        .with("speedup_min_sum_f32_vs_seed", Json::Num(speedup, 3))
+        .with("pr4_sum_product_f32_mbps", Json::Num(PR4_SUM_PRODUCT_F32_MBPS, 3))
+        .with("speedup_sum_product_vs_pr4", Json::Num(speedup_table_vs_pr4, 3))
+        .with(
+            "pr11_sum_product_f32_mbps",
+            pair(PR11_FLOODING_SUM_PRODUCT_F32_MBPS, PR11_ZIGZAG_SUM_PRODUCT_F32_MBPS),
+        )
+        .with(
+            "speedup_sum_product_f32_vs_pr11",
+            pair(speedup_flooding_sp_vs_pr11, speedup_zigzag_sp_vs_pr11),
+        )
+        .with("quantized_simd_tier", quantized_simd_tier.name())
+        .with("speedup_quantized_simd_vs_fused", Json::Num(speedup_quantized_simd_vs_fused, 3))
+        .with(
+            "quantized_partitioned_simd_early_stop",
+            Object::new()
+                .with("code", "R1/2 short")
+                .with("ebn0_db", Json::Num(1.4, 1))
+                .with("frames_per_s", Json::Num(early_stop.frames_per_s, 1))
+                .with("mean_iterations", Json::Num(early_stop.mean_iterations, 2))
+                .with("us_per_iteration", Json::Num(early_stop.us_per_iteration, 2))
+                .with("fixed_30_us_per_iteration", Json::Num(early_stop.fixed_us_per_iteration, 2))
+                .with("cost_vs_fixed", Json::Num(early_stop_cost, 3)),
+        )
+        .with(
+            "results",
+            Json::array(rows.iter().map(|m| {
+                Object::new()
+                    .with("name", m.name)
+                    .with("coded_mbps", Json::Num(m.coded_mbps, 3))
+                    .with("info_mbps", Json::Num(m.info_mbps, 3))
+                    .with("frames", m.frames)
+                    .with("seconds", Json::Num(m.seconds, 3))
+            })),
+        );
+    write_record("BENCH_decoder.json", record)?;
 
     // Regression gate: the SIMD lane planes must never lose to the scalar
     // fused sweep they are dispatched above. (The ≥3x target is a release

@@ -10,71 +10,39 @@
 use dvbs2::decoder::SimdTier;
 use dvbs2::ldpc::{CodeRate, FrameSize};
 use dvbs2::oracle::{self, CaseSpec, OracleConfig, Sweep};
+use dvbs2_bench::args::{parse_env, usage, Flag, Takes};
 
-struct Args {
-    cases: u64,
-    fault_cases: u64,
-    fabric_cases: u64,
-    seed: u64,
-    threads: usize,
-    repro: Option<String>,
-    skip_faults: bool,
-    skip_partition: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        cases: 500,
-        fault_cases: 500,
-        fabric_cases: 0,
-        seed: 0xD1FF,
-        threads: dvbs2::channel::default_threads(),
-        repro: None,
-        skip_faults: false,
-        skip_partition: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().unwrap_or_else(|| usage(&format!("{flag} needs a value")));
-        let number = |text: String| text.parse::<u64>().unwrap_or_else(|_| usage(&flag));
-        match flag.as_str() {
-            "--cases" => args.cases = number(value()),
-            "--fault-cases" => args.fault_cases = number(value()),
-            "--fabric-cases" => args.fabric_cases = number(value()),
-            "--seed" => {
-                let text = value();
-                let parsed = match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-                    Some(hex) => u64::from_str_radix(hex, 16),
-                    None => text.parse(),
-                };
-                args.seed = parsed.unwrap_or_else(|_| usage(&flag));
-            }
-            "--threads" => args.threads = number(value()) as usize,
-            "--repro" => args.repro = Some(value()),
-            "--skip-faults" => args.skip_faults = true,
-            "--skip-partition" => args.skip_partition = true,
-            other => usage(&format!("unknown flag {other}")),
-        }
-    }
-    args
-}
-
-fn usage(problem: &str) -> ! {
-    eprintln!("diff_fuzz: {problem}");
-    eprintln!(
-        "usage: diff_fuzz [--cases N] [--fault-cases N] [--fabric-cases N] [--seed S] \
-         [--threads T] [--skip-faults] [--skip-partition] [--repro 'spec']"
-    );
-    std::process::exit(2);
-}
+const FLAGS: &[Flag] = &[
+    Flag::taking("--cases", Takes::Number("N"), "matrix cases (default 500)"),
+    Flag::taking("--fault-cases", Takes::Number("N"), "fault-differential cases (default 500)"),
+    Flag::taking("--fabric-cases", Takes::Number("N"), "fabric-differential cases (default 0)"),
+    Flag::taking("--seed", Takes::Number("S"), "master seed, decimal or 0x-hex (default 0xD1FF)"),
+    Flag::taking(
+        "--threads",
+        Takes::Number("T"),
+        "worker threads (default: available parallelism)",
+    ),
+    Flag::switch("--skip-faults", "skip the fault-injection suite"),
+    Flag::switch("--skip-partition", "skip the partition sweep"),
+    Flag::taking("--repro", Takes::Text("'spec'"), "replay one case under every contract class"),
+];
 
 fn main() {
-    let args = parse_args();
+    let flags = parse_env("diff_fuzz", FLAGS);
+    let count = |name: &str, default: u64| flags.number(name).unwrap_or(default);
+    let (cases, fault_cases, fabric_cases) =
+        (count("--cases", 500), count("--fault-cases", 500), count("--fabric-cases", 0));
+    let seed = count("--seed", 0xD1FF);
+    let threads =
+        flags.number("--threads").map_or_else(dvbs2::channel::default_threads, |t| t as usize);
 
-    if let Some(spec_text) = &args.repro {
+    if let Some(spec_text) = flags.text("--repro") {
         let case: CaseSpec = match spec_text.parse() {
             Ok(case) => case,
-            Err(e) => usage(&e.to_string()),
+            Err(e) => {
+                eprintln!("diff_fuzz: {e}\n{}", usage("diff_fuzz", FLAGS));
+                std::process::exit(2);
+            }
         };
         println!("replaying {case}");
         let report = oracle::run_case(0, &case);
@@ -89,29 +57,26 @@ fn main() {
         std::process::exit(1);
     }
 
-    println!(
-        "differential oracle: {} cases, master seed {:#x}, {} threads",
-        args.cases, args.seed, args.threads
-    );
+    println!("differential oracle: {} cases, master seed {:#x}, {} threads", cases, seed, threads);
     let tiers = SimdTier::available().iter().map(|t| t.name()).collect::<Vec<_>>().join("+");
     let mut failed = false;
     // Every sweep is a case source plus a class set over the one oracle
     // driver, so one loop reports them all.
     for (label, sweep, master_seed, cases) in [
-        ("equivalence contracts", Sweep::Matrix, args.seed, args.cases),
-        ("fault differential", Sweep::Fault, args.seed ^ 0xFA17, args.fault_cases),
-        ("fabric differential", Sweep::Fabric, args.seed ^ 0xFAB0, args.fabric_cases),
-        ("partition sweep", Sweep::Partition, args.seed, 0),
+        ("equivalence contracts", Sweep::Matrix, seed, cases),
+        ("fault differential", Sweep::Fault, seed ^ 0xFA17, fault_cases),
+        ("fabric differential", Sweep::Fabric, seed ^ 0xFAB0, fabric_cases),
+        ("partition sweep", Sweep::Partition, seed, 0),
     ] {
         let skip = match sweep {
             Sweep::Matrix => false,
-            Sweep::Partition => args.skip_partition,
+            Sweep::Partition => flags.has("--skip-partition"),
             Sweep::Fault | Sweep::Fabric => cases == 0,
         };
         if skip {
             continue;
         }
-        let report = sweep.run(&OracleConfig { master_seed, cases, threads: args.threads });
+        let report = sweep.run(&OracleConfig { master_seed, cases, threads });
         let (rates, frames) = (report.rates_covered.len(), report.frames_covered.len());
         if sweep == Sweep::Matrix {
             println!(
@@ -147,7 +112,7 @@ fn main() {
         }
     }
 
-    if !args.skip_faults {
+    if !flags.has("--skip-faults") {
         let points = [
             (CodeRate::R1_2, FrameSize::Short),
             (CodeRate::R2_3, FrameSize::Short),
@@ -156,7 +121,7 @@ fn main() {
         let mut scenarios = 0;
         let mut fault_violations = 0;
         for (rate, frame) in points {
-            let fr = oracle::run_fault_suite(rate, frame, args.seed);
+            let fr = oracle::run_fault_suite(rate, frame, seed);
             scenarios += fr.cases;
             fault_violations += fr.violations.len();
             for v in &fr.violations {

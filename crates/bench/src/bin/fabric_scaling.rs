@@ -25,10 +25,14 @@ use dvbs2::hardware::{
 };
 use dvbs2::ldpc::{CodeRate, DvbS2Code, FrameSize};
 use dvbs2::{Dvbs2System, SystemConfig};
+use dvbs2_bench::args::{parse_env, Flag};
+use dvbs2_bench::json::{write_record, Json, Object};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
+
+const FLAGS: &[Flag] = &[Flag::switch("--quick", "CI budget: trims the point list and batch size")];
 
 const CORES: [usize; 5] = [1, 2, 4, 8, 16];
 /// Accept up to this much relative error between the extended Eq. 8
@@ -56,7 +60,7 @@ struct Row {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = parse_env("fabric_scaling", FLAGS).has("--quick");
     let points: &[(CodeRate, FrameSize)] = if quick {
         &[(CodeRate::R1_2, FrameSize::Short), (CodeRate::R3_4, FrameSize::Short)]
     } else {
@@ -267,54 +271,59 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          {sw_info_mbps:.2} Mbit/s info"
     );
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"bench\": \"fabric_scaling\", \"quick\": {quick}, \"clock_mhz\": {clock}, \
-         \"iterations\": {iterations}, \"link_latency\": 2,\n"
-    ));
-    json.push_str(&format!(
-        "  \"sw_lane_reference\": {{\"rate\": \"1/2\", \"frame\": \"Normal\", \
-         \"tier\": \"{sw_tier}\", \"iterations\": {sw_iterations}, \
-         \"frame_ms\": {sw_frame_ms:.3}, \"per_iteration_us\": {sw_per_iteration_us:.2}, \
-         \"info_mbps\": {sw_info_mbps:.3}}},\n"
-    ));
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"rate\": \"{}\", \"frame\": \"{:?}\", \"cores\": {}, \"frames\": {}, \
-             \"measured_makespan\": {}, \"predicted_makespan\": {:.1}, \"err_pct\": {:.3}, \
-             \"serial_cycles\": {}, \"stall_cycles\": {}, \"arbitration_losses\": {}, \
-             \"queue_high_water\": {}, \"bus_utilization\": {:.4}, \"measured_mbps\": {:.2}, \
-             \"model_mbps\": {:.2}, \"io_ceiling_mbps\": {:.2}}}{}\n",
-            r.rate,
-            r.frame,
-            r.cores,
-            r.frames,
-            r.measured_makespan,
-            r.predicted_makespan,
-            r.err_pct,
-            r.serial_cycles,
-            r.stall_cycles,
-            r.arbitration_losses,
-            r.queue_high_water,
-            r.bus_utilization,
-            r.measured_mbps,
-            r.model_mbps,
-            r.io_ceiling_mbps,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"ten_gbps\": {{\"rate\": \"1/2\", \"frame\": \"Normal\", \"target_mbps\": {target_mbps}, \
-         \"cores_at_p_io_10\": null, \"io_ceiling_at_p_io_10_mbps\": {ceiling:.1}, \
-         \"required_p_io\": {wide_p_io}, \"required_cores\": {wide_cores}}},\n"
-    ));
-    json.push_str(&format!("  \"violations\": {}\n}}\n", violations.len()));
-
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fabric.json");
-    std::fs::write(out_path, &json).expect("writing BENCH_fabric.json");
-    println!("\nwrote {}", out_path);
+    let record = Object::new()
+        .with("bench", "fabric_scaling")
+        .provenance()
+        .with("quick", quick)
+        .with("clock_mhz", Json::Num(clock, 0))
+        .with("iterations", iterations)
+        .with("link_latency", 2u32)
+        .with(
+            "sw_lane_reference",
+            Object::new()
+                .with("rate", "1/2")
+                .with("frame", "Normal")
+                .with("tier", sw_tier)
+                .with("iterations", sw_iterations)
+                .with("frame_ms", Json::Num(sw_frame_ms, 3))
+                .with("per_iteration_us", Json::Num(sw_per_iteration_us, 2))
+                .with("info_mbps", Json::Num(sw_info_mbps, 3)),
+        )
+        .with(
+            "rows",
+            Json::array(rows.iter().map(|r| {
+                Object::new()
+                    .with("rate", r.rate.to_string())
+                    .with("frame", format!("{:?}", r.frame))
+                    .with("cores", r.cores)
+                    .with("frames", r.frames)
+                    .with("measured_makespan", r.measured_makespan)
+                    .with("predicted_makespan", Json::Num(r.predicted_makespan, 1))
+                    .with("err_pct", Json::Num(r.err_pct, 3))
+                    .with("serial_cycles", r.serial_cycles)
+                    .with("stall_cycles", r.stall_cycles)
+                    .with("arbitration_losses", r.arbitration_losses)
+                    .with("queue_high_water", r.queue_high_water)
+                    .with("bus_utilization", Json::Num(r.bus_utilization, 4))
+                    .with("measured_mbps", Json::Num(r.measured_mbps, 2))
+                    .with("model_mbps", Json::Num(r.model_mbps, 2))
+                    .with("io_ceiling_mbps", Json::Num(r.io_ceiling_mbps, 2))
+            })),
+        )
+        .with(
+            "ten_gbps",
+            Object::new()
+                .with("rate", "1/2")
+                .with("frame", "Normal")
+                .with("target_mbps", Json::Num(target_mbps, 0))
+                .with("cores_at_p_io_10", at_paper_width)
+                .with("io_ceiling_at_p_io_10_mbps", Json::Num(ceiling, 1))
+                .with("required_p_io", wide_p_io)
+                .with("required_cores", wide_cores),
+        )
+        .with("violations", violations.len());
+    println!();
+    write_record("BENCH_fabric.json", record)?;
 
     if violations.is_empty() {
         println!("fabric scaling: PASS ({} rows)", rows.len());

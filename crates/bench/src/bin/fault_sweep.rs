@@ -24,6 +24,8 @@ use dvbs2::hardware::{
 };
 use dvbs2::ldpc::CodeRate;
 use dvbs2::{Modcod, ModcodTable};
+use dvbs2_bench::args::{parse_env, Flag, Takes};
+use dvbs2_bench::json::{write_record, Json, Object};
 use dvbs2_pipeline::{
     DecodePipeline, PipelineConfig, QuarantinePolicy, SoftFrame, WorkerFaultInjection,
 };
@@ -31,16 +33,11 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: fault_sweep [--frames N] [--seed S] [--quick]\n\
-         \n\
-         --frames N  channel frames per sweep point (default 24)\n\
-         --seed S    stream seed, decimal or 0x-hex (default 0xFA17)\n\
-         --quick     CI budget: 6 frames per point, 200 latency frames"
-    );
-    std::process::exit(2);
-}
+const FLAGS: &[Flag] = &[
+    Flag::taking("--frames", Takes::Positive("N"), "channel frames per sweep point (default 24)"),
+    Flag::taking("--seed", Takes::Number("S"), "stream seed, decimal or 0x-hex (default 0xFA17)"),
+    Flag::switch("--quick", "CI budget: 6 frames per point, 200 latency frames"),
+];
 
 struct Options {
     frames: u64,
@@ -48,34 +45,14 @@ struct Options {
     seed: u64,
 }
 
-fn parse_u64(text: &str) -> Option<u64> {
-    match text.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => text.parse().ok(),
-    }
-}
-
 fn parse_args() -> Options {
-    let mut options = Options { frames: 24, latency_frames: 400, seed: 0xFA17 };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--frames" => match args.next().as_deref().and_then(parse_u64) {
-                Some(n) if n > 0 => options.frames = n,
-                _ => usage(),
-            },
-            "--seed" => match args.next().as_deref().and_then(parse_u64) {
-                Some(s) => options.seed = s,
-                None => usage(),
-            },
-            "--quick" => {
-                options.frames = 6;
-                options.latency_frames = 200;
-            }
-            _ => usage(),
-        }
+    let args = parse_env("fault_sweep", FLAGS);
+    let quick = args.has("--quick");
+    Options {
+        frames: args.number("--frames").unwrap_or(if quick { 6 } else { 24 }),
+        latency_frames: if quick { 200 } else { 400 },
+        seed: args.number("--seed").unwrap_or(0xFA17),
     }
-    options
 }
 
 fn anchor_db(rate: CodeRate) -> f64 {
@@ -179,7 +156,8 @@ fn upset_scenario(words: usize, per_mille: u32, seed: u64) -> FaultScenario {
 struct LatencyOutcome {
     frames: u64,
     corrupted_frames: u64,
-    detection_ms: f64,
+    /// `None` when the worker was never quarantined.
+    detection_ms: Option<f64>,
     quarantines: u64,
     faults_suspected: u64,
     probes_run: u64,
@@ -213,15 +191,15 @@ fn measure_quarantine_latency(table: &ModcodTable, frames: u64) -> LatencyOutcom
     let (corrupted, detection_ms, out_of_order) = std::thread::scope(|scope| {
         let consumer = scope.spawn(|| {
             let mut corrupted = 0u64;
-            let mut detection_ms = f64::NAN;
+            let mut detection_ms = None;
             let mut out_of_order = false;
             let mut seen = 0u64;
             while let Some(frame) = pipeline.next_decoded() {
                 out_of_order |= frame.seq != seen;
                 seen += 1;
                 corrupted += u64::from(!frame.converged);
-                if detection_ms.is_nan() && pipeline.stats().quarantines >= 1 {
-                    detection_ms = started.elapsed().as_secs_f64() * 1e3;
+                if detection_ms.is_none() && pipeline.stats().quarantines >= 1 {
+                    detection_ms = Some(started.elapsed().as_secs_f64() * 1e3);
                 }
                 if seen == frames {
                     break;
@@ -247,18 +225,14 @@ fn measure_quarantine_latency(table: &ModcodTable, frames: u64) -> LatencyOutcom
     }
 }
 
-fn push_points(json: &mut String, points: &[Point]) {
-    for (i, p) in points.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"point\": \"{}\", \"fer\": {:.4}, \"ber\": {:.6}, \
-             \"mean_iterations\": {:.2}}}{}\n",
-            p.label,
-            p.fer,
-            p.ber,
-            p.mean_iterations,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
+fn curve(points: &[Point]) -> Json {
+    Json::array(points.iter().map(|p| {
+        Object::new()
+            .with("point", p.label.as_str())
+            .with("fer", Json::Num(p.fer, 4))
+            .with("ber", Json::Num(p.ber, 6))
+            .with("mean_iterations", Json::Num(p.mean_iterations, 2))
+    }))
 }
 
 fn check_curve(
@@ -296,17 +270,7 @@ fn main() {
     let options = parse_args();
     let table = sweep_table();
     let mut violations: Vec<String> = Vec::new();
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"fault_sweep\",\n");
-    json.push_str(&format!("  \"seed\": {},\n", options.seed));
-    json.push_str(&format!("  \"frames_per_point\": {},\n", options.frames));
-    json.push_str(
-        "  \"decoder\": \"cycle-accurate hardware core, natural schedule, \
-         12 iterations, syndrome early stop\",\n",
-    );
-    json.push_str("  \"operating_point_db\": \"rate anchor + 0.8 dB\",\n");
-    json.push_str("  \"rates\": [\n");
+    let mut rates: Vec<Object> = Vec::new();
 
     let stuck_counts = [0usize, 1, 2, 4];
     let upset_rates = [0u32, 50, 200, 500];
@@ -362,15 +326,14 @@ fn main() {
             .collect();
         check_curve(&rate, "upset-rate", &upset_points, options.frames, &mut violations);
 
-        json.push_str(&format!(
-            "    {{\"rate\": \"{rate}\", \"ram_words\": {words},\n     \"stuck_count_curve\": [\n"
-        ));
-        push_points(&mut json, &count_points);
-        json.push_str("    ],\n     \"upset_rate_curve\": [\n");
-        push_points(&mut json, &upset_points);
-        json.push_str(&format!("    ]}}{}\n", if slot + 1 < table.len() { "," } else { "" }));
+        rates.push(
+            Object::new()
+                .with("rate", rate)
+                .with("ram_words", words)
+                .with("stuck_count_curve", curve(&count_points))
+                .with("upset_rate_curve", curve(&upset_points)),
+        );
     }
-    json.push_str("  ],\n");
 
     println!("quarantine latency: {} frames, worker 0 permanently faulted", options.latency_frames);
     let latency = measure_quarantine_latency(&table, options.latency_frames);
@@ -378,7 +341,7 @@ fn main() {
         "  contained after {} corrupted frames ({:.1} ms); {} quarantine(s), \
          {} suspicion(s), {} probe(s)",
         latency.corrupted_frames,
-        latency.detection_ms,
+        latency.detection_ms.unwrap_or(f64::NAN),
         latency.quarantines,
         latency.faults_suspected,
         latency.probes_run,
@@ -398,23 +361,29 @@ fn main() {
             latency.corrupted_frames, latency.frames
         ));
     }
-    json.push_str(&format!(
-        "  \"quarantine_latency\": {{\"frames\": {}, \"corrupted_frames\": {}, \
-         \"detection_ms\": {:.2}, \"quarantines\": {}, \"faults_suspected\": {}, \
-         \"probes_run\": {}, \"dropped\": {}}}\n",
-        latency.frames,
-        latency.corrupted_frames,
-        latency.detection_ms,
-        latency.quarantines,
-        latency.faults_suspected,
-        latency.probes_run,
-        latency.dropped,
-    ));
-    json.push_str("}\n");
-
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fault.json");
-    std::fs::write(out_path, &json).expect("writing BENCH_fault.json");
-    println!("wrote {out_path}");
+    let record = Object::new()
+        .with("benchmark", "fault_sweep")
+        .provenance()
+        .with("seed", options.seed)
+        .with("frames_per_point", options.frames)
+        .with(
+            "decoder",
+            "cycle-accurate hardware core, natural schedule, 12 iterations, syndrome early stop",
+        )
+        .with("operating_point_db", "rate anchor + 0.8 dB")
+        .with("rates", Json::array(rates))
+        .with(
+            "quarantine_latency",
+            Object::new()
+                .with("frames", latency.frames)
+                .with("corrupted_frames", latency.corrupted_frames)
+                .with("detection_ms", latency.detection_ms.map(|ms| Json::Num(ms, 2)))
+                .with("quarantines", latency.quarantines)
+                .with("faults_suspected", latency.faults_suspected)
+                .with("probes_run", latency.probes_run)
+                .with("dropped", latency.dropped),
+        );
+    write_record("BENCH_fault.json", record).expect("writing BENCH_fault.json");
 
     if !violations.is_empty() {
         eprintln!("\n{} contract violation(s):", violations.len());

@@ -16,9 +16,10 @@
 //! runs `--quick`).
 
 use dvbs2::channel::{mix_seed, FrameTag, LlrSource, Modulation};
-use dvbs2::decoder::{detected_cpu_features, SimdTier};
 use dvbs2::ldpc::{BitVec, CodeRate, FrameSize};
 use dvbs2::{Modcod, ModcodTable};
+use dvbs2_bench::args::{parse_env, Flag, Takes};
+use dvbs2_bench::json::{write_record, Json, Object};
 use dvbs2_pipeline::{
     AdmissionPolicy, DecodePipeline, DecodedFrame, PipelineConfig, PipelineStats, SoftFrame,
     SubmitError,
@@ -27,21 +28,16 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
-/// The PR whose code the committed record was taken with. Bump it in the PR
-/// that re-records the file.
-const RECORDED_BY: &str = "PR 15 (ISSUE 21)";
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: pipeline_soak [--frames N] [--seed S] [--workers W] [--quick]\n\
-         \n\
-         --frames N   frames per phase (default 400)\n\
-         --seed S     stream seed, decimal or 0x-hex (default 0x50AC)\n\
-         --workers W  worker threads (default: available parallelism)\n\
-         --quick      CI budget: 160 parity + 96 backpressure frames"
-    );
-    std::process::exit(2);
-}
+const FLAGS: &[Flag] = &[
+    Flag::taking("--frames", Takes::Positive("N"), "frames per phase (default 400)"),
+    Flag::taking("--seed", Takes::Number("S"), "stream seed, decimal or 0x-hex (default 0x50AC)"),
+    Flag::taking(
+        "--workers",
+        Takes::Positive("W"),
+        "worker threads (default: available parallelism)",
+    ),
+    Flag::switch("--quick", "CI budget: 160 parity + 96 backpressure frames"),
+];
 
 struct Options {
     frames: u64,
@@ -50,46 +46,17 @@ struct Options {
     workers: usize,
 }
 
-fn parse_u64(text: &str) -> Option<u64> {
-    match text.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => text.parse().ok(),
-    }
-}
-
 fn parse_args() -> Options {
-    let mut options = Options {
-        frames: 400,
-        backpressure_frames: 240,
-        seed: 0x50AC,
-        workers: dvbs2::channel::default_threads(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--frames" => match args.next().as_deref().and_then(parse_u64) {
-                Some(n) if n > 0 => {
-                    options.frames = n;
-                    options.backpressure_frames = (n * 3 / 5).max(1);
-                }
-                _ => usage(),
-            },
-            "--seed" => match args.next().as_deref().and_then(parse_u64) {
-                Some(s) => options.seed = s,
-                None => usage(),
-            },
-            "--workers" => match args.next().as_deref().and_then(parse_u64) {
-                Some(w) if w > 0 => options.workers = w as usize,
-                _ => usage(),
-            },
-            "--quick" => {
-                options.frames = 160;
-                options.backpressure_frames = 96;
-            }
-            _ => usage(),
-        }
+    let args = parse_env("pipeline_soak", FLAGS);
+    let frames = args.number("--frames").unwrap_or(if args.has("--quick") { 160 } else { 400 });
+    Options {
+        frames,
+        backpressure_frames: (frames * 3 / 5).max(1),
+        seed: args.number("--seed").unwrap_or(0x50AC),
+        workers: args
+            .number("--workers")
+            .map_or_else(dvbs2::channel::default_threads, |w| w as usize),
     }
-    options
 }
 
 /// Deterministic index-addressed mixed-rate stream: frame `i` transmits
@@ -157,7 +124,6 @@ fn run_parity_phase(table: &ModcodTable, stream: &[SoftFrame], workers: usize) -
             egress_capacity: 32,
             max_in_flight: 96,
             admission: AdmissionPolicy::Off,
-            log_every: 200,
             ..PipelineConfig::default()
         },
     );
@@ -400,70 +366,53 @@ fn main() {
     );
 
     // ---- record ----------------------------------------------------------
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"pipeline_soak\",\n");
-    json.push_str(&format!("  \"recorded_by\": \"{RECORDED_BY}\",\n"));
-    json.push_str(&format!("  \"seed\": {},\n", options.seed));
-    json.push_str(&format!("  \"workers\": {},\n", options.workers));
-    let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-    let tier = SimdTier::resolve(None);
-    let features = detected_cpu_features();
-    json.push_str(&format!(
-        "  \"cpu\": {{\"cores\": {cores}, \"single_vcpu\": {}, \"dispatch_tier\": \"{}\", \
-         \"features\": [{}]}},\n",
-        cores == 1,
-        tier.name(),
-        features.iter().map(|f| format!("\"{f}\"")).collect::<Vec<_>>().join(", ")
-    ));
-    json.push_str("  \"slots\": [\"1/2 short\", \"3/4 short\", \"8/9 short\"],\n");
-    json.push_str(
-        "  \"units\": \"sustained decoded Mbit/s over the whole phase, \
-         frame generation excluded\",\n",
-    );
+    let phase = |frames: u64, seconds: f64, info_mbps: f64| {
+        Object::new()
+            .with("frames", frames)
+            .with("seconds", Json::Num(seconds, 3))
+            .with("info_mbps", Json::Num(info_mbps, 3))
+    };
     // On a single-vCPU host a parallel-vs-serial ratio only measures pipeline
     // overhead, so flag the situation instead of recording a misleading number.
-    let speedup_field = if options.workers == 1 {
-        "\"single_vcpu\": true".to_string()
+    let parity_record = phase(options.frames, parity.seconds, parity_info_mbps)
+        .with("coded_mbps", Json::Num(parity_coded_mbps, 3));
+    let parity_record = if options.workers == 1 {
+        parity_record.with("single_vcpu", true)
     } else {
-        format!("\"speedup_vs_single_thread\": {speedup:.3}")
+        parity_record.with("speedup_vs_single_thread", Json::Num(speedup, 3))
     };
-    json.push_str(&format!(
-        "  \"parity\": {{\"frames\": {}, \"seconds\": {:.3}, \"info_mbps\": {:.3}, \
-         \"coded_mbps\": {:.3}, {speedup_field}, \
-         \"early_stop_rate\": {:.4}, \"mean_iterations\": {:.3}}},\n",
-        options.frames,
-        parity.seconds,
-        parity_info_mbps,
-        parity_coded_mbps,
-        parity.stats.early_stop_rate(),
-        parity.stats.mean_iterations(),
-    ));
-    json.push_str("  \"worker_scaling\": [\n");
-    for (i, &(w, seconds, mbps)) in scaling_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workers\": {w}, \"seconds\": {seconds:.3}, \"info_mbps\": {mbps:.3}, \
-             \"scaling_vs_1_worker\": {:.3}}}{}\n",
-            mbps / scaling_rows[0].2,
-            if i + 1 < scaling_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"backpressure\": {{\"frames\": {}, \"seconds\": {:.3}, \"info_mbps\": {:.3}, \
-         \"rejected\": {}, \"shed\": {}, \"dropped\": {}, \"ingress_watermark\": {}}}\n",
-        options.backpressure_frames,
-        pressure.seconds,
-        pressure_info_mbps,
-        pressure.stats.rejected,
-        pressure.stats.shed,
-        pressure.stats.dropped,
-        pressure.stats.ingress_watermark,
-    ));
-    json.push_str("}\n");
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
-    std::fs::write(out_path, &json).expect("writing BENCH_pipeline.json");
-    println!("wrote {out_path}");
+    let record = Object::new()
+        .with("benchmark", "pipeline_soak")
+        .provenance()
+        .with("seed", options.seed)
+        .with("workers", options.workers)
+        .with("slots", Json::array(["1/2 short", "3/4 short", "8/9 short"]))
+        .with("units", "sustained decoded Mbit/s over the whole phase, frame generation excluded")
+        .with(
+            "parity",
+            parity_record
+                .with("early_stop_rate", Json::Num(parity.stats.early_stop_rate(), 4))
+                .with("mean_iterations", Json::Num(parity.stats.mean_iterations(), 3)),
+        )
+        .with(
+            "worker_scaling",
+            Json::array(scaling_rows.iter().map(|&(w, seconds, mbps)| {
+                Object::new()
+                    .with("workers", w)
+                    .with("seconds", Json::Num(seconds, 3))
+                    .with("info_mbps", Json::Num(mbps, 3))
+                    .with("scaling_vs_1_worker", Json::Num(mbps / scaling_rows[0].2, 3))
+            })),
+        )
+        .with(
+            "backpressure",
+            phase(options.backpressure_frames, pressure.seconds, pressure_info_mbps)
+                .with("rejected", pressure.stats.rejected)
+                .with("shed", pressure.stats.shed)
+                .with("dropped", pressure.stats.dropped)
+                .with("ingress_watermark", pressure.stats.ingress_watermark),
+        );
+    write_record("BENCH_pipeline.json", record).expect("writing BENCH_pipeline.json");
 
     if !violations.is_empty() {
         eprintln!("\n{} contract violation(s):", violations.len());

@@ -22,9 +22,10 @@
 //! runs `--quick`).
 
 use dvbs2::channel::{mix_seed, Modulation, StreamKey};
-use dvbs2::decoder::{detected_cpu_features, SimdTier};
 use dvbs2::ldpc::{BitVec, CodeRate, FrameSize};
 use dvbs2::{Modcod, ModcodTable};
+use dvbs2_bench::args::{parse_env, Flag, Takes};
+use dvbs2_bench::json::{write_record, Json, Object};
 use dvbs2_pipeline::{AdmissionPolicy, PipelineConfig, QuarantinePolicy, WorkerFaultInjection};
 use dvbs2_service::{
     ServiceConfig, ServiceError, ServiceFrame, ServiceOutput, ServiceStats, ServiceTier,
@@ -36,21 +37,16 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-/// The PR whose code the committed record was taken with. Bump it in the PR
-/// that re-records the file.
-const RECORDED_BY: &str = "PR 15 (ISSUE 21)";
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: service_soak [--frames N] [--seed S] [--interval-us U] [--quick]\n\
-         \n\
-         --frames N       frames per stream per phase (default 36)\n\
-         --seed S         stream seed, decimal or 0x-hex (default 0x5EC7)\n\
-         --interval-us U  open-loop pacing between a client's frames (default 250)\n\
-         --quick          CI budget: 12 frames per stream, overload phase skipped"
-    );
-    std::process::exit(2);
-}
+const FLAGS: &[Flag] = &[
+    Flag::taking("--frames", Takes::Positive("N"), "frames per stream per phase (default 36)"),
+    Flag::taking("--seed", Takes::Number("S"), "stream seed, decimal or 0x-hex (default 0x5EC7)"),
+    Flag::taking(
+        "--interval-us",
+        Takes::Number("U"),
+        "open-loop pacing between a client's frames (default 250)",
+    ),
+    Flag::switch("--quick", "CI budget: 12 frames per stream, overload phase skipped"),
+];
 
 struct Options {
     frames: u64,
@@ -59,39 +55,15 @@ struct Options {
     quick: bool,
 }
 
-fn parse_u64(text: &str) -> Option<u64> {
-    match text.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => text.parse().ok(),
-    }
-}
-
 fn parse_args() -> Options {
-    let mut options =
-        Options { frames: 36, seed: 0x5EC7, interval: Duration::from_micros(250), quick: false };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--frames" => match args.next().as_deref().and_then(parse_u64) {
-                Some(n) if n > 0 => options.frames = n,
-                _ => usage(),
-            },
-            "--seed" => match args.next().as_deref().and_then(parse_u64) {
-                Some(s) => options.seed = s,
-                None => usage(),
-            },
-            "--interval-us" => match args.next().as_deref().and_then(parse_u64) {
-                Some(u) => options.interval = Duration::from_micros(u),
-                None => usage(),
-            },
-            "--quick" => {
-                options.frames = 12;
-                options.quick = true;
-            }
-            _ => usage(),
-        }
+    let args = parse_env("service_soak", FLAGS);
+    let quick = args.has("--quick");
+    Options {
+        frames: args.number("--frames").unwrap_or(if quick { 12 } else { 36 }),
+        seed: args.number("--seed").unwrap_or(0x5EC7),
+        interval: Duration::from_micros(args.number("--interval-us").unwrap_or(250)),
+        quick,
     }
-    options
 }
 
 /// The mixed-MODCOD dispatch table the soak serves: BPSK plus both APSK
@@ -777,89 +749,64 @@ fn main() {
     }
 
     // ---- record ----------------------------------------------------------
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"service_soak\",\n");
-    json.push_str(&format!("  \"recorded_by\": \"{RECORDED_BY}\",\n"));
-    json.push_str(&format!("  \"seed\": {},\n", options.seed));
-    json.push_str(&format!("  \"frames_per_stream\": {},\n", options.frames));
-    json.push_str(&format!("  \"interval_us\": {},\n", options.interval.as_micros()));
-    json.push_str(&format!("  \"quick\": {},\n", options.quick));
-    let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-    let tier = SimdTier::resolve(None);
-    let features = detected_cpu_features();
-    json.push_str(&format!(
-        "  \"cpu\": {{\"cores\": {cores}, \"single_vcpu\": {}, \"dispatch_tier\": \"{}\", \
-         \"features\": [{}]}},\n",
-        cores == 1,
-        tier.name(),
-        features.iter().map(|f| format!("\"{f}\"")).collect::<Vec<_>>().join(", ")
-    ));
-    json.push_str(
-        "  \"slots\": [\"BPSK 1/2 short\", \"16APSK 2/3 short\", \"32APSK 3/4 short\"],\n",
-    );
-    json.push_str(
-        "  \"tenants\": [{\"tenant\": 1, \"sla\": \"throughput_bound\", \"streams\": 4}, \
-         {\"tenant\": 2, \"sla\": \"latency_bound\", \"streams\": 4}],\n",
-    );
-    json.push_str(
-        "  \"units\": \"end-to-end latency (submit to in-order delivery) in \
-         microseconds, exact nearest-rank percentiles over raw samples\",\n",
-    );
-    json.push_str("  \"phases\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let lat = |l: &LatencySummary| {
-            format!(
-                "{{\"p50_us\": {:.1}, \"p99_us\": {:.1}, \"p999_us\": {:.1}, \
-                 \"max_us\": {:.1}, \"mean_us\": {:.1}}}",
-                l.p50 as f64 / 1e3,
-                l.p99 as f64 / 1e3,
-                l.p999 as f64 / 1e3,
-                l.max as f64 / 1e3,
-                l.mean / 1e3,
-            )
-        };
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"shards\": {}, \"seconds\": {:.3}, \
-             \"admitted\": {}, \"delivered\": {}, \"shed\": {}, \
-             \"rejected_backpressure\": {}, \"rejected_budget\": {}, \
-             \"migrations\": {}, \"fault_migrations\": {}, \"reconfigs\": {}, \
-             \"epoch\": {}, \"latency\": {},\n",
-            row.name,
-            row.shards,
-            row.seconds,
-            row.counts.total_admitted(),
-            row.stats.delivered,
-            row.counts.shed,
-            row.counts.rejected_backpressure,
-            row.counts.rejected_budget,
-            row.stats.migrations,
-            row.stats.fault_migrations,
-            row.stats.reconfigs,
-            row.stats.epoch,
-            lat(&row.outputs_latency),
-        ));
-        json.push_str("     \"per_tenant\": [\n");
-        for (j, tenant) in row.per_tenant.iter().enumerate() {
-            json.push_str(&format!(
-                "       {{\"tenant\": {}, \"delivered\": {}, \"info_mbps\": {:.3}, \
-                 \"shed\": {}, \"rejected\": {}, \"latency\": {}}}{}\n",
-                tenant.tenant,
-                tenant.delivered,
-                tenant.info_mbps,
-                tenant.shed,
-                tenant.rejected,
-                lat(&tenant.latency),
-                if j + 1 < row.per_tenant.len() { "," } else { "" }
-            ));
-        }
-        json.push_str(&format!("     ]}}{}\n", if i + 1 < rows.len() { "," } else { "" }));
-    }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
-    std::fs::write(out_path, &json).expect("writing BENCH_service.json");
-    println!("wrote {out_path}");
+    let us = |ns: f64| Json::Num(ns / 1e3, 1);
+    let latency = |l: &LatencySummary| {
+        Object::new()
+            .with("p50_us", us(l.p50 as f64))
+            .with("p99_us", us(l.p99 as f64))
+            .with("p999_us", us(l.p999 as f64))
+            .with("max_us", us(l.max as f64))
+            .with("mean_us", us(l.mean))
+    };
+    let tenant = |tenant: u32, sla: &str| {
+        Object::new().with("tenant", tenant).with("sla", sla).with("streams", 4u32)
+    };
+    let record = Object::new()
+        .with("benchmark", "service_soak")
+        .provenance()
+        .with("seed", options.seed)
+        .with("frames_per_stream", options.frames)
+        .with("interval_us", options.interval.as_micros())
+        .with("quick", options.quick)
+        .with("slots", Json::array(["BPSK 1/2 short", "16APSK 2/3 short", "32APSK 3/4 short"]))
+        .with("tenants", Json::array([tenant(1, "throughput_bound"), tenant(2, "latency_bound")]))
+        .with(
+            "units",
+            "end-to-end latency (submit to in-order delivery) in microseconds, exact \
+             nearest-rank percentiles over raw samples",
+        )
+        .with(
+            "phases",
+            Json::array(rows.iter().map(|row| {
+                Object::new()
+                    .with("name", row.name.as_str())
+                    .with("shards", row.shards)
+                    .with("seconds", Json::Num(row.seconds, 3))
+                    .with("admitted", row.counts.total_admitted())
+                    .with("delivered", row.stats.delivered)
+                    .with("shed", row.counts.shed)
+                    .with("rejected_backpressure", row.counts.rejected_backpressure)
+                    .with("rejected_budget", row.counts.rejected_budget)
+                    .with("migrations", row.stats.migrations)
+                    .with("fault_migrations", row.stats.fault_migrations)
+                    .with("reconfigs", row.stats.reconfigs)
+                    .with("epoch", row.stats.epoch)
+                    .with("latency", latency(&row.outputs_latency))
+                    .with(
+                        "per_tenant",
+                        Json::array(row.per_tenant.iter().map(|tenant| {
+                            Object::new()
+                                .with("tenant", tenant.tenant)
+                                .with("delivered", tenant.delivered)
+                                .with("info_mbps", Json::Num(tenant.info_mbps, 3))
+                                .with("shed", tenant.shed)
+                                .with("rejected", tenant.rejected)
+                                .with("latency", latency(&tenant.latency))
+                        })),
+                    )
+            })),
+        );
+    write_record("BENCH_service.json", record).expect("writing BENCH_service.json");
 
     if !violations.is_empty() {
         eprintln!("\n{} contract violation(s):", violations.len());

@@ -1,8 +1,17 @@
-//! Shared helpers for the table/figure regeneration binaries.
+//! The paper-reproduction and measurement harness.
 //!
-//! Each binary under `src/bin/` regenerates one artifact of the paper (see
-//! DESIGN.md §4 for the experiment index); `EXPERIMENTS.md` records their
-//! output against the paper's numbers.
+//! [`experiments`] is the registry behind the `repro` binary: one function
+//! per experiment of DESIGN.md §4, each returning typed [`table::Table`]s,
+//! with the rows the paper states checked by `repro check`;
+//! `EXPERIMENTS.md` records their output against the paper's numbers. The
+//! other binaries under `src/bin/` (throughput, BER gates, oracle, soaks)
+//! share [`args`] for their command lines and [`json`] for the
+//! `BENCH_*.json` records they write.
+
+pub mod args;
+pub mod experiments;
+pub mod json;
+pub mod table;
 
 use dvbs2::channel::StopRule;
 use dvbs2::prelude::*;

@@ -38,10 +38,7 @@ pub use capacity::{
 pub use interleave::BlockInterleaver;
 pub use llr::{bpsk_llr, db_to_linear, ebn0_to_esn0_db, linear_to_db, noise_sigma};
 pub use modem::{Modulation, APSK16_GAMMA, APSK32_GAMMA};
-pub use sim::{
-    default_threads, mix_seed, monte_carlo_batches, monte_carlo_frames, BerEstimate, FrameOutcome,
-    StopRule,
-};
+pub use sim::{default_threads, mix_seed, monte_carlo_frames, BerEstimate, FrameOutcome, StopRule};
 pub use stream::{
     FrameStream, FrameTag, LlrFrame, LlrSource, MultiStreamSource, StreamKey, TaggedLlrFrame,
 };

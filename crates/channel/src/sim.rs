@@ -150,38 +150,6 @@ where
     W: Fn(usize) -> F + Sync,
     F: FnMut(u64) -> FrameOutcome,
 {
-    monte_carlo_batches(threads, stop, chunk_frames, |t| {
-        let mut simulate = make_worker(t);
-        move |first: u64, count: usize| (first..first + count as u64).map(&mut simulate).collect()
-    })
-}
-
-/// The chunk-granular core of [`monte_carlo_frames`]: the worker closure
-/// receives a whole chunk — `(first_frame, count)` for the consecutive
-/// global indices `first_frame..first_frame + count` — and returns one
-/// [`FrameOutcome`] per index, in order.
-///
-/// A worker that wants a whole chunk at once can generate its noise
-/// realizations (seeded per global index, so outcomes stay bit-reproducible
-/// at any thread count) and process them in one call. The chunking, work
-/// stealing and deterministic early-out are identical to
-/// [`monte_carlo_frames`], which is implemented on top of this by mapping
-/// the per-frame closure over each chunk.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, `stop.max_frames == 0`, `chunk_frames == 0`,
-/// or a worker returns a vector whose length is not `count`.
-pub fn monte_carlo_batches<W, F>(
-    threads: usize,
-    stop: StopRule,
-    chunk_frames: usize,
-    make_worker: W,
-) -> BerEstimate
-where
-    W: Fn(usize) -> F + Sync,
-    F: FnMut(u64, usize) -> Vec<FrameOutcome>,
-{
     assert!(threads > 0, "need at least one thread");
     assert!(stop.max_frames > 0, "max_frames must be positive");
     assert!(chunk_frames > 0, "chunk_frames must be positive");
@@ -226,11 +194,8 @@ where
                     let mut local = BerEstimate::default();
                     let first = (chunk * chunk_frames) as u64;
                     let last = ((chunk + 1) * chunk_frames).min(stop.max_frames) as u64;
-                    let count = (last - first) as usize;
-                    let outcomes = simulate(first, count);
-                    assert_eq!(outcomes.len(), count, "worker must return one outcome per frame");
-                    for outcome in outcomes {
-                        local.record(outcome);
+                    for frame in first..last {
+                        local.record(simulate(frame));
                     }
                     let mut p = progress.lock().expect("no panics hold the lock");
                     p.results[chunk] = Some(local);
@@ -369,27 +334,14 @@ mod tests {
     }
 
     #[test]
-    fn batched_workers_match_per_frame_workers() {
+    fn early_out_under_a_frame_cap_is_identical_across_thread_counts() {
         let stop = StopRule { max_frames: 400, target_frame_errors: 10 };
         let reference = monte_carlo_frames(1, stop, 16, |_| frame_outcome);
+        assert!(reference.frames < 400, "the early-out fires before the cap");
         for threads in [1, 4] {
-            let est = monte_carlo_batches(threads, stop, 16, |_| {
-                |first: u64, count: usize| {
-                    (first..first + count as u64).map(frame_outcome).collect()
-                }
-            });
+            let est = monte_carlo_frames(threads, stop, 16, |_| frame_outcome);
             assert_eq!(est, reference, "threads {threads}");
         }
-    }
-
-    // The length assert fires on a worker thread, so the panic that reaches
-    // the test is the scope's propagated one.
-    #[test]
-    #[should_panic(expected = "scoped thread panicked")]
-    fn short_batch_is_rejected() {
-        let _ = monte_carlo_batches(1, StopRule::frames(10), 4, |_| {
-            |_first: u64, _count: usize| vec![FrameOutcome::default()]
-        });
     }
 
     #[test]

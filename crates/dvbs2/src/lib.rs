@@ -56,8 +56,8 @@ pub mod prelude {
     };
     pub use dvbs2_bch::{BchCode, BchDecoder, BchEncoder};
     pub use dvbs2_channel::{
-        mix_seed, monte_carlo_batches, monte_carlo_frames, noise_sigma, shannon_limit_biawgn_db,
-        AwgnChannel, BerEstimate, FrameOutcome, Modulation, StopRule,
+        mix_seed, monte_carlo_frames, noise_sigma, shannon_limit_biawgn_db, AwgnChannel,
+        BerEstimate, FrameOutcome, Modulation, StopRule,
     };
     pub use dvbs2_decoder::{
         CheckRule, DecodeResult, Decoder, DecoderConfig, FloodingDecoder, LayeredDecoder,

@@ -197,8 +197,6 @@ pub struct PipelineConfig {
     pub admission: AdmissionPolicy,
     /// Hardware model the admission ladder is computed against.
     pub throughput_model: ThroughputModel,
-    /// Emit a stats log line every this many emitted frames (0 = never).
-    pub log_every: u64,
     /// Syndrome-anomaly quarantine policy (disabled by default).
     pub quarantine: QuarantinePolicy,
     /// Test/bench hook: deterministically corrupt one worker's input
@@ -215,7 +213,6 @@ impl Default for PipelineConfig {
             max_in_flight: 160,
             admission: AdmissionPolicy::Off,
             throughput_model: ThroughputModel::paper(&ST_0_13_UM),
-            log_every: 0,
             quarantine: QuarantinePolicy::default(),
             fault_injection: None,
         }
@@ -688,10 +685,6 @@ fn emit_in_order(shared: &Shared, decoded: DecodedFrame) {
             shared.stats.dropped.fetch_add(1, Ordering::Relaxed);
             continue;
         }
-        let emitted = shared.stats.emitted.fetch_add(1, Ordering::Relaxed) + 1;
-        let every = shared.config.log_every;
-        if every > 0 && emitted.is_multiple_of(every) {
-            eprintln!("{}", shared.stats.snapshot().log_line());
-        }
+        shared.stats.emitted.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -321,32 +321,6 @@ impl PipelineStats {
             self.latency_ns_total as f64 / self.emitted as f64
         }
     }
-
-    /// One-line log form, suitable for the periodic progress line.
-    pub fn log_line(&self) -> String {
-        let us = |ns: u64| ns as f64 / 1_000.0;
-        format!(
-            "pipeline: in={} out={} rej={} drop={} inflight={} it_mean={:.2} it_p99={} \
-             early={:.0}% ns/frame={:.0} lat_p50={:.0}us lat_p99={:.0}us lat_p999={:.0}us \
-             lat_max={:.0}us wm_in={} wm_reorder={} quar={}",
-            self.submitted,
-            self.emitted,
-            self.rejected,
-            self.dropped,
-            self.in_flight,
-            self.mean_iterations(),
-            self.iteration_quantile(0.99),
-            100.0 * self.early_stop_rate(),
-            self.ns_per_frame(),
-            us(self.latency_quantile_ns(0.50)),
-            us(self.latency_quantile_ns(0.99)),
-            us(self.latency_quantile_ns(0.999)),
-            us(self.latency_watermark_ns),
-            self.ingress_watermark,
-            self.reorder_watermark,
-            self.quarantined_now,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -475,7 +449,6 @@ mod tests {
         assert!(p999 > 900_000 && p999 <= 1_000_000, "p999 {p999}");
         assert_eq!(s.latency_watermark_ns, 1_000_000);
         assert!((s.mean_latency_ns() - 10_990.0).abs() < 1e-9);
-        assert!(s.log_line().contains("lat_p50="), "log line exposes latency");
     }
 
     #[test]
@@ -484,6 +457,5 @@ mod tests {
         assert_eq!(s.mean_iterations(), 0.0);
         assert_eq!(s.early_stop_rate(), 0.0);
         assert_eq!(s.ns_per_frame(), 0.0);
-        assert!(s.log_line().starts_with("pipeline: in=0"));
     }
 }

@@ -171,28 +171,6 @@ impl ServiceStats {
             self.latency_ns_total as f64 / self.delivered as f64
         }
     }
-
-    /// One-line operator summary, the service-tier sibling of
-    /// [`PipelineStats::log_line`](dvbs2_pipeline::PipelineStats::log_line).
-    pub fn log_line(&self) -> String {
-        format!(
-            "service: in={} out={} rej_bp={} rej_budget={} shed={} mig={} fault_mig={} \
-             reconf={} epoch={} lat_p50={:.0}us lat_p99={:.0}us lat_p999={:.0}us lat_max={:.0}us",
-            self.submitted,
-            self.delivered,
-            self.rejected_backpressure,
-            self.rejected_budget,
-            self.shed_latency,
-            self.migrations,
-            self.fault_migrations,
-            self.reconfigs,
-            self.epoch,
-            self.latency_quantile_ns(0.50) as f64 / 1e3,
-            self.latency_quantile_ns(0.99) as f64 / 1e3,
-            self.latency_quantile_ns(0.999) as f64 / 1e3,
-            self.latency_watermark_ns as f64 / 1e3,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -214,6 +192,5 @@ mod tests {
         let p999 = stats.latency_quantile_ns(0.999);
         assert!(p999 <= 10_000, "p999 rank 999 still lands on the 10us mass");
         assert_eq!(stats.latency_watermark_ns, 5_000_000);
-        assert!(stats.log_line().starts_with("service: in=0"));
     }
 }
