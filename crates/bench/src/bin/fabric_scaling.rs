@@ -21,7 +21,7 @@
 use dvbs2::decoder::{DecoderConfig, QCheckArithmetic, QuantizedZigzagDecoder, Quantizer};
 use dvbs2::hardware::{
     hw_chain_partition, Arbitration, CnSchedule, ConnectivityRom, CoreConfig, DecoderFabric,
-    FabricConfig, FabricModel, ST_0_13_UM,
+    FabricConfig, FabricModel, GoldenModel, HardwareDecoder, ST_0_13_UM,
 };
 use dvbs2::ldpc::{CodeRate, DvbS2Code, FrameSize};
 use dvbs2::{Dvbs2System, SystemConfig};
@@ -40,6 +40,12 @@ const CORES: [usize; 5] = [1, 2, 4, 8, 16];
 /// wave structure (it has no per-frame arbitration jitter), so it is not
 /// exact under contention — but it must stay a *model*, not a guess.
 const MAKESPAN_GATE_PCT: f64 = 5.0;
+/// The cycle-accurate core may cost this many times the software lane
+/// reference's frame. Both run the same lane kernel over the same frame; the
+/// core adds the memory timing model and one wide word of copying per read
+/// and per write-back (1.5× when recorded; 13× with the per-unit loop).
+/// Beyond the gate the array has left the lanes.
+const CORE_OVER_LANES_GATE: f64 = 8.0;
 
 struct Row {
     rate: CodeRate,
@@ -256,20 +262,55 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut ref_rng = SmallRng::seed_from_u64(0x51D0);
     let ref_channel = sw.quantize_channel(&ref_sys.transmit_frame(&mut ref_rng, 2.0).llrs);
     let sw_reps = if quick { 2 } else { 4 };
-    let mut sw_best = f64::INFINITY;
-    for _ in 0..sw_reps {
-        let t = Instant::now();
+    let best_ms = |decode: &mut dyn FnMut()| {
+        let mut best = f64::INFINITY;
+        for _ in 0..sw_reps {
+            let t = Instant::now();
+            decode();
+            best = best.min(t.elapsed().as_secs_f64());
+        }
+        best * 1e3
+    };
+    let sw_frame_ms = best_ms(&mut || {
         std::hint::black_box(sw.decode_quantized(std::hint::black_box(&ref_channel)));
-        sw_best = sw_best.min(t.elapsed().as_secs_f64());
-    }
-    let sw_frame_ms = sw_best * 1e3;
-    let sw_per_iteration_us = sw_best / sw_iterations as f64 * 1e6;
-    let sw_info_mbps = ref_code.params().k as f64 / sw_best / 1e6;
+    });
+    let sw_per_iteration_us = sw_frame_ms / sw_iterations as f64 * 1e3;
+    let sw_info_mbps = ref_code.params().k as f64 / sw_frame_ms / 1e3;
     println!(
         "\nsw lane reference (R 1/2 Normal, {sw_iterations} fixed iterations, tier {sw_tier}): \
          {sw_frame_ms:.2} ms/frame, {sw_per_iteration_us:.1} us/iteration, \
          {sw_info_mbps:.2} Mbit/s info"
     );
+
+    // The two hardware models at the paper's point on the same frame: host
+    // time per frame of what every row above and every oracle sweep pays.
+    let paper = CoreConfig::default();
+    let mut hw = HardwareDecoder::new(&ref_code, ref_schedule.clone(), paper);
+    let mut golden = GoldenModel::new(
+        &ref_code,
+        ref_schedule,
+        paper.quantizer,
+        paper.max_iterations,
+        paper.early_stop,
+    );
+    let hw_tier = hw.simd_tier().map_or("per-unit", |t| t.name());
+    let core_ms_per_frame = best_ms(&mut || {
+        std::hint::black_box(hw.decode_quantized(std::hint::black_box(&ref_channel)));
+    });
+    let golden_ms_per_frame = best_ms(&mut || {
+        std::hint::black_box(golden.decode_quantized(std::hint::black_box(&ref_channel)));
+    });
+    let core_over_lanes = core_ms_per_frame / sw_frame_ms;
+    println!(
+        "hardware models, same frame (tier {hw_tier}): core {core_ms_per_frame:.2} ms/frame, \
+         golden {golden_ms_per_frame:.2} ms/frame, core {core_over_lanes:.1}x the lane reference"
+    );
+    if core_over_lanes > CORE_OVER_LANES_GATE {
+        violations.push(format!(
+            "the cycle-accurate core costs {core_over_lanes:.1}x the lane reference's frame \
+             ({core_ms_per_frame:.2} ms against {sw_frame_ms:.2} ms, gate {CORE_OVER_LANES_GATE}x)"
+        ));
+    }
 
     let record = Object::new()
         .with("bench", "fabric_scaling")
@@ -288,6 +329,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .with("frame_ms", Json::Num(sw_frame_ms, 3))
                 .with("per_iteration_us", Json::Num(sw_per_iteration_us, 2))
                 .with("info_mbps", Json::Num(sw_info_mbps, 3)),
+        )
+        .with(
+            "hw_paper_point",
+            Object::new()
+                .with("tier", hw_tier)
+                .with("core_ms_per_frame", Json::Num(core_ms_per_frame, 3))
+                .with("golden_ms_per_frame", Json::Num(golden_ms_per_frame, 3))
+                .with("core_over_lane_reference", Json::Num(core_over_lanes, 2)),
         )
         .with(
             "rows",

@@ -61,7 +61,7 @@
 //! reports them, else the AVX2 clone runs — bit-identical either way.
 
 use crate::qdecoder::{ChainPartition, Fnv};
-use crate::quant::QCheckArithmetic;
+use crate::quant::{QBoxplus, QCheckArithmetic, Quantizer};
 use crate::simd::SimdTier;
 use crate::stopping::{hard_decisions_int_into, syndrome_ok};
 use crate::DecodeResult;
@@ -82,6 +82,99 @@ enum LaneKernel {
     Lut { thresholds: [i16; MAX_CORR_THRESHOLDS] },
     /// Shift-based normalized min-sum.
     MinSum { shift: u32 },
+}
+
+/// The quantizer's rail as a lane value, or `None` when the lanes cannot
+/// hold the arithmetic: the combine kernel forms `|a ± b|` in `i16`, so
+/// `2·max_mag` must fit.
+fn lane_max_mag(quantizer: &Quantizer) -> Option<i16> {
+    let max_mag = quantizer.max_mag();
+    (2 * max_mag <= i16::MAX as i32).then_some(max_mag as i16)
+}
+
+/// The correction table as the lane kernel carries it, or `None` when it
+/// does not decompose or needs more than [`MAX_CORR_THRESHOLDS`] steps.
+/// Thresholds live on the reachable index range `|a ± b| <= 2·max_mag`,
+/// which fits `i16` for every quantizer [`lane_max_mag`] accepts.
+fn lane_thresholds(boxplus: &QBoxplus) -> Option<[i16; MAX_CORR_THRESHOLDS]> {
+    let th = boxplus.corr_thresholds()?;
+    if th.len() > MAX_CORR_THRESHOLDS {
+        return None;
+    }
+    let mut thresholds = [-1i16; MAX_CORR_THRESHOLDS];
+    for (slot, &t) in thresholds.iter_mut().zip(&th) {
+        *slot = t as i16;
+    }
+    Some(thresholds)
+}
+
+/// The lane-wide LUT check update, for callers outside this crate: the
+/// threshold-decomposed correction of one [`QBoxplus`] and the dispatch
+/// tier that runs it. `dvbs2-hardware`'s functional-unit array updates its
+/// 360 units through this, so the cycle-accurate core, the golden model and
+/// the lane planes here share one kernel and one eligibility rule.
+#[derive(Debug, Clone)]
+pub struct LaneLut {
+    tier: SimdTier,
+    thresholds: [i16; MAX_CORR_THRESHOLDS],
+    max_mag: i16,
+}
+
+impl LaneLut {
+    /// The lane form of `boxplus`, or `None` when saturating `i16` lanes
+    /// cannot express it exactly (the rule [`QuantizedZigzagDecoder`]'s lane
+    /// planes apply: `2·max_mag` beyond `i16`, or a correction table of
+    /// more than four unit steps). The caller then keeps its scalar
+    /// [`QBoxplus::extrinsic`] path.
+    ///
+    /// `forced` pins the dispatch tier; `None` takes [`SimdTier::detect`],
+    /// which honours `DVBS2_SIMD`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tier is not available on this CPU.
+    ///
+    /// [`QuantizedZigzagDecoder`]: crate::QuantizedZigzagDecoder
+    pub fn try_new(boxplus: &QBoxplus, forced: Option<SimdTier>) -> Option<LaneLut> {
+        Some(LaneLut {
+            tier: SimdTier::resolve(forced),
+            thresholds: lane_thresholds(boxplus)?,
+            max_mag: lane_max_mag(boxplus.quantizer())?,
+        })
+    }
+
+    /// The dispatch tier the kernel runs at.
+    pub fn tier(&self) -> SimdTier {
+        self.tier
+    }
+
+    /// Extrinsic outputs of `lanes` check nodes of one degree at once.
+    /// `v2c[i * lanes + u]` is input `i` of node `u`, and `c2v` receives the
+    /// outputs in the same layout. Every lane equals [`QBoxplus::extrinsic`]
+    /// on that lane's inputs, for inputs inside the quantizer's rail.
+    /// `prefix` is `lanes` words of scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `v2c` and `c2v` hold the same whole number (at least
+    /// two) of `lanes`-wide vectors and `prefix` holds one.
+    pub fn extrinsic(&self, v2c: &[i16], c2v: &mut [i16], lanes: usize, prefix: &mut [i16]) {
+        assert_eq!(v2c.len(), c2v.len(), "length mismatch");
+        assert_eq!(prefix.len(), lanes, "prefix scratch must be one vector");
+        assert!(lanes > 0 && v2c.len().is_multiple_of(lanes), "blocks must be whole vectors");
+        let d = v2c.len() / lanes;
+        assert!(d >= 2, "a check node has at least two inputs");
+        lane_lut_extrinsic_tier(
+            self.tier,
+            v2c,
+            c2v,
+            lanes,
+            d,
+            self.thresholds,
+            self.max_mag,
+            prefix,
+        );
+    }
 }
 
 /// Sub-chain-major SoA plan + state for the SIMD quantized decode.
@@ -171,27 +264,9 @@ impl SimdQuant {
         if q_rows < 2 {
             return None;
         }
-        let max_mag_wide = arithmetic.quantizer().max_mag();
-        // The combine kernel forms |a ± b| in i16, so 2·max_mag must fit.
-        if 2 * max_mag_wide > i16::MAX as i32 {
-            return None;
-        }
-        let max_mag = max_mag_wide as i16;
+        let max_mag = lane_max_mag(arithmetic.quantizer())?;
         let kernel = match arithmetic {
-            QCheckArithmetic::Lut(bp) => {
-                let th = bp.corr_thresholds()?;
-                if th.len() > MAX_CORR_THRESHOLDS {
-                    return None;
-                }
-                let mut thresholds = [-1i16; MAX_CORR_THRESHOLDS];
-                for (slot, &t) in thresholds.iter_mut().zip(&th) {
-                    // Thresholds live on the reachable index range
-                    // |a ± b| <= 2·max_mag, which fits i16 per the gate
-                    // above.
-                    *slot = t as i16;
-                }
-                LaneKernel::Lut { thresholds }
-            }
+            QCheckArithmetic::Lut(bp) => LaneKernel::Lut { thresholds: lane_thresholds(bp)? },
             QCheckArithmetic::MinSumShift { shift, .. } => LaneKernel::MinSum { shift: *shift },
         };
         let info_d = graph.check_edges(0).len() - 1;
@@ -957,6 +1032,19 @@ qtier_clones!(
 );
 
 qtier_clones!(
+    lane_lut_extrinsic_tier, lane_lut_extrinsic, lane_lut_extrinsic_avx2, lane_lut_extrinsic_avx512;
+    (
+        v2c: &[i16],
+        c2v: &mut [i16],
+        lanes: usize,
+        d: usize,
+        th: [i16; MAX_CORR_THRESHOLDS],
+        max_mag: i16,
+        prefix: &mut [i16],
+    )
+);
+
+qtier_clones!(
     check_sweep_tier, check_sweep, check_sweep_avx2, check_sweep_avx512;
     (
         lanes: usize,
@@ -985,7 +1073,6 @@ qtier_clones!(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quant::{QBoxplus, Quantizer};
     use crate::stopping::hard_decisions_int;
     use crate::test_support::{rotation_partition, SplitMix64};
     use dvbs2_ldpc::{
@@ -1150,11 +1237,7 @@ mod tests {
     fn lane_combine_matches_scalar_combine_exhaustively() {
         for q in [Quantizer::paper_6bit(), Quantizer::paper_5bit()] {
             let bp = QBoxplus::new(q);
-            let th_vec = bp.corr_thresholds().unwrap();
-            let mut th = [-1i16; MAX_CORR_THRESHOLDS];
-            for (slot, &t) in th.iter_mut().zip(&th_vec) {
-                *slot = t as i16;
-            }
+            let th = lane_thresholds(&bp).unwrap();
             let m = q.max_mag();
             for a in -m..=m {
                 for b in -m..=m {
@@ -1171,7 +1254,6 @@ mod tests {
 
     #[test]
     fn min_sum_lane_kernel_matches_scalar_rule() {
-        use crate::quant::QCheckArithmetic;
         let q = Quantizer::paper_6bit();
         let arith = QCheckArithmetic::min_sum_shift(q, 2);
         let lanes = 5;
@@ -1204,11 +1286,7 @@ mod tests {
     fn lut_lane_kernel_matches_scalar_extrinsic() {
         let q = Quantizer::paper_6bit();
         let bp = QBoxplus::new(q);
-        let th_vec = bp.corr_thresholds().unwrap();
-        let mut th = [-1i16; MAX_CORR_THRESHOLDS];
-        for (slot, &t) in th.iter_mut().zip(&th_vec) {
-            *slot = t as i16;
-        }
+        let th = lane_thresholds(&bp).unwrap();
         let lanes = 7;
         let d = 5;
         let mut state = 0xD1B54A32D192ED03u64;

@@ -142,7 +142,7 @@ impl QBoxplus {
     /// [`QBoxplus::new`], but the decomposition is verified here rather
     /// than assumed, so a future table change degrades to the scalar path
     /// instead of silently decoding wrong.
-    pub(crate) fn corr_thresholds(&self) -> Option<Vec<i32>> {
+    pub fn corr_thresholds(&self) -> Option<Vec<i32>> {
         let reach = 2 * self.quantizer.max_mag() as usize;
         let corr = self.corr.get(..=reach)?;
         let mut thresholds = Vec::new();

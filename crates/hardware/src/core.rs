@@ -15,7 +15,7 @@ use crate::memory::MemoryConfig;
 use crate::rom::ConnectivityRom;
 use crate::schedule::CnSchedule;
 use crate::shuffle::ShuffleNetwork;
-use dvbs2_decoder::{hard_decisions_int, DecodeResult, Quantizer};
+use dvbs2_decoder::{hard_decisions_int, DecodeResult, Quantizer, SimdTier};
 use dvbs2_ldpc::{CodeParams, DvbS2Code, PARALLELISM};
 use std::collections::VecDeque;
 
@@ -90,14 +90,36 @@ struct PendingWrite {
 }
 
 /// Data-carrying model of the conflict buffer of Figure 5.
+///
+/// Lives as long as the core: a committed write hands its word buffer back
+/// for the next one, so after the first phase a decode allocates nothing
+/// here.
 #[derive(Debug, Default)]
 struct WriteQueue {
     inflight: VecDeque<PendingWrite>,
     buffer: VecDeque<PendingWrite>,
     max_buffer: usize,
+    /// Word buffers of committed writes, for [`WriteQueue::word_buffer`].
+    free: Vec<Vec<i32>>,
+    /// Banks written in the current cycle.
+    issued: Vec<u32>,
 }
 
 impl WriteQueue {
+    /// Starts a phase with an empty queue and a fresh occupancy count. A
+    /// phase drains its queue, so there is something to clear only after a
+    /// decode that unwound mid-phase.
+    fn begin_phase(&mut self) {
+        let stale = self.inflight.drain(..).chain(self.buffer.drain(..));
+        self.free.extend(stale.map(|w| w.data));
+        self.max_buffer = 0;
+    }
+
+    /// A 360-lane buffer for the next [`WriteQueue::push`].
+    fn word_buffer(&mut self) -> Vec<i32> {
+        self.free.pop().unwrap_or_else(|| vec![0; PARALLELISM])
+    }
+
     fn push(&mut self, word: u32, arrival: usize, data: Vec<i32>) {
         debug_assert!(self.inflight.back().is_none_or(|w| w.arrival <= arrival));
         self.inflight.push_back(PendingWrite { word, arrival, data });
@@ -122,12 +144,12 @@ impl WriteQueue {
             self.buffer.push_back(w);
         }
         let banks = memory.banks as u32;
-        let mut used: Vec<u32> = Vec::with_capacity(memory.write_ports);
+        self.issued.clear();
         let mut idx = 0;
-        while idx < self.buffer.len() && used.len() < memory.write_ports {
+        while idx < self.buffer.len() && self.issued.len() < memory.write_ports {
             let bank = self.buffer[idx].word % banks;
-            if Some(bank) != read_bank && !used.contains(&bank) {
-                used.push(bank);
+            if Some(bank) != read_bank && !self.issued.contains(&bank) {
+                self.issued.push(bank);
                 let w = self.buffer.remove(idx).expect("index in range");
                 let word = w.word as usize;
                 let p = w.data.len();
@@ -135,6 +157,7 @@ impl WriteQueue {
                 lanes.copy_from_slice(&w.data);
                 scenario.corrupt_word(word, lanes, quantizer, point);
                 write_pending[word] = false;
+                self.free.push(w.data);
             } else {
                 idx += 1;
             }
@@ -153,16 +176,18 @@ pub struct HardwareDecoder {
     params: CodeParams,
     rom: ConnectivityRom,
     schedule: CnSchedule,
+    /// `schedule.read_sequence()`, the check phase's read per cycle.
+    reads: Vec<u32>,
     fu: FunctionalUnitArray,
     shuffle: ShuffleNetwork,
     config: CoreConfig,
     scenario: FaultScenario,
     ram: Vec<i32>,
     write_pending: Vec<bool>,
+    queue: WriteQueue,
     totals: Vec<i32>,
     block_in: Vec<i32>,
     block_out: Vec<i32>,
-    rotated: Vec<i32>,
 }
 
 impl HardwareDecoder {
@@ -183,12 +208,13 @@ impl HardwareDecoder {
             shuffle: ShuffleNetwork::new(PARALLELISM),
             ram: vec![0; words * PARALLELISM],
             write_pending: vec![false; words],
+            queue: WriteQueue::default(),
             totals: vec![0; params.n],
             block_in: vec![0; max_block * PARALLELISM],
             block_out: vec![0; max_block * PARALLELISM],
-            rotated: vec![0; PARALLELISM],
             params,
             rom,
+            reads: schedule.read_sequence(),
             schedule,
             config,
             scenario: FaultScenario::none(),
@@ -214,6 +240,13 @@ impl HardwareDecoder {
     /// The schedule driving the check phase.
     pub fn schedule(&self) -> &CnSchedule {
         &self.schedule
+    }
+
+    /// The dispatch tier the functional units' lane-wide check update runs
+    /// at, or `None` when the quantizer takes the per-unit fallback (see
+    /// [`FunctionalUnitArray::simd_tier`]).
+    pub fn simd_tier(&self) -> Option<SimdTier> {
+        self.fu.simd_tier()
     }
 
     /// Injects (or clears) a single permanently stuck/flipping RAM word —
@@ -301,7 +334,7 @@ impl HardwareDecoder {
         self.ram.fill(0);
         self.scenario.corrupt_power_on(&mut self.ram, &self.config.quantizer);
         self.write_pending.fill(false);
-        self.fu.reset();
+        self.fu.reset(channel);
 
         let mut cycles = CycleBreakdown {
             io_cycles: self.params.n.div_ceil(self.config.p_io),
@@ -312,7 +345,7 @@ impl HardwareDecoder {
         for iteration in 0..self.config.max_iterations {
             cycles.iterations += 1;
             let (info_cycles, info_buf) = self.information_phase_timed(channel, iteration as u32);
-            let (check_cycles, check_buf) = self.check_phase_timed(channel, iteration as u32);
+            let (check_cycles, check_buf) = self.check_phase_timed(iteration as u32);
             cycles.info_phase_cycles += info_cycles;
             cycles.check_phase_cycles += check_cycles;
             cycles.max_buffer = cycles.max_buffer.max(info_buf).max(check_buf);
@@ -371,7 +404,7 @@ impl HardwareDecoder {
         let p = PARALLELISM;
         let point = CommitPoint { iteration, phase: CommitPhase::Info };
         let latency = self.config.memory.fu_latency;
-        let mut queue = WriteQueue::default();
+        self.queue.begin_phase();
         let words = self.rom.words();
         let mut cycle = 0usize;
         let mut group = 0usize;
@@ -380,7 +413,7 @@ impl HardwareDecoder {
         // so a short group's outputs wait for the previous group's stream.
         let mut output_free_at = 0usize;
 
-        while cycle < words || !queue.is_empty() {
+        while cycle < words || !self.queue.is_empty() {
             let read_word = if cycle < words { Some(cycle) } else { None };
             if let Some(w) = read_word {
                 assert!(!self.write_pending[w], "read-after-write hazard on word {w}");
@@ -395,17 +428,18 @@ impl HardwareDecoder {
                     let base = self.rom.group_base(group);
                     // Split borrows: block_in is read, block_out written.
                     let (bi, bo) = (&self.block_in[..d * p], &mut self.block_out[..d * p]);
-                    self.fu.process_vn_group(d, &channel[group * p..(group + 1) * p], bi, bo, None);
+                    self.fu.process_vn_group(d, &channel[group * p..(group + 1) * p], bi, bo);
                     let first_out = (cycle + 1 + latency).max(output_free_at);
                     for i in 0..d {
                         let shift = self.rom.entry(base + i).shift as usize;
+                        let mut rotated = self.queue.word_buffer();
                         self.shuffle.rotate(
                             &self.block_out[i * p..(i + 1) * p],
                             shift,
-                            &mut self.rotated,
+                            &mut rotated,
                         );
                         self.write_pending[base + i] = true;
-                        queue.push((base + i) as u32, first_out + i, self.rotated.clone());
+                        self.queue.push((base + i) as u32, first_out + i, rotated);
                     }
                     output_free_at = first_out + d;
                     group += 1;
@@ -413,7 +447,7 @@ impl HardwareDecoder {
                 }
             }
             let read_bank = read_word.map(|w| (w % self.config.memory.banks) as u32);
-            queue.step(
+            self.queue.step(
                 cycle,
                 read_bank,
                 self.config.memory,
@@ -425,24 +459,23 @@ impl HardwareDecoder {
             );
             cycle += 1;
         }
-        (cycle, queue.max_buffer)
+        (cycle, self.queue.max_buffer)
     }
 
     /// Timed check phase: the annealed read sequence, FU pipeline, inverse
     /// shuffle on write-back, 4-bank conflict buffer. Returns
     /// (cycles, max buffer occupancy).
-    fn check_phase_timed(&mut self, channel: &[i32], iteration: u32) -> (usize, usize) {
+    fn check_phase_timed(&mut self, iteration: u32) -> (usize, usize) {
         let p = PARALLELISM;
         let point = CommitPoint { iteration, phase: CommitPhase::Check };
         let row_len = self.rom.row_len();
         let latency = self.config.memory.fu_latency;
-        let reads: Vec<u32> = self.schedule.read_sequence();
-        let mut queue = WriteQueue::default();
+        self.queue.begin_phase();
         self.fu.begin_check_phase();
 
         let mut cycle = 0usize;
-        while cycle < reads.len() || !queue.is_empty() {
-            let read_word = reads.get(cycle).map(|&w| w as usize);
+        while cycle < self.reads.len() || !self.queue.is_empty() {
+            let read_word = self.reads.get(cycle).map(|&w| w as usize);
             if let Some(w) = read_word {
                 assert!(!self.write_pending[w], "read-after-write hazard on word {w}");
                 let i = cycle % row_len;
@@ -452,23 +485,24 @@ impl HardwareDecoder {
                     {
                         let (bi, bo) =
                             (&self.block_in[..row_len * p], &mut self.block_out[..row_len * p]);
-                        self.fu.process_cn_row(r, channel, bi, bo);
+                        self.fu.process_cn_row(r, bi, bo);
                     }
                     for (pos, &word) in self.schedule.row(r).iter().enumerate() {
                         let shift = self.rom.entry(word as usize).shift as usize;
                         let inv = self.shuffle.inverse_shift(shift);
+                        let mut rotated = self.queue.word_buffer();
                         self.shuffle.rotate(
                             &self.block_out[pos * p..(pos + 1) * p],
                             inv,
-                            &mut self.rotated,
+                            &mut rotated,
                         );
                         self.write_pending[word as usize] = true;
-                        queue.push(word, cycle + 1 + latency + pos, self.rotated.clone());
+                        self.queue.push(word, cycle + 1 + latency + pos, rotated);
                     }
                 }
             }
             let read_bank = read_word.map(|w| (w % self.config.memory.banks) as u32);
-            queue.step(
+            self.queue.step(
                 cycle,
                 read_bank,
                 self.config.memory,
@@ -481,7 +515,7 @@ impl HardwareDecoder {
             cycle += 1;
         }
         self.fu.end_check_phase();
-        (cycle, queue.max_buffer)
+        (cycle, self.queue.max_buffer)
     }
 }
 
@@ -566,6 +600,28 @@ mod tests {
         assert_eq!(
             out.cycles.total_cycles,
             out.cycles.io_cycles + out.cycles.info_phase_cycles + out.cycles.check_phase_cycles
+        );
+    }
+
+    #[test]
+    fn paper_point_cycle_breakdown_is_pinned() {
+        // N = 64800 rate 1/2, 6 bit, 30 fixed iterations, P_IO = 10, four
+        // banks, natural schedule: the traced benchmark's simulated counts.
+        // Timing does not depend on message values, so any frame will do.
+        let code = DvbS2Code::new(CodeRate::R1_2, FrameSize::Normal).unwrap();
+        let mut hw = core(&code, CoreConfig::default());
+        assert_eq!(hw.simd_tier(), Some(SimdTier::detect()), "the lanes, not the fallback");
+        let out = hw.decode_quantized(&vec![3; code.params().n]);
+        assert_eq!(
+            out.cycles,
+            CycleBreakdown {
+                io_cycles: 6480,
+                info_phase_cycles: 13890,
+                check_phase_cycles: 13800,
+                iterations: 30,
+                max_buffer: 3,
+                total_cycles: 34170,
+            }
         );
     }
 

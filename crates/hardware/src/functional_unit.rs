@@ -10,12 +10,58 @@
 //! *wide blocks* (one value per lane). Both the untimed golden model and the
 //! cycle-accurate core drive this same arithmetic, so any mismatch between
 //! them isolates a defect in the memory/timing machinery.
+//!
+//! The lockstep is literal: a check row is one lane-wide update. The block
+//! is already lane-major, the two parity inputs of every unit are appended
+//! as two more 360-wide vectors, and [`LaneLut`] — the kernel the software
+//! decoder's lane planes run — sweeps all units at once. Quantizers the
+//! lanes cannot express take the per-unit [`QBoxplus::extrinsic`] loop, which
+//! is also what the lane update is tested against. `DESIGN.md` §7.8 has the
+//! layout and the exactness arguments.
 
 use crate::fault::FuFault;
-use dvbs2_decoder::{QBoxplus, Quantizer};
+use dvbs2_decoder::{LaneLut, QBoxplus, Quantizer, SimdTier};
 use dvbs2_ldpc::{CodeParams, PARALLELISM};
 
+/// How a check row is evaluated, with the parity channel and the scratch
+/// each way needs.
+#[derive(Debug, Clone)]
+enum Datapath {
+    /// All 360 units at once through the lane kernel.
+    Lanes {
+        lut: LaneLut,
+        /// Parity channel `[r * 360 + u]`, saturated to `i16`. Exact: it is
+        /// only ever read through a saturating add clamped to the rail, and
+        /// `i16::MAX - max_mag >= max_mag` for every quantizer `LaneLut`
+        /// accepts, so a saturated value clamps to the rail the wide one does.
+        pchan: Vec<i16>,
+        /// The row's `row_len + 2` input vectors: the block, then the left
+        /// and the right parity inputs.
+        v_in: Vec<i16>,
+        v_out: Vec<i16>,
+        prefix: Vec<i16>,
+    },
+    /// One unit at a time through [`QBoxplus::extrinsic`]; the parity
+    /// channel `[r * 360 + u]` stays wide.
+    Scalar { pchan: Vec<i32> },
+}
+
+/// Writes check-order parity values (`j = u·q + r`) into a row-major plane
+/// (`plane[r * 360 + u]`).
+fn row_major<T>(parity: &[i32], q_rows: usize, plane: &mut [T], narrow: impl Fn(i32) -> T) {
+    for (u, column) in parity.chunks_exact(q_rows).enumerate() {
+        for (r, &x) in column.iter().enumerate() {
+            plane[r * PARALLELISM + u] = narrow(x);
+        }
+    }
+}
+
 /// Lockstep model of the `P = 360` functional units.
+///
+/// The parity messages are row-major planes, `plane[r * 360 + u]` for check
+/// `j = u·q + r`: a row's 360 messages are one contiguous vector, and what a
+/// row hands to its neighbour is a contiguous copy. Every message fits `i16`
+/// (a [`Quantizer`] has at most 16 bits).
 #[derive(Debug, Clone)]
 pub struct FunctionalUnitArray {
     boxplus: QBoxplus,
@@ -28,15 +74,19 @@ pub struct FunctionalUnitArray {
     n_check: usize,
     q_rows: usize,
     row_len: usize,
-    /// Stored backward messages `b[j] = CN_{j+1} -> PN_j`.
-    backward: Vec<i32>,
+    datapath: Datapath,
+    /// Stored backward messages `b[j] = CN_{j+1} -> PN_j`. The last check's
+    /// slot is never written and stays zero.
+    backward: Vec<i16>,
     /// Forward messages of the current iteration (kept for parity totals;
     /// hardware holds only the per-unit register plus chain boundaries).
-    forward: Vec<i32>,
+    forward: Vec<i16>,
     /// Per-unit forward register.
-    fwd: Vec<i32>,
+    fwd: Vec<i16>,
     /// Chain-boundary forward values from the previous iteration.
-    boundary: Vec<i32>,
+    boundary: Vec<i16>,
+    /// One check node's inputs and outputs: the per-unit loop's, and check
+    /// 0's in the lane update.
     scratch_in: Vec<i32>,
     scratch_out: Vec<i32>,
 }
@@ -44,17 +94,35 @@ pub struct FunctionalUnitArray {
 impl FunctionalUnitArray {
     /// Creates the array for a code and message quantizer.
     pub fn new(params: &CodeParams, quantizer: Quantizer) -> Self {
+        let boxplus = QBoxplus::new(quantizer);
+        let lut = LaneLut::try_new(&boxplus, None);
+        Self::build(params, boxplus, lut)
+    }
+
+    fn build(params: &CodeParams, boxplus: QBoxplus, lut: Option<LaneLut>) -> Self {
+        let p = PARALLELISM;
+        let datapath = match lut {
+            Some(lut) => Datapath::Lanes {
+                lut,
+                pchan: vec![0; params.n_check],
+                v_in: vec![0; params.check_degree * p],
+                v_out: vec![0; params.check_degree * p],
+                prefix: vec![0; p],
+            },
+            None => Datapath::Scalar { pchan: vec![0; params.n_check] },
+        };
         FunctionalUnitArray {
-            boxplus: QBoxplus::new(quantizer),
+            boxplus,
             fault: None,
             k: params.k,
             n_check: params.n_check,
             q_rows: params.q,
             row_len: params.check_degree - 2,
+            datapath,
             backward: vec![0; params.n_check],
             forward: vec![0; params.n_check],
-            fwd: vec![0; PARALLELISM],
-            boundary: vec![0; PARALLELISM],
+            fwd: vec![0; p],
+            boundary: vec![0; p],
             scratch_in: vec![0; params.check_degree],
             scratch_out: vec![0; params.check_degree],
         }
@@ -65,6 +133,16 @@ impl FunctionalUnitArray {
         self.boxplus.quantizer()
     }
 
+    /// The dispatch tier of the lane-wide check update, or `None` when the
+    /// quantizer is outside what the lanes express and check rows take the
+    /// per-unit loop.
+    pub fn simd_tier(&self) -> Option<SimdTier> {
+        match &self.datapath {
+            Datapath::Lanes { lut, .. } => Some(lut.tier()),
+            Datapath::Scalar { .. } => None,
+        }
+    }
+
     /// Injects (or clears) a modeled datapath defect. Both the golden model
     /// and the timed core share this array and drive it in the same logical
     /// order, so a corrupted output is bit-exact across the two by
@@ -73,20 +151,34 @@ impl FunctionalUnitArray {
         self.fault = fault;
     }
 
-    /// Clears all stored messages (start of a new frame).
-    pub fn reset(&mut self) {
+    /// Starts a new frame: clears all stored messages and loads the frame's
+    /// parity channel values (`channel` is the full quantized channel
+    /// vector).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel.len() != N`.
+    pub fn reset(&mut self, channel: &[i32]) {
+        assert_eq!(channel.len(), self.k + self.n_check, "LLR length mismatch");
         self.backward.fill(0);
         self.forward.fill(0);
         self.fwd.fill(0);
         self.boundary.fill(0);
+        let parity = &channel[self.k..];
+        match &mut self.datapath {
+            Datapath::Lanes { pchan, .. } => {
+                let (lo, hi) = (-(i16::MAX as i32), i16::MAX as i32);
+                row_major(parity, self.q_rows, pchan, |x| x.clamp(lo, hi) as i16);
+            }
+            Datapath::Scalar { pchan } => row_major(parity, self.q_rows, pchan, |x| x),
+        }
     }
 
     /// Variable-node update for one 360-node information group.
     ///
     /// `block_in` holds the `d` incoming check messages per lane
     /// (`block_in[i * 360 + t]`), `channel` the group's 360 channel LLRs.
-    /// Writes the `d` extrinsic outputs to `block_out` and, if given, the
-    /// a-posteriori totals.
+    /// Writes the `d` extrinsic outputs to `block_out`.
     ///
     /// # Panics
     ///
@@ -97,30 +189,27 @@ impl FunctionalUnitArray {
         channel: &[i32],
         block_in: &[i32],
         block_out: &mut [i32],
-        totals: Option<&mut [i32]>,
     ) {
         let p = PARALLELISM;
         assert_eq!(channel.len(), p, "channel block must be 360 wide");
         assert_eq!(block_in.len(), d * p, "input block size mismatch");
         assert_eq!(block_out.len(), d * p, "output block size mismatch");
         let q = self.boxplus.quantizer();
-        let mut totals = totals;
-        for t in 0..p {
-            let mut total = channel[t];
-            for i in 0..d {
-                total += block_in[i * p + t];
+        let mut totals = [0i32; PARALLELISM];
+        totals.copy_from_slice(channel);
+        for word in block_in.chunks_exact(p) {
+            for (total, &x) in totals.iter_mut().zip(word) {
+                *total += x;
             }
-            for i in 0..d {
-                block_out[i * p + t] = q.saturate(total - block_in[i * p + t]);
-            }
-            if let Some(ts) = totals.as_deref_mut() {
-                ts[t] = total;
+        }
+        for (out, word) in block_out.chunks_exact_mut(p).zip(block_in.chunks_exact(p)) {
+            for ((o, &total), &x) in out.iter_mut().zip(&totals).zip(word) {
+                *o = q.saturate(total - x);
             }
         }
         if let Some(f) = self.fault {
-            let t = f.unit();
-            for i in 0..d {
-                block_out[i * p + t] = f.corrupt(block_out[i * p + t], q);
+            for o in block_out.iter_mut().skip(f.unit()).step_by(p) {
+                *o = f.corrupt(*o, q);
             }
         }
     }
@@ -134,44 +223,132 @@ impl FunctionalUnitArray {
     /// Check-node update for residue row `r` across all 360 units.
     ///
     /// `block_in[i * 360 + u]` is the `i`-th information message (in
-    /// schedule order) of unit `u`'s check `j = u·q + r`; `channel` is the
-    /// full quantized channel vector (parity LLRs are fetched from it).
-    /// Extrinsic information outputs land in `block_out`; parity messages
-    /// update the internal forward/backward state.
+    /// schedule order) of unit `u`'s check `j = u·q + r`, inside the
+    /// quantizer's rail. Extrinsic information outputs land in `block_out`;
+    /// parity messages update the internal forward/backward state.
     ///
     /// # Panics
     ///
     /// Panics if `r >= q` or block sizes disagree.
-    pub fn process_cn_row(
-        &mut self,
-        r: usize,
-        channel: &[i32],
-        block_in: &[i32],
-        block_out: &mut [i32],
-    ) {
+    pub fn process_cn_row(&mut self, r: usize, block_in: &[i32], block_out: &mut [i32]) {
         let p = PARALLELISM;
         assert!(r < self.q_rows, "row {r} out of range");
         assert_eq!(block_in.len(), self.row_len * p, "input block size mismatch");
         assert_eq!(block_out.len(), self.row_len * p, "output block size mismatch");
+        match self.datapath {
+            Datapath::Lanes { .. } => self.cn_row_lanes(r, block_in, block_out),
+            Datapath::Scalar { .. } => self.cn_row_per_unit(r, block_in, block_out),
+        }
+        self.forward[r * p..(r + 1) * p].copy_from_slice(&self.fwd);
+    }
+
+    /// The row as one lane-wide update. Phasing the whole row is exact: it
+    /// reads row `r` of the backward plane and writes row `r - 1` (at
+    /// `r == 0`, row `q - 1` one lane down), and unit `u` never reads what
+    /// another unit of the same row writes.
+    fn cn_row_lanes(&mut self, r: usize, block_in: &[i32], block_out: &mut [i32]) {
+        let Datapath::Lanes { lut, pchan, v_in, v_out, prefix } = &mut self.datapath else {
+            unreachable!("process_cn_row dispatches on the datapath");
+        };
+        let p = PARALLELISM;
+        let (q_rows, row_len) = (self.q_rows, self.row_len);
+        let q = *self.boxplus.quantizer();
+        let max_mag = q.max_mag() as i16;
+        let parity_input = |chan: i16, msg: i16| chan.saturating_add(msg).clamp(-max_mag, max_mag);
+        let (vl, vr) = (row_len * p, (row_len + 1) * p);
+
+        debug_assert!(block_in.iter().all(|&x| x.abs() <= q.max_mag()), "block outside the rail");
+        for (o, &x) in v_in.iter_mut().zip(block_in) {
+            *o = x as i16;
+        }
+        // Left parity inputs `pchan[j - 1] ⊞ fwd`: lane-aligned for r > 0;
+        // at r == 0 check j - 1 is the last one of the unit below. Check 0
+        // has none — a zero keeps lane 0 in range and its outputs are
+        // rebuilt after the sweep.
+        if r > 0 {
+            let chan = &pchan[(r - 1) * p..r * p];
+            for ((o, &c), &f) in v_in[vl..vr].iter_mut().zip(chan).zip(&self.fwd) {
+                *o = parity_input(c, f);
+            }
+        } else {
+            v_in[vl] = 0;
+            let chan = &pchan[(q_rows - 1) * p..];
+            for ((o, &c), &f) in v_in[vl + 1..vr].iter_mut().zip(chan).zip(&self.fwd[1..]) {
+                *o = parity_input(c, f);
+            }
+        }
+        // Right parity inputs `pchan[j] ⊞ backward[j]`, the last check's
+        // backward slot being zero.
+        let (chan, back) = (&pchan[r * p..(r + 1) * p], &self.backward[r * p..(r + 1) * p]);
+        for ((o, &c), &b) in v_in[vr..].iter_mut().zip(chan).zip(back) {
+            *o = parity_input(c, b);
+        }
+
+        lut.extrinsic(v_in, v_out, p, prefix);
+
+        if r == 0 {
+            // Check 0 has degree `row_len + 1`, the right parity input last:
+            // the scalar rule recomputes it, and its forward output goes to
+            // the left slot, where the write-back below takes lane 0's from.
+            let d0 = row_len + 1;
+            for i in 0..row_len {
+                self.scratch_in[i] = block_in[i * p];
+            }
+            self.scratch_in[row_len] = v_in[vr] as i32;
+            self.boxplus.extrinsic(&self.scratch_in[..d0], &mut self.scratch_out[..d0]);
+            for i in 0..row_len {
+                v_out[i * p] = self.scratch_out[i] as i16;
+            }
+            v_out[vl] = self.scratch_out[row_len] as i16;
+        }
+        if let Some(f) = self.fault {
+            for o in v_out.iter_mut().skip(f.unit()).step_by(p) {
+                *o = f.corrupt(*o as i32, &q) as i16;
+            }
+        }
+
+        for (o, &x) in block_out.iter_mut().zip(&v_out[..vl]) {
+            *o = x as i32;
+        }
+        if r > 0 {
+            self.backward[(r - 1) * p..r * p].copy_from_slice(&v_out[vl..vr]);
+            self.fwd.copy_from_slice(&v_out[vr..]);
+        } else {
+            self.backward[(q_rows - 1) * p..][..p - 1].copy_from_slice(&v_out[vl + 1..vr]);
+            self.fwd[1..].copy_from_slice(&v_out[vr + 1..]);
+            self.fwd[0] = v_out[vl];
+        }
+    }
+
+    /// The row one unit at a time: gather the unit's inputs, one scalar
+    /// [`QBoxplus::extrinsic`], scatter back. The fallback for quantizers
+    /// outside the lanes, and the reference the lane update is tested
+    /// against.
+    fn cn_row_per_unit(&mut self, r: usize, block_in: &[i32], block_out: &mut [i32]) {
+        let Datapath::Scalar { pchan } = &self.datapath else {
+            unreachable!("process_cn_row dispatches on the datapath");
+        };
+        let p = PARALLELISM;
+        let (q_rows, row_len) = (self.q_rows, self.row_len);
         let q = *self.boxplus.quantizer();
         for u in 0..p {
-            let j = u * self.q_rows + r;
-            for i in 0..self.row_len {
+            for i in 0..row_len {
                 self.scratch_in[i] = block_in[i * p + u];
             }
-            let mut d = self.row_len;
-            let left_pos = if j > 0 {
-                self.scratch_in[d] = q.sat_add(channel[self.k + j - 1], self.fwd[u]);
-                d += 1;
-                Some(d - 1)
-            } else {
-                None
+            let mut d = row_len;
+            // Check j - 1: the row above in the same unit, or the last row
+            // of the unit below; check 0 has none.
+            let left = match (r, u) {
+                (0, 0) => None,
+                (0, _) => Some((q_rows - 1) * p + u - 1),
+                _ => Some((r - 1) * p + u),
             };
-            self.scratch_in[d] = q.sat_add(
-                channel[self.k + j],
-                if j + 1 < self.n_check { self.backward[j] } else { 0 },
-            );
+            if let Some(slot) = left {
+                self.scratch_in[d] = q.sat_add(pchan[slot], self.fwd[u] as i32);
+                d += 1;
+            }
             let right_pos = d;
+            self.scratch_in[d] = q.sat_add(pchan[r * p + u], self.backward[r * p + u] as i32);
             d += 1;
 
             self.boxplus.extrinsic(&self.scratch_in[..d], &mut self.scratch_out[..d]);
@@ -183,31 +360,34 @@ impl FunctionalUnitArray {
                 }
             }
 
-            for i in 0..self.row_len {
+            for i in 0..row_len {
                 block_out[i * p + u] = self.scratch_out[i];
             }
-            if let Some(pos) = left_pos {
-                self.backward[j - 1] = self.scratch_out[pos];
+            if let Some(slot) = left {
+                self.backward[slot] = self.scratch_out[row_len] as i16;
             }
-            self.fwd[u] = self.scratch_out[right_pos];
-            self.forward[j] = self.fwd[u];
+            self.fwd[u] = self.scratch_out[right_pos] as i16;
         }
     }
 
     /// Saves the chain-boundary forwards for the next iteration (end of
     /// every check phase).
     pub fn end_check_phase(&mut self) {
-        for u in (1..PARALLELISM).rev() {
-            self.boundary[u] = self.fwd[u - 1];
-        }
+        self.boundary[1..].copy_from_slice(&self.fwd[..PARALLELISM - 1]);
         self.boundary[0] = 0;
     }
 
-    /// The stored parity-message state `(backward, forward, boundary)` —
-    /// exposed so the traced decode entry points can fold the complete
-    /// message state into a per-iteration digest.
-    pub(crate) fn parity_state(&self) -> (&[i32], &[i32], &[i32]) {
-        (&self.backward, &self.forward, &self.boundary)
+    /// The stored parity-message state in check order — backward, forward,
+    /// then the chain boundaries — exposed so the traced decode entry points
+    /// can fold the complete message state into a per-iteration digest.
+    pub(crate) fn parity_state(&self) -> impl Iterator<Item = i32> + '_ {
+        fn check_order(plane: &[i16], q_rows: usize) -> impl Iterator<Item = i32> + '_ {
+            let p = PARALLELISM;
+            (0..p).flat_map(move |u| (0..q_rows).map(move |r| plane[r * p + u] as i32))
+        }
+        check_order(&self.backward, self.q_rows)
+            .chain(check_order(&self.forward, self.q_rows))
+            .chain(self.boundary.iter().map(|&b| b as i32))
     }
 
     /// Writes the parity a-posteriori totals into `totals[k..n]`.
@@ -216,10 +396,12 @@ impl FunctionalUnitArray {
     ///
     /// Panics if the slices are shorter than `N`.
     pub fn parity_totals(&self, channel: &[i32], totals: &mut [i32]) {
-        for j in 0..self.n_check {
-            totals[self.k + j] = channel[self.k + j]
-                + self.forward[j]
-                + if j + 1 < self.n_check { self.backward[j] } else { 0 };
+        let p = PARALLELISM;
+        for u in 0..p {
+            for r in 0..self.q_rows {
+                let (j, slot) = (self.k + u * self.q_rows + r, r * p + u);
+                totals[j] = channel[j] + self.forward[slot] as i32 + self.backward[slot] as i32;
+            }
         }
     }
 }
@@ -228,6 +410,8 @@ impl FunctionalUnitArray {
 mod tests {
     use super::*;
     use dvbs2_ldpc::{CodeParams, CodeRate, FrameSize};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn array() -> (CodeParams, FunctionalUnitArray) {
         let p = CodeParams::new(CodeRate::R1_2, FrameSize::Short).unwrap();
@@ -248,10 +432,8 @@ mod tests {
             }
         }
         let mut block_out = vec![0i32; d * p];
-        let mut totals = vec![0i32; p];
-        fu.process_vn_group(d, &channel, &block_in, &mut block_out, Some(&mut totals));
+        fu.process_vn_group(d, &channel, &block_in, &mut block_out);
         // total = 2 + 1 + 2 + 3 = 8; extrinsic_i = 8 - msg_i.
-        assert!(totals.iter().all(|&t| t == 8));
         for t in 0..p {
             assert_eq!(block_out[t], 7);
             assert_eq!(block_out[p + t], 6);
@@ -266,7 +448,7 @@ mod tests {
         let channel = vec![31i32; p];
         let block_in = vec![31i32; p];
         let mut block_out = vec![0i32; p];
-        fu.process_vn_group(1, &channel, &block_in, &mut block_out, None);
+        fu.process_vn_group(1, &channel, &block_in, &mut block_out);
         assert!(block_out.iter().all(|&o| o == 31)); // 62 - 31 = 31, at rail
     }
 
@@ -275,14 +457,13 @@ mod tests {
         // Check 0 (unit 0, row 0) must not consult a left parity message;
         // feed strong inputs and confirm outputs are finite and sign-correct.
         let (params, mut fu) = array();
-        fu.reset();
+        fu.reset(&vec![4i32; params.n]);
         fu.begin_check_phase();
         let p = PARALLELISM;
         let row_len = params.check_degree - 2;
-        let channel = vec![4i32; params.n];
         let block_in = vec![10i32; row_len * p];
         let mut block_out = vec![0i32; row_len * p];
-        fu.process_cn_row(0, &channel, &block_in, &mut block_out);
+        fu.process_cn_row(0, &block_in, &mut block_out);
         // All inputs positive: no extrinsic may vote for bit 1 (zero is
         // allowed — small magnitudes can quantize away), and the strong
         // input consensus must keep most outputs strictly positive.
@@ -293,15 +474,14 @@ mod tests {
     #[test]
     fn boundary_propagates_between_iterations() {
         let (params, mut fu) = array();
-        fu.reset();
+        fu.reset(&vec![4i32; params.n]);
         let p = PARALLELISM;
         let row_len = params.check_degree - 2;
-        let channel = vec![4i32; params.n];
         let block_in = vec![10i32; row_len * p];
         let mut block_out = vec![0i32; row_len * p];
         fu.begin_check_phase();
         for r in 0..params.q {
-            fu.process_cn_row(r, &channel, &block_in, &mut block_out);
+            fu.process_cn_row(r, &block_in, &mut block_out);
         }
         fu.end_check_phase();
         // After one full sweep with positive inputs, boundaries are positive
@@ -318,10 +498,201 @@ mod tests {
         let channel = vec![4i32; params.n];
         let block_in = vec![10i32; row_len * p];
         let mut block_out = vec![0i32; row_len * p];
+        fu.reset(&channel);
         fu.begin_check_phase();
-        fu.process_cn_row(0, &channel, &block_in, &mut block_out);
-        fu.reset();
+        fu.process_cn_row(0, &block_in, &mut block_out);
+        fu.reset(&channel);
         assert!(fu.backward.iter().all(|&b| b == 0));
         assert!(fu.forward.iter().all(|&f| f == 0));
+    }
+
+    /// The check phase as the array ran it before its state went row-major:
+    /// parity messages in check order, the channel read per check. Kept as
+    /// the third party of the property test, where it also pins the check
+    /// order of `parity_state` and `parity_totals`.
+    struct CheckOrderModel {
+        boxplus: QBoxplus,
+        fault: Option<FuFault>,
+        params: CodeParams,
+        backward: Vec<i32>,
+        forward: Vec<i32>,
+        fwd: Vec<i32>,
+        boundary: Vec<i32>,
+    }
+
+    impl CheckOrderModel {
+        fn new(params: &CodeParams, quantizer: Quantizer, fault: Option<FuFault>) -> Self {
+            CheckOrderModel {
+                boxplus: QBoxplus::new(quantizer),
+                fault,
+                params: *params,
+                backward: vec![0; params.n_check],
+                forward: vec![0; params.n_check],
+                fwd: vec![0; PARALLELISM],
+                boundary: vec![0; PARALLELISM],
+            }
+        }
+
+        fn begin_check_phase(&mut self) {
+            self.fwd.copy_from_slice(&self.boundary);
+        }
+
+        fn process_cn_row(&mut self, r: usize, channel: &[i32], block_in: &[i32]) -> Vec<i32> {
+            let p = PARALLELISM;
+            let (k, n_check, q_rows) = (self.params.k, self.params.n_check, self.params.q);
+            let row_len = self.params.check_degree - 2;
+            let q = *self.boxplus.quantizer();
+            let mut block_out = vec![0; row_len * p];
+            for u in 0..p {
+                let j = u * q_rows + r;
+                let mut ins: Vec<i32> = (0..row_len).map(|i| block_in[i * p + u]).collect();
+                if j > 0 {
+                    ins.push(q.sat_add(channel[k + j - 1], self.fwd[u]));
+                }
+                let back = if j + 1 < n_check { self.backward[j] } else { 0 };
+                ins.push(q.sat_add(channel[k + j], back));
+                let mut outs = vec![0; ins.len()];
+                self.boxplus.extrinsic(&ins, &mut outs);
+                if let Some(f) = self.fault.filter(|f| f.unit() == u) {
+                    for v in &mut outs {
+                        *v = f.corrupt(*v, &q);
+                    }
+                }
+                for i in 0..row_len {
+                    block_out[i * p + u] = outs[i];
+                }
+                if j > 0 {
+                    self.backward[j - 1] = outs[row_len];
+                }
+                self.fwd[u] = *outs.last().unwrap();
+                self.forward[j] = self.fwd[u];
+            }
+            block_out
+        }
+
+        fn end_check_phase(&mut self) {
+            self.boundary[1..].copy_from_slice(&self.fwd[..PARALLELISM - 1]);
+            self.boundary[0] = 0;
+        }
+
+        fn parity_state(&self) -> Vec<i32> {
+            [&self.backward[..], &self.forward, &self.boundary].concat()
+        }
+    }
+
+    /// Two check phases over random in-rail blocks on `arrays` and on the
+    /// check-order model, every residue row (row 0 and check 0 included):
+    /// all of them must agree on every block, on the parity state after each
+    /// phase and on the parity totals.
+    fn assert_rows_agree(
+        params: &CodeParams,
+        quantizer: Quantizer,
+        fault: Option<FuFault>,
+        arrays: &mut [FunctionalUnitArray],
+        what: &str,
+    ) {
+        let p = PARALLELISM;
+        let row_len = params.check_degree - 2;
+        let m = quantizer.max_mag();
+        let mut rng = SmallRng::seed_from_u64(0xF0 ^ m as u64);
+        // Parity channel values on, just beyond and far beyond the rail: the
+        // lanes hold them saturated to i16, the models read them wide.
+        let channel: Vec<i32> = (0..params.n)
+            .map(|_| match rng.random_range(0..8) {
+                0 => rng.random_range(-3 * m..=3 * m),
+                1 => rng.random_range(-100_000..=100_000),
+                _ => rng.random_range(-m..=m),
+            })
+            .collect();
+        let mut model = CheckOrderModel::new(params, quantizer, fault);
+        for fu in arrays.iter_mut() {
+            fu.set_fault(fault);
+            fu.reset(&channel);
+        }
+        let mut block_out = vec![0i32; row_len * p];
+        for phase in 0..2 {
+            model.begin_check_phase();
+            arrays.iter_mut().for_each(FunctionalUnitArray::begin_check_phase);
+            for r in 0..params.q {
+                let block_in: Vec<i32> =
+                    (0..row_len * p).map(|_| rng.random_range(-m..=m)).collect();
+                let want = model.process_cn_row(r, &channel, &block_in);
+                for (index, fu) in arrays.iter_mut().enumerate() {
+                    fu.process_cn_row(r, &block_in, &mut block_out);
+                    assert_eq!(block_out, want, "{what}: array {index} phase {phase} row {r}");
+                }
+            }
+            model.end_check_phase();
+            for (index, fu) in arrays.iter_mut().enumerate() {
+                fu.end_check_phase();
+                let state: Vec<i32> = fu.parity_state().collect();
+                assert_eq!(state, model.parity_state(), "{what}: array {index} phase {phase}");
+            }
+        }
+        let totals = |fu: &FunctionalUnitArray| {
+            let mut totals = vec![0i32; params.n];
+            fu.parity_totals(&channel, &mut totals);
+            totals
+        };
+        let want: Vec<i32> = (0..params.n_check)
+            .map(|j| channel[params.k + j] + model.forward[j] + model.backward[j])
+            .collect();
+        for fu in arrays.iter() {
+            assert_eq!(totals(fu)[params.k..], want[..], "{what}: parity totals");
+        }
+    }
+
+    fn fu_faults(max_mag: i32) -> [Option<FuFault>; 4] {
+        [
+            None,
+            Some(FuFault::StuckSign { unit: 0, negative: true }),
+            Some(FuFault::StuckMag { unit: 17, value: max_mag }),
+            Some(FuFault::StuckSign { unit: 359, negative: false }),
+        ]
+    }
+
+    #[test]
+    fn lane_row_update_equals_the_per_unit_loop() {
+        let params = CodeParams::new(CodeRate::R1_2, FrameSize::Short).unwrap();
+        for quantizer in [Quantizer::paper_6bit(), Quantizer::paper_5bit()] {
+            let boxplus = QBoxplus::new(quantizer);
+            for tier in SimdTier::available() {
+                let lut = LaneLut::try_new(&boxplus, Some(tier));
+                assert!(lut.is_some(), "{} bits must run on the lanes", quantizer.bits());
+                let lanes = FunctionalUnitArray::build(&params, boxplus.clone(), lut);
+                assert_eq!(lanes.simd_tier(), Some(tier));
+                let per_unit = FunctionalUnitArray::build(&params, boxplus.clone(), None);
+                assert_eq!(per_unit.simd_tier(), None);
+                for fault in fu_faults(quantizer.max_mag()) {
+                    let what = format!("{} bits, {tier:?}, {fault:?}", quantizer.bits());
+                    let mut arrays = [lanes.clone(), per_unit.clone()];
+                    assert_rows_agree(&params, quantizer, fault, &mut arrays, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantizers_outside_the_lanes_take_the_per_unit_loop() {
+        // ln 2 / 0.1 rounds to seven correction steps, three more than the
+        // lane kernel carries; 16 bits put 2·max_mag beyond i16.
+        let params = CodeParams::new(CodeRate::R1_2, FrameSize::Short).unwrap();
+        for quantizer in [Quantizer::new(6, 0.1), Quantizer::new(16, 0.25)] {
+            let fu = FunctionalUnitArray::new(&params, quantizer);
+            assert_eq!(fu.simd_tier(), None, "{quantizer:?}");
+            for fault in fu_faults(quantizer.max_mag()) {
+                let what = format!("{quantizer:?}, {fault:?}");
+                assert_rows_agree(&params, quantizer, fault, &mut [fu.clone()], &what);
+            }
+        }
+    }
+
+    #[test]
+    fn the_paper_point_runs_on_the_lanes() {
+        // Whatever the build's target-cpu: the array reaches vector code
+        // through the tier clones, and `DVBS2_SIMD` picks the clone.
+        let params = CodeParams::new(CodeRate::R1_2, FrameSize::Normal).unwrap();
+        let fu = FunctionalUnitArray::new(&params, Quantizer::paper_6bit());
+        assert_eq!(fu.simd_tier(), Some(SimdTier::detect()));
     }
 }

@@ -220,14 +220,14 @@ impl GoldenModel {
         // A stuck cell is stuck from power-on, exactly as in the core.
         let quantizer = *self.fu.quantizer();
         self.scenario.corrupt_power_on(&mut self.ram, &quantizer);
-        self.fu.reset();
+        self.fu.reset(channel);
         let mut iterations = 0;
         let mut converged = false;
 
         for iteration in 0..self.max_iterations {
             iterations += 1;
             self.information_phase(channel, iteration as u32);
-            self.check_phase(channel, iteration as u32);
+            self.check_phase(iteration as u32);
             if let Some(t) = trace.as_deref_mut() {
                 t.push(message_digest(&self.ram, &self.fu));
             }
@@ -267,7 +267,6 @@ impl GoldenModel {
                 &channel[g * p..(g + 1) * p],
                 &self.block_in[..d * p],
                 &mut self.block_out[..d * p],
-                None,
             );
             for i in 0..d {
                 let shift = self.rom.entry(base + i).shift as usize;
@@ -281,7 +280,7 @@ impl GoldenModel {
     /// Check-node half-iteration: ascending residue rows, 360 parallel
     /// zigzag chains, write-back with the inverse shift (returning the RAM
     /// to information layout).
-    fn check_phase(&mut self, channel: &[i32], iteration: u32) {
+    fn check_phase(&mut self, iteration: u32) {
         let p = PARALLELISM;
         let row_len = self.rom.row_len();
         let scenario = self.scenario;
@@ -295,7 +294,6 @@ impl GoldenModel {
             }
             self.fu.process_cn_row(
                 r,
-                channel,
                 &self.block_in[..row_len * p],
                 &mut self.block_out[..row_len * p],
             );
@@ -352,36 +350,47 @@ pub(crate) fn compute_totals(
 }
 
 /// Evaluates every parity equation on the hard decisions of `totals` using
-/// the ROM structure directly.
+/// the ROM structure directly, one residue row of 360 checks at a time.
+///
+/// A hard decision is the sign bit, and the sign bit of an XOR is the XOR of
+/// the sign bits. The 360 syndromes of a row are therefore the signs of one
+/// XOR of 360-wide blocks: the units' own parity totals, their left
+/// neighbours', and for every ROM entry of the row the entry's information
+/// group rotated by its shift (unit `u` reads node `(u − shift) mod 360`),
+/// as two contiguous halves.
 pub(crate) fn syndrome_clean(params: &CodeParams, rom: &ConnectivityRom, totals: &[i32]) -> bool {
     let p = PARALLELISM;
     let k = params.k;
     let q_rows = params.q;
-    for j in 0..params.n_check {
-        let r = j % q_rows;
-        let u = j / q_rows;
-        let mut parity = totals[k + j] < 0;
-        if j > 0 {
-            parity ^= totals[k + j - 1] < 0;
+    let mut syn = [0i32; PARALLELISM];
+    for r in 0..q_rows {
+        for (u, s) in syn.iter_mut().enumerate() {
+            let j = u * q_rows + r;
+            *s = totals[k + j] ^ if j > 0 { totals[k + j - 1] } else { 0 };
         }
         for &w in rom.row(r) {
             let e = rom.entry(w as usize);
-            let t = (u + p - e.shift as usize) % p;
-            let m = e.group as usize * p + t;
-            parity ^= totals[m] < 0;
+            let (group, shift) = (e.group as usize * p, e.shift as usize);
+            let block = &totals[group..group + p];
+            for (s, &x) in syn[shift..].iter_mut().zip(&block[..p - shift]) {
+                *s ^= x;
+            }
+            for (s, &x) in syn[..shift].iter_mut().zip(&block[p - shift..]) {
+                *s ^= x;
+            }
         }
-        if parity {
+        if syn.iter().fold(0, |any, &s| any | s) < 0 {
             return false;
         }
     }
     true
 }
 
-/// Folds one slice of message values into an FNV-1a-style digest. Collisions
-/// only matter against *accidental* divergence here (differential check, not
-/// an adversary), so hashing each i32 as one unit is plenty.
-fn fold_digest(mut h: u64, vals: &[i32]) -> u64 {
-    for &v in vals {
+/// Folds message values into an FNV-1a-style digest. Collisions only matter
+/// against *accidental* divergence here (differential check, not an
+/// adversary), so hashing each i32 as one unit is plenty.
+fn fold_digest(mut h: u64, vals: impl IntoIterator<Item = i32>) -> u64 {
+    for v in vals {
         h ^= v as u32 as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
@@ -394,18 +403,14 @@ fn fold_digest(mut h: u64, vals: &[i32]) -> u64 {
 /// digests every iteration is the oracle's definition of "bit-exact
 /// per-iteration messages".
 pub(crate) fn message_digest(ram: &[i32], fu: &FunctionalUnitArray) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325; // FNV-1a offset basis
-    h = fold_digest(h, ram);
-    let (backward, forward, boundary) = fu.parity_state();
-    h = fold_digest(h, backward);
-    h = fold_digest(h, forward);
-    fold_digest(h, boundary)
+    let h = 0xCBF2_9CE4_8422_2325; // FNV-1a offset basis
+    fold_digest(fold_digest(h, ram.iter().copied()), fu.parity_state())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dvbs2_decoder::test_support::{llrs_for_codeword, noisy_llrs};
+    use dvbs2_decoder::test_support::{llrs_for_codeword, noisy_llrs, SplitMix64};
     use dvbs2_decoder::{Decoder, DecoderConfig, QuantizedZigzagDecoder};
     use dvbs2_ldpc::{BitVec, CodeRate, FrameSize};
     use std::sync::Arc;
@@ -529,6 +534,78 @@ mod tests {
         let code = short_code();
         let mut m = model(&code);
         m.set_fault(Some(crate::RamFault::StuckWord { word: usize::MAX, value: 0 }));
+    }
+
+    /// `syndrome_clean` one check at a time: `(u + 360 − shift) % 360` per
+    /// ROM entry per check.
+    fn syndrome_clean_per_check(
+        params: &CodeParams,
+        rom: &ConnectivityRom,
+        totals: &[i32],
+    ) -> bool {
+        let p = PARALLELISM;
+        (0..params.n_check).all(|j| {
+            let (r, u) = (j % params.q, j / params.q);
+            let mut parity = totals[params.k + j] < 0;
+            if j > 0 {
+                parity ^= totals[params.k + j - 1] < 0;
+            }
+            for &w in rom.row(r) {
+                let e = rom.entry(w as usize);
+                let t = (u + p - e.shift as usize) % p;
+                parity ^= totals[e.group as usize * p + t] < 0;
+            }
+            !parity
+        })
+    }
+
+    #[test]
+    fn row_wise_syndrome_is_the_per_check_syndrome() {
+        for rate in [CodeRate::R1_2, CodeRate::R8_9] {
+            let code = DvbS2Code::new(rate, FrameSize::Short).unwrap();
+            let params = code.params();
+            let rom = ConnectivityRom::build(params, code.table());
+            let both = |totals: &[i32]| {
+                let row_wise = syndrome_clean(params, &rom, totals);
+                assert_eq!(row_wise, syndrome_clean_per_check(params, &rom, totals), "{rate}");
+                row_wise
+            };
+            let mut rng = SplitMix64(0x5EED ^ params.k as u64);
+            let mut draw = |span: u64| (rng.next_u64() % span) as i32;
+
+            // Totals deciding a codeword, with random magnitudes.
+            let msg: BitVec = (0..params.k).map(|i| i % 5 == 0 || i % 7 == 3).collect();
+            let word = code.encoder().unwrap().encode(&msg).unwrap();
+            let mut totals: Vec<i32> =
+                (0..params.n).map(|m| if word.get(m) { -1 - draw(90) } else { draw(90) }).collect();
+            assert!(both(&totals), "{rate}: codeword");
+
+            // One flipped decision in every row class: a parity bit of each
+            // residue row (it sits in its own check and in the next one), the
+            // first and the last check of the chain, an information bit of
+            // every group.
+            let mut flips = vec![params.k, params.n - 1];
+            for r in 0..params.q {
+                flips.push(params.k + draw(360) as usize * params.q + r);
+            }
+            for g in 0..params.groups() {
+                flips.push(g * PARALLELISM + draw(360) as usize);
+            }
+            for m in flips {
+                totals[m] = !totals[m];
+                assert!(!both(&totals), "{rate}: bit {m} flipped");
+                totals[m] = !totals[m];
+            }
+            assert!(both(&totals), "{rate}: restored");
+
+            // Arbitrary totals, zeros included.
+            for _ in 0..8 {
+                for t in totals.iter_mut() {
+                    *t = draw(7) - 3;
+                }
+                both(&totals);
+            }
+        }
     }
 
     #[test]

@@ -39,18 +39,9 @@ impl ShuffleNetwork {
         assert_eq!(data.len(), self.lanes, "input width mismatch");
         assert_eq!(out.len(), self.lanes, "output width mismatch");
         let s = shift % self.lanes;
-        for (t, &v) in data.iter().enumerate() {
-            let dst = t + s;
-            out[if dst >= self.lanes { dst - self.lanes } else { dst }] = v;
-        }
-    }
-
-    /// Rotates in place (allocates a scratch copy; the cycle-accurate model
-    /// uses [`Self::rotate`] with reusable buffers instead).
-    pub fn rotate_in_place<T: Copy + Default>(&self, data: &mut [T], shift: usize) {
-        let mut out = vec![T::default(); data.len()];
-        self.rotate(data, shift, &mut out);
-        data.copy_from_slice(&out);
+        let (head, tail) = data.split_at(self.lanes - s);
+        out[s..].copy_from_slice(head);
+        out[..s].copy_from_slice(tail);
     }
 
     /// The shift that undoes `shift` (used on check-phase write-back so
@@ -108,17 +99,6 @@ mod tests {
             net.rotate(&mid, net.inverse_shift(shift), &mut back);
             assert_eq!(back, data, "shift {shift}");
         }
-    }
-
-    #[test]
-    fn rotate_in_place_matches_rotate() {
-        let net = ShuffleNetwork::new(16);
-        let data: Vec<i32> = (0..16).map(|i| i - 8).collect();
-        let mut a = data.clone();
-        net.rotate_in_place(&mut a, 5);
-        let mut b = vec![0; 16];
-        net.rotate(&data, 5, &mut b);
-        assert_eq!(a, b);
     }
 
     #[test]
