@@ -10,7 +10,8 @@
 //! `quantized_partitioned_simd_early_stop` is the served decoder on R1/2
 //! short frames at 1.4 dB with early stop on, scored per iteration against
 //! the same decoder at 30 fixed iterations on the same frames — what the
-//! early-termination test costs.
+//! early-termination test costs — and per frame against the same decoder
+//! capped at 0 iterations — what a frame pays outside its iterations.
 //!
 //! Run: `cargo run --release -p dvbs2-bench --bin bench_decoder [--quick]`
 //! (`--quick` shortens the per-variant measurement window.)
@@ -250,13 +251,23 @@ fn measure_all(
 }
 
 /// The served decoder with early stop on, beside itself at 30 fixed
-/// iterations on the same frames.
+/// iterations and at none on the same frames.
 struct EarlyStopLane {
     frames_per_s: f64,
     mean_iterations: f64,
     us_per_iteration: f64,
     fixed_us_per_iteration: f64,
+    /// A decode capped at 0 iterations: ingress (quantize, transpose),
+    /// state init, one totals pass, the syndrome verdict and egress (the
+    /// hard decisions) — everything a frame pays however few iterations
+    /// it needs.
+    fixed_us_per_frame: f64,
 }
+
+/// How much of an early-stop frame the fixed cost may be. It sat at 12 %
+/// before the decode kept to the `i16` lanes end to end (quantize and the
+/// decision writer were scalar), and sits near 7 % since.
+const FIXED_COST_GATE: f64 = 0.10;
 
 /// How far the early-stop lane's per-iteration cost may exceed the
 /// fixed-iteration lane's. The per-decode work (quantize, transpose, final
@@ -281,6 +292,7 @@ fn measure_early_stop(rounds: usize) -> Result<EarlyStopLane, Box<dyn std::error
     let kind = DecoderKind::Quantized(Quantizer::paper_6bit());
     let mut early = system.make_decoder_for(kind, DecoderConfig::default());
     let mut fixed = system.make_decoder_for(kind, DecoderConfig::default().with_early_stop(false));
+    let mut capped = system.make_decoder_for(kind, DecoderConfig::default().with_max_iterations(0));
     let mut out = DecodeResult::default();
     let mut pass = |decoder: &mut dyn Decoder| {
         let start = Instant::now();
@@ -293,13 +305,17 @@ fn measure_early_stop(rounds: usize) -> Result<EarlyStopLane, Box<dyn std::error
     };
     pass(early.as_mut());
     pass(fixed.as_mut());
-    let (mut early_s, mut fixed_s) = (f64::INFINITY, f64::INFINITY);
+    pass(capped.as_mut());
+    let (mut early_s, mut fixed_s, mut capped_s) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     let (mut early_iterations, mut fixed_iterations) = (0, 0);
     for _ in 0..rounds {
         let (seconds, iterations) = pass(early.as_mut());
         (early_s, early_iterations) = (early_s.min(seconds), iterations);
         let (seconds, iterations) = pass(fixed.as_mut());
         (fixed_s, fixed_iterations) = (fixed_s.min(seconds), iterations);
+        let (seconds, iterations) = pass(capped.as_mut());
+        assert_eq!(iterations, 0, "the capped lane runs no iteration");
+        capped_s = capped_s.min(seconds);
     }
     assert_eq!(fixed_iterations, 30 * POOL, "the fixed lane runs 30 iterations per frame");
     let lane = EarlyStopLane {
@@ -307,14 +323,16 @@ fn measure_early_stop(rounds: usize) -> Result<EarlyStopLane, Box<dyn std::error
         mean_iterations: early_iterations as f64 / POOL as f64,
         us_per_iteration: early_s * 1e6 / early_iterations as f64,
         fixed_us_per_iteration: fixed_s * 1e6 / fixed_iterations as f64,
+        fixed_us_per_frame: capped_s * 1e6 / POOL as f64,
     };
     println!(
-        "{:<28} {:>8.1} frames/s  {:>6.2} us/iteration at {:.2} mean iterations          (fixed 30: {:.2} us/iteration; R1/2 short, 1.4 dB, {POOL} frames)",
+        "{:<28} {:>8.1} frames/s  {:>6.2} us/iteration at {:.2} mean iterations          (fixed 30: {:.2} us/iteration; cap 0: {:.1} us/frame; R1/2 short, 1.4 dB, {POOL} frames)",
         "quantized_partitioned_simd_early_stop",
         lane.frames_per_s,
         lane.us_per_iteration,
         lane.mean_iterations,
-        lane.fixed_us_per_iteration
+        lane.fixed_us_per_iteration,
+        lane.fixed_us_per_frame
     );
     Ok(lane)
 }
@@ -417,6 +435,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rows = measure_all(&mut variants, &frame.llrs, n, k, rounds, frames_per_window);
     let early_stop = measure_early_stop(if quick { 5 } else { 25 })?;
     let early_stop_cost = early_stop.us_per_iteration / early_stop.fixed_us_per_iteration;
+    let fixed_cost_share = early_stop.fixed_us_per_frame * early_stop.frames_per_s / 1e6;
 
     let mbps =
         |name: &str| rows.iter().find(|m| m.name == name).map(|m| m.coded_mbps).unwrap_or(0.0);
@@ -493,7 +512,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .with("mean_iterations", Json::Num(early_stop.mean_iterations, 2))
                 .with("us_per_iteration", Json::Num(early_stop.us_per_iteration, 2))
                 .with("fixed_30_us_per_iteration", Json::Num(early_stop.fixed_us_per_iteration, 2))
-                .with("cost_vs_fixed", Json::Num(early_stop_cost, 3)),
+                .with("cost_vs_fixed", Json::Num(early_stop_cost, 3))
+                .with("fixed_us_per_frame", Json::Num(early_stop.fixed_us_per_frame, 1))
+                .with("fixed_share_of_frame", Json::Num(fixed_cost_share, 3)),
         )
         .with(
             "results",
@@ -525,6 +546,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!(
             "FAIL: an early-stop iteration costs {early_stop_cost:.3}x a fixed-count one \
              (gate {EARLY_STOP_COST_GATE}x)"
+        );
+        std::process::exit(1);
+    }
+    // And what a frame pays before its first and after its last iteration
+    // must stay a small part of it.
+    if fixed_cost_share > FIXED_COST_GATE {
+        eprintln!(
+            "FAIL: the fixed cost is {:.1} % of an early-stop frame (gate {:.0} %)",
+            100.0 * fixed_cost_share,
+            100.0 * FIXED_COST_GATE
         );
         std::process::exit(1);
     }

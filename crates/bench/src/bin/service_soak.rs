@@ -136,21 +136,45 @@ impl ClientCounts {
     }
 }
 
+/// What a client does with a refused frame.
+#[derive(Clone, Copy)]
+enum Offer {
+    /// A lossless uplink: soft refusals are retried until admitted, and
+    /// every offer is followed by the pacing interval.
+    Retry,
+    /// True open loop, sized by backlog rather than by a frame count tuned
+    /// to one decode time: a refused frame is dropped at the source and
+    /// counted, the client pauses only after a refusal (so it offers as fast
+    /// as the tier admits and the queues fill whatever a decode costs), and
+    /// it keeps offering past its frame count until it has been refused or
+    /// the deadline passes.
+    UntilRefused { deadline: Instant },
+}
+
 /// One client's open-loop submission pass over its streams: frame `seq` of
-/// every stream, paced by `interval`. With `retry` the client behaves like
-/// a lossless uplink (soft refusals retried until admitted); without it a
-/// refused frame is dropped at the source and counted — true open loop.
+/// every stream, paced by `interval`, refusals handled as `offer` says.
 fn open_loop_submit(
     tier: &ServiceTier,
     keys: &[StreamKey],
     seqs: Range<u64>,
     interval: Duration,
-    retry: bool,
+    offer: Offer,
     build: &(dyn Fn(StreamKey, u64) -> ServiceFrame + Sync),
 ) -> ClientCounts {
     let mut counts = ClientCounts::default();
-    for seq in seqs {
+    let mut seq = seqs.start;
+    loop {
+        let unrefused = match offer {
+            Offer::Retry => false,
+            Offer::UntilRefused { deadline } => {
+                counts.total_refused() == 0 && Instant::now() < deadline
+            }
+        };
+        if seq >= seqs.end && !unrefused {
+            break;
+        }
         for &key in keys {
+            let refused_before = counts.total_refused();
             let mut frame = build(key, seq);
             loop {
                 match tier.submit(frame) {
@@ -158,7 +182,7 @@ fn open_loop_submit(
                         *counts.admitted.entry(key).or_insert(0) += 1;
                         break;
                     }
-                    Err(err) if retry => match err {
+                    Err(err) if matches!(offer, Offer::Retry) => match err {
                         ServiceError::Backpressure(back)
                         | ServiceError::OverBudget(back)
                         | ServiceError::Shed(back) => {
@@ -182,10 +206,12 @@ fn open_loop_submit(
                     Err(other) => panic!("unexpected submit error: {other:?}"),
                 }
             }
-            if !interval.is_zero() {
+            let paced = matches!(offer, Offer::Retry) || counts.total_refused() > refused_before;
+            if paced && !interval.is_zero() {
                 std::thread::sleep(interval);
             }
         }
+        seq += 1;
     }
     counts
 }
@@ -196,7 +222,7 @@ fn run_clients(
     tier: &ServiceTier,
     clients: &[(Vec<StreamKey>, Range<u64>)],
     interval: Duration,
-    retry: bool,
+    offer: Offer,
     build: &(dyn Fn(StreamKey, u64) -> ServiceFrame + Sync),
 ) -> ClientCounts {
     std::thread::scope(|scope| {
@@ -204,7 +230,7 @@ fn run_clients(
             .iter()
             .map(|(keys, seqs)| {
                 let seqs = seqs.clone();
-                scope.spawn(move || open_loop_submit(tier, keys, seqs, interval, retry, build))
+                scope.spawn(move || open_loop_submit(tier, keys, seqs, interval, offer, build))
             })
             .collect();
         let mut merged = ClientCounts::default();
@@ -461,7 +487,7 @@ fn main() {
             },
         );
         let started = Instant::now();
-        let counts = run_clients(&tier, &clients, options.interval, true, &parity_build);
+        let counts = run_clients(&tier, &clients, options.interval, Offer::Retry, &parity_build);
         let outputs = drain_outputs(&tier, counts.total_admitted(), &label, &mut violations);
         let seconds = started.elapsed().as_secs_f64();
         verify_ordering(&label, &outputs, &counts.admitted, &mut violations);
@@ -536,13 +562,13 @@ fn main() {
         let second: Vec<(Vec<StreamKey>, Range<u64>)> =
             vec![(tenant_keys(1), half..options.frames), (tenant_keys(2), half..options.frames)];
         let started = Instant::now();
-        let mut counts = run_clients(&tier, &first, options.interval, true, &old_build);
+        let mut counts = run_clients(&tier, &first, options.interval, Offer::Retry, &old_build);
         let in_flight_at_swap: usize = tier.shards().iter().map(|s| s.in_flight).sum();
         let epoch = tier.reconfigure(new_table.clone());
         if epoch != 1 {
             violations.push(format!("[{label}] reconfigure returned epoch {epoch}, expected 1"));
         }
-        counts.merge(run_clients(&tier, &second, options.interval, true, &new_build));
+        counts.merge(run_clients(&tier, &second, options.interval, Offer::Retry, &new_build));
         let outputs = drain_outputs(&tier, counts.total_admitted(), label, &mut violations);
         let seconds = started.elapsed().as_secs_f64();
         verify_ordering(label, &outputs, &counts.admitted, &mut violations);
@@ -643,8 +669,13 @@ fn main() {
         let fault_clients: Vec<(Vec<StreamKey>, Range<u64>)> =
             vec![(tenant_keys(1), 0..fault_frames), (tenant_keys(2), 0..fault_frames)];
         let started = Instant::now();
-        let counts =
-            run_clients(&tier, &fault_clients, Duration::from_millis(1), true, &strong_build);
+        let counts = run_clients(
+            &tier,
+            &fault_clients,
+            Duration::from_millis(1),
+            Offer::Retry,
+            &strong_build,
+        );
         let outputs = drain_outputs(&tier, counts.total_admitted(), label, &mut violations);
         let seconds = started.elapsed().as_secs_f64();
         verify_ordering(label, &outputs, &counts.admitted, &mut violations);
@@ -719,12 +750,16 @@ fn main() {
                 }
                 got
             });
-            // Paced, not zero-interval: the offered rate stays far above
-            // the 1-worker shards' capacity, but the run lasts long
-            // enough for budget units to recycle through the consumer —
-            // admission keeps churning instead of one burst of refusals.
+            // Sized by backlog: each client offers as fast as the tier
+            // admits, so the tiny queues fill however cheap a decode is,
+            // and backs off one interval per refusal, so budget units
+            // recycle through the consumer and admission keeps churning
+            // instead of ending in one burst of refusals. A client that
+            // has offered every frame unrefused goes on until it is, for
+            // at most ten seconds.
+            let offer = Offer::UntilRefused { deadline: Instant::now() + Duration::from_secs(10) };
             let counts =
-                run_clients(&tier, &overload_clients, options.interval, false, &strong_build);
+                run_clients(&tier, &overload_clients, options.interval, offer, &strong_build);
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
             (counts, consumer.join().expect("overload consumer"))
         });

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 
 /// The PR whose code the committed records were taken with. Bump it in the
 /// PR that re-records them.
-pub const RECORDED_BY: &str = "PR 17 (ISSUE 23)";
+pub const RECORDED_BY: &str = "PR 18 (ISSUE 24)";
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

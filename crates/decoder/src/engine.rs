@@ -789,10 +789,7 @@ pub(crate) fn syndrome_ok_totals<F: LlrFloat>(graph: &TannerGraph, totals: &[F])
 ///
 /// Panics if `out.len() != totals.len()`.
 pub(crate) fn hard_decisions_into<F: LlrFloat>(totals: &[F], out: &mut dvbs2_ldpc::BitVec) {
-    assert_eq!(out.len(), totals.len(), "length mismatch");
-    for (i, &t) in totals.iter().enumerate() {
-        out.set(i, t.is_negative());
-    }
+    out.fill_from(totals, F::is_negative);
 }
 
 #[cfg(test)]

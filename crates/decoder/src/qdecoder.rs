@@ -224,8 +224,10 @@ pub struct QuantizedZigzagDecoder {
     simd: Option<Box<SimdQuant>>,
     /// The scalar fused sweep. A lane decoder holds lane state only: this
     /// stays `None` beside a SIMD plan until a raw `decode_quantized*`
-    /// channel exceeds the quantizer rail (the float [`Decoder`] entry
-    /// saturates through the quantizer, so it never does).
+    /// channel leaves the lane domain: a parity value beyond the quantizer
+    /// rail, or an information value so large its `i16` total could wrap
+    /// (the float [`Decoder`] entry saturates through the quantizer, so it
+    /// never does).
     fused: Option<Box<FusedState>>,
     totals: Vec<i32>,
     /// Reused hard-decision scratch for the early-stop syndrome test.
@@ -280,7 +282,9 @@ impl QuantizedZigzagDecoder {
     /// are held bit-identical to. A decoder that got its lane planes holds
     /// lane state only: the scalar planes are built by the first
     /// [`decode_quantized`](Self::decode_quantized) whose raw channel
-    /// exceeds the quantizer rail, if one ever does.
+    /// leaves the lane domain (a parity value beyond the quantizer rail, an
+    /// information value within `d_max · max_mag` of `i16::MAX`), if one
+    /// ever does.
     ///
     /// # Panics
     ///
@@ -680,8 +684,9 @@ impl QuantizedZigzagDecoder {
     /// saturation: `±inf` pins to the extreme level and `NaN` maps to `0`
     /// (an erasure), matching the float decoders' sanitization policy.
     pub fn quantize_channel(&self, channel_llrs: &[f64]) -> Vec<i32> {
-        let q = self.arithmetic.quantizer();
-        channel_llrs.iter().map(|&l| q.quantize(l)).collect()
+        let mut channel = vec![0; channel_llrs.len()];
+        self.arithmetic.quantizer().quantize_into(channel_llrs, &mut channel);
+        channel
     }
 
     /// Hard decisions of the last decode (full codeword).
@@ -800,8 +805,8 @@ impl Decoder for QuantizedZigzagDecoder {
         // The buffer is moved out so `decode_quantized_into(&mut self, ..)`
         // can run while reading it, then moved back for reuse.
         let mut qchannel = std::mem::take(&mut self.qchannel);
-        qchannel.clear();
-        qchannel.extend(channel_llrs.iter().map(|&l| q.quantize(l)));
+        qchannel.resize(channel_llrs.len(), 0);
+        q.quantize_into(channel_llrs, &mut qchannel);
         self.decode_quantized_into(&qchannel, out);
         self.qchannel = qchannel;
     }

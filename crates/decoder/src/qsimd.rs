@@ -117,7 +117,6 @@ fn lane_thresholds(boxplus: &QBoxplus) -> Option<[i16; MAX_CORR_THRESHOLDS]> {
 pub struct LaneLut {
     tier: SimdTier,
     thresholds: [i16; MAX_CORR_THRESHOLDS],
-    max_mag: i16,
 }
 
 impl LaneLut {
@@ -136,11 +135,8 @@ impl LaneLut {
     ///
     /// [`QuantizedZigzagDecoder`]: crate::QuantizedZigzagDecoder
     pub fn try_new(boxplus: &QBoxplus, forced: Option<SimdTier>) -> Option<LaneLut> {
-        Some(LaneLut {
-            tier: SimdTier::resolve(forced),
-            thresholds: lane_thresholds(boxplus)?,
-            max_mag: lane_max_mag(boxplus.quantizer())?,
-        })
+        lane_max_mag(boxplus.quantizer())?; // eligibility only: the kernel never clamps to it
+        Some(LaneLut { tier: SimdTier::resolve(forced), thresholds: lane_thresholds(boxplus)? })
     }
 
     /// The dispatch tier the kernel runs at.
@@ -164,16 +160,7 @@ impl LaneLut {
         assert!(lanes > 0 && v2c.len().is_multiple_of(lanes), "blocks must be whole vectors");
         let d = v2c.len() / lanes;
         assert!(d >= 2, "a check node has at least two inputs");
-        lane_lut_extrinsic_tier(
-            self.tier,
-            v2c,
-            c2v,
-            lanes,
-            d,
-            self.thresholds,
-            self.max_mag,
-            prefix,
-        );
+        lane_lut_extrinsic_tier(self.tier, v2c, c2v, lanes, d, self.thresholds, prefix);
     }
 }
 
@@ -211,7 +198,16 @@ pub(crate) struct SimdQuant {
     fix_in: Vec<i32>,
     fix_out: Vec<i32>,
     /// Per-lane syndrome accumulator of the early-termination test.
-    syn: Vec<i32>,
+    syn: Vec<i16>,
+    // --- rotation plan only: the software shuffle network ---
+    /// Largest information-channel magnitude whose totals still fit `i16`.
+    info_rail: i32,
+    /// Information channel in the lane domain.
+    chan16: Vec<i16>,
+    /// Information totals, each 360-block stored twice over
+    /// (`[t_0 … t_359 | t_0 … t_359]`), so the block rotated by `off` is the
+    /// contiguous slice `[off .. off + lanes]`.
+    tot2: Vec<i16>,
 }
 
 /// How the variable-node side reaches the lane planes.
@@ -232,12 +228,12 @@ enum VnPlan {
 
 /// One (row, position) plane vector of the rotation VN plan: the `lanes`
 /// messages at plane offset `base` belong to variables
-/// `block + (u + off) % lanes`.
+/// `block + (u + off) % lanes`, which the doubled block planes hold
+/// contiguously from `at = 2·block + off`.
 #[derive(Debug, Clone, Copy)]
 struct RotEntry {
     base: u32,
-    block: u32,
-    off: u32,
+    at: u32,
 }
 
 impl SimdQuant {
@@ -288,8 +284,19 @@ impl SimdQuant {
                 edge_slot[e] = ((r * stride + i) * lanes + u) as u32;
             }
         }
-        let vn = match build_rotation(graph, &edge_slot, lanes, q_rows, stride, info_d) {
-            Some(rot) => VnPlan::Rotation(rot),
+        // The rotation plan keeps its information totals in `i16`: a total
+        // is the channel value plus at most `d_max` messages of at most
+        // `max_mag` each, so a channel inside `info_rail` cannot wrap one.
+        // Release builds do not check those adds; the test profile's
+        // overflow checks on `vn_pass_rot` are the proof of the bound. The
+        // float entry saturates to `max_mag` and must always qualify; the
+        // `max(2)` covers `lane_syndrome`, which adds three rail values.
+        let d_max = (0..k).map(|v| graph.var_edges(v).len()).max().unwrap_or(0) as i32;
+        let info_rail = i16::MAX as i32 - d_max.max(2) * max_mag as i32;
+        let (vn, info_rail) = match build_rotation(graph, &edge_slot, lanes, q_rows, stride, info_d)
+        {
+            Some(_) if info_rail < max_mag as i32 => return None,
+            Some(rot) => (VnPlan::Rotation(rot), info_rail),
             None => {
                 let mut var_slots = Vec::with_capacity(n_check * info_d);
                 for v in 0..k {
@@ -303,9 +310,11 @@ impl SimdQuant {
                         var_slots.push(slot);
                     }
                 }
-                VnPlan::Slots(var_slots)
+                // The generic pass keeps `i32` totals: any channel fits.
+                (VnPlan::Slots(var_slots), i32::MAX)
             }
         };
+        let shuffle = if matches!(vn, VnPlan::Rotation(_)) { k } else { 0 };
 
         let plane = q_rows * stride * lanes;
         Some(SimdQuant {
@@ -331,6 +340,9 @@ impl SimdQuant {
             fix_in: vec![0; stride],
             fix_out: vec![0; stride],
             syn: vec![0; lanes],
+            info_rail,
+            chan16: vec![0; shuffle],
+            tot2: vec![0; 2 * shuffle],
         })
     }
 
@@ -342,9 +354,10 @@ impl SimdQuant {
     /// Lane-parallel decode, mirroring `decode_fused_into` step for step
     /// (same early-stop placement, same iteration accounting, same digest
     /// points). Returns `false` — with the decoder state untouched — when
-    /// the channel's parity values exceed the quantizer rail, in which case
-    /// the caller must run the scalar fused path (whose wide sat-adds
-    /// handle out-of-range inputs).
+    /// the channel leaves the lane domain (a parity value beyond the
+    /// quantizer rail, or with the rotation plan an information value beyond
+    /// `info_rail`), in which case the caller must run the scalar fused path
+    /// (whose wide sat-adds handle out-of-range inputs).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn decode_into(
         &mut self,
@@ -362,7 +375,11 @@ impl SimdQuant {
         let k = graph.info_len();
         let (lanes, q_rows) = (self.lanes, self.q_rows);
         let max_mag = self.max_mag;
-        if channel[k..].iter().any(|&x| x.unsigned_abs() > max_mag as u32) {
+        // A fold, not `any`: no early exit, so the scan vectorizes.
+        let beyond = |xs: &[i32], rail: i32| {
+            xs.iter().fold(false, |out, &x| out | (x.unsigned_abs() > rail as u32))
+        };
+        if beyond(&channel[k..], max_mag as i32) || beyond(&channel[..k], self.info_rail) {
             return false;
         }
 
@@ -372,6 +389,9 @@ impl SimdQuant {
             for (r, &x) in col.iter().enumerate() {
                 self.pchan[r * lanes + u] = x as i16;
             }
+        }
+        for (c, &x) in self.chan16.iter_mut().zip(channel) {
+            *c = x as i16;
         }
         self.c2v.fill(0);
         // As in the fused path: with both directions empty a cap of 0 leaves
@@ -385,8 +405,8 @@ impl SimdQuant {
         for it in 0..max_iterations {
             // Fused totals + variable-node pass (identical values to the
             // scalar fused pass: integer addition is order-independent).
-            self.vn_pass(graph, channel, k, totals);
-            if early_stop && it > 0 && self.syndrome_clear(graph, channel, k, totals, decisions) {
+            self.vn_pass(graph, channel, totals);
+            if early_stop && it > 0 && self.syndrome_clear(graph, k, totals, decisions) {
                 converged = true;
                 break;
             }
@@ -421,38 +441,45 @@ impl SimdQuant {
         }
 
         if !converged {
-            // The loop ended right after a sweep: fold it into the totals.
-            self.vn_pass(graph, channel, k, totals);
+            // The loop ended right after a sweep: fold it into the totals
+            // and take the verdict where the early stop takes it.
+            self.vn_pass(graph, channel, totals);
+            converged = self.syndrome_clear(graph, k, totals, decisions);
         }
-        // The lane test reads the chain state where it lies, so the parity
-        // totals are materialized here, once per decode.
-        self.parity_totals(channel, k, totals);
+        // The lane test reads the state where it lies, so the `i32` totals
+        // are materialized here, once per decode.
+        self.parity_totals(k, totals);
+        if matches!(self.vn, VnPlan::Rotation(_)) {
+            let blocks = self.tot2.chunks_exact(2 * lanes);
+            for (wide, block) in totals[..k].chunks_exact_mut(lanes).zip(blocks) {
+                for (t, &x) in wide.iter_mut().zip(block) {
+                    *t = x as i32;
+                }
+            }
+        }
         if out.bits.len() != totals.len() {
             out.bits = BitVec::zeros(totals.len());
         }
         hard_decisions_int_into(totals, &mut out.bits);
-        if !converged {
-            converged = syndrome_ok(graph, &out.bits);
-        }
         out.iterations = iterations;
         out.converged = converged;
         true
     }
 
-    /// Totals + saturated v2c for the information side, dispatched through
-    /// the rotation plan when the graph's QC structure allows.
-    fn vn_pass(&mut self, graph: &TannerGraph, channel: &[i32], k: usize, totals: &mut [i32]) {
+    /// Totals + saturated v2c for the information side: through the doubled
+    /// blocks (`i16`, `totals` untouched) when the graph's QC structure
+    /// allows, variable by variable into `totals` otherwise.
+    fn vn_pass(&mut self, graph: &TannerGraph, channel: &[i32], totals: &mut [i32]) {
         match &self.vn {
             VnPlan::Rotation(rot) => vn_pass_rot_tier(
                 self.tier,
                 rot,
                 self.lanes,
                 self.max_mag,
-                channel,
-                k,
+                &self.chan16,
                 &self.c2v,
                 &mut self.v2c,
-                totals,
+                &mut self.tot2,
             ),
             VnPlan::Slots(var_slots) => vn_pass_generic(
                 graph,
@@ -466,14 +493,13 @@ impl SimdQuant {
         }
     }
 
-    /// The early-termination test on the totals `vn_pass` just wrote:
+    /// The syndrome test on the totals `vn_pass` just wrote:
     /// `syndrome_ok(hard_decisions(totals))`, parity side included. With the
-    /// rotation plan it runs in the lanes and leaves `totals[k..]` alone;
+    /// rotation plan it runs in the lanes and leaves `totals` alone;
     /// otherwise it is the scalar test over materialized parity totals.
     fn syndrome_clear(
         &mut self,
         graph: &TannerGraph,
-        channel: &[i32],
         k: usize,
         totals: &mut [i32],
         decisions: &mut BitVec,
@@ -485,30 +511,31 @@ impl SimdQuant {
                 self.lanes,
                 self.q_rows,
                 self.info_d,
-                &totals[..k],
+                &self.tot2,
                 &self.pchan,
                 &self.fwd,
                 &self.bwd,
                 &mut self.syn,
             ),
             VnPlan::Slots(_) => {
-                self.parity_totals(channel, k, totals);
+                self.parity_totals(k, totals);
                 hard_decisions_int_into(totals, decisions);
                 syndrome_ok(graph, decisions)
             }
         }
     }
 
-    /// Parity-side totals from the lane-major chain state. The last
-    /// check's backward slot is pinned zero, standing in for the scalar
-    /// path's end-of-chain conditional.
-    fn parity_totals(&self, channel: &[i32], k: usize, totals: &mut [i32]) {
+    /// Parity-side totals from the lane-major chain state, read row-major
+    /// (`pchan` is the channel exactly: `decode_into` has checked the rail).
+    /// The last check's backward slot is pinned zero, standing in for the
+    /// scalar path's end-of-chain conditional.
+    fn parity_totals(&self, k: usize, totals: &mut [i32]) {
         let (lanes, q_rows) = (self.lanes, self.q_rows);
-        for u in 0..lanes {
-            for r in 0..q_rows {
-                let j = u * q_rows + r;
+        for r in 0..q_rows {
+            for u in 0..lanes {
                 let s = r * lanes + u;
-                totals[k + j] = channel[k + j] + self.fwd[s] as i32 + self.bwd[s] as i32;
+                totals[k + u * q_rows + r] =
+                    self.pchan[s] as i32 + self.fwd[s] as i32 + self.bwd[s] as i32;
             }
         }
     }
@@ -575,9 +602,12 @@ fn build_rotation(
                     return None;
                 }
             }
-            rot.push(RotEntry { base: base as u32, block: block as u32, off: off as u32 });
+            rot.push(RotEntry { base: base as u32, at: (2 * block + off) as u32 });
         }
     }
+    // Every information variable lies in a whole block some entry covers;
+    // the doubled planes are cut into blocks on the strength of it.
+    assert!(k.is_multiple_of(lanes), "{k} information bits are not whole {lanes}-blocks");
     Some(rot)
 }
 
@@ -589,45 +619,51 @@ fn sat_add_i16(a: i16, b: i16, max_mag: i16) -> i16 {
 }
 
 /// One lane-wide boxplus combine via the threshold-decomposed correction:
-/// bit-identical to `QBoxplus::combine` (same branchless sign/magnitude
-/// fold; `corr[zp] - corr[zm]` becomes a handful of broadcast compares).
+/// bit-identical to `QBoxplus::combine`, without its sign. With `a = |x|`,
+/// `b = |y|`, `{|x+y|, |x−y|} = {a+b, a+b − 2·mag}` in the order the sign
+/// picks, so `sign · (corr(|x+y|) − corr(|x−y|))` is
+/// `corr(hi) − corr(lo)` with `hi = a+b`, `lo = hi − 2·mag` either way: minus
+/// the number of thresholds in `[lo, hi)`. That is never positive, so the
+/// quantizer's upper clamp is dead and only the clamp at zero remains; the
+/// sign goes on last as an XOR-and-subtract of the mask `m`. Only the first
+/// `LIVE` thresholds are compared against (the rest must be the `-1`
+/// sentinel).
 #[inline(always)]
-fn combine_one(x: i16, y: i16, th: [i16; MAX_CORR_THRESHOLDS], max_mag: i16) -> i16 {
-    let sign: i16 = if (x ^ y) < 0 { -1 } else { 1 };
-    let mag = x.abs().min(y.abs());
-    let zp = (x + y).abs();
-    let zm = (x - y).abs();
+fn combine_one<const LIVE: usize>(x: i16, y: i16, th: [i16; MAX_CORR_THRESHOLDS]) -> i16 {
+    let (a, b) = (x.abs(), y.abs());
+    let mag = a.min(b);
+    let hi = a + b;
+    let lo = hi - 2 * mag;
     let mut c = 0i16;
-    for &t in &th {
-        c += (zp <= t) as i16 - (zm <= t) as i16;
+    for &t in &th[..LIVE] {
+        c += ((lo <= t) & (t < hi)) as i16;
     }
-    sign * (mag + sign * c).clamp(0, max_mag)
+    let m = (x ^ y) >> 15;
+    ((mag - c).max(0) ^ m) - m
 }
 
 #[inline(always)]
-fn lane_combine(
+fn lane_combine<const LIVE: usize>(
     a: &[i16],
     b: &[i16],
     out: &mut [i16],
     th: [i16; MAX_CORR_THRESHOLDS],
-    max_mag: i16,
 ) {
     for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = combine_one(x, y, th, max_mag);
+        *o = combine_one::<LIVE>(x, y, th);
     }
 }
 
 #[inline(always)]
-fn lane_combine_acc(acc: &mut [i16], b: &[i16], th: [i16; MAX_CORR_THRESHOLDS], max_mag: i16) {
+fn lane_combine_acc<const LIVE: usize>(acc: &mut [i16], b: &[i16], th: [i16; MAX_CORR_THRESHOLDS]) {
     for (a, &y) in acc.iter_mut().zip(b) {
-        *a = combine_one(*a, y, th, max_mag);
+        *a = combine_one::<LIVE>(*a, y, th);
     }
 }
 
-/// LUT extrinsic over one residue row: `d` lane vectors, suffix sweep then
-/// prefix sweep with exactly `QBoxplus::extrinsic`'s association order per
-/// lane (`combine` is a pure function, so identical dataflow means
-/// identical values regardless of lane organization).
+/// LUT extrinsic over one residue row, compiled for the number of live
+/// thresholds: the paper's 6-bit table has three, and the two compares of
+/// a sentinel slot are a tenth of the sweep.
 #[inline(always)]
 fn lane_lut_extrinsic(
     v2c: &[i16],
@@ -635,18 +671,36 @@ fn lane_lut_extrinsic(
     lanes: usize,
     d: usize,
     th: [i16; MAX_CORR_THRESHOLDS],
-    max_mag: i16,
+    prefix: &mut [i16],
+) {
+    if th[MAX_CORR_THRESHOLDS - 1] < 0 {
+        lane_lut_rows::<{ MAX_CORR_THRESHOLDS - 1 }>(v2c, c2v, lanes, d, th, prefix)
+    } else {
+        lane_lut_rows::<MAX_CORR_THRESHOLDS>(v2c, c2v, lanes, d, th, prefix)
+    }
+}
+
+/// `d` lane vectors, suffix sweep then prefix sweep with exactly
+/// `QBoxplus::extrinsic`'s association order per lane (`combine` is a pure
+/// function, so identical dataflow means identical values regardless of
+/// lane organization).
+#[inline(always)]
+fn lane_lut_rows<const LIVE: usize>(
+    v2c: &[i16],
+    c2v: &mut [i16],
+    lanes: usize,
+    d: usize,
+    th: [i16; MAX_CORR_THRESHOLDS],
     prefix: &mut [i16],
 ) {
     c2v[(d - 1) * lanes..d * lanes].copy_from_slice(&v2c[(d - 1) * lanes..d * lanes]);
     for i in (1..d - 1).rev() {
         let (head, tail) = c2v.split_at_mut((i + 1) * lanes);
-        lane_combine(
+        lane_combine::<LIVE>(
             &v2c[i * lanes..(i + 1) * lanes],
             &tail[..lanes],
             &mut head[i * lanes..],
             th,
-            max_mag,
         );
     }
     prefix.copy_from_slice(&v2c[..lanes]);
@@ -656,8 +710,8 @@ fn lane_lut_extrinsic(
     }
     for i in 1..d - 1 {
         let (head, tail) = c2v.split_at_mut((i + 1) * lanes);
-        lane_combine(prefix, &tail[..lanes], &mut head[i * lanes..], th, max_mag);
-        lane_combine_acc(prefix, &v2c[i * lanes..(i + 1) * lanes], th, max_mag);
+        lane_combine::<LIVE>(prefix, &tail[..lanes], &mut head[i * lanes..], th);
+        lane_combine_acc::<LIVE>(prefix, &v2c[i * lanes..(i + 1) * lanes], th);
     }
     c2v[(d - 1) * lanes..d * lanes].copy_from_slice(prefix);
 }
@@ -708,63 +762,59 @@ fn lane_min_sum_extrinsic(
     }
 }
 
-/// Rotation-structured variable-node pass: totals (i32, overflow-safe for
-/// any degree) then saturated v2c, each (row, position) vector as two
-/// contiguous slices split at the rotation seam.
+/// Rotation-structured variable-node pass over the doubled blocks, the
+/// software form of the paper's shuffle network: every rotated read and
+/// write is one dense `lanes`-long slice, with no seam at the wrap. While
+/// the c2v messages accumulate, the two halves of a block split its sum
+/// between them (an entry at offset `off` adds `lanes - off` terms to the
+/// first and `off` to the second); one fold per block adds them to the
+/// channel and writes the total to both halves.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn vn_pass_rot(
     rot: &[RotEntry],
     lanes: usize,
     max_mag: i16,
-    channel: &[i32],
-    k: usize,
+    chan16: &[i16],
     c2v: &[i16],
     v2c: &mut [i16],
-    totals: &mut [i32],
+    tot2: &mut [i16],
 ) {
-    totals[..k].copy_from_slice(&channel[..k]);
+    tot2.fill(0);
     for e in rot {
-        let (base, block, off) = (e.base as usize, e.block as usize, e.off as usize);
-        let split = lanes - off;
-        let src = &c2v[base..base + lanes];
-        let dst = &mut totals[block..block + lanes];
-        for (d, &s) in dst[off..].iter_mut().zip(&src[..split]) {
-            *d += s as i32;
-        }
-        for (d, &s) in dst[..off].iter_mut().zip(&src[split..]) {
-            *d += s as i32;
+        let (base, at) = (e.base as usize, e.at as usize);
+        for (t, &c) in tot2[at..at + lanes].iter_mut().zip(&c2v[base..base + lanes]) {
+            *t += c;
         }
     }
-    let (lo, hi) = (-(max_mag as i32), max_mag as i32);
-    for e in rot {
-        let (base, block, off) = (e.base as usize, e.block as usize, e.off as usize);
-        let split = lanes - off;
-        let t = &totals[block..block + lanes];
-        let c = &c2v[base..base + lanes];
-        let v = &mut v2c[base..base + lanes];
-        for u in 0..split {
-            v[u] = (t[off + u] - c[u] as i32).clamp(lo, hi) as i16;
+    for (chan, tot) in chan16.chunks_exact(lanes).zip(tot2.chunks_exact_mut(2 * lanes)) {
+        let (lo, hi) = tot.split_at_mut(lanes);
+        for ((&ch, lo), hi) in chan.iter().zip(lo).zip(hi) {
+            let t = ch + *lo + *hi;
+            (*lo, *hi) = (t, t);
         }
-        for u in 0..off {
-            v[split + u] = (t[u] - c[split + u] as i32).clamp(lo, hi) as i16;
+    }
+    for e in rot {
+        let (base, at) = (e.base as usize, e.at as usize);
+        let (t, c) = (&tot2[at..at + lanes], &c2v[base..base + lanes]);
+        for ((v, &t), &c) in v2c[base..base + lanes].iter_mut().zip(t).zip(c) {
+            *v = (t - c).clamp(-max_mag, max_mag);
         }
     }
 }
 
-/// Lane-domain early-termination test: `true` when the hard decisions of
-/// the current totals satisfy every check.
+/// Lane-domain syndrome test: `true` when the hard decisions of the
+/// current totals satisfy every check.
 ///
-/// The sign bit of an XOR of `i32`s is the XOR of their sign bits, and a
+/// The sign bit of an XOR of integers is the XOR of their sign bits, and a
 /// hard decision *is* the sign bit, so the syndrome of the `lanes` checks
 /// of residue row `r` is the sign of one lane vector: the XOR of the row's
-/// information totals (each `RotEntry` a rotated block, as in
-/// [`vn_pass_rot`]), of its own parity totals `pchan + fwd + bwd`
-/// ([`SimdQuant::parity_totals`]' value; `pchan` is the channel exactly,
-/// `decode_into` has checked the rail) and of the left neighbour's — row
-/// `r - 1` lane-aligned, or at `r == 0` row `q_rows - 1` shifted one lane,
-/// with nothing for check 0. By construction the result equals
-/// `syndrome_ok(hard_decisions_int(totals))` over the materialized totals.
+/// information totals (each `RotEntry` a contiguous slice of a doubled
+/// block, as in [`vn_pass_rot`]), of its own parity totals
+/// `pchan + fwd + bwd` ([`SimdQuant::parity_totals`]' value) and of the
+/// left neighbour's — row `r - 1` lane-aligned, or at `r == 0` row
+/// `q_rows - 1` shifted one lane, with nothing for check 0. By construction
+/// the result equals `syndrome_ok(hard_decisions_int(totals))` over the
+/// materialized totals.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn lane_syndrome(
@@ -772,13 +822,13 @@ fn lane_syndrome(
     lanes: usize,
     q_rows: usize,
     info_d: usize,
-    info_totals: &[i32],
+    tot2: &[i16],
     pchan: &[i16],
     fwd: &[i16],
     bwd: &[i16],
-    syn: &mut [i32],
+    syn: &mut [i16],
 ) -> bool {
-    let parity = |s: usize| pchan[s] as i32 + fwd[s] as i32 + bwd[s] as i32;
+    let parity = |s: usize| pchan[s] + fwd[s] + bwd[s];
     for r in 0..q_rows {
         let row = r * lanes;
         if r > 0 {
@@ -793,13 +843,7 @@ fn lane_syndrome(
             }
         }
         for e in &rot[r * info_d..(r + 1) * info_d] {
-            let (block, off) = (e.block as usize, e.off as usize);
-            let split = lanes - off;
-            let t = &info_totals[block..block + lanes];
-            for (acc, &x) in syn[..split].iter_mut().zip(&t[off..]) {
-                *acc ^= x;
-            }
-            for (acc, &x) in syn[split..].iter_mut().zip(&t[..off]) {
+            for (acc, &x) in syn.iter_mut().zip(&tot2[e.at as usize..][..lanes]) {
                 *acc ^= x;
             }
         }
@@ -909,7 +953,6 @@ fn check_sweep(
                 lanes,
                 stride,
                 *thresholds,
-                max_mag,
                 scr1,
             ),
             LaneKernel::MinSum { shift } => lane_min_sum_extrinsic(
@@ -1008,11 +1051,10 @@ qtier_clones!(
         rot: &[RotEntry],
         lanes: usize,
         max_mag: i16,
-        channel: &[i32],
-        k: usize,
+        chan16: &[i16],
         c2v: &[i16],
         v2c: &mut [i16],
-        totals: &mut [i32],
+        tot2: &mut [i16],
     )
 );
 
@@ -1023,11 +1065,11 @@ qtier_clones!(
         lanes: usize,
         q_rows: usize,
         info_d: usize,
-        info_totals: &[i32],
+        tot2: &[i16],
         pchan: &[i16],
         fwd: &[i16],
         bwd: &[i16],
-        syn: &mut [i32],
+        syn: &mut [i16],
     ) -> bool
 );
 
@@ -1039,7 +1081,6 @@ qtier_clones!(
         lanes: usize,
         d: usize,
         th: [i16; MAX_CORR_THRESHOLDS],
-        max_mag: i16,
         prefix: &mut [i16],
     )
 );
@@ -1137,27 +1178,28 @@ mod tests {
     fn both_tests(sq: &mut SimdQuant, graph: &TannerGraph, info: &[i32]) -> (bool, bool) {
         let k = graph.info_len();
         let VnPlan::Rotation(rot) = &sq.vn else { panic!("no rotation plan") };
+        for (block, half) in info.chunks_exact(sq.lanes).zip(sq.tot2.chunks_exact_mut(sq.lanes * 2))
+        {
+            for (u, &t) in block.iter().enumerate() {
+                half[u] = t as i16;
+                half[sq.lanes + u] = t as i16;
+            }
+        }
         let lane = lane_syndrome_tier(
             sq.tier,
             rot,
             sq.lanes,
             sq.q_rows,
             sq.info_d,
-            info,
+            &sq.tot2,
             &sq.pchan,
             &sq.fwd,
             &sq.bwd,
             &mut sq.syn,
         );
-        let mut channel = vec![0i32; graph.var_count()];
-        for u in 0..sq.lanes {
-            for r in 0..sq.q_rows {
-                channel[k + u * sq.q_rows + r] = sq.pchan[r * sq.lanes + u] as i32;
-            }
-        }
         let mut totals = info.to_vec();
         totals.resize(graph.var_count(), 0);
-        sq.parity_totals(&channel, k, &mut totals);
+        sq.parity_totals(k, &mut totals);
         (lane, syndrome_ok(graph, &hard_decisions_int(&totals)))
     }
 
@@ -1233,16 +1275,93 @@ mod tests {
         }
     }
 
+    /// The `i16` totals at their bound: an information channel exactly at
+    /// `info_rail` decodes on the lanes (this profile's overflow checks
+    /// would catch a wrapped add); one past it is handed to the scalar fused
+    /// sweep. Both ways the decoder equals `with_partition_fused`, digests
+    /// included.
+    #[test]
+    fn information_channel_at_the_i16_bound_stays_on_the_lanes_and_past_it_falls_back() {
+        use crate::{DecoderConfig, QuantizedZigzagDecoder};
+        use std::sync::Arc;
+        let (_, graph) = crate::test_support::small_code();
+        let graph = Arc::new(graph);
+        let (k, n) = (graph.info_len(), graph.var_count());
+        let partition = rotation_partition(&graph);
+        let arith = QCheckArithmetic::lut(Quantizer::paper_6bit());
+        let d_max = (0..k).map(|v| graph.var_edges(v).len()).max().unwrap() as i32;
+        let rail = i16::MAX as i32 - d_max * 31;
+        let mut rng = SplitMix64(0x1616);
+        let mut noisy: Vec<i32> = (0..n).map(|_| (rng.next_u64() % 63) as i32 - 31).collect();
+        for v in (0..k).step_by(97) {
+            noisy[v] = if rng.next_bool() { rail } else { -rail };
+        }
+        let strong: Vec<i32> = (0..n).map(|v| if v < k { rail } else { 31 }).collect();
+        for tier in SimdTier::available() {
+            let config = DecoderConfig::default().with_max_iterations(6).with_simd_tier(Some(tier));
+            let mut sq = SimdQuant::try_build(&graph, &partition, &arith, tier).unwrap();
+            assert_eq!(sq.info_rail, rail, "{tier:?}");
+            let mut lanes = QuantizedZigzagDecoder::with_partition(
+                Arc::clone(&graph),
+                arith.clone(),
+                config,
+                partition.clone(),
+            );
+            let mut fused = QuantizedZigzagDecoder::with_partition_fused(
+                Arc::clone(&graph),
+                arith.clone(),
+                config,
+                partition.clone(),
+            );
+            let (mut totals, mut bits) = (vec![0i32; n], BitVec::zeros(n));
+            let (mut da, mut db) = (Vec::new(), Vec::new());
+            for (name, channel) in [("noisy", &noisy), ("strong", &strong)] {
+                for (past, on_lanes) in [(0, true), (1, false)] {
+                    let mut channel = channel.clone();
+                    channel[0] = rail + past;
+                    let what = format!("{tier:?} {name} rail + {past}");
+                    let mut out = DecodeResult::default();
+                    let took = sq.decode_into(
+                        &graph,
+                        &arith,
+                        6,
+                        true,
+                        &channel,
+                        &mut totals,
+                        &mut bits,
+                        &mut out,
+                        None,
+                    );
+                    assert_eq!(took, on_lanes, "{what}");
+                    let want = fused.decode_quantized_traced(&channel, &mut db);
+                    assert_eq!(lanes.decode_quantized_traced(&channel, &mut da), want, "{what}");
+                    assert_eq!(da, db, "{what}: digests");
+                    if on_lanes {
+                        assert_eq!(out, want, "{what}: lane plan result");
+                    }
+                }
+            }
+            // The bound is tight: every message at the rail puts the
+            // highest-degree totals at `i16::MAX` exactly.
+            sq.c2v.fill(31);
+            sq.chan16.fill(rail as i16);
+            sq.vn_pass(&graph, &strong, &mut totals);
+            assert_eq!(sq.tot2.iter().max(), Some(&i16::MAX), "{tier:?}");
+            assert!(sq.v2c.iter().all(|&x| x.abs() <= 31), "{tier:?}");
+        }
+    }
+
     #[test]
     fn lane_combine_matches_scalar_combine_exhaustively() {
-        for q in [Quantizer::paper_6bit(), Quantizer::paper_5bit()] {
+        for q in [Quantizer::paper_6bit(), Quantizer::paper_5bit(), Quantizer::new(6, 0.18)] {
             let bp = QBoxplus::new(q);
             let th = lane_thresholds(&bp).unwrap();
             let m = q.max_mag();
             for a in -m..=m {
                 for b in -m..=m {
+                    let lane = if th[3] < 0 { combine_one::<3> } else { combine_one::<4> };
                     assert_eq!(
-                        combine_one(a as i16, b as i16, th, m as i16) as i32,
+                        lane(a as i16, b as i16, th) as i32,
                         bp.combine(a, b),
                         "bits={} a={a} b={b}",
                         q.bits()
@@ -1282,28 +1401,33 @@ mod tests {
         }
     }
 
+    /// Every tier's clone of the row kernel against [`QBoxplus::extrinsic`]
+    /// lane by lane: one, three and four live thresholds, a width with a
+    /// ragged vector tail.
     #[test]
     fn lut_lane_kernel_matches_scalar_extrinsic() {
-        let q = Quantizer::paper_6bit();
-        let bp = QBoxplus::new(q);
-        let th = lane_thresholds(&bp).unwrap();
-        let lanes = 7;
-        let d = 5;
-        let mut state = 0xD1B54A32D192ED03u64;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) as i32 % 63 - 31).clamp(-31, 31)
-        };
-        let v2c: Vec<i16> = (0..lanes * d).map(|_| next() as i16).collect();
-        let mut c2v = vec![0i16; lanes * d];
-        let mut prefix = vec![0i16; lanes];
-        lane_lut_extrinsic(&v2c, &mut c2v, lanes, d, th, 31, &mut prefix);
-        for u in 0..lanes {
-            let ins: Vec<i32> = (0..d).map(|i| v2c[i * lanes + u] as i32).collect();
-            let mut outs = vec![0i32; d];
-            bp.extrinsic(&ins, &mut outs);
-            for i in 0..d {
-                assert_eq!(c2v[i * lanes + u] as i32, outs[i], "lane {u} pos {i} ins {ins:?}");
+        for q in [Quantizer::paper_6bit(), Quantizer::paper_5bit(), Quantizer::new(6, 0.18)] {
+            let bp = QBoxplus::new(q);
+            let th = lane_thresholds(&bp).unwrap();
+            let m = q.max_mag();
+            let (lanes, d) = (77, 5);
+            let mut rng = SplitMix64(0xD1B5 ^ m as u64);
+            let v2c: Vec<i16> = (0..lanes * d)
+                .map(|_| (rng.next_u64() % (2 * m as u64 + 1)) as i16 - m as i16)
+                .collect();
+            for tier in SimdTier::available() {
+                let mut c2v = vec![0i16; lanes * d];
+                let mut prefix = vec![0i16; lanes];
+                lane_lut_extrinsic_tier(tier, &v2c, &mut c2v, lanes, d, th, &mut prefix);
+                for u in 0..lanes {
+                    let ins: Vec<i32> = (0..d).map(|i| v2c[i * lanes + u] as i32).collect();
+                    let mut outs = vec![0i32; d];
+                    bp.extrinsic(&ins, &mut outs);
+                    for i in 0..d {
+                        let got = c2v[i * lanes + u] as i32;
+                        assert_eq!(got, outs[i], "{q:?} {tier:?} lane {u} pos {i} ins {ins:?}");
+                    }
+                }
             }
         }
     }

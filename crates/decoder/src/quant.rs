@@ -77,6 +77,41 @@ impl Quantizer {
         scaled.clamp(-self.max_mag as f64, self.max_mag as f64) as i32
     }
 
+    /// [`quantize`](Self::quantize) over a slice, element for element, as
+    /// one loop that vectorizes: the clamp goes first (it commutes with the
+    /// rounding, `max_mag` being an integer) as two compares that let a NaN
+    /// through, the NaN becomes 0 as the saturating cast would have made
+    /// it, and round-half-away is the truncating conversion of
+    /// `v ± 0.49999999999999994`, the largest double below one half. A
+    /// power-of-two step scales by its exact reciprocal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != llrs.len()`.
+    pub fn quantize_into(&self, llrs: &[f64], out: &mut [i32]) {
+        assert_eq!(out.len(), llrs.len(), "length mismatch");
+        let rail = self.max_mag as f64;
+        let round = |v: f64| {
+            let v = if v > rail { rail } else { v };
+            let v = if v < -rail { -rail } else { v };
+            let v = if v.is_nan() { 0.0 } else { v };
+            // SAFETY: `v` is finite and inside `±max_mag <= 32767`, so the
+            // sum is finite and its truncation fits an `i32`. (The checked
+            // `as` cast is what keeps this loop scalar.)
+            unsafe { (v + 0.499_999_999_999_999_94_f64.copysign(v)).to_int_unchecked::<i32>() }
+        };
+        let inv = 1.0 / self.step;
+        if self.step.to_bits() << 12 == 0 && self.step.is_normal() && inv.is_normal() {
+            for (o, &x) in out.iter_mut().zip(llrs) {
+                *o = round(x * inv);
+            }
+        } else {
+            for (o, &x) in out.iter_mut().zip(llrs) {
+                *o = round(x / self.step);
+            }
+        }
+    }
+
     /// The float LLR represented by a fixed-point value.
     pub fn dequantize(&self, v: i32) -> f64 {
         v as f64 * self.step
@@ -319,6 +354,31 @@ mod tests {
         assert_eq!(q.quantize(15.5), 31);
         assert_eq!(q.quantize(16.0), 31);
         assert_eq!(q.quantize(-1e9), -31);
+    }
+
+    #[test]
+    fn quantize_into_equals_quantize_at_every_rounding_edge() {
+        let ulp = |x: f64, up: bool| {
+            let step = if (x > 0.0) == up { 1 } else { -1 };
+            f64::from_bits((x.to_bits() as i64 + step) as u64)
+        };
+        for q in [Quantizer::paper_6bit(), Quantizer::paper_5bit(), Quantizer::new(6, 0.1)] {
+            let below_half = 0.499_999_999_999_999_94 * q.step();
+            let mut xs = vec![0.0, -0.0, below_half, -below_half, f64::NAN, -f64::NAN];
+            xs.extend([f64::MIN_POSITIVE / 4.0, -f64::MIN_POSITIVE / 4.0, 5e-324, -5e-324]);
+            xs.extend([1e300, -1e300, f64::INFINITY, f64::NEG_INFINITY, f64::MAX, f64::MIN]);
+            for k in -q.max_mag() - 2..=q.max_mag() + 2 {
+                for half in [-0.5, 0.5] {
+                    let edge = (k as f64 + half) * q.step();
+                    xs.extend([edge, ulp(edge, true), ulp(edge, false)]);
+                }
+            }
+            let mut got = vec![i32::MIN; xs.len()];
+            q.quantize_into(&xs, &mut got);
+            for (&x, &g) in xs.iter().zip(&got) {
+                assert_eq!(g, q.quantize(x), "step {} x {x:e} ({:#x})", q.step(), x.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -19,10 +19,7 @@ pub fn hard_decisions_int(totals: &[i32]) -> BitVec {
 ///
 /// Panics if `out.len() != totals.len()`.
 pub fn hard_decisions_int_into(totals: &[i32], out: &mut BitVec) {
-    assert_eq!(out.len(), totals.len(), "length mismatch");
-    for (i, &t) in totals.iter().enumerate() {
-        out.set(i, t < 0);
-    }
+    out.fill_from(totals, |t| t < 0);
 }
 
 /// `true` when every check equation is satisfied by `bits` — the early

@@ -69,6 +69,20 @@ impl BitVec {
         }
     }
 
+    /// Overwrites every bit: bit `i` becomes `bit(values[i])`, 64 bits per
+    /// stored word with no branch per bit. Bits of the last word past `len`
+    /// stay zero, as everywhere else.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len() != self.len()`.
+    pub fn fill_from<T: Copy>(&mut self, values: &[T], bit: impl Fn(T) -> bool) {
+        assert_eq!(values.len(), self.len, "length mismatch");
+        for (word, chunk) in self.words.iter_mut().zip(values.chunks(64)) {
+            *word = chunk.iter().enumerate().fold(0, |w, (i, &x)| w | (bit(x) as u64) << i);
+        }
+    }
+
     /// Flips bit `i`.
     ///
     /// # Panics
@@ -192,6 +206,31 @@ mod tests {
         v.extend([true, false, true]);
         assert_eq!(v.len(), 3);
         assert!(v.get(0) && !v.get(1) && v.get(2));
+    }
+
+    #[test]
+    fn fill_from_equals_per_bit_set_and_leaves_the_tail_zero() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for len in [0, 1, 63, 64, 65, 16200, 64800] {
+            let values: Vec<i32> = (0..len)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    (state >> 40) as i32 - (1 << 23)
+                })
+                .collect();
+            let mut per_bit = BitVec::zeros(len);
+            for (i, &x) in values.iter().enumerate() {
+                per_bit.set(i, x < 0);
+            }
+            // Start from all ones: every bit must be overwritten, and the
+            // bits past `len` must not pick anything up.
+            let mut filled: BitVec = std::iter::repeat_n(true, len).collect();
+            filled.fill_from(&values, |x| x < 0);
+            assert_eq!(filled, per_bit, "len {len}");
+            assert_eq!(filled.count_ones(), values.iter().filter(|&&x| x < 0).count());
+            filled.fill_from(&values, |_| true);
+            assert_eq!(filled.count_ones(), len, "len {len}: tail bits set");
+        }
     }
 
     #[test]
