@@ -6,12 +6,15 @@
 //! updates — so the recorded speedup compares the fast-path engine against
 //! what the repository actually shipped before, not against a strawman.
 //!
-//! One more lane runs outside that contract:
-//! `quantized_partitioned_simd_early_stop` is the served decoder on R1/2
-//! short frames at 1.4 dB with early stop on, scored per iteration against
-//! the same decoder at 30 fixed iterations on the same frames — what the
-//! early-termination test costs — and per frame against the same decoder
-//! capped at 0 iterations — what a frame pays outside its iterations.
+//! Three more lanes run outside that contract, each a served profile with
+//! early stop on, scored per iteration against the same decoder at 30 fixed
+//! iterations on the same frames — what the early-termination test costs —
+//! and per frame against the same decoder capped at 0 iterations — what a
+//! frame pays outside its iterations: `quantized_partitioned_simd_early_stop`
+//! is the default profile's decoder on R1/2 short frames at 1.4 dB, and
+//! `flooding_min_sum_f32_clear_sky` the clear-sky profile (flooding,
+//! normalized min-sum 0.8, f32) on R3/4 and R1/4 short frames 6 dB above
+//! their anchors.
 //!
 //! Run: `cargo run --release -p dvbs2-bench --bin bench_decoder [--quick]`
 //! (`--quick` shortens the per-variant measurement window.)
@@ -250,7 +253,7 @@ fn measure_all(
         .collect()
 }
 
-/// The served decoder with early stop on, beside itself at 30 fixed
+/// A served decoder with early stop on, beside itself at 30 fixed
 /// iterations and at none on the same frames.
 struct EarlyStopLane {
     frames_per_s: f64,
@@ -276,23 +279,43 @@ const FIXED_COST_GATE: f64 = 0.10;
 /// syndrome test this replaced read about 2x.
 const EARLY_STOP_COST_GATE: f64 = 1.25;
 
-/// Times `DecoderKind::Quantized` as `ModcodTable::build` serves it, on
-/// R1/2 short frames at 1.4 dB (the stack benchmark's anchor for that
-/// slot): best of `rounds` interleaved passes over one pool per lane.
-fn measure_early_stop(rounds: usize) -> Result<EarlyStopLane, Box<dyn std::error::Error>> {
+/// `speedup_min_sum_f32_vs_seed` as recorded when flooding min-sum moved
+/// onto the rotation planes (AVX-512 host). A same-run ratio against the
+/// embedded seed decoder, so it travels between hosts; a run below
+/// [`MIN_SUM_SPEEDUP_GATE`] of it exits 1.
+const RECORDED_MIN_SUM_F32_SPEEDUP: f64 = 19.0;
+const MIN_SUM_SPEEDUP_GATE: f64 = 0.75;
+
+/// The clear-sky profile `serve_clear_sky` serves on every slot.
+fn clear_sky() -> DecoderConfig {
+    DecoderConfig::default()
+        .with_rule(CheckRule::NormalizedMinSum(0.8))
+        .with_precision(Precision::F32)
+}
+
+/// Times one served profile on short frames of `rate` at `ebn0_db`: best of
+/// `rounds` interleaved passes over one pool per lane (early stop on, 30
+/// fixed iterations, capped at 0).
+fn measure_early_stop(
+    name: &str,
+    rate: CodeRate,
+    ebn0_db: f64,
+    kind: DecoderKind,
+    config: DecoderConfig,
+    rounds: usize,
+) -> Result<EarlyStopLane, Box<dyn std::error::Error>> {
     const POOL: usize = 32;
     let system = Dvbs2System::new(SystemConfig {
-        rate: CodeRate::R1_2,
+        rate,
         frame: FrameSize::Short,
         ..SystemConfig::default()
     })?;
     let mut rng = SmallRng::seed_from_u64(14);
     let pool: Vec<Vec<f64>> =
-        (0..POOL).map(|_| system.transmit_frame(&mut rng, 1.4).llrs).collect();
-    let kind = DecoderKind::Quantized(Quantizer::paper_6bit());
-    let mut early = system.make_decoder_for(kind, DecoderConfig::default());
-    let mut fixed = system.make_decoder_for(kind, DecoderConfig::default().with_early_stop(false));
-    let mut capped = system.make_decoder_for(kind, DecoderConfig::default().with_max_iterations(0));
+        (0..POOL).map(|_| system.transmit_frame(&mut rng, ebn0_db).llrs).collect();
+    let mut early = system.make_decoder_for(kind, config);
+    let mut fixed = system.make_decoder_for(kind, config.with_early_stop(false));
+    let mut capped = system.make_decoder_for(kind, config.with_max_iterations(0));
     let mut out = DecodeResult::default();
     let mut pass = |decoder: &mut dyn Decoder| {
         let start = Instant::now();
@@ -326,8 +349,7 @@ fn measure_early_stop(rounds: usize) -> Result<EarlyStopLane, Box<dyn std::error
         fixed_us_per_frame: capped_s * 1e6 / POOL as f64,
     };
     println!(
-        "{:<28} {:>8.1} frames/s  {:>6.2} us/iteration at {:.2} mean iterations          (fixed 30: {:.2} us/iteration; cap 0: {:.1} us/frame; R1/2 short, 1.4 dB, {POOL} frames)",
-        "quantized_partitioned_simd_early_stop",
+        "{name:<28} {:>8.1} frames/s  {:>6.2} us/iteration at {:.2} mean iterations          (fixed 30: {:.2} us/iteration; cap 0: {:.1} us/frame; {rate} short, {ebn0_db} dB, {POOL} frames)",
         lane.frames_per_s,
         lane.us_per_iteration,
         lane.mean_iterations,
@@ -433,7 +455,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     variants.push(("quantized_partitioned_simd", Box::new(simd_lanes)));
 
     let rows = measure_all(&mut variants, &frame.llrs, n, k, rounds, frames_per_window);
-    let early_stop = measure_early_stop(if quick { 5 } else { 25 })?;
+    let early_rounds = if quick { 5 } else { 25 };
+    let early_stop = measure_early_stop(
+        "quantized_partitioned_simd_early_stop",
+        CodeRate::R1_2,
+        1.4,
+        DecoderKind::Quantized(Quantizer::paper_6bit()),
+        DecoderConfig::default(),
+        early_rounds,
+    )?;
+    let clear_sky_lanes = [(CodeRate::R3_4, 8.8), (CodeRate::R1_4, 8.2)]
+        .into_iter()
+        .map(|(rate, ebn0_db)| {
+            let name = "flooding_min_sum_f32_clear_sky";
+            let lane = measure_early_stop(
+                name,
+                rate,
+                ebn0_db,
+                DecoderKind::Flooding,
+                clear_sky(),
+                early_rounds,
+            )?;
+            Ok((rate, ebn0_db, lane))
+        })
+        .collect::<Result<Vec<_>, Box<dyn std::error::Error>>>()?;
     let early_stop_cost = early_stop.us_per_iteration / early_stop.fixed_us_per_iteration;
     let fixed_cost_share = early_stop.fixed_us_per_frame * early_stop.frames_per_s / 1e6;
 
@@ -517,6 +562,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .with("fixed_share_of_frame", Json::Num(fixed_cost_share, 3)),
         )
         .with(
+            "flooding_min_sum_f32_clear_sky",
+            Json::array(clear_sky_lanes.iter().map(|(rate, ebn0_db, lane)| {
+                Object::new()
+                    .with("code", format!("R{rate} short"))
+                    .with("ebn0_db", Json::Num(*ebn0_db, 1))
+                    .with("frames_per_s", Json::Num(lane.frames_per_s, 1))
+                    .with("mean_iterations", Json::Num(lane.mean_iterations, 2))
+                    .with("us_per_iteration", Json::Num(lane.us_per_iteration, 2))
+                    .with("fixed_us_per_frame", Json::Num(lane.fixed_us_per_frame, 1))
+            })),
+        )
+        .with(
             "results",
             Json::array(rows.iter().map(|m| {
                 Object::new()
@@ -537,6 +594,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!(
             "FAIL: quantized_partitioned_simd ({:.3}x) is slower than the scalar fused sweep",
             speedup_quantized_simd_vs_fused
+        );
+        std::process::exit(1);
+    }
+    // The flooding min-sum engine must keep its margin over the seed
+    // decoder it replaced: the served clear-sky decoder's kernels.
+    if speedup < MIN_SUM_SPEEDUP_GATE * RECORDED_MIN_SUM_F32_SPEEDUP {
+        eprintln!(
+            "FAIL: flooding_min_sum_f32 is {speedup:.2}x the seed decoder, below {MIN_SUM_SPEEDUP_GATE} \
+             of the recorded {RECORDED_MIN_SUM_F32_SPEEDUP:.1}x"
         );
         std::process::exit(1);
     }

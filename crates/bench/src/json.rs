@@ -7,9 +7,9 @@
 use dvbs2::decoder::{detected_cpu_features, SimdTier};
 use std::fmt::Write as _;
 
-/// The PR whose code the committed records were taken with. Bump it in the
-/// PR that re-records them.
-pub const RECORDED_BY: &str = "PR 18 (ISSUE 24)";
+/// The change whose code the committed records were taken with. Bump it in
+/// the change that re-records them.
+pub const RECORDED_BY: &str = "flooding min-sum on the rotation planes";
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

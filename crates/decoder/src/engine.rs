@@ -290,10 +290,7 @@ fn degenerate_class_pass<F: LlrFloat>(
 /// into `c2v_t`.
 ///
 /// Each degree class is processed in stripes of [`STRIPE`] checks, column
-/// by column. All plane and state accesses are contiguous (the minimum's
-/// position is tracked as a *column* index, compared against the
-/// loop-invariant column number), so the inner loops are dense, branchless,
-/// and independent across lanes; only the `totals` gather is indexed.
+/// by column, through [`MinSumLanes`]; only the `totals` gather is indexed.
 ///
 /// Per check this performs exactly the arithmetic of
 /// [`CheckRule::extrinsic_t`] in the same within-check edge order (column
@@ -312,76 +309,125 @@ pub(crate) fn blocked_min_sum_pass<F: LlrFloat>(
     correct: impl Fn(F) -> F,
 ) {
     let slot_vars = &blocked.slot_vars[..];
+    let mut lanes = MinSumLanes::new();
     for class in &blocked.classes {
         let d = class.degree;
-        let m = class.checks.len();
-        let base = class.slot_base;
         if d < 3 {
             degenerate_class_pass(rule, slot_vars, totals, v2c_t, c2v_t, class);
             continue;
         }
-        let mut i0 = 0;
-        while i0 < m {
-            let b = STRIPE.min(m - i0);
-            let mut min1 = [F::INFINITY; STRIPE];
-            let mut min2 = [F::INFINITY; STRIPE];
-            let mut min_col = [0u32; STRIPE];
-            let mut negative_signs = [0u32; STRIPE];
+        for (_, stripe) in Stripe::of(class) {
+            lanes.start(stripe.lanes);
             for j in 0..d {
-                let col = base + j * m + i0;
-                let vars = &slot_vars[col..col + b];
-                let v2c_col = &mut v2c_t[col..col + b];
-                let c2v_col = &c2v_t[col..col + b];
-                let jj = j as u32;
+                let (vars, old) = (&slot_vars[stripe.col(j)], &c2v_t[stripe.col(j)]);
+                let inputs = &mut v2c_t[stripe.col(j)];
                 // Gather first, reduce second: the indexed `totals` load
                 // cannot vectorize, so keeping it in its own dense loop
-                // lets the minima loop below run purely on contiguous
-                // arrays.
-                for i in 0..b {
-                    v2c_col[i] = totals[vars[i] as usize] - c2v_col[i];
+                // lets the minima loop run purely on contiguous arrays.
+                for (i, x) in inputs.iter_mut().enumerate() {
+                    *x = totals[vars[i] as usize] - old[i];
                 }
-                for i in 0..b {
-                    let x = v2c_col[i];
-                    let mag = x.abs();
-                    // Two-smallest recurrence as min/max plus a mask blend
-                    // for the column index: the new second minimum is
-                    // min(min2, max(min1, mag)) — if `mag` beats min1, the
-                    // displaced min1 is the candidate, otherwise `mag`
-                    // itself is. Exact value selection, no data-dependent
-                    // branches.
-                    let smaller = mag < min1[i];
-                    min2[i] = min2[i].min(min1[i].max(mag));
-                    min1[i] = min1[i].min(mag);
-                    let mask = (smaller as u32).wrapping_neg();
-                    min_col[i] = (jj & mask) | (min_col[i] & !mask);
-                    negative_signs[i] += x.is_negative() as u32;
-                }
+                lanes.fold(j, inputs);
             }
-            for j in 0..d {
-                let col = base + j * m + i0;
-                let v2c_col = &v2c_t[col..col + b];
-                let c2v_col = &mut c2v_t[col..col + b];
-                let jj = j as u32;
-                for i in 0..b {
-                    let mag = correct(F::select(min_col[i] == jj, min2[i], min1[i]));
-                    let flip = (negative_signs[i] + v2c_col[i].is_negative() as u32) & 1 == 1;
-                    c2v_col[i] = mag.flip_sign_if(flip);
-                }
-            }
-            i0 += b;
+            lanes.extrinsics(v2c_t, c2v_t, stripe, d, &correct);
         }
     }
 }
 
-/// One stripe of a degree class's column-major plane region: `lanes`
-/// consecutive checks, whose `j`-th messages sit `stride` slots apart.
+/// The min-sum update of a stripe of up to [`STRIPE`] checks of degree
+/// `d >= 3`, one per lane — the one two-minima body, run by both float
+/// plane layouts: `start`, `fold` each gathered input column, then write
+/// the `extrinsics`. Every access is contiguous (the minimum's position is
+/// a *column* index), so the loops are dense, branchless and independent
+/// across lanes. Per lane this is [`CheckRule::extrinsic_t`]'s arithmetic,
+/// whose outputs do not depend on the column order (DESIGN.md §7.10).
+pub(crate) struct MinSumLanes<F> {
+    min1: [F; STRIPE],
+    min2: [F; STRIPE],
+    min_col: [u32; STRIPE],
+    negative_signs: [u32; STRIPE],
+}
+
+impl<F: LlrFloat> MinSumLanes<F> {
+    pub(crate) fn new() -> Self {
+        MinSumLanes {
+            min1: [F::INFINITY; STRIPE],
+            min2: [F::INFINITY; STRIPE],
+            min_col: [0; STRIPE],
+            negative_signs: [0; STRIPE],
+        }
+    }
+
+    /// Starts a stripe of `lanes` checks (only those lanes are reset).
+    #[inline(always)]
+    pub(crate) fn start(&mut self, lanes: usize) {
+        self.min1[..lanes].fill(F::INFINITY);
+        self.min2[..lanes].fill(F::INFINITY);
+        self.min_col[..lanes].fill(0);
+        self.negative_signs[..lanes].fill(0);
+    }
+
+    /// Folds input column `j`, one input per lane, into the per-lane two
+    /// minima, the minimum's column and the count of negative inputs.
+    #[inline(always)]
+    pub(crate) fn fold(&mut self, j: usize, column: &[F]) {
+        let b = column.len();
+        let (min1, min2) = (&mut self.min1[..b], &mut self.min2[..b]);
+        let (min_col, negative_signs) = (&mut self.min_col[..b], &mut self.negative_signs[..b]);
+        let jj = j as u32;
+        for i in 0..b {
+            let x = column[i];
+            let mag = x.abs();
+            // Two-smallest recurrence as min/max plus a mask blend for the
+            // column index: the new second minimum is
+            // min(min2, max(min1, mag)) — if `mag` beats min1, the
+            // displaced min1 is the candidate, otherwise `mag` itself is.
+            // Exact value selection, no data-dependent branches.
+            let smaller = mag < min1[i];
+            min2[i] = min2[i].min(min1[i].max(mag));
+            min1[i] = min1[i].min(mag);
+            let mask = (smaller as u32).wrapping_neg();
+            min_col[i] = (jj & mask) | (min_col[i] & !mask);
+            negative_signs[i] += x.is_negative() as u32;
+        }
+    }
+
+    /// Writes the extrinsics of the stripe's `d` folded columns over `c2v`
+    /// (`v2c` still holding the inputs, for their signs).
+    #[inline(always)]
+    pub(crate) fn extrinsics(
+        &self,
+        v2c: &[F],
+        c2v: &mut [F],
+        stripe: Stripe,
+        d: usize,
+        correct: impl Fn(F) -> F,
+    ) {
+        let b = stripe.lanes;
+        let (min1, min2) = (&self.min1[..b], &self.min2[..b]);
+        let (min_col, negative_signs) = (&self.min_col[..b], &self.negative_signs[..b]);
+        for j in 0..d {
+            let v2c_col = &v2c[stripe.col(j)];
+            let c2v_col = &mut c2v[stripe.col(j)];
+            let jj = j as u32;
+            for i in 0..b {
+                let mag = correct(F::select(min_col[i] == jj, min2[i], min1[i]));
+                let flip = (negative_signs[i] + v2c_col[i].is_negative() as u32) & 1 == 1;
+                c2v_col[i] = mag.flip_sign_if(flip);
+            }
+        }
+    }
+}
+
+/// One stripe of a column-major plane region: `lanes` consecutive checks,
+/// whose `j`-th messages sit `stride` slots apart.
 #[derive(Clone, Copy)]
-struct Stripe {
+pub(crate) struct Stripe {
     /// Slot of the stripe's first lane in column 0.
-    first: usize,
+    pub(crate) first: usize,
     /// Checks in the class (the distance between columns).
-    stride: usize,
-    lanes: usize,
+    pub(crate) stride: usize,
+    pub(crate) lanes: usize,
 }
 
 impl Stripe {
@@ -678,24 +724,24 @@ pub(crate) fn chain_combine_pass(
 /// generic over the message precision.
 macro_rules! tier_clones {
     ($(#[$doc:meta])* $dispatch:ident $(<$f:ident>)?, $base:ident, $avx2:ident, $avx512:ident;
-     ($($arg:ident: $ty:ty),* $(,)?)) => {
+     ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
         #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx2$(<$f: LlrFloat>)?($($arg: $ty),*) {
-            $base($($arg),*);
+        unsafe fn $avx2$(<$f: LlrFloat>)?($($arg: $ty),*) $(-> $ret)? {
+            $base($($arg),*)
         }
 
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx512f")]
         #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx512$(<$f: LlrFloat>)?($($arg: $ty),*) {
-            $base($($arg),*);
+        unsafe fn $avx512$(<$f: LlrFloat>)?($($arg: $ty),*) $(-> $ret)? {
+            $base($($arg),*)
         }
 
         $(#[$doc])*
         #[allow(clippy::too_many_arguments)]
-        pub(crate) fn $dispatch$(<$f: LlrFloat>)?(tier: SimdTier, $($arg: $ty),*) {
+        pub(crate) fn $dispatch$(<$f: LlrFloat>)?(tier: SimdTier, $($arg: $ty),*) $(-> $ret)? {
             match tier {
                 #[cfg(target_arch = "x86_64")]
                 SimdTier::Avx2 => unsafe { $avx2($($arg),*) },
@@ -706,6 +752,7 @@ macro_rules! tier_clones {
         }
     };
 }
+pub(crate) use tier_clones;
 
 tier_clones!(
     /// [`blocked_min_sum_pass`] dispatched onto the selected SIMD tier.

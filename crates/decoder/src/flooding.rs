@@ -7,23 +7,34 @@
 //! measured against: it needs ≈ 40 iterations where the optimized schedule
 //! needs 30.
 //!
-//! Messages live in flat edge-indexed planes (see [`crate::engine`]): the
-//! variable phase is one scatter-add plus one gather over
-//! [`TannerGraph::edge_vars`], and each check node's kernel runs directly on
-//! its contiguous slice of the planes — no per-check scratch copies.
+//! Messages live in one of two plane layouts, chosen at construction from
+//! the graph and the rule, with the same results bit for bit:
+//!
+//! * **Rotation planes** — the min-sum rules on a DVB-S2 graph: check
+//!   `c = u·q + r` is lane `u` of residue row `r`, as in the paper's 360
+//!   functional units, so both half-iterations read and write dense
+//!   rotated slices with no index planes (DESIGN.md §7.10).
+//! * **Blocked checks** — the sum-product rules and every other graph: the
+//!   degree-blocked planes of [`crate::engine`], whose variable phase is one
+//!   scatter-add over [`TannerGraph::edge_vars`] and whose check kernels run
+//!   directly on each check's contiguous slice of the planes.
 
 use crate::engine::{
-    accumulate_totals, accumulate_totals_slotted, accumulate_totals_slotted_tier,
-    blocked_min_sum_pass_tier, blocked_sum_product_pass_tier, blocked_table_sum_product_pass,
-    fused_check_pass, hard_decisions_into, load_llrs, syndrome_ok_totals, BlockedChecks, Precision,
+    accumulate_totals, accumulate_totals_slotted_tier, blocked_min_sum_pass_tier,
+    blocked_sum_product_pass_tier, blocked_table_sum_product_pass, fused_check_pass,
+    hard_decisions_into, load_llrs, syndrome_ok_totals, tier_clones, BlockedChecks, MinSumLanes,
+    Precision, Stripe,
 };
 use crate::llr_ops::{CheckRule, LlrFloat};
+use crate::qsimd::{build_rotation, lane_edge_slots, rotation_order, RotEntry};
 use crate::simd::SimdTier;
 use crate::{DecodeResult, Decoder, DecoderConfig};
-use dvbs2_ldpc::{BitVec, TannerGraph};
+use dvbs2_ldpc::{BitVec, TannerGraph, PARALLELISM as LANES};
+use std::ops::Range;
 use std::sync::Arc;
 
-/// Flooding-schedule belief-propagation decoder over any Tanner graph.
+/// Flooding-schedule belief-propagation decoder over any Tanner graph, on
+/// whichever plane layout fits its graph and rule (module docs).
 ///
 /// ```
 /// use dvbs2_decoder::{Decoder, DecoderConfig, FloodingDecoder};
@@ -41,10 +52,17 @@ use std::sync::Arc;
 pub struct FloodingDecoder {
     graph: Arc<TannerGraph>,
     config: DecoderConfig,
-    blocked: BlockedChecks,
+    layout: Layout,
     /// Runtime dispatch tier, resolved once at construction.
     tier: SimdTier,
     core: Core,
+}
+
+/// Where the messages live.
+#[derive(Debug, Clone)]
+enum Layout {
+    Blocked(BlockedChecks),
+    Rotation(RotationPlanes),
 }
 
 #[derive(Debug, Clone)]
@@ -53,7 +71,9 @@ enum Core {
     F32(Engine<f32>),
 }
 
-/// Message planes and working buffers at one precision.
+/// Message planes and working buffers at one precision. On the rotation
+/// planes `v2c` is one row and the parity halves of `llr` and `totals` are
+/// transposed.
 #[derive(Debug, Clone)]
 struct Engine<F> {
     llr: Vec<F>,
@@ -64,13 +84,16 @@ struct Engine<F> {
 }
 
 impl<F: LlrFloat> Engine<F> {
-    fn new(graph: &TannerGraph) -> Self {
-        let edges = graph.edge_count();
+    fn new(graph: &TannerGraph, layout: &Layout) -> Self {
         let vars = graph.var_count();
+        let (v2c, c2v) = match layout {
+            Layout::Blocked(_) => (graph.edge_count(), graph.edge_count()),
+            Layout::Rotation(p) => (p.stride * LANES, p.q * p.stride * LANES),
+        };
         Engine {
             llr: vec![F::ZERO; vars],
-            v2c: vec![F::ZERO; edges],
-            c2v: vec![F::ZERO; edges],
+            v2c: vec![F::ZERO; v2c],
+            c2v: vec![F::ZERO; c2v],
             totals: vec![F::ZERO; vars],
             totals_next: vec![F::ZERO; vars],
         }
@@ -82,129 +105,25 @@ impl<F: LlrFloat> Engine<F> {
         &mut self,
         graph: &TannerGraph,
         config: &DecoderConfig,
-        blocked: &BlockedChecks,
+        layout: &Layout,
         tier: SimdTier,
         channel_llrs: &[f64],
         out: &mut DecodeResult,
     ) {
-        load_llrs(&mut self.llr, channel_llrs);
-        let edge_vars = graph.edge_vars();
-
-        self.c2v.fill(F::ZERO);
-        // First-iteration gather sources: totals = llr plus all-zero messages.
-        accumulate_totals(edge_vars, &self.llr, &self.c2v, &mut self.totals);
-        let mut iterations = 0;
-        let mut converged = false;
-
-        for _ in 0..config.max_iterations {
-            iterations += 1;
-            // Both half-iterations per pass. The min-sum, table sum-product
-            // and f32 exact sum-product rules run column-major kernels over
-            // the transposed planes (dense, branchless, lane-parallel)
-            // followed by the edge-order totals accumulation through the
-            // slot permutation. f64 exact sum-product — the reference the
-            // seed-embedded regression suite pins bit for bit — streams
-            // check by check with the scalar kernel fused between gather
-            // and scatter.
-            match config.rule {
-                CheckRule::SumProduct if config.precision == Precision::F32 => {
-                    blocked_sum_product_pass_tier(
-                        tier,
-                        blocked,
-                        &self.totals,
-                        &mut self.v2c,
-                        &mut self.c2v,
-                    );
-                    accumulate_totals_slotted_tier(
-                        tier,
-                        edge_vars,
-                        blocked.edge_to_slot(),
-                        &self.llr,
-                        &self.c2v,
-                        &mut self.totals_next,
-                    );
-                }
-                CheckRule::SumProduct => {
-                    fused_check_pass(
-                        graph,
-                        &config.rule,
-                        &self.llr,
-                        &self.totals,
-                        &mut self.v2c,
-                        &mut self.c2v,
-                        &mut self.totals_next,
-                    );
-                }
-                CheckRule::TableSumProduct => {
-                    // The table rule's serial boxplus chains go through the
-                    // column-major kernel (per check bit-identical to the
-                    // scalar `extrinsic_t`, see the kernel doc); totals then
-                    // accumulate in ascending edge order like the min-sum
-                    // rules.
-                    blocked_table_sum_product_pass(
-                        blocked,
-                        &self.totals,
-                        &mut self.v2c,
-                        &mut self.c2v,
-                    );
-                    accumulate_totals_slotted(
-                        edge_vars,
-                        blocked.edge_to_slot(),
-                        &self.llr,
-                        &self.c2v,
-                        &mut self.totals_next,
-                    );
-                }
-                CheckRule::NormalizedMinSum(alpha) => {
-                    let alpha = F::from_f64(alpha);
-                    blocked_min_sum_pass_tier(
-                        tier,
-                        blocked,
-                        &config.rule,
-                        &self.totals,
-                        &mut self.v2c,
-                        &mut self.c2v,
-                        |m| m * alpha,
-                    );
-                    accumulate_totals_slotted_tier(
-                        tier,
-                        edge_vars,
-                        blocked.edge_to_slot(),
-                        &self.llr,
-                        &self.c2v,
-                        &mut self.totals_next,
-                    );
-                }
-                CheckRule::OffsetMinSum(beta) => {
-                    let beta = F::from_f64(beta);
-                    blocked_min_sum_pass_tier(
-                        tier,
-                        blocked,
-                        &config.rule,
-                        &self.totals,
-                        &mut self.v2c,
-                        &mut self.c2v,
-                        |m| (m - beta).max(F::ZERO),
-                    );
-                    accumulate_totals_slotted_tier(
-                        tier,
-                        edge_vars,
-                        blocked.edge_to_slot(),
-                        &self.llr,
-                        &self.c2v,
-                        &mut self.totals_next,
-                    );
-                }
+        let (iterations, converged) = match config.rule {
+            CheckRule::NormalizedMinSum(alpha) => {
+                let alpha = F::from_f64(alpha);
+                self.run(graph, config, layout, tier, channel_llrs, move |m| m * alpha)
             }
-            std::mem::swap(&mut self.totals, &mut self.totals_next);
-            if config.early_stop && syndrome_ok_totals(graph, &self.totals) {
-                converged = true;
-                break;
+            CheckRule::OffsetMinSum(beta) => {
+                let beta = F::from_f64(beta);
+                self.run(graph, config, layout, tier, channel_llrs, move |m| {
+                    (m - beta).max(F::ZERO)
+                })
             }
-        }
-        if !config.early_stop || !converged {
-            converged = syndrome_ok_totals(graph, &self.totals);
-        }
+            // The sum-product rules correct nothing.
+            _ => self.run(graph, config, layout, tier, channel_llrs, |m| m),
+        };
         if out.bits.len() != self.totals.len() {
             out.bits = BitVec::zeros(self.totals.len());
         }
@@ -212,18 +131,365 @@ impl<F: LlrFloat> Engine<F> {
         out.iterations = iterations;
         out.converged = converged;
     }
+
+    /// `(iterations, converged)` of one decode, leaving natural-order
+    /// `totals`; `correct` is the min-sum rules' magnitude correction.
+    fn run(
+        &mut self,
+        graph: &TannerGraph,
+        config: &DecoderConfig,
+        layout: &Layout,
+        tier: SimdTier,
+        channel_llrs: &[f64],
+        correct: impl Fn(F) -> F + Copy,
+    ) -> (usize, bool) {
+        let blocked = match layout {
+            Layout::Blocked(blocked) => blocked,
+            Layout::Rotation(planes) => {
+                load_llrs(&mut self.totals_next, channel_llrs);
+                planes.reorder(&self.totals_next, &mut self.llr, true);
+                self.c2v.fill(F::ZERO);
+                // What the blocked layout's scatter over all-zero messages
+                // computes (`-0.0` becomes `+0.0`).
+                for (t, &l) in self.totals.iter_mut().zip(&self.llr) {
+                    *t = l + F::ZERO;
+                }
+                let step = |e: &mut Self| {
+                    rotation_check_pass_tier(
+                        tier, planes, &e.totals, &mut e.v2c, &mut e.c2v, correct,
+                    );
+                    rotation_vn_pass_tier(tier, planes, &e.llr, &e.c2v, &mut e.totals);
+                };
+                let verdict =
+                    self.iterate(config, step, |e| rotation_syndrome_tier(tier, planes, &e.totals));
+                planes.reorder(&self.totals, &mut self.totals_next, false);
+                std::mem::swap(&mut self.totals, &mut self.totals_next);
+                return verdict;
+            }
+        };
+        load_llrs(&mut self.llr, channel_llrs);
+        let edge_vars = graph.edge_vars();
+        self.c2v.fill(F::ZERO);
+        // First-iteration gather sources: totals = llr plus all-zero messages.
+        accumulate_totals(edge_vars, &self.llr, &self.c2v, &mut self.totals);
+        let step = |e: &mut Self| {
+            // Both half-iterations per pass. f64 exact sum-product — the
+            // reference the seed-embedded regression suite pins bit for bit —
+            // streams check by check with the scalar kernel fused between
+            // gather and scatter; the other rules run column-major kernels
+            // over the transposed planes, then accumulate the totals in edge
+            // order through the slot permutation.
+            let (llr, totals, next) = (&e.llr, &e.totals, &mut e.totals_next);
+            let (v2c, c2v) = (&mut e.v2c, &mut e.c2v);
+            match config.rule {
+                CheckRule::SumProduct if config.precision == Precision::F64 => {
+                    fused_check_pass(graph, &config.rule, llr, totals, v2c, c2v, next)
+                }
+                rule => {
+                    match rule {
+                        CheckRule::SumProduct => {
+                            blocked_sum_product_pass_tier(tier, blocked, totals, v2c, c2v)
+                        }
+                        // Per check bit-identical to the scalar table kernel.
+                        CheckRule::TableSumProduct => {
+                            blocked_table_sum_product_pass(blocked, totals, v2c, c2v)
+                        }
+                        _ => blocked_min_sum_pass_tier(
+                            tier, blocked, &rule, totals, v2c, c2v, correct,
+                        ),
+                    }
+                    let slots = blocked.edge_to_slot();
+                    accumulate_totals_slotted_tier(tier, edge_vars, slots, llr, c2v, next);
+                }
+            }
+            std::mem::swap(&mut e.totals, &mut e.totals_next);
+        };
+        self.iterate(config, step, |e| syndrome_ok_totals(graph, &e.totals))
+    }
+
+    /// The iteration loop of both layouts: `(iterations, converged)`.
+    fn iterate(
+        &mut self,
+        config: &DecoderConfig,
+        mut step: impl FnMut(&mut Self),
+        syndrome_ok: impl Fn(&Self) -> bool,
+    ) -> (usize, bool) {
+        for iterations in 1..=config.max_iterations {
+            step(self);
+            if config.early_stop && syndrome_ok(self) {
+                return (iterations, true);
+            }
+        }
+        (config.max_iterations, syndrome_ok(self))
+    }
 }
+
+/// The rotation planes of a DVB-S2 graph (DESIGN.md §7.10): row `r` is
+/// `stride = info_d + 2` columns of 360 lanes back to back in `c2v`, the
+/// information columns, then the left and the right parity column. Parity
+/// totals and channel values are transposed to `[k + r·360 + u]`.
+#[derive(Debug, Clone)]
+pub(crate) struct RotationPlanes {
+    k: usize,
+    q: usize,
+    stride: usize,
+    /// Information column `i` of row `r` at `info[r·info_d + i]`.
+    info: Vec<RotEntry>,
+    /// Runs of information variables that meet their checks in one order
+    /// on every lane, each with its range of `terms`: the `c2v` offsets of
+    /// its first variable's messages, in ascending check order.
+    segments: Vec<(Range<usize>, Range<usize>)>,
+    terms: Vec<usize>,
+}
+
+impl RotationPlanes {
+    /// The planes of `graph`, or `None` without the structure: `K` and
+    /// `M = N − K` whole 360-blocks, check `c`'s inputs `info_d >= 2`
+    /// information edges followed by parities `K + c − 1` (unless `c = 0`)
+    /// and `K + c`, and every lane of every row a rotation of lane 0.
+    fn build(graph: &TannerGraph) -> Option<Self> {
+        let (k, m) = (graph.info_len(), graph.check_count());
+        if !k.is_multiple_of(LANES) || graph.var_count() != k + m {
+            return None;
+        }
+        // Check 0 then has degree >= 3, the min-sum stripe's domain.
+        let info_d = graph.check_degree(0).checked_sub(1).filter(|&d| d >= 2)?;
+        let (offsets, vars) = (graph.check_offsets(), graph.edge_vars());
+        let ira = (0..m).all(|c| {
+            let inputs = &vars[offsets[c] as usize..offsets[c + 1] as usize];
+            let parity = (k + c.max(1) - 1) as u32..=(k + c) as u32;
+            inputs.get(info_d..).is_some_and(|p| p.iter().copied().eq(parity))
+                && inputs[..info_d].iter().all(|&v| (v as usize) < k)
+        });
+        if !ira {
+            return None;
+        }
+        let (q, stride) = (m / LANES, info_d + 2);
+        let order = rotation_order(graph)?;
+        let slots = lane_edge_slots(graph, Some(&order), LANES, q, stride, info_d);
+        let info = build_rotation(graph, &slots, LANES, q, stride, info_d)?;
+
+        let mut by_block = vec![Vec::new(); k / LANES];
+        for (j, column) in info.iter().enumerate() {
+            let (block, off) = column.block_and_off(LANES);
+            by_block[block / LANES].push((j / info_d, column.base as usize, off));
+        }
+        let (mut segments, mut terms) = (Vec::new(), Vec::new());
+        for (b, columns) in by_block.iter().enumerate() {
+            // Variable `w` of the block is lane `(w − off) mod 360` of a
+            // column: between two offsets no lane wraps, so every lane's
+            // checks keep the order they have at the segment's start.
+            let mut cuts: Vec<usize> = columns.iter().map(|c| c.2).chain([0, LANES]).collect();
+            cuts.sort_unstable();
+            cuts.dedup();
+            for cut in cuts.windows(2) {
+                let mut run: Vec<(usize, usize)> = columns
+                    .iter()
+                    .map(|&(r, base, off)| {
+                        let u = (cut[0] + LANES - off) % LANES;
+                        (u * q + r, base + u)
+                    })
+                    .collect();
+                run.sort_unstable();
+                let first = terms.len();
+                terms.extend(run.iter().map(|&(_, at)| at));
+                segments.push((b * LANES + cut[0]..b * LANES + cut[1], first..terms.len()));
+            }
+        }
+        Some(RotationPlanes { k, q, stride, info, segments, terms })
+    }
+
+    /// Copies `from` into `to` with the parity half moved from natural
+    /// order into the planes' transposed one (`into_planes`) or back.
+    fn reorder<F: Copy>(&self, from: &[F], to: &mut [F], into_planes: bool) {
+        let k = self.k;
+        to[..k].copy_from_slice(&from[..k]);
+        for r in 0..self.q {
+            for u in 0..LANES {
+                let (natural, plane) = (k + u * self.q + r, k + r * LANES + u);
+                if into_planes {
+                    to[plane] = from[natural];
+                } else {
+                    to[natural] = from[plane];
+                }
+            }
+        }
+    }
+}
+
+/// The block of information totals `column` reads, rotated: lanes
+/// `0..360 − off` read the first piece, the rest the second.
+#[inline(always)]
+fn rotated<'a, F>(info: &'a [F], column: &RotEntry) -> (&'a [F], &'a [F]) {
+    let (block, off) = column.block_and_off(LANES);
+    (&info[block + off..block + LANES], &info[block..block + off])
+}
+
+/// `out = a − b`, lane by lane.
+#[inline(always)]
+fn subtract<F: LlrFloat>(out: &mut [F], a: &[F], b: &[F]) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = x - y;
+    }
+}
+
+/// Check-node half-iteration over the rotation planes, row by row: each
+/// input column is gathered into the one-row `v2c` and folded into
+/// [`MinSumLanes`], which writes the row's extrinsics over its `c2v` row.
+/// The left parity column is the row above (row 0: row `q − 1` one lane
+/// down); check 0 has no left edge, and its `+∞` input is never a minimum
+/// nor negative.
+#[inline(always)]
+fn rotation_check_pass<F: LlrFloat>(
+    planes: &RotationPlanes,
+    totals: &[F],
+    v2c: &mut [F],
+    c2v: &mut [F],
+    correct: impl Fn(F) -> F,
+) {
+    let (q, d) = (planes.q, planes.stride);
+    let info_d = d - 2;
+    let (info, parity) = totals.split_at(planes.k);
+    let parity_row = |r: usize| &parity[r * LANES..][..LANES];
+    let mut lanes = MinSumLanes::new();
+    for (r, c2v_row) in c2v.chunks_exact_mut(d * LANES).enumerate() {
+        lanes.start(LANES);
+        let columns = &planes.info[r * info_d..][..info_d];
+        for j in 0..d {
+            let (inputs, old) = (&mut v2c[j * LANES..][..LANES], &c2v_row[j * LANES..][..LANES]);
+            if let Some(column) = columns.get(j) {
+                let (head, tail) = rotated(info, column);
+                let (lo, hi) = inputs.split_at_mut(head.len());
+                subtract(lo, head, &old[..head.len()]);
+                subtract(hi, tail, &old[head.len()..]);
+            } else if j == info_d && r == 0 {
+                inputs[0] = F::INFINITY;
+                subtract(&mut inputs[1..], parity_row(q - 1), &old[1..]);
+            } else {
+                subtract(inputs, parity_row(if j == info_d { r - 1 } else { r }), old);
+            }
+            lanes.fold(j, inputs);
+        }
+        lanes.extrinsics(
+            v2c,
+            c2v_row,
+            Stripe { first: 0, stride: LANES, lanes: LANES },
+            d,
+            &correct,
+        );
+    }
+}
+
+/// Variable-node half-iteration over the rotation planes, in the blocked
+/// layout's order `llr + (((0 + m_c1) + m_c2) + …)` over checks
+/// `c1 < c2 < …`: information totals by segment, parity `K + c` as its
+/// right message from check `c`, then its left one from `c + 1` (row 0 one
+/// lane up after row `q − 1`; the last parity bit has none).
+#[inline(always)]
+fn rotation_vn_pass<F: LlrFloat>(planes: &RotationPlanes, llr: &[F], c2v: &[F], totals: &mut [F]) {
+    let k = planes.k;
+    let (info, parity) = totals.split_at_mut(k);
+    for (vars, terms) in &planes.segments {
+        let t = &mut info[vars.clone()];
+        t.fill(F::ZERO);
+        for &at in &planes.terms[terms.clone()] {
+            for (t, &m) in t.iter_mut().zip(&c2v[at..]) {
+                *t += m;
+            }
+        }
+        for (t, &l) in t.iter_mut().zip(&llr[vars.clone()]) {
+            *t = l + *t;
+        }
+    }
+    let (q, d) = (planes.q, planes.stride);
+    let column = |r: usize, j: usize| &c2v[(r * d + j) * LANES..][..LANES];
+    let rows = parity.chunks_exact_mut(LANES).zip(llr[k..].chunks_exact(LANES));
+    for (r, (t, l)) in rows.enumerate() {
+        let right = column(r, d - 1);
+        let left = if r + 1 < q { column(r + 1, d - 2) } else { &column(0, d - 2)[1..] };
+        for (((t, &l), &m_right), &m_left) in t.iter_mut().zip(l).zip(right).zip(left) {
+            *t = l + ((F::ZERO + m_right) + m_left);
+        }
+        if r + 1 == q {
+            t[LANES - 1] = l[LANES - 1] + (F::ZERO + right[LANES - 1]);
+        }
+    }
+}
+
+/// `syndrome_ok_totals` on the rotation planes: per row, the XOR of the
+/// decisions (`x < 0`) of its information slices and of its own and its
+/// left neighbour's parity rows, one OR-reduce, out at the first failure.
+#[inline(always)]
+fn rotation_syndrome<F: LlrFloat>(planes: &RotationPlanes, totals: &[F]) -> bool {
+    let (q, info_d) = (planes.q, planes.stride - 2);
+    let (info, parity) = totals.split_at(planes.k);
+    let parity_row = |r: usize| &parity[r * LANES..][..LANES];
+    let flip = |acc: &mut [u32], xs: &[F]| {
+        for (a, &x) in acc.iter_mut().zip(xs) {
+            *a ^= x.is_negative() as u32;
+        }
+    };
+    let mut syn = [0u32; LANES];
+    for r in 0..q {
+        syn.fill(0);
+        flip(&mut syn, parity_row(r));
+        if r > 0 {
+            flip(&mut syn, parity_row(r - 1));
+        } else {
+            flip(&mut syn[1..], parity_row(q - 1));
+        }
+        for column in &planes.info[r * info_d..][..info_d] {
+            let (head, tail) = rotated(info, column);
+            flip(&mut syn[..head.len()], head);
+            flip(&mut syn[head.len()..], tail);
+        }
+        if syn.iter().fold(0, |any, &s| any | s) != 0 {
+            return false;
+        }
+    }
+    true
+}
+
+tier_clones!(
+    /// [`rotation_check_pass`] dispatched onto the selected SIMD tier.
+    rotation_check_pass_tier<F>, rotation_check_pass,
+    rotation_check_pass_avx2, rotation_check_pass_avx512;
+    (
+        planes: &RotationPlanes,
+        totals: &[F],
+        v2c: &mut [F],
+        c2v: &mut [F],
+        correct: impl Fn(F) -> F,
+    )
+);
+
+tier_clones!(
+    /// [`rotation_vn_pass`] dispatched onto the selected SIMD tier.
+    rotation_vn_pass_tier<F>, rotation_vn_pass, rotation_vn_pass_avx2, rotation_vn_pass_avx512;
+    (planes: &RotationPlanes, llr: &[F], c2v: &[F], totals: &mut [F])
+);
+
+tier_clones!(
+    /// [`rotation_syndrome`] dispatched onto the selected SIMD tier.
+    rotation_syndrome_tier<F>, rotation_syndrome, rotation_syndrome_avx2, rotation_syndrome_avx512;
+    (planes: &RotationPlanes, totals: &[F]) -> bool
+);
 
 impl FloodingDecoder {
     /// Creates a decoder for `graph`.
     pub fn new(graph: Arc<TannerGraph>, config: DecoderConfig) -> Self {
-        let blocked = BlockedChecks::new(&graph);
+        let min_sum =
+            matches!(config.rule, CheckRule::NormalizedMinSum(_) | CheckRule::OffsetMinSum(_));
+        let layout = match min_sum.then(|| RotationPlanes::build(&graph)).flatten() {
+            Some(planes) => Layout::Rotation(planes),
+            None => Layout::Blocked(BlockedChecks::new(&graph)),
+        };
         let tier = SimdTier::resolve(config.simd);
         let core = match config.precision {
-            Precision::F64 => Core::F64(Engine::new(&graph)),
-            Precision::F32 => Core::F32(Engine::new(&graph)),
+            Precision::F64 => Core::F64(Engine::new(&graph, &layout)),
+            Precision::F32 => Core::F32(Engine::new(&graph, &layout)),
         };
-        FloodingDecoder { graph, config, blocked, tier, core }
+        FloodingDecoder { graph, config, layout, tier, core }
     }
 
     /// The decoder configuration.
@@ -247,22 +513,12 @@ impl Decoder for FloodingDecoder {
     fn decode_into(&mut self, channel_llrs: &[f64], out: &mut DecodeResult) {
         assert_eq!(channel_llrs.len(), self.graph.var_count(), "LLR length mismatch");
         match &mut self.core {
-            Core::F64(e) => e.decode_into(
-                &self.graph,
-                &self.config,
-                &self.blocked,
-                self.tier,
-                channel_llrs,
-                out,
-            ),
-            Core::F32(e) => e.decode_into(
-                &self.graph,
-                &self.config,
-                &self.blocked,
-                self.tier,
-                channel_llrs,
-                out,
-            ),
+            Core::F64(e) => {
+                e.decode_into(&self.graph, &self.config, &self.layout, self.tier, channel_llrs, out)
+            }
+            Core::F32(e) => {
+                e.decode_into(&self.graph, &self.config, &self.layout, self.tier, channel_llrs, out)
+            }
         }
     }
 
@@ -356,6 +612,97 @@ mod tests {
             assert_eq!(a.bits, cw, "seed {seed}");
             assert_eq!(b.bits, cw, "seed {seed} (f32)");
         }
+    }
+
+    /// The final totals' bit patterns (natural order after either layout).
+    fn totals_bits(decoder: &FloodingDecoder) -> Vec<u64> {
+        match &decoder.core {
+            Core::F64(e) => e.totals.iter().map(|x| x.to_bits()).collect(),
+            Core::F32(e) => e.totals.iter().map(|x| u64::from(x.to_bits())).collect(),
+        }
+    }
+
+    /// The exactness matrix: the rotation planes against the blocked layout
+    /// of the same decoder, on the full `DecodeResult` and on the final
+    /// totals bit for bit — every short rate and three normal ones, both
+    /// min-sum rules, both precisions, early stop on and off, an iteration
+    /// cap of 0, every available tier, on a noisy frame and on one salted
+    /// with `±inf`, `NaN`, `±1e300` and `±0.0`.
+    #[test]
+    fn rotation_planes_equal_the_blocked_layout_bit_for_bit() {
+        use dvbs2_ldpc::{CodeRate, DvbS2Code, FrameSize};
+        let short = CodeRate::ALL.map(|rate| (rate, FrameSize::Short));
+        let normal =
+            [CodeRate::R1_2, CodeRate::R3_4, CodeRate::R9_10].map(|r| (r, FrameSize::Normal));
+        let mut codes = 0;
+        for (rate, frame) in short.into_iter().chain(normal) {
+            let Ok(code) = DvbS2Code::new(rate, frame) else { continue };
+            codes += 1;
+            let graph = Arc::new(code.tanner_graph());
+            let ebn0 = 1.5 + 3.0 * rate.as_f64();
+            let (_, noisy) = noisy_llrs(&code, ebn0, 0x5EED + codes);
+            let mut hostile = noisy.clone();
+            let salt = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1e300, -1e300, -0.0, 0.0];
+            for (i, x) in hostile.iter_mut().step_by(61).enumerate() {
+                *x = salt[i % salt.len()];
+            }
+            for rule in [CheckRule::NormalizedMinSum(0.8), CheckRule::OffsetMinSum(0.15)] {
+                for precision in [Precision::F32, Precision::F64] {
+                    for tier in SimdTier::available() {
+                        let config = DecoderConfig::default()
+                            .with_rule(rule)
+                            .with_precision(precision)
+                            .with_simd_tier(Some(tier));
+                        let mut lanes = FloodingDecoder::new(Arc::clone(&graph), config);
+                        assert!(matches!(lanes.layout, Layout::Rotation(_)), "{rate} {frame:?}");
+                        // Built for sum-product, which keeps the blocked
+                        // layout, then switched to the min-sum rule.
+                        let sum_product = config.with_rule(CheckRule::SumProduct);
+                        let mut reference = FloodingDecoder::new(Arc::clone(&graph), sum_product);
+                        reference.config.rule = rule;
+                        for (cap, early_stop) in [(8, true), (8, false), (0, true), (0, false)] {
+                            for decoder in [&mut lanes, &mut reference] {
+                                decoder.config.max_iterations = cap;
+                                decoder.config.early_stop = early_stop;
+                            }
+                            for (name, llrs) in [("noisy", &noisy), ("hostile", &hostile)] {
+                                let what = format!(
+                                    "{rate} {frame:?} {rule:?} {precision:?} {tier:?} \
+                                     cap {cap} early stop {early_stop}, {name} frame"
+                                );
+                                assert_eq!(lanes.decode(llrs), reference.decode(llrs), "{what}");
+                                let (got, want) = (totals_bits(&lanes), totals_bits(&reference));
+                                let differs = got.iter().zip(&want).position(|(a, b)| a != b);
+                                assert_eq!(differs, None, "{what}: first total that differs");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(codes, 13);
+    }
+
+    /// Only the min-sum rules on a graph with the structure take the planes:
+    /// the sum-product rules keep the blocked layout, and so does the same
+    /// code's edge list as a generic graph (no information length).
+    #[test]
+    fn the_layout_is_chosen_from_graph_and_rule() {
+        let (_, graph) = small_code();
+        let mut edges = Vec::new();
+        for c in 0..graph.check_count() {
+            edges.extend(graph.check_edges(c).map(|e| (c as u32, graph.var_of_edge(e) as u32)));
+        }
+        let generic = TannerGraph::from_edges(graph.var_count(), graph.check_count(), &edges);
+        let rotation = |g: &TannerGraph, rule| {
+            let config = DecoderConfig::default().with_rule(rule);
+            matches!(FloodingDecoder::new(Arc::new(g.clone()), config).layout, Layout::Rotation(_))
+        };
+        assert!(rotation(&graph, CheckRule::NormalizedMinSum(0.8)));
+        assert!(rotation(&graph, CheckRule::OffsetMinSum(0.15)));
+        assert!(!rotation(&graph, CheckRule::SumProduct));
+        assert!(!rotation(&graph, CheckRule::TableSumProduct));
+        assert!(!rotation(&generic, CheckRule::NormalizedMinSum(0.8)));
     }
 
     #[test]

@@ -65,7 +65,7 @@ use crate::quant::{QBoxplus, QCheckArithmetic, Quantizer};
 use crate::simd::SimdTier;
 use crate::stopping::{hard_decisions_int_into, syndrome_ok};
 use crate::DecodeResult;
-use dvbs2_ldpc::{BitVec, TannerGraph};
+use dvbs2_ldpc::{BitVec, TannerGraph, PARALLELISM};
 
 /// Correction-step thresholds the gather-free LUT kernel carries. The
 /// table contributes `round(ln 2 / step)` thresholds; every configuration
@@ -231,9 +231,17 @@ enum VnPlan {
 /// `block + (u + off) % lanes`, which the doubled block planes hold
 /// contiguously from `at = 2·block + off`.
 #[derive(Debug, Clone, Copy)]
-struct RotEntry {
-    base: u32,
+pub(crate) struct RotEntry {
+    pub(crate) base: u32,
     at: u32,
+}
+
+impl RotEntry {
+    /// The vector's `lanes`-block (its first variable) and rotation offset.
+    pub(crate) fn block_and_off(&self, lanes: usize) -> (usize, usize) {
+        let at = self.at as usize;
+        (at / (2 * lanes) * lanes, at % (2 * lanes))
+    }
 }
 
 impl SimdQuant {
@@ -271,19 +279,8 @@ impl SimdQuant {
         // Bake the schedule permutation into the lane-major slot map, then
         // flatten it variable-major for the VN side — the same two steps as
         // `FusedPlan::build`, differing only in the slot formula.
-        let order = partition.edge_order();
-        let mut edge_slot = vec![u32::MAX; graph.edge_count()];
-        for c in 0..n_check {
-            let (u, r) = (c / q_rows, c % q_rows);
-            let start = graph.check_edges(c).start;
-            for i in 0..info_d {
-                let e = match order {
-                    Some(ord) => start + ord[c * info_d + i] as usize,
-                    None => start + i,
-                };
-                edge_slot[e] = ((r * stride + i) * lanes + u) as u32;
-            }
-        }
+        let edge_slot =
+            lane_edge_slots(graph, partition.edge_order(), lanes, q_rows, stride, info_d);
         // The rotation plan keeps its information totals in `i16`: a total
         // is the channel value plus at most `d_max` messages of at most
         // `max_mag` each, so a channel inside `info_rail` cannot wrap one.
@@ -563,12 +560,78 @@ impl SimdQuant {
     }
 }
 
+/// The plane slot `(r·stride + i)·lanes + u` of input `i` (in `order`, or
+/// graph order) of each check `c = u·q_rows + r`; parity edges `u32::MAX`.
+pub(crate) fn lane_edge_slots(
+    graph: &TannerGraph,
+    order: Option<&[u32]>,
+    lanes: usize,
+    q_rows: usize,
+    stride: usize,
+    info_d: usize,
+) -> Vec<u32> {
+    let mut edge_slot = vec![u32::MAX; graph.edge_count()];
+    for c in 0..lanes * q_rows {
+        let (u, r) = (c / q_rows, c % q_rows);
+        let start = graph.check_edges(c).start;
+        for i in 0..info_d {
+            let e = match order {
+                Some(ord) => start + ord[c * info_d + i] as usize,
+                None => start + i,
+            };
+            edge_slot[e] = ((r * stride + i) * lanes + u) as u32;
+        }
+    }
+    edge_slot
+}
+
+/// The per-check input order of a hardware chain partition, under which
+/// [`build_rotation`] finds every plane vector: input `i` of check
+/// `c = u·q + r` is check `r`'s input `i` rotated `u` lanes within its
+/// 360-block. `None` when some rotated variable is not an input of its
+/// check. Every check must start with `info_d` information edges.
+pub(crate) fn rotation_order(graph: &TannerGraph) -> Option<Vec<u32>> {
+    const LANES: usize = PARALLELISM;
+    let n_check = graph.check_count();
+    let q_rows = n_check / LANES;
+    if q_rows == 0 || !n_check.is_multiple_of(LANES) {
+        return None;
+    }
+    let info_d = graph.check_edges(0).len().checked_sub(1)?;
+    let inputs = |c: usize| &graph.edge_vars()[graph.check_edges(c).start..][..info_d];
+    // Each variable's position among the current check's inputs, taken
+    // (reset to `u32::MAX`) when matched, so no input is matched twice.
+    let mut position = vec![u32::MAX; graph.var_count()];
+    let mut order = Vec::with_capacity(n_check * info_d);
+    for u in 0..LANES {
+        for r in 0..q_rows {
+            let c = u * q_rows + r;
+            for (p, &v) in inputs(c).iter().enumerate() {
+                position[v as usize] = p as u32;
+            }
+            for &v0 in inputs(r) {
+                let v0 = v0 as usize;
+                let v = v0 - v0 % LANES + (v0 % LANES + u) % LANES;
+                let pos = std::mem::replace(&mut position[v], u32::MAX);
+                if pos == u32::MAX {
+                    return None;
+                }
+                order.push(pos);
+            }
+            for &v in inputs(c) {
+                position[v as usize] = u32::MAX;
+            }
+        }
+    }
+    Some(order)
+}
+
 /// Detects the quasi-cyclic rotation structure of every (row, position)
 /// plane vector: real hardware partitions map the 360 lanes of a position
 /// onto one 360-variable block rotated by the schedule shift. Synthetic
 /// edge orders (tests) that break the pattern get `None` and take the
 /// variable-major generic pass instead.
-fn build_rotation(
+pub(crate) fn build_rotation(
     graph: &TannerGraph,
     edge_slot: &[u32],
     lanes: usize,

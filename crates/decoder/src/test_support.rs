@@ -53,25 +53,9 @@ pub fn small_code() -> (DvbS2Code, TannerGraph) {
 /// run the paths the served decoder runs. Ascending-variable order does
 /// not have it, because it flips where a rotation wraps.
 pub fn rotation_partition(graph: &TannerGraph) -> ChainPartition {
-    let lanes = PARALLELISM;
-    let n_check = graph.check_count();
-    let q_rows = n_check / lanes;
-    let info_d = graph.check_edges(0).len() - 1;
-    let mut order = Vec::with_capacity(n_check * info_d);
-    for c in 0..n_check {
-        let (u, r) = (c / q_rows, c % q_rows);
-        let lane0 = graph.check_edges(r).start;
-        let start = graph.check_edges(c).start;
-        for i in 0..info_d {
-            let v0 = graph.var_of_edge(lane0 + i);
-            let v = v0 - v0 % lanes + (v0 % lanes + u) % lanes;
-            let pos = (0..info_d)
-                .position(|p| graph.var_of_edge(start + p) == v)
-                .expect("the graph is quasi-cyclic with lifting 360");
-            order.push(pos as u32);
-        }
-    }
-    ChainPartition::new(lanes, Some(order))
+    let order =
+        crate::qsimd::rotation_order(graph).expect("the graph is quasi-cyclic with lifting 360");
+    ChainPartition::new(PARALLELISM, Some(order))
 }
 
 /// Noise-free channel LLRs for a codeword: `+mag` for bit 0, `-mag` for 1.

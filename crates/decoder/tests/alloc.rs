@@ -105,13 +105,18 @@ fn assert_zero_allocation_decode_into(name: &str, decoder: &mut dyn Decoder, llr
 /// The float configurations both audits cover. `sum-product f32` is the
 /// lane-parallel pair — the column-major flooding pass and the
 /// chain-decoupled zigzag sweep — whose stripe state lives on the stack.
-fn audited_configs() -> [(&'static str, DecoderConfig); 4] {
+/// `min-sum f32` is the served clear-sky profile; on this quasi-cyclic code
+/// it and both other min-sum rows run flooding on the rotation planes,
+/// whose syndrome lanes live on the stack too.
+fn audited_configs() -> [(&'static str, DecoderConfig); 6] {
     let f32_config = DecoderConfig::default().with_precision(Precision::F32);
     [
         ("sum-product f64", DecoderConfig::default()),
         ("min-sum f64", DecoderConfig::default().with_rule(CheckRule::NormalizedMinSum(0.8))),
         ("sum-product f32", f32_config),
         ("table sum-product f32", f32_config.with_rule(CheckRule::TableSumProduct)),
+        ("min-sum f32", f32_config.with_rule(CheckRule::NormalizedMinSum(0.8))),
+        ("offset min-sum f32", f32_config.with_rule(CheckRule::OffsetMinSum(0.15))),
     ]
 }
 
