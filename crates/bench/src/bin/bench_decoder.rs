@@ -48,8 +48,10 @@ const FLAGS: &[Flag] =
     &[Flag::switch("--quick", "CI budget: shortens the per-variant measurement window")];
 
 /// Lines of Rust under `dir`, build output excluded: the recorded
-/// trajectory of the "net LoC goes down" aim.
-fn rust_lines(dir: &std::path::Path) -> usize {
+/// trajectory of the "net LoC goes down" aim. With `net_of_tests` a file
+/// counts only its lines before its first `#[cfg(test)]`, and `tests.rs`
+/// files not at all.
+fn rust_lines(dir: &std::path::Path, net_of_tests: bool) -> usize {
     let Ok(entries) = std::fs::read_dir(dir) else { return 0 };
     entries
         .flatten()
@@ -59,10 +61,15 @@ fn rust_lines(dir: &std::path::Path) -> usize {
                 if path.file_name().is_some_and(|name| name == "target") {
                     0
                 } else {
-                    rust_lines(&path)
+                    rust_lines(&path, net_of_tests)
                 }
+            } else if net_of_tests && path.file_name().is_some_and(|name| name == "tests.rs") {
+                0
             } else if path.extension().is_some_and(|ext| ext == "rs") {
-                std::fs::read_to_string(&path).map_or(0, |text| text.lines().count())
+                std::fs::read_to_string(&path).map_or(0, |text| {
+                    let test_module = |line: &&str| net_of_tests && line.trim() == "#[cfg(test)]";
+                    text.lines().take_while(|line| !test_module(line)).count()
+                })
             } else {
                 0
             }
@@ -510,8 +517,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let workspace: usize = ["crates", "tests", "examples", "benchmark"]
         .iter()
-        .map(|dir| rust_lines(&root.join(dir)))
+        .map(|dir| rust_lines(&root.join(dir), false))
         .sum();
+    let decoder_src = root.join("crates/decoder/src");
     let pair = |flooding: f64, zigzag: f64| {
         Object::new().with("flooding", Json::Num(flooding, 3)).with("zigzag", Json::Num(zigzag, 3))
     };
@@ -521,7 +529,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with(
             "loc",
             Object::new()
-                .with("decoder_src", rust_lines(&root.join("crates/decoder/src")))
+                .with("decoder_src", rust_lines(&decoder_src, false))
+                .with("decoder_src_net_of_tests", rust_lines(&decoder_src, true))
                 .with("workspace", workspace),
         )
         .with(

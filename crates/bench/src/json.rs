@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 
 /// The change whose code the committed records were taken with. Bump it in
 /// the change that re-records them.
-pub const RECORDED_BY: &str = "flooding min-sum on the rotation planes";
+pub const RECORDED_BY: &str = "each 360-lane layout stands alone";
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -106,6 +106,10 @@ pub(crate) fn accumulate_totals<F: LlrFloat>(
 /// On return `totals_next` holds the a-posteriori totals implied by the
 /// fresh `c2v`, accumulated in ascending edge order with the channel LLR
 /// added last — bit-identical to [`accumulate_totals`] over the new `c2v`.
+///
+/// This is the scalar flooding pass: f64 sum-product (the reference the
+/// seed-embedded regression suite pins) and the min-sum rules on a graph
+/// without the DVB-S2 rotation structure run it.
 #[inline]
 pub(crate) fn fused_check_pass<F: LlrFloat>(
     graph: &TannerGraph,
@@ -135,15 +139,16 @@ pub(crate) fn fused_check_pass<F: LlrFloat>(
 }
 
 /// Transposed (column-major) layout of the check-message planes for the
-/// min-sum fast path: checks are grouped by degree, and within a degree
-/// class the planes are stored column by column — slot `base + j * m + i`
-/// holds the `j`-th message of the class's `i`-th check.
+/// f32 sum-product passes, the table rule and the chain-decoupled zigzag:
+/// checks are grouped by degree, and within a degree class the planes are
+/// stored column by column — slot `base + j * m + i` holds the `j`-th
+/// message of the class's `i`-th check.
 ///
 /// With this layout a fixed-`j` sweep over a class reads and writes the
-/// planes *contiguously*, turning the per-check minima recurrence into `m`
-/// independent per-lane recurrences over dense arrays — the shape the
-/// auto-vectorizer and the out-of-order core both want. The only
-/// non-contiguous access left in the check pass is the unavoidable
+/// planes *contiguously*, turning each check's serial prefix/suffix
+/// recurrence into `m` independent per-lane recurrences over dense arrays —
+/// the shape the auto-vectorizer and the out-of-order core both want. The
+/// only non-contiguous access left in the check pass is the unavoidable
 /// `totals[var]` gather, served by the pre-transposed `slot_vars` table.
 ///
 /// `edge_to_slot` maps the graph's check-major edge ids onto slots so the
@@ -258,9 +263,9 @@ pub(crate) fn accumulate_totals_slotted<F: LlrFloat>(
 const STRIPE: usize = 1024;
 
 /// Gather plus extrinsics for a class of degree below 3, one check at a
-/// time through the rule's special-cased path.
+/// time through the scalar kernel's special-cased path (a pass-through
+/// under either sum-product rule).
 fn degenerate_class_pass<F: LlrFloat>(
-    rule: &CheckRule,
     slot_vars: &[u32],
     totals: &[F],
     v2c_t: &mut [F],
@@ -275,7 +280,7 @@ fn degenerate_class_pass<F: LlrFloat>(
             let s = base + j * m + i;
             *t = totals[slot_vars[s] as usize] - c2v_t[s];
         }
-        rule.extrinsic_t(&tmp_in[..d], &mut tmp_out[..d]);
+        CheckRule::SumProduct.extrinsic_t(&tmp_in[..d], &mut tmp_out[..d]);
         for (j, (&inp, &out)) in tmp_in[..d].iter().zip(&tmp_out[..d]).enumerate() {
             let s = base + j * m + i;
             v2c_t[s] = inp;
@@ -284,63 +289,14 @@ fn degenerate_class_pass<F: LlrFloat>(
     }
 }
 
-/// Check-node half-iteration for the min-sum rules over the transposed
-/// planes (`v2c_t`/`c2v_t` in [`BlockedChecks`] slot order): gathers every
-/// input (`v2c_t[s] = totals[var] - c2v_t[s]`) and writes every extrinsic
-/// into `c2v_t`.
-///
-/// Each degree class is processed in stripes of [`STRIPE`] checks, column
-/// by column, through [`MinSumLanes`]; only the `totals` gather is indexed.
-///
-/// Per check this performs exactly the arithmetic of
-/// [`CheckRule::extrinsic_t`] in the same within-check edge order (column
-/// `j` of a check *is* its edge `start + j`), so the `f64` instantiation
-/// stays bit-compatible with the scalar kernel. Totals are deliberately
-/// NOT accumulated here: scattering in column order would reorder each
-/// variable's sum; callers follow with [`accumulate_totals_slotted`],
-/// which adds in ascending edge order.
-#[inline(always)]
-pub(crate) fn blocked_min_sum_pass<F: LlrFloat>(
-    blocked: &BlockedChecks,
-    rule: &CheckRule,
-    totals: &[F],
-    v2c_t: &mut [F],
-    c2v_t: &mut [F],
-    correct: impl Fn(F) -> F,
-) {
-    let slot_vars = &blocked.slot_vars[..];
-    let mut lanes = MinSumLanes::new();
-    for class in &blocked.classes {
-        let d = class.degree;
-        if d < 3 {
-            degenerate_class_pass(rule, slot_vars, totals, v2c_t, c2v_t, class);
-            continue;
-        }
-        for (_, stripe) in Stripe::of(class) {
-            lanes.start(stripe.lanes);
-            for j in 0..d {
-                let (vars, old) = (&slot_vars[stripe.col(j)], &c2v_t[stripe.col(j)]);
-                let inputs = &mut v2c_t[stripe.col(j)];
-                // Gather first, reduce second: the indexed `totals` load
-                // cannot vectorize, so keeping it in its own dense loop
-                // lets the minima loop run purely on contiguous arrays.
-                for (i, x) in inputs.iter_mut().enumerate() {
-                    *x = totals[vars[i] as usize] - old[i];
-                }
-                lanes.fold(j, inputs);
-            }
-            lanes.extrinsics(v2c_t, c2v_t, stripe, d, &correct);
-        }
-    }
-}
-
-/// The min-sum update of a stripe of up to [`STRIPE`] checks of degree
-/// `d >= 3`, one per lane — the one two-minima body, run by both float
-/// plane layouts: `start`, `fold` each gathered input column, then write
-/// the `extrinsics`. Every access is contiguous (the minimum's position is
-/// a *column* index), so the loops are dense, branchless and independent
-/// across lanes. Per lane this is [`CheckRule::extrinsic_t`]'s arithmetic,
-/// whose outputs do not depend on the column order (DESIGN.md §7.10).
+/// The min-sum update of up to [`STRIPE`] checks of degree `d >= 3`, one
+/// per lane — the two-minima body of the float rotation planes (one
+/// residue row of 360 checks at a time): `start`, `fold` each gathered
+/// input column, then write the `extrinsics`. Every access is contiguous
+/// (the minimum's position is a *column* index), so the loops are dense,
+/// branchless and independent across lanes. Per lane this is
+/// [`CheckRule::extrinsic_t`]'s arithmetic, whose outputs do not depend on
+/// the column order (DESIGN.md §7.10).
 pub(crate) struct MinSumLanes<F> {
     min1: [F; STRIPE],
     min2: [F; STRIPE],
@@ -392,25 +348,23 @@ impl<F: LlrFloat> MinSumLanes<F> {
         }
     }
 
-    /// Writes the extrinsics of the stripe's `d` folded columns over `c2v`
-    /// (`v2c` still holding the inputs, for their signs).
+    /// Writes the extrinsics of the folded columns over `c2v`, whose column
+    /// `j` is `[j·lanes ..][.. lanes]` (`v2c` in the same shape, still
+    /// holding the inputs, for their signs).
     #[inline(always)]
     pub(crate) fn extrinsics(
         &self,
         v2c: &[F],
         c2v: &mut [F],
-        stripe: Stripe,
-        d: usize,
+        lanes: usize,
         correct: impl Fn(F) -> F,
     ) {
-        let b = stripe.lanes;
-        let (min1, min2) = (&self.min1[..b], &self.min2[..b]);
-        let (min_col, negative_signs) = (&self.min_col[..b], &self.negative_signs[..b]);
-        for j in 0..d {
-            let v2c_col = &v2c[stripe.col(j)];
-            let c2v_col = &mut c2v[stripe.col(j)];
+        let (min1, min2) = (&self.min1[..lanes], &self.min2[..lanes]);
+        let (min_col, negative_signs) = (&self.min_col[..lanes], &self.negative_signs[..lanes]);
+        let columns = v2c.chunks_exact(lanes).zip(c2v.chunks_exact_mut(lanes));
+        for (j, (v2c_col, c2v_col)) in columns.enumerate() {
             let jj = j as u32;
-            for i in 0..b {
+            for i in 0..lanes {
                 let mag = correct(F::select(min_col[i] == jj, min2[i], min1[i]));
                 let flip = (negative_signs[i] + v2c_col[i].is_negative() as u32) & 1 == 1;
                 c2v_col[i] = mag.flip_sign_if(flip);
@@ -422,12 +376,12 @@ impl<F: LlrFloat> MinSumLanes<F> {
 /// One stripe of a column-major plane region: `lanes` consecutive checks,
 /// whose `j`-th messages sit `stride` slots apart.
 #[derive(Clone, Copy)]
-pub(crate) struct Stripe {
+struct Stripe {
     /// Slot of the stripe's first lane in column 0.
-    pub(crate) first: usize,
+    first: usize,
     /// Checks in the class (the distance between columns).
-    pub(crate) stride: usize,
-    pub(crate) lanes: usize,
+    stride: usize,
+    lanes: usize,
 }
 
 impl Stripe {
@@ -550,8 +504,7 @@ fn blocked_prefix_suffix_pass<F: LlrFloat>(
     for class in &blocked.classes {
         let d = class.degree;
         if d < 3 {
-            // Pass-through under either sum-product rule.
-            degenerate_class_pass(&CheckRule::SumProduct, slot_vars, totals, v2c_t, c2v_t, class);
+            degenerate_class_pass(slot_vars, totals, v2c_t, c2v_t, class);
             continue;
         }
         for (_, stripe) in Stripe::of(class) {
@@ -716,12 +669,15 @@ pub(crate) fn chain_combine_pass(
 // the wrapper's feature set and the auto-vectorizer emits 256-/512-bit code
 // without a compile-time `target-cpu` floor. The clones are the SAME Rust —
 // identical operation order, no contraction — so every tier is bit-identical
-// (pinned by `tests/sum_product_f32.rs`). Callers resolve a `SimdTier` once per
-// decoder via `SimdTier::resolve`, which guarantees the tier is supported,
-// making the `unsafe` target-feature calls sound.
+// (pinned by `tests/sum_product_f32.rs` and `tests/qsimd.rs`). Callers resolve
+// a `SimdTier` once per decoder via `SimdTier::resolve`, which guarantees the
+// tier is supported, making the `unsafe` target-feature calls sound. The
+// AVX-512 rung means F, BW and VL together (`SimdTier::Avx512`): the float
+// kernels need only F, the `i16` lanes of `qsimd` need all three.
 
-/// Tier clones of a kernel; `<F>` after the dispatcher's name makes all three
-/// generic over the message precision.
+/// Tier clones of a kernel — every float and integer-lane kernel of the
+/// crate dispatches through this one ladder; `<F>` after the dispatcher's
+/// name makes all three generic over the message precision.
 macro_rules! tier_clones {
     ($(#[$doc:meta])* $dispatch:ident $(<$f:ident>)?, $base:ident, $avx2:ident, $avx512:ident;
      ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?) => {
@@ -733,7 +689,7 @@ macro_rules! tier_clones {
         }
 
         #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx512f")]
+        #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
         #[allow(clippy::too_many_arguments)]
         unsafe fn $avx512$(<$f: LlrFloat>)?($($arg: $ty),*) $(-> $ret)? {
             $base($($arg),*)
@@ -742,6 +698,9 @@ macro_rules! tier_clones {
         $(#[$doc])*
         #[allow(clippy::too_many_arguments)]
         pub(crate) fn $dispatch$(<$f: LlrFloat>)?(tier: SimdTier, $($arg: $ty),*) $(-> $ret)? {
+            // SAFETY: the clones only add target features to safe bodies,
+            // and `tier` comes from `SimdTier::resolve`, which panics on a
+            // tier this CPU lacks.
             match tier {
                 #[cfg(target_arch = "x86_64")]
                 SimdTier::Avx2 => unsafe { $avx2($($arg),*) },
@@ -753,20 +712,6 @@ macro_rules! tier_clones {
     };
 }
 pub(crate) use tier_clones;
-
-tier_clones!(
-    /// [`blocked_min_sum_pass`] dispatched onto the selected SIMD tier.
-    blocked_min_sum_pass_tier<F>, blocked_min_sum_pass,
-    blocked_min_sum_pass_avx2, blocked_min_sum_pass_avx512;
-    (
-        blocked: &BlockedChecks,
-        rule: &CheckRule,
-        totals: &[F],
-        v2c_t: &mut [F],
-        c2v_t: &mut [F],
-        correct: impl Fn(F) -> F,
-    )
-);
 
 tier_clones!(
     /// [`accumulate_totals_slotted`] dispatched onto the selected SIMD tier.
@@ -941,39 +886,38 @@ mod tests {
         // Duplicate minima are the interesting case: coarse-grid magnitudes
         // make almost every check see an exact tie, and the retained index
         // must be the FIRST strict minimum in both the scalar rule and the
-        // blocked two-pass kernel (mask-blend index tracking).
-        let (_, graph) = small_code();
-        let blocked = BlockedChecks::new(&graph);
-        let edges = graph.edge_count();
+        // lane kernel (mask-blend column tracking), at every degree the
+        // DVB-S2 rows have and a ragged lane count.
         let mut rng = crate::test_support::SplitMix64(23);
-        let totals: Vec<f64> = (0..graph.var_count())
-            .map(|_| {
-                let mag = (rng.next_u64() % 3 + 1) as f64 * 0.5;
-                if rng.next_bool() {
-                    -mag
-                } else {
-                    mag
-                }
-            })
-            .collect();
         let rule = CheckRule::NormalizedMinSum(1.0);
-        let mut v2c_t = vec![0.0f64; edges];
-        let mut c2v_t = vec![0.0f64; edges];
-        blocked_min_sum_pass(&blocked, &rule, &totals, &mut v2c_t, &mut c2v_t, |x| x);
-
-        let edge_vars = graph.edge_vars();
-        for c in 0..graph.check_count() {
-            let range = graph.check_edges(c);
-            let ins: Vec<f64> =
-                edge_vars[range.clone()].iter().map(|&v| totals[v as usize]).collect();
-            let mut want = vec![0.0; ins.len()];
-            first_strict_min_reference(&ins, &mut want);
-            let mut scalar = vec![0.0; ins.len()];
-            rule.extrinsic_t(&ins, &mut scalar);
-            assert_eq!(scalar, want, "check {c}: scalar rule");
-            for (k, e) in range.enumerate() {
-                let slot = blocked.edge_to_slot[e] as usize;
-                assert_eq!(c2v_t[slot], want[k], "check {c} edge {e}: blocked kernel");
+        let lanes = 361;
+        let mut kernel = MinSumLanes::new();
+        for d in 3..=30 {
+            let v2c: Vec<f64> = (0..d * lanes)
+                .map(|_| {
+                    let mag = (rng.next_u64() % 3 + 1) as f64 * 0.5;
+                    if rng.next_bool() {
+                        -mag
+                    } else {
+                        mag
+                    }
+                })
+                .collect();
+            let mut c2v = vec![0.0f64; d * lanes];
+            kernel.start(lanes);
+            for (j, column) in v2c.chunks_exact(lanes).enumerate() {
+                kernel.fold(j, column);
+            }
+            kernel.extrinsics(&v2c, &mut c2v, lanes, |x| x);
+            for u in 0..lanes {
+                let ins: Vec<f64> = (0..d).map(|j| v2c[j * lanes + u]).collect();
+                let mut want = vec![0.0; d];
+                first_strict_min_reference(&ins, &mut want);
+                let mut scalar = vec![0.0; d];
+                rule.extrinsic_t(&ins, &mut scalar);
+                assert_eq!(scalar, want, "degree {d} lane {u}: scalar rule");
+                let got: Vec<f64> = (0..d).map(|j| c2v[j * lanes + u]).collect();
+                assert_eq!(got, want, "degree {d} lane {u}: lane kernel");
             }
         }
     }

@@ -7,23 +7,28 @@
 //! measured against: it needs ≈ 40 iterations where the optimized schedule
 //! needs 30.
 //!
-//! Messages live in one of two plane layouts, chosen at construction from
-//! the graph and the rule, with the same results bit for bit:
+//! Messages live in one of three plane layouts, chosen once at construction
+//! from the graph, the rule and the precision; each is the only path for
+//! the decoders it serves:
 //!
 //! * **Rotation planes** — the min-sum rules on a DVB-S2 graph: check
 //!   `c = u·q + r` is lane `u` of residue row `r`, as in the paper's 360
 //!   functional units, so both half-iterations read and write dense
 //!   rotated slices with no index planes (DESIGN.md §7.10).
-//! * **Blocked checks** — the sum-product rules and every other graph: the
-//!   degree-blocked planes of [`crate::engine`], whose variable phase is one
-//!   scatter-add over [`TannerGraph::edge_vars`] and whose check kernels run
-//!   directly on each check's contiguous slice of the planes.
+//! * **Blocked checks** — f32 and table sum-product: the degree-blocked
+//!   column planes of [`crate::engine`], whose prefix/suffix recurrences
+//!   run lane-parallel across the checks of a degree class.
+//! * **Edge planes** — everything else (f64 sum-product, the reference the
+//!   regression suite pins, and min-sum on a graph without the DVB-S2
+//!   structure): the scalar pass, check by check on each check's
+//!   contiguous edge range, with no index planes beyond the graph's own.
+//!
+//! Min-sum on the rotation planes is bit-identical to the scalar pass.
 
 use crate::engine::{
-    accumulate_totals, accumulate_totals_slotted_tier, blocked_min_sum_pass_tier,
-    blocked_sum_product_pass_tier, blocked_table_sum_product_pass, fused_check_pass,
-    hard_decisions_into, load_llrs, syndrome_ok_totals, tier_clones, BlockedChecks, MinSumLanes,
-    Precision, Stripe,
+    accumulate_totals, accumulate_totals_slotted_tier, blocked_sum_product_pass_tier,
+    blocked_table_sum_product_pass, fused_check_pass, hard_decisions_into, load_llrs,
+    syndrome_ok_totals, tier_clones, BlockedChecks, MinSumLanes, Precision,
 };
 use crate::llr_ops::{CheckRule, LlrFloat};
 use crate::qsimd::{build_rotation, lane_edge_slots, rotation_order, RotEntry};
@@ -34,7 +39,8 @@ use std::ops::Range;
 use std::sync::Arc;
 
 /// Flooding-schedule belief-propagation decoder over any Tanner graph, on
-/// whichever plane layout fits its graph and rule (module docs).
+/// the one plane layout its graph, rule and precision select (module docs).
+/// The decoder builds only what that layout's pass reads.
 ///
 /// ```
 /// use dvbs2_decoder::{Decoder, DecoderConfig, FloodingDecoder};
@@ -61,8 +67,9 @@ pub struct FloodingDecoder {
 /// Where the messages live.
 #[derive(Debug, Clone)]
 enum Layout {
-    Blocked(BlockedChecks),
     Rotation(RotationPlanes),
+    Blocked(BlockedChecks),
+    Edges,
 }
 
 #[derive(Debug, Clone)]
@@ -87,8 +94,8 @@ impl<F: LlrFloat> Engine<F> {
     fn new(graph: &TannerGraph, layout: &Layout) -> Self {
         let vars = graph.var_count();
         let (v2c, c2v) = match layout {
-            Layout::Blocked(_) => (graph.edge_count(), graph.edge_count()),
             Layout::Rotation(p) => (p.stride * LANES, p.q * p.stride * LANES),
+            _ => (graph.edge_count(), graph.edge_count()),
         };
         Engine {
             llr: vec![F::ZERO; vars],
@@ -144,12 +151,13 @@ impl<F: LlrFloat> Engine<F> {
         correct: impl Fn(F) -> F + Copy,
     ) -> (usize, bool) {
         let blocked = match layout {
-            Layout::Blocked(blocked) => blocked,
+            Layout::Blocked(blocked) => Some(blocked),
+            Layout::Edges => None,
             Layout::Rotation(planes) => {
                 load_llrs(&mut self.totals_next, channel_llrs);
                 planes.reorder(&self.totals_next, &mut self.llr, true);
                 self.c2v.fill(F::ZERO);
-                // What the blocked layout's scatter over all-zero messages
+                // What the scalar pass's scatter over all-zero messages
                 // computes (`-0.0` becomes `+0.0`).
                 for (t, &l) in self.totals.iter_mut().zip(&self.llr) {
                     *t = l + F::ZERO;
@@ -173,30 +181,20 @@ impl<F: LlrFloat> Engine<F> {
         // First-iteration gather sources: totals = llr plus all-zero messages.
         accumulate_totals(edge_vars, &self.llr, &self.c2v, &mut self.totals);
         let step = |e: &mut Self| {
-            // Both half-iterations per pass. f64 exact sum-product — the
-            // reference the seed-embedded regression suite pins bit for bit —
-            // streams check by check with the scalar kernel fused between
-            // gather and scatter; the other rules run column-major kernels
-            // over the transposed planes, then accumulate the totals in edge
-            // order through the slot permutation.
+            // Both half-iterations per pass. The edge planes stream check by
+            // check with the scalar kernel fused between gather and scatter;
+            // the blocked planes run column-major kernels, then accumulate
+            // the totals in edge order through the slot permutation.
             let (llr, totals, next) = (&e.llr, &e.totals, &mut e.totals_next);
             let (v2c, c2v) = (&mut e.v2c, &mut e.c2v);
-            match config.rule {
-                CheckRule::SumProduct if config.precision == Precision::F64 => {
-                    fused_check_pass(graph, &config.rule, llr, totals, v2c, c2v, next)
-                }
-                rule => {
-                    match rule {
-                        CheckRule::SumProduct => {
-                            blocked_sum_product_pass_tier(tier, blocked, totals, v2c, c2v)
-                        }
+            match blocked {
+                None => fused_check_pass(graph, &config.rule, llr, totals, v2c, c2v, next),
+                Some(blocked) => {
+                    if config.rule == CheckRule::TableSumProduct {
                         // Per check bit-identical to the scalar table kernel.
-                        CheckRule::TableSumProduct => {
-                            blocked_table_sum_product_pass(blocked, totals, v2c, c2v)
-                        }
-                        _ => blocked_min_sum_pass_tier(
-                            tier, blocked, &rule, totals, v2c, c2v, correct,
-                        ),
+                        blocked_table_sum_product_pass(blocked, totals, v2c, c2v)
+                    } else {
+                        blocked_sum_product_pass_tier(tier, blocked, totals, v2c, c2v)
                     }
                     let slots = blocked.edge_to_slot();
                     accumulate_totals_slotted_tier(tier, edge_vars, slots, llr, c2v, next);
@@ -207,7 +205,7 @@ impl<F: LlrFloat> Engine<F> {
         self.iterate(config, step, |e| syndrome_ok_totals(graph, &e.totals))
     }
 
-    /// The iteration loop of both layouts: `(iterations, converged)`.
+    /// The iteration loop of every layout: `(iterations, converged)`.
     fn iterate(
         &mut self,
         config: &DecoderConfig,
@@ -370,13 +368,7 @@ fn rotation_check_pass<F: LlrFloat>(
             }
             lanes.fold(j, inputs);
         }
-        lanes.extrinsics(
-            v2c,
-            c2v_row,
-            Stripe { first: 0, stride: LANES, lanes: LANES },
-            d,
-            &correct,
-        );
+        lanes.extrinsics(v2c, c2v_row, LANES, &correct);
     }
 }
 
@@ -478,11 +470,12 @@ tier_clones!(
 impl FloodingDecoder {
     /// Creates a decoder for `graph`.
     pub fn new(graph: Arc<TannerGraph>, config: DecoderConfig) -> Self {
-        let min_sum =
-            matches!(config.rule, CheckRule::NormalizedMinSum(_) | CheckRule::OffsetMinSum(_));
-        let layout = match min_sum.then(|| RotationPlanes::build(&graph)).flatten() {
-            Some(planes) => Layout::Rotation(planes),
-            None => Layout::Blocked(BlockedChecks::new(&graph)),
+        let layout = match config.rule {
+            CheckRule::NormalizedMinSum(_) | CheckRule::OffsetMinSum(_) => {
+                RotationPlanes::build(&graph).map_or(Layout::Edges, Layout::Rotation)
+            }
+            CheckRule::SumProduct if config.precision == Precision::F64 => Layout::Edges,
+            _ => Layout::Blocked(BlockedChecks::new(&graph)),
         };
         let tier = SimdTier::resolve(config.simd);
         let core = match config.precision {
@@ -622,14 +615,25 @@ mod tests {
         }
     }
 
-    /// The exactness matrix: the rotation planes against the blocked layout
-    /// of the same decoder, on the full `DecodeResult` and on the final
-    /// totals bit for bit — every short rate and three normal ones, both
-    /// min-sum rules, both precisions, early stop on and off, an iteration
-    /// cap of 0, every available tier, on a noisy frame and on one salted
-    /// with `±inf`, `NaN`, `±1e300` and `±0.0`.
+    /// The same code's edge list as a generic graph: identical edge ids, but
+    /// no information length, so no rotation planes.
+    fn generic(graph: &TannerGraph) -> TannerGraph {
+        let mut edges = Vec::new();
+        for c in 0..graph.check_count() {
+            edges.extend(graph.check_edges(c).map(|e| (c as u32, graph.var_of_edge(e) as u32)));
+        }
+        TannerGraph::from_edges(graph.var_count(), graph.check_count(), &edges)
+    }
+
+    /// The exactness matrix: the rotation planes against the scalar pass,
+    /// run by the same configuration on the code's generic copy, on the
+    /// full `DecodeResult` and on the final totals bit for bit — every
+    /// short rate and three normal ones, both min-sum rules, both
+    /// precisions, early stop on and off, an iteration cap of 0, every
+    /// available tier, on a noisy frame and on one salted with `±inf`,
+    /// `NaN`, `±1e300` and `±0.0`.
     #[test]
-    fn rotation_planes_equal_the_blocked_layout_bit_for_bit() {
+    fn rotation_planes_equal_the_scalar_pass_bit_for_bit() {
         use dvbs2_ldpc::{CodeRate, DvbS2Code, FrameSize};
         let short = CodeRate::ALL.map(|rate| (rate, FrameSize::Short));
         let normal =
@@ -639,6 +643,7 @@ mod tests {
             let Ok(code) = DvbS2Code::new(rate, frame) else { continue };
             codes += 1;
             let graph = Arc::new(code.tanner_graph());
+            let scalar = Arc::new(generic(&graph));
             let ebn0 = 1.5 + 3.0 * rate.as_f64();
             let (_, noisy) = noisy_llrs(&code, ebn0, 0x5EED + codes);
             let mut hostile = noisy.clone();
@@ -655,11 +660,8 @@ mod tests {
                             .with_simd_tier(Some(tier));
                         let mut lanes = FloodingDecoder::new(Arc::clone(&graph), config);
                         assert!(matches!(lanes.layout, Layout::Rotation(_)), "{rate} {frame:?}");
-                        // Built for sum-product, which keeps the blocked
-                        // layout, then switched to the min-sum rule.
-                        let sum_product = config.with_rule(CheckRule::SumProduct);
-                        let mut reference = FloodingDecoder::new(Arc::clone(&graph), sum_product);
-                        reference.config.rule = rule;
+                        let mut reference = FloodingDecoder::new(Arc::clone(&scalar), config);
+                        assert!(matches!(reference.layout, Layout::Edges), "{rate} {frame:?}");
                         for (cap, early_stop) in [(8, true), (8, false), (0, true), (0, false)] {
                             for decoder in [&mut lanes, &mut reference] {
                                 decoder.config.max_iterations = cap;
@@ -683,26 +685,31 @@ mod tests {
         assert_eq!(codes, 13);
     }
 
-    /// Only the min-sum rules on a graph with the structure take the planes:
-    /// the sum-product rules keep the blocked layout, and so does the same
-    /// code's edge list as a generic graph (no information length).
+    /// Only the min-sum rules on a graph with the structure take the planes;
+    /// on the same code's generic copy they take the scalar pass, as f64
+    /// sum-product does anywhere. Only f32 and table sum-product build the
+    /// blocked layout.
     #[test]
     fn the_layout_is_chosen_from_graph_and_rule() {
         let (_, graph) = small_code();
-        let mut edges = Vec::new();
-        for c in 0..graph.check_count() {
-            edges.extend(graph.check_edges(c).map(|e| (c as u32, graph.var_of_edge(e) as u32)));
-        }
-        let generic = TannerGraph::from_edges(graph.var_count(), graph.check_count(), &edges);
-        let rotation = |g: &TannerGraph, rule| {
-            let config = DecoderConfig::default().with_rule(rule);
-            matches!(FloodingDecoder::new(Arc::new(g.clone()), config).layout, Layout::Rotation(_))
+        let generic = generic(&graph);
+        let layout = |g: &TannerGraph, rule, precision| {
+            let config = DecoderConfig::default().with_rule(rule).with_precision(precision);
+            match FloodingDecoder::new(Arc::new(g.clone()), config).layout {
+                Layout::Rotation(_) => "rotation",
+                Layout::Blocked(_) => "blocked",
+                Layout::Edges => "edges",
+            }
         };
-        assert!(rotation(&graph, CheckRule::NormalizedMinSum(0.8)));
-        assert!(rotation(&graph, CheckRule::OffsetMinSum(0.15)));
-        assert!(!rotation(&graph, CheckRule::SumProduct));
-        assert!(!rotation(&graph, CheckRule::TableSumProduct));
-        assert!(!rotation(&generic, CheckRule::NormalizedMinSum(0.8)));
+        for precision in [Precision::F32, Precision::F64] {
+            for rule in [CheckRule::NormalizedMinSum(0.8), CheckRule::OffsetMinSum(0.15)] {
+                assert_eq!(layout(&graph, rule, precision), "rotation");
+                assert_eq!(layout(&generic, rule, precision), "edges");
+            }
+            assert_eq!(layout(&graph, CheckRule::TableSumProduct, precision), "blocked");
+        }
+        assert_eq!(layout(&graph, CheckRule::SumProduct, Precision::F32), "blocked");
+        assert_eq!(layout(&graph, CheckRule::SumProduct, Precision::F64), "edges");
     }
 
     #[test]

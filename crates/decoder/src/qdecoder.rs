@@ -13,7 +13,7 @@
 use crate::qsimd::SimdQuant;
 use crate::quant::{QBoxplus, QCheckArithmetic, Quantizer};
 use crate::simd::SimdTier;
-use crate::stopping::{hard_decisions_int, hard_decisions_int_into, syndrome_ok};
+use crate::stopping::{hard_decisions_int_into, syndrome_ok};
 use crate::{DecodeResult, Decoder, DecoderConfig};
 use dvbs2_ldpc::{BitVec, TannerGraph};
 use std::sync::Arc;
@@ -134,9 +134,8 @@ impl FusedPlan {
     }
 }
 
-/// The scalar fused sweep's plan and `i32` message planes. A decoder
-/// without SIMD lane planes builds it at construction; one with them
-/// builds it only if a decode ever takes the out-of-rail fallback.
+/// The scalar fused sweep's plan, `i32` message planes and early-stop
+/// scratch.
 #[derive(Debug, Clone)]
 struct FusedState {
     plan: FusedPlan,
@@ -150,6 +149,8 @@ struct FusedState {
     /// Chain-boundary forward values from the previous iteration (the
     /// functional units' boundary state).
     boundary: Vec<i32>,
+    /// Hard decisions of the early-stop syndrome test.
+    decisions: BitVec,
 }
 
 impl FusedState {
@@ -164,9 +165,20 @@ impl FusedState {
             forward: vec![0; n_check],
             fwd_regs: vec![0; plan.lanes],
             boundary: vec![0; plan.lanes],
+            decisions: BitVec::zeros(graph.var_count()),
             plan,
         }
     }
+}
+
+/// The one datapath a [`QuantizedZigzagDecoder`] decodes on, chosen at
+/// construction.
+#[derive(Debug, Clone)]
+enum Datapath {
+    /// Sub-chain-major SIMD lane planes over the code's rotations.
+    Lanes(Box<SimdQuant>),
+    /// The scalar fused sweep.
+    Fused(Box<FusedState>),
 }
 
 /// Quantized zigzag-schedule decoder.
@@ -176,8 +188,8 @@ impl FusedState {
 /// run it with one lane in graph order (the sequential zigzag of the paper's
 /// Fig. 2b), [`with_partition_fused`](Self::with_partition_fused) with the
 /// caller's cut, and [`with_partition`](Self::with_partition) runs the same
-/// cut on the SIMD lane planes, keeping the scalar sweep as a fallback it
-/// builds only if a decode needs it.
+/// cut on the SIMD lane planes when they can express it. Either way a
+/// decoder holds exactly one datapath.
 ///
 /// # Chain-boundary semantics vs the hardware `GoldenModel`
 ///
@@ -215,23 +227,8 @@ pub struct QuantizedZigzagDecoder {
     arithmetic: QCheckArithmetic,
     max_iterations: usize,
     early_stop: bool,
-    /// The caller's partition (`None` = built by [`Self::new`] /
-    /// [`Self::with_arithmetic`]: one lane, graph order).
-    partition: Option<ChainPartition>,
-    /// Sub-chain-major SIMD lane plan (`None` = scalar sweep only; built by
-    /// [`QuantizedZigzagDecoder::with_partition`] when the partition and
-    /// arithmetic are lane-expressible).
-    simd: Option<Box<SimdQuant>>,
-    /// The scalar fused sweep. A lane decoder holds lane state only: this
-    /// stays `None` beside a SIMD plan until a raw `decode_quantized*`
-    /// channel leaves the lane domain: a parity value beyond the quantizer
-    /// rail, or an information value so large its `i16` total could wrap
-    /// (the float [`Decoder`] entry saturates through the quantizer, so it
-    /// never does).
-    fused: Option<Box<FusedState>>,
+    datapath: Datapath,
     totals: Vec<i32>,
-    /// Reused hard-decision scratch for the early-stop syndrome test.
-    decisions: BitVec,
     /// Reused quantized-channel buffer for the float [`Decoder`] entry.
     qchannel: Vec<i32>,
 }
@@ -262,7 +259,7 @@ impl QuantizedZigzagDecoder {
         arithmetic: QCheckArithmetic,
         config: DecoderConfig,
     ) -> Self {
-        Self::build(graph, arithmetic, config, None, None)
+        Self::build(graph, arithmetic, config, ChainPartition::new(1, None), None)
     }
 
     /// Creates a decoder that runs the check sweep in **hardware-partitioned
@@ -276,15 +273,14 @@ impl QuantizedZigzagDecoder {
     /// (sub-chain-major SoA `i16` planes, the software image of the paper's
     /// M = 360 functional-unit array) with scalar/AVX2/AVX-512 clones
     /// dispatched per `config.simd` / `DVBS2_SIMD` — see
-    /// [`simd_tier`](Self::simd_tier). Combinations the lanes cannot
-    /// express exactly fall back to the scalar fused sweep of
-    /// [`with_partition_fused`](Self::with_partition_fused), which the lanes
-    /// are held bit-identical to. A decoder that got its lane planes holds
-    /// lane state only: the scalar planes are built by the first
-    /// [`decode_quantized`](Self::decode_quantized) whose raw channel
-    /// leaves the lane domain (a parity value beyond the quantizer rail, an
-    /// information value within `d_max · max_mag` of `i16::MAX`), if one
-    /// ever does.
+    /// [`simd_tier`](Self::simd_tier). The lanes need the partition's edge
+    /// order to carry the code's 360-lane rotations (as
+    /// `hw_chain_partition`'s does) and an arithmetic saturating `i16` lanes
+    /// express exactly (5 and 6 bits on every DVB-S2 code). They then take
+    /// every [`decode_quantized`](Self::decode_quantized) channel, any `i32`
+    /// value, bit-identical to the scalar fused sweep of
+    /// [`with_partition_fused`](Self::with_partition_fused). Any other cut
+    /// or arithmetic builds that scalar sweep instead, here, once.
     ///
     /// # Panics
     ///
@@ -297,7 +293,7 @@ impl QuantizedZigzagDecoder {
         partition: ChainPartition,
     ) -> Self {
         let tier = SimdTier::resolve(config.simd);
-        Self::build(graph, arithmetic, config, Some(partition), Some(tier))
+        Self::build(graph, arithmetic, config, partition, Some(tier))
     }
 
     /// [`with_partition`](Self::with_partition) pinned to the **scalar
@@ -320,18 +316,17 @@ impl QuantizedZigzagDecoder {
         config: DecoderConfig,
         partition: ChainPartition,
     ) -> Self {
-        Self::build(graph, arithmetic, config, Some(partition), None)
+        Self::build(graph, arithmetic, config, partition, None)
     }
 
-    /// The one constructor body: validates the partition — the 1-lane,
-    /// graph-order one (the sequential zigzag) when `None` — and bakes it
-    /// into the SIMD lane planes when `simd` names a tier and the lanes can
+    /// The one constructor body: validates the partition and bakes it into
+    /// the SIMD lane planes when `simd` names a tier and the lanes can
     /// express it, into the scalar fused planes otherwise.
     fn build(
         graph: Arc<TannerGraph>,
         arithmetic: QCheckArithmetic,
         config: DecoderConfig,
-        partition: Option<ChainPartition>,
+        cut: ChainPartition,
         simd: Option<SimdTier>,
     ) -> Self {
         let n_check = graph.check_count();
@@ -347,8 +342,6 @@ impl QuantizedZigzagDecoder {
                 "check {c}: non-uniform information degree; fused layout needs uniform rows"
             );
         }
-        let sequential = ChainPartition::new(1, None);
-        let cut = partition.as_ref().unwrap_or(&sequential);
         let lanes = cut.lanes();
         assert!(
             n_check.is_multiple_of(lanes),
@@ -376,27 +369,20 @@ impl QuantizedZigzagDecoder {
                 }
             }
         }
-        let simd = simd.and_then(|tier| SimdQuant::try_build(&graph, cut, &arithmetic, tier));
-        let fused = simd.is_none().then(|| Box::new(FusedState::new(&graph, cut)));
+        let lanes = simd.and_then(|tier| SimdQuant::try_build(&graph, &cut, &arithmetic, tier));
+        let datapath = match lanes {
+            Some(lanes) => Datapath::Lanes(Box::new(lanes)),
+            None => Datapath::Fused(Box::new(FusedState::new(&graph, &cut))),
+        };
         QuantizedZigzagDecoder {
             arithmetic,
             max_iterations: config.max_iterations,
             early_stop: config.early_stop,
-            simd: simd.map(Box::new),
-            fused,
+            datapath,
             totals: vec![0; graph.var_count()],
-            decisions: BitVec::zeros(graph.var_count()),
             qchannel: Vec::new(),
-            partition,
             graph,
         }
-    }
-
-    /// The partition the decoder was built with, or `None` for the
-    /// sequential zigzag of [`new`](Self::new) /
-    /// [`with_arithmetic`](Self::with_arithmetic).
-    pub fn partition(&self) -> Option<&ChainPartition> {
-        self.partition.as_ref()
     }
 
     /// The SIMD dispatch tier the lane-parallel check sweep runs, or
@@ -404,7 +390,10 @@ impl QuantizedZigzagDecoder {
     /// [`with_partition_fused`](Self::with_partition_fused), or a
     /// partition/arithmetic the lanes cannot express exactly).
     pub fn simd_tier(&self) -> Option<SimdTier> {
-        self.simd.as_ref().map(|s| s.tier())
+        match &self.datapath {
+            Datapath::Lanes(lanes) => Some(lanes.tier()),
+            Datapath::Fused(_) => None,
+        }
     }
 
     /// The message quantizer in use.
@@ -432,10 +421,7 @@ impl QuantizedZigzagDecoder {
     ///
     /// Panics if `channel.len() != graph.var_count()`.
     pub fn decode_quantized_into(&mut self, channel: &[i32], out: &mut DecodeResult) {
-        if self.simd.is_some() && self.decode_simd_into(channel, out, None) {
-            return;
-        }
-        self.decode_fused_into(channel, out, None);
+        self.run(channel, out, None);
     }
 
     /// [`decode_quantized`](Self::decode_quantized) that additionally pushes
@@ -457,42 +443,45 @@ impl QuantizedZigzagDecoder {
     ) -> DecodeResult {
         digests.clear();
         let mut out = DecodeResult::default();
-        if self.simd.is_some() && self.decode_simd_into(channel, &mut out, Some(digests)) {
-            return out;
-        }
-        digests.clear();
-        self.decode_fused_into(channel, &mut out, Some(digests));
+        self.run(channel, &mut out, Some(digests));
         out
     }
 
-    /// SIMD lane decode. Returns `false` (state untouched) when the
-    /// channel is not expressible in the i16 lane domain; the caller then
-    /// runs the scalar fused path.
-    fn decode_simd_into(
-        &mut self,
-        channel: &[i32],
-        out: &mut DecodeResult,
-        trace: Option<&mut Vec<u64>>,
-    ) -> bool {
-        let graph = Arc::clone(&self.graph);
-        // The plan is moved out so its `&mut self`-shaped decode can run
-        // against the decoder's shared scratch, then moved back.
-        let mut simd = self.simd.take().expect("SIMD plan present");
-        let ok = simd.decode_into(
-            &graph,
-            &self.arithmetic,
-            self.max_iterations,
-            self.early_stop,
-            channel,
-            &mut self.totals,
-            &mut self.decisions,
-            out,
-            trace,
-        );
-        self.simd = Some(simd);
-        ok
+    /// Quantizes float channel LLRs.
+    ///
+    /// Non-finite inputs degrade gracefully through the quantizer's
+    /// saturation: `±inf` pins to the extreme level and `NaN` maps to `0`
+    /// (an erasure), matching the float decoders' sanitization policy.
+    pub fn quantize_channel(&self, channel_llrs: &[f64]) -> Vec<i32> {
+        let mut channel = vec![0; channel_llrs.len()];
+        self.arithmetic.quantizer().quantize_into(channel_llrs, &mut channel);
+        channel
     }
 
+    /// One decode on the decoder's datapath.
+    fn run(&mut self, channel: &[i32], out: &mut DecodeResult, trace: Option<&mut Vec<u64>>) {
+        assert_eq!(channel.len(), self.graph.var_count(), "LLR length mismatch");
+        let (cap, early_stop) = (self.max_iterations, self.early_stop);
+        let (arithmetic, totals) = (&self.arithmetic, &mut self.totals);
+        match &mut self.datapath {
+            Datapath::Lanes(lanes) => {
+                lanes.decode_into(arithmetic, cap, early_stop, channel, totals, out, trace)
+            }
+            Datapath::Fused(fused) => fused.decode_into(
+                &self.graph,
+                arithmetic,
+                cap,
+                early_stop,
+                channel,
+                totals,
+                out,
+                trace,
+            ),
+        }
+    }
+}
+
+impl FusedState {
     /// The scalar decode, structured around the permutation-baked
     /// [`FusedPlan`] layout:
     ///
@@ -505,26 +494,23 @@ impl QuantizedZigzagDecoder {
     ///   order-independent, so every value is identical to the two-pass
     ///   formulation; parity totals are only materialized when the
     ///   early-stop test or the final decision needs them).
-    fn decode_fused_into(
+    #[allow(clippy::too_many_arguments)]
+    fn decode_into(
         &mut self,
+        graph: &TannerGraph,
+        arithmetic: &QCheckArithmetic,
+        max_iterations: usize,
+        early_stop: bool,
         channel: &[i32],
+        totals: &mut [i32],
         out: &mut DecodeResult,
         mut trace: Option<&mut Vec<u64>>,
     ) {
-        let graph = Arc::clone(&self.graph);
-        assert_eq!(channel.len(), graph.var_count(), "LLR length mismatch");
-        // Moved out so the sweep can borrow the planes beside the decoder's
-        // shared scratch, then moved back; a lane decoder builds it here, on
-        // the first out-of-rail channel.
-        let mut state = self.fused.take().unwrap_or_else(|| {
-            let cut = self.partition.as_ref().expect("only with_partition leaves this unbuilt");
-            Box::new(FusedState::new(&graph, cut))
-        });
-        let FusedState { plan, v2c, c2v, backward, forward, fwd_regs, boundary } = &mut *state;
+        let FusedState { plan, v2c, c2v, backward, forward, fwd_regs, boundary, decisions } = self;
         let plan = &*plan;
         let k = graph.info_len();
         let n_check = graph.check_count();
-        let q = *self.arithmetic.quantizer();
+        let q = *arithmetic.quantizer();
         let (lanes, q_rows, stride, info_d) = (plan.lanes, plan.q_rows, plan.stride, plan.info_d);
 
         c2v.fill(0);
@@ -536,7 +522,7 @@ impl QuantizedZigzagDecoder {
         let mut iterations = 0;
         let mut converged = false;
 
-        for it in 0..self.max_iterations {
+        for it in 0..max_iterations {
             // Fused totals + variable-node pass: one walk over `var_slots`
             // computes iteration `it - 1`'s totals and iteration `it`'s
             // saturated v2c messages (Eq. 4). On entry (`it == 0`) the c2v
@@ -550,20 +536,20 @@ impl QuantizedZigzagDecoder {
                     sum += c2v[s as usize];
                 }
                 let total = channel[v] + sum;
-                self.totals[v] = total;
+                totals[v] = total;
                 for &s in slots {
                     let s = s as usize;
                     v2c[s] = q.saturate(total - c2v[s]);
                 }
                 pos += n_e;
             }
-            if self.early_stop && it > 0 {
+            if early_stop && it > 0 {
                 for j in 0..n_check {
-                    self.totals[k + j] =
+                    totals[k + j] =
                         channel[k + j] + forward[j] + if j + 1 < n_check { backward[j] } else { 0 };
                 }
-                hard_decisions_int_into(&self.totals, &mut self.decisions);
-                if syndrome_ok(&graph, &self.decisions) {
+                hard_decisions_int_into(totals, decisions);
+                if syndrome_ok(graph, decisions) {
                     converged = true;
                     break;
                 }
@@ -610,7 +596,7 @@ impl QuantizedZigzagDecoder {
                     }
                     // Check 0's short row (no left parity input) keeps the
                     // scalar path; every other LUT block runs interleaved.
-                    let interleaved = match &self.arithmetic {
+                    let interleaved = match arithmetic {
                         QCheckArithmetic::Lut(bp) if !(r == 0 && u0 == 0) => {
                             lut_extrinsic_rows(bp, &*v2c, &mut *c2v, base, stride, info_d + 2, blk);
                             true
@@ -622,7 +608,7 @@ impl QuantizedZigzagDecoder {
                             let c = (u0 + x) * q_rows + r;
                             let row = base + x * stride;
                             let d = if c > 0 { info_d + 2 } else { info_d + 1 };
-                            self.arithmetic.extrinsic(&v2c[row..row + d], &mut c2v[row..row + d]);
+                            arithmetic.extrinsic(&v2c[row..row + d], &mut c2v[row..row + d]);
                         }
                     }
                     for x in 0..blk {
@@ -658,40 +644,23 @@ impl QuantizedZigzagDecoder {
                 for &s in &plan.var_slots[pos..pos + n_e] {
                     sum += c2v[s as usize];
                 }
-                self.totals[v] = channel[v] + sum;
+                totals[v] = channel[v] + sum;
                 pos += n_e;
             }
             for j in 0..n_check {
-                self.totals[k + j] =
+                totals[k + j] =
                     channel[k + j] + forward[j] + if j + 1 < n_check { backward[j] } else { 0 };
             }
         }
-        if out.bits.len() != self.totals.len() {
-            out.bits = BitVec::zeros(self.totals.len());
+        if out.bits.len() != totals.len() {
+            out.bits = BitVec::zeros(totals.len());
         }
-        hard_decisions_int_into(&self.totals, &mut out.bits);
+        hard_decisions_int_into(totals, &mut out.bits);
         if !converged {
-            converged = syndrome_ok(&graph, &out.bits);
+            converged = syndrome_ok(graph, &out.bits);
         }
         out.iterations = iterations;
         out.converged = converged;
-        self.fused = Some(state);
-    }
-
-    /// Quantizes float channel LLRs.
-    ///
-    /// Non-finite inputs degrade gracefully through the quantizer's
-    /// saturation: `±inf` pins to the extreme level and `NaN` maps to `0`
-    /// (an erasure), matching the float decoders' sanitization policy.
-    pub fn quantize_channel(&self, channel_llrs: &[f64]) -> Vec<i32> {
-        let mut channel = vec![0; channel_llrs.len()];
-        self.arithmetic.quantizer().quantize_into(channel_llrs, &mut channel);
-        channel
-    }
-
-    /// Hard decisions of the last decode (full codeword).
-    pub fn last_decisions(&self) -> BitVec {
-        hard_decisions_int(&self.totals)
     }
 }
 
@@ -910,8 +879,8 @@ mod tests {
     #[test]
     fn single_lane_partition_matches_sequential() {
         // `new` *is* the one-lane, graph-order partition; asking for it by
-        // name (here with the SIMD plan on top) changes nothing but what
-        // `partition()` reports.
+        // name (here on the SIMD lanes, whose one-lane cut is trivially a
+        // rotation) changes nothing.
         let (code, graph) = small_code();
         let graph = Arc::new(graph);
         let q = Quantizer::paper_6bit();
@@ -922,8 +891,8 @@ mod tests {
             DecoderConfig::default(),
             ChainPartition::new(1, None),
         );
-        assert!(seq.partition().is_none());
-        assert_eq!(part.partition().map(ChainPartition::lanes), Some(1));
+        assert_eq!(seq.simd_tier(), None);
+        assert!(part.simd_tier().is_some());
         for seed in 0..3u64 {
             let (_, llrs) = noisy_llrs(&code, 2.4, 4000 + seed);
             let a = seq.decode(&llrs);

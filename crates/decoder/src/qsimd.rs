@@ -51,31 +51,42 @@
 //! the fused path (and therefore to `GoldenModel`) by determinism, not by
 //! tolerance. The LUT correction gather is replaced by a threshold
 //! decomposition ([`QBoxplus::corr_thresholds`]) that is *verified* against
-//! the table at construction; any arithmetic the lanes cannot express
-//! exactly (≥ 16-bit quantizers, non-decomposable tables, `q_rows < 2`)
-//! falls back to the scalar fused path.
+//! the table at construction. The variable-node side reads the code's
+//! quasi-cyclic rotations ([`build_rotation`]). A partition or arithmetic
+//! the lanes cannot express exactly (no rotation, a quantizer too wide for
+//! `i16` totals, a non-decomposable table, `q_rows < 2`) gets the scalar
+//! fused datapath at construction; a lane decoder never leaves the lanes.
 //!
-//! The scalar/AVX2/AVX-512 `#[target_feature]` clones follow the
-//! `engine.rs` dispatch pattern; the AVX-512 clone additionally enables
-//! AVX-512BW/VL (512-bit `i16` ops) and is only selected when the CPU
-//! reports them, else the AVX2 clone runs — bit-identical either way.
+//! # Ingress
+//!
+//! `decode_into` accepts any `i32` channel and clamps it once, on the
+//! transpose into `i16`: the parity channel to `±(2·max_mag + 1)`, the
+//! information channel to `±info_rail`. Both bounds lie strictly beyond
+//! what the messages can add to the value, so every clamped check input,
+//! every `v2c` message, every digest and the sign of every total — the
+//! hard decisions and the lane syndrome — are the wide channel's, and every
+//! `i16` add stays in range (DESIGN.md §7.8).
+//!
+//! The scalar/AVX2/AVX-512 `#[target_feature]` clones are `engine.rs`'s
+//! `tier_clones!`, the crate's one dispatch ladder.
 
+use crate::engine::tier_clones;
 use crate::qdecoder::{ChainPartition, Fnv};
 use crate::quant::{QBoxplus, QCheckArithmetic, Quantizer};
 use crate::simd::SimdTier;
-use crate::stopping::{hard_decisions_int_into, syndrome_ok};
+use crate::stopping::hard_decisions_int_into;
 use crate::DecodeResult;
 use dvbs2_ldpc::{BitVec, TannerGraph, PARALLELISM};
 
 /// Correction-step thresholds the gather-free LUT kernel carries. The
 /// table contributes `round(ln 2 / step)` thresholds; every configuration
 /// with a step coarse enough for real quantizers fits (the paper's 6-bit
-/// table needs 3). Larger tables fall back to the scalar fused path.
+/// table needs 3). Larger tables get the scalar fused datapath.
 const MAX_CORR_THRESHOLDS: usize = 4;
 
 /// Lane-parallel check-node arithmetic, specialized at construction.
 #[derive(Debug, Clone)]
-enum LaneKernel {
+pub(crate) enum LaneKernel {
     /// Threshold-decomposed correction LUT: `corr(z) = Σ [z <= t]` over the
     /// (construction-verified) thresholds; unused slots hold `-1`, which no
     /// `z >= 0` satisfies.
@@ -121,9 +132,10 @@ pub struct LaneLut {
 
 impl LaneLut {
     /// The lane form of `boxplus`, or `None` when saturating `i16` lanes
-    /// cannot express it exactly (the rule [`QuantizedZigzagDecoder`]'s lane
-    /// planes apply: `2·max_mag` beyond `i16`, or a correction table of
-    /// more than four unit steps). The caller then keeps its scalar
+    /// cannot express it exactly (the arithmetic half of the rule
+    /// [`QuantizedZigzagDecoder`]'s lane planes apply: `2·max_mag` beyond
+    /// `i16`, or a correction table of more than four unit steps). The
+    /// caller then keeps its scalar
     /// [`QBoxplus::extrinsic`] path.
     ///
     /// `forced` pins the dispatch tier; `None` takes [`SimdTier::detect`],
@@ -168,7 +180,7 @@ impl LaneLut {
 ///
 /// Built by [`SimdQuant::try_build`] when the partition/arithmetic pair is
 /// lane-expressible; a `QuantizedZigzagDecoder` that holds one holds no
-/// scalar planes until an out-of-rail channel forces the fused fallback.
+/// scalar planes.
 #[derive(Debug, Clone)]
 pub(crate) struct SimdQuant {
     tier: SimdTier,
@@ -178,7 +190,12 @@ pub(crate) struct SimdQuant {
     info_d: usize,
     max_mag: i16,
     kernel: LaneKernel,
-    vn: VnPlan,
+    /// The variable-node plan, row-major (`info_d` entries per residue
+    /// row): real DVB-S2 codes are quasi-cyclic with lifting 360, so the
+    /// `lanes` variables of one (row, position) plane vector are one
+    /// 360-block rotated by a constant offset, verified against the graph
+    /// at build time.
+    rot: Vec<RotEntry>,
     // --- i16 message state, all lane-major ---
     v2c: Vec<i16>,
     c2v: Vec<i16>,
@@ -186,8 +203,8 @@ pub(crate) struct SimdQuant {
     bwd: Vec<i16>,
     fwd_regs: Vec<i16>,
     boundary: Vec<i16>,
-    /// Parity channel transposed to `pchan[r * lanes + u]`, saturated into
-    /// the lane domain (decode falls back if any value is out of range).
+    /// Parity channel transposed to `pchan[r * lanes + u]`, clamped to
+    /// `±(2·max_mag + 1)`.
     pchan: Vec<i16>,
     // --- lane-wide kernel scratch (LUT prefix / min-sum state) ---
     scr1: Vec<i16>,
@@ -199,31 +216,16 @@ pub(crate) struct SimdQuant {
     fix_out: Vec<i32>,
     /// Per-lane syndrome accumulator of the early-termination test.
     syn: Vec<i16>,
-    // --- rotation plan only: the software shuffle network ---
-    /// Largest information-channel magnitude whose totals still fit `i16`.
-    info_rail: i32,
-    /// Information channel in the lane domain.
+    // --- the software shuffle network ---
+    /// The information channel's clamp: beyond `d_max·max_mag`, and small
+    /// enough that every total fits `i16`.
+    info_rail: i16,
+    /// Information channel in the lane domain, clamped to `±info_rail`.
     chan16: Vec<i16>,
     /// Information totals, each 360-block stored twice over
     /// (`[t_0 … t_359 | t_0 … t_359]`), so the block rotated by `off` is the
     /// contiguous slice `[off .. off + lanes]`.
     tot2: Vec<i16>,
-}
-
-/// How the variable-node side reaches the lane planes.
-#[derive(Debug, Clone)]
-enum VnPlan {
-    /// Rotation-structured plan, row-major (`info_d` entries per residue
-    /// row): real DVB-S2 codes are quasi-cyclic with lifting 360, so the
-    /// `lanes` variables of one (row, position) plane vector are one
-    /// 360-block rotated by a constant offset. Verified against the graph
-    /// at build time. The lane-domain early-termination test needs it.
-    Rotation(Vec<RotEntry>),
-    /// Per-variable absolute plane slots (variable-major, graph edge
-    /// order) — the fallback for edge orders that are not lane rotations
-    /// (ascending-variable order breaks at the lane wrap; synthetic test
-    /// orders).
-    Slots(Vec<u32>),
 }
 
 /// One (row, position) plane vector of the rotation VN plan: the `lanes`
@@ -247,7 +249,8 @@ impl RotEntry {
 impl SimdQuant {
     /// Builds the lane plan for a graph/partition/arithmetic triple, or
     /// returns `None` when the combination is not exactly expressible in
-    /// saturating `i16` lanes (the caller keeps the scalar fused path).
+    /// saturating `i16` lanes over the code's rotations (the caller builds
+    /// the scalar fused datapath instead).
     ///
     /// Assumes the partition has already been validated by
     /// `QuantizedZigzagDecoder::with_partition` (divisibility, permutation,
@@ -277,41 +280,24 @@ impl SimdQuant {
         let stride = info_d + 2;
 
         // Bake the schedule permutation into the lane-major slot map, then
-        // flatten it variable-major for the VN side — the same two steps as
-        // `FusedPlan::build`, differing only in the slot formula.
+        // find the rotation of every plane vector in it.
         let edge_slot =
             lane_edge_slots(graph, partition.edge_order(), lanes, q_rows, stride, info_d);
-        // The rotation plan keeps its information totals in `i16`: a total
-        // is the channel value plus at most `d_max` messages of at most
-        // `max_mag` each, so a channel inside `info_rail` cannot wrap one.
-        // Release builds do not check those adds; the test profile's
-        // overflow checks on `vn_pass_rot` are the proof of the bound. The
-        // float entry saturates to `max_mag` and must always qualify; the
-        // `max(2)` covers `lane_syndrome`, which adds three rail values.
-        let d_max = (0..k).map(|v| graph.var_edges(v).len()).max().unwrap_or(0) as i32;
-        let info_rail = i16::MAX as i32 - d_max.max(2) * max_mag as i32;
-        let (vn, info_rail) = match build_rotation(graph, &edge_slot, lanes, q_rows, stride, info_d)
-        {
-            Some(_) if info_rail < max_mag as i32 => return None,
-            Some(rot) => (VnPlan::Rotation(rot), info_rail),
-            None => {
-                let mut var_slots = Vec::with_capacity(n_check * info_d);
-                for v in 0..k {
-                    for &e in graph.var_edges(v) {
-                        let slot = edge_slot[e as usize];
-                        debug_assert_ne!(
-                            slot,
-                            u32::MAX,
-                            "information edge missing from lane layout"
-                        );
-                        var_slots.push(slot);
-                    }
-                }
-                // The generic pass keeps `i32` totals: any channel fits.
-                (VnPlan::Slots(var_slots), i32::MAX)
-            }
-        };
-        let shuffle = if matches!(vn, VnPlan::Rotation(_)) { k } else { 0 };
+        let rot = build_rotation(graph, &edge_slot, lanes, q_rows, stride, info_d)?;
+        // A total is the channel plus at most `d_max` messages of at most
+        // `max_mag`, so with `dd = max(d_max, 2)` a channel clamped to
+        // `info_rail = i16::MAX − dd·max_mag` cannot wrap one, and
+        // `info_rail > dd·max_mag` keeps the clamp beyond anything the
+        // messages can add. It also gives `4·max_mag + 1 <= i16::MAX`, room
+        // for `lane_syndrome`'s `pchan + fwd + bwd` with the parity channel
+        // clamped to `±(2·max_mag + 1)`. Release builds do not check those
+        // adds; the test profile's overflow checks are the proof.
+        let max_mag32 = i32::from(max_mag);
+        let dd = (0..k).map(|v| graph.var_edges(v).len()).max().unwrap_or(0).max(2) as i32;
+        let info_rail = i16::MAX as i32 - dd * max_mag32;
+        if info_rail <= dd * max_mag32 {
+            return None;
+        }
 
         let plane = q_rows * stride * lanes;
         Some(SimdQuant {
@@ -322,7 +308,7 @@ impl SimdQuant {
             info_d,
             max_mag,
             kernel,
-            vn,
+            rot,
             v2c: vec![0; plane],
             c2v: vec![0; plane],
             fwd: vec![0; n_check],
@@ -337,9 +323,9 @@ impl SimdQuant {
             fix_in: vec![0; stride],
             fix_out: vec![0; stride],
             syn: vec![0; lanes],
-            info_rail,
-            chan16: vec![0; shuffle],
-            tot2: vec![0; 2 * shuffle],
+            info_rail: info_rail as i16,
+            chan16: vec![0; k],
+            tot2: vec![0; 2 * k],
         })
     }
 
@@ -348,48 +334,23 @@ impl SimdQuant {
         self.tier
     }
 
-    /// Lane-parallel decode, mirroring `decode_fused_into` step for step
-    /// (same early-stop placement, same iteration accounting, same digest
-    /// points). Returns `false` — with the decoder state untouched — when
-    /// the channel leaves the lane domain (a parity value beyond the
-    /// quantizer rail, or with the rotation plan an information value beyond
-    /// `info_rail`), in which case the caller must run the scalar fused path
-    /// (whose wide sat-adds handle out-of-range inputs).
+    /// Lane-parallel decode of any `i32` channel, mirroring the fused
+    /// sweep's decode step for step (same early-stop placement, same
+    /// iteration accounting, same digest points) and bit-identical to it:
+    /// the clamped ingress (module docs) changes nothing observable.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn decode_into(
         &mut self,
-        graph: &TannerGraph,
         arithmetic: &QCheckArithmetic,
         max_iterations: usize,
         early_stop: bool,
         channel: &[i32],
         totals: &mut [i32],
-        decisions: &mut BitVec,
         out: &mut DecodeResult,
         mut trace: Option<&mut Vec<u64>>,
-    ) -> bool {
-        assert_eq!(channel.len(), graph.var_count(), "LLR length mismatch");
-        let k = graph.info_len();
-        let (lanes, q_rows) = (self.lanes, self.q_rows);
-        let max_mag = self.max_mag;
-        // A fold, not `any`: no early exit, so the scan vectorizes.
-        let beyond = |xs: &[i32], rail: i32| {
-            xs.iter().fold(false, |out, &x| out | (x.unsigned_abs() > rail as u32))
-        };
-        if beyond(&channel[k..], max_mag as i32) || beyond(&channel[..k], self.info_rail) {
-            return false;
-        }
-
-        // Transpose the parity channel lane-major once per decode.
-        for u in 0..lanes {
-            let col = &channel[k + u * q_rows..k + (u + 1) * q_rows];
-            for (r, &x) in col.iter().enumerate() {
-                self.pchan[r * lanes + u] = x as i16;
-            }
-        }
-        for (c, &x) in self.chan16.iter_mut().zip(channel) {
-            *c = x as i16;
-        }
+    ) {
+        self.load(channel);
+        let (k, lanes) = (self.chan16.len(), self.lanes);
         self.c2v.fill(0);
         // As in the fused path: with both directions empty a cap of 0 leaves
         // the parity totals at the channel values.
@@ -402,8 +363,8 @@ impl SimdQuant {
         for it in 0..max_iterations {
             // Fused totals + variable-node pass (identical values to the
             // scalar fused pass: integer addition is order-independent).
-            self.vn_pass(graph, channel, totals);
-            if early_stop && it > 0 && self.syndrome_clear(graph, k, totals, decisions) {
+            self.vn_pass();
+            if early_stop && it > 0 && self.syndrome_clear() {
                 converged = true;
                 break;
             }
@@ -412,10 +373,10 @@ impl SimdQuant {
             check_sweep_tier(
                 self.tier,
                 lanes,
-                q_rows,
+                self.q_rows,
                 self.stride,
                 self.info_d,
-                max_mag,
+                self.max_mag,
                 &self.kernel,
                 arithmetic,
                 &self.pchan,
@@ -440,18 +401,16 @@ impl SimdQuant {
         if !converged {
             // The loop ended right after a sweep: fold it into the totals
             // and take the verdict where the early stop takes it.
-            self.vn_pass(graph, channel, totals);
-            converged = self.syndrome_clear(graph, k, totals, decisions);
+            self.vn_pass();
+            converged = self.syndrome_clear();
         }
         // The lane test reads the state where it lies, so the `i32` totals
         // are materialized here, once per decode.
         self.parity_totals(k, totals);
-        if matches!(self.vn, VnPlan::Rotation(_)) {
-            let blocks = self.tot2.chunks_exact(2 * lanes);
-            for (wide, block) in totals[..k].chunks_exact_mut(lanes).zip(blocks) {
-                for (t, &x) in wide.iter_mut().zip(block) {
-                    *t = x as i32;
-                }
+        let blocks = self.tot2.chunks_exact(2 * lanes);
+        for (wide, block) in totals[..k].chunks_exact_mut(lanes).zip(blocks) {
+            for (t, &x) in wide.iter_mut().zip(block) {
+                *t = x as i32;
             }
         }
         if out.bits.len() != totals.len() {
@@ -460,72 +419,62 @@ impl SimdQuant {
         hard_decisions_int_into(totals, &mut out.bits);
         out.iterations = iterations;
         out.converged = converged;
-        true
     }
 
-    /// Totals + saturated v2c for the information side: through the doubled
-    /// blocks (`i16`, `totals` untouched) when the graph's QC structure
-    /// allows, variable by variable into `totals` otherwise.
-    fn vn_pass(&mut self, graph: &TannerGraph, channel: &[i32], totals: &mut [i32]) {
-        match &self.vn {
-            VnPlan::Rotation(rot) => vn_pass_rot_tier(
-                self.tier,
-                rot,
-                self.lanes,
-                self.max_mag,
-                &self.chan16,
-                &self.c2v,
-                &mut self.v2c,
-                &mut self.tot2,
-            ),
-            VnPlan::Slots(var_slots) => vn_pass_generic(
-                graph,
-                var_slots,
-                self.max_mag,
-                channel,
-                &self.c2v,
-                &mut self.v2c,
-                totals,
-            ),
-        }
-    }
-
-    /// The syndrome test on the totals `vn_pass` just wrote:
-    /// `syndrome_ok(hard_decisions(totals))`, parity side included. With the
-    /// rotation plan it runs in the lanes and leaves `totals` alone;
-    /// otherwise it is the scalar test over materialized parity totals.
-    fn syndrome_clear(
-        &mut self,
-        graph: &TannerGraph,
-        k: usize,
-        totals: &mut [i32],
-        decisions: &mut BitVec,
-    ) -> bool {
-        match &self.vn {
-            VnPlan::Rotation(rot) => lane_syndrome_tier(
-                self.tier,
-                rot,
-                self.lanes,
-                self.q_rows,
-                self.info_d,
-                &self.tot2,
-                &self.pchan,
-                &self.fwd,
-                &self.bwd,
-                &mut self.syn,
-            ),
-            VnPlan::Slots(_) => {
-                self.parity_totals(k, totals);
-                hard_decisions_int_into(totals, decisions);
-                syndrome_ok(graph, decisions)
+    /// The ingress: the parity channel transposed lane-major and clamped to
+    /// `±(2·max_mag + 1)`, the information channel clamped to
+    /// `±info_rail` (module docs).
+    fn load(&mut self, channel: &[i32]) {
+        let (k, lanes, q_rows) = (self.chan16.len(), self.lanes, self.q_rows);
+        let prail = 2 * i32::from(self.max_mag) + 1;
+        for u in 0..lanes {
+            let col = &channel[k + u * q_rows..k + (u + 1) * q_rows];
+            for (r, &x) in col.iter().enumerate() {
+                self.pchan[r * lanes + u] = x.clamp(-prail, prail) as i16;
             }
         }
+        let rail = i32::from(self.info_rail);
+        for (c, &x) in self.chan16.iter_mut().zip(channel) {
+            *c = x.clamp(-rail, rail) as i16;
+        }
     }
 
-    /// Parity-side totals from the lane-major chain state, read row-major
-    /// (`pchan` is the channel exactly: `decode_into` has checked the rail).
-    /// The last check's backward slot is pinned zero, standing in for the
-    /// scalar path's end-of-chain conditional.
+    /// Totals + saturated v2c for the information side, through the doubled
+    /// blocks.
+    fn vn_pass(&mut self) {
+        vn_pass_rot_tier(
+            self.tier,
+            &self.rot,
+            self.lanes,
+            self.max_mag,
+            &self.chan16,
+            &self.c2v,
+            &mut self.v2c,
+            &mut self.tot2,
+        )
+    }
+
+    /// The syndrome test on the totals `vn_pass` just wrote, in the lanes:
+    /// `syndrome_ok(hard_decisions(totals))`, parity side included.
+    fn syndrome_clear(&mut self) -> bool {
+        lane_syndrome_tier(
+            self.tier,
+            &self.rot,
+            self.lanes,
+            self.q_rows,
+            self.info_d,
+            &self.tot2,
+            &self.pchan,
+            &self.fwd,
+            &self.bwd,
+            &mut self.syn,
+        )
+    }
+
+    /// Parity-side totals from the lane-major chain state, read row-major:
+    /// the wide channel's signs, from the clamped channel. The last check's
+    /// backward slot is pinned zero, standing in for the scalar path's
+    /// end-of-chain conditional.
     fn parity_totals(&self, k: usize, totals: &mut [i32]) {
         let (lanes, q_rows) = (self.lanes, self.q_rows);
         for r in 0..q_rows {
@@ -628,9 +577,9 @@ pub(crate) fn rotation_order(graph: &TannerGraph) -> Option<Vec<u32>> {
 
 /// Detects the quasi-cyclic rotation structure of every (row, position)
 /// plane vector: real hardware partitions map the 360 lanes of a position
-/// onto one 360-variable block rotated by the schedule shift. Synthetic
-/// edge orders (tests) that break the pattern get `None` and take the
-/// variable-major generic pass instead.
+/// onto one 360-variable block rotated by the schedule shift. Orders that
+/// break the pattern (graph order, other lane counts, synthetic test
+/// orders) get `None`, and their decoders the scalar fused datapath.
 pub(crate) fn build_rotation(
     graph: &TannerGraph,
     edge_slot: &[u32],
@@ -675,7 +624,7 @@ pub(crate) fn build_rotation(
 }
 
 /// Saturating add in the quantizer's lane domain (sums fit i16 for every
-/// eligible `max_mag`).
+/// eligible `max_mag`, the clamped parity channel included).
 #[inline(always)]
 fn sat_add_i16(a: i16, b: i16, max_mag: i16) -> i16 {
     (a + b).clamp(-max_mag, max_mag)
@@ -917,36 +866,6 @@ fn lane_syndrome(
     true
 }
 
-/// Variable-major VN pass for non-rotation (synthetic) slot maps — the
-/// fused pass's walk over `var_slots`, in the i16 lane domain.
-fn vn_pass_generic(
-    graph: &TannerGraph,
-    var_slots: &[u32],
-    max_mag: i16,
-    channel: &[i32],
-    c2v: &[i16],
-    v2c: &mut [i16],
-    totals: &mut [i32],
-) {
-    let (lo, hi) = (-(max_mag as i32), max_mag as i32);
-    let mut pos = 0usize;
-    for v in 0..graph.info_len() {
-        let n_e = graph.var_edges(v).len();
-        let slots = &var_slots[pos..pos + n_e];
-        let mut sum = 0i32;
-        for &s in slots {
-            sum += c2v[s as usize] as i32;
-        }
-        let total = channel[v] + sum;
-        totals[v] = total;
-        for &s in slots {
-            let s = s as usize;
-            v2c[s] = (total - c2v[s] as i32).clamp(lo, hi) as i16;
-        }
-        pos += n_e;
-    }
-}
-
 /// Lane-major check sweep: per residue row, phase 1 builds the parity-chain
 /// input vectors, phase 2 runs the lane extrinsic kernel, phase 3 copies
 /// the chain outputs forward/backward. Phasing whole rows is exact: within
@@ -1066,49 +985,7 @@ fn check_sweep(
     boundary[0] = 0;
 }
 
-// Runtime SIMD dispatch — the `engine.rs` clone pattern, extended for the
-// integer lanes: the AVX-512 clone also enables BW/VL (512-bit i16 ops)
-// and is gated on the CPU actually reporting them, falling back to the
-// AVX2 clone (bit-identical) on F-only parts.
-macro_rules! qtier_clones {
-    ($dispatch:ident, $base:ident, $avx2:ident, $avx512:ident;
-     ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?) => {
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx2($($arg: $ty),*) $(-> $ret)? {
-            $base($($arg),*)
-        }
-
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
-        #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx512($($arg: $ty),*) $(-> $ret)? {
-            $base($($arg),*)
-        }
-
-        #[allow(clippy::too_many_arguments)]
-        fn $dispatch(tier: SimdTier, $($arg: $ty),*) $(-> $ret)? {
-            // SAFETY: the clones only add target features to safe bodies;
-            // `tier` comes from `SimdTier::resolve`, which panics on a tier
-            // this CPU lacks, and the BW/VL clone is further gated on
-            // `wide_i16_available`.
-            match tier {
-                #[cfg(target_arch = "x86_64")]
-                SimdTier::Avx2 => unsafe { $avx2($($arg),*) },
-                #[cfg(target_arch = "x86_64")]
-                SimdTier::Avx512 if SimdTier::wide_i16_available() => {
-                    unsafe { $avx512($($arg),*) }
-                }
-                #[cfg(target_arch = "x86_64")]
-                SimdTier::Avx512 => unsafe { $avx2($($arg),*) },
-                _ => $base($($arg),*),
-            }
-        }
-    };
-}
-
-qtier_clones!(
+tier_clones!(
     vn_pass_rot_tier, vn_pass_rot, vn_pass_rot_avx2, vn_pass_rot_avx512;
     (
         rot: &[RotEntry],
@@ -1121,7 +998,7 @@ qtier_clones!(
     )
 );
 
-qtier_clones!(
+tier_clones!(
     lane_syndrome_tier, lane_syndrome, lane_syndrome_avx2, lane_syndrome_avx512;
     (
         rot: &[RotEntry],
@@ -1136,7 +1013,7 @@ qtier_clones!(
     ) -> bool
 );
 
-qtier_clones!(
+tier_clones!(
     lane_lut_extrinsic_tier, lane_lut_extrinsic, lane_lut_extrinsic_avx2, lane_lut_extrinsic_avx512;
     (
         v2c: &[i16],
@@ -1148,7 +1025,7 @@ qtier_clones!(
     )
 );
 
-qtier_clones!(
+tier_clones!(
     check_sweep_tier, check_sweep, check_sweep_avx2, check_sweep_avx512;
     (
         lanes: usize,
@@ -1177,7 +1054,7 @@ qtier_clones!(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stopping::hard_decisions_int;
+    use crate::stopping::{hard_decisions_int, syndrome_ok};
     use crate::test_support::{rotation_partition, SplitMix64};
     use dvbs2_ldpc::{
         AddressTable, CodeParams, CodeRate, DegreeClass, DvbS2Code, Encoder, FrameSize,
@@ -1240,7 +1117,6 @@ mod tests {
     /// The lane test and the scalar test on the same state.
     fn both_tests(sq: &mut SimdQuant, graph: &TannerGraph, info: &[i32]) -> (bool, bool) {
         let k = graph.info_len();
-        let VnPlan::Rotation(rot) = &sq.vn else { panic!("no rotation plan") };
         for (block, half) in info.chunks_exact(sq.lanes).zip(sq.tot2.chunks_exact_mut(sq.lanes * 2))
         {
             for (u, &t) in block.iter().enumerate() {
@@ -1250,7 +1126,7 @@ mod tests {
         }
         let lane = lane_syndrome_tier(
             sq.tier,
-            rot,
+            &sq.rot,
             sq.lanes,
             sq.q_rows,
             sq.info_d,
@@ -1338,13 +1214,16 @@ mod tests {
         }
     }
 
-    /// The `i16` totals at their bound: an information channel exactly at
-    /// `info_rail` decodes on the lanes (this profile's overflow checks
-    /// would catch a wrapped add); one past it is handed to the scalar fused
-    /// sweep. Both ways the decoder equals `with_partition_fused`, digests
-    /// included.
+    /// The clamped ingress at and past both bounds: with every channel value
+    /// at, one past or far past its clamp (`info_rail`, `2·max_mag + 1`),
+    /// either sign, and every message at either rail, the lanes form every
+    /// parity check input and every `v2c` message the wide channel forms
+    /// and decide every total's sign as it does; whole decodes equal
+    /// `with_partition_fused`, digests included. This profile's overflow
+    /// checks would catch a wrapped `i16` add, and the last block shows the
+    /// information bound is tight.
     #[test]
-    fn information_channel_at_the_i16_bound_stays_on_the_lanes_and_past_it_falls_back() {
+    fn the_clamped_ingress_is_exact_at_and_past_both_bounds() {
         use crate::{DecoderConfig, QuantizedZigzagDecoder};
         use std::sync::Arc;
         let (_, graph) = crate::test_support::small_code();
@@ -1352,65 +1231,71 @@ mod tests {
         let (k, n) = (graph.info_len(), graph.var_count());
         let partition = rotation_partition(&graph);
         let arith = QCheckArithmetic::lut(Quantizer::paper_6bit());
-        let d_max = (0..k).map(|v| graph.var_edges(v).len()).max().unwrap() as i32;
-        let rail = i16::MAX as i32 - d_max * 31;
+        let m = 31;
+        let degree = |v: usize| graph.var_edges(v).len() as i32;
+        let rail = i16::MAX as i32 - (0..k).map(degree).max().unwrap() * m;
+        let past = |bound: i32, v: usize| [bound, bound + 1, 100_000][v % 3] * [1, -1][v / 3 % 2];
+        let channel: Vec<i32> =
+            (0..n).map(|v| if v < k { past(rail, v) } else { past(2 * m + 1, v) }).collect();
         let mut rng = SplitMix64(0x1616);
         let mut noisy: Vec<i32> = (0..n).map(|_| (rng.next_u64() % 63) as i32 - 31).collect();
-        for v in (0..k).step_by(97) {
-            noisy[v] = if rng.next_bool() { rail } else { -rail };
+        for v in (0..n).step_by(97) {
+            noisy[v] = channel[v];
         }
-        let strong: Vec<i32> = (0..n).map(|v| if v < k { rail } else { 31 }).collect();
         for tier in SimdTier::available() {
-            let config = DecoderConfig::default().with_max_iterations(6).with_simd_tier(Some(tier));
             let mut sq = SimdQuant::try_build(&graph, &partition, &arith, tier).unwrap();
-            assert_eq!(sq.info_rail, rail, "{tier:?}");
-            let mut lanes = QuantizedZigzagDecoder::with_partition(
-                Arc::clone(&graph),
-                arith.clone(),
-                config,
-                partition.clone(),
-            );
-            let mut fused = QuantizedZigzagDecoder::with_partition_fused(
-                Arc::clone(&graph),
-                arith.clone(),
-                config,
-                partition.clone(),
-            );
-            let (mut totals, mut bits) = (vec![0i32; n], BitVec::zeros(n));
-            let (mut da, mut db) = (Vec::new(), Vec::new());
-            for (name, channel) in [("noisy", &noisy), ("strong", &strong)] {
-                for (past, on_lanes) in [(0, true), (1, false)] {
-                    let mut channel = channel.clone();
-                    channel[0] = rail + past;
-                    let what = format!("{tier:?} {name} rail + {past}");
-                    let mut out = DecodeResult::default();
-                    let took = sq.decode_into(
-                        &graph,
-                        &arith,
-                        6,
-                        true,
-                        &channel,
-                        &mut totals,
-                        &mut bits,
-                        &mut out,
-                        None,
-                    );
-                    assert_eq!(took, on_lanes, "{what}");
-                    let want = fused.decode_quantized_traced(&channel, &mut db);
-                    assert_eq!(lanes.decode_quantized_traced(&channel, &mut da), want, "{what}");
-                    assert_eq!(da, db, "{what}: digests");
-                    if on_lanes {
-                        assert_eq!(out, want, "{what}: lane plan result");
+            let (lanes, q_rows) = (sq.lanes, sq.q_rows);
+            assert_eq!(i32::from(sq.info_rail), rail, "{tier:?}");
+            sq.load(&channel);
+            for msg in [-m, m] {
+                let what = format!("{tier:?} messages at {msg}");
+                sq.c2v.fill(msg as i16);
+                sq.fwd.fill(msg as i16);
+                sq.bwd.fill(msg as i16);
+                sq.vn_pass();
+                for e in &sq.rot {
+                    let (block, off) = e.block_and_off(lanes);
+                    for u in 0..lanes {
+                        let v = block + (u + off) % lanes;
+                        let wide = (channel[v] + (degree(v) - 1) * msg).clamp(-m, m);
+                        assert_eq!(i32::from(sq.v2c[e.base as usize + u]), wide, "{what}: v2c {v}");
                     }
                 }
+                let mut totals = vec![0; n];
+                sq.parity_totals(k, &mut totals);
+                for (v, t) in totals[..k].iter_mut().enumerate() {
+                    *t = i32::from(sq.tot2[2 * (v - v % lanes) + v % lanes]);
+                }
+                for (v, &t) in totals.iter().enumerate() {
+                    let wide = channel[v] + if v < k { degree(v) } else { 2 } * msg;
+                    assert_eq!(t < 0, wide < 0, "{what}: variable {v} ({} wide)", channel[v]);
+                }
+                for (s, &p) in sq.pchan.iter().enumerate() {
+                    let wide = channel[k + s % lanes * q_rows + s / lanes];
+                    let input = sat_add_i16(p, msg as i16, m as i16);
+                    assert_eq!(i32::from(input), (wide + msg).clamp(-m, m), "{what}: slot {s}");
+                }
+            }
+            let config = DecoderConfig::default().with_max_iterations(6).with_simd_tier(Some(tier));
+            let mut decoders = [
+                QuantizedZigzagDecoder::with_partition,
+                QuantizedZigzagDecoder::with_partition_fused,
+            ]
+            .map(|build| build(Arc::clone(&graph), arith.clone(), config, partition.clone()));
+            assert_eq!(decoders[0].simd_tier(), Some(tier));
+            let (mut da, mut db) = (Vec::new(), Vec::new());
+            for (name, channel) in [("noisy", &noisy), ("every value past", &channel)] {
+                let [lanes, fused] = &mut decoders;
+                let got = lanes.decode_quantized_traced(channel, &mut da);
+                assert_eq!(got, fused.decode_quantized_traced(channel, &mut db), "{tier:?} {name}");
+                assert_eq!(da, db, "{tier:?} {name}: digests");
             }
             // The bound is tight: every message at the rail puts the
             // highest-degree totals at `i16::MAX` exactly.
             sq.c2v.fill(31);
             sq.chan16.fill(rail as i16);
-            sq.vn_pass(&graph, &strong, &mut totals);
+            sq.vn_pass();
             assert_eq!(sq.tot2.iter().max(), Some(&i16::MAX), "{tier:?}");
-            assert!(sq.v2c.iter().all(|&x| x.abs() <= 31), "{tier:?}");
         }
     }
 

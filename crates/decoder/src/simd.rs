@@ -28,7 +28,12 @@ pub enum SimdTier {
     Scalar,
     /// 256-bit paths compiled with `#[target_feature(enable = "avx2")]`.
     Avx2,
-    /// 512-bit paths compiled with `#[target_feature(enable = "avx512f")]`.
+    /// 512-bit paths compiled with
+    /// `#[target_feature(enable = "avx512f,avx512bw,avx512vl")]`: the
+    /// integer-lane kernels need BW for 512-bit `i16` min/max/abs/compare
+    /// and VL for their mixed-width remainders. Every AVX-512 core since
+    /// Skylake-SP has all three; an F-only part reports this rung
+    /// unavailable and runs the (bit-identical) AVX2 clones everywhere.
     Avx512,
 }
 
@@ -93,16 +98,7 @@ impl SimdTier {
 
     /// The widest tier the running CPU supports.
     pub fn best_available() -> SimdTier {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return SimdTier::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return SimdTier::Avx2;
-            }
-        }
-        SimdTier::Scalar
+        Self::ALL.into_iter().rev().find(|t| t.is_available()).unwrap_or(SimdTier::Scalar)
     }
 
     /// Whether the running CPU can execute this tier's kernels.
@@ -112,7 +108,11 @@ impl SimdTier {
             #[cfg(target_arch = "x86_64")]
             SimdTier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            SimdTier::Avx512 => {
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512bw")
+                    && std::arch::is_x86_feature_detected!("avx512vl")
+            }
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
         }
@@ -121,25 +121,6 @@ impl SimdTier {
     /// Every tier the running CPU supports, narrowest first.
     pub fn available() -> Vec<SimdTier> {
         Self::ALL.into_iter().filter(|t| t.is_available()).collect()
-    }
-
-    /// Whether the 512-bit **integer-lane** kernels can run: 512-bit `i16`
-    /// min/max/abs/compare need AVX-512BW (and VL for the mixed-width
-    /// remainders) on top of the AVX-512F that [`SimdTier::Avx512`] gates
-    /// on. True on every AVX-512 server core since Skylake-SP; the
-    /// quantized dispatch falls back to the AVX2 clone — still bit
-    /// identical — on the rare F-only parts, keeping the float kernels'
-    /// tier semantics unchanged.
-    pub(crate) fn wide_i16_available() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            std::arch::is_x86_feature_detected!("avx512bw")
-                && std::arch::is_x86_feature_detected!("avx512vl")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
     }
 
     /// Stable lower-case identifier (what benchmark reports emit).
@@ -207,6 +188,7 @@ mod tests {
     fn detected_features_match_tier_availability() {
         let features = detected_cpu_features();
         assert_eq!(features.contains(&"avx2"), SimdTier::Avx2.is_available());
-        assert_eq!(features.contains(&"avx512f"), SimdTier::Avx512.is_available());
+        let wide = ["avx512f", "avx512bw", "avx512vl"].iter().all(|f| features.contains(f));
+        assert_eq!(wide, SimdTier::Avx512.is_available());
     }
 }

@@ -9,23 +9,23 @@
 //! saturating quantizer has the same policy by construction, so frames
 //! containing garbage samples decode like frames containing erasures.
 
-use dvbs2_decoder::test_support::{llrs_for_codeword, noisy_llrs, small_code};
+use dvbs2_decoder::test_support::{llrs_for_codeword, noisy_llrs, rotation_partition, small_code};
 use dvbs2_decoder::{
-    BitFlippingDecoder, ChainPartition, CheckRule, Decoder, DecoderConfig, FloodingDecoder,
-    LayeredDecoder, Precision, QCheckArithmetic, QuantizedZigzagDecoder, Quantizer, ZigzagDecoder,
+    BitFlippingDecoder, CheckRule, Decoder, DecoderConfig, FloodingDecoder, LayeredDecoder,
+    Precision, QCheckArithmetic, QuantizedZigzagDecoder, Quantizer, ZigzagDecoder,
 };
 use dvbs2_ldpc::BitVec;
 use std::sync::Arc;
 
 /// Every soft decoder in the matrix, both precisions where applicable; the
-/// quantized decoder on each of its paths (sequential, scalar fused over a
-/// 360-lane cut, SIMD lane planes over the same cut).
+/// quantized decoder on each of its paths (sequential, scalar fused over
+/// the 360-lane rotation cut, SIMD lane planes over the same cut).
 fn soft_decoders(graph: &Arc<dvbs2_ldpc::TannerGraph>) -> Vec<Box<dyn Decoder>> {
     let f64_cfg = DecoderConfig::default();
     let f32_cfg = DecoderConfig::default().with_precision(Precision::F32);
     let ms_cfg = DecoderConfig::default().with_rule(CheckRule::NormalizedMinSum(0.8));
     let lut = || QCheckArithmetic::lut(Quantizer::paper_6bit());
-    let cut = || ChainPartition::new(360, None);
+    let cut = || rotation_partition(graph);
     vec![
         Box::new(FloodingDecoder::new(Arc::clone(graph), f64_cfg)),
         Box::new(FloodingDecoder::new(Arc::clone(graph), f32_cfg)),

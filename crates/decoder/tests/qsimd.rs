@@ -1,9 +1,9 @@
 //! Property tests pinning the quantized SIMD lane path's transparency
-//! contract: for every available dispatch tier, every tested sub-chain
-//! count (including ragged vector tails), both quantized arithmetics and
-//! non-trivial edge orders, the lane-parallel decoder is **bit-exact** —
-//! full `DecodeResult` plus per-iteration message digests — against the
-//! scalar fused reference sweep.
+//! contract: for every available dispatch tier, both quantized arithmetics,
+//! the hardware's rotation-structured edge orders and any `i32` channel,
+//! the lane-parallel decoder is **bit-exact** — full `DecodeResult` plus
+//! per-iteration message digests — against the scalar fused reference
+//! sweep; and every cut the lanes cannot express builds that sweep.
 //!
 //! Tiers are forced through the per-decoder `DecoderConfig::with_simd_tier`
 //! hook (race-free under the parallel test runner; the process-global
@@ -17,10 +17,9 @@ use dvbs2_decoder::{
 use dvbs2_ldpc::TannerGraph;
 use std::sync::Arc;
 
-/// Sub-chain counts that divide small_code's 9000 checks: small ragged
-/// widths where the vector kernels are all remainder, a mid width, and the
-/// hardware's 360 (= 11 × 32 + 8, so even the 32-lane AVX-512 kernels end
-/// in a ragged tail).
+/// Sub-chain counts that divide small_code's 9000 checks, in graph order:
+/// none carries the code's 360-lane rotations (graph order flips where a
+/// rotation wraps), so none gets the lanes.
 const LANE_COUNTS: [usize; 4] = [5, 9, 75, 360];
 
 fn arithmetics() -> Vec<(&'static str, QCheckArithmetic)> {
@@ -29,6 +28,17 @@ fn arithmetics() -> Vec<(&'static str, QCheckArithmetic)> {
         ("min-sum", QCheckArithmetic::min_sum_shift(Quantizer::paper_6bit(), 2)),
         ("lut-5bit", QCheckArithmetic::lut(Quantizer::paper_5bit())),
     ]
+}
+
+/// The lane decoder and its fused reference over `partition`.
+fn pair(
+    graph: &Arc<TannerGraph>,
+    arith: &QCheckArithmetic,
+    config: DecoderConfig,
+    partition: &ChainPartition,
+) -> [QuantizedZigzagDecoder; 2] {
+    [QuantizedZigzagDecoder::with_partition, QuantizedZigzagDecoder::with_partition_fused]
+        .map(|build| build(Arc::clone(graph), arith.clone(), config, partition.clone()))
 }
 
 /// Decodes `frames` with both decoders and asserts full-result plus
@@ -59,40 +69,31 @@ fn noisy_channels(dec: &QuantizedZigzagDecoder, n: usize, base_seed: u64) -> Vec
         .collect()
 }
 
-/// The core contract: every available tier × every lane count × every
-/// arithmetic is bit-exact against the scalar fused sweep, digests and all.
+/// The core contract: the rotation partition gets the lanes at every
+/// available tier and with every arithmetic, bit-exact against the scalar
+/// fused sweep, digests and all; every graph-order cut builds the fused
+/// sweep itself, whatever the tier.
 #[test]
 fn simd_matches_fused_across_tiers_lane_counts_and_arithmetics() {
     let (_, graph) = small_code();
     let graph = Arc::new(graph);
-    for tier in SimdTier::available() {
-        let config = DecoderConfig::default().with_simd_tier(Some(tier));
-        for (name, arith) in arithmetics() {
+    let rotation = rotation_partition(&graph);
+    for (name, arith) in arithmetics() {
+        for (i, tier) in SimdTier::available().into_iter().enumerate() {
+            let config = DecoderConfig::default().with_simd_tier(Some(tier));
+            let [mut simd, mut fused] = pair(&graph, &arith, config, &rotation);
+            assert_eq!(simd.simd_tier(), Some(tier), "{name}: the rotation cut takes the lanes");
+            let channels = noisy_channels(&simd, 2, 9100);
+            assert_bit_exact(&mut simd, &mut fused, &channels, &format!("{name} tier {tier:?}"));
             for lanes in LANE_COUNTS {
-                let mut simd = QuantizedZigzagDecoder::with_partition(
-                    Arc::clone(&graph),
-                    arith.clone(),
-                    config,
-                    ChainPartition::new(lanes, None),
-                );
-                assert_eq!(
-                    simd.simd_tier(),
-                    Some(tier),
-                    "{name} lanes {lanes}: SIMD plan should build and record its tier"
-                );
-                let mut fused = QuantizedZigzagDecoder::with_partition_fused(
-                    Arc::clone(&graph),
-                    arith.clone(),
-                    config,
-                    ChainPartition::new(lanes, None),
-                );
-                let channels = noisy_channels(&simd, 2, 9100 + lanes as u64);
-                assert_bit_exact(
-                    &mut simd,
-                    &mut fused,
-                    &channels,
-                    &format!("{name} tier {tier:?} lanes {lanes}"),
-                );
+                let what = format!("{name} tier {tier:?} lanes {lanes} in graph order");
+                let cut = ChainPartition::new(lanes, None);
+                let [mut simd, mut fused] = pair(&graph, &arith, config, &cut);
+                assert_eq!(simd.simd_tier(), None, "{what}: no rotation, no lanes");
+                if i == 0 {
+                    let channels = noisy_channels(&simd, 2, 9100 + lanes as u64);
+                    assert_bit_exact(&mut simd, &mut fused, &channels, &what);
+                }
             }
         }
     }
@@ -110,19 +111,8 @@ fn rotation_order_early_stop_matches_fused() {
     for tier in SimdTier::available() {
         let config = DecoderConfig::default().with_simd_tier(Some(tier));
         for (name, arith) in arithmetics() {
-            let mut simd = QuantizedZigzagDecoder::with_partition(
-                Arc::clone(&graph),
-                arith.clone(),
-                config,
-                partition.clone(),
-            );
+            let [mut simd, mut fused] = pair(&graph, &arith, config, &partition);
             assert_eq!(simd.simd_tier(), Some(tier));
-            let mut fused = QuantizedZigzagDecoder::with_partition_fused(
-                Arc::clone(&graph),
-                arith,
-                config,
-                partition.clone(),
-            );
             let channels = noisy_channels(&simd, 3, 9300);
             let what = format!("{name} tier {tier:?} rotation order");
             assert_bit_exact(&mut simd, &mut fused, &channels, &what);
@@ -132,30 +122,24 @@ fn rotation_order_early_stop_matches_fused() {
     }
 }
 
-/// A non-trivial per-check edge order (each check's inputs reversed) must
-/// be replayed identically by the baked SoA planes — the order-dependent
-/// quantized boxplus sees its operands in schedule order in both paths.
+/// A non-trivial per-check edge order (the rotation order with each check's
+/// inputs reversed, still a rotation) must be replayed identically by the
+/// baked SoA planes — the order-dependent quantized boxplus sees its
+/// operands in schedule order in both paths.
 #[test]
 fn edge_order_fidelity_is_preserved() {
     let (_, graph) = small_code();
     let graph = Arc::new(graph);
-    let n_check = graph.check_count();
     let info_d = graph.check_edges(0).len() - 1;
-    let order: Vec<u32> = (0..n_check).flat_map(|_| (0..info_d as u32).rev()).collect();
+    let rotation = rotation_partition(&graph);
+    let forward = rotation.edge_order().expect("an explicit order");
+    let order = forward.chunks_exact(info_d).flat_map(|c| c.iter().rev().copied()).collect();
+    let reversed = ChainPartition::new(360, Some(order));
+    let lut = QCheckArithmetic::lut(Quantizer::paper_6bit());
     for tier in SimdTier::available() {
         let config = DecoderConfig::default().with_simd_tier(Some(tier));
-        let mut simd = QuantizedZigzagDecoder::with_partition(
-            Arc::clone(&graph),
-            QCheckArithmetic::lut(Quantizer::paper_6bit()),
-            config,
-            ChainPartition::new(360, Some(order.clone())),
-        );
-        let mut fused = QuantizedZigzagDecoder::with_partition_fused(
-            Arc::clone(&graph),
-            QCheckArithmetic::lut(Quantizer::paper_6bit()),
-            config,
-            ChainPartition::new(360, Some(order.clone())),
-        );
+        let [mut simd, mut fused] = pair(&graph, &lut, config, &reversed);
+        assert_eq!(simd.simd_tier(), Some(tier), "the reversed rotation takes the lanes");
         let channels = noisy_channels(&simd, 2, 9400);
         assert_bit_exact(&mut simd, &mut fused, &channels, &format!("reversed order {tier:?}"));
     }
@@ -168,24 +152,14 @@ fn edge_order_fidelity_is_preserved() {
 fn rail_saturated_channels_stay_bit_exact() {
     let (_, graph) = small_code();
     let graph = Arc::new(graph);
+    let partition = rotation_partition(&graph);
     for (name, arith, max_mag) in [
         ("lut", QCheckArithmetic::lut(Quantizer::paper_6bit()), 31i32),
         ("min-sum", QCheckArithmetic::min_sum_shift(Quantizer::paper_6bit(), 2), 31i32),
         ("lut-5bit", QCheckArithmetic::lut(Quantizer::paper_5bit()), 15i32),
     ] {
-        let config = DecoderConfig::default();
-        let mut simd = QuantizedZigzagDecoder::with_partition(
-            Arc::clone(&graph),
-            arith.clone(),
-            config,
-            ChainPartition::new(360, None),
-        );
-        let mut fused = QuantizedZigzagDecoder::with_partition_fused(
-            Arc::clone(&graph),
-            arith,
-            config,
-            ChainPartition::new(360, None),
-        );
+        let [mut simd, mut fused] = pair(&graph, &arith, DecoderConfig::default(), &partition);
+        assert!(simd.simd_tier().is_some(), "{name}");
         let n = graph.var_count();
         let mut rng = SplitMix64(0x5A7);
         // All-positive rail, alternating rails, and random rail-heavy mixes
@@ -208,63 +182,59 @@ fn rail_saturated_channels_stay_bit_exact() {
     }
 }
 
-/// A raw quantized channel outside the i16 rail gate falls back to the
-/// scalar fused sweep for that frame — same results, no panic.
+/// Raw quantized channels far outside the quantizer's range — at, one past
+/// and far past both ingress clamps (`2·max_mag + 1` on parity,
+/// `i16::MAX − d_max·max_mag` on information), up to ±100 000 — stay on the
+/// lanes and decode exactly as the scalar fused sweep, at every tier, with
+/// every arithmetic. The last channel is all `+max_mag` but for those
+/// values with the negative sign: under min-sum with a shift that leaves
+/// the rail unnormalized, their checks send back `+max_mag` on every edge,
+/// the case where a clamp one short of its bound flips a hard decision.
 #[test]
-fn out_of_rail_channel_falls_back_to_fused() {
+fn out_of_rail_channels_stay_on_the_lanes() {
     let (_, graph) = small_code();
     let graph = Arc::new(graph);
-    let mk = |fused: bool| {
-        let build = if fused {
-            QuantizedZigzagDecoder::with_partition_fused
-        } else {
-            QuantizedZigzagDecoder::with_partition
-        };
-        build(
-            Arc::clone(&graph),
-            QCheckArithmetic::lut(Quantizer::paper_6bit()),
-            DecoderConfig::default(),
-            ChainPartition::new(360, None),
-        )
-    };
-    let mut simd = mk(false);
-    let mut fused = mk(true);
-    assert!(simd.simd_tier().is_some());
-    // A parity value beyond max_mag = 31: legal for the scalar i32 planes,
-    // outside the SIMD plan's saturation headroom guarantee.
-    let mut channel = vec![1i32; graph.var_count()];
-    channel[graph.info_len() + 3] = 1000;
-    // The lane decoder builds its scalar planes on the first such frame
-    // and reuses them on the second.
-    let (mut da, mut db) = (Vec::new(), Vec::new());
-    for round in 0..2 {
-        let a = simd.decode_quantized_traced(&channel, &mut da);
-        let b = fused.decode_quantized_traced(&channel, &mut db);
-        assert_eq!(a, b, "round {round}: fallback frame results diverged");
-        assert_eq!(da, db, "round {round}: fallback frame digests diverged");
+    let (k, n) = (graph.info_len(), graph.var_count());
+    let partition = rotation_partition(&graph);
+    let d_max = (0..k).map(|v| graph.var_edges(v).len()).max().unwrap() as i32;
+    let mut arithmetics = arithmetics();
+    let unnormalized = QCheckArithmetic::min_sum_shift(Quantizer::paper_6bit(), 5);
+    arithmetics.push(("min-sum, shift 5", unnormalized));
+    for (name, arith) in arithmetics {
+        let m = arith.quantizer().max_mag();
+        // Each bound, one past it and 100 000, with either sign.
+        let values = |bound: i32| [bound, bound + 1, 100_000].into_iter().flat_map(|x| [x, -x]);
+        let mut rng = SplitMix64(0x0FF5 ^ m as u64);
+        let mut noisy: Vec<i32> =
+            (0..n).map(|_| (rng.next_u64() % (2 * m as u64 + 1)) as i32 - m).collect();
+        let mut rails = vec![m; n];
+        // Highest-degree information bits, and parity bits across the chain.
+        let info = values(i16::MAX as i32 - d_max * m).enumerate().map(|(i, x)| (7 * i, x));
+        let parity = values(2 * m + 1).enumerate().map(|(i, x)| (k + 1 + 1201 * i, x));
+        for (v, x) in info.chain(parity) {
+            assert!(v >= k || graph.var_edges(v).len() as i32 == d_max, "variable {v}");
+            (noisy[v], rails[v]) = (x, -x.abs());
+        }
+        for tier in SimdTier::available() {
+            let config = DecoderConfig::default().with_max_iterations(6).with_simd_tier(Some(tier));
+            let [mut simd, mut fused] = pair(&graph, &arith, config, &partition);
+            assert_eq!(simd.simd_tier(), Some(tier), "{name}");
+            let channels = [noisy.clone(), rails.clone()];
+            assert_bit_exact(&mut simd, &mut fused, &channels, &format!("{name} {tier:?}"));
+        }
     }
 }
 
 /// A partition the SIMD plan cannot serve (single-row sub-chains) reports
-/// no tier and still decodes bit-exactly through the fused fallback.
+/// no tier and decodes bit-exactly on the fused sweep it built instead.
 #[test]
 fn ineligible_partition_reports_no_simd_plan() {
     let (_, graph) = small_code();
     let graph = Arc::new(graph);
-    let lanes = graph.check_count(); // q_rows = 1
-    let mut simd = QuantizedZigzagDecoder::with_partition(
-        Arc::clone(&graph),
-        QCheckArithmetic::lut(Quantizer::paper_6bit()),
-        DecoderConfig::default(),
-        ChainPartition::new(lanes, None),
-    );
+    let cut = ChainPartition::new(graph.check_count(), None); // q_rows = 1
+    let lut = QCheckArithmetic::lut(Quantizer::paper_6bit());
+    let [mut simd, mut fused] = pair(&graph, &lut, DecoderConfig::default(), &cut);
     assert_eq!(simd.simd_tier(), None);
-    let mut fused = QuantizedZigzagDecoder::with_partition_fused(
-        Arc::clone(&graph),
-        QCheckArithmetic::lut(Quantizer::paper_6bit()),
-        DecoderConfig::default(),
-        ChainPartition::new(lanes, None),
-    );
     let channels = noisy_channels(&simd, 1, 9700);
     assert_bit_exact(&mut simd, &mut fused, &channels, "q_rows = 1");
 }
