@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 
 /// The change whose code the committed records were taken with. Bump it in
 /// the change that re-records them.
-pub const RECORDED_BY: &str = "each 360-lane layout stands alone";
+pub const RECORDED_BY: &str = "one belief-propagation spine";
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

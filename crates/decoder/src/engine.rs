@@ -1,15 +1,15 @@
-//! Shared plumbing of the structure-of-arrays message engine.
+//! The kernels of the float schedules' steps ([`crate::bp`]).
 //!
-//! All belief-propagation decoders store their messages in flat
-//! edge-indexed planes (`v2c`, `c2v`) using the Tanner graph's check-major
-//! edge numbering, so the check-node half-iteration streams each check's
-//! contiguous edge range and the variable-node half-iteration is a single
-//! scatter-add/gather pass over [`TannerGraph::edge_vars`]. The helpers
-//! here implement those passes generically over the message precision.
+//! The edge layouts store their messages in flat edge-indexed planes
+//! (`v2c`, `c2v`) using the Tanner graph's check-major edge numbering, so
+//! the check-node half-iteration streams each check's contiguous edge range
+//! and the variable-node half-iteration is a single scatter-add/gather pass
+//! over [`TannerGraph::edge_vars`]. The helpers here implement those passes
+//! generically over the message precision.
 //!
 //! Bit-compatibility contract: for `f64` messages every helper performs the
 //! same floating-point operations in the same order as the scalar loops
-//! they replaced. In particular `accumulate_totals` adds each variable's
+//! they replaced. In particular every totals pass adds each variable's
 //! check messages in ascending edge-id order — exactly the order
 //! `TannerGraph::var_edges` yields — so a-posteriori totals are
 //! bit-identical to a per-variable gather.
@@ -73,29 +73,6 @@ pub(crate) fn load_llrs<F: LlrFloat>(dst: &mut [F], src: &[f64]) {
     }
 }
 
-/// A-posteriori totals in one streaming pass: scatter-add the check
-/// messages in ascending edge order, then add the channel LLR on top.
-///
-/// The zero-seeded scatter followed by `llr + sum` reproduces the exact
-/// rounding of the per-variable `llr[v] + var_edges(v).map(..).sum::<f64>()`
-/// gather it replaces (an `llr`-seeded accumulator would associate the
-/// additions differently and drift in the last bit).
-#[inline]
-pub(crate) fn accumulate_totals<F: LlrFloat>(
-    edge_vars: &[u32],
-    llr: &[F],
-    c2v: &[F],
-    totals: &mut [F],
-) {
-    totals.fill(F::ZERO);
-    for (&v, &m) in edge_vars.iter().zip(c2v) {
-        totals[v as usize] += m;
-    }
-    for (t, &l) in totals.iter_mut().zip(llr) {
-        *t = l + *t;
-    }
-}
-
 /// One fused flooding iteration: for every check, gather its inputs
 /// (`v2c[e] = totals[var] - c2v[e]`) from the current totals, run the
 /// kernel in place on the planes, and scatter the fresh extrinsics into
@@ -105,7 +82,7 @@ pub(crate) fn accumulate_totals<F: LlrFloat>(
 ///
 /// On return `totals_next` holds the a-posteriori totals implied by the
 /// fresh `c2v`, accumulated in ascending edge order with the channel LLR
-/// added last — bit-identical to [`accumulate_totals`] over the new `c2v`.
+/// added last, as a per-variable gather over the new `c2v` rounds.
 ///
 /// This is the scalar flooding pass: f64 sum-product (the reference the
 /// seed-embedded regression suite pins) and the min-sum rules on a graph
@@ -237,8 +214,8 @@ impl BlockedChecks {
     }
 }
 
-/// A-posteriori totals from transposed-plane messages: identical to
-/// [`accumulate_totals`] — ascending edge order, channel LLR added last —
+/// A-posteriori totals from transposed-plane messages in ascending edge
+/// order, channel LLR added last (as [`fused_check_pass`] scatters them),
 /// reading each message through the edge→slot permutation.
 #[inline(always)]
 pub(crate) fn accumulate_totals_slotted<F: LlrFloat>(
@@ -774,21 +751,26 @@ pub(crate) fn syndrome_ok_totals<F: LlrFloat>(graph: &TannerGraph, totals: &[F])
     true
 }
 
-/// Writes the hard decisions (`total < 0` ⇒ bit 1) into a preallocated bit
-/// vector of matching length.
-///
-/// # Panics
-///
-/// Panics if `out.len() != totals.len()`.
-pub(crate) fn hard_decisions_into<F: LlrFloat>(totals: &[F], out: &mut dvbs2_ldpc::BitVec) {
-    out.fill_from(totals, F::is_negative);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stopping::{hard_decisions, syndrome_ok};
     use crate::test_support::small_code;
+
+    /// The totals passes' reference: scatter-add the check messages in
+    /// ascending edge order onto zero, then add the channel LLR on top. This
+    /// rounds exactly as the per-variable
+    /// `llr[v] + var_edges(v).map(..).sum::<f64>()` gather (an `llr`-seeded
+    /// accumulator would associate the additions differently).
+    fn accumulate_totals<F: LlrFloat>(edge_vars: &[u32], llr: &[F], c2v: &[F], totals: &mut [F]) {
+        totals.fill(F::ZERO);
+        for (&v, &m) in edge_vars.iter().zip(c2v) {
+            totals[v as usize] += m;
+        }
+        for (t, &l) in totals.iter_mut().zip(llr) {
+            *t = l + *t;
+        }
+    }
 
     #[test]
     fn accumulate_totals_matches_per_variable_gather() {
@@ -850,7 +832,7 @@ mod tests {
             let bits = hard_decisions(&totals);
             assert_eq!(syndrome_ok_totals(&graph, &totals), syndrome_ok(&graph, &bits));
             let mut out = dvbs2_ldpc::BitVec::zeros(totals.len());
-            hard_decisions_into(&totals, &mut out);
+            out.fill_from(&totals, LlrFloat::is_negative);
             assert_eq!(out, bits);
         }
     }

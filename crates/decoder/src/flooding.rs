@@ -7,7 +7,7 @@
 //! measured against: it needs ≈ 40 iterations where the optimized schedule
 //! needs 30.
 //!
-//! Messages live in one of three plane layouts, chosen once at construction
+//! Store live in one of three plane layouts, chosen once at construction
 //! from the graph, the rule and the precision; each is the only path for
 //! the decoders it serves:
 //!
@@ -23,20 +23,20 @@
 //!   structure): the scalar pass, check by check on each check's
 //!   contiguous edge range, with no index planes beyond the graph's own.
 //!
-//! Min-sum on the rotation planes is bit-identical to the scalar pass.
+//! Min-sum on the rotation planes is bit-identical to the scalar pass. The
+//! loop, the store and the epilogue are the spine's ([`crate::bp`]).
 
+use crate::bp::{BpDecoder, Schedule, Step, Store};
 use crate::engine::{
-    accumulate_totals, accumulate_totals_slotted_tier, blocked_sum_product_pass_tier,
-    blocked_table_sum_product_pass, fused_check_pass, hard_decisions_into, load_llrs,
-    syndrome_ok_totals, tier_clones, BlockedChecks, MinSumLanes, Precision,
+    accumulate_totals_slotted_tier, blocked_sum_product_pass_tier, blocked_table_sum_product_pass,
+    fused_check_pass, syndrome_ok_totals, tier_clones, BlockedChecks, MinSumLanes, Precision,
 };
 use crate::llr_ops::{CheckRule, LlrFloat};
 use crate::qsimd::{build_rotation, lane_edge_slots, rotation_order, RotEntry};
 use crate::simd::SimdTier;
-use crate::{DecodeResult, Decoder, DecoderConfig};
-use dvbs2_ldpc::{BitVec, TannerGraph, PARALLELISM as LANES};
+use crate::DecoderConfig;
+use dvbs2_ldpc::{TannerGraph, PARALLELISM as LANES};
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Flooding-schedule belief-propagation decoder over any Tanner graph, on
 /// the one plane layout its graph, rule and precision select (module docs).
@@ -54,17 +54,12 @@ use std::sync::Arc;
 /// assert!(out.bits.get(0) && out.bits.get(1));
 /// assert!(out.converged);
 /// ```
-#[derive(Debug, Clone)]
-pub struct FloodingDecoder {
-    graph: Arc<TannerGraph>,
-    config: DecoderConfig,
-    layout: Layout,
-    /// Runtime dispatch tier, resolved once at construction.
-    tier: SimdTier,
-    core: Core,
-}
+pub type FloodingDecoder = BpDecoder<Flooding>;
 
-/// Where the messages live.
+/// The flooding schedule: where the messages live.
+#[derive(Debug, Clone)]
+pub struct Flooding(Layout);
+
 #[derive(Debug, Clone)]
 enum Layout {
     Rotation(RotationPlanes),
@@ -72,153 +67,101 @@ enum Layout {
     Edges,
 }
 
-#[derive(Debug, Clone)]
-enum Core {
-    F64(Engine<f64>),
-    F32(Engine<f32>),
-}
+impl Schedule for Flooding {
+    fn new(graph: &TannerGraph, config: &DecoderConfig) -> Self {
+        Flooding(match config.rule {
+            CheckRule::NormalizedMinSum(_) | CheckRule::OffsetMinSum(_) => {
+                RotationPlanes::build(graph).map_or(Layout::Edges, Layout::Rotation)
+            }
+            CheckRule::SumProduct if config.precision == Precision::F64 => Layout::Edges,
+            _ => Layout::Blocked(BlockedChecks::new(graph)),
+        })
+    }
 
-/// Message planes and working buffers at one precision. On the rotation
-/// planes `v2c` is one row and the parity halves of `llr` and `totals` are
-/// transposed.
-#[derive(Debug, Clone)]
-struct Engine<F> {
-    llr: Vec<F>,
-    v2c: Vec<F>,
-    c2v: Vec<F>,
-    totals: Vec<F>,
-    totals_next: Vec<F>,
-}
-
-impl<F: LlrFloat> Engine<F> {
-    fn new(graph: &TannerGraph, layout: &Layout) -> Self {
-        let vars = graph.var_count();
-        let (v2c, c2v) = match layout {
-            Layout::Rotation(p) => (p.stride * LANES, p.q * p.stride * LANES),
-            _ => (graph.edge_count(), graph.edge_count()),
-        };
-        Engine {
-            llr: vec![F::ZERO; vars],
-            v2c: vec![F::ZERO; v2c],
-            c2v: vec![F::ZERO; c2v],
-            totals: vec![F::ZERO; vars],
-            totals_next: vec![F::ZERO; vars],
+    /// On the rotation planes `v2c` is one row.
+    fn lengths(&self, graph: &TannerGraph) -> [usize; 3] {
+        let (vars, edges) = (graph.var_count(), graph.edge_count());
+        match &self.0 {
+            Layout::Rotation(p) => [p.stride * LANES, p.q * p.stride * LANES, vars],
+            _ => [edges, edges, vars],
         }
     }
 
-    /// One full decode into `out`. Allocation-free once `out.bits` has the
-    /// codeword length (the first call sizes it).
-    fn decode_into(
-        &mut self,
-        graph: &TannerGraph,
-        config: &DecoderConfig,
-        layout: &Layout,
-        tier: SimdTier,
-        channel_llrs: &[f64],
-        out: &mut DecodeResult,
-    ) {
-        let (iterations, converged) = match config.rule {
-            CheckRule::NormalizedMinSum(alpha) => {
-                let alpha = F::from_f64(alpha);
-                self.run(graph, config, layout, tier, channel_llrs, move |m| m * alpha)
-            }
-            CheckRule::OffsetMinSum(beta) => {
-                let beta = F::from_f64(beta);
-                self.run(graph, config, layout, tier, channel_llrs, move |m| {
-                    (m - beta).max(F::ZERO)
-                })
-            }
-            // The sum-product rules correct nothing.
-            _ => self.run(graph, config, layout, tier, channel_llrs, |m| m),
-        };
-        if out.bits.len() != self.totals.len() {
-            out.bits = BitVec::zeros(self.totals.len());
+    fn name(rule: CheckRule) -> &'static str {
+        match rule {
+            CheckRule::SumProduct => "flooding sum-product",
+            CheckRule::TableSumProduct => "flooding table sum-product",
+            CheckRule::NormalizedMinSum(_) => "flooding normalized min-sum",
+            CheckRule::OffsetMinSum(_) => "flooding offset min-sum",
         }
-        hard_decisions_into(&self.totals, &mut out.bits);
-        out.iterations = iterations;
-        out.converged = converged;
+    }
+}
+
+/// On the rotation planes the parity halves of `llr` and `totals` are
+/// transposed until [`Step::finish`].
+impl<F: LlrFloat> Step<F> for Flooding {
+    fn start(&mut self, m: &mut Store<F>) {
+        if let Layout::Rotation(planes) = &self.0 {
+            planes.reorder(&m.llr, &mut m.next, true);
+            std::mem::swap(&mut m.llr, &mut m.next);
+        }
+        m.totals_from_channel();
     }
 
-    /// `(iterations, converged)` of one decode, leaving natural-order
-    /// `totals`; `correct` is the min-sum rules' magnitude correction.
-    fn run(
-        &mut self,
-        graph: &TannerGraph,
-        config: &DecoderConfig,
-        layout: &Layout,
-        tier: SimdTier,
-        channel_llrs: &[f64],
-        correct: impl Fn(F) -> F + Copy,
-    ) -> (usize, bool) {
-        let blocked = match layout {
-            Layout::Blocked(blocked) => Some(blocked),
-            Layout::Edges => None,
+    /// Both half-iterations. The rotation planes run row by row with the
+    /// min-sum rule's magnitude correction; the edge planes stream check by
+    /// check with the scalar kernel fused between gather and scatter; the
+    /// blocked planes run column-major kernels, then accumulate the totals in
+    /// edge order through the slot permutation.
+    fn step(&mut self, graph: &TannerGraph, rule: &CheckRule, tier: SimdTier, m: &mut Store<F>) {
+        let Store { llr, v2c, c2v, totals, next } = m;
+        match &self.0 {
             Layout::Rotation(planes) => {
-                load_llrs(&mut self.totals_next, channel_llrs);
-                planes.reorder(&self.totals_next, &mut self.llr, true);
-                self.c2v.fill(F::ZERO);
-                // What the scalar pass's scatter over all-zero messages
-                // computes (`-0.0` becomes `+0.0`).
-                for (t, &l) in self.totals.iter_mut().zip(&self.llr) {
-                    *t = l + F::ZERO;
-                }
-                let step = |e: &mut Self| {
-                    rotation_check_pass_tier(
-                        tier, planes, &e.totals, &mut e.v2c, &mut e.c2v, correct,
-                    );
-                    rotation_vn_pass_tier(tier, planes, &e.llr, &e.c2v, &mut e.totals);
-                };
-                let verdict =
-                    self.iterate(config, step, |e| rotation_syndrome_tier(tier, planes, &e.totals));
-                planes.reorder(&self.totals, &mut self.totals_next, false);
-                std::mem::swap(&mut self.totals, &mut self.totals_next);
-                return verdict;
-            }
-        };
-        load_llrs(&mut self.llr, channel_llrs);
-        let edge_vars = graph.edge_vars();
-        self.c2v.fill(F::ZERO);
-        // First-iteration gather sources: totals = llr plus all-zero messages.
-        accumulate_totals(edge_vars, &self.llr, &self.c2v, &mut self.totals);
-        let step = |e: &mut Self| {
-            // Both half-iterations per pass. The edge planes stream check by
-            // check with the scalar kernel fused between gather and scatter;
-            // the blocked planes run column-major kernels, then accumulate
-            // the totals in edge order through the slot permutation.
-            let (llr, totals, next) = (&e.llr, &e.totals, &mut e.totals_next);
-            let (v2c, c2v) = (&mut e.v2c, &mut e.c2v);
-            match blocked {
-                None => fused_check_pass(graph, &config.rule, llr, totals, v2c, c2v, next),
-                Some(blocked) => {
-                    if config.rule == CheckRule::TableSumProduct {
-                        // Per check bit-identical to the scalar table kernel.
-                        blocked_table_sum_product_pass(blocked, totals, v2c, c2v)
-                    } else {
-                        blocked_sum_product_pass_tier(tier, blocked, totals, v2c, c2v)
+                match *rule {
+                    CheckRule::NormalizedMinSum(alpha) => {
+                        let alpha = F::from_f64(alpha);
+                        let correct = move |mag| mag * alpha;
+                        rotation_check_pass_tier(tier, planes, totals, v2c, c2v, correct);
                     }
-                    let slots = blocked.edge_to_slot();
-                    accumulate_totals_slotted_tier(tier, edge_vars, slots, llr, c2v, next);
+                    CheckRule::OffsetMinSum(beta) => {
+                        let beta = F::from_f64(beta);
+                        let correct = move |mag: F| (mag - beta).max(F::ZERO);
+                        rotation_check_pass_tier(tier, planes, totals, v2c, c2v, correct);
+                    }
+                    _ => unreachable!("the rotation planes serve the min-sum rules only"),
                 }
+                rotation_vn_pass_tier(tier, planes, llr, c2v, totals);
             }
-            std::mem::swap(&mut e.totals, &mut e.totals_next);
-        };
-        self.iterate(config, step, |e| syndrome_ok_totals(graph, &e.totals))
-    }
-
-    /// The iteration loop of every layout: `(iterations, converged)`.
-    fn iterate(
-        &mut self,
-        config: &DecoderConfig,
-        mut step: impl FnMut(&mut Self),
-        syndrome_ok: impl Fn(&Self) -> bool,
-    ) -> (usize, bool) {
-        for iterations in 1..=config.max_iterations {
-            step(self);
-            if config.early_stop && syndrome_ok(self) {
-                return (iterations, true);
+            Layout::Edges => {
+                fused_check_pass(graph, rule, llr, totals, v2c, c2v, next);
+                std::mem::swap(totals, next);
+            }
+            Layout::Blocked(blocked) => {
+                if *rule == CheckRule::TableSumProduct {
+                    // Per check bit-identical to the scalar table kernel.
+                    blocked_table_sum_product_pass(blocked, totals, v2c, c2v)
+                } else {
+                    blocked_sum_product_pass_tier(tier, blocked, totals, v2c, c2v)
+                }
+                let (edge_vars, slots) = (graph.edge_vars(), blocked.edge_to_slot());
+                accumulate_totals_slotted_tier(tier, edge_vars, slots, llr, c2v, next);
+                std::mem::swap(totals, next);
             }
         }
-        (config.max_iterations, syndrome_ok(self))
+    }
+
+    fn syndrome_ok(&self, graph: &TannerGraph, tier: SimdTier, m: &Store<F>) -> bool {
+        match &self.0 {
+            Layout::Rotation(planes) => rotation_syndrome_tier(tier, planes, &m.totals),
+            _ => syndrome_ok_totals(graph, &m.totals),
+        }
+    }
+
+    fn finish(&self, m: &mut Store<F>) {
+        if let Layout::Rotation(planes) = &self.0 {
+            planes.reorder(&m.totals, &mut m.next, false);
+            std::mem::swap(&mut m.totals, &mut m.next);
+        }
     }
 }
 
@@ -467,73 +410,13 @@ tier_clones!(
     (planes: &RotationPlanes, totals: &[F]) -> bool
 );
 
-impl FloodingDecoder {
-    /// Creates a decoder for `graph`.
-    pub fn new(graph: Arc<TannerGraph>, config: DecoderConfig) -> Self {
-        let layout = match config.rule {
-            CheckRule::NormalizedMinSum(_) | CheckRule::OffsetMinSum(_) => {
-                RotationPlanes::build(&graph).map_or(Layout::Edges, Layout::Rotation)
-            }
-            CheckRule::SumProduct if config.precision == Precision::F64 => Layout::Edges,
-            _ => Layout::Blocked(BlockedChecks::new(&graph)),
-        };
-        let tier = SimdTier::resolve(config.simd);
-        let core = match config.precision {
-            Precision::F64 => Core::F64(Engine::new(&graph, &layout)),
-            Precision::F32 => Core::F32(Engine::new(&graph, &layout)),
-        };
-        FloodingDecoder { graph, config, layout, tier, core }
-    }
-
-    /// The decoder configuration.
-    pub fn config(&self) -> &DecoderConfig {
-        &self.config
-    }
-
-    /// The SIMD dispatch tier the kernels run on.
-    pub fn simd_tier(&self) -> SimdTier {
-        self.tier
-    }
-}
-
-impl Decoder for FloodingDecoder {
-    fn decode(&mut self, channel_llrs: &[f64]) -> DecodeResult {
-        let mut out = DecodeResult::default();
-        self.decode_into(channel_llrs, &mut out);
-        out
-    }
-
-    fn decode_into(&mut self, channel_llrs: &[f64], out: &mut DecodeResult) {
-        assert_eq!(channel_llrs.len(), self.graph.var_count(), "LLR length mismatch");
-        match &mut self.core {
-            Core::F64(e) => {
-                e.decode_into(&self.graph, &self.config, &self.layout, self.tier, channel_llrs, out)
-            }
-            Core::F32(e) => {
-                e.decode_into(&self.graph, &self.config, &self.layout, self.tier, channel_llrs, out)
-            }
-        }
-    }
-
-    fn set_max_iterations(&mut self, max_iterations: usize) {
-        self.config.max_iterations = max_iterations;
-    }
-
-    fn name(&self) -> &'static str {
-        match self.config.rule {
-            CheckRule::SumProduct => "flooding sum-product",
-            CheckRule::TableSumProduct => "flooding table sum-product",
-            CheckRule::NormalizedMinSum(_) => "flooding normalized min-sum",
-            CheckRule::OffsetMinSum(_) => "flooding offset min-sum",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bp::Core;
     use crate::test_support::{llrs_for_codeword, noisy_llrs, small_code};
-    use crate::Precision;
+    use crate::Decoder;
+    use std::sync::Arc;
 
     #[test]
     fn noiseless_codeword_converges_immediately() {
@@ -548,6 +431,24 @@ mod tests {
         assert!(out.converged);
         assert_eq!(out.iterations, 1);
         assert_eq!(out.bits, cw);
+    }
+
+    #[test]
+    fn f32_fast_path_decodes_the_same_frames() {
+        let (code, graph) = small_code();
+        let graph = Arc::new(graph);
+        for seed in 0..4 {
+            let (cw, llrs) = noisy_llrs(&code, 3.2, 300 + seed);
+            let mut f64_dec = FloodingDecoder::new(Arc::clone(&graph), DecoderConfig::default());
+            let mut f32_dec = FloodingDecoder::new(
+                Arc::clone(&graph),
+                DecoderConfig::default().with_precision(Precision::F32),
+            );
+            let a = f64_dec.decode(&llrs);
+            let b = f32_dec.decode(&llrs);
+            assert_eq!(a.bits, cw, "seed {seed}");
+            assert_eq!(b.bits, cw, "seed {seed} (f32)");
+        }
     }
 
     #[test]
@@ -576,42 +477,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn without_early_stop_runs_all_iterations() {
-        let (code, graph) = small_code();
-        let (_, llrs) = noisy_llrs(&code, 5.0, 7);
-        let mut dec = FloodingDecoder::new(
-            Arc::new(graph),
-            DecoderConfig { max_iterations: 10, early_stop: false, ..DecoderConfig::default() },
-        );
-        let out = dec.decode(&llrs);
-        assert_eq!(out.iterations, 10);
-        assert!(out.converged, "frame should be clean after 10 iterations at 5 dB");
-    }
-
-    #[test]
-    fn f32_fast_path_decodes_the_same_frames() {
-        let (code, graph) = small_code();
-        let graph = Arc::new(graph);
-        for seed in 0..4 {
-            let (cw, llrs) = noisy_llrs(&code, 3.2, 300 + seed);
-            let mut f64_dec = FloodingDecoder::new(Arc::clone(&graph), DecoderConfig::default());
-            let mut f32_dec = FloodingDecoder::new(
-                Arc::clone(&graph),
-                DecoderConfig::default().with_precision(Precision::F32),
-            );
-            let a = f64_dec.decode(&llrs);
-            let b = f32_dec.decode(&llrs);
-            assert_eq!(a.bits, cw, "seed {seed}");
-            assert_eq!(b.bits, cw, "seed {seed} (f32)");
-        }
-    }
-
     /// The final totals' bit patterns (natural order after either layout).
     fn totals_bits(decoder: &FloodingDecoder) -> Vec<u64> {
         match &decoder.core {
-            Core::F64(e) => e.totals.iter().map(|x| x.to_bits()).collect(),
-            Core::F32(e) => e.totals.iter().map(|x| u64::from(x.to_bits())).collect(),
+            Core::F64(m) => m.totals.iter().map(|x| x.to_bits()).collect(),
+            Core::F32(m) => m.totals.iter().map(|x| u64::from(x.to_bits())).collect(),
         }
     }
 
@@ -659,9 +529,12 @@ mod tests {
                             .with_precision(precision)
                             .with_simd_tier(Some(tier));
                         let mut lanes = FloodingDecoder::new(Arc::clone(&graph), config);
-                        assert!(matches!(lanes.layout, Layout::Rotation(_)), "{rate} {frame:?}");
+                        assert!(
+                            matches!(lanes.schedule.0, Layout::Rotation(_)),
+                            "{rate} {frame:?}"
+                        );
                         let mut reference = FloodingDecoder::new(Arc::clone(&scalar), config);
-                        assert!(matches!(reference.layout, Layout::Edges), "{rate} {frame:?}");
+                        assert!(matches!(reference.schedule.0, Layout::Edges), "{rate} {frame:?}");
                         for (cap, early_stop) in [(8, true), (8, false), (0, true), (0, false)] {
                             for decoder in [&mut lanes, &mut reference] {
                                 decoder.config.max_iterations = cap;
@@ -695,7 +568,7 @@ mod tests {
         let generic = generic(&graph);
         let layout = |g: &TannerGraph, rule, precision| {
             let config = DecoderConfig::default().with_rule(rule).with_precision(precision);
-            match FloodingDecoder::new(Arc::new(g.clone()), config).layout {
+            match FloodingDecoder::new(Arc::new(g.clone()), config).schedule.0 {
                 Layout::Rotation(_) => "rotation",
                 Layout::Blocked(_) => "blocked",
                 Layout::Edges => "edges",
@@ -710,13 +583,5 @@ mod tests {
         }
         assert_eq!(layout(&graph, CheckRule::SumProduct, Precision::F32), "blocked");
         assert_eq!(layout(&graph, CheckRule::SumProduct, Precision::F64), "edges");
-    }
-
-    #[test]
-    #[should_panic(expected = "LLR length mismatch")]
-    fn wrong_llr_length_panics() {
-        let (_, graph) = small_code();
-        let mut dec = FloodingDecoder::new(Arc::new(graph), DecoderConfig::default());
-        let _ = dec.decode(&[0.0; 3]);
     }
 }

@@ -5,153 +5,75 @@
 //! convergence speed over flooding. Included here as the natural
 //! "future work" of the paper's schedule and as an ablation point.
 
-use crate::engine::{hard_decisions_into, load_llrs, syndrome_ok_totals, Precision};
-use crate::llr_ops::LlrFloat;
-use crate::{DecodeResult, Decoder, DecoderConfig};
-use dvbs2_ldpc::{BitVec, TannerGraph};
-use std::sync::Arc;
+use crate::bp::{BpDecoder, Schedule, Step, Store};
+use crate::llr_ops::{CheckRule, LlrFloat};
+use crate::simd::SimdTier;
+use crate::DecoderConfig;
+use dvbs2_ldpc::TannerGraph;
 
 /// Layered belief-propagation decoder over any Tanner graph.
 ///
 /// Every check node, processed in order, reads the current a-posteriori
 /// totals, subtracts its own previous contribution, computes fresh
 /// extrinsics and writes them back immediately.
-#[derive(Debug, Clone)]
-pub struct LayeredDecoder {
-    graph: Arc<TannerGraph>,
-    config: DecoderConfig,
-    core: Core,
-}
+pub type LayeredDecoder = BpDecoder<Layered>;
 
+/// The layered schedule: the running-total sweep over the edge planes.
 #[derive(Debug, Clone)]
-enum Core {
-    F64(Engine<f64>),
-    F32(Engine<f32>),
-}
+pub struct Layered;
 
-/// Message planes and working buffers at one precision.
-///
-/// Unlike the two-phase schedules, the layered update must read a check's
-/// previous `c2v` while writing its fresh extrinsics, so each check keeps a
-/// small preallocated scratch pair instead of running in place.
-#[derive(Debug, Clone)]
-struct Engine<F> {
-    llr: Vec<F>,
-    c2v: Vec<F>,
-    totals: Vec<F>,
-    scratch_in: Vec<F>,
-    scratch_out: Vec<F>,
-}
-
-impl<F: LlrFloat> Engine<F> {
-    fn new(graph: &TannerGraph) -> Self {
-        let vars = graph.var_count();
-        let max_degree = graph.max_check_degree();
-        Engine {
-            llr: vec![F::ZERO; vars],
-            c2v: vec![F::ZERO; graph.edge_count()],
-            totals: vec![F::ZERO; vars],
-            scratch_in: vec![F::ZERO; max_degree],
-            scratch_out: vec![F::ZERO; max_degree],
-        }
+impl Schedule for Layered {
+    fn new(_: &TannerGraph, _: &DecoderConfig) -> Self {
+        Layered
     }
 
-    /// One full decode into `out`. Allocation-free once `out.bits` has the
-    /// codeword length (the first call sizes it).
-    fn decode_into(
-        &mut self,
-        graph: &TannerGraph,
-        config: &DecoderConfig,
-        channel_llrs: &[f64],
-        out: &mut DecodeResult,
-    ) {
-        load_llrs(&mut self.llr, channel_llrs);
+    /// Unlike the two-phase schedules, the layered update must read a
+    /// check's previous `c2v` while writing its fresh extrinsics, so `v2c`
+    /// is one check's inputs with its fresh extrinsics beside them, and
+    /// there are no next totals.
+    fn lengths(&self, graph: &TannerGraph) -> [usize; 3] {
+        [2 * graph.max_check_degree(), graph.edge_count(), 0]
+    }
+
+    fn name(_: CheckRule) -> &'static str {
+        "layered"
+    }
+}
+
+impl<F: LlrFloat> Step<F> for Layered {
+    /// The channel itself, `-0.0` included: the running totals start there.
+    fn start(&mut self, m: &mut Store<F>) {
+        m.totals.copy_from_slice(&m.llr);
+    }
+
+    fn step(&mut self, graph: &TannerGraph, rule: &CheckRule, _: SimdTier, m: &mut Store<F>) {
         let offsets = graph.check_offsets();
         let edge_vars = graph.edge_vars();
-
-        self.c2v.fill(F::ZERO);
-        self.totals.copy_from_slice(&self.llr);
-        let mut iterations = 0;
-        let mut converged = false;
-
-        for _ in 0..config.max_iterations {
-            iterations += 1;
-            for c in 0..graph.check_count() {
-                let range = offsets[c] as usize..offsets[c + 1] as usize;
-                let d = range.len();
-                for (i, e) in range.clone().enumerate() {
-                    let v = edge_vars[e] as usize;
-                    self.scratch_in[i] = self.totals[v] - self.c2v[e];
-                }
-                config.rule.extrinsic_t(&self.scratch_in[..d], &mut self.scratch_out[..d]);
-                for (i, e) in range.enumerate() {
-                    let v = edge_vars[e] as usize;
-                    self.totals[v] += self.scratch_out[i] - self.c2v[e];
-                    self.c2v[e] = self.scratch_out[i];
-                }
+        let max_degree = m.v2c.len() / 2;
+        let (scratch_in, scratch_out) = m.v2c.split_at_mut(max_degree);
+        for c in 0..graph.check_count() {
+            let range = offsets[c] as usize..offsets[c + 1] as usize;
+            let d = range.len();
+            for (i, e) in range.clone().enumerate() {
+                let v = edge_vars[e] as usize;
+                scratch_in[i] = m.totals[v] - m.c2v[e];
             }
-            if config.early_stop && syndrome_ok_totals(graph, &self.totals) {
-                converged = true;
-                break;
+            rule.extrinsic_t(&scratch_in[..d], &mut scratch_out[..d]);
+            for (i, e) in range.enumerate() {
+                let v = edge_vars[e] as usize;
+                m.totals[v] += scratch_out[i] - m.c2v[e];
+                m.c2v[e] = scratch_out[i];
             }
         }
-        if !converged {
-            converged = syndrome_ok_totals(graph, &self.totals);
-        }
-        if out.bits.len() != self.totals.len() {
-            out.bits = BitVec::zeros(self.totals.len());
-        }
-        hard_decisions_into(&self.totals, &mut out.bits);
-        out.iterations = iterations;
-        out.converged = converged;
-    }
-}
-
-impl LayeredDecoder {
-    /// Creates a decoder for `graph`.
-    pub fn new(graph: Arc<TannerGraph>, config: DecoderConfig) -> Self {
-        let core = match config.precision {
-            Precision::F64 => Core::F64(Engine::new(&graph)),
-            Precision::F32 => Core::F32(Engine::new(&graph)),
-        };
-        LayeredDecoder { graph, config, core }
-    }
-
-    /// The decoder configuration.
-    pub fn config(&self) -> &DecoderConfig {
-        &self.config
-    }
-}
-
-impl Decoder for LayeredDecoder {
-    fn decode(&mut self, channel_llrs: &[f64]) -> DecodeResult {
-        let mut out = DecodeResult::default();
-        self.decode_into(channel_llrs, &mut out);
-        out
-    }
-
-    fn decode_into(&mut self, channel_llrs: &[f64], out: &mut DecodeResult) {
-        assert_eq!(channel_llrs.len(), self.graph.var_count(), "LLR length mismatch");
-        match &mut self.core {
-            Core::F64(e) => e.decode_into(&self.graph, &self.config, channel_llrs, out),
-            Core::F32(e) => e.decode_into(&self.graph, &self.config, channel_llrs, out),
-        }
-    }
-
-    fn set_max_iterations(&mut self, max_iterations: usize) {
-        self.config.max_iterations = max_iterations;
-    }
-
-    fn name(&self) -> &'static str {
-        "layered"
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flooding::FloodingDecoder;
     use crate::test_support::{noisy_llrs, small_code};
+    use crate::{Decoder, FloodingDecoder, Precision};
+    use std::sync::Arc;
 
     #[test]
     fn corrects_noisy_frame() {

@@ -14,6 +14,10 @@
 //!   cycle-accurate hardware core reproduces bit-exactly;
 //! * [`CheckRule`] — sum-product (Eq. 5) and min-sum variants.
 //!
+//! The three float schedules are one [`BpDecoder`]: one message store, one
+//! iteration loop with early stop and one epilogue. A schedule is only the
+//! layout it picks at construction and its per-iteration step.
+//!
 //! # Example
 //!
 //! ```
@@ -37,6 +41,7 @@
 #![warn(missing_docs)]
 
 mod bitflip;
+mod bp;
 mod de;
 mod engine;
 mod flooding;
@@ -55,6 +60,7 @@ mod zigzag;
 pub mod test_support;
 
 pub use bitflip::BitFlippingDecoder;
+pub use bp::BpDecoder;
 pub use de::{Density, DensityEvolution};
 pub use engine::{Precision, LLR_CLAMP};
 pub use flooding::FloodingDecoder;

@@ -11,13 +11,14 @@
 //! * only the backward messages must be stored — `E_PN / 2` values instead
 //!   of `E_PN` — halving the parity-message memory.
 //!
-//! The message store is the flat check-major layout of [`crate::engine`].
-//! Each check's parity edges sit at the tail of its contiguous edge range
-//! (left chain edge at `end - 2`, right at `end - 1`), so the sweep writes
-//! the two parity inputs straight into the v2c plane and runs the kernel in
-//! place: the forward message of check `c` *is* `c2v[end(c) - 1]` and the
-//! backward message to parity node `j` *is* `c2v[end(j + 1) - 2]` — no
-//! separate forward/backward arrays and no per-check scratch copies.
+//! The spine's message store ([`crate::bp`]) holds the flat check-major
+//! layout of [`crate::engine`]. Each check's parity edges sit at the tail
+//! of its contiguous edge range (left chain edge at `end - 2`, right at
+//! `end - 1`), so the sweep writes the two parity inputs straight into the
+//! v2c plane and runs the kernel in place: the forward message of check `c`
+//! *is* `c2v[end(c) - 1]` and the backward message to parity node `j` *is*
+//! `c2v[end(j + 1) - 2]` — no separate forward/backward arrays and no
+//! per-check scratch copies.
 //!
 //! The schedule is sequential only *along the chain*. A check's information
 //! edges depend on nothing but the previous iteration's totals — which is
@@ -26,16 +27,15 @@
 //! `Decoupled`): the information edges of every check lane-parallel, one
 //! scalar boxplus per check down the chain, and a lane-parallel combine.
 
+use crate::bp::{BpDecoder, Schedule, Step, Store};
 use crate::engine::{
-    accumulate_totals, accumulate_totals_slotted_tier, chain_combine_pass_tier,
-    chain_info_pass_tier, hard_decisions_into, load_llrs, syndrome_ok_totals, BlockedChecks,
+    accumulate_totals_slotted_tier, chain_combine_pass_tier, chain_info_pass_tier, BlockedChecks,
     Precision,
 };
 use crate::llr_ops::{boxplus_t, CheckRule, LlrFloat};
 use crate::simd::SimdTier;
-use crate::{DecodeResult, Decoder, DecoderConfig};
-use dvbs2_ldpc::{BitVec, TannerGraph};
-use std::sync::Arc;
+use crate::DecoderConfig;
+use dvbs2_ldpc::TannerGraph;
 
 /// Zigzag-schedule decoder for DVB-S2 (IRA) Tanner graphs.
 ///
@@ -49,144 +49,116 @@ use std::sync::Arc;
 /// the table rule, and `f64` exact sum-product, the reference the
 /// seed-embedded regression suite pins bit for bit — runs the scalar
 /// check-by-check sweep.
+pub type ZigzagDecoder = BpDecoder<Zigzag>;
+
+/// The zigzag schedule: the chain-decoupled sweep's state for `f32` exact
+/// sum-product, `None` for the scalar sweep.
 #[derive(Debug, Clone)]
-pub struct ZigzagDecoder {
-    graph: Arc<TannerGraph>,
-    config: DecoderConfig,
-    tier: SimdTier,
-    core: Core,
+pub struct Zigzag(Option<Box<Decoupled>>);
+
+impl Schedule for Zigzag {
+    fn new(graph: &TannerGraph, config: &DecoderConfig) -> Self {
+        assert!(
+            graph.info_len() < graph.var_count(),
+            "zigzag schedule needs a parity chain; use TannerGraph::for_code"
+        );
+        assert_eq!(
+            graph.var_count() - graph.info_len(),
+            graph.check_count(),
+            "IRA structure requires one parity variable per check"
+        );
+        let decoupled = config.precision == Precision::F32 && config.rule == CheckRule::SumProduct;
+        Zigzag(decoupled.then(|| Box::new(Decoupled::new(graph))))
+    }
+
+    /// Edge planes (in the blocked layout's slot order for the decoupled
+    /// sweep) and the next totals.
+    fn lengths(&self, graph: &TannerGraph) -> [usize; 3] {
+        [graph.edge_count(), graph.edge_count(), graph.var_count()]
+    }
+
+    fn name(rule: CheckRule) -> &'static str {
+        match rule {
+            CheckRule::SumProduct => "zigzag sum-product",
+            CheckRule::TableSumProduct => "zigzag table sum-product",
+            CheckRule::NormalizedMinSum(_) => "zigzag normalized min-sum",
+            CheckRule::OffsetMinSum(_) => "zigzag offset min-sum",
+        }
+    }
 }
 
-#[derive(Debug, Clone)]
-enum Core {
-    F64(Engine<f64>),
-    F32(Engine<f32>),
-    /// `f32` exact sum-product: the chain-decoupled sweep.
-    Decoupled(Box<Decoupled>),
+impl Step<f64> for Zigzag {
+    fn step(&mut self, graph: &TannerGraph, rule: &CheckRule, _: SimdTier, m: &mut Store<f64>) {
+        sweep(graph, rule, m);
+    }
 }
 
-/// Message planes and working buffers at one precision.
-#[derive(Debug, Clone)]
-struct Engine<F> {
-    llr: Vec<F>,
-    v2c: Vec<F>,
-    c2v: Vec<F>,
-    totals: Vec<F>,
-    totals_next: Vec<F>,
+impl Step<f32> for Zigzag {
+    fn start(&mut self, m: &mut Store<f32>) {
+        if let Some(decoupled) = &mut self.0 {
+            decoupled.bwd.fill(0.0);
+        }
+        m.totals_from_channel();
+    }
+
+    fn step(&mut self, graph: &TannerGraph, rule: &CheckRule, tier: SimdTier, m: &mut Store<f32>) {
+        match &mut self.0 {
+            Some(decoupled) => decoupled.step(graph, tier, m),
+            None => sweep(graph, rule, m),
+        }
+    }
 }
 
-impl<F: LlrFloat> Engine<F> {
-    fn new(graph: &TannerGraph) -> Self {
-        let edges = graph.edge_count();
-        let vars = graph.var_count();
-        Engine {
-            llr: vec![F::ZERO; vars],
-            v2c: vec![F::ZERO; edges],
-            c2v: vec![F::ZERO; edges],
-            totals: vec![F::ZERO; vars],
-            totals_next: vec![F::ZERO; vars],
+/// One iteration of the scalar check-by-check sweep.
+fn sweep<F: LlrFloat>(graph: &TannerGraph, rule: &CheckRule, m: &mut Store<F>) {
+    let k = graph.info_len();
+    let n_check = graph.check_count();
+    let offsets = graph.check_offsets();
+    let edge_vars = graph.edge_vars();
+
+    // Sequential check-node sweep with immediate forward update, fused with
+    // both variable-node passes: each check gathers its information inputs
+    // from the previous totals (parallel, Eq. 4), runs the kernel in place,
+    // and scatters its fresh extrinsics into the next totals plane while the
+    // slice is cache-hot.
+    m.next.fill(F::ZERO);
+    for c in 0..n_check {
+        let start = offsets[c] as usize;
+        let end = offsets[c + 1] as usize;
+        for ((x, &v), &msg) in
+            m.v2c[start..end].iter_mut().zip(&edge_vars[start..end]).zip(&m.c2v[start..end])
+        {
+            *x = m.totals[v as usize] - msg;
+        }
+        if c > 0 {
+            // Left parity input PN_{c-1} -> CN_c: this sweep's fresh forward
+            // message — the right-edge output of check c-1, still warm at the
+            // tail of the previous range (the paper's key optimization).
+            m.v2c[end - 2] = m.llr[k + c - 1] + m.c2v[start - 1];
+        }
+        // Right parity input PN_c -> CN_c: last iteration's backward message
+        // — the left-edge slot of check c+1, not yet overwritten by this
+        // sweep (parallel backward update).
+        m.v2c[end - 1] = m.llr[k + c]
+            + if c + 1 < n_check { m.c2v[offsets[c + 2] as usize - 2] } else { F::ZERO };
+        rule.extrinsic_t(&m.v2c[start..end], &mut m.c2v[start..end]);
+        for (&v, &msg) in edge_vars[start..end].iter().zip(&m.c2v[start..end]) {
+            m.next[v as usize] += msg;
         }
     }
 
-    /// One full decode into `out`: the scalar check-by-check sweep.
-    /// Allocation-free once `out.bits` has the codeword length (the first
-    /// call sizes it).
-    fn decode_into(
-        &mut self,
-        graph: &TannerGraph,
-        config: &DecoderConfig,
-        channel_llrs: &[f64],
-        out: &mut DecodeResult,
-    ) {
-        load_llrs(&mut self.llr, channel_llrs);
-        let k = graph.info_len();
-        let n_check = graph.check_count();
-        let offsets = graph.check_offsets();
-        let edge_vars = graph.edge_vars();
-
-        self.c2v.fill(F::ZERO);
-        // First-iteration gather sources: totals = llr plus all-zero messages.
-        accumulate_totals(edge_vars, &self.llr, &self.c2v, &mut self.totals);
-        let mut iterations = 0;
-        let mut converged = false;
-
-        for _ in 0..config.max_iterations {
-            iterations += 1;
-
-            // Sequential check-node sweep with immediate forward update,
-            // fused with both variable-node passes: each check gathers its
-            // information inputs from the previous totals (parallel, Eq. 4),
-            // runs the kernel in place, and scatters its fresh extrinsics
-            // into the next totals plane while the slice is cache-hot.
-            self.totals_next.fill(F::ZERO);
-            for c in 0..n_check {
-                let start = offsets[c] as usize;
-                let end = offsets[c + 1] as usize;
-                for ((x, &v), &m) in self.v2c[start..end]
-                    .iter_mut()
-                    .zip(&edge_vars[start..end])
-                    .zip(&self.c2v[start..end])
-                {
-                    *x = self.totals[v as usize] - m;
-                }
-                if c > 0 {
-                    // Left parity input PN_{c-1} -> CN_c: this sweep's fresh
-                    // forward message — the right-edge output of check c-1,
-                    // still warm at the tail of the previous range (the
-                    // paper's key optimization).
-                    self.v2c[end - 2] = self.llr[k + c - 1] + self.c2v[start - 1];
-                }
-                // Right parity input PN_c -> CN_c: last iteration's backward
-                // message — the left-edge slot of check c+1, not yet
-                // overwritten by this sweep (parallel backward update).
-                self.v2c[end - 1] = self.llr[k + c]
-                    + if c + 1 < n_check { self.c2v[offsets[c + 2] as usize - 2] } else { F::ZERO };
-                config.rule.extrinsic_t(&self.v2c[start..end], &mut self.c2v[start..end]);
-                for (&v, &m) in edge_vars[start..end].iter().zip(&self.c2v[start..end]) {
-                    self.totals_next[v as usize] += m;
-                }
-            }
-
-            // A-posteriori totals: channel LLR on top of the scattered sums
-            // for the information variables, the chain's forward + backward
-            // form for parity (overwriting the parity-edge scatter).
-            for (t, &l) in self.totals_next.iter_mut().zip(&self.llr) {
-                *t = l + *t;
-            }
-            for j in 0..n_check {
-                let forward = self.c2v[offsets[j + 1] as usize - 1];
-                let backward =
-                    if j + 1 < n_check { self.c2v[offsets[j + 2] as usize - 2] } else { F::ZERO };
-                self.totals_next[k + j] = self.llr[k + j] + forward + backward;
-            }
-            std::mem::swap(&mut self.totals, &mut self.totals_next);
-            if config.early_stop && syndrome_ok_totals(graph, &self.totals) {
-                converged = true;
-                break;
-            }
-        }
-        self.finish(graph, iterations, converged, out);
+    // A-posteriori totals: channel LLR on top of the scattered sums for the
+    // information variables, the chain's forward + backward form for parity
+    // (overwriting the parity-edge scatter).
+    for (t, &l) in m.next.iter_mut().zip(&m.llr) {
+        *t = l + *t;
     }
-
-    /// Post-loop epilogue shared with [`Decoupled`]: final syndrome check when
-    /// the loop ran to the cap, then hard decisions into `out`.
-    fn finish(
-        &mut self,
-        graph: &TannerGraph,
-        iterations: usize,
-        mut converged: bool,
-        out: &mut DecodeResult,
-    ) {
-        if !converged {
-            converged = syndrome_ok_totals(graph, &self.totals);
-        }
-        if out.bits.len() != self.totals.len() {
-            out.bits = BitVec::zeros(self.totals.len());
-        }
-        hard_decisions_into(&self.totals, &mut out.bits);
-        out.iterations = iterations;
-        out.converged = converged;
+    for j in 0..n_check {
+        let forward = m.c2v[offsets[j + 1] as usize - 1];
+        let backward = if j + 1 < n_check { m.c2v[offsets[j + 2] as usize - 2] } else { F::ZERO };
+        m.next[k + j] = m.llr[k + j] + forward + backward;
     }
+    std::mem::swap(&mut m.totals, &mut m.next);
 }
 
 /// The chain-decoupled zigzag sweep for `f32` exact sum-product.
@@ -211,19 +183,12 @@ impl<F: LlrFloat> Engine<F> {
 ///
 /// Built only for the decoders that take this path: the column-major
 /// layout and the per-check chain arrays are memory the other rules'
-/// engines should not carry.
+/// stores should not carry. The store's planes are in `blocked`'s slot
+/// order.
 #[derive(Debug, Clone)]
 struct Decoupled {
-    /// Message planes in `blocked`'s slot order.
-    planes: Engine<f32>,
     blocked: BlockedChecks,
-    chain: Chain,
-}
-
-/// Per-check state of the chain-decoupled sweep, indexed by check.
-#[derive(Debug, Clone)]
-struct Chain {
-    /// `I_c`.
+    /// `I_c`, like every array below indexed by check.
     info_fold: Vec<f32>,
     /// `L_c` and `R_c` (`L_0` is unused: check 0 has no left edge).
     left_in: Vec<f32>,
@@ -236,15 +201,37 @@ struct Chain {
     bwd: Vec<f32>,
 }
 
-impl Chain {
-    fn new(n_check: usize) -> Self {
-        Chain {
+impl Decoupled {
+    fn new(graph: &TannerGraph) -> Self {
+        let n_check = graph.check_count();
+        Decoupled {
+            blocked: BlockedChecks::for_chain(graph),
             info_fold: vec![0.0; n_check],
             left_in: vec![0.0; n_check],
             right_in: vec![0.0; n_check],
             fwd: vec![0.0; n_check],
             bwd: vec![0.0; n_check + 1],
         }
+    }
+
+    /// One iteration: phases A, B and C, then the totals in edge order.
+    fn step(&mut self, graph: &TannerGraph, tier: SimdTier, m: &mut Store<f32>) {
+        let (totals, info_fold) = (&m.totals, &mut self.info_fold);
+        chain_info_pass_tier(tier, &self.blocked, totals, &mut m.v2c, &mut m.c2v, info_fold);
+        self.forward(&m.llr[graph.info_len()..]);
+        chain_combine_pass_tier(
+            tier,
+            &self.blocked,
+            &mut m.c2v,
+            &self.info_fold,
+            &self.left_in,
+            &self.right_in,
+            &self.fwd,
+            &mut self.bwd,
+        );
+        let (edge_vars, slots) = (graph.edge_vars(), self.blocked.edge_to_slot());
+        accumulate_totals_slotted_tier(tier, edge_vars, slots, &m.llr, &m.c2v, &mut m.next);
+        std::mem::swap(&mut m.totals, &mut m.next);
     }
 
     /// Phase B: the forward recurrence down the chain, and every check's
@@ -265,151 +252,13 @@ impl Chain {
     }
 }
 
-impl Decoupled {
-    fn new(graph: &TannerGraph) -> Self {
-        Decoupled {
-            planes: Engine::new(graph),
-            blocked: BlockedChecks::for_chain(graph),
-            chain: Chain::new(graph.check_count()),
-        }
-    }
-
-    /// One full decode into `out`; allocation-free like [`Engine::decode_into`].
-    fn decode_into(
-        &mut self,
-        graph: &TannerGraph,
-        config: &DecoderConfig,
-        tier: SimdTier,
-        channel_llrs: &[f64],
-        out: &mut DecodeResult,
-    ) {
-        let k = graph.info_len();
-        let edge_vars = graph.edge_vars();
-        load_llrs(&mut self.planes.llr, channel_llrs);
-        self.planes.c2v.fill(0.0);
-        self.chain.bwd.fill(0.0);
-        // First-iteration gather sources: totals = llr plus all-zero messages.
-        accumulate_totals(edge_vars, &self.planes.llr, &self.planes.c2v, &mut self.planes.totals);
-        let mut iterations = 0;
-        let mut converged = false;
-
-        for _ in 0..config.max_iterations {
-            iterations += 1;
-            chain_info_pass_tier(
-                tier,
-                &self.blocked,
-                &self.planes.totals,
-                &mut self.planes.v2c,
-                &mut self.planes.c2v,
-                &mut self.chain.info_fold,
-            );
-            self.chain.forward(&self.planes.llr[k..]);
-            chain_combine_pass_tier(
-                tier,
-                &self.blocked,
-                &mut self.planes.c2v,
-                &self.chain.info_fold,
-                &self.chain.left_in,
-                &self.chain.right_in,
-                &self.chain.fwd,
-                &mut self.chain.bwd,
-            );
-            accumulate_totals_slotted_tier(
-                tier,
-                edge_vars,
-                self.blocked.edge_to_slot(),
-                &self.planes.llr,
-                &self.planes.c2v,
-                &mut self.planes.totals_next,
-            );
-            std::mem::swap(&mut self.planes.totals, &mut self.planes.totals_next);
-            if config.early_stop && syndrome_ok_totals(graph, &self.planes.totals) {
-                converged = true;
-                break;
-            }
-        }
-        self.planes.finish(graph, iterations, converged, out);
-    }
-}
-
-impl ZigzagDecoder {
-    /// Creates a decoder for a DVB-S2 Tanner graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has no parity chain (`info_len == var_count`),
-    /// or if `config.simd` forces a SIMD tier this CPU does not support.
-    pub fn new(graph: Arc<TannerGraph>, config: DecoderConfig) -> Self {
-        assert!(
-            graph.info_len() < graph.var_count(),
-            "zigzag schedule needs a parity chain; use TannerGraph::for_code"
-        );
-        assert_eq!(
-            graph.var_count() - graph.info_len(),
-            graph.check_count(),
-            "IRA structure requires one parity variable per check"
-        );
-        let tier = SimdTier::resolve(config.simd);
-        let core = match (config.precision, config.rule) {
-            (Precision::F64, _) => Core::F64(Engine::new(&graph)),
-            (Precision::F32, CheckRule::SumProduct) => {
-                Core::Decoupled(Box::new(Decoupled::new(&graph)))
-            }
-            (Precision::F32, _) => Core::F32(Engine::new(&graph)),
-        };
-        ZigzagDecoder { graph, config, tier, core }
-    }
-
-    /// The decoder configuration.
-    pub fn config(&self) -> &DecoderConfig {
-        &self.config
-    }
-
-    /// The SIMD dispatch tier the `f32` exact sum-product sweep runs on
-    /// (every other rule and precision is scalar regardless).
-    pub fn simd_tier(&self) -> SimdTier {
-        self.tier
-    }
-}
-
-impl Decoder for ZigzagDecoder {
-    fn decode(&mut self, channel_llrs: &[f64]) -> DecodeResult {
-        let mut out = DecodeResult::default();
-        self.decode_into(channel_llrs, &mut out);
-        out
-    }
-
-    fn decode_into(&mut self, channel_llrs: &[f64], out: &mut DecodeResult) {
-        assert_eq!(channel_llrs.len(), self.graph.var_count(), "LLR length mismatch");
-        match &mut self.core {
-            Core::F64(e) => e.decode_into(&self.graph, &self.config, channel_llrs, out),
-            Core::F32(e) => e.decode_into(&self.graph, &self.config, channel_llrs, out),
-            Core::Decoupled(e) => {
-                e.decode_into(&self.graph, &self.config, self.tier, channel_llrs, out)
-            }
-        }
-    }
-
-    fn set_max_iterations(&mut self, max_iterations: usize) {
-        self.config.max_iterations = max_iterations;
-    }
-
-    fn name(&self) -> &'static str {
-        match self.config.rule {
-            CheckRule::SumProduct => "zigzag sum-product",
-            CheckRule::TableSumProduct => "zigzag table sum-product",
-            CheckRule::NormalizedMinSum(_) => "zigzag normalized min-sum",
-            CheckRule::OffsetMinSum(_) => "zigzag offset min-sum",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flooding::FloodingDecoder;
     use crate::test_support::{llrs_for_codeword, noisy_llrs, small_code, SplitMix64};
+    use crate::{Decoder, FloodingDecoder};
     use dvbs2_ldpc::BitVec;
+    use std::sync::Arc;
 
     #[test]
     fn noiseless_codeword_converges_immediately() {

@@ -17,22 +17,31 @@ use dvbs2_decoder::{
 use dvbs2_ldpc::BitVec;
 use std::sync::Arc;
 
-/// Every soft decoder in the matrix, both precisions where applicable; the
-/// quantized decoder on each of its paths (sequential, scalar fused over
-/// the 360-lane rotation cut, SIMD lane planes over the same cut).
+/// Every soft decoder in the matrix: every core the float schedules pick —
+/// flooding on its rotation, blocked and edge planes, zigzag on its scalar
+/// sweep and its chain-decoupled one, layered — at both precisions where the
+/// core has two; the quantized decoder on each of its paths (sequential,
+/// scalar fused over the 360-lane rotation cut, SIMD lane planes over the
+/// same cut).
 fn soft_decoders(graph: &Arc<dvbs2_ldpc::TannerGraph>) -> Vec<Box<dyn Decoder>> {
     let f64_cfg = DecoderConfig::default();
     let f32_cfg = DecoderConfig::default().with_precision(Precision::F32);
     let ms_cfg = DecoderConfig::default().with_rule(CheckRule::NormalizedMinSum(0.8));
+    let ms_f32_cfg = ms_cfg.with_precision(Precision::F32);
+    let table_f32_cfg = f32_cfg.with_rule(CheckRule::TableSumProduct);
     let lut = || QCheckArithmetic::lut(Quantizer::paper_6bit());
     let cut = || rotation_partition(graph);
     vec![
         Box::new(FloodingDecoder::new(Arc::clone(graph), f64_cfg)),
         Box::new(FloodingDecoder::new(Arc::clone(graph), f32_cfg)),
         Box::new(FloodingDecoder::new(Arc::clone(graph), ms_cfg)),
+        Box::new(FloodingDecoder::new(Arc::clone(graph), ms_f32_cfg)),
+        Box::new(FloodingDecoder::new(Arc::clone(graph), table_f32_cfg)),
         Box::new(ZigzagDecoder::new(Arc::clone(graph), f64_cfg)),
         Box::new(ZigzagDecoder::new(Arc::clone(graph), f32_cfg)),
+        Box::new(ZigzagDecoder::new(Arc::clone(graph), ms_f32_cfg)),
         Box::new(LayeredDecoder::new(Arc::clone(graph), f64_cfg)),
+        Box::new(LayeredDecoder::new(Arc::clone(graph), f32_cfg)),
         Box::new(QuantizedZigzagDecoder::new(Arc::clone(graph), Quantizer::paper_6bit(), f64_cfg)),
         Box::new(QuantizedZigzagDecoder::with_partition_fused(
             Arc::clone(graph),

@@ -9,7 +9,8 @@
 //! `DVBS2_SIMD` variable is exercised end-to-end by the CI matrix instead).
 //! Unavailable tiers are skipped, so the suite passes on any x86-64 CPU and
 //! on non-x86 targets — on this ladder `scalar` is always available. The
-//! last test pins, directly on `FloodingDecoder`, that forcing one panics.
+//! last test pins, directly on each single-frame decoder, that forcing one
+//! panics.
 
 use dvbs2_decoder::test_support::{noisy_llrs, small_code};
 use dvbs2_decoder::{
@@ -124,17 +125,18 @@ fn fixed_iteration_contract_matches_single_frame() {
     }
 }
 
-/// Forcing an unavailable tier panics instead of silently falling back.
+/// Forcing an unavailable tier panics instead of silently falling back, on
+/// every schedule.
 #[test]
 fn unavailable_forced_tier_panics() {
     let unavailable: Vec<SimdTier> =
         SimdTier::ALL.into_iter().filter(|t| !t.is_available()).collect();
-    for tier in unavailable {
-        let (_, graph) = small_code();
+    let graph = Arc::new(small_code().1);
+    for (tier, schedule) in unavailable.into_iter().flat_map(|t| SCHEDULES.map(|s| (t, s))) {
         let config = DecoderConfig::default()
             .with_rule(CheckRule::NormalizedMinSum(0.8))
             .with_simd_tier(Some(tier));
-        let result = std::panic::catch_unwind(|| FloodingDecoder::new(Arc::new(graph), config));
-        assert!(result.is_err(), "{tier:?} should be rejected on this CPU");
+        let result = std::panic::catch_unwind(|| single_frame(&graph, config, schedule));
+        assert!(result.is_err(), "{schedule:?}: {tier:?} should be rejected on this CPU");
     }
 }

@@ -287,7 +287,9 @@ impl HardwareDecoder {
 
     /// Quantizes float channel LLRs with the core's quantizer.
     pub fn quantize_channel(&self, llrs: &[f64]) -> Vec<i32> {
-        llrs.iter().map(|&l| self.config.quantizer.quantize(l)).collect()
+        let mut channel = vec![0; llrs.len()];
+        self.config.quantizer.quantize_into(llrs, &mut channel);
+        channel
     }
 
     /// Decodes float channel LLRs (quantizing them first).

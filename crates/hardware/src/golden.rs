@@ -143,8 +143,9 @@ impl GoldenModel {
 
     /// Quantizes float channel LLRs with the model's quantizer.
     pub fn quantize_channel(&self, llrs: &[f64]) -> Vec<i32> {
-        let q = self.fu.quantizer();
-        llrs.iter().map(|&l| q.quantize(l)).collect()
+        let mut channel = vec![0; llrs.len()];
+        self.fu.quantizer().quantize_into(llrs, &mut channel);
+        channel
     }
 
     /// Injects (or clears) a single permanently stuck/flipping RAM word —
