@@ -293,6 +293,12 @@ const EARLY_STOP_COST_GATE: f64 = 1.25;
 const RECORDED_MIN_SUM_F32_SPEEDUP: f64 = 19.0;
 const MIN_SUM_SPEEDUP_GATE: f64 = 0.75;
 
+/// The least `zigzag_min_sum_f32` may decode against `flooding_min_sum_f32`
+/// in the same run, a ratio that travels between hosts. Both run on the
+/// rotation planes; a zigzag iteration adds the information fold and the
+/// forward chain to flooding's passes and reads about 0.6–0.8x of it.
+const ZIGZAG_VS_FLOODING_GATE: f64 = 0.5;
+
 /// The clear-sky profile `serve_clear_sky` serves on every slot.
 fn clear_sky() -> DecoderConfig {
     DecoderConfig::default()
@@ -500,7 +506,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mbps("zigzag_sum_product_f32") / PR11_ZIGZAG_SUM_PRODUCT_F32_MBPS;
     let speedup_quantized_simd_vs_fused =
         mbps("quantized_partitioned_simd") / mbps("quantized_partitioned_fused");
+    let zigzag_vs_flooding = mbps("zigzag_min_sum_f32") / mbps("flooding_min_sum_f32");
     println!("\nspeedup (flooding_min_sum_f32 vs seed): {speedup:.2}x");
+    println!("zigzag_min_sum_f32 vs flooding_min_sum_f32: {zigzag_vs_flooding:.2}x");
     println!(
         "speedup (flooding_table_sum_product_f32 vs PR-4 sum-product {PR4_SUM_PRODUCT_F32_MBPS} \
          Mbit/s): {speedup_table_vs_pr4:.2}x"
@@ -545,6 +553,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "decoded Mbit/s; coded counts all N bits per frame, info counts the K systematic bits",
         )
         .with("speedup_min_sum_f32_vs_seed", Json::Num(speedup, 3))
+        .with("zigzag_min_sum_vs_flooding_f32", Json::Num(zigzag_vs_flooding, 3))
         .with("pr4_sum_product_f32_mbps", Json::Num(PR4_SUM_PRODUCT_F32_MBPS, 3))
         .with("speedup_sum_product_vs_pr4", Json::Num(speedup_table_vs_pr4, 3))
         .with(
@@ -612,6 +621,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!(
             "FAIL: flooding_min_sum_f32 is {speedup:.2}x the seed decoder, below {MIN_SUM_SPEEDUP_GATE} \
              of the recorded {RECORDED_MIN_SUM_F32_SPEEDUP:.1}x"
+        );
+        std::process::exit(1);
+    }
+    // The zigzag min-sum decoder must keep pace with flooding on the planes.
+    if zigzag_vs_flooding < ZIGZAG_VS_FLOODING_GATE {
+        eprintln!(
+            "FAIL: zigzag_min_sum_f32 is {zigzag_vs_flooding:.2}x flooding_min_sum_f32 \
+             (gate {ZIGZAG_VS_FLOODING_GATE}x)"
         );
         std::process::exit(1);
     }

@@ -121,6 +121,16 @@ impl<S: Schedule> BpDecoder<S> {
     /// build the graph with [`TannerGraph::for_code`]).
     pub fn new(graph: Arc<TannerGraph>, config: DecoderConfig) -> Self {
         let schedule = S::new(&graph, &config);
+        Self::with_schedule(graph, config, schedule)
+    }
+
+    /// A decoder on the layout `schedule` holds, whichever `S::new` would
+    /// pick: the exactness tests force the scalar reference this way.
+    pub(crate) fn with_schedule(
+        graph: Arc<TannerGraph>,
+        config: DecoderConfig,
+        schedule: S,
+    ) -> Self {
         let tier = SimdTier::resolve(config.simd);
         let (vars, lengths) = (graph.var_count(), schedule.lengths(&graph));
         let core = match config.precision {
@@ -315,8 +325,12 @@ mod tests {
         // its slot in `c2v`.
         let rows = graph.check_count() / 360;
         let row = (edges + 1) / rows;
-        let rotation = FloodingDecoder::new(Arc::clone(&graph), min_sum);
-        assert_eq!(lengths(&rotation.core), [vars, row, edges + 1, vars, vars]);
+        let flooding = FloodingDecoder::new(Arc::clone(&graph), min_sum);
+        assert_eq!(lengths(&flooding.core), [vars, row, edges + 1, vars, vars]);
+        // The zigzag planes too: no edge-sized plane beside `c2v`, and
+        // `next` holds the information folds during an iteration.
+        let zigzag = ZigzagDecoder::new(Arc::clone(&graph), min_sum);
+        assert_eq!(lengths(&zigzag.core), [vars, row, edges + 1, vars, vars]);
         for precision in [Precision::F64, Precision::F32] {
             let config = DecoderConfig::default().with_precision(precision);
             let flooding = FloodingDecoder::new(Arc::clone(&graph), config);

@@ -16,7 +16,11 @@
 //!
 //! The three float schedules are one [`BpDecoder`]: one message store, one
 //! iteration loop with early stop and one epilogue. A schedule is only the
-//! layout it picks at construction and its per-iteration step.
+//! layout it picks at construction and its per-iteration step. Under
+//! flooding and zigzag alike, the min-sum rules on a DVB-S2 graph run on the
+//! rotation planes, the paper's 360 functional units as vector lanes; the
+//! zigzag's forward chain runs there as 360 sub-chains side by side,
+//! bit-identical to the check-by-check sweep.
 //!
 //! # Example
 //!
@@ -50,6 +54,7 @@ mod llr_ops;
 mod qdecoder;
 mod qsimd;
 mod quant;
+mod rotation;
 mod simd;
 mod stopping;
 mod threshold;

@@ -82,6 +82,9 @@ pub trait LlrFloat:
     /// Exact value selection with no data-dependent branch; used where the
     /// condition is unpredictable (e.g. "is this the minimum edge?").
     fn select(take_a: bool, a: Self, b: Self) -> Self;
+    /// The bit pattern, widened to `u64`: two values have equal `bits`
+    /// exactly when they are bit-identical (`0.0` and `-0.0` differ).
+    fn bits(self) -> u64;
 }
 
 macro_rules! impl_llr_float {
@@ -134,6 +137,10 @@ macro_rules! impl_llr_float {
             fn select(take_a: bool, a: Self, b: Self) -> Self {
                 let mask = (take_a as $b).wrapping_neg();
                 <$t>::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
+            }
+            #[inline]
+            fn bits(self) -> u64 {
+                self.to_bits().into()
             }
         }
     )*};

@@ -1,0 +1,300 @@
+//! The rotation planes of a DVB-S2 graph (DESIGN.md §7.10): the paper's 360
+//! functional units as float lanes. Check `c = u·q + r` is lane `u` of
+//! residue row `r`, so every pass reads and writes dense rotated slices
+//! with no index planes. The flooding and the zigzag min-sum steps run on
+//! the one layout; this module holds what they share — the plan, the
+//! transposition in and out of the store, the information gather, the
+//! variable-node pass and the syndrome test.
+
+use crate::bp::Store;
+use crate::engine::{tier_clones, MinSumLanes};
+use crate::llr_ops::LlrFloat;
+use crate::qsimd::{build_rotation, lane_edge_slots, rotation_order, RotEntry};
+use crate::simd::SimdTier;
+use dvbs2_ldpc::{TannerGraph, PARALLELISM as LANES};
+use std::ops::Range;
+
+/// The rotation planes of a DVB-S2 graph: row `r` is `stride = info_d + 2`
+/// columns of 360 lanes back to back in `c2v`, the information columns,
+/// then the left and the right parity column. Parity totals and channel
+/// values are transposed to `[k + r·360 + u]`.
+#[derive(Debug, Clone)]
+pub(crate) struct RotationPlanes {
+    pub(crate) k: usize,
+    pub(crate) q: usize,
+    pub(crate) stride: usize,
+    /// Information column `i` of row `r` at `info[r·info_d + i]`.
+    info: Vec<RotEntry>,
+    /// Runs of information variables that meet their checks in one order
+    /// on every lane, each with its range of `terms`: the `c2v` offsets of
+    /// its first variable's messages, in ascending check order.
+    segments: Vec<(Range<usize>, Range<usize>)>,
+    terms: Vec<usize>,
+}
+
+impl RotationPlanes {
+    /// The planes of `graph`, or `None` without the structure: `K` and
+    /// `M = N − K` whole 360-blocks, check `c`'s inputs `info_d >= 2`
+    /// information edges followed by parities `K + c − 1` (unless `c = 0`)
+    /// and `K + c`, and every lane of every row a rotation of lane 0.
+    pub(crate) fn build(graph: &TannerGraph) -> Option<Self> {
+        let (k, m) = (graph.info_len(), graph.check_count());
+        if !k.is_multiple_of(LANES) || graph.var_count() != k + m {
+            return None;
+        }
+        // Check 0 then has degree >= 3, the min-sum stripe's domain.
+        let info_d = graph.check_degree(0).checked_sub(1).filter(|&d| d >= 2)?;
+        let (offsets, vars) = (graph.check_offsets(), graph.edge_vars());
+        let ira = (0..m).all(|c| {
+            let inputs = &vars[offsets[c] as usize..offsets[c + 1] as usize];
+            let parity = (k + c.max(1) - 1) as u32..=(k + c) as u32;
+            inputs.get(info_d..).is_some_and(|p| p.iter().copied().eq(parity))
+                && inputs[..info_d].iter().all(|&v| (v as usize) < k)
+        });
+        if !ira {
+            return None;
+        }
+        let (q, stride) = (m / LANES, info_d + 2);
+        let order = rotation_order(graph)?;
+        let slots = lane_edge_slots(graph, Some(&order), LANES, q, stride, info_d);
+        let info = build_rotation(graph, &slots, LANES, q, stride, info_d)?;
+
+        let mut by_block = vec![Vec::new(); k / LANES];
+        for (j, column) in info.iter().enumerate() {
+            let (block, off) = column.block_and_off(LANES);
+            by_block[block / LANES].push((j / info_d, column.base as usize, off));
+        }
+        let (mut segments, mut terms) = (Vec::new(), Vec::new());
+        for (b, columns) in by_block.iter().enumerate() {
+            // Variable `w` of the block is lane `(w − off) mod 360` of a
+            // column: between two offsets no lane wraps, so every lane's
+            // checks keep the order they have at the segment's start.
+            let mut cuts: Vec<usize> = columns.iter().map(|c| c.2).chain([0, LANES]).collect();
+            cuts.sort_unstable();
+            cuts.dedup();
+            for cut in cuts.windows(2) {
+                let mut run: Vec<(usize, usize)> = columns
+                    .iter()
+                    .map(|&(r, base, off)| {
+                        let u = (cut[0] + LANES - off) % LANES;
+                        (u * q + r, base + u)
+                    })
+                    .collect();
+                run.sort_unstable();
+                let first = terms.len();
+                terms.extend(run.iter().map(|&(_, at)| at));
+                segments.push((b * LANES + cut[0]..b * LANES + cut[1], first..terms.len()));
+            }
+        }
+        Some(RotationPlanes { k, q, stride, info, segments, terms })
+    }
+
+    /// The store's `v2c`, `c2v` and `next` lengths on the planes: one row
+    /// of scratch, the `q` rows, and a working buffer of the codeword's
+    /// length for the transpositions.
+    pub(crate) fn lengths(&self, graph: &TannerGraph) -> [usize; 3] {
+        let row = self.stride * LANES;
+        [row, self.q * row, graph.var_count()]
+    }
+
+    /// The information columns of row `r`.
+    #[inline(always)]
+    pub(crate) fn info_columns(&self, r: usize) -> &[RotEntry] {
+        let info_d = self.stride - 2;
+        &self.info[r * info_d..][..info_d]
+    }
+
+    /// Moves the parity channel into the planes' order and sets the first
+    /// iteration's totals.
+    pub(crate) fn start<F: LlrFloat>(&self, m: &mut Store<F>) {
+        self.reorder(&m.llr, &mut m.next, true);
+        std::mem::swap(&mut m.llr, &mut m.next);
+        m.totals_from_channel();
+    }
+
+    /// Moves the parity totals back to natural variable order.
+    pub(crate) fn finish<F: LlrFloat>(&self, m: &mut Store<F>) {
+        self.reorder(&m.totals, &mut m.next, false);
+        std::mem::swap(&mut m.totals, &mut m.next);
+    }
+
+    /// Copies `from` into `to` with the parity half moved from natural
+    /// order into the planes' transposed one (`into_planes`) or back.
+    fn reorder<F: Copy>(&self, from: &[F], to: &mut [F], into_planes: bool) {
+        let k = self.k;
+        to[..k].copy_from_slice(&from[..k]);
+        for r in 0..self.q {
+            for u in 0..LANES {
+                let (natural, plane) = (k + u * self.q + r, k + r * LANES + u);
+                if into_planes {
+                    to[plane] = from[natural];
+                } else {
+                    to[natural] = from[plane];
+                }
+            }
+        }
+    }
+}
+
+/// Evaluates `$body` with `$correct` bound to the min-sum rule `$rule`'s
+/// magnitude correction at precision `$f` (`mag·α` normalized,
+/// `max(mag − β, 0)` offset): each rule monomorphizes its own pass.
+macro_rules! min_sum_correction {
+    ($rule:expr, $f:ty, |$correct:ident| $body:expr) => {
+        match *$rule {
+            $crate::CheckRule::NormalizedMinSum(alpha) => {
+                let alpha = <$f as $crate::LlrFloat>::from_f64(alpha);
+                let $correct = move |mag: $f| mag * alpha;
+                $body
+            }
+            $crate::CheckRule::OffsetMinSum(beta) => {
+                let beta = <$f as $crate::LlrFloat>::from_f64(beta);
+                let $correct = move |mag: $f| (mag - beta).max(<$f as $crate::LlrFloat>::ZERO);
+                $body
+            }
+            _ => unreachable!("the rotation planes serve the min-sum rules only"),
+        }
+    };
+}
+pub(crate) use min_sum_correction;
+
+/// The block of information totals `column` reads, rotated: lanes
+/// `0..360 − off` read the first piece, the rest the second.
+#[inline(always)]
+pub(crate) fn rotated<'a, F>(info: &'a [F], column: &RotEntry) -> (&'a [F], &'a [F]) {
+    let (block, off) = column.block_and_off(LANES);
+    (&info[block + off..block + LANES], &info[block..block + off])
+}
+
+/// `out = a − b`, lane by lane.
+#[inline(always)]
+pub(crate) fn subtract<F: LlrFloat>(out: &mut [F], a: &[F], b: &[F]) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = x - y;
+    }
+}
+
+/// `out = a + b`, lane by lane.
+#[inline(always)]
+pub(crate) fn add<F: LlrFloat>(out: &mut [F], a: &[F], b: &[F]) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = x + y;
+    }
+}
+
+/// Gathers the information columns of row `r` into the one-row `v2c`
+/// (`totals − c2v`, column `j` at `[j·360..]`) and folds each into `lanes`.
+#[inline(always)]
+pub(crate) fn fold_info_columns<F: LlrFloat>(
+    planes: &RotationPlanes,
+    r: usize,
+    info: &[F],
+    v2c: &mut [F],
+    c2v_row: &[F],
+    lanes: &mut MinSumLanes<F>,
+) {
+    for (j, column) in planes.info_columns(r).iter().enumerate() {
+        let (inputs, old) = (&mut v2c[j * LANES..][..LANES], &c2v_row[j * LANES..][..LANES]);
+        let (head, tail) = rotated(info, column);
+        let (lo, hi) = inputs.split_at_mut(head.len());
+        subtract(lo, head, &old[..head.len()]);
+        subtract(hi, tail, &old[head.len()..]);
+        lanes.fold(j, inputs);
+    }
+}
+
+/// Variable-node half-iteration over the rotation planes. Information
+/// totals in the scalar passes' order `llr + (((0 + m_c1) + m_c2) + …)`
+/// over checks `c1 < c2 < …`, by segment. Parity `K + c` is
+/// `parity(llr, R, Some(L))`: its right message from check `c`, its left
+/// one from `c + 1` (row 0 one lane up after row `q − 1`), and `None` for
+/// the last parity bit, which has no left message. Each schedule passes
+/// its scalar reference's association.
+#[inline(always)]
+pub(crate) fn rotation_vn_pass<F: LlrFloat>(
+    planes: &RotationPlanes,
+    llr: &[F],
+    c2v: &[F],
+    totals: &mut [F],
+    parity: impl Fn(F, F, Option<F>) -> F,
+) {
+    let k = planes.k;
+    let (info, parity_totals) = totals.split_at_mut(k);
+    for (vars, terms) in &planes.segments {
+        let t = &mut info[vars.clone()];
+        t.fill(F::ZERO);
+        for &at in &planes.terms[terms.clone()] {
+            for (t, &m) in t.iter_mut().zip(&c2v[at..]) {
+                *t += m;
+            }
+        }
+        for (t, &l) in t.iter_mut().zip(&llr[vars.clone()]) {
+            *t = l + *t;
+        }
+    }
+    let (q, d) = (planes.q, planes.stride);
+    let column = |r: usize, j: usize| &c2v[(r * d + j) * LANES..][..LANES];
+    let rows = parity_totals.chunks_exact_mut(LANES).zip(llr[k..].chunks_exact(LANES));
+    for (r, (t, l)) in rows.enumerate() {
+        let right = column(r, d - 1);
+        let left = if r + 1 < q { column(r + 1, d - 2) } else { &column(0, d - 2)[1..] };
+        for (((t, &l), &m_right), &m_left) in t.iter_mut().zip(l).zip(right).zip(left) {
+            *t = parity(l, m_right, Some(m_left));
+        }
+        if r + 1 == q {
+            t[LANES - 1] = parity(l[LANES - 1], right[LANES - 1], None);
+        }
+    }
+}
+
+/// `syndrome_ok_totals` on the rotation planes: per row, the XOR of the
+/// decisions (`x < 0`) of its information slices and of its own and its
+/// left neighbour's parity rows, one OR-reduce, out at the first failure.
+#[inline(always)]
+fn rotation_syndrome<F: LlrFloat>(planes: &RotationPlanes, totals: &[F]) -> bool {
+    let q = planes.q;
+    let (info, parity) = totals.split_at(planes.k);
+    let parity_row = |r: usize| &parity[r * LANES..][..LANES];
+    let flip = |acc: &mut [u32], xs: &[F]| {
+        for (a, &x) in acc.iter_mut().zip(xs) {
+            *a ^= x.is_negative() as u32;
+        }
+    };
+    let mut syn = [0u32; LANES];
+    for r in 0..q {
+        syn.fill(0);
+        flip(&mut syn, parity_row(r));
+        if r > 0 {
+            flip(&mut syn, parity_row(r - 1));
+        } else {
+            flip(&mut syn[1..], parity_row(q - 1));
+        }
+        for column in planes.info_columns(r) {
+            let (head, tail) = rotated(info, column);
+            flip(&mut syn[..head.len()], head);
+            flip(&mut syn[head.len()..], tail);
+        }
+        if syn.iter().fold(0, |any, &s| any | s) != 0 {
+            return false;
+        }
+    }
+    true
+}
+
+tier_clones!(
+    /// [`rotation_vn_pass`] dispatched onto the selected SIMD tier.
+    rotation_vn_pass_tier<F>, rotation_vn_pass, rotation_vn_pass_avx2, rotation_vn_pass_avx512;
+    (
+        planes: &RotationPlanes,
+        llr: &[F],
+        c2v: &[F],
+        totals: &mut [F],
+        parity: impl Fn(F, F, Option<F>) -> F,
+    )
+);
+
+tier_clones!(
+    /// [`rotation_syndrome`] dispatched onto the selected SIMD tier.
+    rotation_syndrome_tier<F>, rotation_syndrome, rotation_syndrome_avx2, rotation_syndrome_avx512;
+    (planes: &RotationPlanes, totals: &[F]) -> bool
+);

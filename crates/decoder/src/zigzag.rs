@@ -11,31 +11,57 @@
 //! * only the backward messages must be stored — `E_PN / 2` values instead
 //!   of `E_PN` — halving the parity-message memory.
 //!
-//! The spine's message store ([`crate::bp`]) holds the flat check-major
-//! layout of [`crate::engine`]. Each check's parity edges sit at the tail
-//! of its contiguous edge range (left chain edge at `end - 2`, right at
-//! `end - 1`), so the sweep writes the two parity inputs straight into the
-//! v2c plane and runs the kernel in place: the forward message of check `c`
-//! *is* `c2v[end(c) - 1]` and the backward message to parity node `j` *is*
-//! `c2v[end(j + 1) - 2]` — no separate forward/backward arrays and no
-//! per-check scratch copies.
-//!
 //! The schedule is sequential only *along the chain*. A check's information
 //! edges depend on nothing but the previous iteration's totals — which is
-//! why the paper runs 360 functional units side by side — so the `f32`
-//! exact sum-product decoder splits the sweep into three phases (see
-//! `Decoupled`): the information edges of every check lane-parallel, one
-//! scalar boxplus per check down the chain, and a lane-parallel combine.
+//! why the paper runs 360 functional units side by side. With `I_c` the
+//! fold of check `c`'s information inputs and `L_c`/`R_c` its left/right
+//! parity inputs, the check's outputs are
+//!
+//! ```text
+//! forward  F_c = I_c ⊞ L_c      L_c = llr[K+c-1] + F_{c-1}   (this sweep)
+//! backward B_c = I_c ⊞ R_c      R_c = llr[K+c]   + B_{c+1}   (last sweep)
+//! ```
+//!
+//! so only `F` carries a dependency from check to check. The decoder picks
+//! one layout at construction from the graph, the rule and the precision;
+//! each is the only path for the decoders it serves:
+//!
+//! * **Rotation planes** — the min-sum rules on a DVB-S2 graph, at both
+//!   precisions (DESIGN.md §7.11): flooding's planes, with check
+//!   `c = u·q + r` lane `u` of residue row `r`, so lane `u` is the paper's
+//!   sub-chain of `q` checks. Phase A folds every check's information
+//!   inputs lane-parallel, phase B runs the forward chain row by row with
+//!   each lane's first input speculated and then repaired lane by lane,
+//!   phase C writes every output lane-parallel. Min-sum selects and never
+//!   rounds, so this is bit-identical to the scalar sweep.
+//! * **Chain-decoupled** — `f32` exact sum-product (`Decoupled`): the same
+//!   phases on the degree-blocked edge planes, with the forward chain as one
+//!   scalar boxplus per check.
+//! * **Edge planes** — everything else (`f64` sum-product, the reference the
+//!   seed-embedded regression suite pins, the table rule, and min-sum on a
+//!   graph without the DVB-S2 structure): the scalar check-by-check sweep.
+//!   Each check's parity edges sit at the tail of its contiguous edge range
+//!   (left chain edge at `end - 2`, right at `end - 1`), so the sweep
+//!   writes the two parity inputs straight into the v2c plane and runs the
+//!   kernel in place: the forward message of check `c` *is*
+//!   `c2v[end(c) - 1]` and the backward message to parity node `j` *is*
+//!   `c2v[end(j + 1) - 2]`.
+//!
+//! The loop, the store and the epilogue are the spine's ([`crate::bp`]).
 
 use crate::bp::{BpDecoder, Schedule, Step, Store};
 use crate::engine::{
-    accumulate_totals_slotted_tier, chain_combine_pass_tier, chain_info_pass_tier, BlockedChecks,
-    Precision,
+    accumulate_totals_slotted_tier, chain_combine_pass_tier, chain_info_pass_tier,
+    syndrome_ok_totals, tier_clones, BlockedChecks, MinSumLanes, Precision,
 };
 use crate::llr_ops::{boxplus_t, CheckRule, LlrFloat};
+use crate::rotation::{
+    add, fold_info_columns, min_sum_correction, rotated, rotation_syndrome_tier,
+    rotation_vn_pass_tier, RotationPlanes,
+};
 use crate::simd::SimdTier;
 use crate::DecoderConfig;
-use dvbs2_ldpc::TannerGraph;
+use dvbs2_ldpc::{TannerGraph, PARALLELISM as LANES};
 
 /// Zigzag-schedule decoder for DVB-S2 (IRA) Tanner graphs.
 ///
@@ -43,18 +69,30 @@ use dvbs2_ldpc::TannerGraph;
 /// `info_len()..var_count()` must form the accumulator chain, and each
 /// check's parity edges must come last in its edge range.
 ///
-/// `f32` exact sum-product runs the chain-decoupled sweep, lane-parallel
-/// across checks on the SIMD tier ladder with one scalar boxplus per check
-/// left on the chain. Every other rule and precision — the min-sum rules,
-/// the table rule, and `f64` exact sum-product, the reference the
-/// seed-embedded regression suite pins bit for bit — runs the scalar
-/// check-by-check sweep.
+/// The min-sum rules on a DVB-S2 graph run on the rotation planes, 360
+/// sub-chains side by side (module docs); `f32` exact sum-product runs the
+/// chain-decoupled sweep, lane-parallel across checks with one scalar
+/// boxplus per check left on the chain. `f64` exact sum-product — the
+/// reference the seed-embedded regression suite pins bit for bit — the
+/// table rule, and min-sum on other graphs run the scalar check-by-check
+/// sweep. Every min-sum layout decodes bit for bit as the scalar sweep.
 pub type ZigzagDecoder = BpDecoder<Zigzag>;
 
-/// The zigzag schedule: the chain-decoupled sweep's state for `f32` exact
-/// sum-product, `None` for the scalar sweep.
+/// The zigzag schedule: where the messages live.
 #[derive(Debug, Clone)]
-pub struct Zigzag(Option<Box<Decoupled>>);
+pub struct Zigzag(Layout);
+
+#[derive(Debug, Clone)]
+enum Layout {
+    /// The rotation planes, with the checks phase B's repair recomputed in
+    /// the current decode.
+    Planes {
+        planes: RotationPlanes,
+        repaired: usize,
+    },
+    Decoupled(Box<Decoupled>),
+    Sweep,
+}
 
 impl Schedule for Zigzag {
     fn new(graph: &TannerGraph, config: &DecoderConfig) -> Self {
@@ -67,14 +105,26 @@ impl Schedule for Zigzag {
             graph.check_count(),
             "IRA structure requires one parity variable per check"
         );
-        let decoupled = config.precision == Precision::F32 && config.rule == CheckRule::SumProduct;
-        Zigzag(decoupled.then(|| Box::new(Decoupled::new(graph))))
+        Zigzag(match config.rule {
+            CheckRule::NormalizedMinSum(_) | CheckRule::OffsetMinSum(_) => {
+                RotationPlanes::build(graph)
+                    .map_or(Layout::Sweep, |planes| Layout::Planes { planes, repaired: 0 })
+            }
+            CheckRule::SumProduct if config.precision == Precision::F32 => {
+                Layout::Decoupled(Box::new(Decoupled::new(graph)))
+            }
+            _ => Layout::Sweep,
+        })
     }
 
     /// Edge planes (in the blocked layout's slot order for the decoupled
-    /// sweep) and the next totals.
+    /// sweep) and the next totals; on the rotation planes `v2c` is one row
+    /// and `next` holds `I_c` during an iteration.
     fn lengths(&self, graph: &TannerGraph) -> [usize; 3] {
-        [graph.edge_count(), graph.edge_count(), graph.var_count()]
+        match &self.0 {
+            Layout::Planes { planes, .. } => planes.lengths(graph),
+            _ => [graph.edge_count(), graph.edge_count(), graph.var_count()],
+        }
     }
 
     fn name(rule: CheckRule) -> &'static str {
@@ -87,24 +137,72 @@ impl Schedule for Zigzag {
     }
 }
 
-impl Step<f64> for Zigzag {
-    fn step(&mut self, graph: &TannerGraph, rule: &CheckRule, _: SimdTier, m: &mut Store<f64>) {
-        sweep(graph, rule, m);
+/// The spine's precisions, each with its store seen at `f32`, the one
+/// precision the chain-decoupled sweep is built for.
+pub trait ChainFloat: LlrFloat {
+    /// The store itself at `f32`, `None` at `f64`.
+    fn at_f32(m: &mut Store<Self>) -> Option<&mut Store<f32>>;
+}
+
+impl ChainFloat for f32 {
+    fn at_f32(m: &mut Store<f32>) -> Option<&mut Store<f32>> {
+        Some(m)
     }
 }
 
-impl Step<f32> for Zigzag {
-    fn start(&mut self, m: &mut Store<f32>) {
-        if let Some(decoupled) = &mut self.0 {
-            decoupled.bwd.fill(0.0);
+impl ChainFloat for f64 {
+    fn at_f32(_: &mut Store<f64>) -> Option<&mut Store<f32>> {
+        None
+    }
+}
+
+/// On the rotation planes the parity halves of `llr` and `totals` are
+/// transposed until [`Step::finish`].
+impl<F: ChainFloat> Step<F> for Zigzag {
+    fn start(&mut self, m: &mut Store<F>) {
+        match &mut self.0 {
+            Layout::Planes { planes, repaired } => {
+                *repaired = 0;
+                planes.start(m);
+            }
+            Layout::Decoupled(decoupled) => {
+                decoupled.bwd.fill(0.0);
+                m.totals_from_channel();
+            }
+            Layout::Sweep => m.totals_from_channel(),
         }
-        m.totals_from_channel();
     }
 
-    fn step(&mut self, graph: &TannerGraph, rule: &CheckRule, tier: SimdTier, m: &mut Store<f32>) {
+    fn step(&mut self, graph: &TannerGraph, rule: &CheckRule, tier: SimdTier, m: &mut Store<F>) {
         match &mut self.0 {
-            Some(decoupled) => decoupled.step(graph, tier, m),
-            None => sweep(graph, rule, m),
+            Layout::Planes { planes, repaired } => {
+                let Store { llr, v2c, c2v, totals, next } = m;
+                *repaired += min_sum_correction!(rule, F, |correct| {
+                    planes_check_pass_tier(tier, planes, llr, totals, v2c, c2v, next, correct)
+                });
+                // Parity `K + c` as the sweep sums it: `(pllr + F_c) + B_{c+1}`.
+                let parity =
+                    |l, forward, backward: Option<F>| (l + forward) + backward.unwrap_or(F::ZERO);
+                rotation_vn_pass_tier(tier, planes, llr, c2v, totals, parity);
+            }
+            Layout::Decoupled(decoupled) => {
+                let m = F::at_f32(m).expect("the chain-decoupled sweep is built at f32 only");
+                decoupled.step(graph, tier, m)
+            }
+            Layout::Sweep => sweep(graph, rule, m),
+        }
+    }
+
+    fn syndrome_ok(&self, graph: &TannerGraph, tier: SimdTier, m: &Store<F>) -> bool {
+        match &self.0 {
+            Layout::Planes { planes, .. } => rotation_syndrome_tier(tier, planes, &m.totals),
+            _ => syndrome_ok_totals(graph, &m.totals),
+        }
+    }
+
+    fn finish(&self, m: &mut Store<F>) {
+        if let Layout::Planes { planes, .. } = &self.0 {
+            planes.finish(m);
         }
     }
 }
@@ -160,6 +258,185 @@ fn sweep<F: LlrFloat>(graph: &TannerGraph, rule: &CheckRule, m: &mut Store<F>) {
     }
     std::mem::swap(&mut m.totals, &mut m.next);
 }
+
+/// The check updates of one zigzag iteration on the rotation planes, bit
+/// for bit those of the scalar sweep (DESIGN.md §7.11): phases A, B and C.
+/// `fold` holds one `I_c` per check, row-major like the parity rows.
+/// Returns the checks phase B's repair recomputed.
+#[inline(always)]
+fn planes_check_pass<F: LlrFloat>(
+    planes: &RotationPlanes,
+    llr: &[F],
+    totals: &[F],
+    v2c: &mut [F],
+    c2v: &mut [F],
+    fold: &mut [F],
+    correct: impl Fn(F) -> F,
+) -> usize {
+    let info = &totals[..planes.k];
+    information_folds(planes, info, c2v, fold);
+    let repaired = forward_chain(planes, llr, c2v, fold, &correct);
+    check_outputs(planes, llr, info, v2c, c2v, &correct);
+    repaired
+}
+
+/// Phase A: per check, `I_c` — the smallest magnitude of its information
+/// inputs, with the parity of their negative signs in the sign bit.
+#[inline(always)]
+fn information_folds<F: LlrFloat>(planes: &RotationPlanes, info: &[F], c2v: &[F], fold: &mut [F]) {
+    let rows = c2v.chunks_exact(planes.stride * LANES).zip(fold.chunks_exact_mut(LANES));
+    for (r, (row, fold)) in rows.enumerate() {
+        let mut m1 = [F::INFINITY; LANES];
+        let mut odd = [0u32; LANES];
+        for (j, column) in planes.info_columns(r).iter().enumerate() {
+            let (head, tail) = rotated(info, column);
+            let (old, h) = (&row[j * LANES..][..LANES], head.len());
+            fold_min(&mut m1[..h], &mut odd[..h], head, &old[..h]);
+            fold_min(&mut m1[h..], &mut odd[h..], tail, &old[h..]);
+        }
+        for ((f, &m), &o) in fold.iter_mut().zip(&m1).zip(&odd) {
+            *f = m.flip_sign_if(o == 1);
+        }
+    }
+}
+
+/// `m1 = min(m1, |t − c|)` and the parity of the negative `t − c`, lane by
+/// lane: phase A's fold of one gathered information slice.
+#[inline(always)]
+fn fold_min<F: LlrFloat>(m1: &mut [F], odd: &mut [u32], totals: &[F], c2v: &[F]) {
+    for (((m, o), &t), &c) in m1.iter_mut().zip(odd.iter_mut()).zip(totals).zip(c2v) {
+        let x = t - c;
+        *m = m.min(x.abs());
+        *o ^= x.is_negative() as u32;
+    }
+}
+
+/// Phase B: the forward messages `F_c = correct(min(|I_c|, |L_c|))`, signed
+/// by `I_c` and `L_c`, into the right parity columns — the sweep's
+/// right-edge output, which depends on no other input. Lane `u` of row `r`
+/// reads the row above; row 0 reads lane `u − 1` of row `q − 1`, which this
+/// sweep has not computed yet. The rows run lane-parallel with that input
+/// guessed from the last iteration's `F`, then lanes `1..360` are repaired
+/// in order: from the true input, recompute down the lane until a fresh `F`
+/// has the bits of the one it replaces. Every later value depends on that
+/// one alone, so it is unchanged too. Returns the checks recomputed.
+#[inline(always)]
+fn forward_chain<F: LlrFloat>(
+    planes: &RotationPlanes,
+    llr: &[F],
+    c2v: &mut [F],
+    fold: &[F],
+    correct: impl Fn(F) -> F,
+) -> usize {
+    let (k, q, d) = (planes.k, planes.q, planes.stride);
+    let parity_llr = |r: usize| &llr[k + r * LANES..][..LANES];
+    let right = |r: usize| (r * d + d - 1) * LANES;
+    let forward =
+        |i: F, l: F| correct(i.abs().min(l.abs())).flip_sign_if(sign_bit(i) != l.is_negative());
+
+    let mut guess = [F::ZERO; LANES];
+    guess.copy_from_slice(&c2v[right(q - 1)..][..LANES]);
+    let row0 = &mut c2v[right(0)..][..LANES];
+    // Check 0 has no left input: `+∞` is never the minimum nor negative.
+    row0[0] = forward(fold[0], F::INFINITY);
+    let inputs = fold[1..LANES].iter().zip(&parity_llr(q - 1)[..LANES - 1]).zip(&guess);
+    for (f, ((&i, &l), &g)) in row0[1..].iter_mut().zip(inputs) {
+        *f = forward(i, l + g);
+    }
+    for r in 1..q {
+        let (above, this) = c2v.split_at_mut(right(r));
+        let (above, this) = (&above[right(r - 1)..][..LANES], &mut this[..LANES]);
+        let inputs = fold[r * LANES..][..LANES].iter().zip(parity_llr(r - 1)).zip(above);
+        for (f, ((&i, &l), &a)) in this.iter_mut().zip(inputs) {
+            *f = forward(i, l + a);
+        }
+    }
+
+    let mut repaired = 0;
+    for u in 1..LANES {
+        let mut prev = c2v[right(q - 1) + u - 1];
+        if prev.bits() == guess[u - 1].bits() {
+            continue;
+        }
+        let mut l = parity_llr(q - 1)[u - 1];
+        for r in 0..q {
+            let (fresh, at) = (forward(fold[r * LANES + u], l + prev), right(r) + u);
+            repaired += 1;
+            if fresh.bits() == c2v[at].bits() {
+                break;
+            }
+            c2v[at] = fresh;
+            (prev, l) = (fresh, parity_llr(r)[u]);
+        }
+    }
+    repaired
+}
+
+/// Whether `x`'s sign bit is set (`-0.0` included, unlike
+/// [`LlrFloat::is_negative`]).
+#[inline(always)]
+fn sign_bit<F: LlrFloat>(x: F) -> bool {
+    x.bits() != x.abs().bits()
+}
+
+/// Phase C: per row, the information inputs gathered again and folded with
+/// `L_c = pllr_{c−1} + F_{c−1}` and `R_c = pllr_c + B_{c+1}` into every
+/// output; the right column gets phase B's `F_c` again, bit for bit. `R`
+/// reads last iteration's `B`: row `r + 1`'s left column before that row is
+/// rewritten, and for row `q − 1` row 0's, saved before row 0 is rewritten.
+#[inline(always)]
+fn check_outputs<F: LlrFloat>(
+    planes: &RotationPlanes,
+    llr: &[F],
+    info: &[F],
+    v2c: &mut [F],
+    c2v: &mut [F],
+    correct: impl Fn(F) -> F,
+) {
+    let (k, q, d) = (planes.k, planes.q, planes.stride);
+    let info_d = d - 2;
+    let parity_llr = |r: usize| &llr[k + r * LANES..][..LANES];
+    let (left, right) = (|r: usize| (r * d + d - 2) * LANES, |r: usize| (r * d + d - 1) * LANES);
+    let mut first_left = [F::ZERO; LANES];
+    first_left.copy_from_slice(&c2v[left(0)..][..LANES]);
+    let mut lanes = MinSumLanes::new();
+    for r in 0..q {
+        let row = r * d * LANES..(r + 1) * d * LANES;
+        lanes.start(LANES);
+        fold_info_columns(planes, r, info, v2c, &c2v[row.clone()], &mut lanes);
+        let (left_in, right_in) = v2c[info_d * LANES..].split_at_mut(LANES);
+        if r == 0 {
+            left_in[0] = F::INFINITY;
+            add(&mut left_in[1..], parity_llr(q - 1), &c2v[right(q - 1)..][..LANES - 1]);
+        } else {
+            add(left_in, parity_llr(r - 1), &c2v[right(r - 1)..][..LANES]);
+        }
+        if r + 1 < q {
+            add(right_in, parity_llr(r), &c2v[left(r + 1)..][..LANES]);
+        } else {
+            // The last check has no right neighbour: `+ 0.0`, as the sweep adds.
+            add(right_in, parity_llr(r), &first_left[1..]);
+            right_in[LANES - 1] = parity_llr(r)[LANES - 1] + F::ZERO;
+        }
+        lanes.fold(info_d, left_in);
+        lanes.fold(info_d + 1, right_in);
+        lanes.extrinsics(v2c, &mut c2v[row], LANES, &correct);
+    }
+}
+
+tier_clones!(
+    /// [`planes_check_pass`] dispatched onto the selected SIMD tier.
+    planes_check_pass_tier<F>, planes_check_pass, planes_check_pass_avx2, planes_check_pass_avx512;
+    (
+        planes: &RotationPlanes,
+        llr: &[F],
+        totals: &[F],
+        v2c: &mut [F],
+        c2v: &mut [F],
+        fold: &mut [F],
+        correct: impl Fn(F) -> F,
+    ) -> usize
+);
 
 /// The chain-decoupled zigzag sweep for `f32` exact sum-product.
 ///
@@ -255,9 +532,10 @@ impl Decoupled {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bp::Core;
     use crate::test_support::{llrs_for_codeword, noisy_llrs, small_code, SplitMix64};
     use crate::{Decoder, FloodingDecoder};
-    use dvbs2_ldpc::BitVec;
+    use dvbs2_ldpc::{AddressTable, BitVec, CodeParams, CodeRate, DegreeClass, FrameSize};
     use std::sync::Arc;
 
     #[test]
@@ -349,8 +627,8 @@ mod tests {
 
     #[test]
     fn min_sum_is_bit_identical_across_simd_tiers() {
-        // Min-sum runs the scalar sweep whatever the tier: a forced tier is
-        // accepted and changes nothing in the DecodeResult.
+        // Min-sum runs on the rotation planes, whose passes are tier clones
+        // of one body: every forced tier decodes as the scalar tier does.
         let (code, graph) = small_code();
         let graph = Arc::new(graph);
         for rule in [CheckRule::NormalizedMinSum(0.8), CheckRule::OffsetMinSum(0.15)] {
@@ -364,6 +642,7 @@ mod tests {
                     let mut dec =
                         ZigzagDecoder::new(Arc::clone(&graph), cfg.with_simd_tier(Some(tier)));
                     assert_eq!(dec.simd_tier(), tier);
+                    assert_eq!(layout(&dec), "planes");
                     for seed in 0..3 {
                         let (_, llrs) = noisy_llrs(&code, 2.6, 300 + seed);
                         assert_eq!(
@@ -373,6 +652,216 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// Which layout a decoder runs on.
+    fn layout(decoder: &ZigzagDecoder) -> &'static str {
+        match decoder.schedule.0 {
+            Layout::Planes { .. } => "planes",
+            Layout::Decoupled(_) => "decoupled",
+            Layout::Sweep => "sweep",
+        }
+    }
+
+    /// `config` forced onto the scalar sweep, whatever layout it would pick.
+    fn sweep_decoder(graph: &Arc<TannerGraph>, config: DecoderConfig) -> ZigzagDecoder {
+        BpDecoder::with_schedule(Arc::clone(graph), config, Zigzag(Layout::Sweep))
+    }
+
+    /// The final totals' bit patterns (natural order after every layout).
+    fn totals_bits(decoder: &ZigzagDecoder) -> Vec<u64> {
+        match &decoder.core {
+            Core::F64(m) => m.totals.iter().map(|x| x.bits()).collect(),
+            Core::F32(m) => m.totals.iter().map(|x| x.bits()).collect(),
+        }
+    }
+
+    /// A 360-bit-group IRA graph with one information edge per check: a
+    /// parity chain, but no rotation planes (check 0 has degree 2).
+    fn chain_without_planes() -> TannerGraph {
+        let (q, k) = (3, 360);
+        let params = CodeParams {
+            rate: CodeRate::R1_4, // nominal: only the sizes below are used
+            frame: FrameSize::Short,
+            n: k + 360 * q,
+            k,
+            n_check: 360 * q,
+            q,
+            check_degree: 3,
+            hi: DegreeClass { count: k, degree: 3 },
+            lo: DegreeClass { count: 0, degree: 3 },
+        };
+        let table = AddressTable::from_rows(&params, vec![vec![0, 1, 2]]).unwrap();
+        TannerGraph::for_code(&params, &table)
+    }
+
+    /// Min-sum on a graph with the structure takes the planes, at both
+    /// precisions; f32 sum-product the decoupled sweep; everything else —
+    /// f64 sum-product, the table rule, min-sum on a chain without the
+    /// structure — the scalar sweep.
+    #[test]
+    fn the_zigzag_layout_is_chosen_from_graph_and_rule() {
+        let graph = Arc::new(small_code().1);
+        let unstructured = Arc::new(chain_without_planes());
+        let layout_of = |g: &Arc<TannerGraph>, rule, precision| {
+            let config = DecoderConfig::default().with_rule(rule).with_precision(precision);
+            layout(&ZigzagDecoder::new(Arc::clone(g), config))
+        };
+        for precision in [Precision::F32, Precision::F64] {
+            for rule in [CheckRule::NormalizedMinSum(0.8), CheckRule::OffsetMinSum(0.15)] {
+                assert_eq!(layout_of(&graph, rule, precision), "planes", "{rule:?} {precision:?}");
+                assert_eq!(layout_of(&unstructured, rule, precision), "sweep");
+            }
+            assert_eq!(layout_of(&graph, CheckRule::TableSumProduct, precision), "sweep");
+        }
+        assert_eq!(layout_of(&graph, CheckRule::SumProduct, Precision::F32), "decoupled");
+        assert_eq!(layout_of(&graph, CheckRule::SumProduct, Precision::F64), "sweep");
+    }
+
+    /// The exactness matrix: the rotation planes against the same
+    /// configuration forced onto the scalar sweep, on the full
+    /// `DecodeResult` and on the final totals bit for bit — every short
+    /// rate and three normal ones, both min-sum rules, both precisions,
+    /// caps 8 and 0 with early stop on and off, every available tier, on a
+    /// noisy frame and on one salted with `±inf`, `NaN`, `±1e300` and `±0.0`.
+    #[test]
+    fn zigzag_planes_equal_the_scalar_sweep_bit_for_bit() {
+        use dvbs2_ldpc::DvbS2Code;
+        let short = CodeRate::ALL.map(|rate| (rate, FrameSize::Short));
+        let normal =
+            [CodeRate::R1_2, CodeRate::R3_4, CodeRate::R9_10].map(|r| (r, FrameSize::Normal));
+        let runs = [(8, true), (8, false), (0, true), (0, false)];
+        let mut codes = 0;
+        for (rate, frame) in short.into_iter().chain(normal) {
+            let Ok(code) = DvbS2Code::new(rate, frame) else { continue };
+            codes += 1;
+            let graph = Arc::new(code.tanner_graph());
+            let (_, noisy) = noisy_llrs(&code, 1.5 + 3.0 * rate.as_f64(), 0x2162 + codes);
+            let mut hostile = noisy.clone();
+            let salt = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1e300, -1e300, -0.0, 0.0];
+            for (i, x) in hostile.iter_mut().step_by(61).enumerate() {
+                *x = salt[i % salt.len()];
+            }
+            let frames = [("noisy", &noisy), ("hostile", &hostile)];
+            for rule in [CheckRule::NormalizedMinSum(0.8), CheckRule::OffsetMinSum(0.15)] {
+                for precision in [Precision::F32, Precision::F64] {
+                    let config = DecoderConfig::default().with_rule(rule).with_precision(precision);
+                    // The sweep has no tier clones: one reference serves all.
+                    let mut reference = sweep_decoder(&graph, config);
+                    let mut want = Vec::new();
+                    for (cap, early_stop) in runs {
+                        reference.config =
+                            config.with_max_iterations(cap).with_early_stop(early_stop);
+                        for (_, llrs) in frames {
+                            want.push((reference.decode(llrs), totals_bits(&reference)));
+                        }
+                    }
+                    for tier in SimdTier::available() {
+                        let config = config.with_simd_tier(Some(tier));
+                        let mut planes = ZigzagDecoder::new(Arc::clone(&graph), config);
+                        assert_eq!(layout(&planes), "planes", "{rate} {frame:?}");
+                        let mut want = want.iter();
+                        for (cap, early_stop) in runs {
+                            planes.config =
+                                config.with_max_iterations(cap).with_early_stop(early_stop);
+                            for (name, llrs) in frames {
+                                let what = format!(
+                                    "{rate} {frame:?} {rule:?} {precision:?} {tier:?} \
+                                     cap {cap} early stop {early_stop}, {name} frame"
+                                );
+                                let (result, totals) = want.next().unwrap();
+                                assert_eq!(&planes.decode(llrs), result, "{what}");
+                                let got = totals_bits(&planes);
+                                let differs = got.iter().zip(totals).position(|(a, b)| a != b);
+                                assert_eq!(differs, None, "{what}: first total that differs");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(codes, 13);
+    }
+
+    /// `iterations` steps of `schedule` on `m`, with every guess of phase B
+    /// (row `q − 1`'s forward messages from the step before) set to `NaN`
+    /// before each: the totals' bits and the checks the repair recomputed.
+    fn run_with_poisoned_guesses<F: ChainFloat>(
+        schedule: &mut Zigzag,
+        graph: &TannerGraph,
+        config: &DecoderConfig,
+        tier: SimdTier,
+        m: &mut Store<F>,
+        llrs: &[f64],
+    ) -> (Vec<u64>, usize) {
+        let Layout::Planes { planes, .. } = &schedule.0 else { panic!("not on the planes") };
+        let row = planes.stride * LANES;
+        let guesses = planes.q * row - LANES..planes.q * row;
+        crate::engine::load_llrs(&mut m.llr, llrs);
+        m.c2v.fill(F::ZERO);
+        schedule.start(m);
+        for _ in 0..config.max_iterations {
+            m.c2v[guesses.clone()].fill(F::from_f64(f64::NAN));
+            schedule.step(graph, &config.rule, tier, m);
+        }
+        schedule.finish(m);
+        let Layout::Planes { repaired, .. } = schedule.0 else { unreachable!() };
+        (m.totals.iter().map(|x| x.bits()).collect(), repaired)
+    }
+
+    /// Phase B's repair is exact however wrong the guesses are. On a frame
+    /// with an erased parity channel `L_c = F_{c−1}`, so a wrong first
+    /// input changes the `F` below it: the first iteration, which guesses
+    /// `0.0`, repairs. Then every guess is
+    /// poisoned with `NaN` before every iteration. Both decode bit for bit
+    /// as the scalar sweep.
+    #[test]
+    fn the_repair_is_exact_when_every_guess_is_wrong() {
+        let (code, graph) = small_code();
+        let graph = Arc::new(graph);
+        let (_, mut llrs) = noisy_llrs(&code, 2.0, 0xB0);
+        llrs[graph.info_len()..].fill(0.0);
+        for rule in [CheckRule::NormalizedMinSum(0.8), CheckRule::OffsetMinSum(0.15)] {
+            for precision in [Precision::F32, Precision::F64] {
+                let what = format!("{rule:?} {precision:?}");
+                let first = DecoderConfig::default()
+                    .with_rule(rule)
+                    .with_precision(precision)
+                    .with_max_iterations(1)
+                    .with_early_stop(false);
+                let mut planes = ZigzagDecoder::new(Arc::clone(&graph), first);
+                let mut reference = sweep_decoder(&graph, first);
+                assert_eq!(planes.decode(&llrs), reference.decode(&llrs), "{what}");
+                assert_eq!(totals_bits(&planes), totals_bits(&reference), "{what}");
+                let Layout::Planes { planes: p, repaired } = &planes.schedule.0 else { panic!() };
+                // Under normalized min-sum every lane but the chain head's
+                // guessed wrong, and the error reaches the end of every
+                // sub-chain. The offset rule zeroes many boundaries, which
+                // the `0.0` guess then gets right.
+                match rule {
+                    CheckRule::NormalizedMinSum(_) => {
+                        assert_eq!(*repaired, (LANES - 1) * p.q, "{what}")
+                    }
+                    _ => assert!(*repaired > 0, "{what}"),
+                }
+
+                let config = first.with_max_iterations(6);
+                reference.config = config;
+                reference.decode(&llrs);
+                let tier = planes.simd_tier();
+                let (schedule, core) = (&mut planes.schedule, &mut planes.core);
+                let (totals, repaired) = match core {
+                    Core::F64(m) => {
+                        run_with_poisoned_guesses(schedule, &graph, &config, tier, m, &llrs)
+                    }
+                    Core::F32(m) => {
+                        run_with_poisoned_guesses(schedule, &graph, &config, tier, m, &llrs)
+                    }
+                };
+                assert_eq!(totals, totals_bits(&reference), "{what}: poisoned guesses");
+                assert!(repaired >= 6 * (LANES - 1), "{what}: {repaired} checks repaired");
             }
         }
     }

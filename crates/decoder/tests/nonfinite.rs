@@ -18,9 +18,10 @@ use dvbs2_ldpc::BitVec;
 use std::sync::Arc;
 
 /// Every soft decoder in the matrix: every core the float schedules pick —
-/// flooding on its rotation, blocked and edge planes, zigzag on its scalar
-/// sweep and its chain-decoupled one, layered — at both precisions where the
-/// core has two; the quantized decoder on each of its paths (sequential,
+/// flooding on its rotation, blocked and edge planes, zigzag on its rotation
+/// planes (both min-sum rules), its scalar sweep and its chain-decoupled one,
+/// layered — at both precisions where the core has two; the quantized decoder
+/// on each of its paths (sequential,
 /// scalar fused over the 360-lane rotation cut, SIMD lane planes over the
 /// same cut).
 fn soft_decoders(graph: &Arc<dvbs2_ldpc::TannerGraph>) -> Vec<Box<dyn Decoder>> {
@@ -28,6 +29,7 @@ fn soft_decoders(graph: &Arc<dvbs2_ldpc::TannerGraph>) -> Vec<Box<dyn Decoder>> 
     let f32_cfg = DecoderConfig::default().with_precision(Precision::F32);
     let ms_cfg = DecoderConfig::default().with_rule(CheckRule::NormalizedMinSum(0.8));
     let ms_f32_cfg = ms_cfg.with_precision(Precision::F32);
+    let offset_cfg = DecoderConfig::default().with_rule(CheckRule::OffsetMinSum(0.15));
     let table_f32_cfg = f32_cfg.with_rule(CheckRule::TableSumProduct);
     let lut = || QCheckArithmetic::lut(Quantizer::paper_6bit());
     let cut = || rotation_partition(graph);
@@ -39,7 +41,9 @@ fn soft_decoders(graph: &Arc<dvbs2_ldpc::TannerGraph>) -> Vec<Box<dyn Decoder>> 
         Box::new(FloodingDecoder::new(Arc::clone(graph), table_f32_cfg)),
         Box::new(ZigzagDecoder::new(Arc::clone(graph), f64_cfg)),
         Box::new(ZigzagDecoder::new(Arc::clone(graph), f32_cfg)),
+        Box::new(ZigzagDecoder::new(Arc::clone(graph), ms_cfg)),
         Box::new(ZigzagDecoder::new(Arc::clone(graph), ms_f32_cfg)),
+        Box::new(ZigzagDecoder::new(Arc::clone(graph), offset_cfg)),
         Box::new(LayeredDecoder::new(Arc::clone(graph), f64_cfg)),
         Box::new(LayeredDecoder::new(Arc::clone(graph), f32_cfg)),
         Box::new(QuantizedZigzagDecoder::new(Arc::clone(graph), Quantizer::paper_6bit(), f64_cfg)),
