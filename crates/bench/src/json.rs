@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 
 /// The change whose code the committed records were taken with. Bump it in
 /// the change that re-records them.
-pub const RECORDED_BY: &str = "zigzag min-sum on the rotation planes";
+pub const RECORDED_BY: &str = "exact f32 sum-product on the rotation planes";
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

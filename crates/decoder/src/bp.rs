@@ -320,24 +320,33 @@ mod tests {
             Core::F64(m) => [&m.llr, &m.v2c, &m.c2v, &m.totals, &m.next].map(Vec::len),
             Core::F32(m) => [&m.llr, &m.v2c, &m.c2v, &m.totals, &m.next].map(Vec::len),
         };
-        let min_sum = DecoderConfig::default().with_rule(CheckRule::NormalizedMinSum(0.8));
-        // One row of 360 checks in `v2c`; check 0's missing left edge keeps
-        // its slot in `c2v`.
+        // On the rotation planes (min-sum, and sum-product at f32): one row
+        // of 360 checks in `v2c`, and check 0's missing left edge keeps its
+        // slot in `c2v`. Under zigzag `next` holds the information folds
+        // during an iteration. No edge-sized plane beside `c2v`.
         let rows = graph.check_count() / 360;
         let row = (edges + 1) / rows;
-        let flooding = FloodingDecoder::new(Arc::clone(&graph), min_sum);
-        assert_eq!(lengths(&flooding.core), [vars, row, edges + 1, vars, vars]);
-        // The zigzag planes too: no edge-sized plane beside `c2v`, and
-        // `next` holds the information folds during an iteration.
-        let zigzag = ZigzagDecoder::new(Arc::clone(&graph), min_sum);
-        assert_eq!(lengths(&zigzag.core), [vars, row, edges + 1, vars, vars]);
-        for precision in [Precision::F64, Precision::F32] {
-            let config = DecoderConfig::default().with_precision(precision);
+        let min_sum = DecoderConfig::default().with_rule(CheckRule::NormalizedMinSum(0.8));
+        let sum_product = DecoderConfig::default().with_precision(Precision::F32);
+        for config in [min_sum, min_sum.with_precision(Precision::F32), sum_product] {
             let flooding = FloodingDecoder::new(Arc::clone(&graph), config);
             let zigzag = ZigzagDecoder::new(Arc::clone(&graph), config);
             for core in [&flooding.core, &zigzag.core] {
-                assert_eq!(lengths(core), [vars, edges, edges, vars, vars], "{precision:?}");
+                assert_eq!(lengths(core), [vars, row, edges + 1, vars, vars], "{config:?}");
             }
+        }
+        // The scalar pass and sweep: both edge planes.
+        let table = DecoderConfig::default().with_rule(CheckRule::TableSumProduct);
+        let scalar = [DecoderConfig::default(), table, table.with_precision(Precision::F32)];
+        for config in scalar {
+            let flooding = FloodingDecoder::new(Arc::clone(&graph), config);
+            let zigzag = ZigzagDecoder::new(Arc::clone(&graph), config);
+            for core in [&flooding.core, &zigzag.core] {
+                assert_eq!(lengths(core), [vars, edges, edges, vars, vars], "{config:?}");
+            }
+        }
+        for precision in [Precision::F64, Precision::F32] {
+            let config = DecoderConfig::default().with_precision(precision);
             let layered = LayeredDecoder::new(Arc::clone(&graph), config);
             let scratch = 2 * graph.max_check_degree();
             assert_eq!(lengths(&layered.core), [vars, scratch, edges, vars, 0], "{precision:?}");

@@ -5,7 +5,8 @@
 //! the check-node half-iteration streams each check's contiguous edge range
 //! and the variable-node half-iteration is a single scatter-add/gather pass
 //! over [`TannerGraph::edge_vars`]. The helpers here implement those passes
-//! generically over the message precision.
+//! generically over the message precision, beside the row kernels the
+//! rotation planes ([`crate::rotation`]) run each rule through.
 //!
 //! Bit-compatibility contract: for `f64` messages every helper performs the
 //! same floating-point operations in the same order as the scalar loops
@@ -14,10 +15,7 @@
 //! `TannerGraph::var_edges` yields — so a-posteriori totals are
 //! bit-identical to a per-variable gather.
 
-use crate::llr_ops::{
-    boxplus_correction_table, boxplus_lanes, boxplus_table_with, CheckRule, LlrFloat,
-};
-use crate::simd::SimdTier;
+use crate::llr_ops::{boxplus_lanes, CheckRule, LlrFloat};
 use dvbs2_ldpc::TannerGraph;
 
 /// Message precision of a belief-propagation decoder.
@@ -85,8 +83,8 @@ pub(crate) fn load_llrs<F: LlrFloat>(dst: &mut [F], src: &[f64]) {
 /// added last, as a per-variable gather over the new `c2v` rounds.
 ///
 /// This is the scalar flooding pass: f64 sum-product (the reference the
-/// seed-embedded regression suite pins) and the min-sum rules on a graph
-/// without the DVB-S2 rotation structure run it.
+/// seed-embedded regression suite pins), the table rule at both precisions,
+/// and every rule on a graph without the DVB-S2 rotation structure run it.
 #[inline]
 pub(crate) fn fused_check_pass<F: LlrFloat>(
     graph: &TannerGraph,
@@ -115,195 +113,77 @@ pub(crate) fn fused_check_pass<F: LlrFloat>(
     }
 }
 
-/// Transposed (column-major) layout of the check-message planes for the
-/// f32 sum-product passes, the table rule and the chain-decoupled zigzag:
-/// checks are grouped by degree, and within a degree class the planes are
-/// stored column by column — slot `base + j * m + i` holds the `j`-th
-/// message of the class's `i`-th check.
-///
-/// With this layout a fixed-`j` sweep over a class reads and writes the
-/// planes *contiguously*, turning each check's serial prefix/suffix
-/// recurrence into `m` independent per-lane recurrences over dense arrays —
-/// the shape the auto-vectorizer and the out-of-order core both want. The
-/// only non-contiguous access left in the check pass is the unavoidable
-/// `totals[var]` gather, served by the pre-transposed `slot_vars` table.
-///
-/// `edge_to_slot` maps the graph's check-major edge ids onto slots so the
-/// variable-node accumulation can still run in ascending *edge* order (the
-/// bit-compatibility contract for `f64` totals).
-#[derive(Debug, Clone)]
-pub(crate) struct BlockedChecks {
-    classes: Vec<DegreeClass>,
-    /// Variable index of each slot (edge_vars permuted into slot order).
-    slot_vars: Vec<u32>,
-    /// Slot of each edge (inverse of the edge→slot permutation).
-    edge_to_slot: Vec<u32>,
+/// Most lanes a row kernel takes: a rotation-plane row is 360, and the
+/// state of a row stays L1-resident beside its gathered columns.
+const ROW_LANES: usize = 1024;
+
+/// A check rule's update of one row of up to [`ROW_LANES`] checks of degree
+/// `d >= 3`, one per lane — the body of the float rotation planes, which
+/// run one residue row of 360 checks at a time (DESIGN.md §7.10): `start`,
+/// `fold` each input column as it is gathered, then write the
+/// `extrinsics`. Column `j` of a row is `[j·lanes ..][.. lanes]`, so every
+/// access is contiguous and the loops are dense, branchless and independent
+/// across lanes.
+pub(crate) trait RowKernel<F: LlrFloat> {
+    /// Starts a row of `lanes` checks.
+    fn start(&mut self, lanes: usize);
+
+    /// Takes gathered input column `j`, one input per lane.
+    fn fold(&mut self, j: usize, column: &[F]);
+
+    /// Writes the row's extrinsics over `c2v`, `v2c` holding every gathered
+    /// input column.
+    fn extrinsics(&mut self, v2c: &[F], c2v: &mut [F], lanes: usize);
+
+    /// The zigzag's information fold `I_c` into `out`, one per lane: the
+    /// rule's left fold of the columns gathered into `v2c` (and taken by
+    /// `fold`) since `start`.
+    fn info_fold(&self, v2c: &[F], out: &mut [F]);
+
+    /// The forward message `F_c = I_c ⊞ L_c`, bit for bit the extrinsic that
+    /// [`RowKernel::extrinsics`] writes to the right column of a check whose
+    /// other inputs are the information columns folded into `i`, then `l`.
+    fn forward(&self, i: F, l: F) -> F;
 }
 
-#[derive(Debug, Clone)]
-struct DegreeClass {
-    degree: usize,
-    /// First slot of the class's column-major plane region.
-    slot_base: usize,
-    checks: Vec<u32>,
+/// The two-minima min-sum update under the rule's magnitude correction.
+/// Per lane this is [`CheckRule::extrinsic_t`]'s arithmetic, whose outputs
+/// do not depend on the column order (the minimum's position is a *column*
+/// index).
+pub(crate) struct MinSumLanes<F, C> {
+    min1: [F; ROW_LANES],
+    min2: [F; ROW_LANES],
+    min_col: [u32; ROW_LANES],
+    negative_signs: [u32; ROW_LANES],
+    correct: C,
 }
 
-impl DegreeClass {
-    /// Whether this is the class [`BlockedChecks::for_chain`] isolates
-    /// check 0 in (chain layouts only).
-    fn is_chain_head(&self) -> bool {
-        self.checks[0] == 0
-    }
-
-    /// Information edges per check in a chain layout: every check has a
-    /// right parity edge, every check but 0 a left one.
-    fn info_degree(&self) -> usize {
-        self.degree - if self.is_chain_head() { 1 } else { 2 }
-    }
-}
-
-impl BlockedChecks {
-    pub(crate) fn new(graph: &TannerGraph) -> Self {
-        Self::grouped(graph, false)
-    }
-
-    /// The layout for the chain-decoupled zigzag sweep over a DVB-S2 (IRA)
-    /// graph: check 0, the only check without a left parity edge, gets a
-    /// class of its own (the first), so within every class the information
-    /// edges are the same leading columns and the parity edges the same
-    /// trailing ones.
-    pub(crate) fn for_chain(graph: &TannerGraph) -> Self {
-        Self::grouped(graph, true)
-    }
-
-    fn grouped(graph: &TannerGraph, isolate_first: bool) -> Self {
-        let offsets = graph.check_offsets();
-        let edge_vars = graph.edge_vars();
-        let mut classes: Vec<DegreeClass> = Vec::new();
-        for c in 0..graph.check_count() {
-            let degree = (offsets[c + 1] - offsets[c]) as usize;
-            let closed = usize::from(isolate_first && c > 0);
-            match classes.iter_mut().skip(closed).find(|k| k.degree == degree) {
-                Some(class) => class.checks.push(c as u32),
-                None => classes.push(DegreeClass { degree, slot_base: 0, checks: vec![c as u32] }),
-            }
-        }
-        let mut slot_vars = vec![0u32; graph.edge_count()];
-        let mut edge_to_slot = vec![0u32; graph.edge_count()];
-        let mut slot_base = 0usize;
-        for class in &mut classes {
-            class.slot_base = slot_base;
-            let m = class.checks.len();
-            for (i, &c) in class.checks.iter().enumerate() {
-                let start = offsets[c as usize] as usize;
-                for j in 0..class.degree {
-                    let slot = slot_base + j * m + i;
-                    let e = start + j;
-                    slot_vars[slot] = edge_vars[e];
-                    edge_to_slot[e] = slot as u32;
-                }
-            }
-            slot_base += m * class.degree;
-        }
-        BlockedChecks { classes, slot_vars, edge_to_slot }
-    }
-
-    /// Slot of each check-major edge id (for edge-order accumulation).
-    pub(crate) fn edge_to_slot(&self) -> &[u32] {
-        &self.edge_to_slot
-    }
-}
-
-/// A-posteriori totals from transposed-plane messages in ascending edge
-/// order, channel LLR added last (as [`fused_check_pass`] scatters them),
-/// reading each message through the edge→slot permutation.
-#[inline(always)]
-pub(crate) fn accumulate_totals_slotted<F: LlrFloat>(
-    edge_vars: &[u32],
-    edge_to_slot: &[u32],
-    llr: &[F],
-    c2v_t: &[F],
-    totals: &mut [F],
-) {
-    totals.fill(F::ZERO);
-    for (&v, &slot) in edge_vars.iter().zip(edge_to_slot) {
-        totals[v as usize] += c2v_t[slot as usize];
-    }
-    for (t, &l) in totals.iter_mut().zip(llr) {
-        *t = l + *t;
-    }
-}
-
-/// Lane count of one kernel stripe: wide enough that contiguous column
-/// runs vectorize and the recurrence has abundant independent lanes, small
-/// enough that the stripe's state plus its plane columns stay L1-resident.
-const STRIPE: usize = 1024;
-
-/// Gather plus extrinsics for a class of degree below 3, one check at a
-/// time through the scalar kernel's special-cased path (a pass-through
-/// under either sum-product rule).
-fn degenerate_class_pass<F: LlrFloat>(
-    slot_vars: &[u32],
-    totals: &[F],
-    v2c_t: &mut [F],
-    c2v_t: &mut [F],
-    class: &DegreeClass,
-) {
-    let (d, m, base) = (class.degree, class.checks.len(), class.slot_base);
-    let mut tmp_in = [F::ZERO; 2];
-    let mut tmp_out = [F::ZERO; 2];
-    for i in 0..m {
-        for (j, t) in tmp_in[..d].iter_mut().enumerate() {
-            let s = base + j * m + i;
-            *t = totals[slot_vars[s] as usize] - c2v_t[s];
-        }
-        CheckRule::SumProduct.extrinsic_t(&tmp_in[..d], &mut tmp_out[..d]);
-        for (j, (&inp, &out)) in tmp_in[..d].iter().zip(&tmp_out[..d]).enumerate() {
-            let s = base + j * m + i;
-            v2c_t[s] = inp;
-            c2v_t[s] = out;
-        }
-    }
-}
-
-/// The min-sum update of up to [`STRIPE`] checks of degree `d >= 3`, one
-/// per lane — the two-minima body of the float rotation planes (one
-/// residue row of 360 checks at a time): `start`, `fold` each gathered
-/// input column, then write the `extrinsics`. Every access is contiguous
-/// (the minimum's position is a *column* index), so the loops are dense,
-/// branchless and independent across lanes. Per lane this is
-/// [`CheckRule::extrinsic_t`]'s arithmetic, whose outputs do not depend on
-/// the column order (DESIGN.md §7.10).
-pub(crate) struct MinSumLanes<F> {
-    min1: [F; STRIPE],
-    min2: [F; STRIPE],
-    min_col: [u32; STRIPE],
-    negative_signs: [u32; STRIPE],
-}
-
-impl<F: LlrFloat> MinSumLanes<F> {
-    pub(crate) fn new() -> Self {
+impl<F: LlrFloat, C: Fn(F) -> F> MinSumLanes<F, C> {
+    pub(crate) fn new(correct: C) -> Self {
         MinSumLanes {
-            min1: [F::INFINITY; STRIPE],
-            min2: [F::INFINITY; STRIPE],
-            min_col: [0; STRIPE],
-            negative_signs: [0; STRIPE],
+            min1: [F::INFINITY; ROW_LANES],
+            min2: [F::INFINITY; ROW_LANES],
+            min_col: [0; ROW_LANES],
+            negative_signs: [0; ROW_LANES],
+            correct,
         }
     }
+}
 
-    /// Starts a stripe of `lanes` checks (only those lanes are reset).
+impl<F: LlrFloat, C: Fn(F) -> F> RowKernel<F> for MinSumLanes<F, C> {
+    /// Only the row's lanes are reset.
     #[inline(always)]
-    pub(crate) fn start(&mut self, lanes: usize) {
+    fn start(&mut self, lanes: usize) {
         self.min1[..lanes].fill(F::INFINITY);
         self.min2[..lanes].fill(F::INFINITY);
         self.min_col[..lanes].fill(0);
         self.negative_signs[..lanes].fill(0);
     }
 
-    /// Folds input column `j`, one input per lane, into the per-lane two
-    /// minima, the minimum's column and the count of negative inputs.
+    /// Folds the column into the per-lane two minima, the minimum's column
+    /// and the count of negative inputs.
     #[inline(always)]
-    pub(crate) fn fold(&mut self, j: usize, column: &[F]) {
+    fn fold(&mut self, j: usize, column: &[F]) {
         let b = column.len();
         let (min1, min2) = (&mut self.min1[..b], &mut self.min2[..b]);
         let (min_col, negative_signs) = (&mut self.min_col[..b], &mut self.negative_signs[..b]);
@@ -325,315 +205,141 @@ impl<F: LlrFloat> MinSumLanes<F> {
         }
     }
 
-    /// Writes the extrinsics of the folded columns over `c2v`, whose column
-    /// `j` is `[j·lanes ..][.. lanes]` (`v2c` in the same shape, still
-    /// holding the inputs, for their signs).
+    /// Reads `v2c` only for the inputs' signs.
     #[inline(always)]
-    pub(crate) fn extrinsics(
-        &self,
-        v2c: &[F],
-        c2v: &mut [F],
-        lanes: usize,
-        correct: impl Fn(F) -> F,
-    ) {
+    fn extrinsics(&mut self, v2c: &[F], c2v: &mut [F], lanes: usize) {
         let (min1, min2) = (&self.min1[..lanes], &self.min2[..lanes]);
         let (min_col, negative_signs) = (&self.min_col[..lanes], &self.negative_signs[..lanes]);
         let columns = v2c.chunks_exact(lanes).zip(c2v.chunks_exact_mut(lanes));
         for (j, (v2c_col, c2v_col)) in columns.enumerate() {
             let jj = j as u32;
             for i in 0..lanes {
-                let mag = correct(F::select(min_col[i] == jj, min2[i], min1[i]));
+                let mag = (self.correct)(F::select(min_col[i] == jj, min2[i], min1[i]));
                 let flip = (negative_signs[i] + v2c_col[i].is_negative() as u32) & 1 == 1;
                 c2v_col[i] = mag.flip_sign_if(flip);
             }
         }
     }
-}
 
-/// One stripe of a column-major plane region: `lanes` consecutive checks,
-/// whose `j`-th messages sit `stride` slots apart.
-#[derive(Clone, Copy)]
-struct Stripe {
-    /// Slot of the stripe's first lane in column 0.
-    first: usize,
-    /// Checks in the class (the distance between columns).
-    stride: usize,
-    lanes: usize,
-}
-
-impl Stripe {
-    /// The stripes of `class`, in lane order.
-    fn of(class: &DegreeClass) -> impl Iterator<Item = (usize, Stripe)> {
-        let (base, m) = (class.slot_base, class.checks.len());
-        (0..m)
-            .step_by(STRIPE)
-            .map(move |i0| (i0, Stripe { first: base + i0, stride: m, lanes: STRIPE.min(m - i0) }))
-    }
-
-    /// Slot range of the stripe's lanes in column `j`.
-    fn col(&self, j: usize) -> std::ops::Range<usize> {
-        let start = self.first + j * self.stride;
-        start..start + self.lanes
-    }
-
-    /// The stripe's lanes of `plane` in column `j`, mutably, with those in
-    /// column `j + 1` beside them.
-    fn col_and_next<'a, F>(&self, plane: &'a mut [F], j: usize) -> (&'a mut [F], &'a [F]) {
-        let (this, next) = plane[self.col(j).start..self.col(j + 1).end].split_at_mut(self.stride);
-        (&mut this[..self.lanes], &next[..self.lanes])
-    }
-}
-
-/// Gathers columns `0..cols` of a stripe: `v2c_t[s] = totals[var] - c2v_t[s]`.
-#[inline(always)]
-fn gather_stripe<F: LlrFloat>(
-    slot_vars: &[u32],
-    totals: &[F],
-    v2c_t: &mut [F],
-    c2v_t: &[F],
-    stripe: Stripe,
-    cols: usize,
-) {
-    for j in 0..cols {
-        let vars = &slot_vars[stripe.col(j)];
-        let old = &c2v_t[stripe.col(j)];
-        for (i, x) in v2c_t[stripe.col(j)].iter_mut().enumerate() {
-            *x = totals[vars[i] as usize] - old[i];
+    /// The smallest magnitude, with the parity of the negative inputs in the
+    /// sign bit (from the folded state: `v2c` is not read).
+    #[inline(always)]
+    fn info_fold(&self, _v2c: &[F], out: &mut [F]) {
+        for ((o, &m), &n) in out.iter_mut().zip(&self.min1).zip(&self.negative_signs) {
+            *o = m.flip_sign_if(n & 1 == 1);
         }
     }
+
+    #[inline(always)]
+    fn forward(&self, i: F, l: F) -> F {
+        (self.correct)(i.abs().min(l.abs())).flip_sign_if(sign_bit(i) != l.is_negative())
+    }
 }
 
-/// Prefix/suffix extrinsics over columns `0..k` (`k >= 2`) of one gathered
-/// stripe, under the pairwise operator `op`: the structure of the scalar
-/// sum-product kernels run column by column, so the serial boxplus
-/// recurrences of a whole stripe of checks interleave. Check by check the
-/// chain of dependent operations is the bottleneck (each one must retire
-/// before the next starts); column by column every lane's chain advances one
-/// link per pass over a dense array — independent lanes the vectorizer (or,
-/// for a table lookup, the out-of-order core) overlaps.
+/// Whether `x`'s sign bit is set (`-0.0` included, unlike
+/// [`LlrFloat::is_negative`]).
+#[inline(always)]
+fn sign_bit<F: LlrFloat>(x: F) -> bool {
+    x.bits() != x.abs().bits()
+}
+
+/// Exact sum-product under [`boxplus_lanes`]: the scalar kernel's
+/// prefix/suffix structure run column by column, so the serial boxplus
+/// recurrences of a whole row interleave. Check by check the chain of
+/// dependent operations is the bottleneck (each one must retire before the
+/// next starts); column by column every lane's chain advances one link per
+/// pass over a dense array, which the vectorizer overlaps.
 ///
-/// All accumulation runs in `f32`, and the `c2v` plane doubles as the suffix
+/// All accumulation runs in `f32`, and the `c2v` row doubles as the suffix
 /// store — `f32 -> F -> f32` round-trips are lossless in both precisions.
-/// Per lane the operation sequence is
-/// `suffix[j] = in[j] op suffix[j+1]`, `out[j] = prefix[j-1] op suffix[j+1]`,
-/// `prefix[j] = prefix[j-1] op in[j]`, exactly that of
-/// `table_sum_product_extrinsic`. On return column `j` of `c2v_t` holds the
-/// fold of every column but `j`, and `prefix` the fold of columns
-/// `0..k - 1` (the last column's extrinsic).
-#[inline(always)]
-fn prefix_suffix_stripe<F: LlrFloat>(
-    v2c_t: &[F],
-    c2v_t: &mut [F],
-    stripe: Stripe,
-    k: usize,
-    op: impl Fn(f32, f32) -> f32,
-    prefix: &mut [f32; STRIPE],
-) {
-    let as32 = |x: F| x.to_f64() as f32;
-    let of32 = |x: f32| F::from_f64(x as f64);
-    let b = stripe.lanes;
-    let prefix = &mut prefix[..b];
-    // Suffix sweep into the c2v plane, seeded with in[k-1] rounded once to
-    // f32 (column 0's suffix is never read, so it is never computed).
-    for (s, &x) in c2v_t[stripe.col(k - 1)].iter_mut().zip(&v2c_t[stripe.col(k - 1)]) {
-        *s = of32(as32(x));
-    }
-    for j in (1..k - 1).rev() {
-        let (this, next) = stripe.col_and_next(c2v_t, j);
-        let input = &v2c_t[stripe.col(j)];
-        for i in 0..b {
-            this[i] = of32(op(as32(input[i]), as32(next[i])));
-        }
-    }
-    // Forward sweep: out[j] = prefix[j-1] op suffix[j+1], reading each
-    // suffix column before the next iteration overwrites it.
-    for (p, &x) in prefix.iter_mut().zip(&v2c_t[stripe.col(0)]) {
-        *p = as32(x);
-    }
-    c2v_t.copy_within(stripe.col(1), stripe.first);
-    for j in 1..k - 1 {
-        let (this, next) = stripe.col_and_next(c2v_t, j);
-        let input = &v2c_t[stripe.col(j)];
-        for i in 0..b {
-            this[i] = of32(op(prefix[i], as32(next[i])));
-            prefix[i] = op(prefix[i], as32(input[i]));
-        }
-    }
-    for (s, &p) in c2v_t[stripe.col(k - 1)].iter_mut().zip(prefix.iter()) {
-        *s = of32(p);
+/// Per lane the operation sequence is `suffix[j] = in[j] ⊞ suffix[j+1]`,
+/// `out[j] = prefix[j-1] ⊞ suffix[j+1]`, `prefix[j] = prefix[j-1] ⊞ in[j]`,
+/// so the last column's extrinsic is the left fold of the others.
+/// `+∞` is the operator's identity (finite `x ⊞ +∞ == x`, with `-0.0`
+/// becoming `+0.0`), so it stands for a missing input.
+pub(crate) struct SumProductLanes {
+    prefix: [f32; ROW_LANES],
+}
+
+impl SumProductLanes {
+    pub(crate) fn new() -> Self {
+        SumProductLanes { prefix: [0.0; ROW_LANES] }
     }
 }
 
-/// Check-node half-iteration for a sum-product rule over the transposed
-/// planes: every class gathered and run through [`prefix_suffix_stripe`]
-/// under the rule's pairwise operator, stripe by stripe. Like the min-sum
-/// pass it leaves the totals to [`accumulate_totals_slotted`].
+/// `x` rounded to the `f32` the sum-product lanes compute in.
 #[inline(always)]
-fn blocked_prefix_suffix_pass<F: LlrFloat>(
-    blocked: &BlockedChecks,
-    totals: &[F],
-    v2c_t: &mut [F],
-    c2v_t: &mut [F],
-    op: impl Fn(f32, f32) -> f32 + Copy,
-) {
-    let slot_vars = &blocked.slot_vars[..];
-    let mut prefix = [0.0f32; STRIPE];
-    for class in &blocked.classes {
-        let d = class.degree;
-        if d < 3 {
-            degenerate_class_pass(slot_vars, totals, v2c_t, c2v_t, class);
-            continue;
+fn as32<F: LlrFloat>(x: F) -> f32 {
+    x.to_f64() as f32
+}
+
+/// An `f32` result back in the message precision (exact).
+#[inline(always)]
+fn of32<F: LlrFloat>(x: f32) -> F {
+    F::from_f64(x as f64)
+}
+
+impl<F: LlrFloat> RowKernel<F> for SumProductLanes {
+    #[inline(always)]
+    fn start(&mut self, _lanes: usize) {}
+
+    /// Nothing to fold on the way: the prefix/suffix sweeps need the whole
+    /// gathered row.
+    #[inline(always)]
+    fn fold(&mut self, _j: usize, _column: &[F]) {}
+
+    #[inline(always)]
+    fn extrinsics(&mut self, v2c: &[F], c2v: &mut [F], lanes: usize) {
+        let k = v2c.len() / lanes;
+        let col = |j: usize| j * lanes..(j + 1) * lanes;
+        let prefix = &mut self.prefix[..lanes];
+        // Suffix sweep into the c2v row, seeded with in[k-1] rounded once to
+        // f32 (column 0's suffix is never read, so it is never computed).
+        for (s, &x) in c2v[col(k - 1)].iter_mut().zip(&v2c[col(k - 1)]) {
+            *s = of32::<F>(as32(x));
         }
-        for (_, stripe) in Stripe::of(class) {
-            // Gather every column first: the suffix sweep overwrites `c2v`,
-            // which the gather still reads.
-            gather_stripe(slot_vars, totals, v2c_t, c2v_t, stripe, d);
-            prefix_suffix_stripe(v2c_t, c2v_t, stripe, d, op, &mut prefix);
+        for j in (1..k - 1).rev() {
+            let (this, next) = c2v[col(j).start..col(j + 1).end].split_at_mut(lanes);
+            let input = &v2c[col(j)];
+            for i in 0..lanes {
+                this[i] = of32(boxplus_lanes(as32(input[i]), as32(next[i])));
+            }
+        }
+        // Forward sweep: out[j] = prefix[j-1] ⊞ suffix[j+1], reading each
+        // suffix column before the next iteration overwrites it.
+        for (p, &x) in prefix.iter_mut().zip(&v2c[col(0)]) {
+            *p = as32(x);
+        }
+        c2v.copy_within(col(1), 0);
+        for j in 1..k - 1 {
+            let (this, next) = c2v[col(j).start..col(j + 1).end].split_at_mut(lanes);
+            let input = &v2c[col(j)];
+            for i in 0..lanes {
+                this[i] = of32(boxplus_lanes(prefix[i], as32(next[i])));
+                prefix[i] = boxplus_lanes(prefix[i], as32(input[i]));
+            }
+        }
+        for (s, &p) in c2v[col(k - 1)].iter_mut().zip(prefix.iter()) {
+            *s = of32(p);
         }
     }
-}
 
-/// The table-driven sum-product rule through [`blocked_prefix_suffix_pass`]:
-/// per check the operation sequence (and therefore the output, bit for bit)
-/// is that of [`CheckRule::extrinsic_t`] on the check's messages.
-///
-/// Kept out of line: inlined into the decoder's iteration loop, the lookup
-/// loops lose their unrolling and the pass runs at about half speed.
-#[inline(never)]
-pub(crate) fn blocked_table_sum_product_pass<F: LlrFloat>(
-    blocked: &BlockedChecks,
-    totals: &[F],
-    v2c_t: &mut [F],
-    c2v_t: &mut [F],
-) {
-    let table = boxplus_correction_table();
-    blocked_prefix_suffix_pass(blocked, totals, v2c_t, c2v_t, move |a, b| {
-        boxplus_table_with(table, a, b)
-    });
-}
-
-/// Exact sum-product through [`blocked_prefix_suffix_pass`] under
-/// [`boxplus_lanes`]: the `f32` fast path, where the branch-free operator
-/// lets every column sweep vectorize across the stripe's checks. (The `f64`
-/// reference keeps the scalar check-by-check kernel, whose operation order
-/// the seed-embedded regression suite pins.)
-#[inline(always)]
-pub(crate) fn blocked_sum_product_pass<F: LlrFloat>(
-    blocked: &BlockedChecks,
-    totals: &[F],
-    v2c_t: &mut [F],
-    c2v_t: &mut [F],
-) {
-    blocked_prefix_suffix_pass(blocked, totals, v2c_t, c2v_t, boxplus_lanes);
-}
-
-/// Phase A of the chain-decoupled zigzag sweep over a
-/// [`BlockedChecks::for_chain`] layout: the information edges of every
-/// check, which depend on nothing but the previous totals, lane-parallel
-/// per class. Leaves each check's information-only extrinsics `E_j` in the
-/// information columns of `c2v_t` (the parity columns are not touched) and
-/// its all-information fold `I_c` in `info_fold[c]`.
-#[inline(always)]
-pub(crate) fn chain_info_pass(
-    blocked: &BlockedChecks,
-    totals: &[f32],
-    v2c_t: &mut [f32],
-    c2v_t: &mut [f32],
-    info_fold: &mut [f32],
-) {
-    let slot_vars = &blocked.slot_vars[..];
-    let mut fold = [0.0f32; STRIPE];
-    for class in &blocked.classes {
-        let k = class.info_degree();
-        // A check without information edges folds to the boxplus identity —
-        // except a lone degree-1 check 0, which by the scalar kernels'
-        // convention says nothing at all.
-        let identity = if class.degree == 1 { 0.0 } else { f32::INFINITY };
-        for (i0, stripe) in Stripe::of(class) {
-            let b = stripe.lanes;
-            gather_stripe(slot_vars, totals, v2c_t, c2v_t, stripe, k);
-            match k {
-                0 => fold[..b].fill(identity),
-                1 => fold[..b].copy_from_slice(&v2c_t[stripe.col(0)]),
-                _ => {
-                    prefix_suffix_stripe(v2c_t, c2v_t, stripe, k, boxplus_lanes, &mut fold);
-                    for (f, &x) in fold[..b].iter_mut().zip(&v2c_t[stripe.col(k - 1)]) {
-                        *f = boxplus_lanes(*f, x);
-                    }
-                }
-            }
-            for (&c, &f) in class.checks[i0..i0 + b].iter().zip(&fold[..b]) {
-                info_fold[c as usize] = f;
+    /// `((in[0] ⊞ in[1]) ⊞ …)`, the association of the forward sweep's
+    /// prefix.
+    #[inline(always)]
+    fn info_fold(&self, v2c: &[F], out: &mut [F]) {
+        let lanes = out.len();
+        out.copy_from_slice(&v2c[..lanes]);
+        for column in v2c.chunks_exact(lanes).skip(1) {
+            for (o, &x) in out.iter_mut().zip(column) {
+                *o = of32(boxplus_lanes(as32(*o), as32(x)));
             }
         }
     }
-}
 
-/// Phase C of the chain-decoupled zigzag sweep: with the chain's forward
-/// recurrence done (`left_in[c]`/`right_in[c]` the parity inputs of check
-/// `c`, `fwd[c]` its forward message), finishes every check lane-parallel —
-/// `B_c = I_c ⊞ R_c` into the left parity column and `bwd[c]`,
-/// `out_j = E_j ⊞ (L_c ⊞ R_c)` over the information columns, `fwd[c]` into
-/// the right parity column. Check 0 has no left edge: its information
-/// outputs fold with `R_0` alone.
-///
-/// The per-check values are staged into stripe-local arrays first: indexed
-/// loads in the same loop as the boxplus would keep it from vectorizing.
-#[inline(always)]
-pub(crate) fn chain_combine_pass(
-    blocked: &BlockedChecks,
-    c2v_t: &mut [f32],
-    info_fold: &[f32],
-    left_in: &[f32],
-    right_in: &[f32],
-    fwd: &[f32],
-    bwd: &mut [f32],
-) {
-    let mut both = [0.0f32; STRIPE];
-    let mut right = [0.0f32; STRIPE];
-    let mut back = [0.0f32; STRIPE];
-    for class in &blocked.classes {
-        let k = class.info_degree();
-        let head = class.is_chain_head();
-        for (i0, stripe) in Stripe::of(class) {
-            let b = stripe.lanes;
-            let checks = &class.checks[i0..i0 + b];
-            let (both, right, back) = (&mut both[..b], &mut right[..b], &mut back[..b]);
-            for (i, &c) in checks.iter().enumerate() {
-                both[i] = left_in[c as usize];
-                right[i] = right_in[c as usize];
-                back[i] = info_fold[c as usize];
-            }
-            if head {
-                both.copy_from_slice(right);
-            } else {
-                for i in 0..b {
-                    both[i] = boxplus_lanes(both[i], right[i]);
-                    back[i] = boxplus_lanes(back[i], right[i]);
-                }
-            }
-            if k == 1 {
-                // The lone information edge's extrinsic is the identity.
-                c2v_t[stripe.col(0)].copy_from_slice(both);
-            } else {
-                for j in 0..k {
-                    for (e, &p) in c2v_t[stripe.col(j)].iter_mut().zip(both.iter()) {
-                        *e = boxplus_lanes(*e, p);
-                    }
-                }
-            }
-            let mut parity = k;
-            if !head {
-                c2v_t[stripe.col(parity)].copy_from_slice(back);
-                for (&c, &x) in checks.iter().zip(back.iter()) {
-                    bwd[c as usize] = x;
-                }
-                parity += 1;
-            }
-            for (x, &c) in c2v_t[stripe.col(parity)].iter_mut().zip(checks) {
-                *x = fwd[c as usize];
-            }
-        }
+    #[inline(always)]
+    fn forward(&self, i: F, l: F) -> F {
+        of32(boxplus_lanes(as32(i), as32(l)))
     }
 }
 
@@ -690,47 +396,6 @@ macro_rules! tier_clones {
 }
 pub(crate) use tier_clones;
 
-tier_clones!(
-    /// [`accumulate_totals_slotted`] dispatched onto the selected SIMD tier.
-    accumulate_totals_slotted_tier<F>, accumulate_totals_slotted,
-    accumulate_totals_slotted_avx2, accumulate_totals_slotted_avx512;
-    (edge_vars: &[u32], edge_to_slot: &[u32], llr: &[F], c2v_t: &[F], totals: &mut [F])
-);
-
-tier_clones!(
-    /// [`blocked_sum_product_pass`] dispatched onto the selected SIMD tier.
-    blocked_sum_product_pass_tier<F>, blocked_sum_product_pass,
-    blocked_sum_product_pass_avx2, blocked_sum_product_pass_avx512;
-    (blocked: &BlockedChecks, totals: &[F], v2c_t: &mut [F], c2v_t: &mut [F])
-);
-
-tier_clones!(
-    /// [`chain_info_pass`] dispatched onto the selected SIMD tier.
-    chain_info_pass_tier, chain_info_pass, chain_info_pass_avx2, chain_info_pass_avx512;
-    (
-        blocked: &BlockedChecks,
-        totals: &[f32],
-        v2c_t: &mut [f32],
-        c2v_t: &mut [f32],
-        info_fold: &mut [f32],
-    )
-);
-
-tier_clones!(
-    /// [`chain_combine_pass`] dispatched onto the selected SIMD tier.
-    chain_combine_pass_tier, chain_combine_pass,
-    chain_combine_pass_avx2, chain_combine_pass_avx512;
-    (
-        blocked: &BlockedChecks,
-        c2v_t: &mut [f32],
-        info_fold: &[f32],
-        left_in: &[f32],
-        right_in: &[f32],
-        fwd: &[f32],
-        bwd: &mut [f32],
-    )
-);
-
 /// `true` when the hard decisions implied by the totals' signs satisfy
 /// every check equation. Equivalent to `syndrome_ok(graph,
 /// &hard_decisions(totals))` but streams the check-major edge layout
@@ -754,6 +419,7 @@ pub(crate) fn syndrome_ok_totals<F: LlrFloat>(graph: &TannerGraph, totals: &[F])
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::SimdTier;
     use crate::stopping::{hard_decisions, syndrome_ok};
     use crate::test_support::small_code;
 
@@ -873,7 +539,7 @@ mod tests {
         let mut rng = crate::test_support::SplitMix64(23);
         let rule = CheckRule::NormalizedMinSum(1.0);
         let lanes = 361;
-        let mut kernel = MinSumLanes::new();
+        let mut kernel = MinSumLanes::new(|x| x);
         for d in 3..=30 {
             let v2c: Vec<f64> = (0..d * lanes)
                 .map(|_| {
@@ -890,7 +556,7 @@ mod tests {
             for (j, column) in v2c.chunks_exact(lanes).enumerate() {
                 kernel.fold(j, column);
             }
-            kernel.extrinsics(&v2c, &mut c2v, lanes, |x| x);
+            kernel.extrinsics(&v2c, &mut c2v, lanes);
             for u in 0..lanes {
                 let ins: Vec<f64> = (0..d).map(|j| v2c[j * lanes + u]).collect();
                 let mut want = vec![0.0; d];
@@ -904,87 +570,56 @@ mod tests {
         }
     }
 
-    #[test]
-    fn blocked_table_pass_matches_scalar_kernel_per_check() {
-        // The column-major table-boxplus sweep must emit, check for check,
-        // exactly the scalar `extrinsic_t` outputs — same f32 accumulation,
-        // same operation order — in both plane precisions.
-        fn run<F: LlrFloat>(seed: u64) {
-            let (_, graph) = small_code();
-            let blocked = BlockedChecks::new(&graph);
-            let edges = graph.edge_count();
-            let mut rng = crate::test_support::SplitMix64(seed);
-            let totals: Vec<F> =
-                (0..graph.var_count()).map(|_| F::from_f64(8.0 * rng.next_f64() - 4.0)).collect();
-            let c2v_start: Vec<F> =
-                (0..edges).map(|_| F::from_f64(2.0 * rng.next_f64() - 1.0)).collect();
-            let mut v2c_t = vec![F::ZERO; edges];
-            let mut c2v_t = c2v_start.clone();
-            blocked_table_sum_product_pass(&blocked, &totals, &mut v2c_t, &mut c2v_t);
-
-            let edge_vars = graph.edge_vars();
-            for c in 0..graph.check_count() {
-                let range = graph.check_edges(c);
-                let ins: Vec<F> = range
-                    .clone()
-                    .map(|e| {
-                        totals[edge_vars[e] as usize] - c2v_start[blocked.edge_to_slot[e] as usize]
-                    })
-                    .collect();
-                let mut want = vec![F::ZERO; ins.len()];
-                CheckRule::TableSumProduct.extrinsic_t(&ins, &mut want);
-                for (k, e) in range.enumerate() {
-                    let slot = blocked.edge_to_slot[e] as usize;
-                    assert_eq!(v2c_t[slot], ins[k], "check {c} edge {e}: gather");
-                    assert_eq!(c2v_t[slot], want[k], "check {c} edge {e}: extrinsic");
-                }
-            }
-        }
-        run::<f32>(29);
-        run::<f64>(31);
+    /// The sum-product row kernel on one row of the rotation planes.
+    #[inline(always)]
+    fn sum_product_row(kernel: &mut SumProductLanes, v2c: &[f32], c2v: &mut [f32]) {
+        RowKernel::<f32>::extrinsics(kernel, v2c, c2v, ROW);
     }
 
+    tier_clones!(
+        sum_product_row_tier, sum_product_row, sum_product_row_avx2, sum_product_row_avx512;
+        (kernel: &mut SumProductLanes, v2c: &[f32], c2v: &mut [f32])
+    );
+
+    /// Checks per row of the rotation planes.
+    const ROW: usize = 360;
+
     #[test]
-    fn blocked_sum_product_pass_tracks_f64_kernel_per_check() {
-        // Four checks of every degree 3..=30 over private variables, so the
-        // gathered inputs are the totals themselves: random mixed-sign
-        // messages salted with exact zeros and saturated values of both
-        // signs. Every lane-pass extrinsic must sit within 1e-4 (relative
-        // once saturated) of the f64 scalar kernel's.
+    fn sum_product_lanes_track_f64_kernel_per_check() {
+        // Rows of 360 checks of every degree 4..=30 the planes build:
+        // random mixed-sign messages salted with exact zeros and saturated
+        // values of both signs, and lane 0 — check 0 on the planes — with
+        // its left parity input (column d − 2) padded with `+∞`. On every
+        // tier each extrinsic must sit within 1e-4 (relative once
+        // saturated) of the f64 scalar kernel's on the check's real inputs.
         let mut rng = crate::test_support::SplitMix64(41);
-        let mut edges = Vec::new();
-        for (c, d) in (3..=30u32).flat_map(|d| [d; 4]).enumerate() {
-            for _ in 0..d {
-                edges.push((c as u32, edges.len() as u32));
-            }
-        }
-        let graph = TannerGraph::from_edges(edges.len(), 4 * 28, &edges);
-        let blocked = BlockedChecks::new(&graph);
-        let totals: Vec<f32> = (0..edges.len())
-            .map(|_| match rng.next_u64() % 16 {
-                0 => 0.0,
-                1 => crate::LLR_CLAMP as f32,
-                2 => -(crate::LLR_CLAMP as f32),
-                _ => (50.0 * rng.next_f64() - 25.0) as f32,
-            })
-            .collect();
-        let mut v2c_t = vec![0.0f32; edges.len()];
-        let mut c2v_t = vec![0.0f32; edges.len()];
-        for tier in SimdTier::available() {
-            c2v_t.fill(0.0);
-            blocked_sum_product_pass_tier(tier, &blocked, &totals, &mut v2c_t, &mut c2v_t);
-            for c in 0..graph.check_count() {
-                let range = graph.check_edges(c);
-                let ins: Vec<f64> = range.clone().map(|e| totals[e] as f64).collect();
-                let mut want = vec![0.0f64; ins.len()];
-                CheckRule::SumProduct.extrinsic(&ins, &mut want);
-                for (e, &w) in range.zip(&want) {
-                    let got = c2v_t[blocked.edge_to_slot[e] as usize] as f64;
-                    assert!(
-                        (got - w).abs() <= 1e-4 * w.abs().max(1.0),
-                        "{tier:?} check {c} (degree {}) edge {e}: {got} vs {w}",
-                        ins.len()
-                    );
+        let mut kernel = SumProductLanes::new();
+        for d in 4..=30 {
+            let mut v2c: Vec<f32> = (0..d * ROW)
+                .map(|_| match rng.next_u64() % 16 {
+                    0 => 0.0,
+                    1 => LLR_CLAMP as f32,
+                    2 => -(LLR_CLAMP as f32),
+                    _ => (50.0 * rng.next_f64() - 25.0) as f32,
+                })
+                .collect();
+            v2c[(d - 2) * ROW] = f32::INFINITY;
+            for tier in SimdTier::available() {
+                let mut c2v = vec![0.0f32; d * ROW];
+                sum_product_row_tier(tier, &mut kernel, &v2c, &mut c2v);
+                for u in 0..ROW {
+                    let pad = if u == 0 { d - 2 } else { d };
+                    let columns: Vec<usize> = (0..d).filter(|&j| j != pad).collect();
+                    let ins: Vec<f64> = columns.iter().map(|&j| v2c[j * ROW + u] as f64).collect();
+                    let mut want = vec![0.0f64; ins.len()];
+                    CheckRule::SumProduct.extrinsic(&ins, &mut want);
+                    for (&j, &w) in columns.iter().zip(&want) {
+                        let got = c2v[j * ROW + u] as f64;
+                        assert!(
+                            (got - w).abs() <= 1e-4 * w.abs().max(1.0),
+                            "{tier:?} degree {d} lane {u} column {j}: {got} vs {w}"
+                        );
+                    }
                 }
             }
         }

@@ -7,33 +7,29 @@
 //! measured against: it needs ≈ 40 iterations where the optimized schedule
 //! needs 30.
 //!
-//! Store live in one of three plane layouts, chosen once at construction
-//! from the graph, the rule and the precision; each is the only path for
-//! the decoders it serves:
+//! Messages live in one of two plane layouts, chosen once at construction
+//! from the graph, the rule and the precision by the choice the zigzag
+//! shares ([`RotationPlanes::for_config`]); each is the only path for the
+//! decoders it serves:
 //!
-//! * **Rotation planes** — the min-sum rules on a DVB-S2 graph: check
-//!   `c = u·q + r` is lane `u` of residue row `r`, as in the paper's 360
-//!   functional units, so both half-iterations read and write dense
-//!   rotated slices with no index planes (DESIGN.md §7.10).
-//! * **Blocked checks** — f32 and table sum-product: the degree-blocked
-//!   column planes of [`crate::engine`], whose prefix/suffix recurrences
-//!   run lane-parallel across the checks of a degree class.
-//! * **Edge planes** — everything else (f64 sum-product, the reference the
-//!   regression suite pins, and min-sum on a graph without the DVB-S2
-//!   structure): the scalar pass, check by check on each check's
-//!   contiguous edge range, with no index planes beyond the graph's own.
+//! * **Rotation planes** — the min-sum rules and `f32` exact sum-product on
+//!   a DVB-S2 graph: check `c = u·q + r` is lane `u` of residue row `r`, as
+//!   in the paper's 360 functional units, so both half-iterations read and
+//!   write dense rotated slices with no index planes (DESIGN.md §7.10).
+//! * **Edge planes** — everything else (`f64` sum-product, the reference the
+//!   regression suite pins, the table rule, and every rule on a graph
+//!   without the DVB-S2 structure): the scalar pass, check by check on each
+//!   check's contiguous edge range, with no index planes beyond the graph's
+//!   own.
 //!
 //! Min-sum on the rotation planes is bit-identical to the scalar pass. The
 //! loop, the store and the epilogue are the spine's ([`crate::bp`]).
 
 use crate::bp::{BpDecoder, Schedule, Step, Store};
-use crate::engine::{
-    accumulate_totals_slotted_tier, blocked_sum_product_pass_tier, blocked_table_sum_product_pass,
-    fused_check_pass, syndrome_ok_totals, tier_clones, BlockedChecks, MinSumLanes, Precision,
-};
+use crate::engine::{fused_check_pass, syndrome_ok_totals, tier_clones, RowKernel};
 use crate::llr_ops::{CheckRule, LlrFloat};
 use crate::rotation::{
-    fold_info_columns, min_sum_correction, rotation_syndrome_tier, rotation_vn_pass_tier, subtract,
+    fold_info_columns, rotation_syndrome_tier, rotation_vn_pass_tier, row_kernel, subtract,
     RotationPlanes,
 };
 use crate::simd::SimdTier;
@@ -65,27 +61,19 @@ pub struct Flooding(Layout);
 #[derive(Debug, Clone)]
 enum Layout {
     Rotation(RotationPlanes),
-    Blocked(BlockedChecks),
     Edges,
 }
 
 impl Schedule for Flooding {
     fn new(graph: &TannerGraph, config: &DecoderConfig) -> Self {
-        Flooding(match config.rule {
-            CheckRule::NormalizedMinSum(_) | CheckRule::OffsetMinSum(_) => {
-                RotationPlanes::build(graph).map_or(Layout::Edges, Layout::Rotation)
-            }
-            CheckRule::SumProduct if config.precision == Precision::F64 => Layout::Edges,
-            _ => Layout::Blocked(BlockedChecks::new(graph)),
-        })
+        Flooding(RotationPlanes::for_config(graph, config).map_or(Layout::Edges, Layout::Rotation))
     }
 
     /// On the rotation planes `v2c` is one row.
     fn lengths(&self, graph: &TannerGraph) -> [usize; 3] {
-        let (vars, edges) = (graph.var_count(), graph.edge_count());
         match &self.0 {
             Layout::Rotation(planes) => planes.lengths(graph),
-            _ => [edges, edges, vars],
+            Layout::Edges => [graph.edge_count(), graph.edge_count(), graph.var_count()],
         }
     }
 
@@ -105,21 +93,19 @@ impl<F: LlrFloat> Step<F> for Flooding {
     fn start(&mut self, m: &mut Store<F>) {
         match &self.0 {
             Layout::Rotation(planes) => planes.start(m),
-            _ => m.totals_from_channel(),
+            Layout::Edges => m.totals_from_channel(),
         }
     }
 
-    /// Both half-iterations. The rotation planes run row by row with the
-    /// min-sum rule's magnitude correction; the edge planes stream check by
-    /// check with the scalar kernel fused between gather and scatter; the
-    /// blocked planes run column-major kernels, then accumulate the totals in
-    /// edge order through the slot permutation.
+    /// Both half-iterations. The rotation planes run row by row under the
+    /// rule's row kernel; the edge planes stream check by check with the
+    /// scalar kernel fused between gather and scatter.
     fn step(&mut self, graph: &TannerGraph, rule: &CheckRule, tier: SimdTier, m: &mut Store<F>) {
         let Store { llr, v2c, c2v, totals, next } = m;
         match &self.0 {
             Layout::Rotation(planes) => {
-                min_sum_correction!(rule, F, |correct| {
-                    rotation_check_pass_tier(tier, planes, totals, v2c, c2v, correct)
+                row_kernel!(rule, F, |kernel| {
+                    rotation_check_pass_tier(tier, planes, totals, v2c, c2v, kernel)
                 });
                 // Parity `K + c` as `pllr + ((0 + R_c) + L_{c+1})`.
                 let parity = |l, right, left: Option<F>| match left {
@@ -132,24 +118,13 @@ impl<F: LlrFloat> Step<F> for Flooding {
                 fused_check_pass(graph, rule, llr, totals, v2c, c2v, next);
                 std::mem::swap(totals, next);
             }
-            Layout::Blocked(blocked) => {
-                if *rule == CheckRule::TableSumProduct {
-                    // Per check bit-identical to the scalar table kernel.
-                    blocked_table_sum_product_pass(blocked, totals, v2c, c2v)
-                } else {
-                    blocked_sum_product_pass_tier(tier, blocked, totals, v2c, c2v)
-                }
-                let (edge_vars, slots) = (graph.edge_vars(), blocked.edge_to_slot());
-                accumulate_totals_slotted_tier(tier, edge_vars, slots, llr, c2v, next);
-                std::mem::swap(totals, next);
-            }
         }
     }
 
     fn syndrome_ok(&self, graph: &TannerGraph, tier: SimdTier, m: &Store<F>) -> bool {
         match &self.0 {
             Layout::Rotation(planes) => rotation_syndrome_tier(tier, planes, &m.totals),
-            _ => syndrome_ok_totals(graph, &m.totals),
+            Layout::Edges => syndrome_ok_totals(graph, &m.totals),
         }
     }
 
@@ -161,27 +136,27 @@ impl<F: LlrFloat> Step<F> for Flooding {
 }
 
 /// Check-node half-iteration over the rotation planes, row by row: each
-/// input column is gathered into the one-row `v2c` and folded into
-/// [`MinSumLanes`], which writes the row's extrinsics over its `c2v` row.
-/// The left parity column is the row above (row 0: row `q − 1` one lane
-/// down); check 0 has no left edge, and its `+∞` input is never a minimum
-/// nor negative.
+/// input column is gathered into the one-row `v2c` and folded into the
+/// rule's [`RowKernel`], which writes the row's extrinsics over its `c2v`
+/// row. The left parity column is the row above (row 0: row `q − 1` one
+/// lane down); check 0 has no left edge, and its `+∞` input changes no
+/// output: it is never a minimum nor negative, and it is boxplus's
+/// identity.
 #[inline(always)]
 fn rotation_check_pass<F: LlrFloat>(
     planes: &RotationPlanes,
     totals: &[F],
     v2c: &mut [F],
     c2v: &mut [F],
-    correct: impl Fn(F) -> F,
+    mut kernel: impl RowKernel<F>,
 ) {
     let (q, d) = (planes.q, planes.stride);
     let info_d = d - 2;
     let (info, parity) = totals.split_at(planes.k);
     let parity_row = |r: usize| &parity[r * LANES..][..LANES];
-    let mut lanes = MinSumLanes::new();
     for (r, c2v_row) in c2v.chunks_exact_mut(d * LANES).enumerate() {
-        lanes.start(LANES);
-        fold_info_columns(planes, r, info, v2c, c2v_row, &mut lanes);
+        kernel.start(LANES);
+        fold_info_columns(planes, r, info, v2c, c2v_row, &mut kernel);
         for j in info_d..d {
             let (inputs, old) = (&mut v2c[j * LANES..][..LANES], &c2v_row[j * LANES..][..LANES]);
             if j == info_d && r == 0 {
@@ -190,9 +165,9 @@ fn rotation_check_pass<F: LlrFloat>(
             } else {
                 subtract(inputs, parity_row(if j == info_d { r - 1 } else { r }), old);
             }
-            lanes.fold(j, inputs);
+            kernel.fold(j, inputs);
         }
-        lanes.extrinsics(v2c, c2v_row, LANES, &correct);
+        kernel.extrinsics(v2c, c2v_row, LANES);
     }
 }
 
@@ -205,7 +180,7 @@ tier_clones!(
         totals: &[F],
         v2c: &mut [F],
         c2v: &mut [F],
-        correct: impl Fn(F) -> F,
+        kernel: impl RowKernel<F>,
     )
 );
 
@@ -215,6 +190,7 @@ mod tests {
     use crate::bp::Core;
     use crate::test_support::{llrs_for_codeword, noisy_llrs, small_code};
     use crate::Decoder;
+    use crate::Precision;
     use std::sync::Arc;
 
     #[test]
@@ -357,30 +333,38 @@ mod tests {
         assert_eq!(codes, 13);
     }
 
-    /// Only the min-sum rules on a graph with the structure take the planes;
-    /// on the same code's generic copy they take the scalar pass, as f64
-    /// sum-product does anywhere. Only f32 and table sum-product build the
-    /// blocked layout.
+    /// The layout is the shared choice ([`RotationPlanes::for_config`]):
+    /// the planes for the min-sum rules at both precisions and sum-product
+    /// at f32 on a graph with the structure; the scalar pass for the table
+    /// rule, f64 sum-product, and every rule on the same code's generic
+    /// copy.
     #[test]
     fn the_layout_is_chosen_from_graph_and_rule() {
         let (_, graph) = small_code();
         let generic = generic(&graph);
-        let layout = |g: &TannerGraph, rule, precision| {
+        let on_planes = |g: &TannerGraph, rule, precision| {
             let config = DecoderConfig::default().with_rule(rule).with_precision(precision);
-            match FloodingDecoder::new(Arc::new(g.clone()), config).schedule.0 {
-                Layout::Rotation(_) => "rotation",
-                Layout::Blocked(_) => "blocked",
-                Layout::Edges => "edges",
-            }
+            let layout = FloodingDecoder::new(Arc::new(g.clone()), config).schedule.0;
+            assert_eq!(
+                matches!(layout, Layout::Rotation(_)),
+                RotationPlanes::for_config(g, &config).is_some(),
+                "{rule:?} {precision:?}"
+            );
+            matches!(layout, Layout::Rotation(_))
         };
+        let min_sum = [CheckRule::NormalizedMinSum(0.8), CheckRule::OffsetMinSum(0.15)];
+        let every_rule =
+            [CheckRule::SumProduct, CheckRule::TableSumProduct].into_iter().chain(min_sum);
         for precision in [Precision::F32, Precision::F64] {
-            for rule in [CheckRule::NormalizedMinSum(0.8), CheckRule::OffsetMinSum(0.15)] {
-                assert_eq!(layout(&graph, rule, precision), "rotation");
-                assert_eq!(layout(&generic, rule, precision), "edges");
+            for rule in min_sum {
+                assert!(on_planes(&graph, rule, precision));
             }
-            assert_eq!(layout(&graph, CheckRule::TableSumProduct, precision), "blocked");
+            for rule in every_rule.clone() {
+                assert!(!on_planes(&generic, rule, precision));
+            }
+            assert!(!on_planes(&graph, CheckRule::TableSumProduct, precision));
         }
-        assert_eq!(layout(&graph, CheckRule::SumProduct, Precision::F32), "blocked");
-        assert_eq!(layout(&graph, CheckRule::SumProduct, Precision::F64), "edges");
+        assert!(on_planes(&graph, CheckRule::SumProduct, Precision::F32));
+        assert!(!on_planes(&graph, CheckRule::SumProduct, Precision::F64));
     }
 }

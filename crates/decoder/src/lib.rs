@@ -17,10 +17,10 @@
 //! The three float schedules are one [`BpDecoder`]: one message store, one
 //! iteration loop with early stop and one epilogue. A schedule is only the
 //! layout it picks at construction and its per-iteration step. Under
-//! flooding and zigzag alike, the min-sum rules on a DVB-S2 graph run on the
-//! rotation planes, the paper's 360 functional units as vector lanes; the
-//! zigzag's forward chain runs there as 360 sub-chains side by side,
-//! bit-identical to the check-by-check sweep.
+//! flooding and zigzag alike, the min-sum rules and `f32` sum-product on a
+//! DVB-S2 graph run on the rotation planes, the paper's 360 functional units
+//! as vector lanes; the zigzag's forward chain runs there as 360 sub-chains
+//! side by side, bit-identical to the check-by-check sweep under min-sum.
 //!
 //! # Example
 //!

@@ -544,9 +544,38 @@ mod tests {
                 assert!((got - want).abs() <= 1e-6 * (1.0 + want.abs()), "({a},{b}): {got} {want}");
             }
         }
-        // The boxplus identity, as the chain-decoupled sweep seeds it.
-        assert_eq!(boxplus_lanes(f32::INFINITY, -2.5), -2.5);
         assert_eq!(boxplus_t(f32::INFINITY, -2.5), -2.5);
+    }
+
+    /// `+∞` is the lane boxplus's identity on either side, bit for bit, for
+    /// every finite `x` but `-0.0`, which comes back as `+0.0` (the sign
+    /// product is `-0.0`, and adding the zero corrections rounds it to
+    /// `+0.0`). The rotation planes pad check 0's missing left input with
+    /// it, so the pad changes no sum-product output but a `-0.0`.
+    #[test]
+    fn lane_boxplus_has_infinity_as_identity() {
+        let clamp = crate::LLR_CLAMP as f32;
+        let cutoff = SOFTPLUS_CUTOFF;
+        let magnitudes = [
+            0.0,
+            1e-45,
+            f32::MIN_POSITIVE,
+            1e-6,
+            0.7,
+            2.5,
+            cutoff.next_down(),
+            cutoff,
+            cutoff.next_up(),
+            1e6,
+            clamp,
+            f32::MAX,
+        ];
+        for x in magnitudes.into_iter().flat_map(|m| [m, -m]) {
+            let want = if x == 0.0 { 0.0f32 } else { x };
+            for got in [boxplus_lanes(x, f32::INFINITY), boxplus_lanes(f32::INFINITY, x)] {
+                assert_eq!(got.to_bits(), want.to_bits(), "{x:e}: {got:e}");
+            }
+        }
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! The rotation planes of a DVB-S2 graph (DESIGN.md §7.10): the paper's 360
 //! functional units as float lanes. Check `c = u·q + r` is lane `u` of
 //! residue row `r`, so every pass reads and writes dense rotated slices
-//! with no index planes. The flooding and the zigzag min-sum steps run on
-//! the one layout; this module holds what they share — the plan, the
-//! transposition in and out of the store, the information gather, the
-//! variable-node pass and the syndrome test.
+//! with no index planes. The flooding and the zigzag steps run on the one
+//! layout, under min-sum and `f32` exact sum-product alike; this module
+//! holds what they share — the layout choice, the plan, the transposition
+//! in and out of the store, the information gather, the variable-node pass
+//! and the syndrome test.
 
 use crate::bp::Store;
-use crate::engine::{tier_clones, MinSumLanes};
-use crate::llr_ops::LlrFloat;
+use crate::engine::{tier_clones, Precision, RowKernel};
+use crate::llr_ops::{CheckRule, LlrFloat};
 use crate::qsimd::{build_rotation, lane_edge_slots, rotation_order, RotEntry};
 use crate::simd::SimdTier;
+use crate::DecoderConfig;
 use dvbs2_ldpc::{TannerGraph, PARALLELISM as LANES};
 use std::ops::Range;
 
@@ -33,6 +35,21 @@ pub(crate) struct RotationPlanes {
 }
 
 impl RotationPlanes {
+    /// The one layout choice of both float schedules: the planes of `graph`
+    /// when its rule runs there and the graph has the structure, `None` for
+    /// the scalar pass or sweep. The planes run the min-sum rules at both
+    /// precisions and exact sum-product at `f32`; `f64` sum-product is the
+    /// reference the regression suite pins, and the table rule runs the
+    /// scalar kernel.
+    pub(crate) fn for_config(graph: &TannerGraph, config: &DecoderConfig) -> Option<Self> {
+        let on_planes = match config.rule {
+            CheckRule::NormalizedMinSum(_) | CheckRule::OffsetMinSum(_) => true,
+            CheckRule::SumProduct => config.precision == Precision::F32,
+            CheckRule::TableSumProduct => false,
+        };
+        on_planes.then(|| Self::build(graph)).flatten()
+    }
+
     /// The planes of `graph`, or `None` without the structure: `K` and
     /// `M = N − K` whole 360-blocks, check `c`'s inputs `info_d >= 2`
     /// information edges followed by parities `K + c − 1` (unless `c = 0`)
@@ -42,7 +59,7 @@ impl RotationPlanes {
         if !k.is_multiple_of(LANES) || graph.var_count() != k + m {
             return None;
         }
-        // Check 0 then has degree >= 3, the min-sum stripe's domain.
+        // Check 0 then has degree >= 3, the row kernels' domain.
         let info_d = graph.check_degree(0).checked_sub(1).filter(|&d| d >= 2)?;
         let (offsets, vars) = (graph.check_offsets(), graph.edge_vars());
         let ira = (0..m).all(|c| {
@@ -136,32 +153,43 @@ impl RotationPlanes {
     }
 }
 
-/// Evaluates `$body` with `$correct` bound to the min-sum rule `$rule`'s
-/// magnitude correction at precision `$f` (`mag·α` normalized,
-/// `max(mag − β, 0)` offset): each rule monomorphizes its own pass.
-macro_rules! min_sum_correction {
-    ($rule:expr, $f:ty, |$correct:ident| $body:expr) => {
+/// Evaluates `$body` with `$kernel` bound to the [`RowKernel`] of `$rule`
+/// at precision `$f`: exact sum-product, or the two minima under the
+/// min-sum rule's magnitude correction (`mag·α` normalized,
+/// `max(mag − β, 0)` offset). Each rule monomorphizes its own pass.
+///
+/// [`RowKernel`]: crate::engine::RowKernel
+macro_rules! row_kernel {
+    ($rule:expr, $f:ty, |$kernel:ident| $body:expr) => {
         match *$rule {
+            $crate::CheckRule::SumProduct => {
+                let $kernel = $crate::engine::SumProductLanes::new();
+                $body
+            }
             $crate::CheckRule::NormalizedMinSum(alpha) => {
                 let alpha = <$f as $crate::LlrFloat>::from_f64(alpha);
-                let $correct = move |mag: $f| mag * alpha;
+                let $kernel = $crate::engine::MinSumLanes::new(move |mag: $f| mag * alpha);
                 $body
             }
             $crate::CheckRule::OffsetMinSum(beta) => {
                 let beta = <$f as $crate::LlrFloat>::from_f64(beta);
-                let $correct = move |mag: $f| (mag - beta).max(<$f as $crate::LlrFloat>::ZERO);
+                let $kernel = $crate::engine::MinSumLanes::new(move |mag: $f| {
+                    (mag - beta).max(<$f as $crate::LlrFloat>::ZERO)
+                });
                 $body
             }
-            _ => unreachable!("the rotation planes serve the min-sum rules only"),
+            $crate::CheckRule::TableSumProduct => {
+                unreachable!("the table rule runs on the scalar pass")
+            }
         }
     };
 }
-pub(crate) use min_sum_correction;
+pub(crate) use row_kernel;
 
 /// The block of information totals `column` reads, rotated: lanes
 /// `0..360 − off` read the first piece, the rest the second.
 #[inline(always)]
-pub(crate) fn rotated<'a, F>(info: &'a [F], column: &RotEntry) -> (&'a [F], &'a [F]) {
+fn rotated<'a, F>(info: &'a [F], column: &RotEntry) -> (&'a [F], &'a [F]) {
     let (block, off) = column.block_and_off(LANES);
     (&info[block + off..block + LANES], &info[block..block + off])
 }
@@ -183,7 +211,7 @@ pub(crate) fn add<F: LlrFloat>(out: &mut [F], a: &[F], b: &[F]) {
 }
 
 /// Gathers the information columns of row `r` into the one-row `v2c`
-/// (`totals − c2v`, column `j` at `[j·360..]`) and folds each into `lanes`.
+/// (`totals − c2v`, column `j` at `[j·360..]`) and folds each into `kernel`.
 #[inline(always)]
 pub(crate) fn fold_info_columns<F: LlrFloat>(
     planes: &RotationPlanes,
@@ -191,7 +219,7 @@ pub(crate) fn fold_info_columns<F: LlrFloat>(
     info: &[F],
     v2c: &mut [F],
     c2v_row: &[F],
-    lanes: &mut MinSumLanes<F>,
+    kernel: &mut impl RowKernel<F>,
 ) {
     for (j, column) in planes.info_columns(r).iter().enumerate() {
         let (inputs, old) = (&mut v2c[j * LANES..][..LANES], &c2v_row[j * LANES..][..LANES]);
@@ -199,7 +227,7 @@ pub(crate) fn fold_info_columns<F: LlrFloat>(
         let (lo, hi) = inputs.split_at_mut(head.len());
         subtract(lo, head, &old[..head.len()]);
         subtract(hi, tail, &old[head.len()..]);
-        lanes.fold(j, inputs);
+        kernel.fold(j, inputs);
     }
 }
 

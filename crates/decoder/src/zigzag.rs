@@ -23,23 +23,24 @@
 //! ```
 //!
 //! so only `F` carries a dependency from check to check. The decoder picks
-//! one layout at construction from the graph, the rule and the precision;
-//! each is the only path for the decoders it serves:
+//! one of two layouts at construction from the graph, the rule and the
+//! precision, by the choice flooding shares
+//! ([`RotationPlanes::for_config`]); each is the only path for the decoders
+//! it serves:
 //!
-//! * **Rotation planes** — the min-sum rules on a DVB-S2 graph, at both
-//!   precisions (DESIGN.md §7.11): flooding's planes, with check
-//!   `c = u·q + r` lane `u` of residue row `r`, so lane `u` is the paper's
-//!   sub-chain of `q` checks. Phase A folds every check's information
-//!   inputs lane-parallel, phase B runs the forward chain row by row with
-//!   each lane's first input speculated and then repaired lane by lane,
-//!   phase C writes every output lane-parallel. Min-sum selects and never
-//!   rounds, so this is bit-identical to the scalar sweep.
-//! * **Chain-decoupled** — `f32` exact sum-product (`Decoupled`): the same
-//!   phases on the degree-blocked edge planes, with the forward chain as one
-//!   scalar boxplus per check.
+//! * **Rotation planes** — the min-sum rules at both precisions and `f32`
+//!   exact sum-product on a DVB-S2 graph (DESIGN.md §7.11): flooding's
+//!   planes, with check `c = u·q + r` lane `u` of residue row `r`, so lane
+//!   `u` is the paper's sub-chain of `q` checks. Phase A folds every
+//!   check's information inputs lane-parallel, phase B runs the forward
+//!   chain row by row with each lane's first input speculated and then
+//!   repaired lane by lane, phase C writes every output lane-parallel. The
+//!   repair compares bits, so it is exact under either rule; min-sum
+//!   selects and never rounds, so there it is bit-identical to the scalar
+//!   sweep as well.
 //! * **Edge planes** — everything else (`f64` sum-product, the reference the
-//!   seed-embedded regression suite pins, the table rule, and min-sum on a
-//!   graph without the DVB-S2 structure): the scalar check-by-check sweep.
+//!   seed-embedded regression suite pins, the table rule, and every rule on
+//!   a graph without the DVB-S2 structure): the scalar check-by-check sweep.
 //!   Each check's parity edges sit at the tail of its contiguous edge range
 //!   (left chain edge at `end - 2`, right at `end - 1`), so the sweep
 //!   writes the two parity inputs straight into the v2c plane and runs the
@@ -50,14 +51,11 @@
 //! The loop, the store and the epilogue are the spine's ([`crate::bp`]).
 
 use crate::bp::{BpDecoder, Schedule, Step, Store};
-use crate::engine::{
-    accumulate_totals_slotted_tier, chain_combine_pass_tier, chain_info_pass_tier,
-    syndrome_ok_totals, tier_clones, BlockedChecks, MinSumLanes, Precision,
-};
-use crate::llr_ops::{boxplus_t, CheckRule, LlrFloat};
+use crate::engine::{syndrome_ok_totals, tier_clones, RowKernel};
+use crate::llr_ops::{CheckRule, LlrFloat};
 use crate::rotation::{
-    add, fold_info_columns, min_sum_correction, rotated, rotation_syndrome_tier,
-    rotation_vn_pass_tier, RotationPlanes,
+    add, fold_info_columns, rotation_syndrome_tier, rotation_vn_pass_tier, row_kernel,
+    RotationPlanes,
 };
 use crate::simd::SimdTier;
 use crate::DecoderConfig;
@@ -69,13 +67,12 @@ use dvbs2_ldpc::{TannerGraph, PARALLELISM as LANES};
 /// `info_len()..var_count()` must form the accumulator chain, and each
 /// check's parity edges must come last in its edge range.
 ///
-/// The min-sum rules on a DVB-S2 graph run on the rotation planes, 360
-/// sub-chains side by side (module docs); `f32` exact sum-product runs the
-/// chain-decoupled sweep, lane-parallel across checks with one scalar
-/// boxplus per check left on the chain. `f64` exact sum-product — the
-/// reference the seed-embedded regression suite pins bit for bit — the
-/// table rule, and min-sum on other graphs run the scalar check-by-check
-/// sweep. Every min-sum layout decodes bit for bit as the scalar sweep.
+/// The min-sum rules and `f32` exact sum-product on a DVB-S2 graph run on
+/// the rotation planes, 360 sub-chains side by side (module docs). `f64`
+/// exact sum-product — the reference the seed-embedded regression suite
+/// pins bit for bit — the table rule, and every rule on other graphs run the
+/// scalar check-by-check sweep. Min-sum decodes bit for bit as the scalar
+/// sweep on either layout.
 pub type ZigzagDecoder = BpDecoder<Zigzag>;
 
 /// The zigzag schedule: where the messages live.
@@ -90,7 +87,6 @@ enum Layout {
         planes: RotationPlanes,
         repaired: usize,
     },
-    Decoupled(Box<Decoupled>),
     Sweep,
 }
 
@@ -105,25 +101,18 @@ impl Schedule for Zigzag {
             graph.check_count(),
             "IRA structure requires one parity variable per check"
         );
-        Zigzag(match config.rule {
-            CheckRule::NormalizedMinSum(_) | CheckRule::OffsetMinSum(_) => {
-                RotationPlanes::build(graph)
-                    .map_or(Layout::Sweep, |planes| Layout::Planes { planes, repaired: 0 })
-            }
-            CheckRule::SumProduct if config.precision == Precision::F32 => {
-                Layout::Decoupled(Box::new(Decoupled::new(graph)))
-            }
-            _ => Layout::Sweep,
-        })
+        Zigzag(
+            RotationPlanes::for_config(graph, config)
+                .map_or(Layout::Sweep, |planes| Layout::Planes { planes, repaired: 0 }),
+        )
     }
 
-    /// Edge planes (in the blocked layout's slot order for the decoupled
-    /// sweep) and the next totals; on the rotation planes `v2c` is one row
-    /// and `next` holds `I_c` during an iteration.
+    /// Edge planes and the next totals; on the rotation planes `v2c` is one
+    /// row and `next` holds `I_c` during an iteration.
     fn lengths(&self, graph: &TannerGraph) -> [usize; 3] {
         match &self.0 {
             Layout::Planes { planes, .. } => planes.lengths(graph),
-            _ => [graph.edge_count(), graph.edge_count(), graph.var_count()],
+            Layout::Sweep => [graph.edge_count(), graph.edge_count(), graph.var_count()],
         }
     }
 
@@ -137,37 +126,14 @@ impl Schedule for Zigzag {
     }
 }
 
-/// The spine's precisions, each with its store seen at `f32`, the one
-/// precision the chain-decoupled sweep is built for.
-pub trait ChainFloat: LlrFloat {
-    /// The store itself at `f32`, `None` at `f64`.
-    fn at_f32(m: &mut Store<Self>) -> Option<&mut Store<f32>>;
-}
-
-impl ChainFloat for f32 {
-    fn at_f32(m: &mut Store<f32>) -> Option<&mut Store<f32>> {
-        Some(m)
-    }
-}
-
-impl ChainFloat for f64 {
-    fn at_f32(_: &mut Store<f64>) -> Option<&mut Store<f32>> {
-        None
-    }
-}
-
 /// On the rotation planes the parity halves of `llr` and `totals` are
 /// transposed until [`Step::finish`].
-impl<F: ChainFloat> Step<F> for Zigzag {
+impl<F: LlrFloat> Step<F> for Zigzag {
     fn start(&mut self, m: &mut Store<F>) {
         match &mut self.0 {
             Layout::Planes { planes, repaired } => {
                 *repaired = 0;
                 planes.start(m);
-            }
-            Layout::Decoupled(decoupled) => {
-                decoupled.bwd.fill(0.0);
-                m.totals_from_channel();
             }
             Layout::Sweep => m.totals_from_channel(),
         }
@@ -177,17 +143,13 @@ impl<F: ChainFloat> Step<F> for Zigzag {
         match &mut self.0 {
             Layout::Planes { planes, repaired } => {
                 let Store { llr, v2c, c2v, totals, next } = m;
-                *repaired += min_sum_correction!(rule, F, |correct| {
-                    planes_check_pass_tier(tier, planes, llr, totals, v2c, c2v, next, correct)
+                *repaired += row_kernel!(rule, F, |kernel| {
+                    planes_check_pass_tier(tier, planes, llr, totals, v2c, c2v, next, kernel)
                 });
                 // Parity `K + c` as the sweep sums it: `(pllr + F_c) + B_{c+1}`.
                 let parity =
                     |l, forward, backward: Option<F>| (l + forward) + backward.unwrap_or(F::ZERO);
                 rotation_vn_pass_tier(tier, planes, llr, c2v, totals, parity);
-            }
-            Layout::Decoupled(decoupled) => {
-                let m = F::at_f32(m).expect("the chain-decoupled sweep is built at f32 only");
-                decoupled.step(graph, tier, m)
             }
             Layout::Sweep => sweep(graph, rule, m),
         }
@@ -196,7 +158,7 @@ impl<F: ChainFloat> Step<F> for Zigzag {
     fn syndrome_ok(&self, graph: &TannerGraph, tier: SimdTier, m: &Store<F>) -> bool {
         match &self.0 {
             Layout::Planes { planes, .. } => rotation_syndrome_tier(tier, planes, &m.totals),
-            _ => syndrome_ok_totals(graph, &m.totals),
+            Layout::Sweep => syndrome_ok_totals(graph, &m.totals),
         }
     }
 
@@ -259,10 +221,11 @@ fn sweep<F: LlrFloat>(graph: &TannerGraph, rule: &CheckRule, m: &mut Store<F>) {
     std::mem::swap(&mut m.totals, &mut m.next);
 }
 
-/// The check updates of one zigzag iteration on the rotation planes, bit
-/// for bit those of the scalar sweep (DESIGN.md §7.11): phases A, B and C.
-/// `fold` holds one `I_c` per check, row-major like the parity rows.
-/// Returns the checks phase B's repair recomputed.
+/// The check updates of one zigzag iteration on the rotation planes
+/// (DESIGN.md §7.11): phases A, B and C under the rule's row kernel, bit for
+/// bit those of the scalar sweep under min-sum. `fold` holds one `I_c` per
+/// check, row-major like the parity rows. Returns the checks phase B's
+/// repair recomputed.
 #[inline(always)]
 fn planes_check_pass<F: LlrFloat>(
     planes: &RotationPlanes,
@@ -271,84 +234,73 @@ fn planes_check_pass<F: LlrFloat>(
     v2c: &mut [F],
     c2v: &mut [F],
     fold: &mut [F],
-    correct: impl Fn(F) -> F,
+    mut kernel: impl RowKernel<F>,
 ) -> usize {
     let info = &totals[..planes.k];
-    information_folds(planes, info, c2v, fold);
-    let repaired = forward_chain(planes, llr, c2v, fold, &correct);
-    check_outputs(planes, llr, info, v2c, c2v, &correct);
+    information_folds(planes, info, v2c, c2v, fold, &mut kernel);
+    let repaired = forward_chain(planes, llr, c2v, fold, &kernel);
+    check_outputs(planes, llr, info, v2c, c2v, &mut kernel);
     repaired
 }
 
-/// Phase A: per check, `I_c` — the smallest magnitude of its information
-/// inputs, with the parity of their negative signs in the sign bit.
+/// Phase A: per check, `I_c` — the rule's left fold of its information
+/// inputs (under min-sum the smallest magnitude, with the parity of their
+/// negative signs in the sign bit).
 #[inline(always)]
-fn information_folds<F: LlrFloat>(planes: &RotationPlanes, info: &[F], c2v: &[F], fold: &mut [F]) {
+fn information_folds<F: LlrFloat>(
+    planes: &RotationPlanes,
+    info: &[F],
+    v2c: &mut [F],
+    c2v: &[F],
+    fold: &mut [F],
+    kernel: &mut impl RowKernel<F>,
+) {
+    let info_d = planes.stride - 2;
     let rows = c2v.chunks_exact(planes.stride * LANES).zip(fold.chunks_exact_mut(LANES));
     for (r, (row, fold)) in rows.enumerate() {
-        let mut m1 = [F::INFINITY; LANES];
-        let mut odd = [0u32; LANES];
-        for (j, column) in planes.info_columns(r).iter().enumerate() {
-            let (head, tail) = rotated(info, column);
-            let (old, h) = (&row[j * LANES..][..LANES], head.len());
-            fold_min(&mut m1[..h], &mut odd[..h], head, &old[..h]);
-            fold_min(&mut m1[h..], &mut odd[h..], tail, &old[h..]);
-        }
-        for ((f, &m), &o) in fold.iter_mut().zip(&m1).zip(&odd) {
-            *f = m.flip_sign_if(o == 1);
-        }
+        kernel.start(LANES);
+        fold_info_columns(planes, r, info, v2c, row, kernel);
+        kernel.info_fold(&v2c[..info_d * LANES], fold);
     }
 }
 
-/// `m1 = min(m1, |t − c|)` and the parity of the negative `t − c`, lane by
-/// lane: phase A's fold of one gathered information slice.
-#[inline(always)]
-fn fold_min<F: LlrFloat>(m1: &mut [F], odd: &mut [u32], totals: &[F], c2v: &[F]) {
-    for (((m, o), &t), &c) in m1.iter_mut().zip(odd.iter_mut()).zip(totals).zip(c2v) {
-        let x = t - c;
-        *m = m.min(x.abs());
-        *o ^= x.is_negative() as u32;
-    }
-}
-
-/// Phase B: the forward messages `F_c = correct(min(|I_c|, |L_c|))`, signed
-/// by `I_c` and `L_c`, into the right parity columns — the sweep's
-/// right-edge output, which depends on no other input. Lane `u` of row `r`
-/// reads the row above; row 0 reads lane `u − 1` of row `q − 1`, which this
-/// sweep has not computed yet. The rows run lane-parallel with that input
-/// guessed from the last iteration's `F`, then lanes `1..360` are repaired
-/// in order: from the true input, recompute down the lane until a fresh `F`
-/// has the bits of the one it replaces. Every later value depends on that
-/// one alone, so it is unchanged too. Returns the checks recomputed.
+/// Phase B: the forward messages `F_c = I_c ⊞ L_c` under the rule into the
+/// right parity columns — the sweep's right-edge output, which depends on
+/// no other input. Lane `u` of row `r` reads the row above; row 0 reads
+/// lane `u − 1` of row `q − 1`, which this sweep has not computed yet. The
+/// rows run lane-parallel with that input guessed from the last
+/// iteration's `F`, then lanes `1..360` are repaired in order: from the
+/// true input, recompute down the lane until a fresh `F` has the bits of
+/// the one it replaces. Every later value depends on that one alone, so it
+/// is unchanged too; the argument compares bits only, so it holds under
+/// every rule. Returns the checks recomputed.
 #[inline(always)]
 fn forward_chain<F: LlrFloat>(
     planes: &RotationPlanes,
     llr: &[F],
     c2v: &mut [F],
     fold: &[F],
-    correct: impl Fn(F) -> F,
+    kernel: &impl RowKernel<F>,
 ) -> usize {
     let (k, q, d) = (planes.k, planes.q, planes.stride);
     let parity_llr = |r: usize| &llr[k + r * LANES..][..LANES];
     let right = |r: usize| (r * d + d - 1) * LANES;
-    let forward =
-        |i: F, l: F| correct(i.abs().min(l.abs())).flip_sign_if(sign_bit(i) != l.is_negative());
 
     let mut guess = [F::ZERO; LANES];
     guess.copy_from_slice(&c2v[right(q - 1)..][..LANES]);
     let row0 = &mut c2v[right(0)..][..LANES];
-    // Check 0 has no left input: `+∞` is never the minimum nor negative.
-    row0[0] = forward(fold[0], F::INFINITY);
+    // Check 0 has no left input: `+∞`, as phase C gathers it.
+    row0[0] = kernel.forward(fold[0], F::INFINITY);
     let inputs = fold[1..LANES].iter().zip(&parity_llr(q - 1)[..LANES - 1]).zip(&guess);
     for (f, ((&i, &l), &g)) in row0[1..].iter_mut().zip(inputs) {
-        *f = forward(i, l + g);
+        *f = kernel.forward(i, l + g);
     }
     for r in 1..q {
         let (above, this) = c2v.split_at_mut(right(r));
         let (above, this) = (&above[right(r - 1)..][..LANES], &mut this[..LANES]);
         let inputs = fold[r * LANES..][..LANES].iter().zip(parity_llr(r - 1)).zip(above);
         for (f, ((&i, &l), &a)) in this.iter_mut().zip(inputs) {
-            *f = forward(i, l + a);
+            *f = kernel.forward(i, l + a);
         }
     }
 
@@ -360,7 +312,7 @@ fn forward_chain<F: LlrFloat>(
         }
         let mut l = parity_llr(q - 1)[u - 1];
         for r in 0..q {
-            let (fresh, at) = (forward(fold[r * LANES + u], l + prev), right(r) + u);
+            let (fresh, at) = (kernel.forward(fold[r * LANES + u], l + prev), right(r) + u);
             repaired += 1;
             if fresh.bits() == c2v[at].bits() {
                 break;
@@ -372,18 +324,12 @@ fn forward_chain<F: LlrFloat>(
     repaired
 }
 
-/// Whether `x`'s sign bit is set (`-0.0` included, unlike
-/// [`LlrFloat::is_negative`]).
-#[inline(always)]
-fn sign_bit<F: LlrFloat>(x: F) -> bool {
-    x.bits() != x.abs().bits()
-}
-
 /// Phase C: per row, the information inputs gathered again and folded with
 /// `L_c = pllr_{c−1} + F_{c−1}` and `R_c = pllr_c + B_{c+1}` into every
-/// output; the right column gets phase B's `F_c` again, bit for bit. `R`
-/// reads last iteration's `B`: row `r + 1`'s left column before that row is
-/// rewritten, and for row `q − 1` row 0's, saved before row 0 is rewritten.
+/// output; the right column gets phase B's `F_c` again, bit for bit
+/// ([`RowKernel::forward`]). `R` reads last iteration's `B`: row `r + 1`'s
+/// left column before that row is rewritten, and for row `q − 1` row 0's,
+/// saved before row 0 is rewritten.
 #[inline(always)]
 fn check_outputs<F: LlrFloat>(
     planes: &RotationPlanes,
@@ -391,7 +337,7 @@ fn check_outputs<F: LlrFloat>(
     info: &[F],
     v2c: &mut [F],
     c2v: &mut [F],
-    correct: impl Fn(F) -> F,
+    kernel: &mut impl RowKernel<F>,
 ) {
     let (k, q, d) = (planes.k, planes.q, planes.stride);
     let info_d = d - 2;
@@ -399,11 +345,10 @@ fn check_outputs<F: LlrFloat>(
     let (left, right) = (|r: usize| (r * d + d - 2) * LANES, |r: usize| (r * d + d - 1) * LANES);
     let mut first_left = [F::ZERO; LANES];
     first_left.copy_from_slice(&c2v[left(0)..][..LANES]);
-    let mut lanes = MinSumLanes::new();
     for r in 0..q {
         let row = r * d * LANES..(r + 1) * d * LANES;
-        lanes.start(LANES);
-        fold_info_columns(planes, r, info, v2c, &c2v[row.clone()], &mut lanes);
+        kernel.start(LANES);
+        fold_info_columns(planes, r, info, v2c, &c2v[row.clone()], kernel);
         let (left_in, right_in) = v2c[info_d * LANES..].split_at_mut(LANES);
         if r == 0 {
             left_in[0] = F::INFINITY;
@@ -418,9 +363,9 @@ fn check_outputs<F: LlrFloat>(
             add(right_in, parity_llr(r), &first_left[1..]);
             right_in[LANES - 1] = parity_llr(r)[LANES - 1] + F::ZERO;
         }
-        lanes.fold(info_d, left_in);
-        lanes.fold(info_d + 1, right_in);
-        lanes.extrinsics(v2c, &mut c2v[row], LANES, &correct);
+        kernel.fold(info_d, left_in);
+        kernel.fold(info_d + 1, right_in);
+        kernel.extrinsics(v2c, &mut c2v[row], LANES);
     }
 }
 
@@ -434,107 +379,16 @@ tier_clones!(
         v2c: &mut [F],
         c2v: &mut [F],
         fold: &mut [F],
-        correct: impl Fn(F) -> F,
+        kernel: impl RowKernel<F>,
     ) -> usize
 );
-
-/// The chain-decoupled zigzag sweep for `f32` exact sum-product.
-///
-/// With `I_c` the boxplus fold of check `c`'s information inputs, `E_j` the
-/// fold of all of them but `j`, `L_c`/`R_c` its left/right parity inputs,
-/// the check's outputs are
-///
-/// ```text
-/// forward  F_c   = I_c ⊞ L_c      L_c = llr[K+c-1] + F_{c-1}   (this sweep)
-/// backward B_c   = I_c ⊞ R_c      R_c = llr[K+c]   + B_{c+1}   (last sweep)
-/// info     out_j = E_j ⊞ (L_c ⊞ R_c)
-/// ```
-///
-/// so only `F` carries a dependency from check to check. Phase A computes
-/// every `E_j` and `I_c` lane-parallel over the column-major planes, phase
-/// B walks the chain with one scalar boxplus per check, phase C finishes
-/// `B_c` and `out_j` lane-parallel. This is the scalar sweep's arithmetic
-/// reassociated (boxplus is associative up to rounding), not an
-/// approximation of it; the decoded words and iteration counts track the
-/// `f64` reference frame for frame.
-///
-/// Built only for the decoders that take this path: the column-major
-/// layout and the per-check chain arrays are memory the other rules'
-/// stores should not carry. The store's planes are in `blocked`'s slot
-/// order.
-#[derive(Debug, Clone)]
-struct Decoupled {
-    blocked: BlockedChecks,
-    /// `I_c`, like every array below indexed by check.
-    info_fold: Vec<f32>,
-    /// `L_c` and `R_c` (`L_0` is unused: check 0 has no left edge).
-    left_in: Vec<f32>,
-    right_in: Vec<f32>,
-    /// `F_c`.
-    fwd: Vec<f32>,
-    /// `B_c`, one element longer than the chain: `B_0` is unused and the
-    /// trailing zero stands for the backward message the last check never
-    /// receives.
-    bwd: Vec<f32>,
-}
-
-impl Decoupled {
-    fn new(graph: &TannerGraph) -> Self {
-        let n_check = graph.check_count();
-        Decoupled {
-            blocked: BlockedChecks::for_chain(graph),
-            info_fold: vec![0.0; n_check],
-            left_in: vec![0.0; n_check],
-            right_in: vec![0.0; n_check],
-            fwd: vec![0.0; n_check],
-            bwd: vec![0.0; n_check + 1],
-        }
-    }
-
-    /// One iteration: phases A, B and C, then the totals in edge order.
-    fn step(&mut self, graph: &TannerGraph, tier: SimdTier, m: &mut Store<f32>) {
-        let (totals, info_fold) = (&m.totals, &mut self.info_fold);
-        chain_info_pass_tier(tier, &self.blocked, totals, &mut m.v2c, &mut m.c2v, info_fold);
-        self.forward(&m.llr[graph.info_len()..]);
-        chain_combine_pass_tier(
-            tier,
-            &self.blocked,
-            &mut m.c2v,
-            &self.info_fold,
-            &self.left_in,
-            &self.right_in,
-            &self.fwd,
-            &mut self.bwd,
-        );
-        let (edge_vars, slots) = (graph.edge_vars(), self.blocked.edge_to_slot());
-        accumulate_totals_slotted_tier(tier, edge_vars, slots, &m.llr, &m.c2v, &mut m.next);
-        std::mem::swap(&mut m.totals, &mut m.next);
-    }
-
-    /// Phase B: the forward recurrence down the chain, and every check's
-    /// parity inputs for phase C. The serial dependency is one boxplus per
-    /// check; it stays on the scalar libm form, whose dependent latency is
-    /// a fraction of the lane polynomial's.
-    fn forward(&mut self, parity_llr: &[f32]) {
-        let mut forward = self.info_fold[0]; // F_0 = I_0: no left edge
-        self.fwd[0] = forward;
-        self.right_in[0] = parity_llr[0] + self.bwd[1];
-        for c in 1..self.fwd.len() {
-            let left = parity_llr[c - 1] + forward;
-            forward = boxplus_t(self.info_fold[c], left);
-            self.left_in[c] = left;
-            self.fwd[c] = forward;
-            self.right_in[c] = parity_llr[c] + self.bwd[c + 1];
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bp::Core;
     use crate::test_support::{llrs_for_codeword, noisy_llrs, small_code, SplitMix64};
-    use crate::{Decoder, FloodingDecoder};
+    use crate::{DecodeResult, Decoder, FloodingDecoder, Precision};
     use dvbs2_ldpc::{AddressTable, BitVec, CodeParams, CodeRate, DegreeClass, FrameSize};
     use std::sync::Arc;
 
@@ -660,7 +514,6 @@ mod tests {
     fn layout(decoder: &ZigzagDecoder) -> &'static str {
         match decoder.schedule.0 {
             Layout::Planes { .. } => "planes",
-            Layout::Decoupled(_) => "decoupled",
             Layout::Sweep => "sweep",
         }
     }
@@ -678,9 +531,10 @@ mod tests {
         }
     }
 
-    /// A 360-bit-group IRA graph with one information edge per check: a
-    /// parity chain, but no rotation planes (check 0 has degree 2).
-    fn chain_without_planes() -> TannerGraph {
+    /// A 360-bit-group IRA graph with `info_degree` information edges per
+    /// check: a parity chain, with rotation planes from information degree
+    /// 2 on (below it check 0 has degree 2 or less).
+    fn tiny_chain(info_degree: usize) -> TannerGraph {
         let (q, k) = (3, 360);
         let params = CodeParams {
             rate: CodeRate::R1_4, // nominal: only the sizes below are used
@@ -689,35 +543,54 @@ mod tests {
             k,
             n_check: 360 * q,
             q,
-            check_degree: 3,
-            hi: DegreeClass { count: k, degree: 3 },
+            check_degree: info_degree + 2,
+            hi: DegreeClass { count: k, degree: 3 * info_degree },
             lo: DegreeClass { count: 0, degree: 3 },
         };
-        let table = AddressTable::from_rows(&params, vec![vec![0, 1, 2]]).unwrap();
+        let rows = vec![(0..3 * info_degree as u32).collect()];
+        let table = AddressTable::from_rows(&params, rows).unwrap();
         TannerGraph::for_code(&params, &table)
     }
 
-    /// Min-sum on a graph with the structure takes the planes, at both
-    /// precisions; f32 sum-product the decoupled sweep; everything else —
-    /// f64 sum-product, the table rule, min-sum on a chain without the
-    /// structure — the scalar sweep.
+    /// The layout is the shared choice ([`RotationPlanes::for_config`]):
+    /// the planes for the min-sum rules at both precisions and sum-product
+    /// at f32 on a graph with the structure; the scalar sweep for the table
+    /// rule, f64 sum-product, and every rule on a chain without the
+    /// structure.
     #[test]
     fn the_zigzag_layout_is_chosen_from_graph_and_rule() {
         let graph = Arc::new(small_code().1);
-        let unstructured = Arc::new(chain_without_planes());
-        let layout_of = |g: &Arc<TannerGraph>, rule, precision| {
+        let unstructured = Arc::new(tiny_chain(1));
+        let on_planes = |g: &Arc<TannerGraph>, rule, precision| {
             let config = DecoderConfig::default().with_rule(rule).with_precision(precision);
-            layout(&ZigzagDecoder::new(Arc::clone(g), config))
+            let planes = layout(&ZigzagDecoder::new(Arc::clone(g), config)) == "planes";
+            let chosen = RotationPlanes::for_config(g, &config).is_some();
+            assert_eq!(planes, chosen, "{rule:?} {precision:?}");
+            planes
         };
+        let min_sum = [CheckRule::NormalizedMinSum(0.8), CheckRule::OffsetMinSum(0.15)];
+        let every_rule =
+            [CheckRule::SumProduct, CheckRule::TableSumProduct].into_iter().chain(min_sum);
         for precision in [Precision::F32, Precision::F64] {
-            for rule in [CheckRule::NormalizedMinSum(0.8), CheckRule::OffsetMinSum(0.15)] {
-                assert_eq!(layout_of(&graph, rule, precision), "planes", "{rule:?} {precision:?}");
-                assert_eq!(layout_of(&unstructured, rule, precision), "sweep");
+            for rule in min_sum {
+                assert!(on_planes(&graph, rule, precision), "{rule:?} {precision:?}");
             }
-            assert_eq!(layout_of(&graph, CheckRule::TableSumProduct, precision), "sweep");
+            for rule in every_rule.clone() {
+                assert!(!on_planes(&unstructured, rule, precision), "{rule:?} {precision:?}");
+            }
+            assert!(!on_planes(&graph, CheckRule::TableSumProduct, precision));
         }
-        assert_eq!(layout_of(&graph, CheckRule::SumProduct, Precision::F32), "decoupled");
-        assert_eq!(layout_of(&graph, CheckRule::SumProduct, Precision::F64), "sweep");
+        assert!(on_planes(&graph, CheckRule::SumProduct, Precision::F32));
+        assert!(!on_planes(&graph, CheckRule::SumProduct, Precision::F64));
+        // `tests/sum_product_f32.rs`'s tiny chains of information degree 2
+        // and 3 run the planes.
+        for info_degree in [2, 3] {
+            assert!(on_planes(
+                &Arc::new(tiny_chain(info_degree)),
+                CheckRule::SumProduct,
+                Precision::F32
+            ));
+        }
     }
 
     /// The exactness matrix: the rotation planes against the same
@@ -785,17 +658,19 @@ mod tests {
         assert_eq!(codes, 13);
     }
 
-    /// `iterations` steps of `schedule` on `m`, with every guess of phase B
-    /// (row `q − 1`'s forward messages from the step before) set to `NaN`
-    /// before each: the totals' bits and the checks the repair recomputed.
-    fn run_with_poisoned_guesses<F: ChainFloat>(
+    /// A decode without early stop by `schedule` on `m`, with every guess
+    /// of phase B (row `q − 1`'s forward messages from the step before) set
+    /// to `NaN`, or negated, before each step: the result, the totals' bits
+    /// and the checks the repair recomputed.
+    fn run_with_poisoned_guesses<F: LlrFloat>(
         schedule: &mut Zigzag,
         graph: &TannerGraph,
         config: &DecoderConfig,
         tier: SimdTier,
         m: &mut Store<F>,
         llrs: &[f64],
-    ) -> (Vec<u64>, usize) {
+        negate: bool,
+    ) -> (DecodeResult, Vec<u64>, usize) {
         let Layout::Planes { planes, .. } = &schedule.0 else { panic!("not on the planes") };
         let row = planes.stride * LANES;
         let guesses = planes.q * row - LANES..planes.q * row;
@@ -803,65 +678,92 @@ mod tests {
         m.c2v.fill(F::ZERO);
         schedule.start(m);
         for _ in 0..config.max_iterations {
-            m.c2v[guesses.clone()].fill(F::from_f64(f64::NAN));
+            for guess in &mut m.c2v[guesses.clone()] {
+                *guess = if negate { -*guess } else { F::from_f64(f64::NAN) };
+            }
             schedule.step(graph, &config.rule, tier, m);
         }
+        let converged = schedule.syndrome_ok(graph, tier, m);
         schedule.finish(m);
+        let mut bits = BitVec::zeros(m.totals.len());
+        bits.fill_from(&m.totals, F::is_negative);
+        let result = DecodeResult { bits, iterations: config.max_iterations, converged };
         let Layout::Planes { repaired, .. } = schedule.0 else { unreachable!() };
-        (m.totals.iter().map(|x| x.bits()).collect(), repaired)
+        (result, m.totals.iter().map(|x| x.bits()).collect(), repaired)
     }
 
     /// Phase B's repair is exact however wrong the guesses are. On a frame
     /// with an erased parity channel `L_c = F_{c−1}`, so a wrong first
-    /// input changes the `F` below it: the first iteration, which guesses
-    /// `0.0`, repairs. Then every guess is
-    /// poisoned with `NaN` before every iteration. Both decode bit for bit
-    /// as the scalar sweep.
+    /// input changes the `F` below it: under normalized min-sum the first
+    /// iteration, which guesses `0.0`, repairs every lane but the chain
+    /// head's to the end of its sub-chain (the other rules get some `0.0`
+    /// guesses right). Then every guess is poisoned, with `NaN` and again
+    /// negated, before every step, and the decode equals the unpoisoned one
+    /// bit for bit, in totals and `DecodeResult`. The information channel
+    /// is scaled ×10, on which every `NaN`-poisoned walk reaches the end of
+    /// its sub-chain under sum-product too, so a repair that stops short is
+    /// caught. Under min-sum both runs equal the scalar sweep as well;
+    /// sum-product has no scalar reference on the planes, so for it this is
+    /// the proof that the repair is exact.
     #[test]
     fn the_repair_is_exact_when_every_guess_is_wrong() {
         let (code, graph) = small_code();
         let graph = Arc::new(graph);
         let (_, mut llrs) = noisy_llrs(&code, 2.0, 0xB0);
-        llrs[graph.info_len()..].fill(0.0);
-        for rule in [CheckRule::NormalizedMinSum(0.8), CheckRule::OffsetMinSum(0.15)] {
-            for precision in [Precision::F32, Precision::F64] {
-                let what = format!("{rule:?} {precision:?}");
-                let first = DecoderConfig::default()
-                    .with_rule(rule)
-                    .with_precision(precision)
-                    .with_max_iterations(1)
-                    .with_early_stop(false);
-                let mut planes = ZigzagDecoder::new(Arc::clone(&graph), first);
-                let mut reference = sweep_decoder(&graph, first);
-                assert_eq!(planes.decode(&llrs), reference.decode(&llrs), "{what}");
+        let k = graph.info_len();
+        llrs[..k].iter_mut().for_each(|x| *x *= 10.0);
+        llrs[k..].fill(0.0);
+        let min_sum = [CheckRule::NormalizedMinSum(0.8), CheckRule::OffsetMinSum(0.15)];
+        let runs = min_sum
+            .into_iter()
+            .flat_map(|rule| [(rule, Precision::F32), (rule, Precision::F64)])
+            .chain([(CheckRule::SumProduct, Precision::F32)]);
+        for (rule, precision) in runs {
+            let what = format!("{rule:?} {precision:?}");
+            let first = DecoderConfig::default()
+                .with_rule(rule)
+                .with_precision(precision)
+                .with_max_iterations(1)
+                .with_early_stop(false);
+            let mut planes = ZigzagDecoder::new(Arc::clone(&graph), first);
+            let mut reference = sweep_decoder(&graph, first);
+            let min_sum = rule != CheckRule::SumProduct;
+            let got = planes.decode(&llrs);
+            if min_sum {
+                assert_eq!(got, reference.decode(&llrs), "{what}");
                 assert_eq!(totals_bits(&planes), totals_bits(&reference), "{what}");
-                let Layout::Planes { planes: p, repaired } = &planes.schedule.0 else { panic!() };
-                // Under normalized min-sum every lane but the chain head's
-                // guessed wrong, and the error reaches the end of every
-                // sub-chain. The offset rule zeroes many boundaries, which
-                // the `0.0` guess then gets right.
-                match rule {
-                    CheckRule::NormalizedMinSum(_) => {
-                        assert_eq!(*repaired, (LANES - 1) * p.q, "{what}")
-                    }
-                    _ => assert!(*repaired > 0, "{what}"),
+            }
+            let Layout::Planes { planes: p, repaired } = &planes.schedule.0 else { panic!() };
+            match rule {
+                CheckRule::NormalizedMinSum(_) => {
+                    assert_eq!(*repaired, (LANES - 1) * p.q, "{what}")
                 }
+                _ => assert!(*repaired > 0, "{what}"),
+            }
 
-                let config = first.with_max_iterations(6);
+            let config = first.with_max_iterations(6);
+            planes.config = config;
+            let want = (planes.decode(&llrs), totals_bits(&planes));
+            if min_sum {
                 reference.config = config;
-                reference.decode(&llrs);
-                let tier = planes.simd_tier();
-                let (schedule, core) = (&mut planes.schedule, &mut planes.core);
-                let (totals, repaired) = match core {
+                assert_eq!(want, (reference.decode(&llrs), totals_bits(&reference)), "{what}");
+            }
+            let tier = planes.simd_tier();
+            for negate in [false, true] {
+                let (g, schedule, core) = (&graph, &mut planes.schedule, &mut planes.core);
+                let (result, totals, repaired) = match core {
                     Core::F64(m) => {
-                        run_with_poisoned_guesses(schedule, &graph, &config, tier, m, &llrs)
+                        run_with_poisoned_guesses(schedule, g, &config, tier, m, &llrs, negate)
                     }
                     Core::F32(m) => {
-                        run_with_poisoned_guesses(schedule, &graph, &config, tier, m, &llrs)
+                        run_with_poisoned_guesses(schedule, g, &config, tier, m, &llrs, negate)
                     }
                 };
-                assert_eq!(totals, totals_bits(&reference), "{what}: poisoned guesses");
-                assert!(repaired >= 6 * (LANES - 1), "{what}: {repaired} checks repaired");
+                let what =
+                    format!("{what}, {}", if negate { "negated guesses" } else { "NaN guesses" });
+                assert_eq!((result, totals), want, "{what}");
+                // A `NaN` guess never has the bits of the true input.
+                assert!(negate || repaired >= 6 * (LANES - 1), "{what}: {repaired} repaired");
             }
         }
     }

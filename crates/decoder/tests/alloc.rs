@@ -102,12 +102,11 @@ fn assert_zero_allocation_decode_into(name: &str, decoder: &mut dyn Decoder, llr
     assert_eq!(out, reference, "{name}: decode_into must be deterministic across reuse");
 }
 
-/// The float configurations both audits cover. `sum-product f32` is the
-/// lane-parallel pair — the column-major flooding pass and the
-/// chain-decoupled zigzag sweep — whose stripe state lives on the stack.
-/// `min-sum f32` is the served clear-sky profile; on this quasi-cyclic code
-/// it and both other min-sum rows run flooding on the rotation planes,
-/// whose syndrome lanes live on the stack too.
+/// The float configurations both audits cover. On this quasi-cyclic code
+/// `sum-product f32` and every min-sum row (`min-sum f32` is the served
+/// clear-sky profile) run flooding and zigzag on the rotation planes, whose
+/// row kernels and syndrome lanes live on the stack; `sum-product f64` and
+/// the table rule run the scalar pass and sweep.
 fn audited_configs() -> [(&'static str, DecoderConfig); 6] {
     let f32_config = DecoderConfig::default().with_precision(Precision::F32);
     [

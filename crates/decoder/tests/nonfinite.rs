@@ -18,8 +18,8 @@ use dvbs2_ldpc::BitVec;
 use std::sync::Arc;
 
 /// Every soft decoder in the matrix: every core the float schedules pick —
-/// flooding on its rotation, blocked and edge planes, zigzag on its rotation
-/// planes (both min-sum rules), its scalar sweep and its chain-decoupled one,
+/// flooding and zigzag on the rotation planes (min-sum, and sum-product at
+/// f32) and on the scalar pass and sweep (f64 sum-product, the table rule),
 /// layered — at both precisions where the core has two; the quantized decoder
 /// on each of its paths (sequential,
 /// scalar fused over the 360-lane rotation cut, SIMD lane planes over the

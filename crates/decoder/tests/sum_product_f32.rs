@@ -1,11 +1,10 @@
 //! The lane-parallel `f32` exact sum-product decoders against the scalar
-//! `f64` references: flooding through the column-major pass, zigzag through
-//! the chain-decoupled sweep. Both reassociate the boxplus chains and
-//! evaluate the corrections with the vector softplus, so the contract is
-//! behavioural — same decoded word, iteration count within one — plus
-//! bit-identity of the full result across SIMD tiers, which the flooding
-//! min-sum kernels (the other tier-dispatched float path) are held to here
-//! as well.
+//! `f64` references: flooding and zigzag on the rotation planes. Both
+//! reassociate the boxplus chains and evaluate the corrections with the
+//! vector softplus, so the contract is behavioural — same decoded word,
+//! iteration count within one — plus bit-identity of the full result across
+//! SIMD tiers, which the flooding min-sum kernels (the other tier-dispatched
+//! float path) are held to here as well.
 
 use dvbs2_decoder::test_support::{noisy_llrs, SplitMix64};
 use dvbs2_decoder::{
@@ -113,12 +112,12 @@ fn tiny_chain_graph(info_degree: usize) -> TannerGraph {
 }
 
 #[test]
-fn f32_sum_product_handles_short_checks_and_the_chain_head() {
-    // Information degree 0, 1 and 2 — the folds the decoupled sweep
-    // special-cases (identity, the lone edge, the sibling edge) — and 3, the
-    // first general one, on check 0 (one parity edge) as well as along the
-    // chain. Every linear code
-    // holds the all-zero word, so noisy positive LLRs are valid frames.
+fn f32_sum_product_tracks_f64_on_tiny_chains_on_both_layouts() {
+    // Information degrees 0 and 1 leave the graph without the rotation
+    // planes (check 0 needs two information edges), so both schedules run
+    // the scalar pass or sweep; 2 and 3 run the planes, where check 0's
+    // missing left input is the `+∞` pad. Every linear code holds the
+    // all-zero word, so noisy positive LLRs are valid frames.
     for info_degree in 0..=3 {
         let graph = Arc::new(tiny_chain_graph(info_degree));
         assert_eq!(graph.check_degree(0), info_degree + 1);

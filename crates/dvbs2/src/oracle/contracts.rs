@@ -381,8 +381,8 @@ fn matrix(ev: &mut Evidence, v: &mut Verdicts) {
     let graph = || Arc::clone(&ev.ctx.code.graph);
     let f64_config = ev.sw_config;
     let f32_config = f64_config.with_precision(Precision::F32);
-    // Min-sum engine kernel, both precisions (flooding routes min-sum
-    // rules through the blocked two-pass kernel).
+    // Min-sum engine kernel, both precisions (flooding runs the min-sum
+    // rules on the rotation planes).
     let ms = f64_config.with_rule(CheckRule::NormalizedMinSum(0.75));
     let mut entries: Vec<MatrixEntry> = Vec::new();
     let mut run = |name: &'static str, decoder: &mut dyn Decoder| {
