@@ -1,12 +1,16 @@
-//! The kernels of the float schedules' steps ([`crate::bp`]).
+//! The kernels of the float schedules' steps ([`crate::bp`]) and the row
+//! kernels of every lane datapath.
 //!
 //! The edge layouts store their messages in flat edge-indexed planes
 //! (`v2c`, `c2v`) using the Tanner graph's check-major edge numbering, so
 //! the check-node half-iteration streams each check's contiguous edge range
 //! and the variable-node half-iteration is a single scatter-add/gather pass
 //! over [`TannerGraph::edge_vars`]. The helpers here implement those passes
-//! generically over the message precision, beside the row kernels the
-//! rotation planes ([`crate::rotation`]) run each rule through.
+//! generically over the message precision, beside the two row kernels
+//! ([`RowKernel`], generic over the [`Lane`] type) that the float rotation
+//! planes ([`crate::rotation`]), the quantized `i16` lanes (`qsimd`) and,
+//! through [`LaneLut`](crate::LaneLut), the hardware models' functional-unit
+//! array run every check rule through.
 //!
 //! Bit-compatibility contract: for `f64` messages every helper performs the
 //! same floating-point operations in the same order as the scalar loops
@@ -16,7 +20,10 @@
 //! bit-identical to a per-variable gather.
 
 use crate::llr_ops::{boxplus_lanes, CheckRule, LlrFloat};
+use crate::simd::SimdTier;
 use dvbs2_ldpc::TannerGraph;
+use std::fmt::Debug;
+use std::ops::BitXor;
 
 /// Message precision of a belief-propagation decoder.
 ///
@@ -113,28 +120,156 @@ pub(crate) fn fused_check_pass<F: LlrFloat>(
     }
 }
 
+/// One lane of a row kernel: the message types the check updates run on —
+/// `f32` and `f64` for the float rules ([`LlrFloat`] extends it), `i16` for
+/// the quantized datapath. The methods are the two-minima recurrence's,
+/// branch-free where the condition is data.
+pub trait Lane: Copy + PartialOrd + Debug + Default + Send + Sync + 'static {
+    /// Above every input magnitude: the two minima's seed (`+∞` for the
+    /// floats, `i16::MAX` for the quantized lanes, whose inputs stay within
+    /// `±max_mag`).
+    const MAX: Self;
+
+    /// The minimum's column and the negative-sign parity, one per lane:
+    /// never wider than the lane, so the `i16` kernel's state vectors are
+    /// single-width (`u16`). Both floats take `u32`: beside `f64` a `u64`
+    /// word ran flooding min-sum about 15 % slower (AVX-512, 2 vCPUs).
+    type Word: Copy + Eq + Default + BitXor<Output = Self::Word> + From<bool> + From<u16>;
+
+    /// `self.abs()`.
+    fn abs(self) -> Self;
+    /// `self.min(other)` (`std` NaN semantics for the floats).
+    fn min(self, other: Self) -> Self;
+    /// `self.max(other)` (`std` NaN semantics for the floats).
+    fn max(self, other: Self) -> Self;
+    /// `self < 0` (`-0.0` is not negative).
+    fn is_negative(self) -> bool;
+    /// `if flip { -self } else { self }`, without a data-dependent branch
+    /// (a sign-bit XOR for the floats): in the kernels `flip` is a
+    /// near-random parity bit.
+    fn flip_sign_if(self, flip: bool) -> Self;
+    /// `if take_a { a } else { b }`, lowered to a bit-mask blend.
+    fn select(take_a: bool, a: Self, b: Self) -> Self;
+    /// The bit pattern, widened to `u64`: two values have equal `bits`
+    /// exactly when they are bit-identical (`0.0` and `-0.0` differ).
+    fn bits(self) -> u64;
+}
+
+macro_rules! impl_float_lane {
+    ($($t:ty => $b:ty);*) => {$(
+        impl Lane for $t {
+            const MAX: Self = <$t>::INFINITY;
+            type Word = u32;
+
+            #[inline(always)]
+            fn abs(self) -> Self {
+                self.abs()
+            }
+            #[inline(always)]
+            fn min(self, other: Self) -> Self {
+                self.min(other)
+            }
+            #[inline(always)]
+            fn max(self, other: Self) -> Self {
+                self.max(other)
+            }
+            #[inline(always)]
+            fn is_negative(self) -> bool {
+                self < 0.0
+            }
+            #[inline(always)]
+            fn flip_sign_if(self, flip: bool) -> Self {
+                <$t>::from_bits(self.to_bits() ^ ((flip as $b) << (<$b>::BITS - 1)))
+            }
+            #[inline(always)]
+            fn select(take_a: bool, a: Self, b: Self) -> Self {
+                let mask = (take_a as $b).wrapping_neg();
+                <$t>::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
+            }
+            #[inline(always)]
+            fn bits(self) -> u64 {
+                self.to_bits().into()
+            }
+        }
+    )*};
+}
+impl_float_lane!(f32 => u32; f64 => u64);
+
+impl Lane for i16 {
+    const MAX: Self = i16::MAX;
+    type Word = u16;
+
+    #[inline(always)]
+    fn abs(self) -> Self {
+        self.abs()
+    }
+    #[inline(always)]
+    fn min(self, other: Self) -> Self {
+        Ord::min(self, other)
+    }
+    #[inline(always)]
+    fn max(self, other: Self) -> Self {
+        Ord::max(self, other)
+    }
+    #[inline(always)]
+    fn is_negative(self) -> bool {
+        self < 0
+    }
+    #[inline(always)]
+    fn flip_sign_if(self, flip: bool) -> Self {
+        let mask = -(flip as i16);
+        (self ^ mask) - mask
+    }
+    #[inline(always)]
+    fn select(take_a: bool, a: Self, b: Self) -> Self {
+        let mask = -(take_a as i16);
+        (a & mask) | (b & !mask)
+    }
+    #[inline(always)]
+    fn bits(self) -> u64 {
+        self as u16 as u64
+    }
+}
+
 /// Most lanes a row kernel takes: a rotation-plane row is 360, and the
 /// state of a row stays L1-resident beside its gathered columns.
-const ROW_LANES: usize = 1024;
+pub(crate) const ROW_LANES: usize = 1024;
 
 /// A check rule's update of one row of up to [`ROW_LANES`] checks of degree
-/// `d >= 3`, one per lane — the body of the float rotation planes, which
-/// run one residue row of 360 checks at a time (DESIGN.md §7.10): `start`,
-/// `fold` each input column as it is gathered, then write the
-/// `extrinsics`. Column `j` of a row is `[j·lanes ..][.. lanes]`, so every
-/// access is contiguous and the loops are dense, branchless and independent
-/// across lanes.
-pub(crate) trait RowKernel<F: LlrFloat> {
+/// `d >= 3`, one per lane — the check-node body of every lane datapath: the
+/// float rotation planes (DESIGN.md §7.10), the quantized `i16` lanes and,
+/// through [`LaneLut`](crate::LaneLut), the hardware models' functional-unit
+/// array (§7.8). Each runs one row of 360 checks at a time: `start`, `fold`
+/// each input column as it is gathered, then write the `extrinsics`.
+/// Column `j` of a row is `[j·lanes ..][.. lanes]`, so every access is
+/// contiguous and the loops are dense, branchless and independent across
+/// lanes.
+///
+/// Per lane every kernel is bit for bit a scalar reference, which the
+/// kernels are tested against and which stays the definition:
+/// [`CheckRule::extrinsic_t`] for the min-sum rules,
+/// [`QCheckArithmetic::extrinsic`] for the quantized min-sum and
+/// [`QBoxplus::extrinsic`] for the quantized LUT. Exact `f32` sum-product
+/// has the prefix/suffix fold under [`boxplus_lanes`] and sits within
+/// `1e-4` of `CheckRule::SumProduct`.
+///
+/// [`QCheckArithmetic::extrinsic`]: crate::QCheckArithmetic::extrinsic
+/// [`QBoxplus::extrinsic`]: crate::QBoxplus::extrinsic
+pub(crate) trait RowKernel<L: Lane> {
     /// Starts a row of `lanes` checks.
     fn start(&mut self, lanes: usize);
 
     /// Takes gathered input column `j`, one input per lane.
-    fn fold(&mut self, j: usize, column: &[F]);
+    fn fold(&mut self, j: usize, column: &[L]);
 
     /// Writes the row's extrinsics over `c2v`, `v2c` holding every gathered
     /// input column.
-    fn extrinsics(&mut self, v2c: &[F], c2v: &mut [F], lanes: usize);
+    fn extrinsics(&mut self, v2c: &[L], c2v: &mut [L], lanes: usize);
+}
 
+/// What the float zigzag's three phases (DESIGN.md §7.11) ask of a row
+/// kernel beyond the row update.
+pub(crate) trait ZigzagKernel<F: LlrFloat>: RowKernel<F> {
     /// The zigzag's information fold `I_c` into `out`, one per lane: the
     /// rule's left fold of the columns gathered into `v2c` (and taken by
     /// `fold`) since `start`.
@@ -146,52 +281,70 @@ pub(crate) trait RowKernel<F: LlrFloat> {
     fn forward(&self, i: F, l: F) -> F;
 }
 
-/// The two-minima min-sum update under the rule's magnitude correction.
-/// Per lane this is [`CheckRule::extrinsic_t`]'s arithmetic, whose outputs
-/// do not depend on the column order (the minimum's position is a *column*
-/// index).
-pub(crate) struct MinSumLanes<F, C> {
-    min1: [F; ROW_LANES],
-    min2: [F; ROW_LANES],
-    min_col: [u32; ROW_LANES],
-    negative_signs: [u32; ROW_LANES],
+/// One whole row through `kernel`: every column of `v2c` folded, then the
+/// extrinsics over `c2v`.
+#[inline(always)]
+pub(crate) fn row_update<L: Lane>(
+    kernel: &mut impl RowKernel<L>,
+    v2c: &[L],
+    c2v: &mut [L],
+    lanes: usize,
+) {
+    kernel.start(lanes);
+    for (j, column) in v2c.chunks_exact(lanes).enumerate() {
+        kernel.fold(j, column);
+    }
+    kernel.extrinsics(v2c, c2v, lanes);
+}
+
+/// The two-minima min-sum update under a magnitude correction: per lane
+/// the first strict minimum's column, the two smallest magnitudes and the
+/// parity of the negative inputs, whose outputs do not depend on the
+/// column order (the minimum's position is a *column* index). `correct`
+/// is the rule's: `mag·α` normalized, `max(mag − β, 0)` offset, and the
+/// quantized lanes' shift `m − (m >> s)`.
+pub(crate) struct MinSumLanes<L: Lane, C> {
+    min1: [L; ROW_LANES],
+    min2: [L; ROW_LANES],
+    min_col: [L::Word; ROW_LANES],
+    negative_parity: [L::Word; ROW_LANES],
     correct: C,
 }
 
-impl<F: LlrFloat, C: Fn(F) -> F> MinSumLanes<F, C> {
+impl<L: Lane, C: Fn(L) -> L + Copy> MinSumLanes<L, C> {
     pub(crate) fn new(correct: C) -> Self {
         MinSumLanes {
-            min1: [F::INFINITY; ROW_LANES],
-            min2: [F::INFINITY; ROW_LANES],
-            min_col: [0; ROW_LANES],
-            negative_signs: [0; ROW_LANES],
+            min1: [L::MAX; ROW_LANES],
+            min2: [L::MAX; ROW_LANES],
+            min_col: [L::Word::default(); ROW_LANES],
+            negative_parity: [L::Word::default(); ROW_LANES],
             correct,
         }
     }
 }
 
-impl<F: LlrFloat, C: Fn(F) -> F> RowKernel<F> for MinSumLanes<F, C> {
+impl<L: Lane, C: Fn(L) -> L + Copy> RowKernel<L> for MinSumLanes<L, C> {
     /// Only the row's lanes are reset.
     #[inline(always)]
     fn start(&mut self, lanes: usize) {
-        self.min1[..lanes].fill(F::INFINITY);
-        self.min2[..lanes].fill(F::INFINITY);
-        self.min_col[..lanes].fill(0);
-        self.negative_signs[..lanes].fill(0);
+        self.min1[..lanes].fill(L::MAX);
+        self.min2[..lanes].fill(L::MAX);
+        self.min_col[..lanes].fill(L::Word::default());
+        self.negative_parity[..lanes].fill(L::Word::default());
     }
 
     /// Folds the column into the per-lane two minima, the minimum's column
-    /// and the count of negative inputs.
+    /// and the negative-sign parity.
     #[inline(always)]
-    fn fold(&mut self, j: usize, column: &[F]) {
+    fn fold(&mut self, j: usize, column: &[L]) {
         let b = column.len();
         let (min1, min2) = (&mut self.min1[..b], &mut self.min2[..b]);
-        let (min_col, negative_signs) = (&mut self.min_col[..b], &mut self.negative_signs[..b]);
-        let jj = j as u32;
+        let (min_col, parity) = (&mut self.min_col[..b], &mut self.negative_parity[..b]);
+        let jj = column_word::<L>(j);
         for i in 0..b {
             let x = column[i];
             let mag = x.abs();
-            // Two-smallest recurrence as min/max plus a mask blend for the
+            // Two-smallest recurrence as min/max plus a blend for the
             // column index: the new second minimum is
             // min(min2, max(min1, mag)) — if `mag` beats min1, the
             // displaced min1 is the candidate, otherwise `mag` itself is.
@@ -199,34 +352,36 @@ impl<F: LlrFloat, C: Fn(F) -> F> RowKernel<F> for MinSumLanes<F, C> {
             let smaller = mag < min1[i];
             min2[i] = min2[i].min(min1[i].max(mag));
             min1[i] = min1[i].min(mag);
-            let mask = (smaller as u32).wrapping_neg();
-            min_col[i] = (jj & mask) | (min_col[i] & !mask);
-            negative_signs[i] += x.is_negative() as u32;
+            min_col[i] = if smaller { jj } else { min_col[i] };
+            parity[i] = parity[i] ^ x.is_negative().into();
         }
     }
 
     /// Reads `v2c` only for the inputs' signs.
     #[inline(always)]
-    fn extrinsics(&mut self, v2c: &[F], c2v: &mut [F], lanes: usize) {
+    fn extrinsics(&mut self, v2c: &[L], c2v: &mut [L], lanes: usize) {
         let (min1, min2) = (&self.min1[..lanes], &self.min2[..lanes]);
-        let (min_col, negative_signs) = (&self.min_col[..lanes], &self.negative_signs[..lanes]);
+        let (min_col, parity) = (&self.min_col[..lanes], &self.negative_parity[..lanes]);
+        let correct = self.correct; // by value, as `PrefixSuffixLanes` takes its operator
         let columns = v2c.chunks_exact(lanes).zip(c2v.chunks_exact_mut(lanes));
         for (j, (v2c_col, c2v_col)) in columns.enumerate() {
-            let jj = j as u32;
+            let jj = column_word::<L>(j);
             for i in 0..lanes {
-                let mag = (self.correct)(F::select(min_col[i] == jj, min2[i], min1[i]));
-                let flip = (negative_signs[i] + v2c_col[i].is_negative() as u32) & 1 == 1;
+                let mag = correct(L::select(min_col[i] == jj, min2[i], min1[i]));
+                let flip = parity[i] ^ v2c_col[i].is_negative().into() != L::Word::default();
                 c2v_col[i] = mag.flip_sign_if(flip);
             }
         }
     }
+}
 
+impl<F: LlrFloat, C: Fn(F) -> F + Copy> ZigzagKernel<F> for MinSumLanes<F, C> {
     /// The smallest magnitude, with the parity of the negative inputs in the
     /// sign bit (from the folded state: `v2c` is not read).
     #[inline(always)]
     fn info_fold(&self, _v2c: &[F], out: &mut [F]) {
-        for ((o, &m), &n) in out.iter_mut().zip(&self.min1).zip(&self.negative_signs) {
-            *o = m.flip_sign_if(n & 1 == 1);
+        for ((o, &m), &n) in out.iter_mut().zip(&self.min1).zip(&self.negative_parity) {
+            *o = m.flip_sign_if(n != F::Word::default());
         }
     }
 
@@ -236,95 +391,89 @@ impl<F: LlrFloat, C: Fn(F) -> F> RowKernel<F> for MinSumLanes<F, C> {
     }
 }
 
+/// Column `j` as a [`Lane::Word`].
+#[inline(always)]
+fn column_word<L: Lane>(j: usize) -> L::Word {
+    u16::try_from(j).expect("a check has fewer than 65 536 inputs").into()
+}
+
 /// Whether `x`'s sign bit is set (`-0.0` included, unlike
-/// [`LlrFloat::is_negative`]).
+/// [`Lane::is_negative`]).
 #[inline(always)]
 fn sign_bit<F: LlrFloat>(x: F) -> bool {
     x.bits() != x.abs().bits()
 }
 
-/// Exact sum-product under [`boxplus_lanes`]: the scalar kernel's
-/// prefix/suffix structure run column by column, so the serial boxplus
+/// The exact rules' update under a pairwise operator `op`: the scalar
+/// kernels' prefix/suffix structure run column by column, so the serial
 /// recurrences of a whole row interleave. Check by check the chain of
 /// dependent operations is the bottleneck (each one must retire before the
 /// next starts); column by column every lane's chain advances one link per
 /// pass over a dense array, which the vectorizer overlaps.
 ///
-/// All accumulation runs in `f32`, and the `c2v` row doubles as the suffix
-/// store — `f32 -> F -> f32` round-trips are lossless in both precisions.
-/// Per lane the operation sequence is `suffix[j] = in[j] ⊞ suffix[j+1]`,
-/// `out[j] = prefix[j-1] ⊞ suffix[j+1]`, `prefix[j] = prefix[j-1] ⊞ in[j]`,
-/// so the last column's extrinsic is the left fold of the others.
-/// `+∞` is the operator's identity (finite `x ⊞ +∞ == x`, with `-0.0`
-/// becoming `+0.0`), so it stands for a missing input.
-pub(crate) struct SumProductLanes {
-    prefix: [f32; ROW_LANES],
+/// Per lane the operation sequence is `suffix[j] = in[j] op suffix[j+1]`,
+/// `out[j] = prefix[j-1] op suffix[j+1]`, `prefix[j] = prefix[j-1] op in[j]`,
+/// so the last column's extrinsic is the left fold of the others — the
+/// association of [`QBoxplus::extrinsic`](crate::QBoxplus::extrinsic). The
+/// `c2v` row doubles as the suffix store. Two operators run it: exact `f32`
+/// sum-product ([`sum_product_lanes`]) and the quantized LUT combine
+/// (`qsimd`'s `lut_kernel!`).
+pub(crate) struct PrefixSuffixLanes<L, Op> {
+    prefix: [L; ROW_LANES],
+    op: Op,
 }
 
-impl SumProductLanes {
-    pub(crate) fn new() -> Self {
-        SumProductLanes { prefix: [0.0; ROW_LANES] }
+impl<L: Lane, Op: Fn(L, L) -> L + Copy> PrefixSuffixLanes<L, Op> {
+    pub(crate) fn new(op: Op) -> Self {
+        PrefixSuffixLanes { prefix: [L::default(); ROW_LANES], op }
     }
 }
 
-/// `x` rounded to the `f32` the sum-product lanes compute in.
-#[inline(always)]
-fn as32<F: LlrFloat>(x: F) -> f32 {
-    x.to_f64() as f32
-}
-
-/// An `f32` result back in the message precision (exact).
-#[inline(always)]
-fn of32<F: LlrFloat>(x: f32) -> F {
-    F::from_f64(x as f64)
-}
-
-impl<F: LlrFloat> RowKernel<F> for SumProductLanes {
+impl<L: Lane, Op: Fn(L, L) -> L + Copy> RowKernel<L> for PrefixSuffixLanes<L, Op> {
     #[inline(always)]
     fn start(&mut self, _lanes: usize) {}
 
     /// Nothing to fold on the way: the prefix/suffix sweeps need the whole
     /// gathered row.
     #[inline(always)]
-    fn fold(&mut self, _j: usize, _column: &[F]) {}
+    fn fold(&mut self, _j: usize, _column: &[L]) {}
 
     #[inline(always)]
-    fn extrinsics(&mut self, v2c: &[F], c2v: &mut [F], lanes: usize) {
-        let k = v2c.len() / lanes;
+    fn extrinsics(&mut self, v2c: &[L], c2v: &mut [L], lanes: usize) {
+        let k = c2v.len() / lanes;
         let col = |j: usize| j * lanes..(j + 1) * lanes;
-        let prefix = &mut self.prefix[..lanes];
-        // Suffix sweep into the c2v row, seeded with in[k-1] rounded once to
-        // f32 (column 0's suffix is never read, so it is never computed).
-        for (s, &x) in c2v[col(k - 1)].iter_mut().zip(&v2c[col(k - 1)]) {
-            *s = of32::<F>(as32(x));
-        }
+        // The operator by value: what it captures (the LUT's thresholds)
+        // then stays in registers instead of being reloaded through `self`
+        // beside every store, which kept the `i16` sweep from vectorizing.
+        let (op, prefix) = (self.op, &mut self.prefix[..lanes]);
+        // Suffix sweep into the c2v row (column 0's suffix is never read, so
+        // it is never computed).
+        c2v[col(k - 1)].copy_from_slice(&v2c[col(k - 1)]);
         for j in (1..k - 1).rev() {
             let (this, next) = c2v[col(j).start..col(j + 1).end].split_at_mut(lanes);
             let input = &v2c[col(j)];
             for i in 0..lanes {
-                this[i] = of32(boxplus_lanes(as32(input[i]), as32(next[i])));
+                this[i] = op(input[i], next[i]);
             }
         }
-        // Forward sweep: out[j] = prefix[j-1] ⊞ suffix[j+1], reading each
+        // Forward sweep: out[j] = prefix[j-1] op suffix[j+1], reading each
         // suffix column before the next iteration overwrites it.
-        for (p, &x) in prefix.iter_mut().zip(&v2c[col(0)]) {
-            *p = as32(x);
-        }
+        prefix.copy_from_slice(&v2c[col(0)]);
         c2v.copy_within(col(1), 0);
         for j in 1..k - 1 {
             let (this, next) = c2v[col(j).start..col(j + 1).end].split_at_mut(lanes);
             let input = &v2c[col(j)];
             for i in 0..lanes {
-                this[i] = of32(boxplus_lanes(prefix[i], as32(next[i])));
-                prefix[i] = boxplus_lanes(prefix[i], as32(input[i]));
+                this[i] = op(prefix[i], next[i]);
+                prefix[i] = op(prefix[i], input[i]);
             }
         }
-        for (s, &p) in c2v[col(k - 1)].iter_mut().zip(prefix.iter()) {
-            *s = of32(p);
-        }
+        c2v[col(k - 1)].copy_from_slice(prefix);
     }
+}
 
-    /// `((in[0] ⊞ in[1]) ⊞ …)`, the association of the forward sweep's
+impl<F: LlrFloat, Op: Fn(F, F) -> F + Copy> ZigzagKernel<F> for PrefixSuffixLanes<F, Op> {
+    /// `((in[0] op in[1]) op …)`, the association of the forward sweep's
     /// prefix.
     #[inline(always)]
     fn info_fold(&self, v2c: &[F], out: &mut [F]) {
@@ -332,15 +481,25 @@ impl<F: LlrFloat> RowKernel<F> for SumProductLanes {
         out.copy_from_slice(&v2c[..lanes]);
         for column in v2c.chunks_exact(lanes).skip(1) {
             for (o, &x) in out.iter_mut().zip(column) {
-                *o = of32(boxplus_lanes(as32(*o), as32(x)));
+                *o = (self.op)(*o, x);
             }
         }
     }
 
     #[inline(always)]
     fn forward(&self, i: F, l: F) -> F {
-        of32(boxplus_lanes(as32(i), as32(l)))
+        (self.op)(i, l)
     }
+}
+
+/// Exact sum-product under [`boxplus_lanes`], all arithmetic in `f32` —
+/// `f32 -> F -> f32` round-trips are lossless in both precisions. `+∞` is
+/// the operator's identity (finite `x ⊞ +∞ == x`, with `-0.0` becoming
+/// `+0.0`), so it stands for a missing input.
+pub(crate) fn sum_product_lanes<F: LlrFloat>() -> PrefixSuffixLanes<F, impl Fn(F, F) -> F + Copy> {
+    PrefixSuffixLanes::new(|a: F, b: F| {
+        F::from_f64(boxplus_lanes(a.to_f64() as f32, b.to_f64() as f32) as f64)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -359,28 +518,29 @@ impl<F: LlrFloat> RowKernel<F> for SumProductLanes {
 // kernels need only F, the `i16` lanes of `qsimd` need all three.
 
 /// Tier clones of a kernel — every float and integer-lane kernel of the
-/// crate dispatches through this one ladder; `<F>` after the dispatcher's
-/// name makes all three generic over the message precision.
+/// crate dispatches through this one ladder; `<F: Bound>` after the
+/// dispatcher's name makes all three generic over the lane type.
 macro_rules! tier_clones {
-    ($(#[$doc:meta])* $dispatch:ident $(<$f:ident>)?, $base:ident, $avx2:ident, $avx512:ident;
+    ($(#[$doc:meta])* $dispatch:ident $(<$f:ident: $bound:ident>)?,
+     $base:ident, $avx2:ident, $avx512:ident;
      ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
         #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx2$(<$f: LlrFloat>)?($($arg: $ty),*) $(-> $ret)? {
+        unsafe fn $avx2$(<$f: $bound>)?($($arg: $ty),*) $(-> $ret)? {
             $base($($arg),*)
         }
 
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
         #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx512$(<$f: LlrFloat>)?($($arg: $ty),*) $(-> $ret)? {
+        unsafe fn $avx512$(<$f: $bound>)?($($arg: $ty),*) $(-> $ret)? {
             $base($($arg),*)
         }
 
         $(#[$doc])*
         #[allow(clippy::too_many_arguments)]
-        pub(crate) fn $dispatch$(<$f: LlrFloat>)?(tier: SimdTier, $($arg: $ty),*) $(-> $ret)? {
+        pub(crate) fn $dispatch$(<$f: $bound>)?(tier: SimdTier, $($arg: $ty),*) $(-> $ret)? {
             // SAFETY: the clones only add target features to safe bodies,
             // and `tier` comes from `SimdTier::resolve`, which panics on a
             // tier this CPU lacks.
@@ -395,6 +555,12 @@ macro_rules! tier_clones {
     };
 }
 pub(crate) use tier_clones;
+
+tier_clones!(
+    /// [`row_update`] dispatched onto the selected SIMD tier.
+    row_update_tier<L: Lane>, row_update, row_update_avx2, row_update_avx512;
+    (kernel: &mut impl RowKernel<L>, v2c: &[L], c2v: &mut [L], lanes: usize)
+);
 
 /// `true` when the hard decisions implied by the totals' signs satisfy
 /// every check equation. Equivalent to `syndrome_ok(graph,
@@ -417,11 +583,10 @@ pub(crate) fn syndrome_ok_totals<F: LlrFloat>(graph: &TannerGraph, totals: &[F])
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::simd::SimdTier;
     use crate::stopping::{hard_decisions, syndrome_ok};
-    use crate::test_support::small_code;
+    use crate::test_support::{small_code, SplitMix64};
 
     /// The totals passes' reference: scatter-add the check messages in
     /// ascending edge order onto zero, then add the channel LLR on top. This
@@ -498,7 +663,7 @@ mod tests {
             let bits = hard_decisions(&totals);
             assert_eq!(syndrome_ok_totals(&graph, &totals), syndrome_ok(&graph, &bits));
             let mut out = dvbs2_ldpc::BitVec::zeros(totals.len());
-            out.fill_from(&totals, LlrFloat::is_negative);
+            out.fill_from(&totals, Lane::is_negative);
             assert_eq!(out, bits);
         }
     }
@@ -529,57 +694,178 @@ mod tests {
         }
     }
 
-    #[test]
-    fn min_sum_tie_break_keeps_first_strict_minimum() {
-        // Duplicate minima are the interesting case: coarse-grid magnitudes
-        // make almost every check see an exact tie, and the retained index
-        // must be the FIRST strict minimum in both the scalar rule and the
-        // lane kernel (mask-blend column tracking), at every degree the
-        // DVB-S2 rows have and a ragged lane count.
-        let mut rng = crate::test_support::SplitMix64(23);
-        let rule = CheckRule::NormalizedMinSum(1.0);
-        let lanes = 361;
-        let mut kernel = MinSumLanes::new(|x| x);
-        for d in 3..=30 {
-            let v2c: Vec<f64> = (0..d * lanes)
-                .map(|_| {
-                    let mag = (rng.next_u64() % 3 + 1) as f64 * 0.5;
-                    if rng.next_bool() {
-                        -mag
-                    } else {
-                        mag
+    /// The prefix/suffix association of [`QBoxplus::extrinsic`] under `op`,
+    /// one check at a time: the scalar form of exact `f32` sum-product on
+    /// the lanes, which has no `CheckRule` of its own (`extrinsic_t` runs
+    /// the libm boxplus).
+    ///
+    /// [`QBoxplus::extrinsic`]: crate::QBoxplus::extrinsic
+    fn prefix_suffix_reference<L: Lane>(ins: &[L], outs: &mut [L], op: impl Fn(L, L) -> L) {
+        let d = ins.len();
+        outs[d - 1] = ins[d - 1];
+        for i in (0..d - 1).rev() {
+            outs[i] = op(ins[i], outs[i + 1]);
+        }
+        let mut prefix = ins[0];
+        outs[0] = outs[1];
+        for i in 1..d {
+            outs[i] = if i + 1 < d { op(prefix, outs[i + 1]) } else { prefix };
+            prefix = op(prefix, ins[i]);
+        }
+    }
+
+    /// Lane counts of the table: one lane, ragged widths around every
+    /// vector size, a rotation-plane row and one past it.
+    const LANE_COUNTS: [usize; 6] = [1, 5, 7, 77, 360, 361];
+
+    /// The largest check degree of any DVB-S2 code, both frame sizes.
+    fn max_check_degree() -> usize {
+        [dvbs2_ldpc::FrameSize::Normal, dvbs2_ldpc::FrameSize::Short]
+            .into_iter()
+            .flat_map(dvbs2_ldpc::CodeParams::all)
+            .map(|p| p.check_degree)
+            .max()
+            .unwrap()
+    }
+
+    /// One row of the kernel table: `run` puts a row of `lanes` checks
+    /// through the kernel at a tier, and every lane must equal `reference`
+    /// on that lane's inputs bit for bit, at every degree from 3 to the
+    /// largest DVB-S2 check degree, every lane count of [`LANE_COUNTS`]
+    /// and every available tier. `draw` makes the inputs.
+    pub(crate) fn assert_kernel_matches<L: Lane>(
+        what: &str,
+        run: impl Fn(SimdTier, &[L], &mut [L], usize),
+        reference: impl Fn(&[L], &mut [L]),
+        draw: impl Fn(&mut SplitMix64) -> L,
+    ) {
+        let mut rng = SplitMix64(0x7AB1E);
+        let (mut ins, mut outs) = (Vec::new(), Vec::new());
+        for d in 3..=max_check_degree() {
+            for lanes in LANE_COUNTS {
+                let v2c: Vec<L> = (0..d * lanes).map(|_| draw(&mut rng)).collect();
+                let mut want = vec![L::default(); d * lanes];
+                for u in 0..lanes {
+                    ins.clear();
+                    ins.extend((0..d).map(|j| v2c[j * lanes + u]));
+                    outs.resize(d, L::default());
+                    reference(&ins, &mut outs);
+                    for (j, &o) in outs.iter().enumerate() {
+                        want[j * lanes + u] = o;
                     }
-                })
-                .collect();
-            let mut c2v = vec![0.0f64; d * lanes];
-            kernel.start(lanes);
-            for (j, column) in v2c.chunks_exact(lanes).enumerate() {
-                kernel.fold(j, column);
-            }
-            kernel.extrinsics(&v2c, &mut c2v, lanes);
-            for u in 0..lanes {
-                let ins: Vec<f64> = (0..d).map(|j| v2c[j * lanes + u]).collect();
-                let mut want = vec![0.0; d];
-                first_strict_min_reference(&ins, &mut want);
-                let mut scalar = vec![0.0; d];
-                rule.extrinsic_t(&ins, &mut scalar);
-                assert_eq!(scalar, want, "degree {d} lane {u}: scalar rule");
-                let got: Vec<f64> = (0..d).map(|j| c2v[j * lanes + u]).collect();
-                assert_eq!(got, want, "degree {d} lane {u}: lane kernel");
+                }
+                for tier in SimdTier::available() {
+                    let mut c2v = vec![L::default(); d * lanes];
+                    run(tier, &v2c, &mut c2v, lanes);
+                    for (at, (got, want)) in c2v.iter().zip(&want).enumerate() {
+                        let (u, j) = (at % lanes, at / lanes);
+                        assert_eq!(
+                            got.bits(),
+                            want.bits(),
+                            "{what}, {tier:?}, degree {d}, {lanes} lanes: lane {u} column {j} \
+                             is {got:?}, not {want:?}"
+                        );
+                    }
+                }
             }
         }
     }
 
-    /// The sum-product row kernel on one row of the rotation planes.
-    #[inline(always)]
-    fn sum_product_row(kernel: &mut SumProductLanes, v2c: &[f32], c2v: &mut [f32]) {
-        RowKernel::<f32>::extrinsics(kernel, v2c, c2v, ROW);
+    /// Float inputs: mostly exact ties on a coarse grid (the first strict
+    /// minimum decides), `±0.0`, and arbitrary values.
+    fn draw_float<F: LlrFloat>(rng: &mut SplitMix64) -> F {
+        let x = match rng.next_u64() % 8 {
+            0 => 0.0,
+            1..=4 => (rng.next_u64() % 3 + 1) as f64 * 0.5,
+            _ => 25.0 * rng.next_f64(),
+        };
+        F::from_f64(if rng.next_bool() { -x } else { x })
     }
 
-    tier_clones!(
-        sum_product_row_tier, sum_product_row, sum_product_row_avx2, sum_product_row_avx512;
-        (kernel: &mut SumProductLanes, v2c: &[f32], c2v: &mut [f32])
-    );
+    /// Quantized inputs inside the rail `±max_mag`: zero, both rails, ties
+    /// among small magnitudes, and arbitrary values.
+    pub(crate) fn draw_quantized(max_mag: i16) -> impl Fn(&mut SplitMix64) -> i16 {
+        move |rng| match rng.next_u64() % 8 {
+            0 => 0,
+            1 => max_mag,
+            2 => -max_mag,
+            3..=5 => (rng.next_u64() % 5) as i16 - 2,
+            _ => (rng.next_u64() % (2 * max_mag as u64 + 1)) as i16 - max_mag,
+        }
+    }
+
+    /// A scalar `i32` reference on `i16` lanes.
+    pub(crate) fn widened(reference: impl Fn(&[i32], &mut [i32])) -> impl Fn(&[i16], &mut [i16]) {
+        move |ins, outs| {
+            let wide: Vec<i32> = ins.iter().map(|&x| x.into()).collect();
+            let mut out = vec![0; wide.len()];
+            reference(&wide, &mut out);
+            for (o, w) in outs.iter_mut().zip(out) {
+                *o = w as i16;
+            }
+        }
+    }
+
+    /// Under α = 1 the float planes' rule is the bare two minima, which the
+    /// brute-force first-strict-minimum reference pins at every tie: coarse
+    /// grid magnitudes make almost every check see one, and the retained
+    /// index must be the FIRST strict minimum in both the scalar rule and
+    /// the lane kernel (mask-blend column tracking).
+    #[test]
+    fn min_sum_tie_break_keeps_first_strict_minimum() {
+        use crate::rotation::row_kernel;
+
+        let ties = CheckRule::NormalizedMinSum(1.0);
+        assert_kernel_matches(
+            "first strict minimum",
+            |tier, v2c, c2v, lanes| {
+                row_kernel!(&ties, f64, |k| row_update_tier(tier, &mut { k }, v2c, c2v, lanes))
+            },
+            |ins: &[f64], outs: &mut [f64]| {
+                first_strict_min_reference(ins, outs);
+                let mut scalar = vec![0.0; ins.len()];
+                ties.extrinsic_t(ins, &mut scalar);
+                assert_eq!(scalar, outs, "the scalar rule on {ins:?}");
+            },
+            draw_float::<f64>,
+        );
+    }
+
+    /// Every float lane kernel at every lane type it runs at, against its
+    /// scalar reference: the float planes' two minima under both
+    /// corrections (`f32` and `f64`) and exact `f32` sum-product. The
+    /// quantized lanes' kernels have their rows in `qsimd`'s tests.
+    #[test]
+    fn every_lane_kernel_matches_its_scalar_reference() {
+        use crate::rotation::row_kernel;
+
+        for rule in [CheckRule::NormalizedMinSum(0.8), CheckRule::OffsetMinSum(0.5)] {
+            assert_kernel_matches(
+                &format!("{rule:?} f32"),
+                |tier, v2c, c2v, lanes| {
+                    row_kernel!(&rule, f32, |k| row_update_tier(tier, &mut { k }, v2c, c2v, lanes))
+                },
+                |ins: &[f32], outs: &mut [f32]| rule.extrinsic_t(ins, outs),
+                draw_float::<f32>,
+            );
+            assert_kernel_matches(
+                &format!("{rule:?} f64"),
+                |tier, v2c, c2v, lanes| {
+                    row_kernel!(&rule, f64, |k| row_update_tier(tier, &mut { k }, v2c, c2v, lanes))
+                },
+                |ins: &[f64], outs: &mut [f64]| rule.extrinsic_t(ins, outs),
+                draw_float::<f64>,
+            );
+        }
+        assert_kernel_matches(
+            "sum-product f32",
+            |tier, v2c, c2v, lanes| {
+                row_update_tier(tier, &mut sum_product_lanes::<f32>(), v2c, c2v, lanes)
+            },
+            |ins: &[f32], outs: &mut [f32]| prefix_suffix_reference(ins, outs, boxplus_lanes),
+            draw_float::<f32>,
+        );
+    }
 
     /// Checks per row of the rotation planes.
     const ROW: usize = 360;
@@ -593,7 +879,6 @@ mod tests {
         // tier each extrinsic must sit within 1e-4 (relative once
         // saturated) of the f64 scalar kernel's on the check's real inputs.
         let mut rng = crate::test_support::SplitMix64(41);
-        let mut kernel = SumProductLanes::new();
         for d in 4..=30 {
             let mut v2c: Vec<f32> = (0..d * ROW)
                 .map(|_| match rng.next_u64() % 16 {
@@ -606,7 +891,7 @@ mod tests {
             v2c[(d - 2) * ROW] = f32::INFINITY;
             for tier in SimdTier::available() {
                 let mut c2v = vec![0.0f32; d * ROW];
-                sum_product_row_tier(tier, &mut kernel, &v2c, &mut c2v);
+                row_update_tier(tier, &mut sum_product_lanes::<f32>(), &v2c, &mut c2v, ROW);
                 for u in 0..ROW {
                     let pad = if u == 0 { d - 2 } else { d };
                     let columns: Vec<usize> = (0..d).filter(|&j| j != pad).collect();

@@ -173,7 +173,7 @@ fn rotation_check_pass<F: LlrFloat>(
 
 tier_clones!(
     /// [`rotation_check_pass`] dispatched onto the selected SIMD tier.
-    rotation_check_pass_tier<F>, rotation_check_pass,
+    rotation_check_pass_tier<F: LlrFloat>, rotation_check_pass,
     rotation_check_pass_avx2, rotation_check_pass_avx512;
     (
         planes: &RotationPlanes,

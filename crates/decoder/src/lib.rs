@@ -67,7 +67,7 @@ pub mod test_support;
 pub use bitflip::BitFlippingDecoder;
 pub use bp::BpDecoder;
 pub use de::{Density, DensityEvolution};
-pub use engine::{Precision, LLR_CLAMP};
+pub use engine::{Lane, Precision, LLR_CLAMP};
 pub use flooding::FloodingDecoder;
 pub use layered::LayeredDecoder;
 pub use llr_ops::{boxplus, boxplus_min, boxplus_t, boxplus_table, CheckRule, LlrFloat};

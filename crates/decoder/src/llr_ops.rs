@@ -18,29 +18,19 @@
 //! path stays bit-identical across refactors; `f32` is the fast path with
 //! half the memory traffic.
 
-use std::fmt::Debug;
+use crate::engine::Lane;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 use std::sync::OnceLock;
 
-/// Floating-point scalar usable as an LLR message (`f32` or `f64`).
+/// Floating-point scalar usable as an LLR message (`f32` or `f64`): a
+/// [`Lane`] with the arithmetic of the exact rules.
 ///
 /// The methods mirror the `std` float API one-to-one so generic kernels
 /// compile to the identical instruction sequence as hand-written scalar
-/// code. Sign tests intentionally use [`is_negative`](Self::is_negative)
-/// (`x < 0.0`) rather than `signum`, which would treat `-0.0` differently.
+/// code. Sign tests intentionally use [`Lane::is_negative`] (`x < 0.0`)
+/// rather than `signum`, which would treat `-0.0` differently.
 pub trait LlrFloat:
-    Copy
-    + PartialOrd
-    + Debug
-    + Default
-    + Send
-    + Sync
-    + Add<Output = Self>
-    + Sub<Output = Self>
-    + Mul<Output = Self>
-    + Neg<Output = Self>
-    + AddAssign
-    + 'static
+    Lane + Add<Output = Self> + Sub<Output = Self> + Mul<Output = Self> + Neg<Output = Self> + AddAssign
 {
     /// Additive identity.
     const ZERO: Self;
@@ -51,12 +41,6 @@ pub trait LlrFloat:
     fn from_f64(x: f64) -> Self;
     /// Converts to `f64` (exact for both types).
     fn to_f64(self) -> f64;
-    /// `self.abs()`.
-    fn abs(self) -> Self;
-    /// `self.min(other)` with `std` NaN semantics.
-    fn min(self, other: Self) -> Self;
-    /// `self.max(other)` with `std` NaN semantics.
-    fn max(self, other: Self) -> Self;
     /// `self.copysign(sign)`.
     fn copysign(self, sign: Self) -> Self;
     /// `self.signum()`.
@@ -65,30 +49,10 @@ pub trait LlrFloat:
     fn exp(self) -> Self;
     /// `self.ln_1p()`.
     fn ln_1p(self) -> Self;
-    /// `self < 0.0` (treats `-0.0` as non-negative, unlike `signum`).
-    #[inline]
-    fn is_negative(self) -> bool {
-        self < Self::ZERO
-    }
-    /// `if flip { -self } else { self }`, lowered to a sign-bit XOR.
-    ///
-    /// Exact for every input (negation only toggles the sign bit) and free
-    /// of data-dependent branches — in the decoder kernels `flip` is a
-    /// near-random parity bit, so a compare-and-branch here would
-    /// mispredict about every other message.
-    fn flip_sign_if(self, flip: bool) -> Self;
-    /// `if take_a { a } else { b }`, lowered to a bit-mask blend.
-    ///
-    /// Exact value selection with no data-dependent branch; used where the
-    /// condition is unpredictable (e.g. "is this the minimum edge?").
-    fn select(take_a: bool, a: Self, b: Self) -> Self;
-    /// The bit pattern, widened to `u64`: two values have equal `bits`
-    /// exactly when they are bit-identical (`0.0` and `-0.0` differ).
-    fn bits(self) -> u64;
 }
 
 macro_rules! impl_llr_float {
-    ($($t:ty => $b:ty),*) => {$(
+    ($($t:ty),*) => {$(
         impl LlrFloat for $t {
             const ZERO: Self = 0.0;
             const INFINITY: Self = <$t>::INFINITY;
@@ -100,18 +64,6 @@ macro_rules! impl_llr_float {
             #[inline]
             fn to_f64(self) -> f64 {
                 self as f64
-            }
-            #[inline]
-            fn abs(self) -> Self {
-                self.abs()
-            }
-            #[inline]
-            fn min(self, other: Self) -> Self {
-                self.min(other)
-            }
-            #[inline]
-            fn max(self, other: Self) -> Self {
-                self.max(other)
             }
             #[inline]
             fn copysign(self, sign: Self) -> Self {
@@ -129,23 +81,10 @@ macro_rules! impl_llr_float {
             fn ln_1p(self) -> Self {
                 self.ln_1p()
             }
-            #[inline]
-            fn flip_sign_if(self, flip: bool) -> Self {
-                <$t>::from_bits(self.to_bits() ^ ((flip as $b) << (<$b>::BITS - 1)))
-            }
-            #[inline]
-            fn select(take_a: bool, a: Self, b: Self) -> Self {
-                let mask = (take_a as $b).wrapping_neg();
-                <$t>::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
-            }
-            #[inline]
-            fn bits(self) -> u64 {
-                self.to_bits().into()
-            }
         }
     )*};
 }
-impl_llr_float!(f32 => u32, f64 => u64);
+impl_llr_float!(f32, f64);
 
 /// Exact pairwise boxplus (Eq. 5), numerically stable for any finite inputs.
 ///
@@ -228,7 +167,7 @@ pub(crate) fn softplus_neg_f32(x: f32) -> f32 {
     let q = ((1.408_732_8e-1 * z + 1.399_012_7e-1) * z + 2.001_086_3e-1) * z + 3.333_322_4e-1;
     // `2 s (1 + z q)`, not `2 s + 2 s z q`: the product form never leaves
     // the normal range.
-    <f32 as LlrFloat>::select(live, 2.0 * s * (1.0 + z * q), 0.0)
+    <f32 as Lane>::select(live, 2.0 * s * (1.0 + z * q), 0.0)
 }
 
 /// Exact pairwise boxplus for the lane-parallel `f32` passes: the formula of

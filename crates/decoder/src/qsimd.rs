@@ -44,18 +44,22 @@
 //!
 //! # Bit-exactness
 //!
-//! Every kernel computes the *same dataflow* as its scalar counterpart —
-//! same combine association order for the LUT rule, same first-strict-min
-//! / second-min recurrence for min-sum, integer adds reassociated only
-//! where addition is exactly commutative — so results are bit-identical to
-//! the fused path (and therefore to `GoldenModel`) by determinism, not by
-//! tolerance. The LUT correction gather is replaced by a threshold
-//! decomposition ([`QBoxplus::corr_thresholds`]) that is *verified* against
-//! the table at construction. The variable-node side reads the code's
+//! The check rows run `engine.rs`'s two lane kernels at `i16`, the ones
+//! the float planes run: the LUT rule is [`PrefixSuffixLanes`] under
+//! [`combine_one`], min-sum is [`MinSumLanes`] under the shift
+//! `m − (m >> s)`. Each computes the *same dataflow* as its scalar
+//! counterpart — same combine association order for the LUT rule, same
+//! first-strict-min / second-min recurrence for min-sum, integer adds
+//! reassociated only where addition is exactly commutative — so results
+//! are bit-identical to the fused path (and therefore to `GoldenModel`) by
+//! determinism, not by tolerance. The LUT correction gather is replaced by
+//! a threshold decomposition ([`QBoxplus::corr_thresholds`]) that is
+//! *verified* against the table at construction. The variable-node side reads the code's
 //! quasi-cyclic rotations ([`build_rotation`]). A partition or arithmetic
 //! the lanes cannot express exactly (no rotation, a quantizer too wide for
-//! `i16` totals, a non-decomposable table, `q_rows < 2`) gets the scalar
-//! fused datapath at construction; a lane decoder never leaves the lanes.
+//! `i16` totals, a non-decomposable table, `q_rows < 2`, more than
+//! [`ROW_LANES`] lanes) gets the scalar fused datapath at construction; a
+//! lane decoder never leaves the lanes.
 //!
 //! # Ingress
 //!
@@ -70,7 +74,9 @@
 //! The scalar/AVX2/AVX-512 `#[target_feature]` clones are `engine.rs`'s
 //! `tier_clones!`, the crate's one dispatch ladder.
 
-use crate::engine::tier_clones;
+use crate::engine::{
+    row_update, row_update_tier, tier_clones, MinSumLanes, PrefixSuffixLanes, RowKernel, ROW_LANES,
+};
 use crate::qdecoder::{ChainPartition, Fnv};
 use crate::quant::{QBoxplus, QCheckArithmetic, Quantizer};
 use crate::simd::SimdTier;
@@ -84,17 +90,6 @@ use dvbs2_ldpc::{BitVec, TannerGraph, PARALLELISM};
 /// table needs 3). Larger tables get the scalar fused datapath.
 const MAX_CORR_THRESHOLDS: usize = 4;
 
-/// Lane-parallel check-node arithmetic, specialized at construction.
-#[derive(Debug, Clone)]
-pub(crate) enum LaneKernel {
-    /// Threshold-decomposed correction LUT: `corr(z) = Σ [z <= t]` over the
-    /// (construction-verified) thresholds; unused slots hold `-1`, which no
-    /// `z >= 0` satisfies.
-    Lut { thresholds: [i16; MAX_CORR_THRESHOLDS] },
-    /// Shift-based normalized min-sum.
-    MinSum { shift: u32 },
-}
-
 /// The quantizer's rail as a lane value, or `None` when the lanes cannot
 /// hold the arithmetic: the combine kernel forms `|a ± b|` in `i16`, so
 /// `2·max_mag` must fit.
@@ -104,9 +99,11 @@ fn lane_max_mag(quantizer: &Quantizer) -> Option<i16> {
 }
 
 /// The correction table as the lane kernel carries it, or `None` when it
-/// does not decompose or needs more than [`MAX_CORR_THRESHOLDS`] steps.
-/// Thresholds live on the reachable index range `|a ± b| <= 2·max_mag`,
-/// which fits `i16` for every quantizer [`lane_max_mag`] accepts.
+/// does not decompose or needs more than [`MAX_CORR_THRESHOLDS`] steps:
+/// `corr(z) = Σ [z <= t]` over the (construction-verified) thresholds;
+/// unused slots hold `-1`, which no `z >= 0` satisfies. Thresholds live on
+/// the reachable index range `|a ± b| <= 2·max_mag`, which fits `i16` for
+/// every quantizer [`lane_max_mag`] accepts.
 fn lane_thresholds(boxplus: &QBoxplus) -> Option<[i16; MAX_CORR_THRESHOLDS]> {
     let th = boxplus.corr_thresholds()?;
     if th.len() > MAX_CORR_THRESHOLDS {
@@ -117,6 +114,34 @@ fn lane_thresholds(boxplus: &QBoxplus) -> Option<[i16; MAX_CORR_THRESHOLDS]> {
         *slot = t as i16;
     }
     Some(thresholds)
+}
+
+/// Evaluates `$body` with `$kernel` bound (mutably) to the LUT rule's row
+/// kernel for the thresholds `$th`: [`PrefixSuffixLanes`] under
+/// [`combine_one`], compiled for the number of live thresholds — the
+/// paper's 6-bit table has three, and the two compares of a sentinel slot
+/// are a tenth of the sweep.
+macro_rules! lut_kernel {
+    ($th:expr, |$kernel:ident| $body:expr) => {{
+        let th: [i16; MAX_CORR_THRESHOLDS] = $th;
+        if th[MAX_CORR_THRESHOLDS - 1] < 0 {
+            let mut $kernel = PrefixSuffixLanes::new(move |a, b| {
+                combine_one::<{ MAX_CORR_THRESHOLDS - 1 }>(a, b, th)
+            });
+            $body
+        } else {
+            let mut $kernel =
+                PrefixSuffixLanes::new(move |a, b| combine_one::<MAX_CORR_THRESHOLDS>(a, b, th));
+            $body
+        }
+    }};
+}
+
+/// The shift-normalized min-sum rule's row kernel: the two minima under
+/// `m − (m >> shift)`, the subtract-shifted-self of
+/// [`QCheckArithmetic::MinSumShift`].
+pub(crate) fn shift_min_sum_lanes(shift: u32) -> MinSumLanes<i16, impl Fn(i16) -> i16 + Copy> {
+    MinSumLanes::new(move |m: i16| m - (m >> shift))
 }
 
 /// The lane-wide LUT check update, for callers outside this crate: the
@@ -160,19 +185,19 @@ impl LaneLut {
     /// `v2c[i * lanes + u]` is input `i` of node `u`, and `c2v` receives the
     /// outputs in the same layout. Every lane equals [`QBoxplus::extrinsic`]
     /// on that lane's inputs, for inputs inside the quantizer's rail.
-    /// `prefix` is `lanes` words of scratch.
     ///
     /// # Panics
     ///
     /// Panics unless `v2c` and `c2v` hold the same whole number (at least
-    /// two) of `lanes`-wide vectors and `prefix` holds one.
-    pub fn extrinsic(&self, v2c: &[i16], c2v: &mut [i16], lanes: usize, prefix: &mut [i16]) {
+    /// two) of `lanes`-wide vectors, `lanes` at most 1024.
+    pub fn extrinsic(&self, v2c: &[i16], c2v: &mut [i16], lanes: usize) {
         assert_eq!(v2c.len(), c2v.len(), "length mismatch");
-        assert_eq!(prefix.len(), lanes, "prefix scratch must be one vector");
         assert!(lanes > 0 && v2c.len().is_multiple_of(lanes), "blocks must be whole vectors");
-        let d = v2c.len() / lanes;
-        assert!(d >= 2, "a check node has at least two inputs");
-        lane_lut_extrinsic_tier(self.tier, v2c, c2v, lanes, d, self.thresholds, prefix);
+        assert!(lanes <= ROW_LANES, "at most {ROW_LANES} lanes");
+        assert!(v2c.len() / lanes >= 2, "a check node has at least two inputs");
+        lut_kernel!(self.thresholds, |kernel| {
+            row_update_tier(self.tier, &mut kernel, v2c, c2v, lanes)
+        });
     }
 }
 
@@ -189,7 +214,9 @@ pub(crate) struct SimdQuant {
     stride: usize,
     info_d: usize,
     max_mag: i16,
-    kernel: LaneKernel,
+    /// The LUT rule's correction thresholds ([`lane_thresholds`]; unused
+    /// under min-sum).
+    thresholds: [i16; MAX_CORR_THRESHOLDS],
     /// The variable-node plan, row-major (`info_d` entries per residue
     /// row): real DVB-S2 codes are quasi-cyclic with lifting 360, so the
     /// `lanes` variables of one (row, position) plane vector are one
@@ -206,11 +233,6 @@ pub(crate) struct SimdQuant {
     /// Parity channel transposed to `pchan[r * lanes + u]`, clamped to
     /// `±(2·max_mag + 1)`.
     pchan: Vec<i16>,
-    // --- lane-wide kernel scratch (LUT prefix / min-sum state) ---
-    scr1: Vec<i16>,
-    scr2: Vec<i16>,
-    scr3: Vec<i16>,
-    scr4: Vec<i16>,
     // --- check-0 scalar fix-up scratch ---
     fix_in: Vec<i32>,
     fix_out: Vec<i32>,
@@ -267,14 +289,15 @@ impl SimdQuant {
         let q_rows = n_check / lanes;
         // Row 0's shifted backward writes must land in a *different*
         // residue row than the one being read, which needs at least two
-        // rows per sub-chain (every real rate point has >= 5).
-        if q_rows < 2 {
+        // rows per sub-chain (every real rate point has >= 5). The row
+        // kernels hold the state of at most `ROW_LANES` lanes.
+        if q_rows < 2 || lanes > ROW_LANES {
             return None;
         }
         let max_mag = lane_max_mag(arithmetic.quantizer())?;
-        let kernel = match arithmetic {
-            QCheckArithmetic::Lut(bp) => LaneKernel::Lut { thresholds: lane_thresholds(bp)? },
-            QCheckArithmetic::MinSumShift { shift, .. } => LaneKernel::MinSum { shift: *shift },
+        let thresholds = match arithmetic {
+            QCheckArithmetic::Lut(bp) => lane_thresholds(bp)?,
+            QCheckArithmetic::MinSumShift { .. } => [-1; MAX_CORR_THRESHOLDS],
         };
         let info_d = graph.check_edges(0).len() - 1;
         let stride = info_d + 2;
@@ -307,7 +330,7 @@ impl SimdQuant {
             stride,
             info_d,
             max_mag,
-            kernel,
+            thresholds,
             rot,
             v2c: vec![0; plane],
             c2v: vec![0; plane],
@@ -316,10 +339,6 @@ impl SimdQuant {
             fwd_regs: vec![0; lanes],
             boundary: vec![0; lanes],
             pchan: vec![0; n_check],
-            scr1: vec![0; lanes],
-            scr2: vec![0; lanes],
-            scr3: vec![0; lanes],
-            scr4: vec![0; lanes],
             fix_in: vec![0; stride],
             fix_out: vec![0; stride],
             syn: vec![0; lanes],
@@ -370,29 +389,14 @@ impl SimdQuant {
             }
             iterations += 1;
 
-            check_sweep_tier(
-                self.tier,
-                lanes,
-                self.q_rows,
-                self.stride,
-                self.info_d,
-                self.max_mag,
-                &self.kernel,
-                arithmetic,
-                &self.pchan,
-                &mut self.v2c,
-                &mut self.c2v,
-                &mut self.fwd,
-                &mut self.bwd,
-                &mut self.fwd_regs,
-                &mut self.boundary,
-                &mut self.scr1,
-                &mut self.scr2,
-                &mut self.scr3,
-                &mut self.scr4,
-                &mut self.fix_in,
-                &mut self.fix_out,
-            );
+            match *arithmetic {
+                QCheckArithmetic::Lut(_) => {
+                    lut_kernel!(self.thresholds, |kernel| self.check_sweep(arithmetic, &mut kernel))
+                }
+                QCheckArithmetic::MinSumShift { shift, .. } => {
+                    self.check_sweep(arithmetic, &mut shift_min_sum_lanes(shift))
+                }
+            }
             if let Some(digests) = trace.as_deref_mut() {
                 digests.push(self.digest());
             }
@@ -419,6 +423,30 @@ impl SimdQuant {
         hard_decisions_int_into(totals, &mut out.bits);
         out.iterations = iterations;
         out.converged = converged;
+    }
+
+    /// One check sweep under the rule's row kernel, picked per sweep (as
+    /// `row_kernel!` picks the float rule's).
+    fn check_sweep(&mut self, arithmetic: &QCheckArithmetic, kernel: &mut impl RowKernel<i16>) {
+        check_sweep_tier(
+            self.tier,
+            self.lanes,
+            self.q_rows,
+            self.stride,
+            self.info_d,
+            self.max_mag,
+            kernel,
+            arithmetic,
+            &self.pchan,
+            &mut self.v2c,
+            &mut self.c2v,
+            &mut self.fwd,
+            &mut self.bwd,
+            &mut self.fwd_regs,
+            &mut self.boundary,
+            &mut self.fix_in,
+            &mut self.fix_out,
+        )
     }
 
     /// The ingress: the parity channel transposed lane-major and clamped to
@@ -654,126 +682,6 @@ fn combine_one<const LIVE: usize>(x: i16, y: i16, th: [i16; MAX_CORR_THRESHOLDS]
     ((mag - c).max(0) ^ m) - m
 }
 
-#[inline(always)]
-fn lane_combine<const LIVE: usize>(
-    a: &[i16],
-    b: &[i16],
-    out: &mut [i16],
-    th: [i16; MAX_CORR_THRESHOLDS],
-) {
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = combine_one::<LIVE>(x, y, th);
-    }
-}
-
-#[inline(always)]
-fn lane_combine_acc<const LIVE: usize>(acc: &mut [i16], b: &[i16], th: [i16; MAX_CORR_THRESHOLDS]) {
-    for (a, &y) in acc.iter_mut().zip(b) {
-        *a = combine_one::<LIVE>(*a, y, th);
-    }
-}
-
-/// LUT extrinsic over one residue row, compiled for the number of live
-/// thresholds: the paper's 6-bit table has three, and the two compares of
-/// a sentinel slot are a tenth of the sweep.
-#[inline(always)]
-fn lane_lut_extrinsic(
-    v2c: &[i16],
-    c2v: &mut [i16],
-    lanes: usize,
-    d: usize,
-    th: [i16; MAX_CORR_THRESHOLDS],
-    prefix: &mut [i16],
-) {
-    if th[MAX_CORR_THRESHOLDS - 1] < 0 {
-        lane_lut_rows::<{ MAX_CORR_THRESHOLDS - 1 }>(v2c, c2v, lanes, d, th, prefix)
-    } else {
-        lane_lut_rows::<MAX_CORR_THRESHOLDS>(v2c, c2v, lanes, d, th, prefix)
-    }
-}
-
-/// `d` lane vectors, suffix sweep then prefix sweep with exactly
-/// `QBoxplus::extrinsic`'s association order per lane (`combine` is a pure
-/// function, so identical dataflow means identical values regardless of
-/// lane organization).
-#[inline(always)]
-fn lane_lut_rows<const LIVE: usize>(
-    v2c: &[i16],
-    c2v: &mut [i16],
-    lanes: usize,
-    d: usize,
-    th: [i16; MAX_CORR_THRESHOLDS],
-    prefix: &mut [i16],
-) {
-    c2v[(d - 1) * lanes..d * lanes].copy_from_slice(&v2c[(d - 1) * lanes..d * lanes]);
-    for i in (1..d - 1).rev() {
-        let (head, tail) = c2v.split_at_mut((i + 1) * lanes);
-        lane_combine::<LIVE>(
-            &v2c[i * lanes..(i + 1) * lanes],
-            &tail[..lanes],
-            &mut head[i * lanes..],
-            th,
-        );
-    }
-    prefix.copy_from_slice(&v2c[..lanes]);
-    {
-        let (head, tail) = c2v.split_at_mut(lanes);
-        head.copy_from_slice(&tail[..lanes]);
-    }
-    for i in 1..d - 1 {
-        let (head, tail) = c2v.split_at_mut((i + 1) * lanes);
-        lane_combine::<LIVE>(prefix, &tail[..lanes], &mut head[i * lanes..], th);
-        lane_combine_acc::<LIVE>(prefix, &v2c[i * lanes..(i + 1) * lanes], th);
-    }
-    c2v[(d - 1) * lanes..d * lanes].copy_from_slice(prefix);
-}
-
-/// Min-sum extrinsic over one residue row: per-lane two-minima recurrence
-/// with the scalar rule's first-strict-min index semantics and
-/// negative-sign parity, then the subtract-shifted-self normalization.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn lane_min_sum_extrinsic(
-    v2c: &[i16],
-    c2v: &mut [i16],
-    lanes: usize,
-    d: usize,
-    shift: u32,
-    min1: &mut [i16],
-    min2: &mut [i16],
-    min_col: &mut [i16],
-    neg_par: &mut [i16],
-) {
-    for (u, &x) in v2c[..lanes].iter().enumerate() {
-        min1[u] = x.abs();
-        min2[u] = i16::MAX;
-        min_col[u] = 0;
-        neg_par[u] = (x < 0) as i16;
-    }
-    for i in 1..d {
-        let col = &v2c[i * lanes..(i + 1) * lanes];
-        let ii = i as i16;
-        for (u, &x) in col.iter().enumerate() {
-            let mag = x.abs();
-            let smaller = mag < min1[u];
-            min2[u] = min2[u].min(min1[u].max(mag));
-            min_col[u] = if smaller { ii } else { min_col[u] };
-            min1[u] = min1[u].min(mag);
-            neg_par[u] ^= (x < 0) as i16;
-        }
-    }
-    for i in 0..d {
-        let ii = i as i16;
-        let vcol = &v2c[i * lanes..(i + 1) * lanes];
-        let ocol = &mut c2v[i * lanes..(i + 1) * lanes];
-        for (u, (o, &x)) in ocol.iter_mut().zip(vcol).enumerate() {
-            let mag = if min_col[u] == ii { min2[u] } else { min1[u] };
-            let norm = mag - (mag >> shift);
-            *o = if (neg_par[u] ^ (x < 0) as i16) != 0 { -norm } else { norm };
-        }
-    }
-}
-
 /// Rotation-structured variable-node pass over the doubled blocks, the
 /// software form of the paper's shuffle network: every rotated read and
 /// write is one dense `lanes`-long slice, with no seam at the wrap. While
@@ -867,7 +775,7 @@ fn lane_syndrome(
 }
 
 /// Lane-major check sweep: per residue row, phase 1 builds the parity-chain
-/// input vectors, phase 2 runs the lane extrinsic kernel, phase 3 copies
+/// input vectors, phase 2 runs the rule's row kernel, phase 3 copies
 /// the chain outputs forward/backward. Phasing whole rows is exact: within
 /// a row every read targets row `r` state while every write targets row
 /// `r - 1` (or, at `r == 0`, row `q_rows - 1` shifted one lane), so no
@@ -880,7 +788,7 @@ fn check_sweep(
     stride: usize,
     info_d: usize,
     max_mag: i16,
-    kernel: &LaneKernel,
+    kernel: &mut impl RowKernel<i16>,
     arithmetic: &QCheckArithmetic,
     pchan: &[i16],
     v2c: &mut [i16],
@@ -889,10 +797,6 @@ fn check_sweep(
     bwd: &mut [i16],
     fwd_regs: &mut [i16],
     boundary: &mut [i16],
-    scr1: &mut [i16],
-    scr2: &mut [i16],
-    scr3: &mut [i16],
-    scr4: &mut [i16],
     fix_in: &mut [i32],
     fix_out: &mut [i32],
 ) {
@@ -928,27 +832,8 @@ fn check_sweep(
                 *o = sat_add_i16(p, f, max_mag);
             }
         }
-        match kernel {
-            LaneKernel::Lut { thresholds } => lane_lut_extrinsic(
-                &v2c[row..row + stride * lanes],
-                &mut c2v[row..row + stride * lanes],
-                lanes,
-                stride,
-                *thresholds,
-                scr1,
-            ),
-            LaneKernel::MinSum { shift } => lane_min_sum_extrinsic(
-                &v2c[row..row + stride * lanes],
-                &mut c2v[row..row + stride * lanes],
-                lanes,
-                stride,
-                *shift,
-                scr1,
-                scr2,
-                scr3,
-                scr4,
-            ),
-        }
+        let span = row..row + stride * lanes;
+        row_update(kernel, &v2c[span.clone()], &mut c2v[span], lanes);
         if r == 0 {
             // Check 0: degree `info_d + 1` with the right parity input
             // last — recompute through the scalar arithmetic (the same
@@ -1014,18 +899,6 @@ tier_clones!(
 );
 
 tier_clones!(
-    lane_lut_extrinsic_tier, lane_lut_extrinsic, lane_lut_extrinsic_avx2, lane_lut_extrinsic_avx512;
-    (
-        v2c: &[i16],
-        c2v: &mut [i16],
-        lanes: usize,
-        d: usize,
-        th: [i16; MAX_CORR_THRESHOLDS],
-        prefix: &mut [i16],
-    )
-);
-
-tier_clones!(
     check_sweep_tier, check_sweep, check_sweep_avx2, check_sweep_avx512;
     (
         lanes: usize,
@@ -1033,7 +906,7 @@ tier_clones!(
         stride: usize,
         info_d: usize,
         max_mag: i16,
-        kernel: &LaneKernel,
+        kernel: &mut impl RowKernel<i16>,
         arithmetic: &QCheckArithmetic,
         pchan: &[i16],
         v2c: &mut [i16],
@@ -1042,10 +915,6 @@ tier_clones!(
         bwd: &mut [i16],
         fwd_regs: &mut [i16],
         boundary: &mut [i16],
-        scr1: &mut [i16],
-        scr2: &mut [i16],
-        scr3: &mut [i16],
-        scr4: &mut [i16],
         fix_in: &mut [i32],
         fix_out: &mut [i32],
     )
@@ -1319,64 +1188,47 @@ mod tests {
         }
     }
 
+    /// The shift min-sum lane kernel at shift 1..=3 against
+    /// [`QCheckArithmetic::extrinsic`] lane by lane, rails and ties
+    /// included, at every degree, lane count and tier of the kernel table.
     #[test]
     fn min_sum_lane_kernel_matches_scalar_rule() {
+        use crate::engine::tests::{assert_kernel_matches, draw_quantized, widened};
+
         let q = Quantizer::paper_6bit();
-        let arith = QCheckArithmetic::min_sum_shift(q, 2);
-        let lanes = 5;
-        let d = 6;
-        // Deterministic pseudo-random in-range messages, including rails
-        // and repeated minima (the first-strict-min tiebreak).
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) as i32 % 63 - 31).clamp(-31, 31)
-        };
-        let v2c: Vec<i16> = (0..lanes * d).map(|_| next() as i16).collect();
-        let mut c2v = vec![0i16; lanes * d];
-        let mut s1 = vec![0i16; lanes];
-        let mut s2 = vec![0i16; lanes];
-        let mut s3 = vec![0i16; lanes];
-        let mut s4 = vec![0i16; lanes];
-        lane_min_sum_extrinsic(&v2c, &mut c2v, lanes, d, 2, &mut s1, &mut s2, &mut s3, &mut s4);
-        for u in 0..lanes {
-            let ins: Vec<i32> = (0..d).map(|i| v2c[i * lanes + u] as i32).collect();
-            let mut outs = vec![0i32; d];
-            arith.extrinsic(&ins, &mut outs);
-            for i in 0..d {
-                assert_eq!(c2v[i * lanes + u] as i32, outs[i], "lane {u} pos {i} ins {ins:?}");
-            }
+        for shift in [1, 2, 3] {
+            let arith = QCheckArithmetic::min_sum_shift(q, shift);
+            assert_kernel_matches(
+                &format!("min-sum >> {shift} i16"),
+                |tier, v2c, c2v, lanes| {
+                    row_update_tier(tier, &mut shift_min_sum_lanes(shift), v2c, c2v, lanes)
+                },
+                widened(|ins, outs| arith.extrinsic(ins, outs)),
+                draw_quantized(q.max_mag() as i16),
+            );
         }
     }
 
-    /// Every tier's clone of the row kernel against [`QBoxplus::extrinsic`]
-    /// lane by lane: one, three and four live thresholds, a width with a
-    /// ragged vector tail.
+    /// The LUT rule through [`crate::LaneLut`], the entry the hardware
+    /// models' functional-unit array takes, against [`QBoxplus::extrinsic`]
+    /// lane by lane: one, three and four live thresholds, at every degree,
+    /// lane count and tier of the kernel table.
     #[test]
     fn lut_lane_kernel_matches_scalar_extrinsic() {
+        use crate::engine::tests::{assert_kernel_matches, draw_quantized, widened};
+        use crate::LaneLut;
+
         for q in [Quantizer::paper_6bit(), Quantizer::paper_5bit(), Quantizer::new(6, 0.18)] {
             let bp = QBoxplus::new(q);
-            let th = lane_thresholds(&bp).unwrap();
-            let m = q.max_mag();
-            let (lanes, d) = (77, 5);
-            let mut rng = SplitMix64(0xD1B5 ^ m as u64);
-            let v2c: Vec<i16> = (0..lanes * d)
-                .map(|_| (rng.next_u64() % (2 * m as u64 + 1)) as i16 - m as i16)
-                .collect();
-            for tier in SimdTier::available() {
-                let mut c2v = vec![0i16; lanes * d];
-                let mut prefix = vec![0i16; lanes];
-                lane_lut_extrinsic_tier(tier, &v2c, &mut c2v, lanes, d, th, &mut prefix);
-                for u in 0..lanes {
-                    let ins: Vec<i32> = (0..d).map(|i| v2c[i * lanes + u] as i32).collect();
-                    let mut outs = vec![0i32; d];
-                    bp.extrinsic(&ins, &mut outs);
-                    for i in 0..d {
-                        let got = c2v[i * lanes + u] as i32;
-                        assert_eq!(got, outs[i], "{q:?} {tier:?} lane {u} pos {i} ins {ins:?}");
-                    }
-                }
-            }
+            let live = bp.corr_thresholds().unwrap().len();
+            assert_kernel_matches(
+                &format!("LUT i16, {} bits, {live} live thresholds", q.bits()),
+                |tier, v2c, c2v, lanes| {
+                    LaneLut::try_new(&bp, Some(tier)).unwrap().extrinsic(v2c, c2v, lanes)
+                },
+                widened(|ins, outs| bp.extrinsic(ins, outs)),
+                draw_quantized(q.max_mag() as i16),
+            );
         }
     }
 }

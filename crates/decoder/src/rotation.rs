@@ -163,7 +163,7 @@ macro_rules! row_kernel {
     ($rule:expr, $f:ty, |$kernel:ident| $body:expr) => {
         match *$rule {
             $crate::CheckRule::SumProduct => {
-                let $kernel = $crate::engine::SumProductLanes::new();
+                let $kernel = $crate::engine::sum_product_lanes::<$f>();
                 $body
             }
             $crate::CheckRule::NormalizedMinSum(alpha) => {
@@ -311,7 +311,8 @@ fn rotation_syndrome<F: LlrFloat>(planes: &RotationPlanes, totals: &[F]) -> bool
 
 tier_clones!(
     /// [`rotation_vn_pass`] dispatched onto the selected SIMD tier.
-    rotation_vn_pass_tier<F>, rotation_vn_pass, rotation_vn_pass_avx2, rotation_vn_pass_avx512;
+    rotation_vn_pass_tier<F: LlrFloat>, rotation_vn_pass,
+    rotation_vn_pass_avx2, rotation_vn_pass_avx512;
     (
         planes: &RotationPlanes,
         llr: &[F],
@@ -323,6 +324,7 @@ tier_clones!(
 
 tier_clones!(
     /// [`rotation_syndrome`] dispatched onto the selected SIMD tier.
-    rotation_syndrome_tier<F>, rotation_syndrome, rotation_syndrome_avx2, rotation_syndrome_avx512;
+    rotation_syndrome_tier<F: LlrFloat>, rotation_syndrome,
+    rotation_syndrome_avx2, rotation_syndrome_avx512;
     (planes: &RotationPlanes, totals: &[F]) -> bool
 );

@@ -51,7 +51,7 @@
 //! The loop, the store and the epilogue are the spine's ([`crate::bp`]).
 
 use crate::bp::{BpDecoder, Schedule, Step, Store};
-use crate::engine::{syndrome_ok_totals, tier_clones, RowKernel};
+use crate::engine::{syndrome_ok_totals, tier_clones, ZigzagKernel};
 use crate::llr_ops::{CheckRule, LlrFloat};
 use crate::rotation::{
     add, fold_info_columns, rotation_syndrome_tier, rotation_vn_pass_tier, row_kernel,
@@ -234,7 +234,7 @@ fn planes_check_pass<F: LlrFloat>(
     v2c: &mut [F],
     c2v: &mut [F],
     fold: &mut [F],
-    mut kernel: impl RowKernel<F>,
+    mut kernel: impl ZigzagKernel<F>,
 ) -> usize {
     let info = &totals[..planes.k];
     information_folds(planes, info, v2c, c2v, fold, &mut kernel);
@@ -253,7 +253,7 @@ fn information_folds<F: LlrFloat>(
     v2c: &mut [F],
     c2v: &[F],
     fold: &mut [F],
-    kernel: &mut impl RowKernel<F>,
+    kernel: &mut impl ZigzagKernel<F>,
 ) {
     let info_d = planes.stride - 2;
     let rows = c2v.chunks_exact(planes.stride * LANES).zip(fold.chunks_exact_mut(LANES));
@@ -280,7 +280,7 @@ fn forward_chain<F: LlrFloat>(
     llr: &[F],
     c2v: &mut [F],
     fold: &[F],
-    kernel: &impl RowKernel<F>,
+    kernel: &impl ZigzagKernel<F>,
 ) -> usize {
     let (k, q, d) = (planes.k, planes.q, planes.stride);
     let parity_llr = |r: usize| &llr[k + r * LANES..][..LANES];
@@ -327,7 +327,7 @@ fn forward_chain<F: LlrFloat>(
 /// Phase C: per row, the information inputs gathered again and folded with
 /// `L_c = pllr_{c−1} + F_{c−1}` and `R_c = pllr_c + B_{c+1}` into every
 /// output; the right column gets phase B's `F_c` again, bit for bit
-/// ([`RowKernel::forward`]). `R` reads last iteration's `B`: row `r + 1`'s
+/// ([`ZigzagKernel::forward`]). `R` reads last iteration's `B`: row `r + 1`'s
 /// left column before that row is rewritten, and for row `q − 1` row 0's,
 /// saved before row 0 is rewritten.
 #[inline(always)]
@@ -337,7 +337,7 @@ fn check_outputs<F: LlrFloat>(
     info: &[F],
     v2c: &mut [F],
     c2v: &mut [F],
-    kernel: &mut impl RowKernel<F>,
+    kernel: &mut impl ZigzagKernel<F>,
 ) {
     let (k, q, d) = (planes.k, planes.q, planes.stride);
     let info_d = d - 2;
@@ -371,7 +371,8 @@ fn check_outputs<F: LlrFloat>(
 
 tier_clones!(
     /// [`planes_check_pass`] dispatched onto the selected SIMD tier.
-    planes_check_pass_tier<F>, planes_check_pass, planes_check_pass_avx2, planes_check_pass_avx512;
+    planes_check_pass_tier<F: LlrFloat>, planes_check_pass,
+    planes_check_pass_avx2, planes_check_pass_avx512;
     (
         planes: &RotationPlanes,
         llr: &[F],
@@ -379,7 +380,7 @@ tier_clones!(
         v2c: &mut [F],
         c2v: &mut [F],
         fold: &mut [F],
-        kernel: impl RowKernel<F>,
+        kernel: impl ZigzagKernel<F>,
     ) -> usize
 );
 
@@ -387,6 +388,7 @@ tier_clones!(
 mod tests {
     use super::*;
     use crate::bp::Core;
+    use crate::engine::Lane;
     use crate::test_support::{llrs_for_codeword, noisy_llrs, small_code, SplitMix64};
     use crate::{DecodeResult, Decoder, FloodingDecoder, Precision};
     use dvbs2_ldpc::{AddressTable, BitVec, CodeParams, CodeRate, DegreeClass, FrameSize};

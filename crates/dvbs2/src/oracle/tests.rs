@@ -56,10 +56,9 @@ fn apsk_cases_round_trip_through_their_repro_string() {
 fn pre_scenario_fault_strings_parse_to_the_same_single_fault() {
     // Backward-compatibility pin: every pre-scenario `fault=` spelling
     // must parse to a scenario holding exactly that single permanent
-    // RAM fault — structurally equal to what the old `Option<RamFault>`
-    // API injected (`set_fault` is defined as that conversion, so
-    // structural equality pins behavioral identity) — and must print
-    // back byte-identically.
+    // RAM fault — structurally equal to `FaultScenario::single` of it, so
+    // structural equality pins behavioral identity — and must print back
+    // byte-identically.
     let base = CaseSpec { fault: FaultScenario::none(), ..CaseSpec::generate(7, 3) };
     for (spec, fault) in [
         ("stuck@421:-31", RamFault::StuckWord { word: 421, value: -31 }),

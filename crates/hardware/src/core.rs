@@ -20,7 +20,7 @@
 //! information image is the whole RAM — what the digests, the totals and
 //! the next information phase read.
 
-use crate::fault::{CommitPhase, CommitPoint, FaultScenario, RamFault};
+use crate::fault::{CommitPhase, CommitPoint, FaultScenario};
 use crate::functional_unit::FunctionalUnitArray;
 use crate::golden::{compute_totals, syndrome_clean};
 use crate::memory::MemoryConfig;
@@ -291,17 +291,6 @@ impl HardwareDecoder {
         self.fu.simd_tier()
     }
 
-    /// Injects (or clears) a single permanently stuck/flipping RAM word —
-    /// the pre-scenario fault API, kept as a thin wrapper over
-    /// [`HardwareDecoder::set_scenario`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault's word address is outside the message RAM.
-    pub fn set_fault(&mut self, fault: Option<RamFault>) {
-        self.set_scenario(fault.map(FaultScenario::from).unwrap_or_default());
-    }
-
     /// Injects a complete [`FaultScenario`] (multiple RAM faults, transient
     /// activations, FU datapath fault). Subsequent decodes run with the
     /// scenario active; decoding still terminates within the iteration cap
@@ -314,12 +303,6 @@ impl HardwareDecoder {
         scenario.validate(self.rom.words());
         self.fu.set_fault(scenario.fu_fault());
         self.scenario = scenario;
-    }
-
-    /// The injected RAM fault, if the active scenario is a single permanent
-    /// one (the only kind the pre-scenario API could express).
-    pub fn fault(&self) -> Option<RamFault> {
-        self.scenario.as_single_permanent()
     }
 
     /// The active fault scenario (empty when fault-free).
@@ -354,7 +337,7 @@ impl HardwareDecoder {
     /// Decodes one frame and records a per-iteration digest of the complete
     /// message state after each check phase, in the same format as
     /// [`crate::GoldenModel::decode_quantized_traced`]. The two traces must
-    /// be identical — with or without an injected [`RamFault`] — which is
+    /// be identical — with or without an injected [`crate::RamFault`] — which is
     /// the oracle's per-iteration-message bit-exactness contract.
     ///
     /// # Panics
@@ -543,6 +526,7 @@ impl HardwareDecoder {
 mod tests {
     use super::*;
     use crate::anneal::{optimize_schedule, AnnealOptions};
+    use crate::fault::RamFault;
     use crate::golden::GoldenModel;
     use dvbs2_decoder::test_support::noisy_llrs;
     use dvbs2_ldpc::{CodeRate, FrameSize};
@@ -852,7 +836,7 @@ mod tests {
             RamFault::StuckWord { word: 0, value: -31 },
             RamFault::FlippedBits { word: 7, mask: 0b10101 },
         ] {
-            hw.set_fault(Some(fault));
+            hw.set_scenario(FaultScenario::single(fault));
             let out = hw.decode_quantized(&channel);
             // Bounded, panic-free, and internally consistent: a converged
             // flag must still mean the decisions satisfy every parity check.
@@ -865,7 +849,7 @@ mod tests {
             }
         }
         // Clearing the fault restores bit-exact behavior.
-        hw.set_fault(None);
+        hw.set_scenario(FaultScenario::none());
         assert_eq!(hw.decode_quantized(&channel), clean);
     }
 
@@ -874,7 +858,7 @@ mod tests {
     fn fault_word_must_be_in_ram() {
         let code = short_code();
         let mut hw = core(&code, CoreConfig::default());
-        hw.set_fault(Some(RamFault::StuckWord { word: usize::MAX, value: 0 }));
+        hw.set_scenario(FaultScenario::single(RamFault::StuckWord { word: usize::MAX, value: 0 }));
     }
 
     #[test]
@@ -903,8 +887,9 @@ mod tests {
             Some(RamFault::FlippedBits { word: 7, mask: 0b10101 }),
             Some(RamFault::FlippedBits { word: 11, mask: 1 }),
         ] {
-            hw.set_fault(fault);
-            golden.set_fault(fault);
+            let scenario = fault.map(FaultScenario::single).unwrap_or_default();
+            hw.set_scenario(scenario);
+            golden.set_scenario(scenario);
             let mut hw_trace = Vec::new();
             let mut golden_trace = Vec::new();
             let hw_out = hw.decode_quantized_traced(&channel, &mut hw_trace);

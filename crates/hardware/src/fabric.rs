@@ -595,7 +595,7 @@ mod tests {
         let core = CoreConfig { max_iterations: 3, ..CoreConfig::default() };
         let mut hw = HardwareDecoder::with_natural_schedule(&code, core);
         let fault = RamFault::StuckWord { word: 3, value: 31 };
-        hw.set_fault(Some(fault));
+        hw.set_scenario(FaultScenario::single(fault));
         let mut fabric = DecoderFabric::with_natural_schedule(
             &code,
             FabricConfig { cores: 2, core, ..FabricConfig::default() },

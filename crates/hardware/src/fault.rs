@@ -285,8 +285,7 @@ impl FaultScenario {
         FaultScenario::default()
     }
 
-    /// A scenario holding one permanent RAM fault — the exact pre-existing
-    /// `set_fault(Some(..))` semantics.
+    /// A scenario holding one permanent RAM fault.
     pub fn single(fault: RamFault) -> Self {
         let mut s = FaultScenario::default();
         s.ram[0] = Some(TimedRamFault::permanent(fault));

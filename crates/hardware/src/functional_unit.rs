@@ -37,7 +37,6 @@ enum Datapath {
         /// `i16::MAX - max_mag >= max_mag` for every quantizer `LaneLut`
         /// accepts, so a saturated value clamps to the rail the wide one does.
         pchan: Vec<i16>,
-        prefix: Vec<i16>,
     },
     /// One unit at a time through [`QBoxplus::extrinsic`]; the parity
     /// channel `[r * 360 + u]` stays wide.
@@ -101,9 +100,7 @@ impl FunctionalUnitArray {
     fn build(params: &CodeParams, boxplus: QBoxplus, lut: Option<LaneLut>) -> Self {
         let p = PARALLELISM;
         let datapath = match lut {
-            Some(lut) => {
-                Datapath::Lanes { lut, pchan: vec![0; params.n_check], prefix: vec![0; p] }
-            }
+            Some(lut) => Datapath::Lanes { lut, pchan: vec![0; params.n_check] },
             None => Datapath::Scalar { pchan: vec![0; params.n_check] },
         };
         FunctionalUnitArray {
@@ -248,7 +245,7 @@ impl FunctionalUnitArray {
     /// `r == 0`, row `q - 1` one lane down), and unit `u` never reads what
     /// another unit of the same row writes.
     fn cn_row_lanes(&mut self, r: usize, v_in: &mut [i16], v_out: &mut [i16]) {
-        let Datapath::Lanes { lut, pchan, prefix } = &mut self.datapath else {
+        let Datapath::Lanes { lut, pchan } = &self.datapath else {
             unreachable!("process_cn_row dispatches on the datapath");
         };
         let p = PARALLELISM;
@@ -282,7 +279,7 @@ impl FunctionalUnitArray {
             *o = parity_input(c, b);
         }
 
-        lut.extrinsic(v_in, v_out, p, prefix);
+        lut.extrinsic(v_in, v_out, p);
 
         if r == 0 {
             // Check 0 has degree `row_len + 1`, the right parity input last:

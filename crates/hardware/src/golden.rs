@@ -18,7 +18,7 @@
 //!   at row `q-1`, so it is one iteration fresher than in the ideal
 //!   schedule.
 
-use crate::fault::{CommitPhase, CommitPoint, FaultScenario, RamFault};
+use crate::fault::{CommitPhase, CommitPoint, FaultScenario};
 use crate::functional_unit::FunctionalUnitArray;
 use crate::rom::ConnectivityRom;
 use crate::schedule::CnSchedule;
@@ -60,7 +60,7 @@ use dvbs2_ldpc::{CodeParams, DvbS2Code, PARALLELISM};
 /// and the *sequential* `QuantizedZigzagDecoder`, and *bit-exactness* both
 /// against the timed [`crate::HardwareDecoder`] (decisions and
 /// per-iteration message digests, with or without an injected
-/// [`RamFault`]) and against the software decoder in hardware-partitioned
+/// [`crate::RamFault`]) and against the software decoder in hardware-partitioned
 /// mode ([`crate::hw_chain_partition`] replays this model's sub-chain
 /// boundaries and per-check input ordering exactly). `DESIGN.md`
 /// ("Chain-boundary semantics") carries the worked example.
@@ -150,17 +150,6 @@ impl GoldenModel {
         channel
     }
 
-    /// Injects (or clears) a single permanently stuck/flipping RAM word —
-    /// the pre-scenario fault API, kept as a thin wrapper over
-    /// [`GoldenModel::set_scenario`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault's word address is outside the message RAM.
-    pub fn set_fault(&mut self, fault: Option<RamFault>) {
-        self.set_scenario(fault.map(FaultScenario::from).unwrap_or_default());
-    }
-
     /// Injects a complete [`FaultScenario`], mirroring
     /// [`crate::HardwareDecoder::set_scenario`]: the corruption is applied
     /// at exactly the same logical commit points (after every word
@@ -176,12 +165,6 @@ impl GoldenModel {
         scenario.validate(self.rom.words());
         self.fu.set_fault(scenario.fu_fault());
         self.scenario = scenario;
-    }
-
-    /// The injected RAM fault, if the active scenario is a single permanent
-    /// one (the only kind the pre-scenario API could express).
-    pub fn fault(&self) -> Option<RamFault> {
-        self.scenario.as_single_permanent()
     }
 
     /// The active fault scenario (empty when fault-free).
@@ -514,13 +497,14 @@ mod tests {
         let channel = m.quantize_channel(&llrs);
         let mut clean_trace = Vec::new();
         let clean = m.decode_quantized_traced(&channel, &mut clean_trace);
-        m.set_fault(Some(crate::RamFault::StuckWord { word: 2, value: 31 }));
+        let fault = crate::RamFault::StuckWord { word: 2, value: 31 };
+        m.set_scenario(FaultScenario::single(fault));
         let mut fault_trace = Vec::new();
         let faulted = m.decode_quantized_traced(&channel, &mut fault_trace);
         assert_ne!(clean_trace.first(), fault_trace.first());
-        assert_eq!(m.fault(), Some(crate::RamFault::StuckWord { word: 2, value: 31 }));
+        assert_eq!(m.scenario().as_single_permanent(), Some(fault));
         let _ = faulted;
-        m.set_fault(None);
+        m.set_scenario(FaultScenario::none());
         let mut again = Vec::new();
         let re = m.decode_quantized_traced(&channel, &mut again);
         assert_eq!(re, clean);
@@ -532,7 +516,10 @@ mod tests {
     fn fault_word_must_be_in_ram() {
         let code = short_code();
         let mut m = model(&code);
-        m.set_fault(Some(crate::RamFault::StuckWord { word: usize::MAX, value: 0 }));
+        m.set_scenario(FaultScenario::single(crate::RamFault::StuckWord {
+            word: usize::MAX,
+            value: 0,
+        }));
     }
 
     /// `syndrome_clean` one check at a time: `(u + 360 − shift) % 360` per
