@@ -528,6 +528,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|dir| rust_lines(&root.join(dir), false))
         .sum();
     let decoder_src = root.join("crates/decoder/src");
+    let hardware_src = root.join("crates/hardware/src");
     let pair = |flooding: f64, zigzag: f64| {
         Object::new().with("flooding", Json::Num(flooding, 3)).with("zigzag", Json::Num(zigzag, 3))
     };
@@ -539,6 +540,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Object::new()
                 .with("decoder_src", rust_lines(&decoder_src, false))
                 .with("decoder_src_net_of_tests", rust_lines(&decoder_src, true))
+                .with("hardware_src", rust_lines(&hardware_src, false))
+                .with("hardware_src_net_of_tests", rust_lines(&hardware_src, true))
                 .with("workspace", workspace),
         )
         .with(

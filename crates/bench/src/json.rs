@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 
 /// The change whose code the committed records were taken with. Bump it in
 /// the change that re-records them.
-pub const RECORDED_BY: &str = "one row kernel per rule family for every lane type";
+pub const RECORDED_BY: &str = "one functional-unit check row for every quantized lane datapath";
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -9,7 +9,7 @@
 //! generically over the message precision, beside the two row kernels
 //! ([`RowKernel`], generic over the [`Lane`] type) that the float rotation
 //! planes ([`crate::rotation`]), the quantized `i16` lanes (`qsimd`) and,
-//! through [`LaneLut`](crate::LaneLut), the hardware models' functional-unit
+//! through [`FuLanes`](crate::FuLanes), the hardware models' functional-unit
 //! array run every check rule through.
 //!
 //! Bit-compatibility contract: for `f64` messages every helper performs the
@@ -20,7 +20,6 @@
 //! bit-identical to a per-variable gather.
 
 use crate::llr_ops::{boxplus_lanes, CheckRule, LlrFloat};
-use crate::simd::SimdTier;
 use dvbs2_ldpc::TannerGraph;
 use std::fmt::Debug;
 use std::ops::BitXor;
@@ -238,7 +237,7 @@ pub(crate) const ROW_LANES: usize = 1024;
 /// A check rule's update of one row of up to [`ROW_LANES`] checks of degree
 /// `d >= 3`, one per lane — the check-node body of every lane datapath: the
 /// float rotation planes (DESIGN.md §7.10), the quantized `i16` lanes and,
-/// through [`LaneLut`](crate::LaneLut), the hardware models' functional-unit
+/// through [`FuLanes`](crate::FuLanes), the hardware models' functional-unit
 /// array (§7.8). Each runs one row of 360 checks at a time: `start`, `fold`
 /// each input column as it is gathered, then write the `extrinsics`.
 /// Column `j` of a row is `[j·lanes ..][.. lanes]`, so every access is
@@ -556,12 +555,6 @@ macro_rules! tier_clones {
 }
 pub(crate) use tier_clones;
 
-tier_clones!(
-    /// [`row_update`] dispatched onto the selected SIMD tier.
-    row_update_tier<L: Lane>, row_update, row_update_avx2, row_update_avx512;
-    (kernel: &mut impl RowKernel<L>, v2c: &[L], c2v: &mut [L], lanes: usize)
-);
-
 /// `true` when the hard decisions implied by the totals' signs satisfy
 /// every check equation. Equivalent to `syndrome_ok(graph,
 /// &hard_decisions(totals))` but streams the check-major edge layout
@@ -585,8 +578,17 @@ pub(crate) fn syndrome_ok_totals<F: LlrFloat>(graph: &TannerGraph, totals: &[F])
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::simd::SimdTier;
     use crate::stopping::{hard_decisions, syndrome_ok};
     use crate::test_support::{small_code, SplitMix64};
+
+    // Every lane datapath inlines `row_update` into its own tier clones; the
+    // kernel table runs a bare row through these.
+    tier_clones!(
+        /// [`row_update`] dispatched onto the selected SIMD tier.
+        row_update_tier<L: Lane>, row_update, row_update_avx2, row_update_avx512;
+        (kernel: &mut impl RowKernel<L>, v2c: &[L], c2v: &mut [L], lanes: usize)
+    );
 
     /// The totals passes' reference: scatter-add the check messages in
     /// ascending edge order onto zero, then add the channel LLR on top. This

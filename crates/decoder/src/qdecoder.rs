@@ -465,7 +465,7 @@ impl QuantizedZigzagDecoder {
         let (arithmetic, totals) = (&self.arithmetic, &mut self.totals);
         match &mut self.datapath {
             Datapath::Lanes(lanes) => {
-                lanes.decode_into(arithmetic, cap, early_stop, channel, totals, out, trace)
+                lanes.decode_into(cap, early_stop, channel, totals, out, trace)
             }
             Datapath::Fused(fused) => fused.decode_into(
                 &self.graph,

@@ -24,7 +24,8 @@
 //! layout with identical total size. The forward/backward chain state and
 //! the parity channel are transposed the same way (`fwd[r * lanes + u]`),
 //! which turns every chain coupling of the sweep into a contiguous vector
-//! copy:
+//! copy. They live in [`FuLanes`], the check row this module shares with
+//! `dvbs2-hardware`'s functional-unit array:
 //!
 //! * the **left** parity input of row `r > 0` is `pchan[r-1] ⊞ fwd_regs`,
 //!   lane-aligned; at `r == 0` the sub-chain boundary shifts the read one
@@ -75,10 +76,10 @@
 //! `tier_clones!`, the crate's one dispatch ladder.
 
 use crate::engine::{
-    row_update, row_update_tier, tier_clones, MinSumLanes, PrefixSuffixLanes, RowKernel, ROW_LANES,
+    row_update, tier_clones, MinSumLanes, PrefixSuffixLanes, RowKernel, ROW_LANES,
 };
 use crate::qdecoder::{ChainPartition, Fnv};
-use crate::quant::{QBoxplus, QCheckArithmetic, Quantizer};
+use crate::quant::{QBoxplus, QCheckArithmetic};
 use crate::simd::SimdTier;
 use crate::stopping::hard_decisions_int_into;
 use crate::DecodeResult;
@@ -90,20 +91,12 @@ use dvbs2_ldpc::{BitVec, TannerGraph, PARALLELISM};
 /// table needs 3). Larger tables get the scalar fused datapath.
 const MAX_CORR_THRESHOLDS: usize = 4;
 
-/// The quantizer's rail as a lane value, or `None` when the lanes cannot
-/// hold the arithmetic: the combine kernel forms `|a ± b|` in `i16`, so
-/// `2·max_mag` must fit.
-fn lane_max_mag(quantizer: &Quantizer) -> Option<i16> {
-    let max_mag = quantizer.max_mag();
-    (2 * max_mag <= i16::MAX as i32).then_some(max_mag as i16)
-}
-
 /// The correction table as the lane kernel carries it, or `None` when it
 /// does not decompose or needs more than [`MAX_CORR_THRESHOLDS`] steps:
 /// `corr(z) = Σ [z <= t]` over the (construction-verified) thresholds;
 /// unused slots hold `-1`, which no `z >= 0` satisfies. Thresholds live on
 /// the reachable index range `|a ± b| <= 2·max_mag`, which fits `i16` for
-/// every quantizer [`lane_max_mag`] accepts.
+/// every quantizer the lanes accept.
 fn lane_thresholds(boxplus: &QBoxplus) -> Option<[i16; MAX_CORR_THRESHOLDS]> {
     let th = boxplus.corr_thresholds()?;
     if th.len() > MAX_CORR_THRESHOLDS {
@@ -137,6 +130,21 @@ macro_rules! lut_kernel {
     }};
 }
 
+/// Evaluates `$body` with `$kernel` bound (mutably) to the row kernel of
+/// the [`FuLanes`] `$fu`'s rule, picked per call (as `row_kernel!` picks
+/// the float rule's): [`lut_kernel!`] or [`shift_min_sum_lanes`].
+macro_rules! rule_kernel {
+    ($fu:expr, |$kernel:ident| $body:expr) => {
+        match $fu.arithmetic {
+            QCheckArithmetic::Lut(_) => lut_kernel!($fu.thresholds, |$kernel| $body),
+            QCheckArithmetic::MinSumShift { shift, .. } => {
+                let mut $kernel = shift_min_sum_lanes(shift);
+                $body
+            }
+        }
+    };
+}
+
 /// The shift-normalized min-sum rule's row kernel: the two minima under
 /// `m − (m >> shift)`, the subtract-shifted-self of
 /// [`QCheckArithmetic::MinSumShift`].
@@ -144,61 +152,202 @@ pub(crate) fn shift_min_sum_lanes(shift: u32) -> MinSumLanes<i16, impl Fn(i16) -
     MinSumLanes::new(move |m: i16| m - (m >> shift))
 }
 
-/// The lane-wide LUT check update, for callers outside this crate: the
-/// threshold-decomposed correction of one [`QBoxplus`] and the dispatch
-/// tier that runs it. `dvbs2-hardware`'s functional-unit array updates its
-/// 360 units through this, so the cycle-accurate core, the golden model and
-/// the lane planes here share one kernel and one eligibility rule.
+/// The zigzag check row of `lanes` functional units in lockstep: the
+/// paper's functional unit (Fig. 4) in its check phase, a check node that
+/// also runs the parity chain. The served lane planes here and
+/// `dvbs2-hardware`'s functional-unit array (golden model, cycle-accurate
+/// core, fabric) run every check row through it.
+///
+/// It holds the rule (tier, correction thresholds, eligibility) and the
+/// chain state, row-major (`plane[r * lanes + u]` for check
+/// `j = u·q_rows + r` of unit `u`): the parity channel clamped to
+/// `±(2·max_mag + 1)`, the forward and backward planes, the forward
+/// registers, the chain boundaries and check 0's scratch. A check phase is
+/// [`FuLanes::begin`], one [`FuLanes::row`] per residue row,
+/// [`FuLanes::end`]. A row is
+///
+/// 1. every unit's parity inputs `pchan ⊞ fwd` and `pchan ⊞ bwd`: a
+///    saturating add clamped to `±max_mag`, exact (DESIGN.md §7.8);
+/// 2. the rule's row kernel over the `row_len + 2` input vectors;
+/// 3. check 0 (no left parity input) recomputed through
+///    [`QCheckArithmetic::extrinsic`], its forward output moved to the left
+///    slot;
+/// 4. the caller's hook over the outputs (the hardware's unit fault);
+/// 5. the write-back: backward outputs to the row above, forward outputs to
+///    the registers and the forward plane, one lane down at row 0.
+///
+/// Phasing whole rows is exact: row `r` reads row `r` of the backward
+/// plane and writes row `r - 1` (at `r == 0`, row `q_rows - 1` one lane
+/// down). The last check's backward slot is never written and stays zero.
 #[derive(Debug, Clone)]
-pub struct LaneLut {
-    tier: SimdTier,
+pub struct FuLanes {
+    /// `None` when the rule or the geometry is outside the lanes and only
+    /// the chain state is in use.
+    tier: Option<SimdTier>,
+    arithmetic: QCheckArithmetic,
+    /// [`lane_thresholds`]; unused under min-sum.
     thresholds: [i16; MAX_CORR_THRESHOLDS],
+    max_mag: i16,
+    lanes: usize,
+    q_rows: usize,
+    row_len: usize,
+    pchan: Vec<i16>,
+    fwd: Vec<i16>,
+    bwd: Vec<i16>,
+    regs: Vec<i16>,
+    boundary: Vec<i16>,
+    fix_in: Vec<i32>,
+    fix_out: Vec<i32>,
 }
 
-impl LaneLut {
-    /// The lane form of `boxplus`, or `None` when saturating `i16` lanes
-    /// cannot express it exactly (the arithmetic half of the rule
-    /// [`QuantizedZigzagDecoder`]'s lane planes apply: `2·max_mag` beyond
-    /// `i16`, or a correction table of more than four unit steps). The
-    /// caller then keeps its scalar
-    /// [`QBoxplus::extrinsic`] path.
-    ///
-    /// `forced` pins the dispatch tier; `None` takes [`SimdTier::detect`],
-    /// which honours `DVBS2_SIMD`.
+impl FuLanes {
+    /// The row of `lanes` units over `q_rows` residue rows of checks with
+    /// `row_len` information inputs. It runs on the lanes ([`tier`] is
+    /// `Some`) when `2·max_mag ≤ i16::MAX`, the correction table takes at
+    /// most four steps, `q_rows ≥ 2` and `lanes ≤ 1024`; otherwise the
+    /// caller keeps a scalar row over the chain state held here. `forced`
+    /// pins the tier; `None` takes [`SimdTier::detect`].
     ///
     /// # Panics
     ///
-    /// Panics if the tier is not available on this CPU.
+    /// Panics if the row runs on the lanes at a tier this CPU lacks.
     ///
-    /// [`QuantizedZigzagDecoder`]: crate::QuantizedZigzagDecoder
-    pub fn try_new(boxplus: &QBoxplus, forced: Option<SimdTier>) -> Option<LaneLut> {
-        lane_max_mag(boxplus.quantizer())?; // eligibility only: the kernel never clamps to it
-        Some(LaneLut { tier: SimdTier::resolve(forced), thresholds: lane_thresholds(boxplus)? })
+    /// [`tier`]: FuLanes::tier
+    pub fn new(
+        arithmetic: &QCheckArithmetic,
+        lanes: usize,
+        q_rows: usize,
+        row_len: usize,
+        forced: Option<SimdTier>,
+    ) -> FuLanes {
+        let max_mag = arithmetic.quantizer().max_mag();
+        let thresholds = match arithmetic {
+            QCheckArithmetic::Lut(bp) => lane_thresholds(bp),
+            QCheckArithmetic::MinSumShift { .. } => Some([-1; MAX_CORR_THRESHOLDS]),
+        };
+        // The combine kernel forms `|a ± b|` in `i16`; row 0's backward
+        // writes must land in another residue row than the one being read.
+        let eligible = 2 * max_mag <= i16::MAX as i32
+            && thresholds.is_some()
+            && q_rows >= 2
+            && (1..=ROW_LANES).contains(&lanes);
+        let plane = vec![0; lanes * q_rows];
+        FuLanes {
+            tier: eligible.then(|| SimdTier::resolve(forced)),
+            arithmetic: arithmetic.clone(),
+            thresholds: thresholds.unwrap_or([-1; MAX_CORR_THRESHOLDS]),
+            max_mag: max_mag as i16,
+            lanes,
+            q_rows,
+            row_len,
+            pchan: plane.clone(),
+            fwd: plane.clone(),
+            bwd: plane,
+            regs: vec![0; lanes],
+            boundary: vec![0; lanes],
+            fix_in: vec![0; row_len + 1],
+            fix_out: vec![0; row_len + 1],
+        }
     }
 
-    /// The dispatch tier the kernel runs at.
-    pub fn tier(&self) -> SimdTier {
+    /// The dispatch tier of [`FuLanes::row`], or `None` when the row is
+    /// outside the lanes.
+    pub fn tier(&self) -> Option<SimdTier> {
         self.tier
     }
 
-    /// Extrinsic outputs of `lanes` check nodes of one degree at once.
-    /// `v2c[i * lanes + u]` is input `i` of node `u`, and `c2v` receives the
-    /// outputs in the same layout. Every lane equals [`QBoxplus::extrinsic`]
-    /// on that lane's inputs, for inputs inside the quantizer's rail.
+    /// Starts a frame: every chain message cleared and, on the lanes, the
+    /// parity channel loaded from `parity[u·q_rows + r]` (check order),
+    /// clamped to `±(2·max_mag + 1)`.
     ///
     /// # Panics
     ///
-    /// Panics unless `v2c` and `c2v` hold the same whole number (at least
-    /// two) of `lanes`-wide vectors, `lanes` at most 1024.
-    pub fn extrinsic(&self, v2c: &[i16], c2v: &mut [i16], lanes: usize) {
-        assert_eq!(v2c.len(), c2v.len(), "length mismatch");
-        assert!(lanes > 0 && v2c.len().is_multiple_of(lanes), "blocks must be whole vectors");
-        assert!(lanes <= ROW_LANES, "at most {ROW_LANES} lanes");
-        assert!(v2c.len() / lanes >= 2, "a check node has at least two inputs");
-        lut_kernel!(self.thresholds, |kernel| {
-            row_update_tier(self.tier, &mut kernel, v2c, c2v, lanes)
-        });
+    /// Panics unless `parity` holds one value per check.
+    pub fn reset(&mut self, parity: &[i32]) {
+        let (lanes, q_rows) = (self.lanes, self.q_rows);
+        assert_eq!(parity.len(), lanes * q_rows, "one parity value per check");
+        if self.tier.is_some() {
+            let prail = 2 * i32::from(self.max_mag) + 1;
+            for (u, column) in parity.chunks_exact(q_rows).enumerate() {
+                for (r, &x) in column.iter().enumerate() {
+                    self.pchan[r * lanes + u] = x.clamp(-prail, prail) as i16;
+                }
+            }
+        }
+        for plane in [&mut self.fwd, &mut self.bwd, &mut self.regs, &mut self.boundary] {
+            plane.fill(0);
+        }
     }
+
+    /// Loads the chain boundaries into the forward registers (start of
+    /// every check phase).
+    pub fn begin(&mut self) {
+        self.regs.copy_from_slice(&self.boundary);
+    }
+
+    /// Check row `r` of every unit, the five steps of the type docs. `v_in`
+    /// is the row's `row_len + 2` input vectors, lane-major (input `i` of
+    /// unit `u` at `v_in[i * lanes + u]`): the information inputs inside
+    /// `±max_mag`, then the two parity input slots the row overwrites.
+    /// `v_out` receives every output in the same layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row is outside the lanes, `r` is not a residue row, or
+    /// `v_in` or `v_out` is not `row_len + 2` vectors long.
+    pub fn row(
+        &mut self,
+        r: usize,
+        v_in: &mut [i16],
+        v_out: &mut [i16],
+        hook: impl FnMut(&mut [i16]),
+    ) {
+        let tier = self.tier.expect("the row is outside the lanes");
+        assert!(r < self.q_rows, "row {r} out of range");
+        assert_eq!(v_in.len(), (self.row_len + 2) * self.lanes, "a row is row_len + 2 vectors");
+        assert_eq!(v_out.len(), v_in.len(), "output row size mismatch");
+        rule_kernel!(self, |kernel| fu_row_tier(tier, self, &mut kernel, r, v_in, v_out, hook))
+    }
+
+    /// Saves the chain boundaries for the next check phase: unit `u`
+    /// continues unit `u - 1`'s chain, and unit 0 starts from zero.
+    pub fn end(&mut self) {
+        let lanes = self.lanes;
+        self.boundary[1..].copy_from_slice(&self.regs[..lanes - 1]);
+        self.boundary[0] = 0;
+    }
+
+    /// The forward registers, the forward plane and the backward plane, for
+    /// a scalar row over the same chain state.
+    pub fn chain_mut(&mut self) -> (&mut [i16], &mut [i16], &mut [i16]) {
+        (&mut self.regs, &mut self.fwd, &mut self.bwd)
+    }
+
+    /// The parity totals `parity[j] + fwd[j] + bwd[j]` of every check, check
+    /// order, from the caller's (wide) parity channel.
+    pub fn parity_totals(&self, parity: &[i32], totals: &mut [i32]) {
+        let (lanes, q_rows) = (self.lanes, self.q_rows);
+        let units = totals.chunks_exact_mut(q_rows).zip(parity.chunks_exact(q_rows));
+        for (u, (tot, chan)) in units.enumerate() {
+            for (r, (t, &x)) in tot.iter_mut().zip(chan).enumerate() {
+                *t = x + self.fwd[r * lanes + u] as i32 + self.bwd[r * lanes + u] as i32;
+            }
+        }
+    }
+
+    /// The chain state in check order: backward messages, forward messages,
+    /// then the boundaries.
+    pub fn parity_state(&self) -> impl Iterator<Item = i32> + '_ {
+        let (lanes, q_rows) = (self.lanes, self.q_rows);
+        check_order(&self.bwd, lanes, q_rows)
+            .chain(check_order(&self.fwd, lanes, q_rows))
+            .chain(self.boundary.iter().map(|&b| b as i32))
+    }
+}
+
+/// A row-major plane in check order (`j = u·q_rows + r`).
+fn check_order(plane: &[i16], lanes: usize, q_rows: usize) -> impl Iterator<Item = i32> + '_ {
+    (0..lanes).flat_map(move |u| (0..q_rows).map(move |r| plane[r * lanes + u] as i32))
 }
 
 /// Sub-chain-major SoA plan + state for the SIMD quantized decode.
@@ -213,10 +362,6 @@ pub(crate) struct SimdQuant {
     q_rows: usize,
     stride: usize,
     info_d: usize,
-    max_mag: i16,
-    /// The LUT rule's correction thresholds ([`lane_thresholds`]; unused
-    /// under min-sum).
-    thresholds: [i16; MAX_CORR_THRESHOLDS],
     /// The variable-node plan, row-major (`info_d` entries per residue
     /// row): real DVB-S2 codes are quasi-cyclic with lifting 360, so the
     /// `lanes` variables of one (row, position) plane vector are one
@@ -226,16 +371,8 @@ pub(crate) struct SimdQuant {
     // --- i16 message state, all lane-major ---
     v2c: Vec<i16>,
     c2v: Vec<i16>,
-    fwd: Vec<i16>,
-    bwd: Vec<i16>,
-    fwd_regs: Vec<i16>,
-    boundary: Vec<i16>,
-    /// Parity channel transposed to `pchan[r * lanes + u]`, clamped to
-    /// `±(2·max_mag + 1)`.
-    pchan: Vec<i16>,
-    // --- check-0 scalar fix-up scratch ---
-    fix_in: Vec<i32>,
-    fix_out: Vec<i32>,
+    /// The check rows and the parity chain state.
+    fu: FuLanes,
     /// Per-lane syndrome accumulator of the early-termination test.
     syn: Vec<i16>,
     // --- the software shuffle network ---
@@ -287,20 +424,12 @@ impl SimdQuant {
         let k = graph.info_len();
         let lanes = partition.lanes();
         let q_rows = n_check / lanes;
-        // Row 0's shifted backward writes must land in a *different*
-        // residue row than the one being read, which needs at least two
-        // rows per sub-chain (every real rate point has >= 5). The row
-        // kernels hold the state of at most `ROW_LANES` lanes.
-        if q_rows < 2 || lanes > ROW_LANES {
-            return None;
-        }
-        let max_mag = lane_max_mag(arithmetic.quantizer())?;
-        let thresholds = match arithmetic {
-            QCheckArithmetic::Lut(bp) => lane_thresholds(bp)?,
-            QCheckArithmetic::MinSumShift { .. } => [-1; MAX_CORR_THRESHOLDS],
-        };
         let info_d = graph.check_edges(0).len() - 1;
         let stride = info_d + 2;
+        // The check row's own eligibility: the rule, `q_rows >= 2` (every
+        // real rate point has at least five) and the lane count.
+        let fu = FuLanes::new(arithmetic, lanes, q_rows, info_d, Some(tier));
+        fu.tier()?;
 
         // Bake the schedule permutation into the lane-major slot map, then
         // find the rotation of every plane vector in it.
@@ -315,7 +444,7 @@ impl SimdQuant {
         // for `lane_syndrome`'s `pchan + fwd + bwd` with the parity channel
         // clamped to `±(2·max_mag + 1)`. Release builds do not check those
         // adds; the test profile's overflow checks are the proof.
-        let max_mag32 = i32::from(max_mag);
+        let max_mag32 = i32::from(fu.max_mag);
         let dd = (0..k).map(|v| graph.var_edges(v).len()).max().unwrap_or(0).max(2) as i32;
         let info_rail = i16::MAX as i32 - dd * max_mag32;
         if info_rail <= dd * max_mag32 {
@@ -329,18 +458,10 @@ impl SimdQuant {
             q_rows,
             stride,
             info_d,
-            max_mag,
-            thresholds,
             rot,
             v2c: vec![0; plane],
             c2v: vec![0; plane],
-            fwd: vec![0; n_check],
-            bwd: vec![0; n_check],
-            fwd_regs: vec![0; lanes],
-            boundary: vec![0; lanes],
-            pchan: vec![0; n_check],
-            fix_in: vec![0; stride],
-            fix_out: vec![0; stride],
+            fu,
             syn: vec![0; lanes],
             info_rail: info_rail as i16,
             chan16: vec![0; k],
@@ -357,10 +478,8 @@ impl SimdQuant {
     /// sweep's decode step for step (same early-stop placement, same
     /// iteration accounting, same digest points) and bit-identical to it:
     /// the clamped ingress (module docs) changes nothing observable.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn decode_into(
         &mut self,
-        arithmetic: &QCheckArithmetic,
         max_iterations: usize,
         early_stop: bool,
         channel: &[i32],
@@ -370,12 +489,10 @@ impl SimdQuant {
     ) {
         self.load(channel);
         let (k, lanes) = (self.chan16.len(), self.lanes);
+        // As in the fused path: with both chain directions empty (`load`
+        // cleared them) a cap of 0 leaves the parity totals at the channel
+        // values.
         self.c2v.fill(0);
-        // As in the fused path: with both directions empty a cap of 0 leaves
-        // the parity totals at the channel values.
-        self.fwd.fill(0);
-        self.bwd.fill(0);
-        self.boundary.fill(0);
         let mut iterations = 0;
         let mut converged = false;
 
@@ -389,14 +506,13 @@ impl SimdQuant {
             }
             iterations += 1;
 
-            match *arithmetic {
-                QCheckArithmetic::Lut(_) => {
-                    lut_kernel!(self.thresholds, |kernel| self.check_sweep(arithmetic, &mut kernel))
-                }
-                QCheckArithmetic::MinSumShift { shift, .. } => {
-                    self.check_sweep(arithmetic, &mut shift_min_sum_lanes(shift))
-                }
-            }
+            rule_kernel!(self.fu, |kernel| check_sweep_tier(
+                self.tier,
+                &mut self.fu,
+                &mut kernel,
+                &mut self.v2c,
+                &mut self.c2v
+            ));
             if let Some(digests) = trace.as_deref_mut() {
                 digests.push(self.digest());
             }
@@ -410,7 +526,7 @@ impl SimdQuant {
         }
         // The lane test reads the state where it lies, so the `i32` totals
         // are materialized here, once per decode.
-        self.parity_totals(k, totals);
+        self.fu.parity_totals(&channel[k..], &mut totals[k..]);
         let blocks = self.tot2.chunks_exact(2 * lanes);
         for (wide, block) in totals[..k].chunks_exact_mut(lanes).zip(blocks) {
             for (t, &x) in wide.iter_mut().zip(block) {
@@ -425,42 +541,13 @@ impl SimdQuant {
         out.converged = converged;
     }
 
-    /// One check sweep under the rule's row kernel, picked per sweep (as
-    /// `row_kernel!` picks the float rule's).
-    fn check_sweep(&mut self, arithmetic: &QCheckArithmetic, kernel: &mut impl RowKernel<i16>) {
-        check_sweep_tier(
-            self.tier,
-            self.lanes,
-            self.q_rows,
-            self.stride,
-            self.info_d,
-            self.max_mag,
-            kernel,
-            arithmetic,
-            &self.pchan,
-            &mut self.v2c,
-            &mut self.c2v,
-            &mut self.fwd,
-            &mut self.bwd,
-            &mut self.fwd_regs,
-            &mut self.boundary,
-            &mut self.fix_in,
-            &mut self.fix_out,
-        )
-    }
-
     /// The ingress: the parity channel transposed lane-major and clamped to
-    /// `±(2·max_mag + 1)`, the information channel clamped to
-    /// `±info_rail` (module docs).
+    /// `±(2·max_mag + 1)` by [`FuLanes::reset`], which also clears the
+    /// chain, and the information channel clamped to `±info_rail` (module
+    /// docs).
     fn load(&mut self, channel: &[i32]) {
-        let (k, lanes, q_rows) = (self.chan16.len(), self.lanes, self.q_rows);
-        let prail = 2 * i32::from(self.max_mag) + 1;
-        for u in 0..lanes {
-            let col = &channel[k + u * q_rows..k + (u + 1) * q_rows];
-            for (r, &x) in col.iter().enumerate() {
-                self.pchan[r * lanes + u] = x.clamp(-prail, prail) as i16;
-            }
-        }
+        let k = self.chan16.len();
+        self.fu.reset(&channel[k..]);
         let rail = i32::from(self.info_rail);
         for (c, &x) in self.chan16.iter_mut().zip(channel) {
             *c = x.clamp(-rail, rail) as i16;
@@ -474,7 +561,7 @@ impl SimdQuant {
             self.tier,
             &self.rot,
             self.lanes,
-            self.max_mag,
+            self.fu.max_mag,
             &self.chan16,
             &self.c2v,
             &mut self.v2c,
@@ -492,26 +579,11 @@ impl SimdQuant {
             self.q_rows,
             self.info_d,
             &self.tot2,
-            &self.pchan,
-            &self.fwd,
-            &self.bwd,
+            &self.fu.pchan,
+            &self.fu.fwd,
+            &self.fu.bwd,
             &mut self.syn,
         )
-    }
-
-    /// Parity-side totals from the lane-major chain state, read row-major:
-    /// the wide channel's signs, from the clamped channel. The last check's
-    /// backward slot is pinned zero, standing in for the scalar path's
-    /// end-of-chain conditional.
-    fn parity_totals(&self, k: usize, totals: &mut [i32]) {
-        let (lanes, q_rows) = (self.lanes, self.q_rows);
-        for r in 0..q_rows {
-            for u in 0..lanes {
-                let s = r * lanes + u;
-                totals[k + u * q_rows + r] =
-                    self.pchan[s] as i32 + self.fwd[s] as i32 + self.bwd[s] as i32;
-            }
-        }
     }
 
     /// Canonical message digest — value-for-value the stream of
@@ -527,11 +599,9 @@ impl SimdQuant {
                 h.write_i32(self.c2v[base + i * lanes] as i32);
             }
         }
-        for c in 0..lanes * q_rows {
-            h.write_i32(self.fwd[(c % q_rows) * lanes + c / q_rows] as i32);
-        }
-        for c in 0..lanes * q_rows {
-            h.write_i32(self.bwd[(c % q_rows) * lanes + c / q_rows] as i32);
+        let (fwd, bwd) = (&self.fu.fwd, &self.fu.bwd);
+        for x in check_order(fwd, lanes, q_rows).chain(check_order(bwd, lanes, q_rows)) {
+            h.write_i32(x);
         }
         h.finish()
     }
@@ -651,13 +721,6 @@ pub(crate) fn build_rotation(
     Some(rot)
 }
 
-/// Saturating add in the quantizer's lane domain (sums fit i16 for every
-/// eligible `max_mag`, the clamped parity channel included).
-#[inline(always)]
-fn sat_add_i16(a: i16, b: i16, max_mag: i16) -> i16 {
-    (a + b).clamp(-max_mag, max_mag)
-}
-
 /// One lane-wide boxplus combine via the threshold-decomposed correction:
 /// bit-identical to `QBoxplus::combine`, without its sign. With `a = |x|`,
 /// `b = |y|`, `{|x+y|, |x−y|} = {a+b, a+b − 2·mag}` in the order the sign
@@ -730,7 +793,7 @@ fn vn_pass_rot(
 /// of residue row `r` is the sign of one lane vector: the XOR of the row's
 /// information totals (each `RotEntry` a contiguous slice of a doubled
 /// block, as in [`vn_pass_rot`]), of its own parity totals
-/// `pchan + fwd + bwd` ([`SimdQuant::parity_totals`]' value) and of the
+/// `pchan + fwd + bwd` (the sign of [`FuLanes::parity_totals`]) and of the
 /// left neighbour's — row `r - 1` lane-aligned, or at `r == 0` row
 /// `q_rows - 1` shifted one lane, with nothing for check 0. By construction
 /// the result equals `syndrome_ok(hard_decisions_int(totals))` over the
@@ -774,100 +837,96 @@ fn lane_syndrome(
     true
 }
 
-/// Lane-major check sweep: per residue row, phase 1 builds the parity-chain
-/// input vectors, phase 2 runs the rule's row kernel, phase 3 copies
-/// the chain outputs forward/backward. Phasing whole rows is exact: within
-/// a row every read targets row `r` state while every write targets row
-/// `r - 1` (or, at `r == 0`, row `q_rows - 1` shifted one lane), so no
-/// value is consumed in the sweep order the scalar path wouldn't produce.
+/// One check row of every unit, the five steps of [`FuLanes`], under the
+/// rule's `kernel`. Inlined into each tier clone with the kernel, so the
+/// row's loops vectorize there.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn check_sweep(
-    lanes: usize,
-    q_rows: usize,
-    stride: usize,
-    info_d: usize,
-    max_mag: i16,
+fn fu_row(
+    fu: &mut FuLanes,
     kernel: &mut impl RowKernel<i16>,
-    arithmetic: &QCheckArithmetic,
-    pchan: &[i16],
+    r: usize,
+    v_in: &mut [i16],
+    v_out: &mut [i16],
+    mut hook: impl FnMut(&mut [i16]),
+) {
+    let (lanes, q_rows, row_len, max_mag) = (fu.lanes, fu.q_rows, fu.row_len, fu.max_mag);
+    let (vl, vr) = (row_len * lanes, (row_len + 1) * lanes);
+    debug_assert!(v_in[..vl].iter().all(|&x| x.abs() <= max_mag), "row outside the rail");
+    // 1. Parity inputs. Left, `pchan[j - 1] ⊞ fwd`: lane-aligned for r > 0;
+    // at r == 0 check j - 1 is the last one of the unit below. Check 0 has
+    // none — a zero keeps lane 0 in range and step 3 rebuilds its outputs.
+    let input = |chan: i16, msg: i16| chan.saturating_add(msg).clamp(-max_mag, max_mag);
+    let (pchan, regs) = (&fu.pchan, &fu.regs);
+    if r > 0 {
+        let chan = &pchan[(r - 1) * lanes..r * lanes];
+        for ((o, &c), &f) in v_in[vl..vr].iter_mut().zip(chan).zip(regs) {
+            *o = input(c, f);
+        }
+    } else {
+        v_in[vl] = 0;
+        let chan = &pchan[(q_rows - 1) * lanes..];
+        for ((o, &c), &f) in v_in[vl + 1..vr].iter_mut().zip(chan).zip(&regs[1..]) {
+            *o = input(c, f);
+        }
+    }
+    // Right, `pchan[j] ⊞ bwd[j]`, the last check's backward slot being zero.
+    let (chan, back) = (&pchan[r * lanes..(r + 1) * lanes], &fu.bwd[r * lanes..(r + 1) * lanes]);
+    for ((o, &c), &b) in v_in[vr..].iter_mut().zip(chan).zip(back) {
+        *o = input(c, b);
+    }
+
+    // 2. The rule's row kernel.
+    row_update(kernel, v_in, v_out, lanes);
+
+    // 3. Check 0 has degree `row_len + 1`, the right parity input last: the
+    // scalar rule (the call the fused sweep makes for that check)
+    // recomputes it, and its forward output goes to the left slot, where
+    // the write-back takes lane 0's from. The kernel's output at
+    // (row_len + 1, lane 0) is never read.
+    if r == 0 {
+        let d0 = row_len + 1;
+        for i in 0..row_len {
+            fu.fix_in[i] = v_in[i * lanes] as i32;
+        }
+        fu.fix_in[row_len] = v_in[vr] as i32;
+        fu.arithmetic.extrinsic(&fu.fix_in[..d0], &mut fu.fix_out[..d0]);
+        for i in 0..row_len {
+            v_out[i * lanes] = fu.fix_out[i] as i16;
+        }
+        v_out[vl] = fu.fix_out[row_len] as i16;
+    }
+
+    // 4. The caller's hook.
+    hook(v_out);
+
+    // 5. Write-back: backward outputs (left slot) to the row above, forward
+    // outputs (right slot) into the registers.
+    if r > 0 {
+        fu.bwd[(r - 1) * lanes..r * lanes].copy_from_slice(&v_out[vl..vr]);
+        fu.regs.copy_from_slice(&v_out[vr..]);
+    } else {
+        fu.bwd[(q_rows - 1) * lanes..][..lanes - 1].copy_from_slice(&v_out[vl + 1..vr]);
+        fu.regs[1..].copy_from_slice(&v_out[vr + 1..]);
+        fu.regs[0] = v_out[vl];
+    }
+    fu.fwd[r * lanes..(r + 1) * lanes].copy_from_slice(&fu.regs);
+}
+
+/// One check sweep of the lane planes: [`FuLanes::begin`], every residue
+/// row through [`fu_row`] with no hook, [`FuLanes::end`].
+#[inline(always)]
+fn check_sweep(
+    fu: &mut FuLanes,
+    kernel: &mut impl RowKernel<i16>,
     v2c: &mut [i16],
     c2v: &mut [i16],
-    fwd: &mut [i16],
-    bwd: &mut [i16],
-    fwd_regs: &mut [i16],
-    boundary: &mut [i16],
-    fix_in: &mut [i32],
-    fix_out: &mut [i32],
 ) {
-    fwd_regs.copy_from_slice(boundary);
-    for r in 0..q_rows {
-        let row = r * stride * lanes;
-        let vl = row + info_d * lanes;
-        let vr = vl + lanes;
-        // Right parity inputs: uniform across all lanes (the global last
-        // check's backward slot is pinned zero).
-        {
-            let pc = &pchan[r * lanes..(r + 1) * lanes];
-            let bw = &bwd[r * lanes..(r + 1) * lanes];
-            for ((o, &p), &b) in v2c[vr..vr + lanes].iter_mut().zip(pc).zip(bw) {
-                *o = sat_add_i16(p, b, max_mag);
-            }
-        }
-        // Left parity inputs: lane-aligned for r > 0, shifted one lane at
-        // the sub-chain boundary row.
-        if r > 0 {
-            let pc = &pchan[(r - 1) * lanes..r * lanes];
-            for ((o, &p), &f) in v2c[vl..vl + lanes].iter_mut().zip(pc).zip(fwd_regs.iter()) {
-                *o = sat_add_i16(p, f, max_mag);
-            }
-        } else {
-            // Check 0 (lane 0) has no left input; a zero placeholder keeps
-            // the lane kernel in range and its row is rebuilt below.
-            v2c[vl] = 0;
-            let pc = &pchan[(q_rows - 1) * lanes..];
-            for ((o, &p), &f) in
-                v2c[vl + 1..vl + lanes].iter_mut().zip(&pc[..lanes - 1]).zip(fwd_regs[1..].iter())
-            {
-                *o = sat_add_i16(p, f, max_mag);
-            }
-        }
-        let span = row..row + stride * lanes;
-        row_update(kernel, &v2c[span.clone()], &mut c2v[span], lanes);
-        if r == 0 {
-            // Check 0: degree `info_d + 1` with the right parity input
-            // last — recompute through the scalar arithmetic (the same
-            // call the fused path makes for its short row) and store the
-            // forward output at the left slot so write-back below reads
-            // it uniformly. The kernel's garbage at (info_d + 1, lane 0)
-            // is never read.
-            let d0 = info_d + 1;
-            for i in 0..info_d {
-                fix_in[i] = v2c[row + i * lanes] as i32;
-            }
-            fix_in[info_d] = v2c[vr] as i32;
-            arithmetic.extrinsic(&fix_in[..d0], &mut fix_out[..d0]);
-            for i in 0..info_d {
-                c2v[row + i * lanes] = fix_out[i] as i16;
-            }
-            c2v[vl] = fix_out[info_d] as i16;
-        }
-        // Write-back: backward outputs (left slot) to the previous row,
-        // forward outputs (right slot) into the lane registers.
-        if r > 0 {
-            bwd[(r - 1) * lanes..r * lanes].copy_from_slice(&c2v[vl..vl + lanes]);
-            fwd_regs.copy_from_slice(&c2v[vr..vr + lanes]);
-        } else {
-            bwd[(q_rows - 1) * lanes..][..lanes - 1].copy_from_slice(&c2v[vl + 1..vl + lanes]);
-            fwd_regs[1..].copy_from_slice(&c2v[vr + 1..vr + lanes]);
-            fwd_regs[0] = c2v[vl];
-        }
-        fwd[r * lanes..(r + 1) * lanes].copy_from_slice(fwd_regs);
+    let row = v2c.len() / fu.q_rows;
+    fu.begin();
+    for (r, (v_in, v_out)) in v2c.chunks_exact_mut(row).zip(c2v.chunks_exact_mut(row)).enumerate() {
+        fu_row(fu, kernel, r, v_in, v_out, |_| {});
     }
-    for u in (1..lanes).rev() {
-        boundary[u] = fwd_regs[u - 1];
-    }
-    boundary[0] = 0;
+    fu.end();
 }
 
 tier_clones!(
@@ -900,29 +959,26 @@ tier_clones!(
 
 tier_clones!(
     check_sweep_tier, check_sweep, check_sweep_avx2, check_sweep_avx512;
+    (fu: &mut FuLanes, kernel: &mut impl RowKernel<i16>, v2c: &mut [i16], c2v: &mut [i16])
+);
+
+tier_clones!(
+    fu_row_tier, fu_row, fu_row_avx2, fu_row_avx512;
     (
-        lanes: usize,
-        q_rows: usize,
-        stride: usize,
-        info_d: usize,
-        max_mag: i16,
+        fu: &mut FuLanes,
         kernel: &mut impl RowKernel<i16>,
-        arithmetic: &QCheckArithmetic,
-        pchan: &[i16],
-        v2c: &mut [i16],
-        c2v: &mut [i16],
-        fwd: &mut [i16],
-        bwd: &mut [i16],
-        fwd_regs: &mut [i16],
-        boundary: &mut [i16],
-        fix_in: &mut [i32],
-        fix_out: &mut [i32],
+        r: usize,
+        v_in: &mut [i16],
+        v_out: &mut [i16],
+        hook: impl FnMut(&mut [i16]),
     )
 );
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::row_update_tier;
+    use crate::quant::Quantizer;
     use crate::stopping::{hard_decisions_int, syndrome_ok};
     use crate::test_support::{rotation_partition, SplitMix64};
     use dvbs2_ldpc::{
@@ -958,7 +1014,7 @@ mod tests {
         k: usize,
         rng: &mut SplitMix64,
     ) -> Vec<i32> {
-        let m = sq.max_mag as u64;
+        let m = sq.fu.max_mag as u64;
         fn draw(rng: &mut SplitMix64, negative: bool, lo: u64, hi: u64) -> i32 {
             let mag = (lo + rng.next_u64() % (hi - lo + 1)) as i32;
             if negative {
@@ -973,11 +1029,11 @@ mod tests {
                 // The channel term outweighs the two chain terms, so its
                 // sign is the sum's.
                 let (s, neg) = (r * sq.lanes + u, word.get(k + u * sq.q_rows + r));
-                sq.pchan[s] = draw(rng, neg, m, m) as i16;
+                sq.fu.pchan[s] = draw(rng, neg, m, m) as i16;
                 let negative = rng.next_bool();
-                sq.fwd[s] = draw(rng, negative, 0, (m - 1) / 2) as i16;
+                sq.fu.fwd[s] = draw(rng, negative, 0, (m - 1) / 2) as i16;
                 let negative = rng.next_bool();
-                sq.bwd[s] = draw(rng, negative, 0, (m - 1) / 2) as i16;
+                sq.fu.bwd[s] = draw(rng, negative, 0, (m - 1) / 2) as i16;
             }
         }
         info
@@ -1000,15 +1056,23 @@ mod tests {
             sq.q_rows,
             sq.info_d,
             &sq.tot2,
-            &sq.pchan,
-            &sq.fwd,
-            &sq.bwd,
+            &sq.fu.pchan,
+            &sq.fu.fwd,
+            &sq.fu.bwd,
             &mut sq.syn,
         );
         let mut totals = info.to_vec();
         totals.resize(graph.var_count(), 0);
-        sq.parity_totals(k, &mut totals);
+        clamped_parity_totals(sq, &mut totals[k..]);
         (lane, syndrome_ok(graph, &hard_decisions_int(&totals)))
+    }
+
+    /// The parity totals the lane syndrome reads: `pchan + fwd + bwd`, on the
+    /// clamped channel.
+    fn clamped_parity_totals(sq: &SimdQuant, totals: &mut [i32]) {
+        let fu = &sq.fu;
+        let parity: Vec<i32> = check_order(&fu.pchan, fu.lanes, fu.q_rows).collect();
+        fu.parity_totals(&parity, totals);
     }
 
     #[test]
@@ -1053,28 +1117,28 @@ mod tests {
                     let mid = 1 + (rng.next_u64() % (lanes as u64 - 1)) as usize;
                     for (r, u) in [(0, 0), (0, mid), (q_rows - 1, lanes - 1)] {
                         let s = r * lanes + u;
-                        for plane in [&mut sq.pchan, &mut sq.fwd, &mut sq.bwd] {
+                        for plane in [&mut sq.fu.pchan, &mut sq.fu.fwd, &mut sq.fu.bwd] {
                             plane[s] = -plane[s];
                         }
                         let flipped = both_tests(&mut sq, graph, &info);
                         assert_eq!(flipped, (false, false), "{what}: parity r={r} u={u}");
-                        for plane in [&mut sq.pchan, &mut sq.fwd, &mut sq.bwd] {
+                        for plane in [&mut sq.fu.pchan, &mut sq.fu.fwd, &mut sq.fu.bwd] {
                             plane[s] = -plane[s];
                         }
                     }
                     assert_eq!(both_tests(&mut sq, graph, &info), (true, true), "{what}: restored");
 
                     // Arbitrary totals and chain state, zeros included.
-                    let m = sq.max_mag as i64;
+                    let m = sq.fu.max_mag as i64;
                     let mut any =
                         |span: i64| (rng.next_u64() % (2 * span as u64 + 1)) as i64 - span;
                     for x in info.iter_mut() {
                         *x = any(3) as i32;
                     }
                     for s in 0..lanes * q_rows {
-                        sq.pchan[s] = any(m) as i16;
-                        sq.fwd[s] = any(2) as i16;
-                        sq.bwd[s] = any(2) as i16;
+                        sq.fu.pchan[s] = any(m) as i16;
+                        sq.fu.fwd[s] = any(2) as i16;
+                        sq.fu.bwd[s] = any(2) as i16;
                     }
                     let (lane, scalar) = both_tests(&mut sq, graph, &info);
                     assert_eq!(lane, scalar, "{what}: random state, round {round}");
@@ -1119,8 +1183,8 @@ mod tests {
             for msg in [-m, m] {
                 let what = format!("{tier:?} messages at {msg}");
                 sq.c2v.fill(msg as i16);
-                sq.fwd.fill(msg as i16);
-                sq.bwd.fill(msg as i16);
+                sq.fu.fwd.fill(msg as i16);
+                sq.fu.bwd.fill(msg as i16);
                 sq.vn_pass();
                 for e in &sq.rot {
                     let (block, off) = e.block_and_off(lanes);
@@ -1131,7 +1195,7 @@ mod tests {
                     }
                 }
                 let mut totals = vec![0; n];
-                sq.parity_totals(k, &mut totals);
+                clamped_parity_totals(&sq, &mut totals[k..]);
                 for (v, t) in totals[..k].iter_mut().enumerate() {
                     *t = i32::from(sq.tot2[2 * (v - v % lanes) + v % lanes]);
                 }
@@ -1139,9 +1203,9 @@ mod tests {
                     let wide = channel[v] + if v < k { degree(v) } else { 2 } * msg;
                     assert_eq!(t < 0, wide < 0, "{what}: variable {v} ({} wide)", channel[v]);
                 }
-                for (s, &p) in sq.pchan.iter().enumerate() {
+                for (s, &p) in sq.fu.pchan.iter().enumerate() {
                     let wide = channel[k + s % lanes * q_rows + s / lanes];
-                    let input = sat_add_i16(p, msg as i16, m as i16);
+                    let input = p.saturating_add(msg as i16).clamp(-m as i16, m as i16);
                     assert_eq!(i32::from(input), (wide + msg).clamp(-m, m), "{what}: slot {s}");
                 }
             }
@@ -1209,14 +1273,12 @@ mod tests {
         }
     }
 
-    /// The LUT rule through [`crate::LaneLut`], the entry the hardware
-    /// models' functional-unit array takes, against [`QBoxplus::extrinsic`]
-    /// lane by lane: one, three and four live thresholds, at every degree,
-    /// lane count and tier of the kernel table.
+    /// The LUT rule's row kernel, as [`FuLanes`] builds it, against
+    /// [`QBoxplus::extrinsic`] lane by lane: one, three and four live
+    /// thresholds, at every degree, lane count and tier of the kernel table.
     #[test]
     fn lut_lane_kernel_matches_scalar_extrinsic() {
         use crate::engine::tests::{assert_kernel_matches, draw_quantized, widened};
-        use crate::LaneLut;
 
         for q in [Quantizer::paper_6bit(), Quantizer::paper_5bit(), Quantizer::new(6, 0.18)] {
             let bp = QBoxplus::new(q);
@@ -1224,7 +1286,9 @@ mod tests {
             assert_kernel_matches(
                 &format!("LUT i16, {} bits, {live} live thresholds", q.bits()),
                 |tier, v2c, c2v, lanes| {
-                    LaneLut::try_new(&bp, Some(tier)).unwrap().extrinsic(v2c, c2v, lanes)
+                    lut_kernel!(lane_thresholds(&bp).unwrap(), |kernel| {
+                        row_update_tier(tier, &mut kernel, v2c, c2v, lanes)
+                    })
                 },
                 widened(|ins, outs| bp.extrinsic(ins, outs)),
                 draw_quantized(q.max_mag() as i16),

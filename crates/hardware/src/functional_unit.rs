@@ -16,42 +16,15 @@
 //! message RAM, a row's words followed by two slots into which the array
 //! writes every unit's two parity inputs as two more 360-wide vectors — and
 //! write their outputs where the caller asks, in the same layout.
-//! [`LaneLut`], the kernel the software decoder's lane planes run, sweeps
-//! all units at once. Quantizers the lanes cannot express take the per-unit
-//! [`QBoxplus::extrinsic`] loop, which is also what the lane update is tested
-//! against. `DESIGN.md` §7.8 has the layout and the exactness arguments.
+//! [`FuLanes`], the check row the software decoder's lane planes run, holds
+//! the units' chain state and sweeps all units at once. Quantizers the lanes
+//! cannot express take the per-unit [`QBoxplus::extrinsic`] loop over the
+//! same chain state, which is also what the lane row is tested against.
+//! `DESIGN.md` §7.8 has the layout and the exactness arguments.
 
 use crate::fault::FuFault;
-use dvbs2_decoder::{LaneLut, QBoxplus, Quantizer, SimdTier};
+use dvbs2_decoder::{FuLanes, QBoxplus, QCheckArithmetic, Quantizer, SimdTier};
 use dvbs2_ldpc::{CodeParams, PARALLELISM};
-
-/// How a check row is evaluated, with the parity channel and the scratch
-/// each way needs.
-#[derive(Debug, Clone)]
-enum Datapath {
-    /// All 360 units at once through the lane kernel.
-    Lanes {
-        lut: LaneLut,
-        /// Parity channel `[r * 360 + u]`, saturated to `i16`. Exact: it is
-        /// only ever read through a saturating add clamped to the rail, and
-        /// `i16::MAX - max_mag >= max_mag` for every quantizer `LaneLut`
-        /// accepts, so a saturated value clamps to the rail the wide one does.
-        pchan: Vec<i16>,
-    },
-    /// One unit at a time through [`QBoxplus::extrinsic`]; the parity
-    /// channel `[r * 360 + u]` stays wide.
-    Scalar { pchan: Vec<i32> },
-}
-
-/// Writes check-order parity values (`j = u·q + r`) into a row-major plane
-/// (`plane[r * 360 + u]`).
-fn row_major<T>(parity: &[i32], q_rows: usize, plane: &mut [T], narrow: impl Fn(i32) -> T) {
-    for (u, column) in parity.chunks_exact(q_rows).enumerate() {
-        for (r, &x) in column.iter().enumerate() {
-            plane[r * PARALLELISM + u] = narrow(x);
-        }
-    }
-}
 
 /// Lockstep model of the `P = 360` functional units.
 ///
@@ -69,22 +42,15 @@ pub struct FunctionalUnitArray {
     /// heal between frames.
     fault: Option<FuFault>,
     k: usize,
-    n_check: usize,
     q_rows: usize,
     row_len: usize,
-    datapath: Datapath,
-    /// Stored backward messages `b[j] = CN_{j+1} -> PN_j`. The last check's
-    /// slot is never written and stays zero.
-    backward: Vec<i16>,
-    /// Forward messages of the current iteration (kept for parity totals;
-    /// hardware holds only the per-unit register plus chain boundaries).
-    forward: Vec<i16>,
-    /// Per-unit forward register.
-    fwd: Vec<i16>,
-    /// Chain-boundary forward values from the previous iteration.
-    boundary: Vec<i16>,
-    /// One check node's inputs and outputs: the per-unit loop's, and check
-    /// 0's in the lane update.
+    /// The units' check row and their chain state: backward, forward,
+    /// registers, boundaries.
+    units: FuLanes,
+    /// The per-unit loop's parity channel `[r * 360 + u]`, kept wide, when
+    /// check rows take that loop instead of the lanes.
+    per_unit: Option<Vec<i32>>,
+    /// One check node's inputs and outputs in the per-unit loop.
     scratch_in: Vec<i32>,
     scratch_out: Vec<i32>,
 }
@@ -92,29 +58,30 @@ pub struct FunctionalUnitArray {
 impl FunctionalUnitArray {
     /// Creates the array for a code and message quantizer.
     pub fn new(params: &CodeParams, quantizer: Quantizer) -> Self {
-        let boxplus = QBoxplus::new(quantizer);
-        let lut = LaneLut::try_new(&boxplus, None);
-        Self::build(params, boxplus, lut)
+        Self::build(params, quantizer, None, false)
     }
 
-    fn build(params: &CodeParams, boxplus: QBoxplus, lut: Option<LaneLut>) -> Self {
-        let p = PARALLELISM;
-        let datapath = match lut {
-            Some(lut) => Datapath::Lanes { lut, pchan: vec![0; params.n_check] },
-            None => Datapath::Scalar { pchan: vec![0; params.n_check] },
-        };
+    /// The array at a pinned tier (`None`: [`SimdTier::detect`]), on the
+    /// per-unit loop if `per_unit` or if the lanes cannot express the
+    /// quantizer.
+    fn build(
+        params: &CodeParams,
+        quantizer: Quantizer,
+        forced: Option<SimdTier>,
+        per_unit: bool,
+    ) -> Self {
+        let arithmetic = QCheckArithmetic::lut(quantizer);
+        let row_len = params.check_degree - 2;
+        let units = FuLanes::new(&arithmetic, PARALLELISM, params.q, row_len, forced);
+        let per_unit = (per_unit || units.tier().is_none()).then(|| vec![0; params.n_check]);
         FunctionalUnitArray {
-            boxplus,
+            boxplus: QBoxplus::new(quantizer),
             fault: None,
             k: params.k,
-            n_check: params.n_check,
             q_rows: params.q,
-            row_len: params.check_degree - 2,
-            datapath,
-            backward: vec![0; params.n_check],
-            forward: vec![0; params.n_check],
-            fwd: vec![0; p],
-            boundary: vec![0; p],
+            row_len,
+            units,
+            per_unit,
             scratch_in: vec![0; params.check_degree],
             scratch_out: vec![0; params.check_degree],
         }
@@ -125,14 +92,11 @@ impl FunctionalUnitArray {
         self.boxplus.quantizer()
     }
 
-    /// The dispatch tier of the lane-wide check update, or `None` when the
+    /// The dispatch tier of the lane-wide check row, or `None` when the
     /// quantizer is outside what the lanes express and check rows take the
     /// per-unit loop.
     pub fn simd_tier(&self) -> Option<SimdTier> {
-        match &self.datapath {
-            Datapath::Lanes { lut, .. } => Some(lut.tier()),
-            Datapath::Scalar { .. } => None,
-        }
+        self.units.tier().filter(|_| self.per_unit.is_none())
     }
 
     /// Injects (or clears) a modeled datapath defect. Both the golden model
@@ -151,18 +115,15 @@ impl FunctionalUnitArray {
     ///
     /// Panics if `channel.len() != N`.
     pub fn reset(&mut self, channel: &[i32]) {
-        assert_eq!(channel.len(), self.k + self.n_check, "LLR length mismatch");
-        self.backward.fill(0);
-        self.forward.fill(0);
-        self.fwd.fill(0);
-        self.boundary.fill(0);
+        assert_eq!(channel.len(), self.k + self.q_rows * PARALLELISM, "LLR length mismatch");
         let parity = &channel[self.k..];
-        match &mut self.datapath {
-            Datapath::Lanes { pchan, .. } => {
-                let (lo, hi) = (-(i16::MAX as i32), i16::MAX as i32);
-                row_major(parity, self.q_rows, pchan, |x| x.clamp(lo, hi) as i16);
+        self.units.reset(parity);
+        if let Some(pchan) = &mut self.per_unit {
+            for (u, column) in parity.chunks_exact(self.q_rows).enumerate() {
+                for (r, &x) in column.iter().enumerate() {
+                    pchan[r * PARALLELISM + u] = x;
+                }
             }
-            Datapath::Scalar { pchan } => row_major(parity, self.q_rows, pchan, |x| x),
         }
     }
 
@@ -210,7 +171,7 @@ impl FunctionalUnitArray {
     /// Loads the chain-boundary forward values into the per-unit registers
     /// (start of every check phase).
     pub fn begin_check_phase(&mut self) {
-        self.fwd.copy_from_slice(&self.boundary);
+        self.units.begin();
     }
 
     /// Check-node update for residue row `r` across all 360 units.
@@ -233,96 +194,30 @@ impl FunctionalUnitArray {
         assert!(r < self.q_rows, "row {r} out of range");
         assert_eq!(row.len(), (self.row_len + 2) * p, "a row is row_len + 2 vectors");
         assert_eq!(out.len(), row.len(), "output row size mismatch");
-        match self.datapath {
-            Datapath::Lanes { .. } => self.cn_row_lanes(r, row, out),
-            Datapath::Scalar { .. } => self.cn_row_per_unit(r, row, out),
+        if self.per_unit.is_some() {
+            return self.cn_row_per_unit(r, row, out);
         }
-        self.forward[r * p..(r + 1) * p].copy_from_slice(&self.fwd);
-    }
-
-    /// The row as one lane-wide update. Phasing the whole row is exact: it
-    /// reads row `r` of the backward plane and writes row `r - 1` (at
-    /// `r == 0`, row `q - 1` one lane down), and unit `u` never reads what
-    /// another unit of the same row writes.
-    fn cn_row_lanes(&mut self, r: usize, v_in: &mut [i16], v_out: &mut [i16]) {
-        let Datapath::Lanes { lut, pchan } = &self.datapath else {
-            unreachable!("process_cn_row dispatches on the datapath");
-        };
-        let p = PARALLELISM;
-        let (q_rows, row_len) = (self.q_rows, self.row_len);
-        let q = *self.boxplus.quantizer();
-        let max_mag = q.max_mag() as i16;
-        let parity_input = |chan: i16, msg: i16| chan.saturating_add(msg).clamp(-max_mag, max_mag);
-        let (vl, vr) = (row_len * p, (row_len + 1) * p);
-
-        debug_assert!(v_in[..vl].iter().all(|&x| x.abs() <= max_mag), "row outside the rail");
-        // Left parity inputs `pchan[j - 1] ⊞ fwd`: lane-aligned for r > 0;
-        // at r == 0 check j - 1 is the last one of the unit below. Check 0
-        // has none — a zero keeps lane 0 in range and its outputs are
-        // rebuilt after the sweep.
-        if r > 0 {
-            let chan = &pchan[(r - 1) * p..r * p];
-            for ((o, &c), &f) in v_in[vl..vr].iter_mut().zip(chan).zip(&self.fwd) {
-                *o = parity_input(c, f);
+        let (fault, q) = (self.fault, *self.boxplus.quantizer());
+        self.units.row(r, row, out, |v_out| {
+            if let Some(f) = fault {
+                for o in v_out.iter_mut().skip(f.unit()).step_by(p) {
+                    *o = f.corrupt(*o as i32, &q) as i16;
+                }
             }
-        } else {
-            v_in[vl] = 0;
-            let chan = &pchan[(q_rows - 1) * p..];
-            for ((o, &c), &f) in v_in[vl + 1..vr].iter_mut().zip(chan).zip(&self.fwd[1..]) {
-                *o = parity_input(c, f);
-            }
-        }
-        // Right parity inputs `pchan[j] ⊞ backward[j]`, the last check's
-        // backward slot being zero.
-        let (chan, back) = (&pchan[r * p..(r + 1) * p], &self.backward[r * p..(r + 1) * p]);
-        for ((o, &c), &b) in v_in[vr..].iter_mut().zip(chan).zip(back) {
-            *o = parity_input(c, b);
-        }
-
-        lut.extrinsic(v_in, v_out, p);
-
-        if r == 0 {
-            // Check 0 has degree `row_len + 1`, the right parity input last:
-            // the scalar rule recomputes it, and its forward output goes to
-            // the left slot, where the write-back below takes lane 0's from.
-            let d0 = row_len + 1;
-            for i in 0..row_len {
-                self.scratch_in[i] = v_in[i * p] as i32;
-            }
-            self.scratch_in[row_len] = v_in[vr] as i32;
-            self.boxplus.extrinsic(&self.scratch_in[..d0], &mut self.scratch_out[..d0]);
-            for i in 0..row_len {
-                v_out[i * p] = self.scratch_out[i] as i16;
-            }
-            v_out[vl] = self.scratch_out[row_len] as i16;
-        }
-        if let Some(f) = self.fault {
-            for o in v_out.iter_mut().skip(f.unit()).step_by(p) {
-                *o = f.corrupt(*o as i32, &q) as i16;
-            }
-        }
-
-        if r > 0 {
-            self.backward[(r - 1) * p..r * p].copy_from_slice(&v_out[vl..vr]);
-            self.fwd.copy_from_slice(&v_out[vr..]);
-        } else {
-            self.backward[(q_rows - 1) * p..][..p - 1].copy_from_slice(&v_out[vl + 1..vr]);
-            self.fwd[1..].copy_from_slice(&v_out[vr + 1..]);
-            self.fwd[0] = v_out[vl];
-        }
+        });
     }
 
     /// The row one unit at a time: gather the unit's inputs, one scalar
     /// [`QBoxplus::extrinsic`], scatter back. The fallback for quantizers
-    /// outside the lanes, and the reference the lane update is tested
-    /// against.
+    /// outside the lanes, and the reference the lane row is tested against.
     fn cn_row_per_unit(&mut self, r: usize, row: &[i16], out: &mut [i16]) {
-        let Datapath::Scalar { pchan } = &self.datapath else {
+        let Some(pchan) = &self.per_unit else {
             unreachable!("process_cn_row dispatches on the datapath");
         };
         let p = PARALLELISM;
         let (q_rows, row_len) = (self.q_rows, self.row_len);
         let q = *self.boxplus.quantizer();
+        let (fwd, forward, backward) = self.units.chain_mut();
         for u in 0..p {
             for i in 0..row_len {
                 self.scratch_in[i] = row[i * p + u] as i32;
@@ -336,11 +231,11 @@ impl FunctionalUnitArray {
                 _ => Some((r - 1) * p + u),
             };
             if let Some(slot) = left {
-                self.scratch_in[d] = q.sat_add(pchan[slot], self.fwd[u] as i32);
+                self.scratch_in[d] = q.sat_add(pchan[slot], fwd[u] as i32);
                 d += 1;
             }
             let right_pos = d;
-            self.scratch_in[d] = q.sat_add(pchan[r * p + u], self.backward[r * p + u] as i32);
+            self.scratch_in[d] = q.sat_add(pchan[r * p + u], backward[r * p + u] as i32);
             d += 1;
 
             self.boxplus.extrinsic(&self.scratch_in[..d], &mut self.scratch_out[..d]);
@@ -356,30 +251,24 @@ impl FunctionalUnitArray {
                 out[i * p + u] = self.scratch_out[i] as i16;
             }
             if let Some(slot) = left {
-                self.backward[slot] = self.scratch_out[row_len] as i16;
+                backward[slot] = self.scratch_out[row_len] as i16;
             }
-            self.fwd[u] = self.scratch_out[right_pos] as i16;
+            fwd[u] = self.scratch_out[right_pos] as i16;
         }
+        forward[r * p..(r + 1) * p].copy_from_slice(fwd);
     }
 
     /// Saves the chain-boundary forwards for the next iteration (end of
     /// every check phase).
     pub fn end_check_phase(&mut self) {
-        self.boundary[1..].copy_from_slice(&self.fwd[..PARALLELISM - 1]);
-        self.boundary[0] = 0;
+        self.units.end();
     }
 
     /// The stored parity-message state in check order — backward, forward,
     /// then the chain boundaries — exposed so the traced decode entry points
     /// can fold the complete message state into a per-iteration digest.
     pub(crate) fn parity_state(&self) -> impl Iterator<Item = i32> + '_ {
-        fn check_order(plane: &[i16], q_rows: usize) -> impl Iterator<Item = i32> + '_ {
-            let p = PARALLELISM;
-            (0..p).flat_map(move |u| (0..q_rows).map(move |r| plane[r * p + u] as i32))
-        }
-        check_order(&self.backward, self.q_rows)
-            .chain(check_order(&self.forward, self.q_rows))
-            .chain(self.boundary.iter().map(|&b| b as i32))
+        self.units.parity_state()
     }
 
     /// Writes the parity a-posteriori totals into `totals[k..n]`.
@@ -388,13 +277,8 @@ impl FunctionalUnitArray {
     ///
     /// Panics if the slices are shorter than `N`.
     pub fn parity_totals(&self, channel: &[i32], totals: &mut [i32]) {
-        let p = PARALLELISM;
-        for u in 0..p {
-            for r in 0..self.q_rows {
-                let (j, slot) = (self.k + u * self.q_rows + r, r * p + u);
-                totals[j] = channel[j] + self.forward[slot] as i32 + self.backward[slot] as i32;
-            }
-        }
+        let n = self.k + self.q_rows * PARALLELISM;
+        self.units.parity_totals(&channel[self.k..n], &mut totals[self.k..n]);
     }
 }
 
@@ -484,8 +368,10 @@ mod tests {
         fu.end_check_phase();
         // After one full sweep with positive inputs, boundaries are positive
         // forward messages (except unit 0's, which has no predecessor).
-        assert_eq!(fu.boundary[0], 0);
-        assert!(fu.boundary[1..].iter().all(|&b| b > 0));
+        let state: Vec<i32> = fu.parity_state().collect();
+        let boundary = &state[state.len() - PARALLELISM..];
+        assert_eq!(boundary[0], 0);
+        assert!(boundary[1..].iter().all(|&b| b > 0));
     }
 
     #[test]
@@ -497,8 +383,7 @@ mod tests {
         fu.begin_check_phase();
         cn_row(&mut fu, 0, row_len, 10);
         fu.reset(&channel);
-        assert!(fu.backward.iter().all(|&b| b == 0));
-        assert!(fu.forward.iter().all(|&f| f == 0));
+        assert!(fu.parity_state().all(|x| x == 0));
     }
 
     /// The check phase as the array ran it before its state went row-major:
@@ -592,14 +477,23 @@ mod tests {
         let m = quantizer.max_mag();
         let mut rng = SmallRng::seed_from_u64(0xF0 ^ m as u64);
         // Parity channel values on, just beyond and far beyond the rail: the
-        // lanes hold them saturated to i16, the models read them wide.
-        let channel: Vec<i32> = (0..params.n)
+        // lanes hold them clamped to ±(2·max_mag + 1), the models read them
+        // wide. Half the units of rows 0 and q - 1 (the rows whose chain
+        // inputs cross a unit) sit at, or one past, that clamp and i16's.
+        let mut channel: Vec<i32> = (0..params.n)
             .map(|_| match rng.random_range(0..8) {
                 0 => rng.random_range(-3 * m..=3 * m),
                 1 => rng.random_range(-100_000..=100_000),
                 _ => rng.random_range(-m..=m),
             })
             .collect();
+        let exact = [2 * m + 1, 2 * m + 2, i16::MAX as i32, i16::MAX as i32 + 1];
+        for (j, x) in channel[params.k..].iter_mut().enumerate() {
+            let (u, r) = (j / params.q, j % params.q);
+            if (r == 0 || r == params.q - 1) && u % 2 == 0 {
+                *x = exact[u / 2 % 4] * [1, -1][u / 8 % 2];
+            }
+        }
         let mut model = CheckOrderModel::new(params, quantizer, fault);
         for fu in arrays.iter_mut() {
             fu.set_fault(fault);
@@ -654,14 +548,17 @@ mod tests {
     #[test]
     fn lane_row_update_equals_the_per_unit_loop() {
         let params = CodeParams::new(CodeRate::R1_2, FrameSize::Short).unwrap();
-        for quantizer in [Quantizer::paper_6bit(), Quantizer::paper_5bit()] {
-            let boxplus = QBoxplus::new(quantizer);
+        // 15 bits at step 0.25 is the widest quantizer the lanes take
+        // (`2·max_mag = i16::MAX − 1`, three correction steps), and the one
+        // whose parity input `pchan + msg` reaches 3·max_mag + 1 > i16::MAX.
+        for quantizer in
+            [Quantizer::paper_6bit(), Quantizer::paper_5bit(), Quantizer::new(15, 0.25)]
+        {
             for tier in SimdTier::available() {
-                let lut = LaneLut::try_new(&boxplus, Some(tier));
-                assert!(lut.is_some(), "{} bits must run on the lanes", quantizer.bits());
-                let lanes = FunctionalUnitArray::build(&params, boxplus.clone(), lut);
-                assert_eq!(lanes.simd_tier(), Some(tier));
-                let per_unit = FunctionalUnitArray::build(&params, boxplus.clone(), None);
+                let lanes = FunctionalUnitArray::build(&params, quantizer, Some(tier), false);
+                let bits = quantizer.bits();
+                assert_eq!(lanes.simd_tier(), Some(tier), "{bits} bits must run on the lanes");
+                let per_unit = FunctionalUnitArray::build(&params, quantizer, Some(tier), true);
                 assert_eq!(per_unit.simd_tier(), None);
                 for fault in fu_faults(quantizer.max_mag()) {
                     let what = format!("{} bits, {tier:?}, {fault:?}", quantizer.bits());
