@@ -276,7 +276,9 @@ struct EarlyStopLane {
 
 /// How much of an early-stop frame the fixed cost may be. It sat at 12 %
 /// before the decode kept to the `i16` lanes end to end (quantize and the
-/// decision writer were scalar), and sits near 7 % since.
+/// decision writer were scalar), and near 7 % since. The `i8` lanes made
+/// every iteration faster and the fixed cost with them (ingress, egress
+/// and the quantizer in the lanes' tier clones): it sits near 8 %.
 const FIXED_COST_GATE: f64 = 0.10;
 
 /// How far the early-stop lane's per-iteration cost may exceed the
@@ -465,6 +467,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let quantized_simd_tier =
         simd_lanes.simd_tier().expect("the 360-lane hardware partition must be SIMD-plan eligible");
+    // The message planes and chain of the served lane decoder, recorded on
+    // its row so a change of word or pitch shows in the record.
+    let simd_message_bytes = simd_lanes.message_bytes();
     variants.push(("quantized_partitioned_simd", Box::new(simd_lanes)));
 
     let rows = measure_all(&mut variants, &frame.llrs, n, k, rounds, frames_per_window);
@@ -521,6 +526,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "speedup (quantized {} lanes vs scalar fused): {speedup_quantized_simd_vs_fused:.2}x",
         quantized_simd_tier.name()
     );
+    println!("quantized_partitioned_simd message state: {simd_message_bytes} bytes");
 
     let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let workspace: usize = ["crates", "tests", "examples", "benchmark"]
@@ -597,12 +603,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with(
             "results",
             Json::array(rows.iter().map(|m| {
-                Object::new()
+                let row = Object::new()
                     .with("name", m.name)
                     .with("coded_mbps", Json::Num(m.coded_mbps, 3))
                     .with("info_mbps", Json::Num(m.info_mbps, 3))
                     .with("frames", m.frames)
-                    .with("seconds", Json::Num(m.seconds, 3))
+                    .with("seconds", Json::Num(m.seconds, 3));
+                if m.name == "quantized_partitioned_simd" {
+                    row.with("message_bytes", simd_message_bytes)
+                } else {
+                    row
+                }
             })),
         );
     write_record("BENCH_decoder.json", record)?;

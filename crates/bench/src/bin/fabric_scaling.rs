@@ -41,11 +41,14 @@ const CORES: [usize; 5] = [1, 2, 4, 8, 16];
 /// exact under contention — but it must stay a *model*, not a guess.
 const MAKESPAN_GATE_PCT: f64 = 5.0;
 /// The cycle-accurate core may cost this many times the software lane
-/// reference's frame. Both run the same lane kernel over the same frame; the
-/// core adds the per-cycle memory walk and one `i16` move per word per
-/// phase, the rotation into the RAM at commit (`BENCH_fabric.json` records
-/// the ratio; the per-unit loop costs about 13×). Beyond the gate the array
-/// has left the lanes, or the core copies its words again.
+/// reference's frame. Both run the same row kernels over the same frame, the
+/// core on the RAM's `i16` words and the reference on the served `i8` lanes,
+/// which alone make it about 1.7× faster; the core adds the per-cycle memory
+/// walk and one `i16` move per word per phase, the rotation into the RAM at
+/// commit (`BENCH_fabric.json` records the ratio: 1.6× against `i16` lanes,
+/// 2.7× against `i8` ones; the per-unit loop costs about 13× the `i16`
+/// lanes). Beyond the gate the array has left the lanes, or the core copies
+/// its words again.
 const CORE_OVER_LANES_GATE: f64 = 3.0;
 
 struct Row {

@@ -8,7 +8,7 @@
 //! over [`TannerGraph::edge_vars`]. The helpers here implement those passes
 //! generically over the message precision, beside the two row kernels
 //! ([`RowKernel`], generic over the [`Lane`] type) that the float rotation
-//! planes ([`crate::rotation`]), the quantized `i16` lanes (`qsimd`) and,
+//! planes ([`crate::rotation`]), the quantized `i8` lanes (`qsimd`) and,
 //! through [`FuLanes`](crate::FuLanes), the hardware models' functional-unit
 //! array run every check rule through.
 //!
@@ -120,20 +120,21 @@ pub(crate) fn fused_check_pass<F: LlrFloat>(
 }
 
 /// One lane of a row kernel: the message types the check updates run on —
-/// `f32` and `f64` for the float rules ([`LlrFloat`] extends it), `i16` for
-/// the quantized datapath. The methods are the two-minima recurrence's,
+/// `f32` and `f64` for the float rules ([`LlrFloat`] extends it), `i8` for
+/// the served quantized lanes and `i16` for the hardware models'
+/// functional-unit array. The methods are the two-minima recurrence's,
 /// branch-free where the condition is data.
 pub trait Lane: Copy + PartialOrd + Debug + Default + Send + Sync + 'static {
     /// Above every input magnitude: the two minima's seed (`+∞` for the
-    /// floats, `i16::MAX` for the quantized lanes, whose inputs stay within
-    /// `±max_mag`).
+    /// floats, `i8::MAX` or `i16::MAX` for the quantized lanes, whose inputs
+    /// stay within `±max_mag`).
     const MAX: Self;
 
     /// The minimum's column and the negative-sign parity, one per lane:
-    /// never wider than the lane, so the `i16` kernel's state vectors are
-    /// single-width (`u16`). Both floats take `u32`: beside `f64` a `u64`
-    /// word ran flooding min-sum about 15 % slower (AVX-512, 2 vCPUs).
-    type Word: Copy + Eq + Default + BitXor<Output = Self::Word> + From<bool> + From<u16>;
+    /// never wider than the lane, so the integer kernels' state vectors are
+    /// single-width (`u8`, `u16`). Both floats take `u32`: beside `f64` a
+    /// `u64` word ran flooding min-sum about 15 % slower (AVX-512, 2 vCPUs).
+    type Word: Copy + Eq + Default + BitXor<Output = Self::Word> + From<bool> + From<u8>;
 
     /// `self.abs()`.
     fn abs(self) -> Self;
@@ -194,41 +195,46 @@ macro_rules! impl_float_lane {
 }
 impl_float_lane!(f32 => u32; f64 => u64);
 
-impl Lane for i16 {
-    const MAX: Self = i16::MAX;
-    type Word = u16;
+macro_rules! impl_int_lane {
+    ($($t:ty => $w:ty);*) => {$(
+        impl Lane for $t {
+            const MAX: Self = <$t>::MAX;
+            type Word = $w;
 
-    #[inline(always)]
-    fn abs(self) -> Self {
-        self.abs()
-    }
-    #[inline(always)]
-    fn min(self, other: Self) -> Self {
-        Ord::min(self, other)
-    }
-    #[inline(always)]
-    fn max(self, other: Self) -> Self {
-        Ord::max(self, other)
-    }
-    #[inline(always)]
-    fn is_negative(self) -> bool {
-        self < 0
-    }
-    #[inline(always)]
-    fn flip_sign_if(self, flip: bool) -> Self {
-        let mask = -(flip as i16);
-        (self ^ mask) - mask
-    }
-    #[inline(always)]
-    fn select(take_a: bool, a: Self, b: Self) -> Self {
-        let mask = -(take_a as i16);
-        (a & mask) | (b & !mask)
-    }
-    #[inline(always)]
-    fn bits(self) -> u64 {
-        self as u16 as u64
-    }
+            #[inline(always)]
+            fn abs(self) -> Self {
+                self.abs()
+            }
+            #[inline(always)]
+            fn min(self, other: Self) -> Self {
+                Ord::min(self, other)
+            }
+            #[inline(always)]
+            fn max(self, other: Self) -> Self {
+                Ord::max(self, other)
+            }
+            #[inline(always)]
+            fn is_negative(self) -> bool {
+                self < 0
+            }
+            #[inline(always)]
+            fn flip_sign_if(self, flip: bool) -> Self {
+                let mask = -(flip as $t);
+                (self ^ mask) - mask
+            }
+            #[inline(always)]
+            fn select(take_a: bool, a: Self, b: Self) -> Self {
+                let mask = -(take_a as $t);
+                (a & mask) | (b & !mask)
+            }
+            #[inline(always)]
+            fn bits(self) -> u64 {
+                self as $w as u64
+            }
+        }
+    )*};
 }
+impl_int_lane!(i8 => u8; i16 => u16);
 
 /// Most lanes a row kernel takes: a rotation-plane row is 360, and the
 /// state of a row stays L1-resident beside its gathered columns.
@@ -236,7 +242,7 @@ pub(crate) const ROW_LANES: usize = 1024;
 
 /// A check rule's update of one row of up to [`ROW_LANES`] checks of degree
 /// `d >= 3`, one per lane — the check-node body of every lane datapath: the
-/// float rotation planes (DESIGN.md §7.10), the quantized `i16` lanes and,
+/// float rotation planes (DESIGN.md §7.10), the quantized `i8` lanes and,
 /// through [`FuLanes`](crate::FuLanes), the hardware models' functional-unit
 /// array (§7.8). Each runs one row of 360 checks at a time: `start`, `fold`
 /// each input column as it is gathered, then write the `extrinsics`.
@@ -393,7 +399,7 @@ impl<F: LlrFloat, C: Fn(F) -> F + Copy> ZigzagKernel<F> for MinSumLanes<F, C> {
 /// Column `j` as a [`Lane::Word`].
 #[inline(always)]
 fn column_word<L: Lane>(j: usize) -> L::Word {
-    u16::try_from(j).expect("a check has fewer than 65 536 inputs").into()
+    u8::try_from(j).expect("a check has fewer than 256 inputs").into()
 }
 
 /// Whether `x`'s sign bit is set (`-0.0` included, unlike
@@ -443,7 +449,7 @@ impl<L: Lane, Op: Fn(L, L) -> L + Copy> RowKernel<L> for PrefixSuffixLanes<L, Op
         let col = |j: usize| j * lanes..(j + 1) * lanes;
         // The operator by value: what it captures (the LUT's thresholds)
         // then stays in registers instead of being reloaded through `self`
-        // beside every store, which kept the `i16` sweep from vectorizing.
+        // beside every store, which kept the integer sweep from vectorizing.
         let (op, prefix) = (self.op, &mut self.prefix[..lanes]);
         // Suffix sweep into the c2v row (column 0's suffix is never read, so
         // it is never computed).
@@ -514,7 +520,7 @@ pub(crate) fn sum_product_lanes<F: LlrFloat>() -> PrefixSuffixLanes<F, impl Fn(F
 // a `SimdTier` once per decoder via `SimdTier::resolve`, which guarantees the
 // tier is supported, making the `unsafe` target-feature calls sound. The
 // AVX-512 rung means F, BW and VL together (`SimdTier::Avx512`): the float
-// kernels need only F, the `i16` lanes of `qsimd` need all three.
+// kernels need only F, the integer lanes of `qsimd` need all three.
 
 /// Tier clones of a kernel — every float and integer-lane kernel of the
 /// crate dispatches through this one ladder; `<F: Bound>` after the
@@ -578,6 +584,7 @@ pub(crate) fn syndrome_ok_totals<F: LlrFloat>(graph: &TannerGraph, totals: &[F])
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::qsimd::FuWord;
     use crate::simd::SimdTier;
     use crate::stopping::{hard_decisions, syndrome_ok};
     use crate::test_support::{small_code, SplitMix64};
@@ -717,8 +724,9 @@ pub(crate) mod tests {
     }
 
     /// Lane counts of the table: one lane, ragged widths around every
-    /// vector size, a rotation-plane row and one past it.
-    const LANE_COUNTS: [usize; 6] = [1, 5, 7, 77, 360, 361];
+    /// vector size, a rotation-plane row, one past it and the `i8` lanes'
+    /// padded row of whole 64-byte vectors.
+    const LANE_COUNTS: [usize; 7] = [1, 5, 7, 77, 360, 361, 384];
 
     /// The largest check degree of any DVB-S2 code, both frame sizes.
     fn max_check_degree() -> usize {
@@ -786,24 +794,28 @@ pub(crate) mod tests {
 
     /// Quantized inputs inside the rail `±max_mag`: zero, both rails, ties
     /// among small magnitudes, and arbitrary values.
-    pub(crate) fn draw_quantized(max_mag: i16) -> impl Fn(&mut SplitMix64) -> i16 {
-        move |rng| match rng.next_u64() % 8 {
-            0 => 0,
-            1 => max_mag,
-            2 => -max_mag,
-            3..=5 => (rng.next_u64() % 5) as i16 - 2,
-            _ => (rng.next_u64() % (2 * max_mag as u64 + 1)) as i16 - max_mag,
+    pub(crate) fn draw_quantized<W: FuWord>(max_mag: i32) -> impl Fn(&mut SplitMix64) -> W {
+        move |rng| {
+            W::narrow(match rng.next_u64() % 8 {
+                0 => 0,
+                1 => max_mag,
+                2 => -max_mag,
+                3..=5 => (rng.next_u64() % 5) as i32 - 2,
+                _ => (rng.next_u64() % (2 * max_mag as u64 + 1)) as i32 - max_mag,
+            })
         }
     }
 
-    /// A scalar `i32` reference on `i16` lanes.
-    pub(crate) fn widened(reference: impl Fn(&[i32], &mut [i32])) -> impl Fn(&[i16], &mut [i16]) {
+    /// A scalar `i32` reference on integer lanes.
+    pub(crate) fn widened<W: FuWord>(
+        reference: impl Fn(&[i32], &mut [i32]),
+    ) -> impl Fn(&[W], &mut [W]) {
         move |ins, outs| {
-            let wide: Vec<i32> = ins.iter().map(|&x| x.into()).collect();
+            let wide: Vec<i32> = ins.iter().map(|&x| x.widen().into()).collect();
             let mut out = vec![0; wide.len()];
             reference(&wide, &mut out);
             for (o, w) in outs.iter_mut().zip(out) {
-                *o = w as i16;
+                *o = W::narrow(w);
             }
         }
     }

@@ -72,7 +72,7 @@ pub use flooding::FloodingDecoder;
 pub use layered::LayeredDecoder;
 pub use llr_ops::{boxplus, boxplus_min, boxplus_t, boxplus_table, CheckRule, LlrFloat};
 pub use qdecoder::{ChainPartition, QuantizedZigzagDecoder};
-pub use qsimd::FuLanes;
+pub use qsimd::{FuLanes, FuWord};
 pub use quant::{QBoxplus, QCheckArithmetic, Quantizer};
 pub use simd::{detected_cpu_features, SimdTier};
 pub use stopping::{

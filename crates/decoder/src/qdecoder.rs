@@ -10,7 +10,7 @@
 
 #![allow(clippy::needless_range_loop)] // one index drives several parallel slices
 
-use crate::qsimd::SimdQuant;
+use crate::qsimd::{quantize_tier, SimdQuant};
 use crate::quant::{QBoxplus, QCheckArithmetic, Quantizer};
 use crate::simd::SimdTier;
 use crate::stopping::{hard_decisions_int_into, syndrome_ok};
@@ -149,6 +149,8 @@ struct FusedState {
     /// Chain-boundary forward values from the previous iteration (the
     /// functional units' boundary state).
     boundary: Vec<i32>,
+    /// A-posteriori totals, every variable.
+    totals: Vec<i32>,
     /// Hard decisions of the early-stop syndrome test.
     decisions: BitVec,
 }
@@ -165,6 +167,7 @@ impl FusedState {
             forward: vec![0; n_check],
             fwd_regs: vec![0; plan.lanes],
             boundary: vec![0; plan.lanes],
+            totals: vec![0; graph.var_count()],
             decisions: BitVec::zeros(graph.var_count()),
             plan,
         }
@@ -228,7 +231,6 @@ pub struct QuantizedZigzagDecoder {
     max_iterations: usize,
     early_stop: bool,
     datapath: Datapath,
-    totals: Vec<i32>,
     /// Reused quantized-channel buffer for the float [`Decoder`] entry.
     qchannel: Vec<i32>,
 }
@@ -270,13 +272,14 @@ impl QuantizedZigzagDecoder {
     /// results are bit-exact against the hardware `GoldenModel`.
     ///
     /// This is the hot path: the sub-chains are mapped onto SIMD lanes
-    /// (sub-chain-major SoA `i16` planes, the software image of the paper's
-    /// M = 360 functional-unit array) with scalar/AVX2/AVX-512 clones
-    /// dispatched per `config.simd` / `DVBS2_SIMD` — see
-    /// [`simd_tier`](Self::simd_tier). The lanes need the partition's edge
-    /// order to carry the code's 360-lane rotations (as
-    /// `hw_chain_partition`'s does) and an arithmetic saturating `i16` lanes
-    /// express exactly (5 and 6 bits on every DVB-S2 code). They then take
+    /// (sub-chain-major SoA `i8` message planes, the software image of the
+    /// paper's M = 360 functional-unit array and its 6-bit message word) with
+    /// scalar/AVX2/AVX-512 clones dispatched per `config.simd` /
+    /// `DVBS2_SIMD` — see [`simd_tier`](Self::simd_tier). The lanes need the
+    /// partition's edge order to carry the code's 360-lane rotations (as
+    /// `hw_chain_partition`'s does) and an arithmetic `i8` lanes express
+    /// exactly (5 and 6 bits on every DVB-S2 code; 7 bits and more take the
+    /// scalar sweep). They then take
     /// every [`decode_quantized`](Self::decode_quantized) channel, any `i32`
     /// value, bit-identical to the scalar fused sweep of
     /// [`with_partition_fused`](Self::with_partition_fused). Any other cut
@@ -379,7 +382,6 @@ impl QuantizedZigzagDecoder {
             max_iterations: config.max_iterations,
             early_stop: config.early_stop,
             datapath,
-            totals: vec![0; graph.var_count()],
             qchannel: Vec::new(),
             graph,
         }
@@ -393,6 +395,21 @@ impl QuantizedZigzagDecoder {
         match &self.datapath {
             Datapath::Lanes(lanes) => Some(lanes.tier()),
             Datapath::Fused(_) => None,
+        }
+    }
+
+    /// Bytes of one decoder's message state: the `v2c` and `c2v` planes
+    /// and the parity chain (channel, forward and backward messages,
+    /// registers, boundaries) — `i8` words on the lanes, `i32` on the fused
+    /// sweep.
+    pub fn message_bytes(&self) -> usize {
+        match &self.datapath {
+            Datapath::Lanes(lanes) => lanes.message_bytes(),
+            Datapath::Fused(f) => {
+                let words = f.v2c.len() + f.c2v.len() + f.backward.len() + f.forward.len();
+                let chain = f.fwd_regs.len() + f.boundary.len();
+                (words + chain) * size_of::<i32>()
+            }
         }
     }
 
@@ -462,18 +479,14 @@ impl QuantizedZigzagDecoder {
     fn run(&mut self, channel: &[i32], out: &mut DecodeResult, trace: Option<&mut Vec<u64>>) {
         assert_eq!(channel.len(), self.graph.var_count(), "LLR length mismatch");
         let (cap, early_stop) = (self.max_iterations, self.early_stop);
-        let (arithmetic, totals) = (&self.arithmetic, &mut self.totals);
         match &mut self.datapath {
-            Datapath::Lanes(lanes) => {
-                lanes.decode_into(cap, early_stop, channel, totals, out, trace)
-            }
+            Datapath::Lanes(lanes) => lanes.decode_into(cap, early_stop, channel, out, trace),
             Datapath::Fused(fused) => fused.decode_into(
                 &self.graph,
-                arithmetic,
+                &self.arithmetic,
                 cap,
                 early_stop,
                 channel,
-                totals,
                 out,
                 trace,
             ),
@@ -502,11 +515,11 @@ impl FusedState {
         max_iterations: usize,
         early_stop: bool,
         channel: &[i32],
-        totals: &mut [i32],
         out: &mut DecodeResult,
         mut trace: Option<&mut Vec<u64>>,
     ) {
-        let FusedState { plan, v2c, c2v, backward, forward, fwd_regs, boundary, decisions } = self;
+        let FusedState { plan, v2c, c2v, backward, forward, fwd_regs, boundary, totals, decisions } =
+            self;
         let plan = &*plan;
         let k = graph.info_len();
         let n_check = graph.check_count();
@@ -775,7 +788,8 @@ impl Decoder for QuantizedZigzagDecoder {
         // can run while reading it, then moved back for reuse.
         let mut qchannel = std::mem::take(&mut self.qchannel);
         qchannel.resize(channel_llrs.len(), 0);
-        q.quantize_into(channel_llrs, &mut qchannel);
+        let tier = self.simd_tier().unwrap_or(SimdTier::Scalar);
+        quantize_tier(tier, &q, channel_llrs, &mut qchannel);
         self.decode_quantized_into(&qchannel, out);
         self.qchannel = qchannel;
     }

@@ -5,9 +5,11 @@
 //! fused scalar path (`QuantizedZigzagDecoder::with_partition_fused`)
 //! reproduces that datapath check-by-check; this module reproduces its
 //! *parallelism*: the planes are transposed **sub-chain-major** so that the
-//! 360 FUs of one schedule row become 360 adjacent `i16` SIMD lanes, and
+//! 360 FUs of one schedule row become 360 adjacent `i8` SIMD lanes, and
 //! one vector op advances every sub-chain by one message — exactly the
-//! hardware's row-lockstep, expressed as data parallelism.
+//! hardware's row-lockstep, expressed as data parallelism. The `i8` lane
+//! holds the paper's 6-bit message word; one AVX-512 register advances 64
+//! sub-chains.
 //!
 //! # Layout
 //!
@@ -16,13 +18,17 @@
 //! `((r * lanes + u) * stride)`. Here the same messages live at
 //!
 //! ```text
-//! slot(c, i) = (r * stride + i) * lanes + u
+//! slot(c, i) = (r * stride + i) * pitch + u
 //! ```
 //!
-//! so position `i` of residue row `r` is a dense `[i16; lanes]` vector
+//! so position `i` of residue row `r` is a dense `[i8; pitch]` vector
 //! across all sub-chains — a structure-of-arrays transpose of the fused
-//! layout with identical total size. The forward/backward chain state and
-//! the parity channel are transposed the same way (`fwd[r * lanes + u]`),
+//! layout. The column `pitch` is `lanes` rounded up to whole 64-byte
+//! vectors ([`FuWord::PITCH_MULTIPLE`]: 384 for 360 lanes), so the row
+//! kernel has no scalar tail; the pad lanes `lanes..pitch` hold zero
+//! inputs, on which both rules output zero, and nothing outside the kernel
+//! reads or writes them. The forward/backward chain state and the parity
+//! channel are transposed the same way, `lanes` wide (`fwd[r * lanes + u]`),
 //! which turns every chain coupling of the sweep into a contiguous vector
 //! copy. They live in [`FuLanes`], the check row this module shares with
 //! `dvbs2-hardware`'s functional-unit array:
@@ -45,8 +51,8 @@
 //!
 //! # Bit-exactness
 //!
-//! The check rows run `engine.rs`'s two lane kernels at `i16`, the ones
-//! the float planes run: the LUT rule is [`PrefixSuffixLanes`] under
+//! The check rows run `engine.rs`'s two lane kernels at the row's word, the
+//! ones the float planes run: the LUT rule is [`PrefixSuffixLanes`] under
 //! [`combine_one`], min-sum is [`MinSumLanes`] under the shift
 //! `m − (m >> s)`. Each computes the *same dataflow* as its scalar
 //! counterpart — same combine association order for the LUT rule, same
@@ -58,32 +64,97 @@
 //! *verified* against the table at construction. The variable-node side reads the code's
 //! quasi-cyclic rotations ([`build_rotation`]). A partition or arithmetic
 //! the lanes cannot express exactly (no rotation, a quantizer too wide for
-//! `i16` totals, a non-decomposable table, `q_rows < 2`, more than
-//! [`ROW_LANES`] lanes) gets the scalar fused datapath at construction; a
-//! lane decoder never leaves the lanes.
+//! the `i8` word — 7 bits or more — or for `i16` totals, a non-decomposable
+//! table, `q_rows < 2`, a padded row of more than [`ROW_LANES`] lanes) gets
+//! the scalar fused datapath at construction; a lane decoder never leaves
+//! the lanes.
 //!
 //! # Ingress
 //!
 //! `decode_into` accepts any `i32` channel and clamps it once, on the
-//! transpose into `i16`: the parity channel to `±(2·max_mag + 1)`, the
-//! information channel to `±info_rail`. Both bounds lie strictly beyond
-//! what the messages can add to the value, so every clamped check input,
-//! every `v2c` message, every digest and the sign of every total — the
-//! hard decisions and the lane syndrome — are the wide channel's, and every
-//! `i16` add stays in range (DESIGN.md §7.8).
+//! transpose into the lanes: the parity channel to `±(2·max_mag + 1)` (an
+//! `i8`), the information channel to `±info_rail` (an `i16`). Both bounds
+//! lie strictly beyond what the messages can add to the value, so every
+//! clamped check input, every `v2c` message, every digest and the sign of
+//! every total — the hard decisions and the lane syndrome — are the wide
+//! channel's, and every `i8` and `i16` add stays in range (DESIGN.md §7.8,
+//! §7.13).
 //!
 //! The scalar/AVX2/AVX-512 `#[target_feature]` clones are `engine.rs`'s
 //! `tier_clones!`, the crate's one dispatch ladder.
 
 use crate::engine::{
-    row_update, tier_clones, MinSumLanes, PrefixSuffixLanes, RowKernel, ROW_LANES,
+    row_update, tier_clones, Lane, MinSumLanes, PrefixSuffixLanes, RowKernel, ROW_LANES,
 };
 use crate::qdecoder::{ChainPartition, Fnv};
-use crate::quant::{QBoxplus, QCheckArithmetic};
+use crate::quant::{QBoxplus, QCheckArithmetic, Quantizer};
 use crate::simd::SimdTier;
-use crate::stopping::hard_decisions_int_into;
 use crate::DecodeResult;
 use dvbs2_ldpc::{BitVec, TannerGraph, PARALLELISM};
+use std::ops::{Add, BitXor, Neg, Shr, Sub};
+
+/// The message word of a [`FuLanes`] row: the [`Lane`] of its row kernels,
+/// with the integer arithmetic of the combine, the shift and the parity
+/// inputs. `i8` is the served lanes' word, the paper's 6-bit message;
+/// `i16` is the hardware models' message RAM word, which holds quantizers
+/// up to 16 bits.
+pub trait FuWord:
+    Lane
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Neg<Output = Self>
+    + BitXor<Output = Self>
+    + Shr<u32, Output = Self>
+    + From<bool>
+{
+    /// The word's width in bits.
+    const BITS: u32;
+    /// The largest `max_mag` the row runs on the lanes at. `i8`:
+    /// `4·max_mag + 1 ≤ i8::MAX`, room for the served lanes' parity total
+    /// `pchan + fwd + bwd` with the channel clamped to `±(2·max_mag + 1)`
+    /// (5 and 6 bits). `i16`: `2·max_mag ≤ i16::MAX`, room for the
+    /// combine's `a + b` (up to 15 bits).
+    const MAX_MAG: i32;
+    /// A message column is `lanes` rounded up to a multiple of this:
+    /// `i8` pads to whole 64-byte vectors, so the row kernel has no scalar
+    /// tail; `i16` keeps `lanes`, the layout of the hardware's message RAM,
+    /// which the functional-unit array reads in place.
+    const PITCH_MULTIPLE: usize;
+
+    /// `self + other`, saturating at the word's range.
+    fn saturating_add(self, other: Self) -> Self;
+    /// `x` as a word; `x` must fit.
+    fn narrow(x: i32) -> Self;
+    /// The word as an `i16`.
+    fn widen(self) -> i16;
+}
+
+macro_rules! impl_fu_word {
+    ($($t:ty: max_mag $max_mag:expr, pitch $pitch:expr);*) => {$(
+        impl FuWord for $t {
+            const BITS: u32 = <$t>::BITS;
+            const MAX_MAG: i32 = $max_mag;
+            const PITCH_MULTIPLE: usize = $pitch;
+
+            #[inline(always)]
+            fn saturating_add(self, other: Self) -> Self {
+                self.saturating_add(other)
+            }
+            #[inline(always)]
+            fn narrow(x: i32) -> Self {
+                x as $t
+            }
+            #[inline(always)]
+            fn widen(self) -> i16 {
+                self.into()
+            }
+        }
+    )*};
+}
+impl_fu_word!(
+    i8: max_mag (i8::MAX as i32 - 1) / 4, pitch 64;
+    i16: max_mag i16::MAX as i32 / 2, pitch 1
+);
 
 /// Correction-step thresholds the gather-free LUT kernel carries. The
 /// table contributes `round(ln 2 / step)` thresholds; every configuration
@@ -95,16 +166,16 @@ const MAX_CORR_THRESHOLDS: usize = 4;
 /// does not decompose or needs more than [`MAX_CORR_THRESHOLDS`] steps:
 /// `corr(z) = Σ [z <= t]` over the (construction-verified) thresholds;
 /// unused slots hold `-1`, which no `z >= 0` satisfies. Thresholds live on
-/// the reachable index range `|a ± b| <= 2·max_mag`, which fits `i16` for
-/// every quantizer the lanes accept.
-fn lane_thresholds(boxplus: &QBoxplus) -> Option<[i16; MAX_CORR_THRESHOLDS]> {
+/// the reachable index range `|a ± b| <= 2·max_mag`, which fits the word
+/// for every quantizer the lanes accept.
+fn lane_thresholds<W: FuWord>(boxplus: &QBoxplus) -> Option<[W; MAX_CORR_THRESHOLDS]> {
     let th = boxplus.corr_thresholds()?;
     if th.len() > MAX_CORR_THRESHOLDS {
         return None;
     }
-    let mut thresholds = [-1i16; MAX_CORR_THRESHOLDS];
+    let mut thresholds = [W::narrow(-1); MAX_CORR_THRESHOLDS];
     for (slot, &t) in thresholds.iter_mut().zip(&th) {
-        *slot = t as i16;
+        *slot = W::narrow(t);
     }
     Some(thresholds)
 }
@@ -116,15 +187,15 @@ fn lane_thresholds(boxplus: &QBoxplus) -> Option<[i16; MAX_CORR_THRESHOLDS]> {
 /// are a tenth of the sweep.
 macro_rules! lut_kernel {
     ($th:expr, |$kernel:ident| $body:expr) => {{
-        let th: [i16; MAX_CORR_THRESHOLDS] = $th;
-        if th[MAX_CORR_THRESHOLDS - 1] < 0 {
+        let th = $th;
+        if th[MAX_CORR_THRESHOLDS - 1].is_negative() {
             let mut $kernel = PrefixSuffixLanes::new(move |a, b| {
-                combine_one::<{ MAX_CORR_THRESHOLDS - 1 }>(a, b, th)
+                combine_one::<_, { MAX_CORR_THRESHOLDS - 1 }>(a, b, th)
             });
             $body
         } else {
             let mut $kernel =
-                PrefixSuffixLanes::new(move |a, b| combine_one::<MAX_CORR_THRESHOLDS>(a, b, th));
+                PrefixSuffixLanes::new(move |a, b| combine_one::<_, MAX_CORR_THRESHOLDS>(a, b, th));
             $body
         }
     }};
@@ -148,15 +219,15 @@ macro_rules! rule_kernel {
 /// The shift-normalized min-sum rule's row kernel: the two minima under
 /// `m − (m >> shift)`, the subtract-shifted-self of
 /// [`QCheckArithmetic::MinSumShift`].
-pub(crate) fn shift_min_sum_lanes(shift: u32) -> MinSumLanes<i16, impl Fn(i16) -> i16 + Copy> {
-    MinSumLanes::new(move |m: i16| m - (m >> shift))
+pub(crate) fn shift_min_sum_lanes<W: FuWord>(shift: u32) -> MinSumLanes<W, impl Fn(W) -> W + Copy> {
+    MinSumLanes::new(move |m: W| m - (m >> shift))
 }
 
 /// The zigzag check row of `lanes` functional units in lockstep: the
 /// paper's functional unit (Fig. 4) in its check phase, a check node that
-/// also runs the parity chain. The served lane planes here and
-/// `dvbs2-hardware`'s functional-unit array (golden model, cycle-accurate
-/// core, fabric) run every check row through it.
+/// also runs the parity chain. The served lane planes here (`FuLanes<i8>`)
+/// and `dvbs2-hardware`'s functional-unit array (`FuLanes<i16>`: golden
+/// model, cycle-accurate core, fabric) run every check row through it.
 ///
 /// It holds the rule (tier, correction thresholds, eligibility) and the
 /// chain state, row-major (`plane[r * lanes + u]` for check
@@ -164,11 +235,12 @@ pub(crate) fn shift_min_sum_lanes(shift: u32) -> MinSumLanes<i16, impl Fn(i16) -
 /// `±(2·max_mag + 1)`, the forward and backward planes, the forward
 /// registers, the chain boundaries and check 0's scratch. A check phase is
 /// [`FuLanes::begin`], one [`FuLanes::row`] per residue row,
-/// [`FuLanes::end`]. A row is
+/// [`FuLanes::end`]. A row is `row_len + 2` columns of
+/// [`pitch`](FuLanes::pitch) lanes, the first `lanes` of them units:
 ///
 /// 1. every unit's parity inputs `pchan ⊞ fwd` and `pchan ⊞ bwd`: a
 ///    saturating add clamped to `±max_mag`, exact (DESIGN.md §7.8);
-/// 2. the rule's row kernel over the `row_len + 2` input vectors;
+/// 2. the rule's row kernel over all `pitch` lanes of the row;
 /// 3. check 0 (no left parity input) recomputed through
 ///    [`QCheckArithmetic::extrinsic`], its forward output moved to the left
 ///    slot;
@@ -179,34 +251,40 @@ pub(crate) fn shift_min_sum_lanes(shift: u32) -> MinSumLanes<i16, impl Fn(i16) -
 /// Phasing whole rows is exact: row `r` reads row `r` of the backward
 /// plane and writes row `r - 1` (at `r == 0`, row `q_rows - 1` one lane
 /// down). The last check's backward slot is never written and stays zero.
+/// Steps 1, 3 and 5 touch only the units' lanes, so pad lanes that start
+/// at zero stay zero: on zero inputs both rules output zero.
 #[derive(Debug, Clone)]
-pub struct FuLanes {
+pub struct FuLanes<W> {
     /// `None` when the rule or the geometry is outside the lanes and only
     /// the chain state is in use.
     tier: Option<SimdTier>,
     arithmetic: QCheckArithmetic,
     /// [`lane_thresholds`]; unused under min-sum.
-    thresholds: [i16; MAX_CORR_THRESHOLDS],
-    max_mag: i16,
+    thresholds: [W; MAX_CORR_THRESHOLDS],
+    max_mag: W,
     lanes: usize,
+    pitch: usize,
     q_rows: usize,
     row_len: usize,
-    pchan: Vec<i16>,
-    fwd: Vec<i16>,
-    bwd: Vec<i16>,
-    regs: Vec<i16>,
-    boundary: Vec<i16>,
+    pchan: Vec<W>,
+    fwd: Vec<W>,
+    bwd: Vec<W>,
+    regs: Vec<W>,
+    boundary: Vec<W>,
+    /// One word per check: the clamped parity channel in check order on
+    /// its way into `pchan`, the lanes' parity totals on their way out.
+    transposed: Vec<W>,
     fix_in: Vec<i32>,
     fix_out: Vec<i32>,
 }
 
-impl FuLanes {
+impl<W: FuWord> FuLanes<W> {
     /// The row of `lanes` units over `q_rows` residue rows of checks with
     /// `row_len` information inputs. It runs on the lanes ([`tier`] is
-    /// `Some`) when `2·max_mag ≤ i16::MAX`, the correction table takes at
-    /// most four steps, `q_rows ≥ 2` and `lanes ≤ 1024`; otherwise the
-    /// caller keeps a scalar row over the chain state held here. `forced`
-    /// pins the tier; `None` takes [`SimdTier::detect`].
+    /// `Some`) when `max_mag ≤ W::MAX_MAG`, the correction table takes at
+    /// most four steps, `q_rows ≥ 2` and the padded row is at most 1024
+    /// lanes; otherwise the caller keeps a scalar row over the chain state
+    /// held here. `forced` pins the tier; `None` takes [`SimdTier::detect`].
     ///
     /// # Panics
     ///
@@ -219,32 +297,35 @@ impl FuLanes {
         q_rows: usize,
         row_len: usize,
         forced: Option<SimdTier>,
-    ) -> FuLanes {
+    ) -> FuLanes<W> {
         let max_mag = arithmetic.quantizer().max_mag();
         let thresholds = match arithmetic {
             QCheckArithmetic::Lut(bp) => lane_thresholds(bp),
-            QCheckArithmetic::MinSumShift { .. } => Some([-1; MAX_CORR_THRESHOLDS]),
+            QCheckArithmetic::MinSumShift { .. } => Some([W::narrow(-1); MAX_CORR_THRESHOLDS]),
         };
-        // The combine kernel forms `|a ± b|` in `i16`; row 0's backward
+        let pitch = lanes.next_multiple_of(W::PITCH_MULTIPLE);
+        // Every sum the row forms must fit the word; row 0's backward
         // writes must land in another residue row than the one being read.
-        let eligible = 2 * max_mag <= i16::MAX as i32
+        let eligible = max_mag <= W::MAX_MAG
             && thresholds.is_some()
             && q_rows >= 2
-            && (1..=ROW_LANES).contains(&lanes);
-        let plane = vec![0; lanes * q_rows];
+            && (1..=ROW_LANES).contains(&pitch);
+        let plane = vec![W::default(); lanes * q_rows];
         FuLanes {
             tier: eligible.then(|| SimdTier::resolve(forced)),
             arithmetic: arithmetic.clone(),
-            thresholds: thresholds.unwrap_or([-1; MAX_CORR_THRESHOLDS]),
-            max_mag: max_mag as i16,
+            thresholds: thresholds.unwrap_or([W::narrow(-1); MAX_CORR_THRESHOLDS]),
+            max_mag: W::narrow(max_mag),
             lanes,
+            pitch,
             q_rows,
             row_len,
             pchan: plane.clone(),
             fwd: plane.clone(),
-            bwd: plane,
-            regs: vec![0; lanes],
-            boundary: vec![0; lanes],
+            bwd: plane.clone(),
+            transposed: plane,
+            regs: vec![W::default(); lanes],
+            boundary: vec![W::default(); lanes],
             fix_in: vec![0; row_len + 1],
             fix_out: vec![0; row_len + 1],
         }
@@ -256,6 +337,12 @@ impl FuLanes {
         self.tier
     }
 
+    /// The lanes of one message column of a row: `lanes` rounded up to
+    /// [`FuWord::PITCH_MULTIPLE`].
+    pub fn pitch(&self) -> usize {
+        self.pitch
+    }
+
     /// Starts a frame: every chain message cleared and, on the lanes, the
     /// parity channel loaded from `parity[u·q_rows + r]` (check order),
     /// clamped to `±(2·max_mag + 1)`.
@@ -263,19 +350,26 @@ impl FuLanes {
     /// # Panics
     ///
     /// Panics unless `parity` holds one value per check.
+    // Inlined into `qsimd`'s ingress, so it runs at the lanes' tier.
+    #[inline]
     pub fn reset(&mut self, parity: &[i32]) {
         let (lanes, q_rows) = (self.lanes, self.q_rows);
         assert_eq!(parity.len(), lanes * q_rows, "one parity value per check");
         if self.tier.is_some() {
-            let prail = 2 * i32::from(self.max_mag) + 1;
-            for (u, column) in parity.chunks_exact(q_rows).enumerate() {
+            // Clamped in check order, then transposed: a dense pass and a
+            // word-wide transpose beat one strided pass over the channel.
+            let prail = 2 * i32::from(self.max_mag.widen()) + 1;
+            for (t, &x) in self.transposed.iter_mut().zip(parity) {
+                *t = W::narrow(x.clamp(-prail, prail));
+            }
+            for (u, column) in self.transposed.chunks_exact(q_rows).enumerate() {
                 for (r, &x) in column.iter().enumerate() {
-                    self.pchan[r * lanes + u] = x.clamp(-prail, prail) as i16;
+                    self.pchan[r * lanes + u] = x;
                 }
             }
         }
         for plane in [&mut self.fwd, &mut self.bwd, &mut self.regs, &mut self.boundary] {
-            plane.fill(0);
+            plane.fill(W::default());
         }
     }
 
@@ -286,25 +380,20 @@ impl FuLanes {
     }
 
     /// Check row `r` of every unit, the five steps of the type docs. `v_in`
-    /// is the row's `row_len + 2` input vectors, lane-major (input `i` of
-    /// unit `u` at `v_in[i * lanes + u]`): the information inputs inside
-    /// `±max_mag`, then the two parity input slots the row overwrites.
+    /// is the row's `row_len + 2` input columns of [`pitch`](FuLanes::pitch)
+    /// lanes (input `i` of unit `u` at `v_in[i * pitch + u]`): the
+    /// information inputs inside `±max_mag` and zero on the pad lanes, then
+    /// the two parity input columns, whose units' lanes the row overwrites.
     /// `v_out` receives every output in the same layout.
     ///
     /// # Panics
     ///
     /// Panics if the row is outside the lanes, `r` is not a residue row, or
-    /// `v_in` or `v_out` is not `row_len + 2` vectors long.
-    pub fn row(
-        &mut self,
-        r: usize,
-        v_in: &mut [i16],
-        v_out: &mut [i16],
-        hook: impl FnMut(&mut [i16]),
-    ) {
+    /// `v_in` or `v_out` is not `row_len + 2` columns long.
+    pub fn row(&mut self, r: usize, v_in: &mut [W], v_out: &mut [W], hook: impl FnMut(&mut [W])) {
         let tier = self.tier.expect("the row is outside the lanes");
         assert!(r < self.q_rows, "row {r} out of range");
-        assert_eq!(v_in.len(), (self.row_len + 2) * self.lanes, "a row is row_len + 2 vectors");
+        assert_eq!(v_in.len(), (self.row_len + 2) * self.pitch, "a row is row_len + 2 columns");
         assert_eq!(v_out.len(), v_in.len(), "output row size mismatch");
         rule_kernel!(self, |kernel| fu_row_tier(tier, self, &mut kernel, r, v_in, v_out, hook))
     }
@@ -314,12 +403,12 @@ impl FuLanes {
     pub fn end(&mut self) {
         let lanes = self.lanes;
         self.boundary[1..].copy_from_slice(&self.regs[..lanes - 1]);
-        self.boundary[0] = 0;
+        self.boundary[0] = W::default();
     }
 
     /// The forward registers, the forward plane and the backward plane, for
     /// a scalar row over the same chain state.
-    pub fn chain_mut(&mut self) -> (&mut [i16], &mut [i16], &mut [i16]) {
+    pub fn chain_mut(&mut self) -> (&mut [W], &mut [W], &mut [W]) {
         (&mut self.regs, &mut self.fwd, &mut self.bwd)
     }
 
@@ -327,10 +416,11 @@ impl FuLanes {
     /// order, from the caller's (wide) parity channel.
     pub fn parity_totals(&self, parity: &[i32], totals: &mut [i32]) {
         let (lanes, q_rows) = (self.lanes, self.q_rows);
+        let wide = |x: W| i32::from(x.widen());
         let units = totals.chunks_exact_mut(q_rows).zip(parity.chunks_exact(q_rows));
         for (u, (tot, chan)) in units.enumerate() {
             for (r, (t, &x)) in tot.iter_mut().zip(chan).enumerate() {
-                *t = x + self.fwd[r * lanes + u] as i32 + self.bwd[r * lanes + u] as i32;
+                *t = x + wide(self.fwd[r * lanes + u]) + wide(self.bwd[r * lanes + u]);
             }
         }
     }
@@ -341,13 +431,41 @@ impl FuLanes {
         let (lanes, q_rows) = (self.lanes, self.q_rows);
         check_order(&self.bwd, lanes, q_rows)
             .chain(check_order(&self.fwd, lanes, q_rows))
-            .chain(self.boundary.iter().map(|&b| b as i32))
+            .chain(self.boundary.iter().map(|&b| b.widen().into()))
+    }
+
+    /// Bytes of the chain state: the parity channel, the forward and
+    /// backward planes, the registers and the boundaries.
+    fn chain_bytes(&self) -> usize {
+        let words = 3 * self.pchan.len() + self.regs.len() + self.boundary.len();
+        words * size_of::<W>()
+    }
+
+    /// The parity totals on the lanes, `pchan + fwd + bwd` (at most
+    /// `4·max_mag + 1` on the lanes), in check order into `totals`: the
+    /// sign of the wide channel's total (module docs).
+    #[inline(always)]
+    fn lane_parity_totals(&mut self, totals: &mut [W]) {
+        let (lanes, q_rows) = (self.lanes, self.q_rows);
+        let sums = self.pchan.iter().zip(&self.fwd).zip(&self.bwd);
+        for (t, ((&p, &f), &b)) in self.transposed.iter_mut().zip(sums) {
+            *t = p + f + b;
+        }
+        for (u, column) in totals.chunks_exact_mut(q_rows).enumerate() {
+            for (r, t) in column.iter_mut().enumerate() {
+                *t = self.transposed[r * lanes + u];
+            }
+        }
     }
 }
 
 /// A row-major plane in check order (`j = u·q_rows + r`).
-fn check_order(plane: &[i16], lanes: usize, q_rows: usize) -> impl Iterator<Item = i32> + '_ {
-    (0..lanes).flat_map(move |u| (0..q_rows).map(move |r| plane[r * lanes + u] as i32))
+fn check_order<W: FuWord>(
+    plane: &[W],
+    lanes: usize,
+    q_rows: usize,
+) -> impl Iterator<Item = i32> + '_ {
+    (0..lanes).flat_map(move |u| (0..q_rows).map(move |r| plane[r * lanes + u].widen().into()))
 }
 
 /// Sub-chain-major SoA plan + state for the SIMD quantized decode.
@@ -366,13 +484,13 @@ pub(crate) struct SimdQuant {
     /// row): real DVB-S2 codes are quasi-cyclic with lifting 360, so the
     /// `lanes` variables of one (row, position) plane vector are one
     /// 360-block rotated by a constant offset, verified against the graph
-    /// at build time.
+    /// at build time. Bases are plane offsets at the `pitch`.
     rot: Vec<RotEntry>,
-    // --- i16 message state, all lane-major ---
-    v2c: Vec<i16>,
-    c2v: Vec<i16>,
+    // --- i8 message state, lane-major on the `pitch`, pad lanes zero ---
+    v2c: Vec<i8>,
+    c2v: Vec<i8>,
     /// The check rows and the parity chain state.
-    fu: FuLanes,
+    fu: FuLanes<i8>,
     /// Per-lane syndrome accumulator of the early-termination test.
     syn: Vec<i16>,
     // --- the software shuffle network ---
@@ -385,6 +503,9 @@ pub(crate) struct SimdQuant {
     /// (`[t_0 … t_359 | t_0 … t_359]`), so the block rotated by `off` is the
     /// contiguous slice `[off .. off + lanes]`.
     tot2: Vec<i16>,
+    /// One word per variable with the sign of its total: the hard
+    /// decisions on their way out.
+    signs: Vec<i8>,
 }
 
 /// One (row, position) plane vector of the rotation VN plan: the `lanes`
@@ -408,8 +529,8 @@ impl RotEntry {
 impl SimdQuant {
     /// Builds the lane plan for a graph/partition/arithmetic triple, or
     /// returns `None` when the combination is not exactly expressible in
-    /// saturating `i16` lanes over the code's rotations (the caller builds
-    /// the scalar fused datapath instead).
+    /// `i8` message lanes with `i16` totals over the code's rotations (the
+    /// caller builds the scalar fused datapath instead).
     ///
     /// Assumes the partition has already been validated by
     /// `QuantizedZigzagDecoder::with_partition` (divisibility, permutation,
@@ -426,24 +547,30 @@ impl SimdQuant {
         let q_rows = n_check / lanes;
         let info_d = graph.check_edges(0).len() - 1;
         let stride = info_d + 2;
-        // The check row's own eligibility: the rule, `q_rows >= 2` (every
-        // real rate point has at least five) and the lane count.
-        let fu = FuLanes::new(arithmetic, lanes, q_rows, info_d, Some(tier));
+        // The check row's own eligibility: the rule and the `i8` word
+        // (`4·max_mag + 1 <= i8::MAX`, room for `lane_syndrome`'s
+        // `pchan + fwd + bwd` with the parity channel clamped to
+        // `±(2·max_mag + 1)`), `q_rows >= 2` (every real rate point has at
+        // least five) and the lane count.
+        let fu = FuLanes::<i8>::new(arithmetic, lanes, q_rows, info_d, Some(tier));
         fu.tier()?;
+        let pitch = fu.pitch();
 
-        // Bake the schedule permutation into the lane-major slot map, then
-        // find the rotation of every plane vector in it.
+        // Bake the schedule permutation into the lane-major slot map, find
+        // the rotation of every plane vector in it, then move each vector's
+        // base from the `lanes` layout to the `pitch`.
         let edge_slot =
             lane_edge_slots(graph, partition.edge_order(), lanes, q_rows, stride, info_d);
-        let rot = build_rotation(graph, &edge_slot, lanes, q_rows, stride, info_d)?;
+        let mut rot = build_rotation(graph, &edge_slot, lanes, q_rows, stride, info_d)?;
+        for e in &mut rot {
+            e.base = e.base / lanes as u32 * pitch as u32;
+        }
         // A total is the channel plus at most `d_max` messages of at most
         // `max_mag`, so with `dd = max(d_max, 2)` a channel clamped to
         // `info_rail = i16::MAX − dd·max_mag` cannot wrap one, and
         // `info_rail > dd·max_mag` keeps the clamp beyond anything the
-        // messages can add. It also gives `4·max_mag + 1 <= i16::MAX`, room
-        // for `lane_syndrome`'s `pchan + fwd + bwd` with the parity channel
-        // clamped to `±(2·max_mag + 1)`. Release builds do not check those
-        // adds; the test profile's overflow checks are the proof.
+        // messages can add. Release builds do not check those adds; the
+        // test profile's overflow checks are the proof.
         let max_mag32 = i32::from(fu.max_mag);
         let dd = (0..k).map(|v| graph.var_edges(v).len()).max().unwrap_or(0).max(2) as i32;
         let info_rail = i16::MAX as i32 - dd * max_mag32;
@@ -451,7 +578,7 @@ impl SimdQuant {
             return None;
         }
 
-        let plane = q_rows * stride * lanes;
+        let plane = q_rows * stride * pitch;
         Some(SimdQuant {
             tier,
             lanes,
@@ -466,12 +593,19 @@ impl SimdQuant {
             info_rail: info_rail as i16,
             chan16: vec![0; k],
             tot2: vec![0; 2 * k],
+            signs: vec![0; graph.var_count()],
         })
     }
 
     /// The dispatch tier this plan runs.
     pub(crate) fn tier(&self) -> SimdTier {
         self.tier
+    }
+
+    /// Bytes of the message state: the `v2c` and `c2v` planes and the
+    /// chain state.
+    pub(crate) fn message_bytes(&self) -> usize {
+        (self.v2c.len() + self.c2v.len()) * size_of::<i8>() + self.fu.chain_bytes()
     }
 
     /// Lane-parallel decode of any `i32` channel, mirroring the fused
@@ -483,23 +617,20 @@ impl SimdQuant {
         max_iterations: usize,
         early_stop: bool,
         channel: &[i32],
-        totals: &mut [i32],
         out: &mut DecodeResult,
         mut trace: Option<&mut Vec<u64>>,
     ) {
         self.load(channel);
-        let (k, lanes) = (self.chan16.len(), self.lanes);
         // As in the fused path: with both chain directions empty (`load`
         // cleared them) a cap of 0 leaves the parity totals at the channel
-        // values.
-        self.c2v.fill(0);
+        // values, and until the first sweep no check message is folded in.
         let mut iterations = 0;
         let mut converged = false;
 
         for it in 0..max_iterations {
             // Fused totals + variable-node pass (identical values to the
             // scalar fused pass: integer addition is order-independent).
-            self.vn_pass();
+            self.vn_pass(it > 0);
             if early_stop && it > 0 && self.syndrome_clear() {
                 converged = true;
                 break;
@@ -521,22 +652,13 @@ impl SimdQuant {
         if !converged {
             // The loop ended right after a sweep: fold it into the totals
             // and take the verdict where the early stop takes it.
-            self.vn_pass();
+            self.vn_pass(iterations > 0);
             converged = self.syndrome_clear();
         }
-        // The lane test reads the state where it lies, so the `i32` totals
-        // are materialized here, once per decode.
-        self.fu.parity_totals(&channel[k..], &mut totals[k..]);
-        let blocks = self.tot2.chunks_exact(2 * lanes);
-        for (wide, block) in totals[..k].chunks_exact_mut(lanes).zip(blocks) {
-            for (t, &x) in wide.iter_mut().zip(block) {
-                *t = x as i32;
-            }
+        if out.bits.len() != channel.len() {
+            out.bits = BitVec::zeros(channel.len());
         }
-        if out.bits.len() != totals.len() {
-            out.bits = BitVec::zeros(totals.len());
-        }
-        hard_decisions_int_into(totals, &mut out.bits);
+        egress_tier(self.tier, &mut self.fu, &self.tot2, &mut self.signs, &mut out.bits);
         out.iterations = iterations;
         out.converged = converged;
     }
@@ -546,24 +668,20 @@ impl SimdQuant {
     /// chain, and the information channel clamped to `±info_rail` (module
     /// docs).
     fn load(&mut self, channel: &[i32]) {
-        let k = self.chan16.len();
-        self.fu.reset(&channel[k..]);
-        let rail = i32::from(self.info_rail);
-        for (c, &x) in self.chan16.iter_mut().zip(channel) {
-            *c = x.clamp(-rail, rail) as i16;
-        }
+        load_tier(self.tier, &mut self.fu, self.info_rail, &mut self.chan16, channel)
     }
 
     /// Totals + saturated v2c for the information side, through the doubled
-    /// blocks.
-    fn vn_pass(&mut self) {
+    /// blocks, with the `c2v` plane folded in once a sweep has written it
+    /// (`swept`); before that every check message is zero.
+    fn vn_pass(&mut self, swept: bool) {
         vn_pass_rot_tier(
             self.tier,
             &self.rot,
             self.lanes,
-            self.fu.max_mag,
+            self.fu.max_mag.into(),
             &self.chan16,
-            &self.c2v,
+            swept.then_some(&self.c2v[..]),
             &mut self.v2c,
             &mut self.tot2,
         )
@@ -592,11 +710,12 @@ impl SimdQuant {
     /// then the backward chain messages.
     fn digest(&self) -> u64 {
         let (lanes, q_rows, stride, info_d) = (self.lanes, self.q_rows, self.stride, self.info_d);
+        let pitch = self.fu.pitch;
         let mut h = Fnv::new();
         for c in 0..lanes * q_rows {
-            let base = (c % q_rows) * stride * lanes + c / q_rows;
+            let base = (c % q_rows) * stride * pitch + c / q_rows;
             for i in 0..info_d {
-                h.write_i32(self.c2v[base + i * lanes] as i32);
+                h.write_i32(self.c2v[base + i * pitch].into());
             }
         }
         let (fwd, bwd) = (&self.fu.fwd, &self.fu.bwd);
@@ -732,17 +851,52 @@ pub(crate) fn build_rotation(
 /// `LIVE` thresholds are compared against (the rest must be the `-1`
 /// sentinel).
 #[inline(always)]
-fn combine_one<const LIVE: usize>(x: i16, y: i16, th: [i16; MAX_CORR_THRESHOLDS]) -> i16 {
+fn combine_one<W: FuWord, const LIVE: usize>(x: W, y: W, th: [W; MAX_CORR_THRESHOLDS]) -> W {
     let (a, b) = (x.abs(), y.abs());
     let mag = a.min(b);
     let hi = a + b;
-    let lo = hi - 2 * mag;
-    let mut c = 0i16;
+    let lo = hi - (mag + mag);
+    let mut c = W::default();
     for &t in &th[..LIVE] {
-        c += ((lo <= t) & (t < hi)) as i16;
+        c = c + W::from((lo <= t) & (t < hi));
     }
-    let m = (x ^ y) >> 15;
-    ((mag - c).max(0) ^ m) - m
+    let m = (x ^ y) >> (W::BITS - 1);
+    ((mag - c).max(W::default()) ^ m) - m
+}
+
+/// [`Quantizer::quantize_into`], for the lanes' tier clones.
+#[inline(always)]
+fn quantize(quantizer: &Quantizer, llrs: &[f64], out: &mut [i32]) {
+    quantizer.quantize_into(llrs, out)
+}
+
+/// [`SimdQuant::load`]'s body.
+#[inline(always)]
+fn load(fu: &mut FuLanes<i8>, info_rail: i16, chan16: &mut [i16], channel: &[i32]) {
+    let k = chan16.len();
+    fu.reset(&channel[k..]);
+    let rail = i32::from(info_rail);
+    for (c, &x) in chan16.iter_mut().zip(channel) {
+        *c = x.clamp(-rail, rail) as i16;
+    }
+}
+
+/// The egress: the hard decisions, once per decode. A hard decision is the
+/// sign of a total, and the lanes hold every total's sign where it lies
+/// (module docs): the information totals' in the doubled blocks, the parity
+/// totals' in `pchan + fwd + bwd`. Both go to `signs` in variable order,
+/// then to `bits`.
+#[inline(always)]
+fn egress(fu: &mut FuLanes<i8>, tot2: &[i16], signs: &mut [i8], bits: &mut BitVec) {
+    let (k, lanes) = (tot2.len() / 2, fu.lanes);
+    let (info, parity) = signs.split_at_mut(k);
+    for (block, doubled) in info.chunks_exact_mut(lanes).zip(tot2.chunks_exact(2 * lanes)) {
+        for (s, &t) in block.iter_mut().zip(doubled) {
+            *s = (t >> 8) as i8;
+        }
+    }
+    fu.lane_parity_totals(parity);
+    bits.fill_from(signs, i8::is_negative);
 }
 
 /// Rotation-structured variable-node pass over the doubled blocks, the
@@ -751,22 +905,27 @@ fn combine_one<const LIVE: usize>(x: i16, y: i16, th: [i16; MAX_CORR_THRESHOLDS]
 /// the c2v messages accumulate, the two halves of a block split its sum
 /// between them (an entry at offset `off` adds `lanes - off` terms to the
 /// first and `off` to the second); one fold per block adds them to the
-/// channel and writes the total to both halves.
+/// channel and writes the total to both halves. The `i8` messages widen on
+/// read, and the write narrows through the clamp to `±max_mag`, exactly.
+/// `c2v` is `None` while every check message is zero: the totals are then
+/// the channel, and no plane is read.
 #[inline(always)]
 fn vn_pass_rot(
     rot: &[RotEntry],
     lanes: usize,
     max_mag: i16,
     chan16: &[i16],
-    c2v: &[i16],
-    v2c: &mut [i16],
+    c2v: Option<&[i8]>,
+    v2c: &mut [i8],
     tot2: &mut [i16],
 ) {
     tot2.fill(0);
-    for e in rot {
-        let (base, at) = (e.base as usize, e.at as usize);
-        for (t, &c) in tot2[at..at + lanes].iter_mut().zip(&c2v[base..base + lanes]) {
-            *t += c;
+    if let Some(c2v) = c2v {
+        for e in rot {
+            let (base, at) = (e.base as usize, e.at as usize);
+            for (t, &c) in tot2[at..at + lanes].iter_mut().zip(&c2v[base..base + lanes]) {
+                *t += i16::from(c);
+            }
         }
     }
     for (chan, tot) in chan16.chunks_exact(lanes).zip(tot2.chunks_exact_mut(2 * lanes)) {
@@ -778,9 +937,18 @@ fn vn_pass_rot(
     }
     for e in rot {
         let (base, at) = (e.base as usize, e.at as usize);
-        let (t, c) = (&tot2[at..at + lanes], &c2v[base..base + lanes]);
-        for ((v, &t), &c) in v2c[base..base + lanes].iter_mut().zip(t).zip(c) {
-            *v = (t - c).clamp(-max_mag, max_mag);
+        let (t, v) = (&tot2[at..at + lanes], &mut v2c[base..base + lanes]);
+        match c2v {
+            Some(c2v) => {
+                for ((v, &t), &c) in v.iter_mut().zip(t).zip(&c2v[base..base + lanes]) {
+                    *v = (t - i16::from(c)).clamp(-max_mag, max_mag) as i8;
+                }
+            }
+            None => {
+                for (v, &t) in v.iter_mut().zip(t) {
+                    *v = t.clamp(-max_mag, max_mag) as i8;
+                }
+            }
         }
     }
 }
@@ -793,9 +961,10 @@ fn vn_pass_rot(
 /// of residue row `r` is the sign of one lane vector: the XOR of the row's
 /// information totals (each `RotEntry` a contiguous slice of a doubled
 /// block, as in [`vn_pass_rot`]), of its own parity totals
-/// `pchan + fwd + bwd` (the sign of [`FuLanes::parity_totals`]) and of the
-/// left neighbour's — row `r - 1` lane-aligned, or at `r == 0` row
-/// `q_rows - 1` shifted one lane, with nothing for check 0. By construction
+/// `pchan + fwd + bwd` (the sign of [`FuLanes::parity_totals`], at most
+/// `4·max_mag + 1` in `i8`, widened) and of the left neighbour's — row
+/// `r - 1` lane-aligned, or at `r == 0` row `q_rows - 1` shifted one lane,
+/// with nothing for check 0. By construction
 /// the result equals `syndrome_ok(hard_decisions_int(totals))` over the
 /// materialized totals.
 #[inline(always)]
@@ -806,12 +975,12 @@ fn lane_syndrome(
     q_rows: usize,
     info_d: usize,
     tot2: &[i16],
-    pchan: &[i16],
-    fwd: &[i16],
-    bwd: &[i16],
+    pchan: &[i8],
+    fwd: &[i8],
+    bwd: &[i8],
     syn: &mut [i16],
 ) -> bool {
-    let parity = |s: usize| pchan[s] + fwd[s] + bwd[s];
+    let parity = |s: usize| i16::from(pchan[s] + fwd[s] + bwd[s]);
     for r in 0..q_rows {
         let row = r * lanes;
         if r > 0 {
@@ -841,42 +1010,43 @@ fn lane_syndrome(
 /// rule's `kernel`. Inlined into each tier clone with the kernel, so the
 /// row's loops vectorize there.
 #[inline(always)]
-fn fu_row(
-    fu: &mut FuLanes,
-    kernel: &mut impl RowKernel<i16>,
+fn fu_row<W: FuWord>(
+    fu: &mut FuLanes<W>,
+    kernel: &mut impl RowKernel<W>,
     r: usize,
-    v_in: &mut [i16],
-    v_out: &mut [i16],
-    mut hook: impl FnMut(&mut [i16]),
+    v_in: &mut [W],
+    v_out: &mut [W],
+    mut hook: impl FnMut(&mut [W]),
 ) {
-    let (lanes, q_rows, row_len, max_mag) = (fu.lanes, fu.q_rows, fu.row_len, fu.max_mag);
-    let (vl, vr) = (row_len * lanes, (row_len + 1) * lanes);
+    let (lanes, pitch, q_rows, row_len) = (fu.lanes, fu.pitch, fu.q_rows, fu.row_len);
+    let max_mag = fu.max_mag;
+    let (vl, vr) = (row_len * pitch, (row_len + 1) * pitch);
     debug_assert!(v_in[..vl].iter().all(|&x| x.abs() <= max_mag), "row outside the rail");
     // 1. Parity inputs. Left, `pchan[j - 1] ⊞ fwd`: lane-aligned for r > 0;
     // at r == 0 check j - 1 is the last one of the unit below. Check 0 has
     // none — a zero keeps lane 0 in range and step 3 rebuilds its outputs.
-    let input = |chan: i16, msg: i16| chan.saturating_add(msg).clamp(-max_mag, max_mag);
+    let input = |chan: W, msg: W| chan.saturating_add(msg).max(-max_mag).min(max_mag);
     let (pchan, regs) = (&fu.pchan, &fu.regs);
     if r > 0 {
         let chan = &pchan[(r - 1) * lanes..r * lanes];
-        for ((o, &c), &f) in v_in[vl..vr].iter_mut().zip(chan).zip(regs) {
+        for ((o, &c), &f) in v_in[vl..vl + lanes].iter_mut().zip(chan).zip(regs) {
             *o = input(c, f);
         }
     } else {
-        v_in[vl] = 0;
+        v_in[vl] = W::default();
         let chan = &pchan[(q_rows - 1) * lanes..];
-        for ((o, &c), &f) in v_in[vl + 1..vr].iter_mut().zip(chan).zip(&regs[1..]) {
+        for ((o, &c), &f) in v_in[vl + 1..vl + lanes].iter_mut().zip(chan).zip(&regs[1..]) {
             *o = input(c, f);
         }
     }
     // Right, `pchan[j] ⊞ bwd[j]`, the last check's backward slot being zero.
     let (chan, back) = (&pchan[r * lanes..(r + 1) * lanes], &fu.bwd[r * lanes..(r + 1) * lanes]);
-    for ((o, &c), &b) in v_in[vr..].iter_mut().zip(chan).zip(back) {
+    for ((o, &c), &b) in v_in[vr..vr + lanes].iter_mut().zip(chan).zip(back) {
         *o = input(c, b);
     }
 
-    // 2. The rule's row kernel.
-    row_update(kernel, v_in, v_out, lanes);
+    // 2. The rule's row kernel, pad lanes included.
+    row_update(kernel, v_in, v_out, pitch);
 
     // 3. Check 0 has degree `row_len + 1`, the right parity input last: the
     // scalar rule (the call the fused sweep makes for that check)
@@ -886,14 +1056,14 @@ fn fu_row(
     if r == 0 {
         let d0 = row_len + 1;
         for i in 0..row_len {
-            fu.fix_in[i] = v_in[i * lanes] as i32;
+            fu.fix_in[i] = v_in[i * pitch].widen().into();
         }
-        fu.fix_in[row_len] = v_in[vr] as i32;
+        fu.fix_in[row_len] = v_in[vr].widen().into();
         fu.arithmetic.extrinsic(&fu.fix_in[..d0], &mut fu.fix_out[..d0]);
         for i in 0..row_len {
-            v_out[i * lanes] = fu.fix_out[i] as i16;
+            v_out[i * pitch] = W::narrow(fu.fix_out[i]);
         }
-        v_out[vl] = fu.fix_out[row_len] as i16;
+        v_out[vl] = W::narrow(fu.fix_out[row_len]);
     }
 
     // 4. The caller's hook.
@@ -902,11 +1072,11 @@ fn fu_row(
     // 5. Write-back: backward outputs (left slot) to the row above, forward
     // outputs (right slot) into the registers.
     if r > 0 {
-        fu.bwd[(r - 1) * lanes..r * lanes].copy_from_slice(&v_out[vl..vr]);
-        fu.regs.copy_from_slice(&v_out[vr..]);
+        fu.bwd[(r - 1) * lanes..r * lanes].copy_from_slice(&v_out[vl..vl + lanes]);
+        fu.regs.copy_from_slice(&v_out[vr..vr + lanes]);
     } else {
-        fu.bwd[(q_rows - 1) * lanes..][..lanes - 1].copy_from_slice(&v_out[vl + 1..vr]);
-        fu.regs[1..].copy_from_slice(&v_out[vr + 1..]);
+        fu.bwd[(q_rows - 1) * lanes..][..lanes - 1].copy_from_slice(&v_out[vl + 1..vl + lanes]);
+        fu.regs[1..].copy_from_slice(&v_out[vr + 1..vr + lanes]);
         fu.regs[0] = v_out[vl];
     }
     fu.fwd[r * lanes..(r + 1) * lanes].copy_from_slice(&fu.regs);
@@ -916,10 +1086,10 @@ fn fu_row(
 /// row through [`fu_row`] with no hook, [`FuLanes::end`].
 #[inline(always)]
 fn check_sweep(
-    fu: &mut FuLanes,
-    kernel: &mut impl RowKernel<i16>,
-    v2c: &mut [i16],
-    c2v: &mut [i16],
+    fu: &mut FuLanes<i8>,
+    kernel: &mut impl RowKernel<i8>,
+    v2c: &mut [i8],
+    c2v: &mut [i8],
 ) {
     let row = v2c.len() / fu.q_rows;
     fu.begin();
@@ -936,10 +1106,27 @@ tier_clones!(
         lanes: usize,
         max_mag: i16,
         chan16: &[i16],
-        c2v: &[i16],
-        v2c: &mut [i16],
+        c2v: Option<&[i8]>,
+        v2c: &mut [i8],
         tot2: &mut [i16],
     )
+);
+
+tier_clones!(
+    /// [`Quantizer::quantize_into`] at a tier: the float decoder entry of a
+    /// lane decoder quantizes at the lanes' tier.
+    quantize_tier, quantize, quantize_avx2, quantize_avx512;
+    (quantizer: &Quantizer, llrs: &[f64], out: &mut [i32])
+);
+
+tier_clones!(
+    load_tier, load, load_avx2, load_avx512;
+    (fu: &mut FuLanes<i8>, info_rail: i16, chan16: &mut [i16], channel: &[i32])
+);
+
+tier_clones!(
+    egress_tier, egress, egress_avx2, egress_avx512;
+    (fu: &mut FuLanes<i8>, tot2: &[i16], signs: &mut [i8], bits: &mut BitVec)
 );
 
 tier_clones!(
@@ -950,27 +1137,27 @@ tier_clones!(
         q_rows: usize,
         info_d: usize,
         tot2: &[i16],
-        pchan: &[i16],
-        fwd: &[i16],
-        bwd: &[i16],
+        pchan: &[i8],
+        fwd: &[i8],
+        bwd: &[i8],
         syn: &mut [i16],
     ) -> bool
 );
 
 tier_clones!(
     check_sweep_tier, check_sweep, check_sweep_avx2, check_sweep_avx512;
-    (fu: &mut FuLanes, kernel: &mut impl RowKernel<i16>, v2c: &mut [i16], c2v: &mut [i16])
+    (fu: &mut FuLanes<i8>, kernel: &mut impl RowKernel<i8>, v2c: &mut [i8], c2v: &mut [i8])
 );
 
 tier_clones!(
-    fu_row_tier, fu_row, fu_row_avx2, fu_row_avx512;
+    fu_row_tier<W: FuWord>, fu_row, fu_row_avx2, fu_row_avx512;
     (
-        fu: &mut FuLanes,
-        kernel: &mut impl RowKernel<i16>,
+        fu: &mut FuLanes<W>,
+        kernel: &mut impl RowKernel<W>,
         r: usize,
-        v_in: &mut [i16],
-        v_out: &mut [i16],
-        hook: impl FnMut(&mut [i16]),
+        v_in: &mut [W],
+        v_out: &mut [W],
+        hook: impl FnMut(&mut [W]),
     )
 );
 
@@ -1029,11 +1216,11 @@ mod tests {
                 // The channel term outweighs the two chain terms, so its
                 // sign is the sum's.
                 let (s, neg) = (r * sq.lanes + u, word.get(k + u * sq.q_rows + r));
-                sq.fu.pchan[s] = draw(rng, neg, m, m) as i16;
+                sq.fu.pchan[s] = draw(rng, neg, m, m) as i8;
                 let negative = rng.next_bool();
-                sq.fu.fwd[s] = draw(rng, negative, 0, (m - 1) / 2) as i16;
+                sq.fu.fwd[s] = draw(rng, negative, 0, (m - 1) / 2) as i8;
                 let negative = rng.next_bool();
-                sq.fu.bwd[s] = draw(rng, negative, 0, (m - 1) / 2) as i16;
+                sq.fu.bwd[s] = draw(rng, negative, 0, (m - 1) / 2) as i8;
             }
         }
         info
@@ -1136,9 +1323,9 @@ mod tests {
                         *x = any(3) as i32;
                     }
                     for s in 0..lanes * q_rows {
-                        sq.fu.pchan[s] = any(m) as i16;
-                        sq.fu.fwd[s] = any(2) as i16;
-                        sq.fu.bwd[s] = any(2) as i16;
+                        sq.fu.pchan[s] = any(m) as i8;
+                        sq.fu.fwd[s] = any(2) as i8;
+                        sq.fu.bwd[s] = any(2) as i8;
                     }
                     let (lane, scalar) = both_tests(&mut sq, graph, &info);
                     assert_eq!(lane, scalar, "{what}: random state, round {round}");
@@ -1153,8 +1340,10 @@ mod tests {
     /// parity check input and every `v2c` message the wide channel forms
     /// and decide every total's sign as it does; whole decodes equal
     /// `with_partition_fused`, digests included. This profile's overflow
-    /// checks would catch a wrapped `i16` add, and the last block shows the
-    /// information bound is tight.
+    /// checks would catch a wrapped `i8` or `i16` add (the parity input
+    /// `pchan + msg` reaches `3·max_mag + 1 = 94` and the parity total
+    /// `4·max_mag + 1 = 125`), and the last block shows the information
+    /// bound is tight.
     #[test]
     fn the_clamped_ingress_is_exact_at_and_past_both_bounds() {
         use crate::{DecoderConfig, QuantizedZigzagDecoder};
@@ -1182,10 +1371,10 @@ mod tests {
             sq.load(&channel);
             for msg in [-m, m] {
                 let what = format!("{tier:?} messages at {msg}");
-                sq.c2v.fill(msg as i16);
-                sq.fu.fwd.fill(msg as i16);
-                sq.fu.bwd.fill(msg as i16);
-                sq.vn_pass();
+                sq.c2v.fill(msg as i8);
+                sq.fu.fwd.fill(msg as i8);
+                sq.fu.bwd.fill(msg as i8);
+                sq.vn_pass(true);
                 for e in &sq.rot {
                     let (block, off) = e.block_and_off(lanes);
                     for u in 0..lanes {
@@ -1205,8 +1394,10 @@ mod tests {
                 }
                 for (s, &p) in sq.fu.pchan.iter().enumerate() {
                     let wide = channel[k + s % lanes * q_rows + s / lanes];
-                    let input = p.saturating_add(msg as i16).clamp(-m as i16, m as i16);
+                    let input = p.saturating_add(msg as i8).clamp(-m as i8, m as i8);
                     assert_eq!(i32::from(input), (wide + msg).clamp(-m, m), "{what}: slot {s}");
+                    let total = p + sq.fu.fwd[s] + sq.fu.bwd[s];
+                    assert_eq!(i32::from(total), wide.clamp(-2 * m - 1, 2 * m + 1) + 2 * msg);
                 }
             }
             let config = DecoderConfig::default().with_max_iterations(6).with_simd_tier(Some(tier));
@@ -1227,28 +1418,132 @@ mod tests {
             // highest-degree totals at `i16::MAX` exactly.
             sq.c2v.fill(31);
             sq.chan16.fill(rail as i16);
-            sq.vn_pass();
+            sq.vn_pass(true);
             assert_eq!(sq.tot2.iter().max(), Some(&i16::MAX), "{tier:?}");
+        }
+    }
+
+    /// `FuLanes<i8>` (360 units on a 384-lane pitch) and `FuLanes<i16>` (360
+    /// on 360) row for row from the same chain state, at every tier, under
+    /// every rule the `i8` word takes: the LUT at 6 bits, 5 bits and with
+    /// four live thresholds, shift min-sum at shifts 1 to 3. The parity
+    /// channel sits at, one past and far past its clamp `±(2m + 1)` and
+    /// every chain message starts at `±m`, so the parity input
+    /// `pchan + msg` reaches `3m + 1` and the parity total
+    /// `pchan + fwd + bwd` reaches `4m + 1`, as `i8` adds this profile
+    /// checks for overflow. Outputs, chain state and parity totals are
+    /// equal after every row, and the pad lanes stay zero.
+    #[test]
+    fn the_i8_row_equals_the_i16_row() {
+        let (lanes, q_rows, row_len) = (360, 3, 6);
+        let q = Quantizer::paper_6bit();
+        let mut rules = vec![
+            QCheckArithmetic::lut(q),
+            QCheckArithmetic::lut(Quantizer::paper_5bit()),
+            QCheckArithmetic::lut(Quantizer::new(6, 0.18)),
+        ];
+        rules.extend((1..=3).map(|shift| QCheckArithmetic::min_sum_shift(q, shift)));
+        for arith in &rules {
+            let m = arith.quantizer().max_mag();
+            let mut rng = SplitMix64(0x1816 ^ m as u64);
+            let rail = |rng: &mut SplitMix64| if rng.next_bool() { m } else { -m };
+            let parity: Vec<i32> = (0..lanes * q_rows)
+                .map(|j| [2 * m + 1, 2 * m + 2, 100_000, m][j % 4] * rail(&mut rng).signum())
+                .collect();
+            let chain: Vec<[i32; 3]> =
+                (0..lanes * q_rows).map(|_| [(); 3].map(|_| rail(&mut rng))).collect();
+            let rows: Vec<Vec<i32>> = (0..2 * q_rows)
+                .map(|_| {
+                    let draw = |rng: &mut SplitMix64| match rng.next_u64() % 4 {
+                        0 | 1 => rail(rng),
+                        _ => (rng.next_u64() % (2 * m as u64 + 1)) as i32 - m,
+                    };
+                    (0..row_len * lanes).map(|_| draw(&mut rng)).collect()
+                })
+                .collect();
+            for tier in SimdTier::available() {
+                let what = format!("{arith:?} {tier:?}");
+                let mut narrow = FuLanes::<i8>::new(arith, lanes, q_rows, row_len, Some(tier));
+                let mut wide = FuLanes::<i16>::new(arith, lanes, q_rows, row_len, Some(tier));
+                assert_eq!((narrow.tier(), wide.tier()), (Some(tier), Some(tier)), "{what}");
+                assert_eq!((narrow.pitch(), wide.pitch()), (384, 360), "{what}");
+                narrow.reset(&parity);
+                wide.reset(&parity);
+                for phase in 0..2 {
+                    narrow.begin();
+                    wide.begin();
+                    if phase == 0 {
+                        for (s, &[f, b, g]) in chain.iter().enumerate() {
+                            (narrow.fwd[s], narrow.bwd[s]) = (f as i8, b as i8);
+                            (wide.fwd[s], wide.bwd[s]) = (f as i16, b as i16);
+                            if s < lanes {
+                                (narrow.regs[s], wide.regs[s]) = (g as i8, g as i16);
+                            }
+                        }
+                        let word = |s: usize| narrow.pchan[s] + narrow.fwd[s] + narrow.bwd[s];
+                        let total = (0..lanes * q_rows).map(|s| word(s).abs()).max();
+                        assert_eq!(total.map(i32::from), Some(4 * m + 1), "{what}");
+                        // This phase's right parity inputs, before the clamp.
+                        let right = (0..lanes * q_rows).map(|s| narrow.pchan[s] + narrow.bwd[s]);
+                        let input = right.map(i8::abs).max();
+                        assert_eq!(input.map(i32::from), Some(3 * m + 1), "{what}");
+                    }
+                    for r in 0..q_rows {
+                        let at = format!("{what} phase {phase} row {r}");
+                        let mut v8 = vec![0i8; (row_len + 2) * 384];
+                        let mut v16 = vec![0i16; (row_len + 2) * 360];
+                        for (j, &x) in rows[phase * q_rows + r].iter().enumerate() {
+                            let (i, u) = (j / lanes, j % lanes);
+                            (v8[i * 384 + u], v16[i * 360 + u]) = (x as i8, x as i16);
+                        }
+                        for i in row_len..row_len + 2 {
+                            v8[i * 384..][..lanes].fill(i8::MIN);
+                            v16[i * 360..][..lanes].fill(i16::MIN);
+                        }
+                        let (mut out8, mut out16) = (vec![i8::MIN; v8.len()], vec![0; v16.len()]);
+                        narrow.row(r, &mut v8, &mut out8, |_| {});
+                        wide.row(r, &mut v16, &mut out16, |_| {});
+                        for i in 0..row_len + 2 {
+                            let (col8, col16) = (&out8[i * 384..][..384], &out16[i * 360..][..360]);
+                            let got: Vec<i16> = col8[..lanes].iter().map(|&x| x.into()).collect();
+                            assert_eq!(got, col16, "{at}: column {i}");
+                            assert!(col8[lanes..].iter().all(|&x| x == 0), "{at}: out pad {i}");
+                            let pad = &v8[i * 384..][lanes..384];
+                            assert!(pad.iter().all(|&x| x == 0), "{at}: in pad {i}");
+                        }
+                        let state8: Vec<i32> = narrow.parity_state().collect();
+                        assert_eq!(state8, wide.parity_state().collect::<Vec<_>>(), "{at}");
+                        let regs8: Vec<i16> = narrow.regs.iter().map(|&x| x.into()).collect();
+                        assert_eq!(regs8, wide.regs, "{at}: registers");
+                    }
+                    narrow.end();
+                    wide.end();
+                }
+                let (mut t8, mut t16) = (vec![0; parity.len()], vec![0; parity.len()]);
+                narrow.parity_totals(&parity, &mut t8);
+                wide.parity_totals(&parity, &mut t16);
+                assert_eq!(t8, t16, "{what}: parity totals");
+            }
         }
     }
 
     #[test]
     fn lane_combine_matches_scalar_combine_exhaustively() {
-        for q in [Quantizer::paper_6bit(), Quantizer::paper_5bit(), Quantizer::new(6, 0.18)] {
-            let bp = QBoxplus::new(q);
-            let th = lane_thresholds(&bp).unwrap();
-            let m = q.max_mag();
+        fn exhaustive<W: FuWord>(bp: &QBoxplus) {
+            let th = lane_thresholds::<W>(bp).unwrap();
+            let m = bp.quantizer().max_mag();
+            let lane = if th[3].is_negative() { combine_one::<W, 3> } else { combine_one::<W, 4> };
             for a in -m..=m {
                 for b in -m..=m {
-                    let lane = if th[3] < 0 { combine_one::<3> } else { combine_one::<4> };
-                    assert_eq!(
-                        lane(a as i16, b as i16, th) as i32,
-                        bp.combine(a, b),
-                        "bits={} a={a} b={b}",
-                        q.bits()
-                    );
+                    let got = lane(W::narrow(a), W::narrow(b), th).widen();
+                    let bits = bp.quantizer().bits();
+                    assert_eq!(i32::from(got), bp.combine(a, b), "bits={bits} a={a} b={b}");
                 }
             }
+        }
+        for q in [Quantizer::paper_6bit(), Quantizer::paper_5bit(), Quantizer::new(6, 0.18)] {
+            exhaustive::<i8>(&QBoxplus::new(q));
+            exhaustive::<i16>(&QBoxplus::new(q));
         }
     }
 
@@ -1259,18 +1554,22 @@ mod tests {
     fn min_sum_lane_kernel_matches_scalar_rule() {
         use crate::engine::tests::{assert_kernel_matches, draw_quantized, widened};
 
-        let q = Quantizer::paper_6bit();
-        for shift in [1, 2, 3] {
-            let arith = QCheckArithmetic::min_sum_shift(q, shift);
-            assert_kernel_matches(
-                &format!("min-sum >> {shift} i16"),
-                |tier, v2c, c2v, lanes| {
-                    row_update_tier(tier, &mut shift_min_sum_lanes(shift), v2c, c2v, lanes)
-                },
-                widened(|ins, outs| arith.extrinsic(ins, outs)),
-                draw_quantized(q.max_mag() as i16),
-            );
+        fn rows<W: FuWord>(word: &str) {
+            let q = Quantizer::paper_6bit();
+            for shift in [1, 2, 3] {
+                let arith = QCheckArithmetic::min_sum_shift(q, shift);
+                assert_kernel_matches(
+                    &format!("min-sum >> {shift} {word}"),
+                    |tier, v2c, c2v, lanes| {
+                        row_update_tier(tier, &mut shift_min_sum_lanes::<W>(shift), v2c, c2v, lanes)
+                    },
+                    widened(|ins, outs| arith.extrinsic(ins, outs)),
+                    draw_quantized(q.max_mag()),
+                );
+            }
         }
+        rows::<i8>("i8");
+        rows::<i16>("i16");
     }
 
     /// The LUT rule's row kernel, as [`FuLanes`] builds it, against
@@ -1280,19 +1579,23 @@ mod tests {
     fn lut_lane_kernel_matches_scalar_extrinsic() {
         use crate::engine::tests::{assert_kernel_matches, draw_quantized, widened};
 
-        for q in [Quantizer::paper_6bit(), Quantizer::paper_5bit(), Quantizer::new(6, 0.18)] {
-            let bp = QBoxplus::new(q);
-            let live = bp.corr_thresholds().unwrap().len();
-            assert_kernel_matches(
-                &format!("LUT i16, {} bits, {live} live thresholds", q.bits()),
-                |tier, v2c, c2v, lanes| {
-                    lut_kernel!(lane_thresholds(&bp).unwrap(), |kernel| {
-                        row_update_tier(tier, &mut kernel, v2c, c2v, lanes)
-                    })
-                },
-                widened(|ins, outs| bp.extrinsic(ins, outs)),
-                draw_quantized(q.max_mag() as i16),
-            );
+        fn rows<W: FuWord>(word: &str) {
+            for q in [Quantizer::paper_6bit(), Quantizer::paper_5bit(), Quantizer::new(6, 0.18)] {
+                let bp = QBoxplus::new(q);
+                let live = bp.corr_thresholds().unwrap().len();
+                assert_kernel_matches(
+                    &format!("LUT {word}, {} bits, {live} live thresholds", q.bits()),
+                    |tier, v2c, c2v, lanes| {
+                        lut_kernel!(lane_thresholds::<W>(&bp).unwrap(), |kernel| {
+                            row_update_tier(tier, &mut kernel, v2c, c2v, lanes)
+                        })
+                    },
+                    widened(|ins, outs| bp.extrinsic(ins, outs)),
+                    draw_quantized(q.max_mag()),
+                );
+            }
         }
+        rows::<i8>("i8");
+        rows::<i16>("i16");
     }
 }

@@ -88,6 +88,7 @@ impl Quantizer {
     /// # Panics
     ///
     /// Panics if `out.len() != llrs.len()`.
+    #[inline]
     pub fn quantize_into(&self, llrs: &[f64], out: &mut [i32]) {
         assert_eq!(out.len(), llrs.len(), "length mismatch");
         let rail = self.max_mag as f64;

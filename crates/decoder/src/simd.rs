@@ -30,7 +30,7 @@ pub enum SimdTier {
     Avx2,
     /// 512-bit paths compiled with
     /// `#[target_feature(enable = "avx512f,avx512bw,avx512vl")]`: the
-    /// integer-lane kernels need BW for 512-bit `i16` min/max/abs/compare
+    /// integer-lane kernels need BW for 512-bit `i8`/`i16` min/max/abs/compare
     /// and VL for their mixed-width remainders. Every AVX-512 core since
     /// Skylake-SP has all three; an F-only part reports this rung
     /// unavailable and runs the (bit-identical) AVX2 clones everywhere.

@@ -146,7 +146,7 @@ fn edge_order_fidelity_is_preserved() {
 }
 
 /// Channels pinned to the quantizer rails drive every saturating add and
-/// clamp in the i16 kernels; the lane path must saturate exactly like the
+/// clamp in the i8 kernels; the lane path must saturate exactly like the
 /// scalar `sat_add` / clamp chain.
 #[test]
 fn rail_saturated_channels_stay_bit_exact() {
@@ -183,7 +183,7 @@ fn rail_saturated_channels_stay_bit_exact() {
 }
 
 /// Raw quantized channels far outside the quantizer's range — at, one past
-/// and far past both ingress clamps (`2·max_mag + 1` on parity,
+/// and far past both ingress clamps (`2·max_mag + 1` on parity, an `i8`,
 /// `i16::MAX − d_max·max_mag` on information), up to ±100 000 — stay on the
 /// lanes and decode exactly as the scalar fused sweep, at every tier, with
 /// every arithmetic. The last channel is all `+max_mag` but for those
@@ -237,6 +237,28 @@ fn ineligible_partition_reports_no_simd_plan() {
     assert_eq!(simd.simd_tier(), None);
     let channels = noisy_channels(&simd, 1, 9700);
     assert_bit_exact(&mut simd, &mut fused, &channels, "q_rows = 1");
+}
+
+/// The `i8` word's gate is tight: 6 bits (`max_mag` 31, parity total
+/// `4·31 + 1 = 125`) take the lanes, and 7 bits at the same step
+/// (`max_mag` 63) do not, at any tier: that decoder builds the scalar fused
+/// sweep and decodes exactly as it, digests included.
+#[test]
+fn seven_bit_quantizers_take_the_fused_sweep() {
+    let (_, graph) = small_code();
+    let graph = Arc::new(graph);
+    let partition = rotation_partition(&graph);
+    let seven = QCheckArithmetic::lut(Quantizer::new(7, 0.25));
+    assert_eq!(seven.quantizer().max_mag(), 63);
+    for tier in SimdTier::available() {
+        let config = DecoderConfig::default().with_simd_tier(Some(tier));
+        let six = QCheckArithmetic::lut(Quantizer::new(6, 0.25));
+        assert_eq!(pair(&graph, &six, config, &partition)[0].simd_tier(), Some(tier));
+        let [mut simd, mut fused] = pair(&graph, &seven, config, &partition);
+        assert_eq!(simd.simd_tier(), None, "{tier:?}: 7 bits are outside the i8 lanes");
+        let channels = noisy_channels(&simd, 2, 9800);
+        assert_bit_exact(&mut simd, &mut fused, &channels, &format!("7 bits {tier:?}"));
+    }
 }
 
 /// Forcing an unavailable tier panics at construction instead of silently

@@ -16,8 +16,9 @@
 //! message RAM, a row's words followed by two slots into which the array
 //! writes every unit's two parity inputs as two more 360-wide vectors — and
 //! write their outputs where the caller asks, in the same layout.
-//! [`FuLanes`], the check row the software decoder's lane planes run, holds
-//! the units' chain state and sweeps all units at once. Quantizers the lanes
+//! [`FuLanes`], the check row the software decoder's lane planes run (there
+//! on `i8` words, here on the RAM's `i16` words, 360 to a row), holds the
+//! units' chain state and sweeps all units at once. Quantizers the lanes
 //! cannot express take the per-unit [`QBoxplus::extrinsic`] loop over the
 //! same chain state, which is also what the lane row is tested against.
 //! `DESIGN.md` §7.8 has the layout and the exactness arguments.
@@ -46,7 +47,7 @@ pub struct FunctionalUnitArray {
     row_len: usize,
     /// The units' check row and their chain state: backward, forward,
     /// registers, boundaries.
-    units: FuLanes,
+    units: FuLanes<i16>,
     /// The per-unit loop's parity channel `[r * 360 + u]`, kept wide, when
     /// check rows take that loop instead of the lanes.
     per_unit: Option<Vec<i32>>,
