@@ -1,8 +1,9 @@
 //! A cycle-accurate multi-core decoder fabric — P copies of the paper's
 //! 360-FU core behind a shared frame-memory front end.
 //!
-//! The paper's IP core is a single decoder; ROADMAP item 4 asks how it
-//! scales to 10 Gbit/s. [`DecoderFabric`] answers with a modeled
+//! The paper's IP core is a single decoder; how far past its 255 Mbit/s
+//! (towards 10 Gbit/s) replicated cores scale is the question here.
+//! [`DecoderFabric`] answers with a modeled
 //! interconnect in the style of a cycle-driven cache simulator: independent
 //! frames are dealt round-robin to P [`HardwareDecoder`] cores, channel
 //! values stream from the shared front end over a single arbitrated bus
@@ -20,14 +21,17 @@
 //!   zero-latency link, every frame's fabric span equals the core's
 //!   [`CycleBreakdown::total_cycles`] exactly, and the batch makespan is
 //!   their sum. The fabric never invents or loses a cycle.
-//! * **Bit-exactness**: frames are decoded by real per-core
-//!   [`HardwareDecoder`] instances, so the decoded bits are independent of
-//!   P, of the arbitration policy, and of any modeled contention — timing
-//!   and data are separated by construction, and the differential oracle's
-//!   `fabric=` dimension pins that separation against regressions.
+//! * **Bit-exactness**: every frame is decoded by one real
+//!   [`HardwareDecoder`], reset per frame, so P cores would hold P
+//!   identical states and the decoded bits are independent of P, of the
+//!   arbitration policy, and of any modeled contention — timing and data
+//!   are separated by construction, and the differential oracle's
+//!   `fabric=` dimension pins that separation against regressions. P is a
+//!   parameter of the timing model alone.
 
 use crate::core::{CoreConfig, CycleBreakdown, HardwareDecoder, HwDecodeOutput};
 use crate::fault::FaultScenario;
+use crate::rom::ConnectivityRom;
 use crate::schedule::CnSchedule;
 use dvbs2_ldpc::DvbS2Code;
 use std::collections::VecDeque;
@@ -215,8 +219,9 @@ impl Port {
 #[derive(Debug)]
 pub struct DecoderFabric {
     config: FabricConfig,
-    cores: Vec<HardwareDecoder>,
-    n: usize,
+    /// The core every frame decodes on; `config.cores` is the timing
+    /// model's core count.
+    core: HardwareDecoder,
 }
 
 impl DecoderFabric {
@@ -229,19 +234,13 @@ impl DecoderFabric {
     /// code's ROM.
     pub fn new(code: &DvbS2Code, schedule: CnSchedule, config: FabricConfig) -> Self {
         assert!(config.cores > 0, "a fabric needs at least one core");
-        let cores = (0..config.cores)
-            .map(|_| HardwareDecoder::new(code, schedule.clone(), config.core))
-            .collect();
-        DecoderFabric { config, cores, n: code.params().n }
+        DecoderFabric { config, core: HardwareDecoder::new(code, schedule, config.core) }
     }
 
     /// Builds the fabric with the natural (unoptimized) schedule.
     pub fn with_natural_schedule(code: &DvbS2Code, config: FabricConfig) -> Self {
-        assert!(config.cores > 0, "a fabric needs at least one core");
-        let cores: Vec<HardwareDecoder> = (0..config.cores)
-            .map(|_| HardwareDecoder::with_natural_schedule(code, config.core))
-            .collect();
-        DecoderFabric { config, n: code.params().n, cores }
+        let rom = ConnectivityRom::build(code.params(), code.table());
+        Self::new(code, CnSchedule::natural(&rom), config)
     }
 
     /// The fabric configuration.
@@ -258,20 +257,17 @@ impl DecoderFabric {
     ///
     /// Panics if the scenario addresses memory or units outside a core.
     pub fn set_scenario(&mut self, scenario: FaultScenario) {
-        for core in &mut self.cores {
-            core.set_scenario(scenario);
-        }
+        self.core.set_scenario(scenario);
     }
 
     /// Quantizes float channel LLRs with the cores' shared quantizer.
     pub fn quantize_channel(&self, llrs: &[f64]) -> Vec<i32> {
-        self.cores[0].quantize_channel(llrs)
+        self.core.quantize_channel(llrs)
     }
 
     /// Decodes a batch of float-LLR frames (quantizing each first).
     pub fn decode_batch(&mut self, frames: &[Vec<f64>]) -> FabricOutput {
-        let quantized: Vec<Vec<i32>> =
-            frames.iter().map(|f| self.cores[0].quantize_channel(f)).collect();
+        let quantized: Vec<Vec<i32>> = frames.iter().map(|f| self.quantize_channel(f)).collect();
         self.decode_quantized_batch(&quantized)
     }
 
@@ -305,17 +301,15 @@ impl DecoderFabric {
         frames: &[Vec<i32>],
         mut traces: Option<&mut Vec<Vec<u64>>>,
     ) -> FabricOutput {
-        let p = self.config.cores;
         let mut outputs = Vec::with_capacity(frames.len());
-        for (f, channel) in frames.iter().enumerate() {
-            let core = &mut self.cores[f % p];
+        for channel in frames {
             let out = if let Some(ts) = traces.as_deref_mut() {
                 let mut trace = Vec::new();
-                let out = core.decode_quantized_traced(channel, &mut trace);
+                let out = self.core.decode_quantized_traced(channel, &mut trace);
                 ts.push(trace);
                 out
             } else {
-                core.decode_quantized(channel)
+                self.core.decode_quantized(channel)
             };
             outputs.push(out);
         }
@@ -332,7 +326,7 @@ impl DecoderFabric {
     fn simulate(&self, decode_cycles: &[usize]) -> (Vec<FrameTiming>, FabricStats) {
         let p = self.config.cores;
         let link = self.config.link_latency as u64;
-        let io_beats = self.n.div_ceil(self.config.core.p_io);
+        let io_beats = self.io_beats();
         let frames = decode_cycles.len();
 
         let mut stats = FabricStats {
@@ -475,12 +469,9 @@ impl DecoderFabric {
         (timings, stats)
     }
 
-    /// The per-frame cycle breakdown a bare core would report, for
-    /// cross-checking a fabric frame against [`CycleBreakdown`]: the fabric
-    /// span of an uncontended `P = 1, link = 0` frame equals
-    /// `breakdown.total_cycles`.
+    /// Bus beats needed to load one frame, `ceil(N / P_IO)`.
     pub fn io_beats(&self) -> usize {
-        self.n.div_ceil(self.config.core.p_io)
+        self.core.params().n.div_ceil(self.config.core.p_io)
     }
 
     /// Sum of the spans a P=1 zero-link fabric would take — the serial
@@ -489,7 +480,10 @@ impl DecoderFabric {
         outputs.iter().map(|o| o.cycles.total_cycles as u64).sum()
     }
 
-    /// Convenience view of one output's cycle breakdown.
+    /// The per-frame cycle breakdown a bare core would report, for
+    /// cross-checking a fabric frame against [`CycleBreakdown`]: the fabric
+    /// span of an uncontended `P = 1, link = 0` frame equals
+    /// `breakdown.total_cycles`.
     pub fn breakdown(output: &HwDecodeOutput) -> &CycleBreakdown {
         &output.cycles
     }

@@ -1,4 +1,5 @@
-//! Untimed golden model of the IP core's data flow.
+//! Untimed golden model of the IP core's data flow, and the frame both
+//! hardware models run in.
 //!
 //! Executes exactly the arithmetic the hardware performs — same message RAM
 //! layout, same shuffle rotations, same functional-unit input ordering (the
@@ -6,7 +7,9 @@
 //! partitioned zigzag chains — but with no clocking, banking or buffering.
 //! The cycle-accurate [`crate::HardwareDecoder`] must match this model bit
 //! for bit; that equivalence is the repository's analogue of RTL-versus-
-//! golden-model verification.
+//! golden-model verification. The two keep independent phases; what a frame
+//! is around them (RAM clear, power-on fault, unit reset, digest, early
+//! stop, totals and verdict) is one [`Frame`] that both hold.
 //!
 //! Two deliberate architectural deviations from the ideal sequential zigzag
 //! of `dvbs2_decoder::ZigzagDecoder` (both negligible at N = 64800, verified
@@ -25,6 +28,199 @@ use crate::schedule::CnSchedule;
 use crate::shuffle::ShuffleNetwork;
 use dvbs2_decoder::{hard_decisions_int, DecodeResult, Quantizer};
 use dvbs2_ldpc::{CodeParams, DvbS2Code, PARALLELISM};
+
+/// What both hardware models hold: the code's ROM and schedule, the
+/// functional units, the shuffle network, the fault scenario, the message
+/// RAM's information image and the a-posteriori totals. [`Frame::decode`]
+/// runs a frame around one model's phases, so the iteration loop and the
+/// verdict exist once.
+#[derive(Debug, Clone)]
+pub(crate) struct Frame {
+    pub(crate) params: CodeParams,
+    pub(crate) rom: ConnectivityRom,
+    pub(crate) schedule: CnSchedule,
+    pub(crate) fu: FunctionalUnitArray,
+    pub(crate) shuffle: ShuffleNetwork,
+    /// The corruption applies at logical commit points (each word
+    /// write-back plus the initial RAM contents, keyed on iteration and
+    /// phase), so equally-faulted models stay bit-exact.
+    pub(crate) scenario: FaultScenario,
+    /// Message RAM, word-major: `ram[word * 360 + lane]`. Holds
+    /// check-to-variable messages in information layout between iterations.
+    pub(crate) ram: Vec<i16>,
+    totals: Vec<i32>,
+}
+
+impl Frame {
+    /// # Panics
+    ///
+    /// Panics if the schedule does not match the code's ROM.
+    pub(crate) fn new(code: &DvbS2Code, schedule: CnSchedule, quantizer: Quantizer) -> Self {
+        let params = *code.params();
+        let rom = ConnectivityRom::build(&params, code.table());
+        schedule.validate(&rom).expect("schedule must match the code's ROM");
+        Frame {
+            fu: FunctionalUnitArray::new(&params, quantizer),
+            shuffle: ShuffleNetwork::new(PARALLELISM),
+            scenario: FaultScenario::none(),
+            ram: vec![0; rom.words() * PARALLELISM],
+            totals: vec![0; params.n],
+            params,
+            rom,
+            schedule,
+        }
+    }
+
+    /// # Panics
+    ///
+    /// Panics if any fault addresses memory or units outside the model.
+    pub(crate) fn set_scenario(&mut self, scenario: FaultScenario) {
+        scenario.validate(self.rom.words());
+        self.fu.set_fault(scenario.fu_fault());
+        self.scenario = scenario;
+    }
+
+    pub(crate) fn quantize_channel(&self, llrs: &[f64]) -> Vec<i32> {
+        let mut channel = vec![0; llrs.len()];
+        self.fu.quantizer().quantize_into(llrs, &mut channel);
+        channel
+    }
+
+    /// Decodes one frame: `phases(frame, iteration)` runs one model's
+    /// information and check phase, and everything around them happens
+    /// here. With `trace`, the message digest after every check phase is
+    /// recorded into it (cleared first).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel.len() != N`.
+    pub(crate) fn decode(
+        &mut self,
+        channel: &[i32],
+        max_iterations: usize,
+        early_stop: bool,
+        mut trace: Option<&mut Vec<u64>>,
+        mut phases: impl FnMut(&mut Frame, u32),
+    ) -> DecodeResult {
+        assert_eq!(channel.len(), self.params.n, "LLR length mismatch");
+        if let Some(t) = trace.as_deref_mut() {
+            t.clear();
+        }
+        self.ram.fill(0);
+        // A stuck cell is stuck from power-on.
+        let quantizer = *self.fu.quantizer();
+        self.scenario.corrupt_power_on(&mut self.ram, &quantizer);
+        self.fu.reset(channel);
+
+        let mut iterations = 0;
+        let mut converged = false;
+        while iterations < max_iterations && !converged {
+            phases(self, iterations as u32);
+            iterations += 1;
+            if let Some(t) = trace.as_deref_mut() {
+                t.push(self.message_digest());
+            }
+            // The totals sweep (one pass over E_IN; hardware folds it into
+            // the next information phase) is observable only through the
+            // early-stop test, so without early stop it runs once, below.
+            if early_stop {
+                converged = self.check(channel);
+            }
+        }
+        // The early-stop test judged the final state, unless it never ran:
+        // at a cap of 0 the verdict is the channel's own.
+        if !early_stop || iterations == 0 {
+            converged = self.check(channel);
+        }
+        DecodeResult { bits: hard_decisions_int(&self.totals), iterations, converged }
+    }
+
+    /// Computes the totals from the current state and tests the syndrome.
+    fn check(&mut self, channel: &[i32]) -> bool {
+        self.compute_totals(channel);
+        self.syndrome_clean()
+    }
+
+    /// Computes all a-posteriori totals from the information image and the
+    /// functional units' parity state.
+    fn compute_totals(&mut self, channel: &[i32]) {
+        let p = PARALLELISM;
+        let (ram, totals) = (&self.ram, &mut self.totals);
+        for g in 0..self.params.groups() {
+            let base = self.rom.group_base(g);
+            let d = self.params.group_degree(g);
+            for t in 0..p {
+                let m = g * p + t;
+                let mut total = channel[m];
+                for i in 0..d {
+                    total += ram[(base + i) * p + t] as i32;
+                }
+                totals[m] = total;
+            }
+        }
+        self.fu.parity_totals(channel, totals);
+    }
+
+    /// Evaluates every parity equation on the hard decisions of the totals
+    /// using the ROM structure directly, one residue row of 360 checks at a
+    /// time.
+    ///
+    /// A hard decision is the sign bit, and the sign bit of an XOR is the XOR
+    /// of the sign bits. The 360 syndromes of a row are therefore the signs
+    /// of one XOR of 360-wide blocks: the units' own parity totals, their
+    /// left neighbours', and for every ROM entry of the row the entry's
+    /// information group rotated by its shift (unit `u` reads node
+    /// `(u − shift) mod 360`), as two contiguous halves.
+    fn syndrome_clean(&self) -> bool {
+        let (p, k, q_rows) = (PARALLELISM, self.params.k, self.params.q);
+        let totals = &self.totals;
+        let mut syn = [0i32; PARALLELISM];
+        for r in 0..q_rows {
+            for (u, s) in syn.iter_mut().enumerate() {
+                let j = u * q_rows + r;
+                *s = totals[k + j] ^ if j > 0 { totals[k + j - 1] } else { 0 };
+            }
+            for &w in self.rom.row(r) {
+                let e = self.rom.entry(w as usize);
+                let (group, shift) = (e.group as usize * p, e.shift as usize);
+                let block = &totals[group..group + p];
+                for (s, &x) in syn[shift..].iter_mut().zip(&block[..p - shift]) {
+                    *s ^= x;
+                }
+                for (s, &x) in syn[..shift].iter_mut().zip(&block[p - shift..]) {
+                    *s ^= x;
+                }
+            }
+            if syn.iter().fold(0, |any, &s| any | s) < 0 {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Digest of the complete post-check-phase message state: the
+    /// information image plus the functional units' backward/forward/boundary
+    /// parity messages. Equal digests every iteration is the oracle's
+    /// definition of "bit-exact per-iteration messages".
+    ///
+    /// Every value is folded as the `i32` it widens to, so the digests are
+    /// the ones an `i32` message RAM produced.
+    fn message_digest(&self) -> u64 {
+        let h = 0xCBF2_9CE4_8422_2325; // FNV-1a offset basis
+        fold_digest(fold_digest(h, self.ram.iter().map(|&x| x as i32)), self.fu.parity_state())
+    }
+}
+
+/// Folds message values into an FNV-1a-style digest. Collisions only matter
+/// against *accidental* divergence here (differential check, not an
+/// adversary), so hashing each i32 as one unit is plenty.
+fn fold_digest(mut h: u64, vals: impl IntoIterator<Item = i32>) -> u64 {
+    for v in vals {
+        h ^= v as u32 as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
 
 /// The untimed functional model (see module docs).
 ///
@@ -66,28 +262,14 @@ use dvbs2_ldpc::{CodeParams, DvbS2Code, PARALLELISM};
 /// ("Chain-boundary semantics") carries the worked example.
 #[derive(Debug, Clone)]
 pub struct GoldenModel {
-    params: CodeParams,
-    rom: ConnectivityRom,
-    schedule: CnSchedule,
-    fu: FunctionalUnitArray,
-    shuffle: ShuffleNetwork,
+    frame: Frame,
     max_iterations: usize,
     early_stop: bool,
-    /// Modeled fault scenario, mirrored from [`crate::HardwareDecoder`]: the
-    /// corruption applies at the same logical commit points (each word
-    /// write-back plus the initial RAM contents, keyed on iteration and
-    /// phase), so a faulted timed core must stay bit-exact against an
-    /// equally-faulted golden model.
-    scenario: FaultScenario,
-    /// Message RAM, word-major: `ram[word * 360 + lane]`. Holds
-    /// check-to-variable messages in information layout between iterations.
-    ram: Vec<i16>,
     /// One check row as the functional units take it: the row's words, then
     /// the units' two parity input slots.
     row: Vec<i16>,
     /// The functional units' outputs for one group or one row.
     out: Vec<i16>,
-    totals: Vec<i32>,
 }
 
 impl GoldenModel {
@@ -104,50 +286,38 @@ impl GoldenModel {
         early_stop: bool,
     ) -> Self {
         let params = *code.params();
-        let rom = ConnectivityRom::build(&params, code.table());
-        schedule.validate(&rom).expect("schedule must match the code's ROM");
-        let words = rom.words();
         GoldenModel {
-            fu: FunctionalUnitArray::new(&params, quantizer),
-            shuffle: ShuffleNetwork::new(PARALLELISM),
+            frame: Frame::new(code, schedule, quantizer),
             max_iterations,
             early_stop,
-            scenario: FaultScenario::none(),
-            ram: vec![0; words * PARALLELISM],
             row: vec![0; params.check_degree * PARALLELISM],
             out: vec![0; params.hi.degree.max(params.check_degree) * PARALLELISM],
-            totals: vec![0; params.n],
-            params,
-            rom,
-            schedule,
         }
     }
 
     /// The code parameters.
     pub fn params(&self) -> &CodeParams {
-        &self.params
+        &self.frame.params
     }
 
     /// The connectivity ROM.
     pub fn rom(&self) -> &ConnectivityRom {
-        &self.rom
+        &self.frame.rom
     }
 
     /// The schedule in use.
     pub fn schedule(&self) -> &CnSchedule {
-        &self.schedule
+        &self.frame.schedule
     }
 
     /// The message quantizer.
     pub fn quantizer(&self) -> &Quantizer {
-        self.fu.quantizer()
+        self.frame.fu.quantizer()
     }
 
     /// Quantizes float channel LLRs with the model's quantizer.
     pub fn quantize_channel(&self, llrs: &[f64]) -> Vec<i32> {
-        let mut channel = vec![0; llrs.len()];
-        self.fu.quantizer().quantize_into(llrs, &mut channel);
-        channel
+        self.frame.quantize_channel(llrs)
     }
 
     /// Injects a complete [`FaultScenario`], mirroring
@@ -162,14 +332,12 @@ impl GoldenModel {
     ///
     /// Panics if any fault addresses memory or units outside the model.
     pub fn set_scenario(&mut self, scenario: FaultScenario) {
-        scenario.validate(self.rom.words());
-        self.fu.set_fault(scenario.fu_fault());
-        self.scenario = scenario;
+        self.frame.set_scenario(scenario);
     }
 
     /// The active fault scenario (empty when fault-free).
     pub fn scenario(&self) -> &FaultScenario {
-        &self.scenario
+        &self.frame.scenario
     }
 
     /// Decodes one frame of quantized channel LLRs.
@@ -196,197 +364,63 @@ impl GoldenModel {
         channel: &[i32],
         trace: &mut Vec<u64>,
     ) -> DecodeResult {
-        trace.clear();
         self.decode_inner(channel, Some(trace))
     }
 
-    fn decode_inner(&mut self, channel: &[i32], mut trace: Option<&mut Vec<u64>>) -> DecodeResult {
-        assert_eq!(channel.len(), self.params.n, "LLR length mismatch");
-        self.ram.fill(0);
-        // A stuck cell is stuck from power-on, exactly as in the core.
-        let quantizer = *self.fu.quantizer();
-        self.scenario.corrupt_power_on(&mut self.ram, &quantizer);
-        self.fu.reset(channel);
-        let mut iterations = 0;
-        let mut converged = false;
-
-        for iteration in 0..self.max_iterations {
-            iterations += 1;
-            self.information_phase(channel, iteration as u32);
-            self.check_phase(iteration as u32);
-            if let Some(t) = trace.as_deref_mut() {
-                t.push(message_digest(&self.ram, &self.fu));
-            }
-            // As in the timed core: the per-iteration totals sweep is only
-            // observable through the early-stop test, so without early
-            // stopping it runs once after the loop (bit-identical).
-            if self.early_stop {
-                self.compute_totals(channel);
-                if self.syndrome_clean() {
-                    converged = true;
-                    break;
-                }
-            }
-        }
-        if !converged {
-            if !self.early_stop {
-                self.compute_totals(channel);
-            }
-            converged = self.syndrome_clean();
-        }
-        DecodeResult { bits: hard_decisions_int(&self.totals), iterations, converged }
-    }
-
-    /// Variable-node half-iteration: each group reads its words in place,
-    /// and every output goes back with the entry's cyclic shift (leaving the
-    /// RAM in check layout).
-    fn information_phase(&mut self, channel: &[i32], iteration: u32) {
-        let p = PARALLELISM;
-        let quantizer = *self.fu.quantizer();
-        let point = CommitPoint { iteration, phase: CommitPhase::Info };
-        for g in 0..self.params.groups() {
-            let base = self.rom.group_base(g);
-            let d = self.params.group_degree(g);
-            let out = &mut self.out[..d * p];
-            self.fu.process_vn_group(
-                &channel[g * p..(g + 1) * p],
-                &self.ram[base * p..(base + d) * p],
-                out,
-            );
-            for (i, data) in out.chunks_exact(p).enumerate() {
-                let shift = self.rom.entry(base + i).shift as usize;
-                let word = &mut self.ram[(base + i) * p..(base + i + 1) * p];
-                self.shuffle.rotate(data, shift, word);
-                self.scenario.corrupt_word(base + i, word, &quantizer, point);
-            }
-        }
-    }
-
-    /// Check-node half-iteration: ascending residue rows, 360 parallel
-    /// zigzag chains, write-back with the inverse shift (returning the RAM
-    /// to information layout).
-    fn check_phase(&mut self, iteration: u32) {
-        let p = PARALLELISM;
-        let quantizer = *self.fu.quantizer();
-        let point = CommitPoint { iteration, phase: CommitPhase::Check };
-        self.fu.begin_check_phase();
-        for r in 0..self.params.q {
-            let words = self.schedule.row(r);
-            for (block, &w) in self.row.chunks_exact_mut(p).zip(words) {
-                block.copy_from_slice(&self.ram[w as usize * p..(w as usize + 1) * p]);
-            }
-            let out = &mut self.out[..self.row.len()];
-            self.fu.process_cn_row(r, &mut self.row, out);
-            for (data, &w) in out.chunks_exact(p).zip(words) {
-                let w = w as usize;
-                let inv = self.shuffle.inverse_shift(self.rom.entry(w).shift as usize);
-                let word = &mut self.ram[w * p..(w + 1) * p];
-                self.shuffle.rotate(data, inv, word);
-                self.scenario.corrupt_word(w, word, &quantizer, point);
-            }
-        }
-        self.fu.end_check_phase();
-    }
-
-    /// A-posteriori totals after a check phase (model-only sweep; hardware
-    /// folds this into the next information phase).
-    fn compute_totals(&mut self, channel: &[i32]) {
-        compute_totals(&self.params, &self.rom, &self.ram, &self.fu, channel, &mut self.totals);
-    }
-
-    /// Checks all parity equations on the current hard decisions using the
-    /// ROM structure directly (no Tanner graph needed).
-    fn syndrome_clean(&self) -> bool {
-        syndrome_clean(&self.params, &self.rom, &self.totals)
+    fn decode_inner(&mut self, channel: &[i32], trace: Option<&mut Vec<u64>>) -> DecodeResult {
+        let (row, out) = (&mut self.row, &mut self.out);
+        self.frame.decode(channel, self.max_iterations, self.early_stop, trace, |f, iteration| {
+            information_phase(f, out, channel, iteration);
+            check_phase(f, row, out, iteration);
+        })
     }
 }
 
-/// Computes all a-posteriori totals from an information-layout message RAM
-/// and the functional units' parity state. Shared by the golden and timed
-/// models.
-pub(crate) fn compute_totals(
-    params: &CodeParams,
-    rom: &ConnectivityRom,
-    ram: &[i16],
-    fu: &FunctionalUnitArray,
-    channel: &[i32],
-    totals: &mut [i32],
-) {
+/// Variable-node half-iteration: each group reads its words in place,
+/// and every output goes back with the entry's cyclic shift (leaving the
+/// RAM in check layout).
+fn information_phase(f: &mut Frame, out: &mut [i16], channel: &[i32], iteration: u32) {
     let p = PARALLELISM;
-    for g in 0..params.groups() {
-        let base = rom.group_base(g);
-        let d = params.group_degree(g);
-        for t in 0..p {
-            let m = g * p + t;
-            let mut total = channel[m];
-            for i in 0..d {
-                total += ram[(base + i) * p + t] as i32;
-            }
-            totals[m] = total;
+    let quantizer = *f.fu.quantizer();
+    let point = CommitPoint { iteration, phase: CommitPhase::Info };
+    for g in 0..f.params.groups() {
+        let base = f.rom.group_base(g);
+        let d = f.params.group_degree(g);
+        let out = &mut out[..d * p];
+        f.fu.process_vn_group(&channel[g * p..(g + 1) * p], &f.ram[base * p..(base + d) * p], out);
+        for (i, data) in out.chunks_exact(p).enumerate() {
+            let shift = f.rom.entry(base + i).shift as usize;
+            let word = &mut f.ram[(base + i) * p..(base + i + 1) * p];
+            f.shuffle.rotate(data, shift, word);
+            f.scenario.corrupt_word(base + i, word, &quantizer, point);
         }
     }
-    fu.parity_totals(channel, totals);
 }
 
-/// Evaluates every parity equation on the hard decisions of `totals` using
-/// the ROM structure directly, one residue row of 360 checks at a time.
-///
-/// A hard decision is the sign bit, and the sign bit of an XOR is the XOR of
-/// the sign bits. The 360 syndromes of a row are therefore the signs of one
-/// XOR of 360-wide blocks: the units' own parity totals, their left
-/// neighbours', and for every ROM entry of the row the entry's information
-/// group rotated by its shift (unit `u` reads node `(u − shift) mod 360`),
-/// as two contiguous halves.
-pub(crate) fn syndrome_clean(params: &CodeParams, rom: &ConnectivityRom, totals: &[i32]) -> bool {
+/// Check-node half-iteration: ascending residue rows, 360 parallel
+/// zigzag chains, write-back with the inverse shift (returning the RAM
+/// to information layout).
+fn check_phase(f: &mut Frame, row: &mut [i16], out: &mut [i16], iteration: u32) {
     let p = PARALLELISM;
-    let k = params.k;
-    let q_rows = params.q;
-    let mut syn = [0i32; PARALLELISM];
-    for r in 0..q_rows {
-        for (u, s) in syn.iter_mut().enumerate() {
-            let j = u * q_rows + r;
-            *s = totals[k + j] ^ if j > 0 { totals[k + j - 1] } else { 0 };
+    let quantizer = *f.fu.quantizer();
+    let point = CommitPoint { iteration, phase: CommitPhase::Check };
+    f.fu.begin_check_phase();
+    for r in 0..f.params.q {
+        let words = f.schedule.row(r);
+        for (block, &w) in row.chunks_exact_mut(p).zip(words) {
+            block.copy_from_slice(&f.ram[w as usize * p..(w as usize + 1) * p]);
         }
-        for &w in rom.row(r) {
-            let e = rom.entry(w as usize);
-            let (group, shift) = (e.group as usize * p, e.shift as usize);
-            let block = &totals[group..group + p];
-            for (s, &x) in syn[shift..].iter_mut().zip(&block[..p - shift]) {
-                *s ^= x;
-            }
-            for (s, &x) in syn[..shift].iter_mut().zip(&block[p - shift..]) {
-                *s ^= x;
-            }
-        }
-        if syn.iter().fold(0, |any, &s| any | s) < 0 {
-            return false;
+        let out = &mut out[..row.len()];
+        f.fu.process_cn_row(r, row, out);
+        for (data, &w) in out.chunks_exact(p).zip(words) {
+            let w = w as usize;
+            let inv = f.shuffle.inverse_shift(f.rom.entry(w).shift as usize);
+            let word = &mut f.ram[w * p..(w + 1) * p];
+            f.shuffle.rotate(data, inv, word);
+            f.scenario.corrupt_word(w, word, &quantizer, point);
         }
     }
-    true
-}
-
-/// Folds message values into an FNV-1a-style digest. Collisions only matter
-/// against *accidental* divergence here (differential check, not an
-/// adversary), so hashing each i32 as one unit is plenty.
-fn fold_digest(mut h: u64, vals: impl IntoIterator<Item = i32>) -> u64 {
-    for v in vals {
-        h ^= v as u32 as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Digest of the complete post-check-phase message state: the message RAM
-/// plus the functional units' backward/forward/boundary parity messages.
-/// Shared by the golden and timed models' traced decode entry points; equal
-/// digests every iteration is the oracle's definition of "bit-exact
-/// per-iteration messages".
-///
-/// Every value is folded as the `i32` it widens to, so the digests are the
-/// ones an `i32` message RAM produced.
-pub(crate) fn message_digest(ram: &[i16], fu: &FunctionalUnitArray) -> u64 {
-    let h = 0xCBF2_9CE4_8422_2325; // FNV-1a offset basis
-    fold_digest(fold_digest(h, ram.iter().map(|&x| x as i32)), fu.parity_state())
+    f.fu.end_check_phase();
 }
 
 #[cfg(test)]
@@ -551,8 +585,10 @@ mod tests {
             let code = DvbS2Code::new(rate, FrameSize::Short).unwrap();
             let params = code.params();
             let rom = ConnectivityRom::build(params, code.table());
-            let both = |totals: &[i32]| {
-                let row_wise = syndrome_clean(params, &rom, totals);
+            let mut frame = Frame::new(&code, CnSchedule::natural(&rom), Quantizer::paper_6bit());
+            let mut both = |totals: &[i32]| {
+                frame.totals.copy_from_slice(totals);
+                let row_wise = frame.syndrome_clean();
                 assert_eq!(row_wise, syndrome_clean_per_check(params, &rom, totals), "{rate}");
                 row_wise
             };

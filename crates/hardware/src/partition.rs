@@ -97,7 +97,7 @@ mod tests {
     }
 
     fn assert_bit_exact(code: &DvbS2Code, schedule: CnSchedule, rom: &ConnectivityRom) {
-        for &(max_iters, early_stop) in &[(30usize, true), (6usize, false)] {
+        for (max_iters, early_stop) in [(30, true), (6, false), (0, true), (0, false), (1, true)] {
             let mut golden = GoldenModel::new(
                 code,
                 schedule.clone(),
