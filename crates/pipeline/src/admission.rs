@@ -11,7 +11,7 @@
 //! [`crate::SubmitError::Rejected`].
 
 use dvbs2::ModcodTable;
-use dvbs2_hardware::ThroughputModel;
+use dvbs2_hardware::{ThroughputModel, ST_0_13_UM};
 
 /// Occupancy thresholds (fractions of ingress capacity) at which the
 /// demanded throughput escalates. Paired with [`DEMAND_MULTIPLIERS`].
@@ -51,10 +51,11 @@ pub struct AdmissionController {
 }
 
 impl AdmissionController {
-    /// Precomputes the shedding ladder of every slot in `table` against a
-    /// hardware throughput model (`model.iterations` is overridden per
-    /// slot by the slot's configured cap).
-    pub fn new(policy: AdmissionPolicy, table: &ModcodTable, model: &ThroughputModel) -> Self {
+    /// Precomputes the shedding ladder of every slot in `table` against the
+    /// paper's Eq. 8 throughput model of the 0.13 µm core, at the slot's
+    /// configured iteration cap.
+    pub fn new(policy: AdmissionPolicy, table: &ModcodTable) -> Self {
+        let model = ThroughputModel::paper(&ST_0_13_UM);
         let min_iterations = match policy {
             AdmissionPolicy::Off => 1,
             AdmissionPolicy::Adaptive { min_iterations } => min_iterations.max(1),
@@ -63,7 +64,7 @@ impl AdmissionController {
             .iter()
             .map(|entry| {
                 let cap = entry.profile.config.max_iterations.max(1);
-                let slot_model = ThroughputModel { iterations: cap, ..*model };
+                let slot_model = ThroughputModel { iterations: cap, ..model };
                 let base = slot_model.throughput_mbps(entry.params());
                 let mut rungs = [cap; DEMAND_MULTIPLIERS.len()];
                 for (rung, &mult) in rungs.iter_mut().zip(&DEMAND_MULTIPLIERS) {
@@ -105,7 +106,6 @@ mod tests {
     use dvbs2::channel::Modulation;
     use dvbs2::ldpc::{CodeRate, FrameSize};
     use dvbs2::Modcod;
-    use dvbs2_hardware::{ThroughputModel, ST_0_13_UM};
 
     fn table() -> ModcodTable {
         ModcodTable::build(&[
@@ -118,11 +118,7 @@ mod tests {
     #[test]
     fn off_policy_always_returns_the_configured_cap() {
         let t = table();
-        let ctl = AdmissionController::new(
-            AdmissionPolicy::Off,
-            &t,
-            &ThroughputModel::paper(&ST_0_13_UM),
-        );
+        let ctl = AdmissionController::new(AdmissionPolicy::Off, &t);
         for slot in 0..t.len() {
             let cap = t.entry(slot).profile.config.max_iterations;
             assert_eq!(ctl.cap_for(slot, 0.0), cap);
@@ -134,11 +130,7 @@ mod tests {
     #[test]
     fn adaptive_caps_fall_monotonically_with_pressure() {
         let t = table();
-        let ctl = AdmissionController::new(
-            AdmissionPolicy::Adaptive { min_iterations: 4 },
-            &t,
-            &ThroughputModel::paper(&ST_0_13_UM),
-        );
+        let ctl = AdmissionController::new(AdmissionPolicy::Adaptive { min_iterations: 4 }, &t);
         for slot in 0..t.len() {
             let caps: Vec<usize> =
                 [0.0, 0.5, 0.75, 0.9].iter().map(|&o| ctl.cap_for(slot, o)).collect();
@@ -154,11 +146,7 @@ mod tests {
         // The Table 3 shape: iteration time dominates the frame cycle
         // budget, so 2x throughput needs just under half the iterations.
         let t = table();
-        let ctl = AdmissionController::new(
-            AdmissionPolicy::Adaptive { min_iterations: 1 },
-            &t,
-            &ThroughputModel::paper(&ST_0_13_UM),
-        );
+        let ctl = AdmissionController::new(AdmissionPolicy::Adaptive { min_iterations: 1 }, &t);
         let base = ctl.base_cap(0);
         let shed = ctl.cap_for(0, 0.95);
         assert!(shed <= base / 2 + 1, "base {base}, shed {shed}");

@@ -11,16 +11,18 @@
 //!   every stage bounded, with per-worker decoder reuse via
 //!   [`Decoder::decode_into`](dvbs2_decoder::Decoder::decode_into);
 //! * [`BoundedQueue`] — the backpressuring stage connector;
+//! * [`ReleaseBuffer`] — gap-free in-order release by sequence number, the
+//!   reorder stage here and in the service tier's per-stream egress;
 //! * [`AdmissionController`] — iteration-budget load shedding driven by
-//!   the hardware [`ThroughputModel`](dvbs2_hardware::ThroughputModel)
+//!   the Eq. 8 [`ThroughputModel`](dvbs2_hardware::ThroughputModel)
 //!   (the paper's Table 3 iterations-vs-throughput trade, run backwards);
 //! * [`QuarantinePolicy`] — syndrome-anomaly fault containment: a worker
 //!   whose decode statistics look like broken hardware (convergence
 //!   collapse plus abnormal residual syndrome weight) takes itself out of
 //!   rotation and re-probes with a known-answer vector until healthy;
 //! * [`PipelineStats`] — frames in/out/rejected/dropped, queue
-//!   watermarks, an iterations histogram, early-stop rate, ns/frame and
-//!   the fault-containment counters.
+//!   watermarks, an iterations histogram, early-stop rate, ns/frame, the
+//!   fault-containment counters and a [`LatencyRecorder`] snapshot.
 //!
 //! # Example
 //!
@@ -62,16 +64,15 @@
 mod admission;
 mod health;
 mod queue;
+mod reorder;
 mod service;
 mod stats;
 
 pub use admission::{AdmissionController, AdmissionPolicy, DEMAND_MULTIPLIERS, OCCUPANCY_STEPS};
 pub use health::{QuarantinePolicy, WorkerFaultInjection, WorkerHealth};
 pub use queue::BoundedQueue;
+pub use reorder::ReleaseBuffer;
 pub use service::{
     DecodePipeline, DecodedFrame, PipelineConfig, PipelineHealth, SoftFrame, SubmitError,
 };
-pub use stats::{
-    histogram_quantile_index, latency_bucket, latency_bucket_floor_ns, PipelineStats, StatsCore,
-    ITERATION_BUCKETS, LATENCY_BUCKETS,
-};
+pub use stats::{LatencyRecorder, LatencySnapshot, PipelineStats, StatsCore, ITERATION_BUCKETS};

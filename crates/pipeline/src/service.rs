@@ -30,13 +30,13 @@
 use crate::admission::{AdmissionController, AdmissionPolicy};
 use crate::health::{QuarantinePolicy, WorkerFaultInjection, WorkerHealth};
 use crate::queue::BoundedQueue;
+use crate::reorder::ReleaseBuffer;
 use crate::stats::{PipelineStats, StatsCore};
 use dvbs2::{ModcodEntry, ModcodTable};
 use dvbs2_channel::LlrFrame;
 use dvbs2_decoder::{syndrome_weight, DecodeResult, Decoder};
-use dvbs2_hardware::{ThroughputModel, ST_0_13_UM};
 use dvbs2_ldpc::BitVec;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -195,8 +195,6 @@ pub struct PipelineConfig {
     pub max_in_flight: usize,
     /// Load-shedding policy.
     pub admission: AdmissionPolicy,
-    /// Hardware model the admission ladder is computed against.
-    pub throughput_model: ThroughputModel,
     /// Syndrome-anomaly quarantine policy (disabled by default).
     pub quarantine: QuarantinePolicy,
     /// Test/bench hook: deterministically corrupt one worker's input
@@ -212,7 +210,6 @@ impl Default for PipelineConfig {
             egress_capacity: 64,
             max_in_flight: 160,
             admission: AdmissionPolicy::Off,
-            throughput_model: ThroughputModel::paper(&ST_0_13_UM),
             quarantine: QuarantinePolicy::default(),
             fault_injection: None,
         }
@@ -223,12 +220,6 @@ struct WorkItem {
     seq: u64,
     accepted_at: Instant,
     frame: SoftFrame,
-}
-
-#[derive(Default)]
-struct Reorder {
-    next_emit: u64,
-    pending: BTreeMap<u64, DecodedFrame>,
 }
 
 struct SubmitState {
@@ -242,7 +233,7 @@ struct Shared {
     admission: AdmissionController,
     ingress: BoundedQueue<WorkItem>,
     egress: BoundedQueue<DecodedFrame>,
-    reorder: Mutex<Reorder>,
+    reorder: Mutex<ReleaseBuffer<DecodedFrame>>,
     submit: Mutex<SubmitState>,
     /// Signalled whenever pipeline space frees (ingress pop or egress
     /// consumption) or shutdown starts; blocking submitters wait here.
@@ -268,14 +259,12 @@ impl DecodePipeline {
         assert!(config.workers > 0, "the pipeline needs at least one worker");
         assert!(!table.is_empty(), "the MODCOD table must define at least one slot");
         assert!(config.max_in_flight >= 1, "the in-flight budget must admit a frame");
-        let admission =
-            AdmissionController::new(config.admission, &table, &config.throughput_model);
         let shared = Arc::new(Shared {
-            admission,
+            admission: AdmissionController::new(config.admission, &table),
             stats: StatsCore::default(),
             ingress: BoundedQueue::new(config.ingress_capacity),
             egress: BoundedQueue::new(config.egress_capacity),
-            reorder: Mutex::new(Reorder::default()),
+            reorder: Mutex::new(ReleaseBuffer::default()),
             submit: Mutex::new(SubmitState { next_seq: 0 }),
             space: Condvar::new(),
             shutting_down: AtomicBool::new(false),
@@ -488,30 +477,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
         decode_count += 1;
 
         let slot = item.frame.modcod;
-        // Defensive dispatch: submission validates slots against the
-        // table, so an undefined slot here means the item was corrupted
-        // in flight. Panicking would strand this worker's sequence
-        // numbers and hang the reorder stage for every consumer —
-        // instead emit a non-converged placeholder so egress stays
-        // gap-free and in order.
-        let Some(entry) = shared.table.lookup(slot) else {
-            shared.stats.record_decode(0, false, false, 0);
-            let n = item.frame.llrs.len();
-            let decoded = DecodedFrame {
-                seq: item.seq,
-                stream_index: item.frame.stream_index,
-                modcod: slot,
-                bits: (0..n).map(|_| false).collect(),
-                info_len: 0,
-                iterations: 0,
-                converged: false,
-                iteration_cap: 0,
-                accepted_at: item.accepted_at,
-                emitted_at: item.accepted_at,
-            };
-            emit_in_order(shared, decoded);
-            continue;
-        };
+        let entry = shared.table.entry(slot);
         let decoder = decoders.entry(slot).or_insert_with(|| entry.make_decoder());
         let occupancy = shared.ingress.len() as f64 / shared.ingress.capacity() as f64;
         let cap = shared.admission.cap_for(slot, occupancy);
@@ -569,13 +535,8 @@ fn worker_loop(shared: &Shared, worker: usize) {
         // Last worker out: anything still in the reorder buffer is
         // unreachable (a gap means a frame never completed) — account it
         // as dropped rather than hanging the consumer.
-        let mut reorder = shared.reorder.lock().expect("no panics hold the reorder lock");
-        let stuck = reorder.pending.len() as u64;
-        if stuck > 0 {
-            shared.stats.dropped.fetch_add(stuck, Ordering::Relaxed);
-            reorder.pending.clear();
-        }
-        drop(reorder);
+        let stuck = shared.reorder.lock().expect("no panics hold the reorder lock").take_stuck();
+        shared.stats.dropped.fetch_add(stuck.len() as u64, Ordering::Relaxed);
         shared.egress.close();
     }
 }
@@ -668,15 +629,11 @@ fn quarantine(
 /// Inserts a decoded frame and drains the in-order run to egress.
 fn emit_in_order(shared: &Shared, decoded: DecodedFrame) {
     let mut reorder = shared.reorder.lock().expect("no panics hold the reorder lock");
-    reorder.pending.insert(decoded.seq, decoded);
-    StatsCore::raise_watermark(&shared.stats.reorder_watermark, reorder.pending.len());
-    while let Some(mut frame) = {
-        let next = reorder.next_emit;
-        reorder.pending.remove(&next)
-    } {
-        reorder.next_emit += 1;
+    reorder.insert(decoded.seq, decoded);
+    StatsCore::raise_watermark(&shared.stats.reorder_watermark, reorder.pending());
+    while let Some(mut frame) = reorder.pop() {
         frame.emitted_at = Instant::now();
-        shared.stats.record_latency(frame.latency().as_nanos() as u64);
+        shared.stats.latency.record(frame.latency().as_nanos() as u64);
         // Blocking push while holding the reorder lock is safe: the
         // consumer side never takes this lock, so egress keeps draining.
         // Other workers queue behind the lock, which is exactly the

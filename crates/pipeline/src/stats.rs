@@ -1,10 +1,11 @@
-//! Pipeline observability: lock-free counters, an iteration histogram and
-//! a consistent snapshot API.
+//! Pipeline observability: lock-free counters, an iteration histogram, the
+//! end-to-end latency recorder the service tier shares, and a consistent
+//! snapshot API.
 //!
 //! Counters are plain relaxed atomics — each is individually exact, and
-//! the invariants the soak asserts (`submitted == decoded + rejected`,
-//! histogram totals) hold exactly once the pipeline has quiesced, which is
-//! when the assertions run.
+//! the invariants the soak asserts (`offered == submitted + rejected`,
+//! `decoded == submitted`, histogram totals) hold exactly once the
+//! pipeline has quiesced, which is when the assertions run.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -12,13 +13,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// above the last bucket saturate into it.
 pub const ITERATION_BUCKETS: usize = 64;
 
-/// Number of buckets in the end-to-end latency histogram: log-linear with
-/// 16 sub-buckets per power of two (≤ 6.25 % relative bucket width), exact
+/// Number of buckets in the latency histogram: log-linear with 16
+/// sub-buckets per power of two (≤ 6.25 % relative bucket width), exact
 /// below 16 ns, covering up to `2^39` ns (~9 minutes) before saturating.
-pub const LATENCY_BUCKETS: usize = 576;
+const LATENCY_BUCKETS: usize = 576;
 
 /// The latency histogram bucket a nanosecond value falls into.
-pub fn latency_bucket(ns: u64) -> usize {
+fn latency_bucket(ns: u64) -> usize {
     if ns < 16 {
         return ns as usize;
     }
@@ -29,7 +30,7 @@ pub fn latency_bucket(ns: u64) -> usize {
 
 /// The smallest nanosecond value that lands in `bucket` — the conservative
 /// (lower-bound) representative a quantile report uses.
-pub fn latency_bucket_floor_ns(bucket: usize) -> u64 {
+fn latency_bucket_floor_ns(bucket: usize) -> u64 {
     assert!(bucket < LATENCY_BUCKETS, "bucket {bucket} out of range");
     if bucket < 16 {
         return bucket as u64;
@@ -42,7 +43,7 @@ pub fn latency_bucket_floor_ns(bucket: usize) -> u64 {
 /// Nearest-rank quantile over a bucketed histogram: the index of the
 /// bucket holding the `ceil(q * total)`-th observation, or `None` when the
 /// histogram is empty.
-pub fn histogram_quantile_index(counts: &[u64], q: f64) -> Option<usize> {
+fn histogram_quantile_index(counts: &[u64], q: f64) -> Option<usize> {
     let total: u64 = counts.iter().sum();
     if total == 0 {
         return None;
@@ -57,6 +58,77 @@ pub fn histogram_quantile_index(counts: &[u64], q: f64) -> Option<usize> {
         }
     }
     Some(counts.len() - 1)
+}
+
+/// Live end-to-end latency recorder: a log-linear histogram plus the sum
+/// and the maximum of every recorded value. The pipeline records
+/// accepted→emitted time into one, the service tier submit→delivery time.
+#[derive(Debug)]
+pub struct LatencyRecorder {
+    total_ns: AtomicU64,
+    max_ns: AtomicU64,
+    histogram: [AtomicU64; LATENCY_BUCKETS],
+}
+
+impl Default for LatencyRecorder {
+    fn default() -> Self {
+        LatencyRecorder {
+            total_ns: AtomicU64::new(0),
+            max_ns: AtomicU64::new(0),
+            histogram: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+}
+
+impl LatencyRecorder {
+    /// Records one latency sample.
+    pub fn record(&self, ns: u64) {
+        self.total_ns.fetch_add(ns, Ordering::Relaxed);
+        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        self.histogram[latency_bucket(ns)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A point-in-time copy of the recorder.
+    pub fn snapshot(&self) -> LatencySnapshot {
+        LatencySnapshot {
+            total_ns: self.total_ns.load(Ordering::Relaxed),
+            max_ns: self.max_ns.load(Ordering::Relaxed),
+            histogram: self.histogram.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+        }
+    }
+}
+
+/// A point-in-time copy of a [`LatencyRecorder`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LatencySnapshot {
+    /// Sum of every recorded latency, ns.
+    pub total_ns: u64,
+    /// Largest recorded latency, ns.
+    pub max_ns: u64,
+    histogram: Vec<u64>,
+}
+
+impl LatencySnapshot {
+    /// Samples recorded.
+    pub fn count(&self) -> u64 {
+        self.histogram.iter().sum()
+    }
+
+    /// Latency quantile in nanoseconds (nearest rank over the log-linear
+    /// histogram, reported as the bucket's lower bound — a conservative
+    /// value within 6.25 % of the true quantile). Returns 0 before any
+    /// sample.
+    pub fn quantile_ns(&self, q: f64) -> u64 {
+        histogram_quantile_index(&self.histogram, q).map_or(0, latency_bucket_floor_ns)
+    }
+
+    /// Mean latency per recorded sample in nanoseconds (0 before any).
+    pub fn mean_ns(&self) -> f64 {
+        match self.count() {
+            0 => 0.0,
+            count => self.total_ns as f64 / count as f64,
+        }
+    }
 }
 
 /// Shared counter block the pipeline stages update in place.
@@ -106,13 +178,8 @@ pub struct StatsCore {
     pub probes_run: AtomicU64,
     /// Known-answer probes that failed (wrong word or no convergence).
     pub probes_failed: AtomicU64,
-    /// Total accepted→emitted nanoseconds across all emitted frames.
-    pub latency_ns_total: AtomicU64,
-    /// Worst accepted→emitted latency observed (nanoseconds).
-    pub latency_watermark_ns: AtomicU64,
-    /// Log-linear accepted→emitted latency histogram (see
-    /// [`latency_bucket`]).
-    pub latency_histogram: [AtomicU64; LATENCY_BUCKETS],
+    /// Accepted→emitted latency of every emitted frame.
+    pub latency: LatencyRecorder,
 }
 
 impl Default for StatsCore {
@@ -138,9 +205,7 @@ impl Default for StatsCore {
             quarantined_now: AtomicUsize::new(0),
             probes_run: AtomicU64::new(0),
             probes_failed: AtomicU64::new(0),
-            latency_ns_total: AtomicU64::new(0),
-            latency_watermark_ns: AtomicU64::new(0),
-            latency_histogram: std::array::from_fn(|_| AtomicU64::new(0)),
+            latency: LatencyRecorder::default(),
         }
     }
 }
@@ -166,21 +231,10 @@ impl StatsCore {
         slot.fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// Records one frame's accepted→emitted latency.
-    pub fn record_latency(&self, ns: u64) {
-        self.latency_ns_total.fetch_add(ns, Ordering::Relaxed);
-        self.latency_watermark_ns.fetch_max(ns, Ordering::Relaxed);
-        self.latency_histogram[latency_bucket(ns)].fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Takes a snapshot of every counter.
     pub fn snapshot(&self) -> PipelineStats {
         let mut iteration_histogram = [0u64; ITERATION_BUCKETS];
         for (out, bucket) in iteration_histogram.iter_mut().zip(&self.iteration_histogram) {
-            *out = bucket.load(Ordering::Relaxed);
-        }
-        let mut latency_histogram = [0u64; LATENCY_BUCKETS];
-        for (out, bucket) in latency_histogram.iter_mut().zip(&self.latency_histogram) {
             *out = bucket.load(Ordering::Relaxed);
         }
         PipelineStats {
@@ -204,9 +258,7 @@ impl StatsCore {
             quarantined_now: self.quarantined_now.load(Ordering::Relaxed),
             probes_run: self.probes_run.load(Ordering::Relaxed),
             probes_failed: self.probes_failed.load(Ordering::Relaxed),
-            latency_ns_total: self.latency_ns_total.load(Ordering::Relaxed),
-            latency_watermark_ns: self.latency_watermark_ns.load(Ordering::Relaxed),
-            latency_histogram,
+            latency: self.latency.snapshot(),
         }
     }
 }
@@ -254,13 +306,8 @@ pub struct PipelineStats {
     pub probes_run: u64,
     /// Known-answer probes failed.
     pub probes_failed: u64,
-    /// Total accepted→emitted nanoseconds across emitted frames.
-    pub latency_ns_total: u64,
-    /// Worst accepted→emitted latency observed (nanoseconds).
-    pub latency_watermark_ns: u64,
-    /// Log-linear accepted→emitted latency histogram (bucket geometry in
-    /// [`latency_bucket`] / [`latency_bucket_floor_ns`]).
-    pub latency_histogram: [u64; LATENCY_BUCKETS],
+    /// Accepted→emitted latency of the emitted frames.
+    pub latency: LatencySnapshot,
 }
 
 impl PipelineStats {
@@ -303,23 +350,6 @@ impl PipelineStats {
     /// Returns 0 when nothing has been decoded.
     pub fn iteration_quantile(&self, q: f64) -> usize {
         histogram_quantile_index(&self.iteration_histogram, q).unwrap_or(0)
-    }
-
-    /// Accepted→emitted latency quantile in nanoseconds (nearest rank over
-    /// the log-linear histogram, reported as the bucket's lower bound — a
-    /// conservative value within 6.25 % of the true quantile). Returns 0
-    /// before any frame has been emitted.
-    pub fn latency_quantile_ns(&self, q: f64) -> u64 {
-        histogram_quantile_index(&self.latency_histogram, q).map_or(0, latency_bucket_floor_ns)
-    }
-
-    /// Mean accepted→emitted latency per emitted frame in nanoseconds.
-    pub fn mean_latency_ns(&self) -> f64 {
-        if self.emitted == 0 {
-            0.0
-        } else {
-            self.latency_ns_total as f64 / self.emitted as f64
-        }
     }
 }
 
@@ -437,23 +467,38 @@ mod tests {
     fn latency_quantiles_track_recorded_values() {
         let core = StatsCore::default();
         for _ in 0..99 {
-            core.record_latency(1_000);
+            core.latency.record(1_000);
         }
-        core.record_latency(1_000_000);
-        // `emitted` drives the mean's denominator.
-        core.emitted.store(100, Ordering::Relaxed);
-        let s = core.snapshot();
-        let p50 = s.latency_quantile_ns(0.50);
+        core.latency.record(1_000_000);
+        let s = core.snapshot().latency;
+        let p50 = s.quantile_ns(0.50);
         assert!((992..=1_000).contains(&p50), "p50 {p50} within one bucket below 1000");
-        let p999 = s.latency_quantile_ns(0.999);
+        let p999 = s.quantile_ns(0.999);
         assert!(p999 > 900_000 && p999 <= 1_000_000, "p999 {p999}");
-        assert_eq!(s.latency_watermark_ns, 1_000_000);
-        assert!((s.mean_latency_ns() - 10_990.0).abs() < 1e-9);
+        assert_eq!(s.max_ns, 1_000_000);
+        assert!((s.mean_ns() - 10_990.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn latency_quantiles_round_trip_the_shared_geometry() {
+        let recorder = LatencyRecorder::default();
+        for _ in 0..999 {
+            recorder.record(10_000);
+        }
+        recorder.record(5_000_000);
+        let s = recorder.snapshot();
+        assert_eq!(s.count(), 1000);
+        let p50 = s.quantile_ns(0.5);
+        assert!((9_376..=10_000).contains(&p50), "p50 {p50} one bucket below 10us");
+        let p999 = s.quantile_ns(0.999);
+        assert!(p999 <= 10_000, "p999 rank 999 still lands on the 10us mass");
+        assert_eq!(s.max_ns, 5_000_000);
     }
 
     #[test]
     fn rates_are_defined_on_the_empty_pipeline() {
         let s = StatsCore::default().snapshot();
+        assert_eq!(s.latency.mean_ns(), 0.0);
         assert_eq!(s.mean_iterations(), 0.0);
         assert_eq!(s.early_stop_rate(), 0.0);
         assert_eq!(s.ns_per_frame(), 0.0);

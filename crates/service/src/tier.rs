@@ -9,9 +9,10 @@
 //! admit order. Across shards — after a migration or a rolling
 //! reconfiguration — the service-level egress stage holds each stream's
 //! frames in a per-stream reorder buffer keyed by that sequence number and
-//! releases them strictly in order. A frame admitted to any shard is
-//! always delivered (pipelines never drop admitted frames outside of
-//! teardown), so the buffer never waits on a hole that cannot fill.
+//! releases them strictly in order, stamping each frame's latency as it
+//! is released. A frame admitted to any shard is always delivered
+//! (pipelines never drop admitted frames outside of teardown), so the
+//! buffer never waits on a hole that cannot fill.
 
 use crate::stats::{ServiceStats, ServiceStatsCore, TenantStats};
 use crate::tenant::{SlaClass, TenantPolicy, TenantState};
@@ -20,11 +21,11 @@ use dvbs2::{ModcodRegistry, ModcodTable};
 use dvbs2_channel::StreamKey;
 use dvbs2_ldpc::BitVec;
 use dvbs2_pipeline::{
-    DecodePipeline, DecodedFrame, PipelineConfig, PipelineHealth, SoftFrame, SubmitError,
-    WorkerFaultInjection,
+    DecodePipeline, DecodedFrame, PipelineConfig, PipelineHealth, ReleaseBuffer, SoftFrame,
+    SubmitError, WorkerFaultInjection,
 };
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -52,7 +53,8 @@ pub struct ServiceOutput {
     pub shard: u64,
     /// MODCOD-table epoch the decoding shard was built under.
     pub epoch: u64,
-    /// End-to-end service latency (submit to in-order delivery), ns.
+    /// End-to-end service latency (submit to in-order delivery), ns:
+    /// stamped when the per-stream reorder stage releases the frame.
     pub latency_ns: u64,
     /// The decoded frame itself.
     pub decoded: DecodedFrame,
@@ -175,9 +177,10 @@ struct Shard {
     uid: u64,
     epoch: u64,
     pipeline: DecodePipeline,
-    /// MODCOD slots this shard has served — its decoder caches are warm
-    /// for these, so routing prefers affine shards.
-    affinity: Mutex<HashSet<usize>>,
+    /// One flag per MODCOD slot of the shard's table, set once the shard
+    /// has served the slot — its decoder caches are warm for these, so
+    /// routing prefers affine shards.
+    affinity: Box<[AtomicBool]>,
     /// Streams currently routed here (load-balancing signal only).
     streams: AtomicUsize,
     draining: AtomicBool,
@@ -204,13 +207,12 @@ struct FrameMeta {
 }
 
 #[derive(Default)]
-struct StreamEgress {
-    next_deliver: u64,
-    pending: BTreeMap<u64, ServiceOutput>,
-}
-
 struct EgressState {
-    streams: HashMap<StreamKey, StreamEgress>,
+    /// Routing ticket → stream metadata for frames inside some shard.
+    tickets: HashMap<u64, FrameMeta>,
+    /// Per-stream release buffers; each held output keeps its submit
+    /// instant so its latency is stamped when it is released.
+    streams: HashMap<StreamKey, ReleaseBuffer<(Instant, ServiceOutput)>>,
     /// In-order outputs awaiting consumption. Unbounded, but transitively
     /// bounded by the sum of tenant budgets: a frame only exists here
     /// while its tenant budget unit is still claimed.
@@ -226,8 +228,6 @@ struct Inner {
     tenants: BTreeMap<u32, TenantState>,
     route: Mutex<RouteState>,
     shards: RwLock<Vec<Arc<Shard>>>,
-    /// Routing ticket → stream metadata for frames inside some shard.
-    meta: Mutex<HashMap<u64, FrameMeta>>,
     egress: Mutex<EgressState>,
     output_ready: Condvar,
     shutting_down: AtomicBool,
@@ -240,7 +240,7 @@ struct Inner {
 pub struct ServiceTier {
     inner: Arc<Inner>,
     collectors: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    monitor: Mutex<Option<std::thread::JoinHandle<()>>>,
+    monitor: Option<std::thread::JoinHandle<()>>,
 }
 
 impl ServiceTier {
@@ -263,22 +263,17 @@ impl ServiceTier {
             tenants,
             route: Mutex::new(RouteState { routes: HashMap::new() }),
             shards: RwLock::new(Vec::new()),
-            meta: Mutex::new(HashMap::new()),
-            egress: Mutex::new(EgressState {
-                streams: HashMap::new(),
-                ready: VecDeque::new(),
-                open_collectors: 0,
-            }),
+            egress: Mutex::new(EgressState::default()),
             output_ready: Condvar::new(),
             shutting_down: AtomicBool::new(false),
             next_shard_uid: AtomicU64::new(0),
             next_ticket: AtomicU64::new(0),
             config,
         });
-        let tier = ServiceTier {
+        let mut tier = ServiceTier {
             inner: Arc::clone(&inner),
             collectors: Mutex::new(Vec::new()),
-            monitor: Mutex::new(None),
+            monitor: None,
         };
         let snapshot = inner.registry.snapshot();
         {
@@ -295,7 +290,7 @@ impl ServiceTier {
                 .name("service-monitor".into())
                 .spawn(move || monitor_loop(&monitor_inner))
                 .expect("spawning the service monitor");
-            *tier.monitor.lock().expect("no panics hold the monitor handle") = Some(handle);
+            tier.monitor = Some(handle);
         }
         tier
     }
@@ -311,11 +306,12 @@ impl ServiceTier {
         let uid = inner.next_shard_uid.fetch_add(1, Ordering::Relaxed);
         let mut pipeline_config = inner.config.pipeline;
         pipeline_config.fault_injection = fault;
+        let affinity = (0..table.len()).map(|_| AtomicBool::new(false)).collect();
         let shard = Arc::new(Shard {
             uid,
             epoch,
             pipeline: DecodePipeline::start(table, pipeline_config),
-            affinity: Mutex::new(HashSet::new()),
+            affinity,
             streams: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
         });
@@ -380,7 +376,6 @@ impl ServiceTier {
             if shard.pipeline.in_flight() * 2 >= cap {
                 tenant.release();
                 tenant.shed.fetch_add(1, Ordering::Relaxed);
-                inner.stats.shed_latency.fetch_add(1, Ordering::Relaxed);
                 return Err(ServiceError::Shed(frame));
             }
         }
@@ -390,12 +385,13 @@ impl ServiceTier {
             StreamRoute { shard_uid: shard.uid, next_seq: 0, modcod: frame.modcod }
         });
         let stream_seq = entry.next_seq;
-        // Metadata goes in before the admit so the collector can never
+        // The ticket goes in before the admit so the collector can never
         // see a ticket it cannot resolve.
         inner
-            .meta
+            .egress
             .lock()
-            .expect("no panics hold the meta lock")
+            .expect("no panics hold the egress lock")
+            .tickets
             .insert(ticket, FrameMeta { key, stream_seq, submitted_at: Instant::now() });
         let soft = SoftFrame { modcod: frame.modcod, stream_index: ticket, llrs: frame.llrs };
         match shard.pipeline.try_submit(soft) {
@@ -409,17 +405,18 @@ impl ServiceTier {
                 if migrated {
                     inner.stats.migrations.fetch_add(1, Ordering::Relaxed);
                 }
-                shard
-                    .affinity
-                    .lock()
-                    .expect("no panics hold the affinity lock")
-                    .insert(frame.modcod);
+                // The shard admitted the slot, so it is in the shard's table.
+                shard.affinity[frame.modcod].store(true, Ordering::Relaxed);
                 tenant.submitted.fetch_add(1, Ordering::Relaxed);
-                inner.stats.submitted.fetch_add(1, Ordering::Relaxed);
                 Ok(stream_seq)
             }
             Err(err) => {
-                inner.meta.lock().expect("no panics hold the meta lock").remove(&ticket);
+                inner
+                    .egress
+                    .lock()
+                    .expect("no panics hold the egress lock")
+                    .tickets
+                    .remove(&ticket);
                 tenant.release();
                 tenant.rejected.fetch_add(1, Ordering::Relaxed);
                 let rebuild = |f: SoftFrame| ServiceFrame { key, modcod: f.modcod, llrs: f.llrs };
@@ -549,16 +546,15 @@ impl ServiceTier {
     /// and the monitor, and returns the final counters. Outputs still in
     /// the ready queue at that point are dropped with the tier — consume
     /// them (via [`ServiceTier::next_output`]) before or while finishing.
-    pub fn finish(self) -> ServiceStats {
+    pub fn finish(mut self) -> ServiceStats {
         self.shutdown();
         self.stats()
     }
 
-    fn shutdown(&self) {
+    fn shutdown(&mut self) {
         let inner = &*self.inner;
         inner.shutting_down.store(true, Ordering::Release);
-        if let Some(handle) = self.monitor.lock().expect("no panics hold the monitor handle").take()
-        {
+        if let Some(handle) = self.monitor.take() {
             let _ = handle.join();
         }
         {
@@ -658,7 +654,7 @@ fn pick_shard(
     let best = costs.iter().copied().reduce(|a, b| if le(a, b) { a } else { b })?;
     let (affine, plain): (Vec<&Arc<Shard>>, Vec<&Arc<Shard>>) =
         open.iter().zip(&costs).filter(|&(_, &c)| le(c, best)).map(|(s, _)| *s).partition(|s| {
-            s.affinity.lock().expect("no panics hold the affinity lock").contains(&modcod)
+            s.affinity.get(modcod).is_some_and(|affine| affine.load(Ordering::Relaxed))
         });
     let candidates = if affine.is_empty() { plain } else { affine };
     let mut hasher = DefaultHasher::new();
@@ -666,55 +662,63 @@ fn pick_shard(
     Some(Arc::clone(candidates[hasher.finish() as usize % candidates.len()]))
 }
 
-/// Per-shard egress pump: resolves routing tickets back to streams and
-/// feeds the service-level per-stream reorder stage. Exits when the
-/// shard's pipeline closes its egress (drain complete).
+/// Per-shard egress pump: hands each decoded frame to the service-level
+/// release step. Exits when the shard's pipeline closes its egress (drain
+/// complete).
 fn collector_loop(inner: &Inner, shard: &Shard) {
     while let Some(decoded) = shard.pipeline.next_decoded() {
-        let ticket = decoded.stream_index;
-        let Some(meta) = inner.meta.lock().expect("no panics hold the meta lock").remove(&ticket)
-        else {
-            // Unresolvable ticket: an internal invariant broke. Count it
-            // loudly rather than hanging a stream's reorder buffer.
-            inner.stats.orphaned.fetch_add(1, Ordering::Relaxed);
-            continue;
-        };
-        let output = ServiceOutput {
-            key: meta.key,
-            stream_seq: meta.stream_seq,
-            shard: shard.uid,
-            epoch: shard.epoch,
-            latency_ns: meta.submitted_at.elapsed().as_nanos() as u64,
+        inner.egress.lock().expect("no panics hold the egress lock").collect(
             decoded,
-        };
-        let mut egress = inner.egress.lock().expect("no panics hold the egress lock");
-        let mut released = Vec::new();
-        {
-            let stream = egress.streams.entry(meta.key).or_default();
-            stream.pending.insert(output.stream_seq, output);
-            while let Some(next) = {
-                let seq = stream.next_deliver;
-                stream.pending.remove(&seq)
-            } {
-                stream.next_deliver += 1;
-                released.push(next);
-            }
-        }
-        for out in released {
-            inner.stats.record_latency(out.latency_ns);
-            inner.stats.delivered.fetch_add(1, Ordering::Relaxed);
-            if let Some(tenant) = inner.tenants.get(&out.key.tenant) {
-                tenant.delivered.fetch_add(1, Ordering::Relaxed);
-            }
-            egress.ready.push_back(out);
-        }
-        drop(egress);
+            (shard.uid, shard.epoch),
+            &inner.stats,
+            &inner.tenants,
+        );
         inner.output_ready.notify_all();
     }
     let mut egress = inner.egress.lock().expect("no panics hold the egress lock");
     egress.open_collectors -= 1;
     drop(egress);
     inner.output_ready.notify_all();
+}
+
+impl EgressState {
+    /// The release step: resolves `decoded`'s routing ticket, holds the
+    /// frame in its stream's release buffer and moves every frame now in
+    /// order to the ready queue. Each frame's latency is stamped as it is
+    /// released, so it covers the per-stream reorder wait.
+    fn collect(
+        &mut self,
+        decoded: DecodedFrame,
+        (shard, epoch): (u64, u64),
+        stats: &ServiceStatsCore,
+        tenants: &BTreeMap<u32, TenantState>,
+    ) {
+        let Some(meta) = self.tickets.remove(&decoded.stream_index) else {
+            // Unresolvable ticket: an internal invariant broke. Count it
+            // loudly rather than hanging a stream's reorder buffer.
+            stats.orphaned.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        let output = ServiceOutput {
+            key: meta.key,
+            stream_seq: meta.stream_seq,
+            shard,
+            epoch,
+            latency_ns: 0,
+            decoded,
+        };
+        let stream = self.streams.entry(meta.key).or_default();
+        stream.insert(meta.stream_seq, (meta.submitted_at, output));
+        let released_at = Instant::now();
+        while let Some((submitted_at, mut out)) = stream.pop() {
+            out.latency_ns = released_at.saturating_duration_since(submitted_at).as_nanos() as u64;
+            stats.latency.record(out.latency_ns);
+            if let Some(tenant) = tenants.get(&out.key.tenant) {
+                tenant.delivered.fetch_add(1, Ordering::Relaxed);
+            }
+            self.ready.push_back(out);
+        }
+    }
 }
 
 /// Health monitor: polls each shard's pipeline for syndrome-anomaly
@@ -735,5 +739,58 @@ fn monitor_loop(inner: &Inner) {
         for uid in degraded {
             inner.migrate_off(uid, true);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn decoded(ticket: u64) -> DecodedFrame {
+        let now = Instant::now();
+        DecodedFrame {
+            seq: ticket,
+            stream_index: ticket,
+            modcod: 0,
+            bits: BitVec::zeros(8),
+            info_len: 4,
+            iterations: 1,
+            converged: true,
+            iteration_cap: 1,
+            accepted_at: now,
+            emitted_at: now,
+        }
+    }
+
+    #[test]
+    fn a_held_frame_is_stamped_when_it_is_released() {
+        const DELAY: Duration = Duration::from_millis(20);
+        let key = StreamKey::new(1, 0);
+        let tenants = BTreeMap::from([(1, TenantState::new(TenantPolicy::throughput_bound(1, 4)))]);
+        let stats = ServiceStatsCore::default();
+        let mut egress = EgressState::default();
+        let submitted_at = Instant::now();
+        for seq in 0..2 {
+            egress.tickets.insert(seq, FrameMeta { key, stream_seq: seq, submitted_at });
+        }
+
+        egress.collect(decoded(1), (0, 0), &stats, &tenants);
+        assert!(egress.ready.is_empty(), "seq 1 waits for seq 0");
+        std::thread::sleep(DELAY);
+        egress.collect(decoded(0), (0, 0), &stats, &tenants);
+
+        let released: Vec<ServiceOutput> = egress.ready.drain(..).collect();
+        assert_eq!(released.iter().map(|o| o.stream_seq).collect::<Vec<_>>(), [0, 1]);
+        assert!(
+            released[1].latency_ns >= DELAY.as_nanos() as u64,
+            "seq 1's latency {} ns must cover its {DELAY:?} reorder wait",
+            released[1].latency_ns
+        );
+        assert_eq!(released[0].latency_ns, released[1].latency_ns, "released together");
+        let recorded = stats.latency.snapshot();
+        assert_eq!(recorded.count(), 2);
+        assert_eq!(recorded.total_ns, released.iter().map(|o| o.latency_ns).sum::<u64>());
+        assert_eq!(recorded.max_ns, released[1].latency_ns);
+        assert_eq!(tenants[&1].delivered.load(Ordering::Relaxed), 2);
     }
 }

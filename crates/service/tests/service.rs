@@ -9,8 +9,8 @@ use dvbs2::ldpc::{BitVec, CodeRate, FrameSize};
 use dvbs2::{Modcod, ModcodTable};
 use dvbs2_pipeline::{PipelineConfig, QuarantinePolicy, WorkerFaultInjection};
 use dvbs2_service::{
-    ServiceConfig, ServiceError, ServiceFrame, ServiceOutput, ServiceTier, ShardFaultInjection,
-    TenantPolicy,
+    ServiceConfig, ServiceError, ServiceFrame, ServiceOutput, ServiceStats, ServiceTier,
+    ShardFaultInjection, TenantPolicy, TenantStats,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -100,6 +100,15 @@ fn assert_per_stream_order(
     }
 }
 
+/// The tier's admission, delivery and shed totals are the sums of the
+/// tenant slices: every admitted frame belongs to a registered tenant.
+fn assert_tier_totals_sum_the_tenants(stats: &ServiceStats) {
+    let sum = |field: fn(&TenantStats) -> u64| -> u64 { stats.tenants.iter().map(field).sum() };
+    assert_eq!(stats.submitted, sum(|t| t.submitted));
+    assert_eq!(stats.delivered, sum(|t| t.delivered));
+    assert_eq!(stats.shed_latency, sum(|t| t.shed));
+}
+
 #[test]
 fn decoded_bits_are_invariant_under_shard_count() {
     // 2 tenants x 2 streams x mixed MODCODs, decoded under 1, 2 and 4
@@ -180,7 +189,8 @@ fn decoded_bits_are_invariant_under_shard_count() {
         assert_eq!(stats.submitted, total as u64);
         assert_eq!(stats.delivered, total as u64);
         assert_eq!(stats.orphaned, 0);
-        assert!(stats.latency_quantile_ns(0.5) > 0, "latency histogram is populated");
+        assert!(stats.latency.quantile_ns(0.5) > 0, "latency histogram is populated");
+        assert_tier_totals_sum_the_tenants(&stats);
         for tenant in &stats.tenants {
             assert_eq!(tenant.in_flight, 0, "all budget units returned");
             assert_eq!(tenant.submitted, tenant.delivered);
@@ -609,6 +619,7 @@ fn tenant_admission_budgets_and_sla_classes_are_enforced() {
     }
     let stats = tight.stats();
     assert_eq!(stats.shed_latency, 1);
+    assert_tier_totals_sum_the_tenants(&stats);
     let shed_tenant = stats.tenants.iter().find(|t| t.tenant == 2).unwrap();
     assert_eq!(shed_tenant.shed, 1);
 
