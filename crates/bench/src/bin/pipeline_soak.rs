@@ -121,7 +121,6 @@ fn run_parity_phase(table: &ModcodTable, stream: &[SoftFrame], workers: usize) -
         PipelineConfig {
             workers,
             ingress_capacity: 32,
-            egress_capacity: 32,
             max_in_flight: 96,
             admission: AdmissionPolicy::Off,
             ..PipelineConfig::default()
@@ -159,7 +158,6 @@ fn run_backpressure_phase(
         PipelineConfig {
             workers: workers.min(2),
             ingress_capacity: 4,
-            egress_capacity: 4,
             max_in_flight: 10,
             admission: AdmissionPolicy::Adaptive { min_iterations: 4 },
             ..PipelineConfig::default()

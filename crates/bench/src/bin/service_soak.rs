@@ -477,7 +477,6 @@ fn main() {
                 pipeline: PipelineConfig {
                     workers: 2,
                     ingress_capacity: 16,
-                    egress_capacity: 16,
                     max_in_flight: 32,
                     admission: AdmissionPolicy::Off,
                     ..PipelineConfig::default()
@@ -605,10 +604,10 @@ fn main() {
             violations.push(format!("[{label}] {mismatches} frames differ from the reference"));
         }
         for status in tier.shards() {
-            if status.epoch != 1 || status.draining {
+            if status.epoch != 1 {
                 violations.push(format!(
-                    "[{label}] stale shard after the roll: uid {} epoch {} draining {}",
-                    status.uid, status.epoch, status.draining
+                    "[{label}] stale shard after the roll: uid {} epoch {}",
+                    status.uid, status.epoch
                 ));
             }
         }
@@ -714,7 +713,6 @@ fn main() {
                 pipeline: PipelineConfig {
                     workers: 1,
                     ingress_capacity: 4,
-                    egress_capacity: 4,
                     max_in_flight: 8,
                     admission: AdmissionPolicy::Adaptive { min_iterations: 4 },
                     ..PipelineConfig::default()

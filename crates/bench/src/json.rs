@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 
 /// The change whose code the committed records were taken with. Bump it in
 /// the change that re-records them.
-pub const RECORDED_BY: &str = "the serving tiers keep each fact once";
+pub const RECORDED_BY: &str = "each serving stage is one lock";
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -8,9 +8,9 @@
 //! single-frame one). This crate is that service layer:
 //!
 //! * [`DecodePipeline`] — ingress queue → worker pool → in-order egress,
-//!   every stage bounded, with per-worker decoder reuse via
+//!   each stage one mutex and every frame counted against one in-flight
+//!   budget, with per-worker decoder reuse via
 //!   [`Decoder::decode_into`](dvbs2_decoder::Decoder::decode_into);
-//! * [`BoundedQueue`] — the backpressuring stage connector;
 //! * [`ReleaseBuffer`] — gap-free in-order release by sequence number, the
 //!   reorder stage here and in the service tier's per-stream egress;
 //! * [`AdmissionController`] — iteration-budget load shedding driven by
@@ -63,14 +63,12 @@
 
 mod admission;
 mod health;
-mod queue;
 mod reorder;
 mod service;
 mod stats;
 
 pub use admission::{AdmissionController, AdmissionPolicy, DEMAND_MULTIPLIERS, OCCUPANCY_STEPS};
 pub use health::{QuarantinePolicy, WorkerFaultInjection, WorkerHealth};
-pub use queue::BoundedQueue;
 pub use reorder::ReleaseBuffer;
 pub use service::{
     DecodePipeline, DecodedFrame, PipelineConfig, PipelineHealth, SoftFrame, SubmitError,

@@ -1,43 +1,49 @@
-//! The streaming decode service: ingress queue → worker pool → in-order
-//! egress, with backpressure and iteration-budget admission control.
+//! The streaming decode service: ingress → worker pool → in-order egress,
+//! with backpressure and iteration-budget admission control.
 //!
 //! ```text
-//!  try_submit/submit          workers (N)                 next_decoded
-//!  ───────────────▶ ingress ═════════════▶ reorder ═▶ egress ───────────▶
-//!    (seq assigned)  bounded   decode_into   BTreeMap    bounded, in seq
+//!  try_submit/submit          workers (N)                       next_decoded
+//!  ───────────────▶ ingress ═════════════▶ egress: reorder ═▶ ready ───────────▶
+//!    (seq claimed)   Mutex     decode_into   Mutex: BTreeMap    in seq
 //! ```
 //!
 //! Design points, each load-bearing:
 //!
+//! * **Each stage is one mutex.** Ingress holds the queued frames, the next
+//!   sequence number and the closed flag; egress holds the reorder buffer,
+//!   the in-order ready queue and the count of running workers. The
+//!   pipeline never holds both locks at once, and no decode runs under
+//!   either.
 //! * **Sequence numbers are claimed only when the ingress push succeeds** —
-//!   a rejected frame burns no sequence number, so the reorder buffer
-//!   never waits for a frame that does not exist.
+//!   under the ingress lock, so a rejected frame burns no sequence number
+//!   and the reorder buffer never waits for a frame that does not exist.
 //! * **Backpressure is explicit.** [`DecodePipeline::try_submit`] hands the
 //!   frame back in [`SubmitError::Rejected`]; nothing is silently dropped.
-//!   An in-flight cap bounds total memory across all stages.
+//!   The in-flight cap counts a frame from admission until a consumer takes
+//!   it, so it bounds every stage and workers never wait on egress.
 //! * **Admission control sheds iterations before frames.** Under ingress
 //!   pressure the per-frame iteration cap steps down the
 //!   [`AdmissionController`] ladder (paper Table 3 run backwards) before
 //!   the queue ever rejects.
 //! * **Workers take one frame at a time**: pop, decode, emit. A worker never
 //!   holds an admitted frame it is not decoding, so an idle sibling can
-//!   always take the next one and `ingress.len()` — the occupancy admission
-//!   reads — counts every waiting frame.
-//! * **Egress is in order.** Workers insert into a reorder buffer; whoever
-//!   completes the next-expected sequence drains the run to the egress
-//!   queue. A consumer sees frames in exact submission order.
+//!   always take the next one and the depth a pop leaves behind — the
+//!   occupancy admission reads — counts every waiting frame.
+//! * **Egress is in order.** A worker inserts its frame into the reorder
+//!   buffer and moves the in-order run to the ready queue in one critical
+//!   section, stamping each frame as it is released. A consumer sees frames
+//!   in exact submission order.
 
 use crate::admission::{AdmissionController, AdmissionPolicy};
 use crate::health::{QuarantinePolicy, WorkerFaultInjection, WorkerHealth};
-use crate::queue::BoundedQueue;
 use crate::reorder::ReleaseBuffer;
 use crate::stats::{PipelineStats, StatsCore};
 use dvbs2::{ModcodEntry, ModcodTable};
 use dvbs2_channel::LlrFrame;
 use dvbs2_decoder::{syndrome_weight, DecodeResult, Decoder};
 use dvbs2_ldpc::BitVec;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -88,7 +94,8 @@ pub struct DecodedFrame {
     pub iteration_cap: usize,
     /// When the frame entered the ingress queue (sequence claimed).
     pub accepted_at: Instant,
-    /// When the frame was handed to the egress queue in order.
+    /// When the egress stage released the frame in order, after every
+    /// earlier frame.
     pub emitted_at: Instant,
 }
 
@@ -186,12 +193,12 @@ impl SubmitError {
 pub struct PipelineConfig {
     /// Worker threads decoding frames.
     pub workers: usize,
-    /// Ingress queue capacity (frames).
+    /// Ingress queue capacity (frames): the most admitted frames waiting
+    /// for a worker. At least one.
     pub ingress_capacity: usize,
-    /// Egress queue capacity (frames).
-    pub egress_capacity: usize,
-    /// Total frames allowed inside the pipeline at once (ingress + in
-    /// decode + reorder + egress). Bounds memory end to end.
+    /// Total frames allowed inside the pipeline at once, from admission
+    /// until a consumer takes the frame (ingress + in decode + reorder +
+    /// ready). Bounds memory end to end; egress has no other bound.
     pub max_in_flight: usize,
     /// Load-shedding policy.
     pub admission: AdmissionPolicy,
@@ -207,7 +214,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             workers: dvbs2_channel::default_threads(),
             ingress_capacity: 64,
-            egress_capacity: 64,
             max_in_flight: 160,
             admission: AdmissionPolicy::Off,
             quarantine: QuarantinePolicy::default(),
@@ -222,8 +228,24 @@ struct WorkItem {
     frame: SoftFrame,
 }
 
-struct SubmitState {
+/// The ingress stage: what submitters and workers share, under one lock.
+struct Ingress {
+    items: VecDeque<WorkItem>,
+    /// The sequence number the next admitted frame claims.
     next_seq: u64,
+    /// Set when ingress closes: submissions fail, and workers exit once
+    /// `items` drains.
+    closed: bool,
+}
+
+/// The egress stage: what workers and consumers share, under one lock.
+struct Egress {
+    reorder: ReleaseBuffer<DecodedFrame>,
+    /// Frames released in order and not yet consumed; bounded by
+    /// `max_in_flight`.
+    ready: VecDeque<DecodedFrame>,
+    /// Workers still running. Egress is closed once this reaches zero.
+    workers: usize,
 }
 
 struct Shared {
@@ -231,15 +253,17 @@ struct Shared {
     config: PipelineConfig,
     stats: StatsCore,
     admission: AdmissionController,
-    ingress: BoundedQueue<WorkItem>,
-    egress: BoundedQueue<DecodedFrame>,
-    reorder: Mutex<ReleaseBuffer<DecodedFrame>>,
-    submit: Mutex<SubmitState>,
+    ingress: Mutex<Ingress>,
+    /// Signalled when a frame is queued or ingress closes; idle workers
+    /// wait here.
+    work: Condvar,
     /// Signalled whenever pipeline space frees (ingress pop or egress
-    /// consumption) or shutdown starts; blocking submitters wait here.
+    /// consumption) or ingress closes; blocking submitters wait here.
     space: Condvar,
-    shutting_down: AtomicBool,
-    active_workers: AtomicUsize,
+    egress: Mutex<Egress>,
+    /// Signalled when frames are released in order or egress closes;
+    /// consumers wait here.
+    released: Condvar,
 }
 
 /// The streaming decode service. See the module docs for the stage graph.
@@ -254,21 +278,28 @@ impl DecodePipeline {
     /// # Panics
     ///
     /// Panics on a configuration that cannot run: zero workers, an empty
-    /// table, or a zero in-flight budget.
+    /// table, a zero ingress capacity or a zero in-flight budget.
     pub fn start(table: ModcodTable, config: PipelineConfig) -> Self {
         assert!(config.workers > 0, "the pipeline needs at least one worker");
         assert!(!table.is_empty(), "the MODCOD table must define at least one slot");
+        assert!(config.ingress_capacity > 0, "the ingress queue needs room for at least one frame");
         assert!(config.max_in_flight >= 1, "the in-flight budget must admit a frame");
         let shared = Arc::new(Shared {
             admission: AdmissionController::new(config.admission, &table),
             stats: StatsCore::default(),
-            ingress: BoundedQueue::new(config.ingress_capacity),
-            egress: BoundedQueue::new(config.egress_capacity),
-            reorder: Mutex::new(ReleaseBuffer::default()),
-            submit: Mutex::new(SubmitState { next_seq: 0 }),
+            ingress: Mutex::new(Ingress {
+                items: VecDeque::with_capacity(config.ingress_capacity),
+                next_seq: 0,
+                closed: false,
+            }),
+            work: Condvar::new(),
             space: Condvar::new(),
-            shutting_down: AtomicBool::new(false),
-            active_workers: AtomicUsize::new(config.workers),
+            egress: Mutex::new(Egress {
+                reorder: ReleaseBuffer::default(),
+                ready: VecDeque::new(),
+                workers: config.workers,
+            }),
+            released: Condvar::new(),
             table,
             config,
         });
@@ -295,25 +326,6 @@ impl DecodePipeline {
         Ok(frame)
     }
 
-    /// Claims the next sequence number for `frame` and pushes it to ingress,
-    /// or hands the frame back when the in-flight budget or the queue is
-    /// full. The sequence number is claimed only when the push succeeds;
-    /// the caller holds the submit lock.
-    fn claim_and_push(&self, sub: &mut SubmitState, frame: SoftFrame) -> Result<u64, SoftFrame> {
-        let shared = &*self.shared;
-        if shared.stats.in_flight.load(Ordering::Relaxed) >= shared.config.max_in_flight {
-            return Err(frame);
-        }
-        let seq = sub.next_seq;
-        let item = WorkItem { seq, accepted_at: Instant::now(), frame };
-        shared.ingress.try_push(item).map_err(|item| item.frame)?;
-        sub.next_seq += 1;
-        shared.stats.in_flight.fetch_add(1, Ordering::Relaxed);
-        shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        StatsCore::raise_watermark(&shared.stats.ingress_watermark, shared.ingress.len());
-        Ok(seq)
-    }
-
     /// Offers a frame without blocking. On success the frame's sequence
     /// number (its position in the egress order) is returned; on
     /// backpressure the frame comes back in [`SubmitError::Rejected`].
@@ -321,14 +333,16 @@ impl DecodePipeline {
         let shared = &*self.shared;
         let frame = self.validate(frame)?;
         shared.stats.offered.fetch_add(1, Ordering::Relaxed);
-        if shared.shutting_down.load(Ordering::Acquire) {
-            return Err(SubmitError::ShutDown(frame));
+        let admitted = shared
+            .admit(&mut shared.ingress.lock().expect("no panics hold the ingress lock"), frame);
+        match admitted {
+            Ok(_) => shared.work.notify_one(),
+            Err(SubmitError::Rejected(_)) => {
+                shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(_) => {}
         }
-        let mut sub = shared.submit.lock().expect("no panics hold the submit lock");
-        self.claim_and_push(&mut sub, frame).map_err(|frame| {
-            shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            SubmitError::Rejected(frame)
-        })
+        admitted
     }
 
     /// Submits a frame, blocking while the pipeline is full. Fails only
@@ -337,40 +351,53 @@ impl DecodePipeline {
         let shared = &*self.shared;
         let mut frame = self.validate(frame)?;
         shared.stats.offered.fetch_add(1, Ordering::Relaxed);
-        let mut sub = shared.submit.lock().expect("no panics hold the submit lock");
+        let mut ingress = shared.ingress.lock().expect("no panics hold the ingress lock");
         loop {
-            if shared.shutting_down.load(Ordering::Acquire) {
-                return Err(SubmitError::ShutDown(frame));
+            match shared.admit(&mut ingress, frame) {
+                Err(SubmitError::Rejected(back)) => frame = back,
+                admitted => {
+                    drop(ingress);
+                    if admitted.is_ok() {
+                        shared.work.notify_one();
+                    }
+                    return admitted;
+                }
             }
-            match self.claim_and_push(&mut sub, frame) {
-                Ok(seq) => return Ok(seq),
-                Err(back) => frame = back,
-            }
-            // The timeout guards against missed wakeups; correctness does
-            // not depend on it.
-            let (guard, _) = shared
+            // Consumers free in-flight room without the ingress lock, so a
+            // wakeup can be missed; the timeout bounds that wait.
+            ingress = shared
                 .space
-                .wait_timeout(sub, Duration::from_millis(10))
-                .expect("no panics hold the submit lock");
-            sub = guard;
+                .wait_timeout(ingress, Duration::from_millis(10))
+                .expect("no panics hold the ingress lock")
+                .0;
         }
     }
 
     /// The next decoded frame in submission order, blocking until one is
-    /// ready. Returns `None` once the pipeline has shut down and every
-    /// frame has been consumed.
+    /// ready. Returns `None` once every worker has exited and every frame
+    /// has been consumed.
     pub fn next_decoded(&self) -> Option<DecodedFrame> {
-        let frame = self.shared.egress.pop()?;
-        self.shared.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-        self.shared.space.notify_all();
-        Some(frame)
+        let shared = &*self.shared;
+        let mut egress = shared.egress.lock().expect("no panics hold the egress lock");
+        loop {
+            if let Some(frame) = egress.ready.pop_front() {
+                drop(egress);
+                shared.consumed();
+                return Some(frame);
+            }
+            if egress.workers == 0 {
+                return None;
+            }
+            egress = shared.released.wait(egress).expect("no panics hold the egress lock");
+        }
     }
 
     /// The next decoded frame if one is ready right now.
     pub fn try_next_decoded(&self) -> Option<DecodedFrame> {
-        let frame = self.shared.egress.try_pop()?;
-        self.shared.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-        self.shared.space.notify_all();
+        let shared = &*self.shared;
+        let frame =
+            shared.egress.lock().expect("no panics hold the egress lock").ready.pop_front()?;
+        shared.consumed();
         Some(frame)
     }
 
@@ -395,9 +422,10 @@ impl DecodePipeline {
     /// service tier to drain a shard before retiring it — call
     /// [`DecodePipeline::finish`] (or drop) afterwards to join.
     pub fn close_ingress(&self) {
-        self.shared.shutting_down.store(true, Ordering::Release);
-        self.shared.ingress.close();
-        self.shared.space.notify_all();
+        let shared = &*self.shared;
+        shared.ingress.lock().expect("no panics hold the ingress lock").closed = true;
+        shared.work.notify_all();
+        shared.space.notify_all();
     }
 
     /// The dispatch table the pipeline serves.
@@ -411,29 +439,23 @@ impl DecodePipeline {
     }
 
     /// Frames currently inside the pipeline (ingress + decode + reorder +
-    /// egress). A single atomic load — cheap enough for per-frame routing
+    /// ready). A single atomic load — cheap enough for per-frame routing
     /// and SLA decisions in a front-end tier.
     pub fn in_flight(&self) -> usize {
         self.shared.stats.in_flight.load(Ordering::Relaxed)
     }
 
     /// Stops accepting frames, decodes everything already admitted, joins
-    /// the workers and returns the final counters. Frames still in the
-    /// egress queue remain consumable via [`DecodePipeline::next_decoded`]
-    /// until it reports `None`.
-    ///
-    /// A consumer must keep draining egress while `finish` runs (or the
-    /// egress queue must be large enough for the admitted residue):
-    /// workers block pushing to a full egress queue.
+    /// the workers and returns the final counters. Workers never wait on a
+    /// consumer, so `finish` returns whether or not anyone drains egress;
+    /// frames not consumed by then are released with the pipeline.
     pub fn finish(mut self) -> PipelineStats {
         self.shutdown();
         self.shared.stats.snapshot()
     }
 
     fn shutdown(&mut self) {
-        self.shared.shutting_down.store(true, Ordering::Release);
-        self.shared.ingress.close();
-        self.shared.space.notify_all();
+        self.close_ingress();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -446,7 +468,86 @@ impl Drop for DecodePipeline {
     }
 }
 
-/// Pops frames from ingress and decodes them one at a time until the queue
+impl Shared {
+    /// Admits `frame` under the ingress lock: claims the next sequence
+    /// number and queues the frame, or hands it back when ingress is closed
+    /// or the in-flight budget or the queue is full.
+    fn admit(&self, ingress: &mut Ingress, frame: SoftFrame) -> Result<u64, SubmitError> {
+        if ingress.closed {
+            return Err(SubmitError::ShutDown(frame));
+        }
+        if ingress.items.len() >= self.config.ingress_capacity
+            || self.stats.in_flight.load(Ordering::Relaxed) >= self.config.max_in_flight
+        {
+            return Err(SubmitError::Rejected(frame));
+        }
+        let seq = ingress.next_seq;
+        ingress.next_seq += 1;
+        ingress.items.push_back(WorkItem { seq, accepted_at: Instant::now(), frame });
+        self.stats.in_flight.fetch_add(1, Ordering::Relaxed);
+        self.stats.submitted.fetch_add(1, Ordering::Relaxed);
+        StatsCore::raise_watermark(&self.stats.ingress_watermark, ingress.items.len());
+        Ok(seq)
+    }
+
+    /// The next admitted frame and the ingress depth it leaves behind,
+    /// waiting while ingress is empty. `None` once ingress is closed and
+    /// drained.
+    fn next_work(&self) -> Option<(WorkItem, usize)> {
+        let mut ingress = self.ingress.lock().expect("no panics hold the ingress lock");
+        loop {
+            if let Some(item) = ingress.items.pop_front() {
+                let depth = ingress.items.len();
+                drop(ingress);
+                self.space.notify_all();
+                return Some((item, depth));
+            }
+            if ingress.closed {
+                return None;
+            }
+            ingress = self.work.wait(ingress).expect("no panics hold the ingress lock");
+        }
+    }
+
+    /// Inserts a decoded frame and moves the in-order run to the ready
+    /// queue, stamping and recording each frame as it is released.
+    fn release(&self, decoded: DecodedFrame) {
+        let mut egress = self.egress.lock().expect("no panics hold the egress lock");
+        egress.reorder.insert(decoded.seq, decoded);
+        StatsCore::raise_watermark(&self.stats.reorder_watermark, egress.reorder.pending());
+        while let Some(mut frame) = egress.reorder.pop() {
+            frame.emitted_at = Instant::now();
+            self.stats.latency.record(frame.latency().as_nanos() as u64);
+            self.stats.emitted.fetch_add(1, Ordering::Relaxed);
+            egress.ready.push_back(frame);
+        }
+        drop(egress);
+        self.released.notify_all();
+    }
+
+    /// A worker's exit. The last worker out closes egress; anything still
+    /// in the reorder buffer then waits on a frame that will never
+    /// complete, so it is counted as dropped rather than hanging the
+    /// consumer.
+    fn worker_exited(&self) {
+        let mut egress = self.egress.lock().expect("no panics hold the egress lock");
+        egress.workers -= 1;
+        if egress.workers == 0 {
+            let stuck = egress.reorder.take_stuck();
+            self.stats.dropped.fetch_add(stuck.len() as u64, Ordering::Relaxed);
+        }
+        drop(egress);
+        self.released.notify_all();
+    }
+
+    /// Accounts a frame a consumer took: its in-flight room frees.
+    fn consumed(&self) {
+        self.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.space.notify_all();
+    }
+}
+
+/// Pops frames from ingress and decodes them one at a time until ingress
 /// closes and drains; the last worker out accounts stuck frames and closes
 /// egress.
 ///
@@ -467,8 +568,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
     let mut decoders: HashMap<usize, Box<dyn Decoder + Send>> = HashMap::new();
     let mut scratch = DecodeResult::default();
 
-    while let Some(mut item) = shared.ingress.pop() {
-        shared.space.notify_all();
+    while let Some((mut item, depth)) = shared.next_work() {
         if let Some(inj) = injection {
             if inj.corrupts(worker, decode_count) {
                 WorkerFaultInjection::corrupt_llrs(&mut item.frame.llrs);
@@ -479,7 +579,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
         let slot = item.frame.modcod;
         let entry = shared.table.entry(slot);
         let decoder = decoders.entry(slot).or_insert_with(|| entry.make_decoder());
-        let occupancy = shared.ingress.len() as f64 / shared.ingress.capacity() as f64;
+        let occupancy = depth as f64 / shared.config.ingress_capacity as f64;
         let cap = shared.admission.cap_for(slot, occupancy);
         let base_cap = shared.admission.base_cap(slot);
         decoder.set_max_iterations(cap);
@@ -504,7 +604,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
             accepted_at: item.accepted_at,
             emitted_at: item.accepted_at,
         };
-        emit_in_order(shared, decoded);
+        shared.release(decoded);
 
         // The frame has been emitted, so quarantining here drops and
         // reorders nothing: this worker simply stops consuming ingress and
@@ -531,14 +631,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
         }
     }
 
-    if shared.active_workers.fetch_sub(1, Ordering::AcqRel) == 1 {
-        // Last worker out: anything still in the reorder buffer is
-        // unreachable (a gap means a frame never completed) — account it
-        // as dropped rather than hanging the consumer.
-        let stuck = shared.reorder.lock().expect("no panics hold the reorder lock").take_stuck();
-        shared.stats.dropped.fetch_add(stuck.len() as u64, Ordering::Relaxed);
-        shared.egress.close();
-    }
+    shared.worker_exited();
 }
 
 /// The fraction of unsatisfied check equations left in a finished decode —
@@ -597,7 +690,7 @@ fn quarantine(
     decoder.set_max_iterations(shared.admission.base_cap(slot));
     let mut probe = DecodeResult::default();
     let mut consecutive_passes = 0u32;
-    while !shared.shutting_down.load(Ordering::Acquire) {
+    while !shared.ingress.lock().expect("no panics hold the ingress lock").closed {
         std::thread::sleep(Duration::from_millis(policy.probe_interval_ms));
         shared.stats.probes_run.fetch_add(1, Ordering::Relaxed);
         let mut llrs = vec![6.0f64; n];
@@ -624,24 +717,4 @@ fn quarantine(
         }
     }
     false
-}
-
-/// Inserts a decoded frame and drains the in-order run to egress.
-fn emit_in_order(shared: &Shared, decoded: DecodedFrame) {
-    let mut reorder = shared.reorder.lock().expect("no panics hold the reorder lock");
-    reorder.insert(decoded.seq, decoded);
-    StatsCore::raise_watermark(&shared.stats.reorder_watermark, reorder.pending());
-    while let Some(mut frame) = reorder.pop() {
-        frame.emitted_at = Instant::now();
-        shared.stats.latency.record(frame.latency().as_nanos() as u64);
-        // Blocking push while holding the reorder lock is safe: the
-        // consumer side never takes this lock, so egress keeps draining.
-        // Other workers queue behind the lock, which is exactly the
-        // backpressure we want when egress is full.
-        if shared.egress.push(frame).is_err() {
-            shared.stats.dropped.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        shared.stats.emitted.fetch_add(1, Ordering::Relaxed);
-    }
 }

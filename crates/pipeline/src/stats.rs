@@ -142,10 +142,10 @@ pub struct StatsCore {
     pub rejected: AtomicU64,
     /// Frames a worker finished decoding.
     pub decoded: AtomicU64,
-    /// Frames handed to the egress queue in order.
+    /// Frames released in order at egress.
     pub emitted: AtomicU64,
-    /// Frames dropped (shutdown with undrained queues). Zero in any
-    /// healthy run; the soak asserts it stays zero.
+    /// Frames the last worker out found stuck behind a gap in the reorder
+    /// buffer. Zero in any healthy run; the soak asserts it stays zero.
     pub dropped: AtomicU64,
     /// Decodes that stopped early on a clean syndrome.
     pub early_stopped: AtomicU64,
@@ -276,7 +276,7 @@ pub struct PipelineStats {
     pub decoded: u64,
     /// Frames emitted in order at egress.
     pub emitted: u64,
-    /// Frames dropped (shutdown with undrained queues).
+    /// Frames stuck behind a reorder gap when the last worker exited.
     pub dropped: u64,
     /// Decodes that stopped early on a clean syndrome.
     pub early_stopped: u64,

@@ -1,6 +1,6 @@
 //! Integration contracts of the streaming decode pipeline: bit parity with
 //! single-threaded decoding, in-order egress, explicit backpressure,
-//! admission-control shedding and counter consistency.
+//! admission-control shedding, shutdown and counter consistency.
 
 use dvbs2::channel::{mix_seed, FrameTag, LlrSource, Modulation};
 use dvbs2::decoder::DecoderConfig;
@@ -12,6 +12,8 @@ use dvbs2_pipeline::{
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 /// A deterministic index-addressed source: frame `i` is a seeded noisy
 /// transmission under slot `i % table.len()`, identical no matter when or
@@ -104,7 +106,6 @@ fn multithreaded_decode_is_bit_identical_to_single_threaded() {
         PipelineConfig {
             workers: 4,
             ingress_capacity: 8,
-            egress_capacity: 8,
             max_in_flight: 24,
             admission: AdmissionPolicy::Off,
             ..PipelineConfig::default()
@@ -166,7 +167,6 @@ fn try_submit_backpressure_is_explicit_and_lossless() {
         PipelineConfig {
             workers: 1,
             ingress_capacity: 2,
-            egress_capacity: 2,
             max_in_flight: 5,
             admission: AdmissionPolicy::Off,
             ..PipelineConfig::default()
@@ -258,7 +258,6 @@ fn adaptive_admission_sheds_iterations_before_frames() {
         PipelineConfig {
             workers: 1,
             ingress_capacity: 4,
-            egress_capacity: 4,
             max_in_flight: 9,
             admission: AdmissionPolicy::Adaptive { min_iterations: 4 },
             ..PipelineConfig::default()
@@ -442,10 +441,8 @@ fn last_healthy_worker_is_never_quarantined() {
 fn finish_reports_consistent_final_counters() {
     let table = mixed_table(6);
     let n = table.entry(0).frame_len();
-    let pipeline = DecodePipeline::start(
-        table,
-        PipelineConfig { workers: 2, egress_capacity: 16, ..PipelineConfig::default() },
-    );
+    let pipeline =
+        DecodePipeline::start(table, PipelineConfig { workers: 2, ..PipelineConfig::default() });
     for i in 0..5u64 {
         pipeline.submit(SoftFrame { modcod: 0, stream_index: i, llrs: vec![6.0; n] }).unwrap();
     }
@@ -460,4 +457,134 @@ fn finish_reports_consistent_final_counters() {
     assert_eq!(stats.dropped, 0);
     assert_eq!(stats.early_stopped, 5, "clean frames stop well under the cap");
     assert!(stats.early_stop_rate() > 0.99);
+}
+
+/// A confidently received all-zero codeword on slot 0 of `table`.
+fn strong_frame(table: &ModcodTable, stream_index: u64) -> SoftFrame {
+    SoftFrame { modcod: 0, stream_index, llrs: vec![6.0; table.entry(0).frame_len()] }
+}
+
+#[test]
+fn finish_returns_without_a_consumer() {
+    // Default queues are shallower than the admitted residue, so workers
+    // that waited on a consumer would never exit.
+    const FRAMES: u64 = 100;
+    let table = mixed_table(6);
+    let config = PipelineConfig { workers: 2, ..PipelineConfig::default() };
+    assert!((config.ingress_capacity as u64) < FRAMES && FRAMES <= config.max_in_flight as u64);
+    let admit = |pipeline: &DecodePipeline| {
+        for i in 0..FRAMES {
+            assert_eq!(pipeline.submit(strong_frame(&table, i)).unwrap(), i);
+        }
+    };
+
+    let pipeline = DecodePipeline::start(table.clone(), config);
+    admit(&pipeline);
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(pipeline.finish());
+    });
+    let stats =
+        finished.recv_timeout(Duration::from_secs(30)).expect("finish must not wait on a consumer");
+    assert_eq!((stats.submitted, stats.decoded, stats.emitted), (FRAMES, FRAMES, FRAMES));
+    assert_eq!(stats.dropped, 0);
+    assert_eq!(stats.in_flight, FRAMES as usize, "nothing was consumed");
+
+    // The same residue after `close_ingress`: every worker exits with no
+    // consumer, and the frames then come out in order, each once.
+    let pipeline = DecodePipeline::start(table.clone(), config);
+    admit(&pipeline);
+    pipeline.close_ingress();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while pipeline.stats().emitted < FRAMES {
+        assert!(Instant::now() < deadline, "workers stalled without a consumer");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let seqs: Vec<u64> = std::iter::from_fn(|| pipeline.next_decoded()).map(|f| f.seq).collect();
+    assert_eq!(seqs, (0..FRAMES).collect::<Vec<_>>());
+    assert_eq!(pipeline.finish().in_flight, 0);
+}
+
+#[test]
+fn close_ingress_wakes_a_blocked_submit_with_its_frame() {
+    let table = mixed_table(6);
+    let pipeline = DecodePipeline::start(
+        table.clone(),
+        PipelineConfig { workers: 1, max_in_flight: 1, ..PipelineConfig::default() },
+    );
+    pipeline.submit(strong_frame(&table, 0)).unwrap();
+    std::thread::scope(|scope| {
+        // Frame 0 holds the whole in-flight budget until it is consumed.
+        let blocked = scope.spawn(|| pipeline.submit(strong_frame(&table, 1)));
+        while pipeline.stats().offered < 2 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        pipeline.close_ingress();
+        match blocked.join().unwrap() {
+            Err(SubmitError::ShutDown(frame)) => assert_eq!(frame.stream_index, 1),
+            other => panic!("expected ShutDown with the frame, got {other:?}"),
+        }
+    });
+    assert_eq!(pipeline.next_decoded().map(|f| f.seq), Some(0), "admitted frames still drain");
+    assert!(pipeline.next_decoded().is_none(), "egress closes behind the last worker");
+    let stats = pipeline.finish();
+    assert_eq!((stats.offered, stats.submitted, stats.rejected), (2, 1, 0));
+}
+
+#[test]
+fn concurrent_submitters_claim_gap_free_sequence_numbers() {
+    const SUBMITTERS: u64 = 4;
+    const PER_SUBMITTER: u64 = 25;
+    const FRAMES: u64 = SUBMITTERS * PER_SUBMITTER;
+    let table = mixed_table(6);
+    let pipeline = DecodePipeline::start(
+        table.clone(),
+        PipelineConfig {
+            workers: 2,
+            ingress_capacity: 4,
+            max_in_flight: 8,
+            admission: AdmissionPolicy::Off,
+            ..PipelineConfig::default()
+        },
+    );
+    let (claimed, outputs) = std::thread::scope(|scope| {
+        let consumer = scope.spawn(|| {
+            std::iter::from_fn(|| pipeline.next_decoded()).take(FRAMES as usize).collect::<Vec<_>>()
+        });
+        let submitters: Vec<_> = (0..SUBMITTERS)
+            .map(|p| {
+                let (pipeline, table) = (&pipeline, &table);
+                scope.spawn(move || {
+                    (0..PER_SUBMITTER)
+                        .map(|i| {
+                            let index = p * 1000 + i;
+                            (pipeline.submit(strong_frame(table, index)).unwrap(), index)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut claimed: Vec<(u64, u64)> =
+            submitters.into_iter().flat_map(|s| s.join().unwrap()).collect();
+        claimed.sort_unstable();
+        (claimed, consumer.join().unwrap())
+    });
+
+    let seqs: Vec<u64> = claimed.iter().map(|&(seq, _)| seq).collect();
+    assert_eq!(seqs, (0..FRAMES).collect::<Vec<_>>(), "distinct and gap-free");
+    let released: Vec<(u64, u64)> = outputs.iter().map(|f| (f.seq, f.stream_index)).collect();
+    assert_eq!(released, claimed, "each frame released once, in sequence order");
+    let stats = pipeline.finish();
+    assert_eq!((stats.submitted, stats.emitted, stats.dropped), (FRAMES, FRAMES, 0));
+    assert!(stats.ingress_watermark <= 4);
+}
+
+#[test]
+#[should_panic(expected = "room for at least one frame")]
+fn zero_ingress_capacity_panics_at_start() {
+    let _ = DecodePipeline::start(
+        mixed_table(6),
+        PipelineConfig { ingress_capacity: 0, ..PipelineConfig::default() },
+    );
 }

@@ -27,8 +27,9 @@ use dvbs2_pipeline::{
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// One frame of demapped soft bits entering the service tier.
@@ -165,8 +166,6 @@ pub struct ShardStatus {
     pub epoch: u64,
     /// Streams currently routed to the shard.
     pub streams: usize,
-    /// Whether the shard is draining toward retirement.
-    pub draining: bool,
     /// Frames currently inside the shard's pipeline.
     pub in_flight: usize,
     /// The shard pipeline's worker-fleet health.
@@ -183,7 +182,6 @@ struct Shard {
     affinity: Box<[AtomicBool]>,
     /// Streams currently routed here (load-balancing signal only).
     streams: AtomicUsize,
-    draining: AtomicBool,
 }
 
 struct StreamRoute {
@@ -196,8 +194,20 @@ struct StreamRoute {
     modcod: usize,
 }
 
+/// Everything routing reads or writes, under the route lock.
+#[derive(Default)]
 struct RouteState {
     routes: HashMap<StreamKey, StreamRoute>,
+    /// The routable fleet. A retired shard leaves this list under the same
+    /// lock that closes its ingress; its collector keeps it alive until
+    /// its admitted frames drain out.
+    shards: Vec<Arc<Shard>>,
+    /// One collector thread per shard ever spawned, joined at shutdown.
+    collectors: Vec<JoinHandle<()>>,
+    next_ticket: u64,
+    next_shard_uid: u64,
+    /// Set at shutdown; stops the health monitor.
+    closed: bool,
 }
 
 struct FrameMeta {
@@ -227,20 +237,15 @@ struct Inner {
     /// Immutable after start; per-tenant state is interior-atomic.
     tenants: BTreeMap<u32, TenantState>,
     route: Mutex<RouteState>,
-    shards: RwLock<Vec<Arc<Shard>>>,
     egress: Mutex<EgressState>,
     output_ready: Condvar,
-    shutting_down: AtomicBool,
-    next_shard_uid: AtomicU64,
-    next_ticket: AtomicU64,
 }
 
 /// The sharded decode front-end. See the crate docs for the design and
 /// the module docs for the ordering argument.
 pub struct ServiceTier {
     inner: Arc<Inner>,
-    collectors: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    monitor: Option<std::thread::JoinHandle<()>>,
+    monitor: Option<JoinHandle<()>>,
 }
 
 impl ServiceTier {
@@ -261,71 +266,28 @@ impl ServiceTier {
             registry: ModcodRegistry::new(table),
             stats: ServiceStatsCore::default(),
             tenants,
-            route: Mutex::new(RouteState { routes: HashMap::new() }),
-            shards: RwLock::new(Vec::new()),
+            route: Mutex::new(RouteState::default()),
             egress: Mutex::new(EgressState::default()),
             output_ready: Condvar::new(),
-            shutting_down: AtomicBool::new(false),
-            next_shard_uid: AtomicU64::new(0),
-            next_ticket: AtomicU64::new(0),
             config,
         });
-        let mut tier = ServiceTier {
-            inner: Arc::clone(&inner),
-            collectors: Mutex::new(Vec::new()),
-            monitor: None,
-        };
-        let snapshot = inner.registry.snapshot();
         {
-            let mut shards = inner.shards.write().expect("no panics hold the shard lock");
+            let mut route = inner.route.lock().expect("no panics hold the route lock");
+            let snapshot = inner.registry.snapshot();
             for index in 0..inner.config.shards {
                 let fault =
                     inner.config.fault_injection.filter(|f| f.shard == index).map(|f| f.injection);
-                shards.push(tier.spawn_shard(snapshot.epoch, (*snapshot.table).clone(), fault));
+                inner.spawn_shard(&mut route, snapshot.epoch, (*snapshot.table).clone(), fault);
             }
         }
-        if inner.config.health_poll_ms > 0 {
-            let monitor_inner = Arc::clone(&inner);
-            let handle = std::thread::Builder::new()
-                .name("service-monitor".into())
-                .spawn(move || monitor_loop(&monitor_inner))
-                .expect("spawning the service monitor");
-            tier.monitor = Some(handle);
-        }
-        tier
-    }
-
-    /// Builds one shard pipeline and its collector thread.
-    fn spawn_shard(
-        &self,
-        epoch: u64,
-        table: ModcodTable,
-        fault: Option<WorkerFaultInjection>,
-    ) -> Arc<Shard> {
-        let inner = &self.inner;
-        let uid = inner.next_shard_uid.fetch_add(1, Ordering::Relaxed);
-        let mut pipeline_config = inner.config.pipeline;
-        pipeline_config.fault_injection = fault;
-        let affinity = (0..table.len()).map(|_| AtomicBool::new(false)).collect();
-        let shard = Arc::new(Shard {
-            uid,
-            epoch,
-            pipeline: DecodePipeline::start(table, pipeline_config),
-            affinity,
-            streams: AtomicUsize::new(0),
-            draining: AtomicBool::new(false),
-        });
-        inner.egress.lock().expect("no panics hold the egress lock").open_collectors += 1;
-        let handle = {
-            let inner = Arc::clone(inner);
-            let shard = Arc::clone(&shard);
+        let monitor = (inner.config.health_poll_ms > 0).then(|| {
+            let inner = Arc::clone(&inner);
             std::thread::Builder::new()
-                .name(format!("service-collector-{uid}"))
-                .spawn(move || collector_loop(&inner, &shard))
-                .expect("spawning a shard collector")
-        };
-        self.collectors.lock().expect("no panics hold the collector handles").push(handle);
-        shard
+                .name("service-monitor".into())
+                .spawn(move || monitor_loop(&inner))
+                .expect("spawning the service monitor")
+        });
+        ServiceTier { inner, monitor }
     }
 
     /// Offers a frame without blocking. On success the frame's per-stream
@@ -333,9 +295,6 @@ impl ServiceTier {
     /// returned; every failure hands the frame back in a [`ServiceError`].
     pub fn submit(&self, frame: ServiceFrame) -> Result<u64, ServiceError> {
         let inner = &*self.inner;
-        if inner.shutting_down.load(Ordering::Acquire) {
-            return Err(ServiceError::ShutDown(frame));
-        }
         let Some(tenant) = inner.tenants.get(&frame.key.tenant) else {
             return Err(ServiceError::UnknownTenant(frame));
         };
@@ -346,21 +305,19 @@ impl ServiceTier {
         }
         // Route lock held through the shard admit: per-stream sequence
         // order and shard admit order stay identical.
-        let mut route = inner.route.lock().expect("no panics hold the route lock");
-        let shards = inner.shards.read().expect("no panics hold the shard lock");
+        let mut guard = inner.route.lock().expect("no panics hold the route lock");
+        let route = &mut *guard;
         let key = frame.key;
         let existing = route.routes.get(&key).map(|r| r.shard_uid);
-        let sticky = existing.and_then(|uid| {
-            shards.iter().find(|s| s.uid == uid && !s.draining.load(Ordering::Relaxed)).cloned()
-        });
+        let sticky = existing.and_then(|uid| route.shards.iter().find(|s| s.uid == uid).cloned());
         let (shard, migrated) = match sticky {
             Some(shard) => (shard, false),
             None => {
-                // First frame of the stream, or its shard is draining
-                // away: (re-)pick by affinity/hash. In-flight frames on
-                // the old shard still deliver; egress reordering keeps
-                // the stream in order across the move.
-                let Some(shard) = pick_shard(&shards, key, frame.modcod, None) else {
+                // First frame of the stream, or its shard was retired by a
+                // reconfiguration: (re-)pick by affinity/hash. In-flight
+                // frames on the old shard still deliver; egress reordering
+                // keeps the stream in order across the move.
+                let Some(shard) = pick_shard(&route.shards, key, frame.modcod, None) else {
                     tenant.release();
                     return Err(ServiceError::ShutDown(frame));
                 };
@@ -379,7 +336,8 @@ impl ServiceTier {
                 return Err(ServiceError::Shed(frame));
             }
         }
-        let ticket = inner.next_ticket.fetch_add(1, Ordering::Relaxed);
+        let ticket = route.next_ticket;
+        route.next_ticket += 1;
         let entry = route.routes.entry(key).or_insert_with(|| {
             shard.streams.fetch_add(1, Ordering::Relaxed);
             StreamRoute { shard_uid: shard.uid, next_seq: 0, modcod: frame.modcod }
@@ -487,25 +445,22 @@ impl ServiceTier {
     /// lazily on their next frame. No stream drops or reorders a frame
     /// across the transition. Returns the new table epoch.
     pub fn reconfigure(&self, table: ModcodTable) -> u64 {
-        let inner = &*self.inner;
+        let inner = &self.inner;
+        let mut route = inner.route.lock().expect("no panics hold the route lock");
         let epoch = inner.registry.swap(table);
         let snapshot = inner.registry.snapshot();
-        {
-            let mut shards = inner.shards.write().expect("no panics hold the shard lock");
-            for old in shards.iter() {
-                old.draining.store(true, Ordering::Relaxed);
-                // Closing ingress is safe before re-routing: the write
-                // lock excludes submitters, and once it drops they see
-                // the drained shard and re-pick.
-                old.pipeline.close_ingress();
-            }
-            // Tier-held references drop here; each collector keeps its
-            // shard alive until the drain completes.
-            shards.clear();
-            for _ in 0..inner.config.shards {
-                let shard = self.spawn_shard(snapshot.epoch, (*snapshot.table).clone(), None);
-                shards.push(shard);
-            }
+        // Under the route lock no submitter sees the old fleet again: a
+        // stream whose shard is gone re-picks on its next frame.
+        let retired = std::mem::take(&mut route.shards);
+        for _ in 0..inner.config.shards {
+            inner.spawn_shard(&mut route, snapshot.epoch, (*snapshot.table).clone(), None);
+        }
+        drop(route);
+        // The new collectors are counted before the old ones can exit, so
+        // `next_output` never sees the tier with no open collector. Each
+        // old collector keeps its shard alive until the drain completes.
+        for old in retired {
+            old.pipeline.close_ingress();
         }
         inner.stats.reconfigs.fetch_add(1, Ordering::Relaxed);
         epoch
@@ -527,15 +482,15 @@ impl ServiceTier {
     /// A point-in-time view of every active shard.
     pub fn shards(&self) -> Vec<ShardStatus> {
         self.inner
+            .route
+            .lock()
+            .expect("no panics hold the route lock")
             .shards
-            .read()
-            .expect("no panics hold the shard lock")
             .iter()
             .map(|s| ShardStatus {
                 uid: s.uid,
                 epoch: s.epoch,
                 streams: s.streams.load(Ordering::Relaxed),
-                draining: s.draining.load(Ordering::Relaxed),
                 in_flight: s.pipeline.in_flight(),
                 health: s.pipeline.health(),
             })
@@ -551,25 +506,19 @@ impl ServiceTier {
         self.stats()
     }
 
+    /// Closes every shard and joins the monitor and the collectors. The
+    /// handles are taken under the route lock and joined after it drops;
+    /// a second call finds none left.
     fn shutdown(&mut self) {
-        let inner = &*self.inner;
-        inner.shutting_down.store(true, Ordering::Release);
-        if let Some(handle) = self.monitor.take() {
-            let _ = handle.join();
-        }
-        {
-            let shards = inner.shards.read().expect("no panics hold the shard lock");
-            for shard in shards.iter() {
+        let collectors = {
+            let mut route = self.inner.route.lock().expect("no panics hold the route lock");
+            route.closed = true;
+            for shard in &route.shards {
                 shard.pipeline.close_ingress();
             }
-        }
-        let handles: Vec<_> = self
-            .collectors
-            .lock()
-            .expect("no panics hold the collector handles")
-            .drain(..)
-            .collect();
-        for handle in handles {
+            std::mem::take(&mut route.collectors)
+        };
+        for handle in self.monitor.take().into_iter().chain(collectors) {
             let _ = handle.join();
         }
     }
@@ -582,17 +531,51 @@ impl Drop for ServiceTier {
 }
 
 impl Inner {
+    /// Builds one shard pipeline and its collector thread and adds the
+    /// shard to the routable fleet.
+    fn spawn_shard(
+        self: &Arc<Self>,
+        route: &mut RouteState,
+        epoch: u64,
+        table: ModcodTable,
+        fault: Option<WorkerFaultInjection>,
+    ) {
+        let uid = route.next_shard_uid;
+        route.next_shard_uid += 1;
+        let mut pipeline_config = self.config.pipeline;
+        pipeline_config.fault_injection = fault;
+        let affinity = (0..table.len()).map(|_| AtomicBool::new(false)).collect();
+        let shard = Arc::new(Shard {
+            uid,
+            epoch,
+            pipeline: DecodePipeline::start(table, pipeline_config),
+            affinity,
+            streams: AtomicUsize::new(0),
+        });
+        self.egress.lock().expect("no panics hold the egress lock").open_collectors += 1;
+        let collector = {
+            let inner = Arc::clone(self);
+            let shard = Arc::clone(&shard);
+            std::thread::Builder::new()
+                .name(format!("service-collector-{uid}"))
+                .spawn(move || collector_loop(&inner, &shard))
+                .expect("spawning a shard collector")
+        };
+        route.collectors.push(collector);
+        route.shards.push(shard);
+    }
+
     /// Re-routes every stream on `shard_uid`; `fault` tags the move as
     /// health-driven in the counters.
     fn migrate_off(&self, shard_uid: u64, fault: bool) -> usize {
-        let mut route = self.route.lock().expect("no panics hold the route lock");
-        let shards = self.shards.read().expect("no panics hold the shard lock");
+        let mut guard = self.route.lock().expect("no panics hold the route lock");
+        let RouteState { routes, shards, .. } = &mut *guard;
         let mut moved = 0;
-        for (key, entry) in route.routes.iter_mut() {
+        for (key, entry) in routes.iter_mut() {
             if entry.shard_uid != shard_uid {
                 continue;
             }
-            let Some(target) = pick_shard(&shards, *key, entry.modcod, Some(shard_uid)) else {
+            let Some(target) = pick_shard(shards, *key, entry.modcod, Some(shard_uid)) else {
                 break;
             };
             if let Some(old) = shards.iter().find(|s| s.uid == shard_uid) {
@@ -610,7 +593,7 @@ impl Inner {
     }
 }
 
-/// Chooses a shard for a stream. Candidates are the non-draining shards;
+/// Chooses a shard for a stream. Candidates are the routable shards;
 /// each is scored by its *effective marginal load* — the per-healthy-worker
 /// load after accepting the stream, `(streams + 1) / healthy_workers`,
 /// using the pipeline's live quarantine verdicts. A shard with one of four
@@ -623,17 +606,15 @@ impl Inner {
 /// only chosen when every candidate is in that state. Among equal-cost
 /// shards: MODCOD affinity first (warm decoder caches), then the
 /// `(tenant, stream, modcod)` hash breaks the tie so equal shards see an
-/// even spread. Returns `None` only when every shard is draining.
+/// even spread. Returns `None` only when no shard but `exclude_uid` is
+/// left.
 fn pick_shard(
     shards: &[Arc<Shard>],
     key: StreamKey,
     modcod: usize,
     exclude_uid: Option<u64>,
 ) -> Option<Arc<Shard>> {
-    let open: Vec<&Arc<Shard>> = shards
-        .iter()
-        .filter(|s| !s.draining.load(Ordering::Relaxed) && Some(s.uid) != exclude_uid)
-        .collect();
+    let open: Vec<&Arc<Shard>> = shards.iter().filter(|s| Some(s.uid) != exclude_uid).collect();
     // Cost is the ratio streams/healthy; `le` compares a/b <= c/d as
     // a*d <= c*b, with x/0 treated as +infinity.
     let costs: Vec<(u64, u64)> = open
@@ -726,15 +707,14 @@ impl EgressState {
 /// capacity exists.
 fn monitor_loop(inner: &Inner) {
     let interval = Duration::from_millis(inner.config.health_poll_ms);
-    while !inner.shutting_down.load(Ordering::Acquire) {
+    loop {
         std::thread::sleep(interval);
         let degraded: Vec<u64> = {
-            let shards = inner.shards.read().expect("no panics hold the shard lock");
-            shards
-                .iter()
-                .filter(|s| !s.draining.load(Ordering::Relaxed) && s.pipeline.health().degraded())
-                .map(|s| s.uid)
-                .collect()
+            let route = inner.route.lock().expect("no panics hold the route lock");
+            if route.closed {
+                return;
+            }
+            route.shards.iter().filter(|s| s.pipeline.health().degraded()).map(|s| s.uid).collect()
         };
         for uid in degraded {
             inner.migrate_off(uid, true);
