@@ -407,7 +407,7 @@ fn check_stats(label: &str, row: &PhaseRow, violations: &mut Vec<String>) {
         stats.delivered == stats.submitted,
         format!("delivered {} of {} admitted frames", stats.delivered, stats.submitted),
     );
-    check(stats.orphaned == 0, format!("{} orphaned routing tickets", stats.orphaned));
+    check(stats.orphaned == 0, format!("{} orphaned frames stranded behind a gap", stats.orphaned));
     // Clients only count sheds they drop (open loop); retried sheds are
     // invisible to them but still counted by the service.
     check(

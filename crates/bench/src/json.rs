@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 
 /// The change whose code the committed records were taken with. Bump it in
 /// the change that re-records them.
-pub const RECORDED_BY: &str = "each serving stage is one lock";
+pub const RECORDED_BY: &str = "the tier releases each frame once";
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

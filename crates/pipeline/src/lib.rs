@@ -11,8 +11,9 @@
 //!   each stage one mutex and every frame counted against one in-flight
 //!   budget, with per-worker decoder reuse via
 //!   [`Decoder::decode_into`](dvbs2_decoder::Decoder::decode_into);
-//! * [`ReleaseBuffer`] — gap-free in-order release by sequence number, the
-//!   reorder stage here and in the service tier's per-stream egress;
+//! * [`Egress`] — the one release stage: a [`ReleaseBuffer`] per stream
+//!   (gap-free in-order release by sequence number) and the ready queue,
+//!   owned by a standalone pipeline or shared by a service tier's shards;
 //! * [`AdmissionController`] — iteration-budget load shedding driven by
 //!   the Eq. 8 [`ThroughputModel`](dvbs2_hardware::ThroughputModel)
 //!   (the paper's Table 3 iterations-vs-throughput trade, run backwards);
@@ -71,6 +72,7 @@ pub use admission::{AdmissionController, AdmissionPolicy, DEMAND_MULTIPLIERS, OC
 pub use health::{QuarantinePolicy, WorkerFaultInjection, WorkerHealth};
 pub use reorder::ReleaseBuffer;
 pub use service::{
-    DecodePipeline, DecodedFrame, PipelineConfig, PipelineHealth, SoftFrame, SubmitError,
+    DecodePipeline, DecodedFrame, Egress, PipelineConfig, PipelineHealth, Released, SoftFrame,
+    SubmitError,
 };
 pub use stats::{LatencyRecorder, LatencySnapshot, PipelineStats, StatsCore, ITERATION_BUCKETS};

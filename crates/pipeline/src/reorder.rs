@@ -1,5 +1,5 @@
-//! Gap-free in-order release by sequence number: the reorder stage behind
-//! the pipeline's egress and the service tier's per-stream egress.
+//! Gap-free in-order release by sequence number: one stream's reorder
+//! buffer in the egress.
 
 use std::collections::BTreeMap;
 
@@ -29,6 +29,11 @@ impl<T> ReleaseBuffer<T> {
         let item = self.pending.remove(&self.next)?;
         self.next += 1;
         Some(item)
+    }
+
+    /// Items popped so far: the sequence number released next.
+    pub fn released(&self) -> u64 {
+        self.next
     }
 
     /// Items held and not yet popped: the depth the reorder watermark

@@ -2,18 +2,20 @@
 //! with backpressure and iteration-budget admission control.
 //!
 //! ```text
-//!  try_submit/submit          workers (N)                       next_decoded
-//!  ───────────────▶ ingress ═════════════▶ egress: reorder ═▶ ready ───────────▶
-//!    (seq claimed)   Mutex     decode_into   Mutex: BTreeMap    in seq
+//!  try_submit/submit          workers (N)                          next_decoded
+//!  ───────────────▶ ingress ═════════════▶ egress: per-stream ═▶ ready ───────────▶
+//!    (seq claimed)   Mutex     decode_into   Mutex: reorder        in seq
 //! ```
 //!
 //! Design points, each load-bearing:
 //!
 //! * **Each stage is one mutex.** Ingress holds the queued frames, the next
-//!   sequence number and the closed flag; egress holds the reorder buffer,
-//!   the in-order ready queue and the count of running workers. The
-//!   pipeline never holds both locks at once, and no decode runs under
-//!   either.
+//!   sequence number and the closed flag; the [`Egress`] holds one reorder
+//!   buffer per stream, the in-order ready queue and the count of running
+//!   workers. The pipeline never holds both locks at once, and no decode
+//!   runs under either. A shard ([`DecodePipeline::start_shard`]) is the
+//!   same pool releasing into an egress other pools share; a standalone
+//!   pipeline is its one-stream case.
 //! * **Sequence numbers are claimed only when the ingress push succeeds** —
 //!   under the ingress lock, so a rejected frame burns no sequence number
 //!   and the reorder buffer never waits for a frame that does not exist.
@@ -29,22 +31,23 @@
 //!   holds an admitted frame it is not decoding, so an idle sibling can
 //!   always take the next one and the depth a pop leaves behind — the
 //!   occupancy admission reads — counts every waiting frame.
-//! * **Egress is in order.** A worker inserts its frame into the reorder
-//!   buffer and moves the in-order run to the ready queue in one critical
-//!   section, stamping each frame as it is released. A consumer sees frames
-//!   in exact submission order.
+//! * **Egress is in order.** A worker inserts its frame into its stream's
+//!   reorder buffer and moves the in-order run to the ready queue in one
+//!   critical section, stamping each frame as it is released. A consumer
+//!   sees each stream's frames in exact submission order.
 
 use crate::admission::{AdmissionController, AdmissionPolicy};
 use crate::health::{QuarantinePolicy, WorkerFaultInjection, WorkerHealth};
 use crate::reorder::ReleaseBuffer;
 use crate::stats::{PipelineStats, StatsCore};
 use dvbs2::{ModcodEntry, ModcodTable};
-use dvbs2_channel::LlrFrame;
+use dvbs2_channel::{LlrFrame, StreamKey};
 use dvbs2_decoder::{syndrome_weight, DecodeResult, Decoder};
 use dvbs2_ldpc::BitVec;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// One frame of demapped soft bits entering the pipeline.
@@ -75,7 +78,7 @@ impl From<LlrFrame> for SoftFrame {
 /// compare equal (the property shard-invariance tests rely on).
 #[derive(Debug, Clone)]
 pub struct DecodedFrame {
-    /// Pipeline sequence number (0-based submission order, gap-free).
+    /// Sequence number in its stream (standalone: submission order, gap-free).
     pub seq: u64,
     /// The submitter's stream position, carried through.
     pub stream_index: u64,
@@ -223,6 +226,7 @@ impl Default for PipelineConfig {
 }
 
 struct WorkItem {
+    stream: StreamKey,
     seq: u64,
     accepted_at: Instant,
     frame: SoftFrame,
@@ -238,38 +242,57 @@ struct Ingress {
     closed: bool,
 }
 
-/// The egress stage: what workers and consumers share, under one lock.
-struct Egress {
-    reorder: ReleaseBuffer<DecodedFrame>,
-    /// Frames released in order and not yet consumed; bounded by
-    /// `max_in_flight`.
-    ready: VecDeque<DecodedFrame>,
-    /// Workers still running. Egress is closed once this reaches zero.
+/// A decoded frame leaving an [`Egress`].
+#[derive(Debug)]
+pub struct Released {
+    /// The frame's stream; `frame.seq` is its place in it.
+    pub stream: StreamKey,
+    /// `(uid, epoch)` of the shard that decoded it; `(0, 0)` standalone.
+    pub shard: (u64, u64),
+    /// The frame, stamped `emitted_at` when it is released.
+    pub frame: DecodedFrame,
+}
+
+/// The egress stage of every pool that releases into it: one reorder buffer
+/// per stream, the ready queue and the running workers, under one lock.
+#[derive(Debug, Default)]
+pub struct Egress {
+    state: Mutex<EgressState>,
+    /// Signalled on every release and worker exit; consumers wait here.
+    released: Condvar,
+    stats: Arc<StatsCore>,
+}
+
+#[derive(Debug, Default)]
+struct EgressState {
+    streams: HashMap<StreamKey, ReleaseBuffer<Released>>,
+    ready: VecDeque<Released>,
+    /// Running workers; the egress is closed once this reaches zero.
     workers: usize,
 }
 
 struct Shared {
     table: ModcodTable,
     config: PipelineConfig,
-    stats: StatsCore,
+    /// A shard's `(uid, epoch)` label (a unit returns at the egress); `None`
+    /// standalone (a unit returns when a consumer takes the frame).
+    shard: Option<(u64, u64)>,
+    stats: Arc<StatsCore>,
     admission: AdmissionController,
     ingress: Mutex<Ingress>,
     /// Signalled when a frame is queued or ingress closes; idle workers
     /// wait here.
     work: Condvar,
-    /// Signalled whenever pipeline space frees (ingress pop or egress
-    /// consumption) or ingress closes; blocking submitters wait here.
+    /// Signalled whenever pipeline space frees (ingress pop or consumption)
+    /// or ingress closes; blocking submitters wait here.
     space: Condvar,
-    egress: Mutex<Egress>,
-    /// Signalled when frames are released in order or egress closes;
-    /// consumers wait here.
-    released: Condvar,
+    egress: Arc<Egress>,
 }
 
 /// The streaming decode service. See the module docs for the stage graph.
 pub struct DecodePipeline {
     shared: Arc<Shared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl DecodePipeline {
@@ -280,13 +303,37 @@ impl DecodePipeline {
     /// Panics on a configuration that cannot run: zero workers, an empty
     /// table, a zero ingress capacity or a zero in-flight budget.
     pub fn start(table: ModcodTable, config: PipelineConfig) -> Self {
+        Self::spawn(table, config, Arc::default(), None)
+    }
+
+    /// Starts a shard: a pool releasing into the shared `egress` (which
+    /// counts its workers before this returns), each frame labelled `shard`,
+    /// fed by [`DecodePipeline::try_submit_at`]. Panics as `start` does.
+    pub fn start_shard(
+        table: ModcodTable,
+        config: PipelineConfig,
+        egress: &Arc<Egress>,
+        shard: (u64, u64),
+    ) -> Self {
+        Self::spawn(table, config, Arc::clone(egress), Some(shard))
+    }
+
+    fn spawn(
+        table: ModcodTable,
+        config: PipelineConfig,
+        egress: Arc<Egress>,
+        shard: Option<(u64, u64)>,
+    ) -> Self {
         assert!(config.workers > 0, "the pipeline needs at least one worker");
         assert!(!table.is_empty(), "the MODCOD table must define at least one slot");
         assert!(config.ingress_capacity > 0, "the ingress queue needs room for at least one frame");
         assert!(config.max_in_flight >= 1, "the in-flight budget must admit a frame");
+        // Counted before any worker runs, so the egress cannot close early.
+        egress.lock().workers += config.workers;
         let shared = Arc::new(Shared {
             admission: AdmissionController::new(config.admission, &table),
-            stats: StatsCore::default(),
+            shard,
+            stats: if shard.is_some() { Arc::default() } else { Arc::clone(&egress.stats) },
             ingress: Mutex::new(Ingress {
                 items: VecDeque::with_capacity(config.ingress_capacity),
                 next_seq: 0,
@@ -294,12 +341,7 @@ impl DecodePipeline {
             }),
             work: Condvar::new(),
             space: Condvar::new(),
-            egress: Mutex::new(Egress {
-                reorder: ReleaseBuffer::default(),
-                ready: VecDeque::new(),
-                workers: config.workers,
-            }),
-            released: Condvar::new(),
+            egress,
             table,
             config,
         });
@@ -330,11 +372,28 @@ impl DecodePipeline {
     /// number (its position in the egress order) is returned; on
     /// backpressure the frame comes back in [`SubmitError::Rejected`].
     pub fn try_submit(&self, frame: SoftFrame) -> Result<u64, SubmitError> {
+        self.offer(frame, None)
+    }
+
+    /// [`DecodePipeline::try_submit`] for a shard: the caller places the frame
+    /// at `(stream, seq)`, and claims `seq` only when this succeeds.
+    pub fn try_submit_at(
+        &self,
+        frame: SoftFrame,
+        at: (StreamKey, u64),
+    ) -> Result<u64, SubmitError> {
+        self.offer(frame, Some(at))
+    }
+
+    fn offer(&self, frame: SoftFrame, place: Option<(StreamKey, u64)>) -> Result<u64, SubmitError> {
         let shared = &*self.shared;
         let frame = self.validate(frame)?;
         shared.stats.offered.fetch_add(1, Ordering::Relaxed);
-        let admitted = shared
-            .admit(&mut shared.ingress.lock().expect("no panics hold the ingress lock"), frame);
+        let admitted = shared.admit(
+            &mut shared.ingress.lock().expect("no panics hold the ingress lock"),
+            frame,
+            place,
+        );
         match admitted {
             Ok(_) => shared.work.notify_one(),
             Err(SubmitError::Rejected(_)) => {
@@ -353,7 +412,7 @@ impl DecodePipeline {
         shared.stats.offered.fetch_add(1, Ordering::Relaxed);
         let mut ingress = shared.ingress.lock().expect("no panics hold the ingress lock");
         loop {
-            match shared.admit(&mut ingress, frame) {
+            match shared.admit(&mut ingress, frame, None) {
                 Err(SubmitError::Rejected(back)) => frame = back,
                 admitted => {
                     drop(ingress);
@@ -377,27 +436,15 @@ impl DecodePipeline {
     /// ready. Returns `None` once every worker has exited and every frame
     /// has been consumed.
     pub fn next_decoded(&self) -> Option<DecodedFrame> {
-        let shared = &*self.shared;
-        let mut egress = shared.egress.lock().expect("no panics hold the egress lock");
-        loop {
-            if let Some(frame) = egress.ready.pop_front() {
-                drop(egress);
-                shared.consumed();
-                return Some(frame);
-            }
-            if egress.workers == 0 {
-                return None;
-            }
-            egress = shared.released.wait(egress).expect("no panics hold the egress lock");
-        }
+        let frame = self.shared.egress.next()?.frame;
+        self.shared.consumed();
+        Some(frame)
     }
 
     /// The next decoded frame if one is ready right now.
     pub fn try_next_decoded(&self) -> Option<DecodedFrame> {
-        let shared = &*self.shared;
-        let frame =
-            shared.egress.lock().expect("no panics hold the egress lock").ready.pop_front()?;
-        shared.consumed();
+        let frame = self.shared.egress.try_next()?.frame;
+        self.shared.consumed();
         Some(frame)
     }
 
@@ -438,9 +485,9 @@ impl DecodePipeline {
         &self.shared.config
     }
 
-    /// Frames currently inside the pipeline (ingress + decode + reorder +
-    /// ready). A single atomic load — cheap enough for per-frame routing
-    /// and SLA decisions in a front-end tier.
+    /// Frames inside the pipeline until a consumer takes them (ingress +
+    /// decode + reorder + ready). A single atomic load — cheap enough for
+    /// per-frame routing and SLA decisions in a front-end tier.
     pub fn in_flight(&self) -> usize {
         self.shared.stats.in_flight.load(Ordering::Relaxed)
     }
@@ -452,6 +499,11 @@ impl DecodePipeline {
     pub fn finish(mut self) -> PipelineStats {
         self.shutdown();
         self.shared.stats.snapshot()
+    }
+
+    /// Whether every worker has exited: dropping the pool then joins nothing.
+    pub fn is_drained(&self) -> bool {
+        self.workers.iter().all(JoinHandle::is_finished)
     }
 
     fn shutdown(&mut self) {
@@ -469,10 +521,15 @@ impl Drop for DecodePipeline {
 }
 
 impl Shared {
-    /// Admits `frame` under the ingress lock: claims the next sequence
-    /// number and queues the frame, or hands it back when ingress is closed
-    /// or the in-flight budget or the queue is full.
-    fn admit(&self, ingress: &mut Ingress, frame: SoftFrame) -> Result<u64, SubmitError> {
+    /// Admits `frame` under the ingress lock at `place` (by default the
+    /// next sequence number) and queues it, or hands it back when ingress
+    /// is closed or the in-flight budget or the queue is full.
+    fn admit(
+        &self,
+        ingress: &mut Ingress,
+        frame: SoftFrame,
+        place: Option<(StreamKey, u64)>,
+    ) -> Result<u64, SubmitError> {
         if ingress.closed {
             return Err(SubmitError::ShutDown(frame));
         }
@@ -481,9 +538,11 @@ impl Shared {
         {
             return Err(SubmitError::Rejected(frame));
         }
-        let seq = ingress.next_seq;
-        ingress.next_seq += 1;
-        ingress.items.push_back(WorkItem { seq, accepted_at: Instant::now(), frame });
+        let (stream, seq) = place.unwrap_or_else(|| {
+            ingress.next_seq += 1;
+            (StreamKey::new(0, 0), ingress.next_seq - 1)
+        });
+        ingress.items.push_back(WorkItem { stream, seq, accepted_at: Instant::now(), frame });
         self.stats.in_flight.fetch_add(1, Ordering::Relaxed);
         self.stats.submitted.fetch_add(1, Ordering::Relaxed);
         StatsCore::raise_watermark(&self.stats.ingress_watermark, ingress.items.len());
@@ -509,41 +568,92 @@ impl Shared {
         }
     }
 
-    /// Inserts a decoded frame and moves the in-order run to the ready
-    /// queue, stamping and recording each frame as it is released.
-    fn release(&self, decoded: DecodedFrame) {
-        let mut egress = self.egress.lock().expect("no panics hold the egress lock");
-        egress.reorder.insert(decoded.seq, decoded);
-        StatsCore::raise_watermark(&self.stats.reorder_watermark, egress.reorder.pending());
-        while let Some(mut frame) = egress.reorder.pop() {
-            frame.emitted_at = Instant::now();
-            self.stats.latency.record(frame.latency().as_nanos() as u64);
-            self.stats.emitted.fetch_add(1, Ordering::Relaxed);
-            egress.ready.push_back(frame);
+    /// Hands a decoded frame to the egress. A shard's in-flight unit returns
+    /// here, after one yield: a worker woken onto its submitter's CPU may
+    /// have preempted that submitter, which then still decides its next
+    /// admit before the unit returns, as it would with the worker elsewhere.
+    fn release(&self, stream: StreamKey, frame: DecodedFrame) {
+        self.egress.release(Released { stream, shard: self.shard.unwrap_or_default(), frame });
+        if self.shard.is_some() {
+            std::thread::yield_now();
+            self.consumed();
         }
-        drop(egress);
-        self.released.notify_all();
     }
 
-    /// A worker's exit. The last worker out closes egress; anything still
-    /// in the reorder buffer then waits on a frame that will never
-    /// complete, so it is counted as dropped rather than hanging the
-    /// consumer.
-    fn worker_exited(&self) {
-        let mut egress = self.egress.lock().expect("no panics hold the egress lock");
-        egress.workers -= 1;
-        if egress.workers == 0 {
-            let stuck = egress.reorder.take_stuck();
-            self.stats.dropped.fetch_add(stuck.len() as u64, Ordering::Relaxed);
-        }
-        drop(egress);
-        self.released.notify_all();
-    }
-
-    /// Accounts a frame a consumer took: its in-flight room frees.
+    /// Returns a frame's in-flight unit: its room frees.
     fn consumed(&self) {
         self.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
         self.space.notify_all();
+    }
+}
+
+impl Egress {
+    /// The release counters (`emitted`, `dropped`, `reorder_watermark`,
+    /// `latency`) of every frame released here.
+    pub fn stats(&self) -> &StatsCore {
+        &self.stats
+    }
+
+    fn lock(&self) -> MutexGuard<'_, EgressState> {
+        self.state.lock().expect("no panics hold the egress lock")
+    }
+
+    /// Holds `frame` in its stream and moves the stream's in-order run to
+    /// the ready queue, stamping and counting each frame it releases.
+    fn release(&self, frame: Released) {
+        let mut guard = self.lock();
+        let state = &mut *guard;
+        let stream = state.streams.entry(frame.stream).or_default();
+        stream.insert(frame.frame.seq, frame);
+        StatsCore::raise_watermark(&self.stats.reorder_watermark, stream.pending());
+        let now = Instant::now();
+        while let Some(mut out) = stream.pop() {
+            out.frame.emitted_at = now;
+            self.stats.latency.record(out.frame.latency().as_nanos() as u64);
+            self.stats.emitted.fetch_add(1, Ordering::Relaxed);
+            state.ready.push_back(out);
+        }
+        drop(guard);
+        self.released.notify_all();
+    }
+
+    /// A worker's exit. The last worker out closes the egress; frames still
+    /// held behind a gap then wait on a frame that will never arrive, so
+    /// they are counted as dropped rather than hanging a consumer.
+    fn worker_exited(&self) {
+        let mut state = self.lock();
+        state.workers -= 1;
+        if state.workers == 0 {
+            let stuck: usize = state.streams.values_mut().map(|s| s.take_stuck().len()).sum();
+            self.stats.dropped.fetch_add(stuck as u64, Ordering::Relaxed);
+        }
+        drop(state);
+        self.released.notify_all();
+    }
+
+    /// The next released frame, blocking until one is ready. Returns `None`
+    /// once every worker has exited and every frame has been taken.
+    pub fn next(&self) -> Option<Released> {
+        let mut state = self.lock();
+        loop {
+            if let Some(out) = state.ready.pop_front() {
+                return Some(out);
+            }
+            if state.workers == 0 {
+                return None;
+            }
+            state = self.released.wait(state).expect("no panics hold the egress lock");
+        }
+    }
+
+    /// The next released frame if one is ready right now.
+    pub fn try_next(&self) -> Option<Released> {
+        self.lock().ready.pop_front()
+    }
+
+    /// Frames released so far, per stream.
+    pub fn released_per_stream(&self) -> Vec<(StreamKey, u64)> {
+        self.lock().streams.iter().map(|(key, stream)| (*key, stream.released())).collect()
     }
 }
 
@@ -592,7 +702,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
             health.observe(&policy, scratch.converged, residual_fraction(entry, &scratch));
         }
 
-        let decoded = DecodedFrame {
+        let frame = DecodedFrame {
             seq: item.seq,
             stream_index: item.frame.stream_index,
             modcod: slot,
@@ -604,7 +714,9 @@ fn worker_loop(shared: &Shared, worker: usize) {
             accepted_at: item.accepted_at,
             emitted_at: item.accepted_at,
         };
-        shared.release(decoded);
+        // The frame takes its in-flight unit along; the unit returns when a
+        // consumer takes the frame.
+        shared.release(item.stream, frame);
 
         // The frame has been emitted, so quarantining here drops and
         // reorders nothing: this worker simply stops consuming ingress and
@@ -631,7 +743,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
         }
     }
 
-    shared.worker_exited();
+    shared.egress.worker_exited();
 }
 
 /// The fraction of unsatisfied check equations left in a finished decode —

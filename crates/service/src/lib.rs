@@ -5,11 +5,12 @@
 //! streams, under different service-level obligations, and must survive a
 //! MODCOD-table change without dropping a frame. This crate is that layer:
 //!
-//! * [`ServiceTier`] — N independent pipeline shards behind one non-blocking
-//!   ingress. Frames route by `(tenant, stream, MODCOD)` hash with sticky
-//!   per-stream affinity, so every stream's frames decode in order on one
-//!   shard at a time — and a service-level per-stream reorder stage keeps
-//!   them in order even *across* a mid-stream shard change.
+//! * [`ServiceTier`] — N independent worker pools (shards) behind one
+//!   non-blocking ingress, all releasing into one per-stream
+//!   [`Egress`](dvbs2_pipeline::Egress). Frames route by
+//!   `(tenant, stream, MODCOD)` hash with sticky per-stream affinity; the
+//!   egress releases each stream in order even *across* a mid-stream shard
+//!   change, and holds no stream's frame behind another stream's.
 //! * [`TenantPolicy`] / [`SlaClass`] — per-tenant admission budgets layered
 //!   on the pipeline's Eq.-8 iteration shedding: latency-bound tenants are
 //!   shed early while a shard still has queueing headroom, throughput-bound

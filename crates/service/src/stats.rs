@@ -1,16 +1,15 @@
 //! Service-tier counters: tenant-resolved admission outcomes, migration
-//! and reconfiguration events, and the pipeline's end-to-end latency
-//! recorder.
+//! and reconfiguration events, and the shared egress's release counters.
 
 use crate::tenant::TenantState;
-use dvbs2_pipeline::{LatencyRecorder, LatencySnapshot};
+use dvbs2_pipeline::{LatencySnapshot, StatsCore};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Live counters shared across the submit path, the collectors and the
-/// monitor. Relaxed atomics everywhere: individually exact, mutually
-/// consistent only at quiescence — same contract as the pipeline's core.
-/// Admissions, deliveries and latency sheds are counted per tenant only;
-/// the snapshot sums them.
+/// Live counters shared across the submit path and the monitor. Relaxed
+/// atomics everywhere: individually exact, mutually consistent only at
+/// quiescence — same contract as the pipeline's core. Admissions and
+/// latency sheds are counted per tenant only, deliveries per stream on the
+/// egress; the snapshot sums them.
 #[derive(Debug, Default)]
 pub(crate) struct ServiceStatsCore {
     /// Hard backpressure from a shard's ingress or in-flight cap.
@@ -23,20 +22,15 @@ pub(crate) struct ServiceStatsCore {
     pub(crate) fault_migrations: AtomicU64,
     /// Completed [`reconfigure`](crate::ServiceTier::reconfigure) calls.
     pub(crate) reconfigs: AtomicU64,
-    /// Decoded frames whose routing ticket had no metadata — an internal
-    /// invariant violation, always zero in a healthy tier.
-    pub(crate) orphaned: AtomicU64,
-    /// End-to-end latency (submit to in-order delivery).
-    pub(crate) latency: LatencyRecorder,
 }
 
 impl ServiceStatsCore {
     pub(crate) fn snapshot(
         &self,
         epoch: u64,
-        tenants: impl Iterator<Item = TenantStats>,
+        egress: &StatsCore,
+        tenants: Vec<TenantStats>,
     ) -> ServiceStats {
-        let tenants: Vec<TenantStats> = tenants.collect();
         ServiceStats {
             submitted: tenants.iter().map(|t| t.submitted).sum(),
             delivered: tenants.iter().map(|t| t.delivered).sum(),
@@ -46,9 +40,9 @@ impl ServiceStatsCore {
             migrations: self.migrations.load(Ordering::Relaxed),
             fault_migrations: self.fault_migrations.load(Ordering::Relaxed),
             reconfigs: self.reconfigs.load(Ordering::Relaxed),
-            orphaned: self.orphaned.load(Ordering::Relaxed),
+            orphaned: egress.dropped.load(Ordering::Relaxed),
             epoch,
-            latency: self.latency.snapshot(),
+            latency: egress.latency.snapshot(),
             tenants,
         }
     }
@@ -72,11 +66,11 @@ pub struct TenantStats {
 }
 
 impl TenantStats {
-    pub(crate) fn from_state(state: &TenantState) -> Self {
+    pub(crate) fn from_state(state: &TenantState, delivered: u64) -> Self {
         TenantStats {
             tenant: state.policy.tenant,
             submitted: state.submitted.load(Ordering::Relaxed),
-            delivered: state.delivered.load(Ordering::Relaxed),
+            delivered,
             rejected: state.rejected.load(Ordering::Relaxed),
             shed: state.shed.load(Ordering::Relaxed),
             in_flight: state.in_flight.load(Ordering::Relaxed),
@@ -104,12 +98,14 @@ pub struct ServiceStats {
     pub fault_migrations: u64,
     /// Completed hot reconfigurations.
     pub reconfigs: u64,
-    /// Decoded frames with no routing metadata (invariant violation).
+    /// Admitted frames left behind a gap in their stream when the egress
+    /// closed — the tier's twin of the pipeline's `dropped`. Zero in any
+    /// healthy run: only a worker that died holding a frame leaves one.
     pub orphaned: u64,
     /// The MODCOD registry epoch at snapshot time.
     pub epoch: u64,
-    /// End-to-end latency (submit to in-order delivery) of the delivered
-    /// frames.
+    /// End-to-end latency (shard admission to in-order release) of the
+    /// delivered frames.
     pub latency: LatencySnapshot,
     /// Per-tenant counter slices, sorted by tenant id.
     pub tenants: Vec<TenantStats>,

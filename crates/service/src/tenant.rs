@@ -51,7 +51,6 @@ pub(crate) struct TenantState {
     /// Frames currently inside the service (admitted, not yet consumed).
     pub(crate) in_flight: AtomicUsize,
     pub(crate) submitted: AtomicU64,
-    pub(crate) delivered: AtomicU64,
     pub(crate) rejected: AtomicU64,
     pub(crate) shed: AtomicU64,
 }
@@ -62,7 +61,6 @@ impl TenantState {
             policy,
             in_flight: AtomicUsize::new(0),
             submitted: AtomicU64::new(0),
-            delivered: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             shed: AtomicU64::new(0),
         }

@@ -1,18 +1,15 @@
-//! The service tier proper: sharded routing, tenant admission, egress
-//! reordering, stream migration, hot reconfiguration and health
-//! monitoring.
+//! The service tier proper: sharded routing, tenant admission, stream
+//! migration, hot reconfiguration and health monitoring over one shared
+//! egress.
 //!
 //! Ordering argument, in one place. Per-stream sequence numbers are
 //! assigned under the route lock and only on a successful shard admit, so
-//! they are gap-free and match the order frames entered *some* shard.
-//! Within one shard the pipeline's own reorder stage delivers frames in
-//! admit order. Across shards — after a migration or a rolling
-//! reconfiguration — the service-level egress stage holds each stream's
-//! frames in a per-stream reorder buffer keyed by that sequence number and
-//! releases them strictly in order, stamping each frame's latency as it
-//! is released. A frame admitted to any shard is always delivered
-//! (pipelines never drop admitted frames outside of teardown), so the
-//! buffer never waits on a hole that cannot fill.
+//! they are gap-free. A frame carries its `(stream, seq)` through its shard,
+//! and every shard's workers release into the one shared [`Egress`], which
+//! releases each stream strictly in sequence order whichever shard or
+//! worker finished first, and never holds one stream behind another.
+//! Workers never drop an admitted frame, so a stream never waits on a hole
+//! that cannot fill.
 
 use crate::stats::{ServiceStats, ServiceStatsCore, TenantStats};
 use crate::tenant::{SlaClass, TenantPolicy, TenantState};
@@ -21,16 +18,16 @@ use dvbs2::{ModcodRegistry, ModcodTable};
 use dvbs2_channel::StreamKey;
 use dvbs2_ldpc::BitVec;
 use dvbs2_pipeline::{
-    DecodePipeline, DecodedFrame, PipelineConfig, PipelineHealth, ReleaseBuffer, SoftFrame,
+    DecodePipeline, DecodedFrame, Egress, PipelineConfig, PipelineHealth, Released, SoftFrame,
     SubmitError, WorkerFaultInjection,
 };
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One frame of demapped soft bits entering the service tier.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,8 +51,8 @@ pub struct ServiceOutput {
     pub shard: u64,
     /// MODCOD-table epoch the decoding shard was built under.
     pub epoch: u64,
-    /// End-to-end service latency (submit to in-order delivery), ns:
-    /// stamped when the per-stream reorder stage releases the frame.
+    /// End-to-end service latency (shard admission to in-order release),
+    /// ns: stamped when the egress releases the frame.
     pub latency_ns: u64,
     /// The decoded frame itself.
     pub decoded: DecodedFrame,
@@ -199,35 +196,12 @@ struct StreamRoute {
 struct RouteState {
     routes: HashMap<StreamKey, StreamRoute>,
     /// The routable fleet. A retired shard leaves this list under the same
-    /// lock that closes its ingress; its collector keeps it alive until
-    /// its admitted frames drain out.
-    shards: Vec<Arc<Shard>>,
-    /// One collector thread per shard ever spawned, joined at shutdown.
-    collectors: Vec<JoinHandle<()>>,
-    next_ticket: u64,
+    /// lock that closes its ingress.
+    shards: Vec<Shard>,
+    /// Retired pools: each reconfiguration drops the drained ones,
+    /// shutdown joins the rest.
+    retired: Vec<DecodePipeline>,
     next_shard_uid: u64,
-    /// Set at shutdown; stops the health monitor.
-    closed: bool,
-}
-
-struct FrameMeta {
-    key: StreamKey,
-    stream_seq: u64,
-    submitted_at: Instant,
-}
-
-#[derive(Default)]
-struct EgressState {
-    /// Routing ticket → stream metadata for frames inside some shard.
-    tickets: HashMap<u64, FrameMeta>,
-    /// Per-stream release buffers; each held output keeps its submit
-    /// instant so its latency is stamped when it is released.
-    streams: HashMap<StreamKey, ReleaseBuffer<(Instant, ServiceOutput)>>,
-    /// In-order outputs awaiting consumption. Unbounded, but transitively
-    /// bounded by the sum of tenant budgets: a frame only exists here
-    /// while its tenant budget unit is still claimed.
-    ready: VecDeque<ServiceOutput>,
-    open_collectors: usize,
 }
 
 struct Inner {
@@ -237,8 +211,9 @@ struct Inner {
     /// Immutable after start; per-tenant state is interior-atomic.
     tenants: BTreeMap<u32, TenantState>,
     route: Mutex<RouteState>,
-    egress: Mutex<EgressState>,
-    output_ready: Condvar,
+    /// The one release stage behind every shard; the tenant budgets, held
+    /// until a consumer takes a frame, bound its ready queue.
+    egress: Arc<Egress>,
 }
 
 /// The sharded decode front-end. See the crate docs for the design and
@@ -267,8 +242,7 @@ impl ServiceTier {
             stats: ServiceStatsCore::default(),
             tenants,
             route: Mutex::new(RouteState::default()),
-            egress: Mutex::new(EgressState::default()),
-            output_ready: Condvar::new(),
+            egress: Arc::default(),
             config,
         });
         {
@@ -303,13 +277,13 @@ impl ServiceTier {
             inner.stats.rejected_budget.fetch_add(1, Ordering::Relaxed);
             return Err(ServiceError::OverBudget(frame));
         }
-        // Route lock held through the shard admit: per-stream sequence
-        // order and shard admit order stay identical.
+        // Route lock held through the shard admit: a stream's next sequence
+        // number is claimed only once its frame is admitted.
         let mut guard = inner.route.lock().expect("no panics hold the route lock");
-        let route = &mut *guard;
+        let RouteState { routes, shards, .. } = &mut *guard;
         let key = frame.key;
-        let existing = route.routes.get(&key).map(|r| r.shard_uid);
-        let sticky = existing.and_then(|uid| route.shards.iter().find(|s| s.uid == uid).cloned());
+        let existing = routes.get(&key).map(|r| r.shard_uid);
+        let sticky = existing.and_then(|uid| shards.iter().find(|s| s.uid == uid));
         let (shard, migrated) = match sticky {
             Some(shard) => (shard, false),
             None => {
@@ -317,7 +291,7 @@ impl ServiceTier {
                 // reconfiguration: (re-)pick by affinity/hash. In-flight
                 // frames on the old shard still deliver; egress reordering
                 // keeps the stream in order across the move.
-                let Some(shard) = pick_shard(&route.shards, key, frame.modcod, None) else {
+                let Some(shard) = pick_shard(shards, key, frame.modcod, None) else {
                     tenant.release();
                     return Err(ServiceError::ShutDown(frame));
                 };
@@ -336,23 +310,13 @@ impl ServiceTier {
                 return Err(ServiceError::Shed(frame));
             }
         }
-        let ticket = route.next_ticket;
-        route.next_ticket += 1;
-        let entry = route.routes.entry(key).or_insert_with(|| {
+        let entry = routes.entry(key).or_insert_with(|| {
             shard.streams.fetch_add(1, Ordering::Relaxed);
             StreamRoute { shard_uid: shard.uid, next_seq: 0, modcod: frame.modcod }
         });
         let stream_seq = entry.next_seq;
-        // The ticket goes in before the admit so the collector can never
-        // see a ticket it cannot resolve.
-        inner
-            .egress
-            .lock()
-            .expect("no panics hold the egress lock")
-            .tickets
-            .insert(ticket, FrameMeta { key, stream_seq, submitted_at: Instant::now() });
-        let soft = SoftFrame { modcod: frame.modcod, stream_index: ticket, llrs: frame.llrs };
-        match shard.pipeline.try_submit(soft) {
+        let soft = SoftFrame { modcod: frame.modcod, stream_index: stream_seq, llrs: frame.llrs };
+        match shard.pipeline.try_submit_at(soft, (key, stream_seq)) {
             Ok(_) => {
                 entry.next_seq += 1;
                 if entry.shard_uid != shard.uid {
@@ -369,12 +333,6 @@ impl ServiceTier {
                 Ok(stream_seq)
             }
             Err(err) => {
-                inner
-                    .egress
-                    .lock()
-                    .expect("no panics hold the egress lock")
-                    .tickets
-                    .remove(&ticket);
                 tenant.release();
                 tenant.rejected.fetch_add(1, Ordering::Relaxed);
                 let rebuild = |f: SoftFrame| ServiceFrame { key, modcod: f.modcod, llrs: f.llrs };
@@ -394,40 +352,15 @@ impl ServiceTier {
     }
 
     /// The next decoded frame in per-stream order, blocking until one is
-    /// ready. Returns `None` once every collector has shut down and the
+    /// ready. Returns `None` once every shard's workers have exited and the
     /// ready queue is drained.
     pub fn next_output(&self) -> Option<ServiceOutput> {
-        let inner = &*self.inner;
-        let mut egress = inner.egress.lock().expect("no panics hold the egress lock");
-        loop {
-            if let Some(out) = egress.ready.pop_front() {
-                drop(egress);
-                if let Some(tenant) = inner.tenants.get(&out.key.tenant) {
-                    tenant.release();
-                }
-                return Some(out);
-            }
-            if egress.open_collectors == 0 {
-                return None;
-            }
-            // The timeout guards against missed wakeups; correctness does
-            // not depend on it.
-            let (guard, _) = inner
-                .output_ready
-                .wait_timeout(egress, Duration::from_millis(10))
-                .expect("no panics hold the egress lock");
-            egress = guard;
-        }
+        self.inner.egress.next().map(|released| self.inner.hand_out(released))
     }
 
     /// The next decoded frame if one is ready right now.
     pub fn try_next_output(&self) -> Option<ServiceOutput> {
-        let inner = &*self.inner;
-        let out = inner.egress.lock().expect("no panics hold the egress lock").ready.pop_front()?;
-        if let Some(tenant) = inner.tenants.get(&out.key.tenant) {
-            tenant.release();
-        }
-        Some(out)
+        self.inner.egress.try_next().map(|released| self.inner.hand_out(released))
     }
 
     /// Re-routes every stream currently on `shard_uid` to other healthy
@@ -449,19 +382,22 @@ impl ServiceTier {
         let mut route = inner.route.lock().expect("no panics hold the route lock");
         let epoch = inner.registry.swap(table);
         let snapshot = inner.registry.snapshot();
+        // Retired pools whose workers have all exited go; dropping them
+        // joins nothing that is still decoding.
+        route.retired.retain(|pool| !pool.is_drained());
         // Under the route lock no submitter sees the old fleet again: a
         // stream whose shard is gone re-picks on its next frame.
-        let retired = std::mem::take(&mut route.shards);
+        let old = std::mem::take(&mut route.shards);
         for _ in 0..inner.config.shards {
             inner.spawn_shard(&mut route, snapshot.epoch, (*snapshot.table).clone(), None);
         }
-        drop(route);
-        // The new collectors are counted before the old ones can exit, so
-        // `next_output` never sees the tier with no open collector. Each
-        // old collector keeps its shard alive until the drain completes.
-        for old in retired {
-            old.pipeline.close_ingress();
+        // The new fleet's workers are counted on the egress before the old
+        // fleet closes, so `next_output` never sees no running worker.
+        for shard in old {
+            shard.pipeline.close_ingress();
+            route.retired.push(shard.pipeline);
         }
+        drop(route);
         inner.stats.reconfigs.fetch_add(1, Ordering::Relaxed);
         epoch
     }
@@ -471,12 +407,16 @@ impl ServiceTier {
         self.inner.registry.epoch()
     }
 
-    /// A point-in-time snapshot of the service counters.
+    /// A point-in-time snapshot of the service counters. A tenant's
+    /// deliveries are the frames the egress has released in its streams.
     pub fn stats(&self) -> ServiceStats {
         let inner = &*self.inner;
-        inner
-            .stats
-            .snapshot(inner.registry.epoch(), inner.tenants.values().map(TenantStats::from_state))
+        let released = inner.egress.released_per_stream();
+        let tenants = inner.tenants.values().map(|state| {
+            let delivered = released.iter().filter(|(key, _)| key.tenant == state.policy.tenant);
+            TenantStats::from_state(state, delivered.map(|(_, count)| count).sum())
+        });
+        inner.stats.snapshot(inner.registry.epoch(), inner.egress.stats(), tenants.collect())
     }
 
     /// A point-in-time view of every active shard.
@@ -497,30 +437,31 @@ impl ServiceTier {
             .collect()
     }
 
-    /// Stops accepting frames, drains every shard, joins the collectors
-    /// and the monitor, and returns the final counters. Outputs still in
-    /// the ready queue at that point are dropped with the tier — consume
-    /// them (via [`ServiceTier::next_output`]) before or while finishing.
+    /// Stops accepting frames, drains every shard, joins the shards'
+    /// workers and the monitor, and returns the final counters. Outputs
+    /// still in the ready queue at that point are dropped with the tier —
+    /// consume them (via [`ServiceTier::next_output`]) before or while
+    /// finishing.
     pub fn finish(mut self) -> ServiceStats {
         self.shutdown();
         self.stats()
     }
 
-    /// Closes every shard and joins the monitor and the collectors. The
-    /// handles are taken under the route lock and joined after it drops;
-    /// a second call finds none left.
+    /// Closes every shard and joins the monitor and every pool, retired or
+    /// not (dropping a pool joins it). The pools are taken under the route
+    /// lock and joined after it drops; a second call finds none left.
     fn shutdown(&mut self) {
-        let collectors = {
+        let pools = {
             let mut route = self.inner.route.lock().expect("no panics hold the route lock");
-            route.closed = true;
             for shard in &route.shards {
                 shard.pipeline.close_ingress();
             }
-            std::mem::take(&mut route.collectors)
+            (std::mem::take(&mut route.shards), std::mem::take(&mut route.retired))
         };
-        for handle in self.monitor.take().into_iter().chain(collectors) {
-            let _ = handle.join();
+        if let Some(monitor) = self.monitor.take() {
+            let _ = monitor.join();
         }
+        drop(pools);
     }
 }
 
@@ -531,10 +472,10 @@ impl Drop for ServiceTier {
 }
 
 impl Inner {
-    /// Builds one shard pipeline and its collector thread and adds the
+    /// Builds one shard's worker pool over the shared egress and adds the
     /// shard to the routable fleet.
     fn spawn_shard(
-        self: &Arc<Self>,
+        &self,
         route: &mut RouteState,
         epoch: u64,
         table: ModcodTable,
@@ -542,27 +483,26 @@ impl Inner {
     ) {
         let uid = route.next_shard_uid;
         route.next_shard_uid += 1;
-        let mut pipeline_config = self.config.pipeline;
-        pipeline_config.fault_injection = fault;
+        let config = PipelineConfig { fault_injection: fault, ..self.config.pipeline };
         let affinity = (0..table.len()).map(|_| AtomicBool::new(false)).collect();
-        let shard = Arc::new(Shard {
+        route.shards.push(Shard {
             uid,
             epoch,
-            pipeline: DecodePipeline::start(table, pipeline_config),
+            pipeline: DecodePipeline::start_shard(table, config, &self.egress, (uid, epoch)),
             affinity,
             streams: AtomicUsize::new(0),
         });
-        self.egress.lock().expect("no panics hold the egress lock").open_collectors += 1;
-        let collector = {
-            let inner = Arc::clone(self);
-            let shard = Arc::clone(&shard);
-            std::thread::Builder::new()
-                .name(format!("service-collector-{uid}"))
-                .spawn(move || collector_loop(&inner, &shard))
-                .expect("spawning a shard collector")
-        };
-        route.collectors.push(collector);
-        route.shards.push(shard);
+    }
+
+    /// Hands a released frame to the consumer: its tenant's budget unit
+    /// returns.
+    fn hand_out(&self, released: Released) -> ServiceOutput {
+        let Released { stream: key, shard: (shard, epoch), frame: decoded } = released;
+        if let Some(tenant) = self.tenants.get(&key.tenant) {
+            tenant.release();
+        }
+        let (stream_seq, latency_ns) = (decoded.seq, decoded.latency().as_nanos() as u64);
+        ServiceOutput { key, stream_seq, shard, epoch, latency_ns, decoded }
     }
 
     /// Re-routes every stream on `shard_uid`; `fault` tags the move as
@@ -609,12 +549,12 @@ impl Inner {
 /// even spread. Returns `None` only when no shard but `exclude_uid` is
 /// left.
 fn pick_shard(
-    shards: &[Arc<Shard>],
+    shards: &[Shard],
     key: StreamKey,
     modcod: usize,
     exclude_uid: Option<u64>,
-) -> Option<Arc<Shard>> {
-    let open: Vec<&Arc<Shard>> = shards.iter().filter(|s| Some(s.uid) != exclude_uid).collect();
+) -> Option<&Shard> {
+    let open: Vec<&Shard> = shards.iter().filter(|s| Some(s.uid) != exclude_uid).collect();
     // Cost is the ratio streams/healthy; `le` compares a/b <= c/d as
     // a*d <= c*b, with x/0 treated as +infinity.
     let costs: Vec<(u64, u64)> = open
@@ -633,73 +573,14 @@ fn pick_shard(
         _ => a.0 * b.1 <= b.0 * a.1,
     };
     let best = costs.iter().copied().reduce(|a, b| if le(a, b) { a } else { b })?;
-    let (affine, plain): (Vec<&Arc<Shard>>, Vec<&Arc<Shard>>) =
+    let (affine, plain): (Vec<&Shard>, Vec<&Shard>) =
         open.iter().zip(&costs).filter(|&(_, &c)| le(c, best)).map(|(s, _)| *s).partition(|s| {
             s.affinity.get(modcod).is_some_and(|affine| affine.load(Ordering::Relaxed))
         });
     let candidates = if affine.is_empty() { plain } else { affine };
     let mut hasher = DefaultHasher::new();
     (key.tenant, key.stream, modcod).hash(&mut hasher);
-    Some(Arc::clone(candidates[hasher.finish() as usize % candidates.len()]))
-}
-
-/// Per-shard egress pump: hands each decoded frame to the service-level
-/// release step. Exits when the shard's pipeline closes its egress (drain
-/// complete).
-fn collector_loop(inner: &Inner, shard: &Shard) {
-    while let Some(decoded) = shard.pipeline.next_decoded() {
-        inner.egress.lock().expect("no panics hold the egress lock").collect(
-            decoded,
-            (shard.uid, shard.epoch),
-            &inner.stats,
-            &inner.tenants,
-        );
-        inner.output_ready.notify_all();
-    }
-    let mut egress = inner.egress.lock().expect("no panics hold the egress lock");
-    egress.open_collectors -= 1;
-    drop(egress);
-    inner.output_ready.notify_all();
-}
-
-impl EgressState {
-    /// The release step: resolves `decoded`'s routing ticket, holds the
-    /// frame in its stream's release buffer and moves every frame now in
-    /// order to the ready queue. Each frame's latency is stamped as it is
-    /// released, so it covers the per-stream reorder wait.
-    fn collect(
-        &mut self,
-        decoded: DecodedFrame,
-        (shard, epoch): (u64, u64),
-        stats: &ServiceStatsCore,
-        tenants: &BTreeMap<u32, TenantState>,
-    ) {
-        let Some(meta) = self.tickets.remove(&decoded.stream_index) else {
-            // Unresolvable ticket: an internal invariant broke. Count it
-            // loudly rather than hanging a stream's reorder buffer.
-            stats.orphaned.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        let output = ServiceOutput {
-            key: meta.key,
-            stream_seq: meta.stream_seq,
-            shard,
-            epoch,
-            latency_ns: 0,
-            decoded,
-        };
-        let stream = self.streams.entry(meta.key).or_default();
-        stream.insert(meta.stream_seq, (meta.submitted_at, output));
-        let released_at = Instant::now();
-        while let Some((submitted_at, mut out)) = stream.pop() {
-            out.latency_ns = released_at.saturating_duration_since(submitted_at).as_nanos() as u64;
-            stats.latency.record(out.latency_ns);
-            if let Some(tenant) = tenants.get(&out.key.tenant) {
-                tenant.delivered.fetch_add(1, Ordering::Relaxed);
-            }
-            self.ready.push_back(out);
-        }
-    }
+    Some(candidates[hasher.finish() as usize % candidates.len()])
 }
 
 /// Health monitor: polls each shard's pipeline for syndrome-anomaly
@@ -711,7 +592,8 @@ fn monitor_loop(inner: &Inner) {
         std::thread::sleep(interval);
         let degraded: Vec<u64> = {
             let route = inner.route.lock().expect("no panics hold the route lock");
-            if route.closed {
+            // Shutdown takes the whole fleet.
+            if route.shards.is_empty() {
                 return;
             }
             route.shards.iter().filter(|s| s.pipeline.health().degraded()).map(|s| s.uid).collect()
@@ -725,52 +607,84 @@ fn monitor_loop(inner: &Inner) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvbs2::ldpc::{CodeRate, FrameSize};
+    use dvbs2::Modcod;
+    use dvbs2_channel::Modulation;
+    use std::time::Instant;
 
-    fn decoded(ticket: u64) -> DecodedFrame {
-        let now = Instant::now();
-        DecodedFrame {
-            seq: ticket,
-            stream_index: ticket,
-            modcod: 0,
-            bits: BitVec::zeros(8),
-            info_len: 4,
-            iterations: 1,
-            converged: true,
-            iteration_cap: 1,
-            accepted_at: now,
-            emitted_at: now,
-        }
+    fn table() -> ModcodTable {
+        ModcodTable::build(&[Modcod::new(Modulation::Bpsk, CodeRate::R1_2, FrameSize::Short)])
+            .unwrap()
     }
 
     #[test]
     fn a_held_frame_is_stamped_when_it_is_released() {
         const DELAY: Duration = Duration::from_millis(20);
         let key = StreamKey::new(1, 0);
-        let tenants = BTreeMap::from([(1, TenantState::new(TenantPolicy::throughput_bound(1, 4)))]);
-        let stats = ServiceStatsCore::default();
-        let mut egress = EgressState::default();
-        let submitted_at = Instant::now();
-        for seq in 0..2 {
-            egress.tickets.insert(seq, FrameMeta { key, stream_seq: seq, submitted_at });
-        }
-
-        egress.collect(decoded(1), (0, 0), &stats, &tenants);
-        assert!(egress.ready.is_empty(), "seq 1 waits for seq 0");
+        let table = table();
+        let n = table.entry(0).frame_len();
+        let tier = ServiceTier::start(
+            table,
+            ServiceConfig {
+                shards: 1,
+                pipeline: PipelineConfig { workers: 1, ..PipelineConfig::default() },
+                tenants: vec![TenantPolicy::throughput_bound(1, 4)],
+                ..ServiceConfig::default()
+            },
+        );
+        let tenant = &tier.inner.tenants[&1];
+        assert!(tenant.try_claim() && tenant.try_claim(), "the two frames' budget units");
+        // Seq 1 enters the shard first and decodes while seq 0 is missing.
+        let admit = |seq: u64| {
+            let frame = SoftFrame { modcod: 0, stream_index: seq, llrs: vec![6.0; n] };
+            let route = tier.inner.route.lock().unwrap();
+            route.shards[0].pipeline.try_submit_at(frame, (key, seq)).unwrap();
+        };
+        admit(1);
         std::thread::sleep(DELAY);
-        egress.collect(decoded(0), (0, 0), &stats, &tenants);
+        assert!(tier.try_next_output().is_none(), "seq 1 waits for seq 0");
+        admit(0);
 
-        let released: Vec<ServiceOutput> = egress.ready.drain(..).collect();
+        let released: Vec<ServiceOutput> = (0..2).map(|_| tier.next_output().unwrap()).collect();
         assert_eq!(released.iter().map(|o| o.stream_seq).collect::<Vec<_>>(), [0, 1]);
         assert!(
             released[1].latency_ns >= DELAY.as_nanos() as u64,
             "seq 1's latency {} ns must cover its {DELAY:?} reorder wait",
             released[1].latency_ns
         );
-        assert_eq!(released[0].latency_ns, released[1].latency_ns, "released together");
-        let recorded = stats.latency.snapshot();
-        assert_eq!(recorded.count(), 2);
-        assert_eq!(recorded.total_ns, released.iter().map(|o| o.latency_ns).sum::<u64>());
-        assert_eq!(recorded.max_ns, released[1].latency_ns);
-        assert_eq!(tenants[&1].delivered.load(Ordering::Relaxed), 2);
+        let emitted_at = |out: &ServiceOutput| out.decoded.emitted_at;
+        assert_eq!(emitted_at(&released[0]), emitted_at(&released[1]), "released together");
+        let stats = tier.stats();
+        assert_eq!(stats.latency.count(), 2);
+        assert_eq!(stats.latency.total_ns, released.iter().map(|o| o.latency_ns).sum::<u64>());
+        assert_eq!(stats.latency.max_ns, released[1].latency_ns);
+        assert_eq!(stats.tenants[0].delivered, 2);
+    }
+
+    #[test]
+    fn reconfigurations_keep_only_the_pools_still_draining() {
+        const ROLLS: usize = 16;
+        const SHARDS: usize = 2;
+        let tier = ServiceTier::start(
+            table(),
+            ServiceConfig {
+                shards: SHARDS,
+                pipeline: PipelineConfig { workers: 1, ..PipelineConfig::default() },
+                ..ServiceConfig::default()
+            },
+        );
+        let route = || tier.inner.route.lock().unwrap();
+        for _ in 0..ROLLS {
+            tier.reconfigure(table());
+            // Nothing is in flight, so the fleet just retired drains at once.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !route().retired.iter().all(DecodePipeline::is_drained) {
+                assert!(Instant::now() < deadline, "an idle retired pool never drained");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let retired = route().retired.len();
+        assert!(retired <= SHARDS, "{retired} retired pools kept after {ROLLS} rolls");
+        assert_eq!(tier.finish().reconfigs, ROLLS as u64);
     }
 }

@@ -4,9 +4,10 @@
 //! fault-driven migration, tenant admission, and BBFRAME demux.
 
 use dvbs2::channel::{mix_seed, Modulation, StreamKey};
+use dvbs2::decoder::DecoderConfig;
 use dvbs2::framing::{assemble_bbframe, BbHeader};
 use dvbs2::ldpc::{BitVec, CodeRate, FrameSize};
-use dvbs2::{Modcod, ModcodTable};
+use dvbs2::{DecoderKind, DecoderProfile, Modcod, ModcodTable};
 use dvbs2_pipeline::{PipelineConfig, QuarantinePolicy, WorkerFaultInjection};
 use dvbs2_service::{
     ServiceConfig, ServiceError, ServiceFrame, ServiceOutput, ServiceStats, ServiceTier,
@@ -659,4 +660,44 @@ fn a_consumer_waiting_through_reconfigurations_still_gets_the_next_frame() {
         assert_eq!((out.key, out.stream_seq, out.epoch), (key, 0, ROLLS));
     });
     assert_eq!(tier.finish().reconfigs, ROLLS);
+}
+
+#[test]
+fn a_slow_frame_does_not_hold_another_streams_frame() {
+    // f64 sum-product on the scalar zigzag sweep: pure-noise LLRs never
+    // converge and run the whole cap, a strong all-zero word stops after
+    // one iteration.
+    const CAP: usize = 60;
+    let profile = DecoderProfile {
+        kind: DecoderKind::Zigzag,
+        config: DecoderConfig::default().with_max_iterations(CAP),
+    };
+    let modcod = Modcod::new(Modulation::Bpsk, CodeRate::R1_2, FrameSize::Short);
+    let table = ModcodTable::with_profiles(&[(modcod, profile)]).unwrap();
+    let n = table.entry(0).frame_len();
+    let noise = (0..n as u64).map(|i| if mix_seed(0x401, i) & 1 == 0 { 0.4 } else { -0.4 });
+    let tier = ServiceTier::start(
+        table,
+        ServiceConfig {
+            shards: 1,
+            pipeline: PipelineConfig { workers: 2, ..PipelineConfig::default() },
+            tenants: vec![TenantPolicy::throughput_bound(1, 4)],
+            ..ServiceConfig::default()
+        },
+    );
+    let (slow, fast) = (StreamKey::new(1, 0), StreamKey::new(1, 1));
+    tier.submit(ServiceFrame { key: slow, modcod: 0, llrs: noise.collect() }).unwrap();
+    tier.submit(ServiceFrame { key: fast, modcod: 0, llrs: vec![6.0; n] }).unwrap();
+
+    let first = tier.next_output().unwrap();
+    let second = tier.next_output().unwrap();
+    assert_eq!(
+        (first.key, first.decoded.iterations),
+        (fast, 1),
+        "the one-iteration frame of another stream must not wait for the slow one"
+    );
+    assert_eq!((second.key, second.decoded.iterations), (slow, CAP));
+    assert!(!second.decoded.converged);
+    let stats = tier.finish();
+    assert_eq!((stats.delivered, stats.orphaned), (2, 0));
 }
