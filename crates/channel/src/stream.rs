@@ -64,11 +64,6 @@ impl<S: LlrSource> FrameStream<S> {
     pub fn new(source: S, limit: u64) -> Self {
         FrameStream { source, next: 0, limit }
     }
-
-    /// The underlying source (e.g. to re-generate a frame for comparison).
-    pub fn source_mut(&mut self) -> &mut S {
-        &mut self.source
-    }
 }
 
 impl<S: LlrSource> Iterator for FrameStream<S> {

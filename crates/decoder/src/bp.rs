@@ -3,6 +3,7 @@
 
 use crate::engine::{load_llrs, syndrome_ok_totals, Precision};
 use crate::llr_ops::{CheckRule, LlrFloat};
+use crate::rotation::{rotation_syndrome_tier, RotationPlanes};
 use crate::simd::SimdTier;
 use crate::{DecodeResult, Decoder, DecoderConfig};
 use dvbs2_ldpc::{BitVec, TannerGraph};
@@ -11,26 +12,80 @@ use std::sync::Arc;
 
 /// A belief-propagation decoder over the schedule `S`.
 ///
-/// Flooding (Fig. 2a), the paper's zigzag (Fig. 2b) and the layered
-/// extension are one message-passing decoder run in three update orders,
-/// named [`FloodingDecoder`], [`ZigzagDecoder`] and [`LayeredDecoder`]. This
-/// struct owns everything they share: the message store at the configured
-/// precision, the SIMD tier resolved once at construction, the iteration
-/// loop with early stop, and the epilogue (final syndrome, hard decisions).
-/// A schedule is only the layout it picks at construction and its
-/// per-iteration step over the store.
+/// Flooding (Fig. 2a) and the paper's zigzag (Fig. 2b) are one
+/// message-passing decoder run in two update orders, named
+/// [`FloodingDecoder`] and [`ZigzagDecoder`]. This struct owns everything
+/// they share: the layout the messages live in, chosen once at
+/// construction, the message store at the configured precision, the SIMD
+/// tier resolved once at construction, the iteration loop with early stop,
+/// and the epilogue (final syndrome, hard decisions). A schedule is only its
+/// per-iteration step on each layout.
 ///
 /// [`FloodingDecoder`]: crate::FloodingDecoder
 /// [`ZigzagDecoder`]: crate::ZigzagDecoder
-/// [`LayeredDecoder`]: crate::LayeredDecoder
 #[derive(Debug, Clone)]
 pub struct BpDecoder<S> {
     graph: Arc<TannerGraph>,
     pub(crate) config: DecoderConfig,
     /// Runtime dispatch tier, resolved once at construction.
     tier: SimdTier,
+    pub(crate) layout: Layout,
     pub(crate) schedule: S,
     pub(crate) core: Core,
+}
+
+/// Where the messages live: one of two layouts, chosen from the graph, the
+/// rule and the precision by [`RotationPlanes::for_config`], and the only
+/// path for the decoders it serves.
+#[derive(Debug, Clone)]
+pub(crate) enum Layout {
+    /// The min-sum rules and `f32` exact sum-product on a DVB-S2 graph:
+    /// check `c = u·q + r` is lane `u` of residue row `r`, as in the paper's
+    /// 360 functional units, so every pass reads and writes dense rotated
+    /// slices with no index planes (DESIGN.md §7.10). The parity halves of
+    /// `llr` and `totals` are transposed between [`Layout::start`] and
+    /// [`Layout::finish`].
+    Planes(RotationPlanes),
+    /// Everything else (`f64` sum-product, the reference the regression
+    /// suite pins, the table rule, and every rule on a graph without the
+    /// DVB-S2 structure): one message per edge, check by check on each
+    /// check's contiguous edge range, with no index planes beyond the
+    /// graph's own.
+    Edges,
+}
+
+impl Layout {
+    /// The lengths of the store's `v2c`, `c2v` and `next` buffers: on the
+    /// rotation planes `v2c` is one row.
+    fn lengths(&self, graph: &TannerGraph) -> [usize; 3] {
+        match self {
+            Layout::Planes(planes) => planes.lengths(graph),
+            Layout::Edges => [graph.edge_count(), graph.edge_count(), graph.var_count()],
+        }
+    }
+
+    /// Sets the first iteration's totals from the loaded channel.
+    fn start<F: LlrFloat>(&self, m: &mut Store<F>) {
+        match self {
+            Layout::Planes(planes) => planes.start(m),
+            Layout::Edges => m.totals_from_channel(),
+        }
+    }
+
+    /// Whether the totals' hard decisions satisfy every check.
+    fn syndrome_ok<F: LlrFloat>(&self, graph: &TannerGraph, tier: SimdTier, m: &Store<F>) -> bool {
+        match self {
+            Layout::Planes(planes) => rotation_syndrome_tier(tier, planes, &m.totals),
+            Layout::Edges => syndrome_ok_totals(graph, &m.totals),
+        }
+    }
+
+    /// Leaves the totals in natural variable order after the last iteration.
+    fn finish<F: LlrFloat>(&self, m: &mut Store<F>) {
+        if let Layout::Planes(planes) = self {
+            planes.finish(m);
+        }
+    }
 }
 
 /// The message store at the configured precision: the decoder's one
@@ -42,8 +97,7 @@ pub(crate) enum Core {
 }
 
 /// The message store at one precision: the channel, the message planes, the
-/// totals and a working buffer. Each layout sizes `v2c`, `c2v` and `next`
-/// for what its step reads ([`Schedule::lengths`]).
+/// totals and a working buffer, sized for the decoder's layout.
 #[derive(Debug, Clone)]
 pub struct Store<F> {
     pub(crate) llr: Vec<F>,
@@ -73,46 +127,40 @@ impl<F: LlrFloat> Store<F> {
     }
 }
 
-/// A schedule of the spine: the layout it picks at construction, with its
-/// [`Step`] at both precisions. Sealed: the crate's three schedules are all.
-pub trait Schedule: Step<f64> + Step<f32> + Clone + Debug {
-    /// Picks the layout for `graph` under `config`.
+/// A schedule of the spine: its per-iteration step on each [`Layout`], at
+/// either precision, and its name. Sealed: the crate's two schedules are
+/// all.
+pub trait Schedule: Clone + Debug {
+    /// The schedule for `graph`.
     ///
     /// # Panics
     ///
     /// Panics on a graph the schedule cannot run.
-    fn new(graph: &TannerGraph, config: &DecoderConfig) -> Self;
-
-    /// The lengths of the store's `v2c`, `c2v` and `next` buffers.
-    fn lengths(&self, graph: &TannerGraph) -> [usize; 3];
+    fn new(graph: &TannerGraph) -> Self;
 
     /// The report name under `rule`.
     fn name(rule: CheckRule) -> &'static str;
-}
 
-/// A schedule's per-iteration step at precision `F`, with the hooks around
-/// it. The spine loads the channel into `llr` and zeroes `c2v` before
-/// [`Step::start`].
-pub trait Step<F: LlrFloat> {
-    /// Sets the first iteration's totals.
-    fn start(&mut self, m: &mut Store<F>) {
-        m.totals_from_channel();
-    }
+    /// Called once per decode, before the first step.
+    fn start(&mut self) {}
 
-    /// One iteration: fresh `c2v` and the totals they imply.
-    fn step(&mut self, graph: &TannerGraph, rule: &CheckRule, tier: SimdTier, m: &mut Store<F>);
+    /// One iteration on the rotation planes.
+    fn planes_step<F: LlrFloat>(
+        &mut self,
+        planes: &RotationPlanes,
+        rule: &CheckRule,
+        tier: SimdTier,
+        m: &mut Store<F>,
+    );
 
-    /// Whether the totals' hard decisions satisfy every check.
-    fn syndrome_ok(&self, graph: &TannerGraph, _tier: SimdTier, m: &Store<F>) -> bool {
-        syndrome_ok_totals(graph, &m.totals)
-    }
-
-    /// Leaves the totals in natural variable order after the last iteration.
-    fn finish(&self, _m: &mut Store<F>) {}
+    /// One iteration on the edge planes.
+    fn edges_step<F: LlrFloat>(&mut self, graph: &TannerGraph, rule: &CheckRule, m: &mut Store<F>);
 }
 
 impl<S: Schedule> BpDecoder<S> {
-    /// Creates a decoder for `graph`.
+    /// Creates a decoder for `graph`, on the layout its graph, rule and
+    /// precision select: the rotation planes for the min-sum rules and `f32`
+    /// sum-product on a DVB-S2 graph, the edge planes otherwise.
     ///
     /// # Panics
     ///
@@ -120,24 +168,20 @@ impl<S: Schedule> BpDecoder<S> {
     /// or if the schedule cannot run `graph` (zigzag needs a parity chain:
     /// build the graph with [`TannerGraph::for_code`]).
     pub fn new(graph: Arc<TannerGraph>, config: DecoderConfig) -> Self {
-        let schedule = S::new(&graph, &config);
-        Self::with_schedule(graph, config, schedule)
+        let layout =
+            RotationPlanes::for_config(&graph, &config).map_or(Layout::Edges, Layout::Planes);
+        Self::on_layout(graph, config, layout)
     }
 
-    /// A decoder on the layout `schedule` holds, whichever `S::new` would
-    /// pick: the exactness tests force the scalar reference this way.
-    pub(crate) fn with_schedule(
-        graph: Arc<TannerGraph>,
-        config: DecoderConfig,
-        schedule: S,
-    ) -> Self {
+    fn on_layout(graph: Arc<TannerGraph>, config: DecoderConfig, layout: Layout) -> Self {
+        let schedule = S::new(&graph);
         let tier = SimdTier::resolve(config.simd);
-        let (vars, lengths) = (graph.var_count(), schedule.lengths(&graph));
+        let (vars, lengths) = (graph.var_count(), layout.lengths(&graph));
         let core = match config.precision {
             Precision::F64 => Core::F64(Store::new(vars, lengths)),
             Precision::F32 => Core::F32(Store::new(vars, lengths)),
         };
-        BpDecoder { graph, config, tier, schedule, core }
+        BpDecoder { graph, config, tier, layout, schedule, core }
     }
 
     /// The decoder configuration.
@@ -163,10 +207,11 @@ impl<S: Schedule> Decoder for BpDecoder<S> {
     /// codeword length (the first call sizes it).
     fn decode_into(&mut self, channel_llrs: &[f64], out: &mut DecodeResult) {
         assert_eq!(channel_llrs.len(), self.graph.var_count(), "LLR length mismatch");
+        let (schedule, layout) = (&mut self.schedule, &self.layout);
         let (graph, config, tier) = (&*self.graph, &self.config, self.tier);
         match &mut self.core {
-            Core::F64(m) => run(&mut self.schedule, graph, config, tier, m, channel_llrs, out),
-            Core::F32(m) => run(&mut self.schedule, graph, config, tier, m, channel_llrs, out),
+            Core::F64(m) => run(schedule, layout, graph, config, tier, m, channel_llrs, out),
+            Core::F32(m) => run(schedule, layout, graph, config, tier, m, channel_llrs, out),
         }
     }
 
@@ -179,10 +224,12 @@ impl<S: Schedule> Decoder for BpDecoder<S> {
     }
 }
 
-/// One decode of every schedule: the channel in, the iteration loop with
-/// early stop, the hard decisions out.
-fn run<F: LlrFloat, S: Step<F>>(
+/// One decode of every schedule on every layout: the channel in, the
+/// iteration loop with early stop, the hard decisions out.
+#[allow(clippy::too_many_arguments)]
+fn run<F: LlrFloat, S: Schedule>(
     schedule: &mut S,
+    layout: &Layout,
     graph: &TannerGraph,
     config: &DecoderConfig,
     tier: SimdTier,
@@ -192,17 +239,21 @@ fn run<F: LlrFloat, S: Step<F>>(
 ) {
     load_llrs(&mut m.llr, channel_llrs);
     m.c2v.fill(F::ZERO);
-    schedule.start(m);
+    schedule.start();
+    layout.start(m);
     (out.iterations, out.converged) = 'iterate: {
         for iterations in 1..=config.max_iterations {
-            schedule.step(graph, &config.rule, tier, m);
-            if config.early_stop && schedule.syndrome_ok(graph, tier, m) {
+            match layout {
+                Layout::Planes(planes) => schedule.planes_step(planes, &config.rule, tier, m),
+                Layout::Edges => schedule.edges_step(graph, &config.rule, m),
+            }
+            if config.early_stop && layout.syndrome_ok(graph, tier, m) {
                 break 'iterate (iterations, true);
             }
         }
-        (config.max_iterations, schedule.syndrome_ok(graph, tier, m))
+        (config.max_iterations, layout.syndrome_ok(graph, tier, m))
     };
-    schedule.finish(m);
+    layout.finish(m);
     if out.bits.len() != m.totals.len() {
         out.bits = BitVec::zeros(m.totals.len());
     }
@@ -210,19 +261,27 @@ fn run<F: LlrFloat, S: Step<F>>(
 }
 
 #[cfg(test)]
+impl<S: Schedule> BpDecoder<S> {
+    /// A decoder on the edge planes, whichever layout [`BpDecoder::new`]
+    /// would pick: the exactness tests force the scalar reference this way.
+    pub(crate) fn on_edges(graph: Arc<TannerGraph>, config: DecoderConfig) -> Self {
+        Self::on_layout(graph, config, Layout::Edges)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_support::{llrs_for_codeword, noisy_llrs, small_code, SplitMix64};
-    use crate::{FloodingDecoder, LayeredDecoder, ZigzagDecoder};
+    use crate::{FloodingDecoder, ZigzagDecoder};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// One decoder of each schedule under `config`.
-    fn schedules(graph: &TannerGraph, config: DecoderConfig) -> [Box<dyn Decoder>; 3] {
+    fn schedules(graph: &TannerGraph, config: DecoderConfig) -> [Box<dyn Decoder>; 2] {
         let graph = Arc::new(graph.clone());
         [
             Box::new(FloodingDecoder::new(Arc::clone(&graph), config)),
-            Box::new(ZigzagDecoder::new(Arc::clone(&graph), config)),
-            Box::new(LayeredDecoder::new(graph, config)),
+            Box::new(ZigzagDecoder::new(graph, config)),
         ]
     }
 
@@ -283,7 +342,6 @@ mod tests {
             let config = DecoderConfig::default().with_simd_tier(Some(tier));
             assert_eq!(FloodingDecoder::new(Arc::clone(&graph), config).simd_tier(), tier);
             assert_eq!(ZigzagDecoder::new(Arc::clone(&graph), config).simd_tier(), tier);
-            assert_eq!(LayeredDecoder::new(Arc::clone(&graph), config).simd_tier(), tier);
         }
     }
 
@@ -299,15 +357,13 @@ mod tests {
         ];
         for (rule, suffix) in rules {
             let config = DecoderConfig::default().with_rule(rule).with_max_iterations(12);
-            let names =
-                [format!("flooding {suffix}"), format!("zigzag {suffix}"), "layered".into()];
+            let names = [format!("flooding {suffix}"), format!("zigzag {suffix}")];
             for (dec, name) in schedules(&graph, config).iter().zip(names) {
                 assert_eq!(dec.name(), name);
             }
             let graph = Arc::new(graph.clone());
             assert_eq!(FloodingDecoder::new(Arc::clone(&graph), config).config(), &config);
-            assert_eq!(ZigzagDecoder::new(Arc::clone(&graph), config).config(), &config);
-            assert_eq!(LayeredDecoder::new(graph, config).config(), &config);
+            assert_eq!(ZigzagDecoder::new(graph, config).config(), &config);
         }
     }
 
@@ -344,12 +400,6 @@ mod tests {
             for core in [&flooding.core, &zigzag.core] {
                 assert_eq!(lengths(core), [vars, edges, edges, vars, vars], "{config:?}");
             }
-        }
-        for precision in [Precision::F64, Precision::F32] {
-            let config = DecoderConfig::default().with_precision(precision);
-            let layered = LayeredDecoder::new(Arc::clone(&graph), config);
-            let scratch = 2 * graph.max_check_degree();
-            assert_eq!(lengths(&layered.core), [vars, scratch, edges, vars, 0], "{precision:?}");
         }
     }
 

@@ -7,37 +7,25 @@
 //! measured against: it needs ≈ 40 iterations where the optimized schedule
 //! needs 30.
 //!
-//! Messages live in one of two plane layouts, chosen once at construction
-//! from the graph, the rule and the precision by the choice the zigzag
-//! shares ([`RotationPlanes::for_config`]); each is the only path for the
-//! decoders it serves:
-//!
-//! * **Rotation planes** — the min-sum rules and `f32` exact sum-product on
-//!   a DVB-S2 graph: check `c = u·q + r` is lane `u` of residue row `r`, as
-//!   in the paper's 360 functional units, so both half-iterations read and
-//!   write dense rotated slices with no index planes (DESIGN.md §7.10).
-//! * **Edge planes** — everything else (`f64` sum-product, the reference the
-//!   regression suite pins, the table rule, and every rule on a graph
-//!   without the DVB-S2 structure): the scalar pass, check by check on each
-//!   check's contiguous edge range, with no index planes beyond the graph's
-//!   own.
-//!
-//! Min-sum on the rotation planes is bit-identical to the scalar pass. The
-//! loop, the store and the epilogue are the spine's ([`crate::bp`]).
+//! The spine ([`crate::bp`]) picks the layout the messages live in, once,
+//! and owns the loop, the store and the epilogue; this schedule is its step
+//! on each layout. On the rotation planes both half-iterations read and
+//! write dense rotated slices row by row under the rule's row kernel; on the
+//! edge planes the scalar pass streams check by check with the scalar kernel
+//! fused between gather and scatter. Min-sum on the rotation planes is
+//! bit-identical to the scalar pass.
 
-use crate::bp::{BpDecoder, Schedule, Step, Store};
-use crate::engine::{fused_check_pass, syndrome_ok_totals, tier_clones, RowKernel};
+use crate::bp::{BpDecoder, Schedule, Store};
+use crate::engine::{fused_check_pass, tier_clones, RowKernel};
 use crate::llr_ops::{CheckRule, LlrFloat};
 use crate::rotation::{
-    fold_info_columns, rotation_syndrome_tier, rotation_vn_pass_tier, row_kernel, subtract,
-    RotationPlanes,
+    fold_info_columns, rotation_vn_pass_tier, row_kernel, subtract, RotationPlanes,
 };
 use crate::simd::SimdTier;
-use crate::DecoderConfig;
 use dvbs2_ldpc::{TannerGraph, PARALLELISM as LANES};
 
 /// Flooding-schedule belief-propagation decoder over any Tanner graph, on
-/// the one plane layout its graph, rule and precision select (module docs).
+/// the one layout its graph, rule and precision select ([`BpDecoder`]).
 /// The decoder builds only what that layout's pass reads.
 ///
 /// ```
@@ -54,27 +42,14 @@ use dvbs2_ldpc::{TannerGraph, PARALLELISM as LANES};
 /// ```
 pub type FloodingDecoder = BpDecoder<Flooding>;
 
-/// The flooding schedule: where the messages live.
+/// The flooding schedule: both half-iterations from the previous
+/// iteration's messages.
 #[derive(Debug, Clone)]
-pub struct Flooding(Layout);
-
-#[derive(Debug, Clone)]
-enum Layout {
-    Rotation(RotationPlanes),
-    Edges,
-}
+pub struct Flooding;
 
 impl Schedule for Flooding {
-    fn new(graph: &TannerGraph, config: &DecoderConfig) -> Self {
-        Flooding(RotationPlanes::for_config(graph, config).map_or(Layout::Edges, Layout::Rotation))
-    }
-
-    /// On the rotation planes `v2c` is one row.
-    fn lengths(&self, graph: &TannerGraph) -> [usize; 3] {
-        match &self.0 {
-            Layout::Rotation(planes) => planes.lengths(graph),
-            Layout::Edges => [graph.edge_count(), graph.edge_count(), graph.var_count()],
-        }
+    fn new(_: &TannerGraph) -> Self {
+        Flooding
     }
 
     fn name(rule: CheckRule) -> &'static str {
@@ -85,53 +60,30 @@ impl Schedule for Flooding {
             CheckRule::OffsetMinSum(_) => "flooding offset min-sum",
         }
     }
-}
 
-/// On the rotation planes the parity halves of `llr` and `totals` are
-/// transposed until [`Step::finish`].
-impl<F: LlrFloat> Step<F> for Flooding {
-    fn start(&mut self, m: &mut Store<F>) {
-        match &self.0 {
-            Layout::Rotation(planes) => planes.start(m),
-            Layout::Edges => m.totals_from_channel(),
-        }
+    fn planes_step<F: LlrFloat>(
+        &mut self,
+        planes: &RotationPlanes,
+        rule: &CheckRule,
+        tier: SimdTier,
+        m: &mut Store<F>,
+    ) {
+        let Store { llr, v2c, c2v, totals, .. } = m;
+        row_kernel!(rule, F, |kernel| {
+            rotation_check_pass_tier(tier, planes, totals, v2c, c2v, kernel)
+        });
+        // Parity `K + c` as `pllr + ((0 + R_c) + L_{c+1})`.
+        let parity = |l, right, left: Option<F>| match left {
+            Some(left) => l + ((F::ZERO + right) + left),
+            None => l + (F::ZERO + right),
+        };
+        rotation_vn_pass_tier(tier, planes, llr, c2v, totals, parity);
     }
 
-    /// Both half-iterations. The rotation planes run row by row under the
-    /// rule's row kernel; the edge planes stream check by check with the
-    /// scalar kernel fused between gather and scatter.
-    fn step(&mut self, graph: &TannerGraph, rule: &CheckRule, tier: SimdTier, m: &mut Store<F>) {
+    fn edges_step<F: LlrFloat>(&mut self, graph: &TannerGraph, rule: &CheckRule, m: &mut Store<F>) {
         let Store { llr, v2c, c2v, totals, next } = m;
-        match &self.0 {
-            Layout::Rotation(planes) => {
-                row_kernel!(rule, F, |kernel| {
-                    rotation_check_pass_tier(tier, planes, totals, v2c, c2v, kernel)
-                });
-                // Parity `K + c` as `pllr + ((0 + R_c) + L_{c+1})`.
-                let parity = |l, right, left: Option<F>| match left {
-                    Some(left) => l + ((F::ZERO + right) + left),
-                    None => l + (F::ZERO + right),
-                };
-                rotation_vn_pass_tier(tier, planes, llr, c2v, totals, parity);
-            }
-            Layout::Edges => {
-                fused_check_pass(graph, rule, llr, totals, v2c, c2v, next);
-                std::mem::swap(totals, next);
-            }
-        }
-    }
-
-    fn syndrome_ok(&self, graph: &TannerGraph, tier: SimdTier, m: &Store<F>) -> bool {
-        match &self.0 {
-            Layout::Rotation(planes) => rotation_syndrome_tier(tier, planes, &m.totals),
-            Layout::Edges => syndrome_ok_totals(graph, &m.totals),
-        }
-    }
-
-    fn finish(&self, m: &mut Store<F>) {
-        if let Layout::Rotation(planes) = &self.0 {
-            planes.finish(m);
-        }
+        fused_check_pass(graph, rule, llr, totals, v2c, c2v, next);
+        std::mem::swap(totals, next);
     }
 }
 
@@ -187,10 +139,9 @@ tier_clones!(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bp::Core;
+    use crate::bp::{Core, Layout};
     use crate::test_support::{llrs_for_codeword, noisy_llrs, small_code};
-    use crate::Decoder;
-    use crate::Precision;
+    use crate::{Decoder, DecoderConfig, Precision};
     use std::sync::Arc;
 
     #[test]
@@ -271,7 +222,7 @@ mod tests {
     }
 
     /// The exactness matrix: the rotation planes against the scalar pass,
-    /// run by the same configuration on the code's generic copy, on the
+    /// the same configuration forced onto the edge planes, on the
     /// full `DecodeResult` and on the final totals bit for bit — every
     /// short rate and three normal ones, both min-sum rules, both
     /// precisions, early stop on and off, an iteration cap of 0, every
@@ -288,7 +239,6 @@ mod tests {
             let Ok(code) = DvbS2Code::new(rate, frame) else { continue };
             codes += 1;
             let graph = Arc::new(code.tanner_graph());
-            let scalar = Arc::new(generic(&graph));
             let ebn0 = 1.5 + 3.0 * rate.as_f64();
             let (_, noisy) = noisy_llrs(&code, ebn0, 0x5EED + codes);
             let mut hostile = noisy.clone();
@@ -304,12 +254,9 @@ mod tests {
                             .with_precision(precision)
                             .with_simd_tier(Some(tier));
                         let mut lanes = FloodingDecoder::new(Arc::clone(&graph), config);
-                        assert!(
-                            matches!(lanes.schedule.0, Layout::Rotation(_)),
-                            "{rate} {frame:?}"
-                        );
-                        let mut reference = FloodingDecoder::new(Arc::clone(&scalar), config);
-                        assert!(matches!(reference.schedule.0, Layout::Edges), "{rate} {frame:?}");
+                        assert!(matches!(lanes.layout, Layout::Planes(_)), "{rate} {frame:?}");
+                        let mut reference = FloodingDecoder::on_edges(Arc::clone(&graph), config);
+                        assert!(matches!(reference.layout, Layout::Edges), "{rate} {frame:?}");
                         for (cap, early_stop) in [(8, true), (8, false), (0, true), (0, false)] {
                             for decoder in [&mut lanes, &mut reference] {
                                 decoder.config.max_iterations = cap;
@@ -344,13 +291,13 @@ mod tests {
         let generic = generic(&graph);
         let on_planes = |g: &TannerGraph, rule, precision| {
             let config = DecoderConfig::default().with_rule(rule).with_precision(precision);
-            let layout = FloodingDecoder::new(Arc::new(g.clone()), config).schedule.0;
+            let layout = FloodingDecoder::new(Arc::new(g.clone()), config).layout;
             assert_eq!(
-                matches!(layout, Layout::Rotation(_)),
+                matches!(layout, Layout::Planes(_)),
                 RotationPlanes::for_config(g, &config).is_some(),
                 "{rule:?} {precision:?}"
             );
-            matches!(layout, Layout::Rotation(_))
+            matches!(layout, Layout::Planes(_))
         };
         let min_sum = [CheckRule::NormalizedMinSum(0.8), CheckRule::OffsetMinSum(0.15)];
         let every_rule =

@@ -9,18 +9,18 @@
 //!   forward updates through the degree-2 parity chain (Figure 2b), which
 //!   converges in ≈ 30 iterations where flooding needs ≈ 40 and halves the
 //!   parity-message storage;
-//! * [`LayeredDecoder`] — a layered schedule (extension);
 //! * [`QuantizedZigzagDecoder`] — the 5/6-bit fixed-point model that the
 //!   cycle-accurate hardware core reproduces bit-exactly;
 //! * [`CheckRule`] — sum-product (Eq. 5) and min-sum variants.
 //!
-//! The three float schedules are one [`BpDecoder`]: one message store, one
-//! iteration loop with early stop and one epilogue. A schedule is only the
-//! layout it picks at construction and its per-iteration step. Under
-//! flooding and zigzag alike, the min-sum rules and `f32` sum-product on a
-//! DVB-S2 graph run on the rotation planes, the paper's 360 functional units
-//! as vector lanes; the zigzag's forward chain runs there as 360 sub-chains
-//! side by side, bit-identical to the check-by-check sweep under min-sum.
+//! The two float schedules are one [`BpDecoder`]: one layout chosen at
+//! construction, one message store, one iteration loop with early stop and
+//! one epilogue. A schedule is only its per-iteration step on each layout.
+//! Under flooding and zigzag alike, the min-sum rules and `f32` sum-product
+//! on a DVB-S2 graph run on the rotation planes, the paper's 360 functional
+//! units as vector lanes; the zigzag's forward chain runs there as 360
+//! sub-chains side by side, bit-identical to the check-by-check sweep under
+//! min-sum.
 //!
 //! # Example
 //!
@@ -49,7 +49,6 @@ mod bp;
 mod de;
 mod engine;
 mod flooding;
-mod layered;
 mod llr_ops;
 mod qdecoder;
 mod qsimd;
@@ -69,7 +68,6 @@ pub use bp::BpDecoder;
 pub use de::{Density, DensityEvolution};
 pub use engine::{Lane, Precision, LLR_CLAMP};
 pub use flooding::FloodingDecoder;
-pub use layered::LayeredDecoder;
 pub use llr_ops::{boxplus, boxplus_min, boxplus_t, boxplus_table, CheckRule, LlrFloat};
 pub use qdecoder::{ChainPartition, QuantizedZigzagDecoder};
 pub use qsimd::{FuLanes, FuWord};

@@ -3,9 +3,9 @@
 //! residue row `r`, so every pass reads and writes dense rotated slices
 //! with no index planes. The flooding and the zigzag steps run on the one
 //! layout, under min-sum and `f32` exact sum-product alike; this module
-//! holds what they share — the layout choice, the plan, the transposition
-//! in and out of the store, the information gather, the variable-node pass
-//! and the syndrome test.
+//! holds what they share — the layout choice the spine makes, the plan, the
+//! transposition in and out of the store, the information gather, the
+//! variable-node pass and the syndrome test.
 
 use crate::bp::Store;
 use crate::engine::{tier_clones, Precision, RowKernel};
@@ -21,7 +21,7 @@ use std::ops::Range;
 /// then the left and the right parity column. Parity totals and channel
 /// values are transposed to `[k + r·360 + u]`.
 #[derive(Debug, Clone)]
-pub(crate) struct RotationPlanes {
+pub struct RotationPlanes {
     pub(crate) k: usize,
     pub(crate) q: usize,
     pub(crate) stride: usize,
@@ -35,7 +35,7 @@ pub(crate) struct RotationPlanes {
 }
 
 impl RotationPlanes {
-    /// The one layout choice of both float schedules: the planes of `graph`
+    /// The spine's one layout choice ([`crate::bp`]): the planes of `graph`
     /// when its rule runs there and the graph has the structure, `None` for
     /// the scalar pass or sweep. The planes run the min-sum rules at both
     /// precisions and exact sum-product at `f32`; `f64` sum-product is the

@@ -4,7 +4,7 @@
 //! used to live here lost to that loop wherever it interleaved (DESIGN.md
 //! §7.3); new code should call [`Decoder::decode_into`] per frame.
 
-use crate::{DecodeResult, Decoder, DecoderConfig, FloodingDecoder, LayeredDecoder, ZigzagDecoder};
+use crate::{DecodeResult, Decoder, DecoderConfig, FloodingDecoder, ZigzagDecoder};
 use dvbs2_ldpc::TannerGraph;
 use std::sync::Arc;
 
@@ -15,8 +15,6 @@ pub enum TileSchedule {
     Flooding,
     /// [`ZigzagDecoder`].
     Zigzag,
-    /// [`LayeredDecoder`].
-    Layered,
 }
 
 /// Decodes up to `max_batch` frames per call, one after the other, on one
@@ -58,7 +56,6 @@ impl TiledBatchDecoder {
         let decoder: Box<dyn Decoder + Send> = match schedule {
             TileSchedule::Flooding => Box::new(FloodingDecoder::new(graph, config)),
             TileSchedule::Zigzag => Box::new(ZigzagDecoder::new(graph, config)),
-            TileSchedule::Layered => Box::new(LayeredDecoder::new(graph, config)),
         };
         TiledBatchDecoder { config, schedule, max_batch, decoder }
     }

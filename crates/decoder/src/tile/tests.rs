@@ -14,7 +14,6 @@ fn reference(
     match schedule {
         TileSchedule::Flooding => Box::new(FloodingDecoder::new(Arc::clone(graph), cfg)),
         TileSchedule::Zigzag => Box::new(ZigzagDecoder::new(Arc::clone(graph), cfg)),
-        TileSchedule::Layered => Box::new(LayeredDecoder::new(Arc::clone(graph), cfg)),
     }
 }
 
@@ -27,7 +26,7 @@ fn tiled_decode_is_bit_identical_to_single_frame_all_schedules() {
     let frames: Vec<Vec<f64>> =
         ebn0.iter().enumerate().map(|(i, &db)| noisy_llrs(&code, db, 900 + i as u64).1).collect();
     let views: Vec<&[f64]> = frames.iter().map(|f| f.as_slice()).collect();
-    for schedule in [TileSchedule::Flooding, TileSchedule::Zigzag, TileSchedule::Layered] {
+    for schedule in [TileSchedule::Flooding, TileSchedule::Zigzag] {
         for precision in [Precision::F64, Precision::F32] {
             let cfg = config(CheckRule::NormalizedMinSum(0.8), precision);
             let mut tiled = TiledBatchDecoder::new(Arc::clone(&graph), cfg, schedule, 4);

@@ -22,43 +22,31 @@
 //! backward B_c = I_c ⊞ R_c      R_c = llr[K+c]   + B_{c+1}   (last sweep)
 //! ```
 //!
-//! so only `F` carries a dependency from check to check. The decoder picks
-//! one of two layouts at construction from the graph, the rule and the
-//! precision, by the choice flooding shares
-//! ([`RotationPlanes::for_config`]); each is the only path for the decoders
-//! it serves:
+//! so only `F` carries a dependency from check to check. The spine
+//! ([`crate::bp`]) picks the layout the messages live in, once, and owns the
+//! loop, the store and the epilogue; this schedule is its step on each
+//! layout:
 //!
-//! * **Rotation planes** — the min-sum rules at both precisions and `f32`
-//!   exact sum-product on a DVB-S2 graph (DESIGN.md §7.11): flooding's
-//!   planes, with check `c = u·q + r` lane `u` of residue row `r`, so lane
-//!   `u` is the paper's sub-chain of `q` checks. Phase A folds every
-//!   check's information inputs lane-parallel, phase B runs the forward
-//!   chain row by row with each lane's first input speculated and then
-//!   repaired lane by lane, phase C writes every output lane-parallel. The
-//!   repair compares bits, so it is exact under either rule; min-sum
-//!   selects and never rounds, so there it is bit-identical to the scalar
-//!   sweep as well.
-//! * **Edge planes** — everything else (`f64` sum-product, the reference the
-//!   seed-embedded regression suite pins, the table rule, and every rule on
-//!   a graph without the DVB-S2 structure): the scalar check-by-check sweep.
-//!   Each check's parity edges sit at the tail of its contiguous edge range
-//!   (left chain edge at `end - 2`, right at `end - 1`), so the sweep
-//!   writes the two parity inputs straight into the v2c plane and runs the
-//!   kernel in place: the forward message of check `c` *is*
-//!   `c2v[end(c) - 1]` and the backward message to parity node `j` *is*
-//!   `c2v[end(j + 1) - 2]`.
-//!
-//! The loop, the store and the epilogue are the spine's ([`crate::bp`]).
+//! * **Rotation planes** (DESIGN.md §7.11): check `c = u·q + r` is lane `u`
+//!   of residue row `r`, so lane `u` is the paper's sub-chain of `q`
+//!   checks. Phase A folds every check's information inputs lane-parallel,
+//!   phase B runs the forward chain row by row with each lane's first input
+//!   speculated and then repaired lane by lane, phase C writes every output
+//!   lane-parallel. The repair compares bits, so it is exact under either
+//!   rule; min-sum selects and never rounds, so there it is bit-identical to
+//!   the scalar sweep as well.
+//! * **Edge planes**: the scalar check-by-check sweep. Each check's parity
+//!   edges sit at the tail of its contiguous edge range (left chain edge at
+//!   `end - 2`, right at `end - 1`), so the sweep writes the two parity
+//!   inputs straight into the v2c plane and runs the kernel in place: the
+//!   forward message of check `c` *is* `c2v[end(c) - 1]` and the backward
+//!   message to parity node `j` *is* `c2v[end(j + 1) - 2]`.
 
-use crate::bp::{BpDecoder, Schedule, Step, Store};
-use crate::engine::{syndrome_ok_totals, tier_clones, ZigzagKernel};
+use crate::bp::{BpDecoder, Schedule, Store};
+use crate::engine::{tier_clones, ZigzagKernel};
 use crate::llr_ops::{CheckRule, LlrFloat};
-use crate::rotation::{
-    add, fold_info_columns, rotation_syndrome_tier, rotation_vn_pass_tier, row_kernel,
-    RotationPlanes,
-};
+use crate::rotation::{add, fold_info_columns, rotation_vn_pass_tier, row_kernel, RotationPlanes};
 use crate::simd::SimdTier;
-use crate::DecoderConfig;
 use dvbs2_ldpc::{TannerGraph, PARALLELISM as LANES};
 
 /// Zigzag-schedule decoder for DVB-S2 (IRA) Tanner graphs.
@@ -75,23 +63,16 @@ use dvbs2_ldpc::{TannerGraph, PARALLELISM as LANES};
 /// sweep on either layout.
 pub type ZigzagDecoder = BpDecoder<Zigzag>;
 
-/// The zigzag schedule: where the messages live.
+/// The zigzag schedule: the forward chain within an iteration.
 #[derive(Debug, Clone)]
-pub struct Zigzag(Layout);
-
-#[derive(Debug, Clone)]
-enum Layout {
-    /// The rotation planes, with the checks phase B's repair recomputed in
-    /// the current decode.
-    Planes {
-        planes: RotationPlanes,
-        repaired: usize,
-    },
-    Sweep,
+pub struct Zigzag {
+    /// The checks phase B's repair recomputed in the current decode (the
+    /// rotation planes only).
+    repaired: usize,
 }
 
 impl Schedule for Zigzag {
-    fn new(graph: &TannerGraph, config: &DecoderConfig) -> Self {
+    fn new(graph: &TannerGraph) -> Self {
         assert!(
             graph.info_len() < graph.var_count(),
             "zigzag schedule needs a parity chain; use TannerGraph::for_code"
@@ -101,19 +82,7 @@ impl Schedule for Zigzag {
             graph.check_count(),
             "IRA structure requires one parity variable per check"
         );
-        Zigzag(
-            RotationPlanes::for_config(graph, config)
-                .map_or(Layout::Sweep, |planes| Layout::Planes { planes, repaired: 0 }),
-        )
-    }
-
-    /// Edge planes and the next totals; on the rotation planes `v2c` is one
-    /// row and `next` holds `I_c` during an iteration.
-    fn lengths(&self, graph: &TannerGraph) -> [usize; 3] {
-        match &self.0 {
-            Layout::Planes { planes, .. } => planes.lengths(graph),
-            Layout::Sweep => [graph.edge_count(), graph.edge_count(), graph.var_count()],
-        }
+        Zigzag { repaired: 0 }
     }
 
     fn name(rule: CheckRule) -> &'static str {
@@ -124,48 +93,31 @@ impl Schedule for Zigzag {
             CheckRule::OffsetMinSum(_) => "zigzag offset min-sum",
         }
     }
-}
 
-/// On the rotation planes the parity halves of `llr` and `totals` are
-/// transposed until [`Step::finish`].
-impl<F: LlrFloat> Step<F> for Zigzag {
-    fn start(&mut self, m: &mut Store<F>) {
-        match &mut self.0 {
-            Layout::Planes { planes, repaired } => {
-                *repaired = 0;
-                planes.start(m);
-            }
-            Layout::Sweep => m.totals_from_channel(),
-        }
+    fn start(&mut self) {
+        self.repaired = 0;
     }
 
-    fn step(&mut self, graph: &TannerGraph, rule: &CheckRule, tier: SimdTier, m: &mut Store<F>) {
-        match &mut self.0 {
-            Layout::Planes { planes, repaired } => {
-                let Store { llr, v2c, c2v, totals, next } = m;
-                *repaired += row_kernel!(rule, F, |kernel| {
-                    planes_check_pass_tier(tier, planes, llr, totals, v2c, c2v, next, kernel)
-                });
-                // Parity `K + c` as the sweep sums it: `(pllr + F_c) + B_{c+1}`.
-                let parity =
-                    |l, forward, backward: Option<F>| (l + forward) + backward.unwrap_or(F::ZERO);
-                rotation_vn_pass_tier(tier, planes, llr, c2v, totals, parity);
-            }
-            Layout::Sweep => sweep(graph, rule, m),
-        }
+    /// Phases A, B and C, then the variable-node pass; `next` holds `I_c`
+    /// during the step.
+    fn planes_step<F: LlrFloat>(
+        &mut self,
+        planes: &RotationPlanes,
+        rule: &CheckRule,
+        tier: SimdTier,
+        m: &mut Store<F>,
+    ) {
+        let Store { llr, v2c, c2v, totals, next } = m;
+        self.repaired += row_kernel!(rule, F, |kernel| {
+            planes_check_pass_tier(tier, planes, llr, totals, v2c, c2v, next, kernel)
+        });
+        // Parity `K + c` as the sweep sums it: `(pllr + F_c) + B_{c+1}`.
+        let parity = |l, forward, backward: Option<F>| (l + forward) + backward.unwrap_or(F::ZERO);
+        rotation_vn_pass_tier(tier, planes, llr, c2v, totals, parity);
     }
 
-    fn syndrome_ok(&self, graph: &TannerGraph, tier: SimdTier, m: &Store<F>) -> bool {
-        match &self.0 {
-            Layout::Planes { planes, .. } => rotation_syndrome_tier(tier, planes, &m.totals),
-            Layout::Sweep => syndrome_ok_totals(graph, &m.totals),
-        }
-    }
-
-    fn finish(&self, m: &mut Store<F>) {
-        if let Layout::Planes { planes, .. } = &self.0 {
-            planes.finish(m);
-        }
+    fn edges_step<F: LlrFloat>(&mut self, graph: &TannerGraph, rule: &CheckRule, m: &mut Store<F>) {
+        sweep(graph, rule, m);
     }
 }
 
@@ -387,10 +339,11 @@ tier_clones!(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bp::Core;
+    use crate::bp::{Core, Layout};
     use crate::engine::Lane;
+    use crate::rotation::rotation_syndrome_tier;
     use crate::test_support::{llrs_for_codeword, noisy_llrs, small_code, SplitMix64};
-    use crate::{DecodeResult, Decoder, FloodingDecoder, Precision};
+    use crate::{DecodeResult, Decoder, DecoderConfig, FloodingDecoder, Precision};
     use dvbs2_ldpc::{AddressTable, BitVec, CodeParams, CodeRate, DegreeClass, FrameSize};
     use std::sync::Arc;
 
@@ -514,15 +467,10 @@ mod tests {
 
     /// Which layout a decoder runs on.
     fn layout(decoder: &ZigzagDecoder) -> &'static str {
-        match decoder.schedule.0 {
-            Layout::Planes { .. } => "planes",
-            Layout::Sweep => "sweep",
+        match decoder.layout {
+            Layout::Planes(_) => "planes",
+            Layout::Edges => "sweep",
         }
-    }
-
-    /// `config` forced onto the scalar sweep, whatever layout it would pick.
-    fn sweep_decoder(graph: &Arc<TannerGraph>, config: DecoderConfig) -> ZigzagDecoder {
-        BpDecoder::with_schedule(Arc::clone(graph), config, Zigzag(Layout::Sweep))
     }
 
     /// The final totals' bit patterns (natural order after every layout).
@@ -624,7 +572,7 @@ mod tests {
                 for precision in [Precision::F32, Precision::F64] {
                     let config = DecoderConfig::default().with_rule(rule).with_precision(precision);
                     // The sweep has no tier clones: one reference serves all.
-                    let mut reference = sweep_decoder(&graph, config);
+                    let mut reference = ZigzagDecoder::on_edges(Arc::clone(&graph), config);
                     let mut want = Vec::new();
                     for (cap, early_stop) in runs {
                         reference.config =
@@ -660,38 +608,37 @@ mod tests {
         assert_eq!(codes, 13);
     }
 
-    /// A decode without early stop by `schedule` on `m`, with every guess
+    /// A decode without early stop by `schedule` on `planes` and `m`, with every guess
     /// of phase B (row `q − 1`'s forward messages from the step before) set
     /// to `NaN`, or negated, before each step: the result, the totals' bits
     /// and the checks the repair recomputed.
     fn run_with_poisoned_guesses<F: LlrFloat>(
         schedule: &mut Zigzag,
-        graph: &TannerGraph,
+        planes: &RotationPlanes,
         config: &DecoderConfig,
         tier: SimdTier,
         m: &mut Store<F>,
         llrs: &[f64],
         negate: bool,
     ) -> (DecodeResult, Vec<u64>, usize) {
-        let Layout::Planes { planes, .. } = &schedule.0 else { panic!("not on the planes") };
         let row = planes.stride * LANES;
         let guesses = planes.q * row - LANES..planes.q * row;
         crate::engine::load_llrs(&mut m.llr, llrs);
         m.c2v.fill(F::ZERO);
-        schedule.start(m);
+        schedule.start();
+        planes.start(m);
         for _ in 0..config.max_iterations {
             for guess in &mut m.c2v[guesses.clone()] {
                 *guess = if negate { -*guess } else { F::from_f64(f64::NAN) };
             }
-            schedule.step(graph, &config.rule, tier, m);
+            schedule.planes_step(planes, &config.rule, tier, m);
         }
-        let converged = schedule.syndrome_ok(graph, tier, m);
-        schedule.finish(m);
+        let converged = rotation_syndrome_tier(tier, planes, &m.totals);
+        planes.finish(m);
         let mut bits = BitVec::zeros(m.totals.len());
         bits.fill_from(&m.totals, F::is_negative);
         let result = DecodeResult { bits, iterations: config.max_iterations, converged };
-        let Layout::Planes { repaired, .. } = schedule.0 else { unreachable!() };
-        (result, m.totals.iter().map(|x| x.bits()).collect(), repaired)
+        (result, m.totals.iter().map(|x| x.bits()).collect(), schedule.repaired)
     }
 
     /// Phase B's repair is exact however wrong the guesses are. On a frame
@@ -728,19 +675,20 @@ mod tests {
                 .with_max_iterations(1)
                 .with_early_stop(false);
             let mut planes = ZigzagDecoder::new(Arc::clone(&graph), first);
-            let mut reference = sweep_decoder(&graph, first);
+            let mut reference = ZigzagDecoder::on_edges(Arc::clone(&graph), first);
             let min_sum = rule != CheckRule::SumProduct;
             let got = planes.decode(&llrs);
             if min_sum {
                 assert_eq!(got, reference.decode(&llrs), "{what}");
                 assert_eq!(totals_bits(&planes), totals_bits(&reference), "{what}");
             }
-            let Layout::Planes { planes: p, repaired } = &planes.schedule.0 else { panic!() };
+            let Layout::Planes(p) = &planes.layout else { panic!() };
+            let repaired = planes.schedule.repaired;
             match rule {
                 CheckRule::NormalizedMinSum(_) => {
-                    assert_eq!(*repaired, (LANES - 1) * p.q, "{what}")
+                    assert_eq!(repaired, (LANES - 1) * p.q, "{what}")
                 }
-                _ => assert!(*repaired > 0, "{what}"),
+                _ => assert!(repaired > 0, "{what}"),
             }
 
             let config = first.with_max_iterations(6);
@@ -752,13 +700,14 @@ mod tests {
             }
             let tier = planes.simd_tier();
             for negate in [false, true] {
-                let (g, schedule, core) = (&graph, &mut planes.schedule, &mut planes.core);
-                let (result, totals, repaired) = match core {
+                let Layout::Planes(p) = &planes.layout else { panic!("not on the planes") };
+                let schedule = &mut planes.schedule;
+                let (result, totals, repaired) = match &mut planes.core {
                     Core::F64(m) => {
-                        run_with_poisoned_guesses(schedule, g, &config, tier, m, &llrs, negate)
+                        run_with_poisoned_guesses(schedule, p, &config, tier, m, &llrs, negate)
                     }
                     Core::F32(m) => {
-                        run_with_poisoned_guesses(schedule, g, &config, tier, m, &llrs, negate)
+                        run_with_poisoned_guesses(schedule, p, &config, tier, m, &llrs, negate)
                     }
                 };
                 let what =

@@ -11,8 +11,8 @@
 
 use dvbs2_decoder::test_support::{noisy_llrs, rotation_partition, small_code};
 use dvbs2_decoder::{
-    CheckRule, DecodeResult, Decoder, DecoderConfig, FloodingDecoder, LayeredDecoder, Precision,
-    QCheckArithmetic, QuantizedZigzagDecoder, Quantizer, ZigzagDecoder,
+    CheckRule, DecodeResult, Decoder, DecoderConfig, FloodingDecoder, Precision, QCheckArithmetic,
+    QuantizedZigzagDecoder, Quantizer, ZigzagDecoder,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -130,8 +130,6 @@ fn decode_into_is_allocation_free_after_warm_up() {
         assert_zero_allocation_decode_into(&format!("flooding {label}"), &mut flooding, &llrs);
         let mut zigzag = ZigzagDecoder::new(Arc::clone(&graph), config);
         assert_zero_allocation_decode_into(&format!("zigzag {label}"), &mut zigzag, &llrs);
-        let mut layered = LayeredDecoder::new(Arc::clone(&graph), config);
-        assert_zero_allocation_decode_into(&format!("layered {label}"), &mut layered, &llrs);
     }
     // The quantized decoder reuses both its channel buffer and its
     // hard-decision scratch through the same entry point.
@@ -164,7 +162,5 @@ fn decoders_do_not_allocate_after_warm_up() {
         assert_single_allocation_per_decode(&format!("flooding {label}"), &mut flooding, &llrs);
         let mut zigzag = ZigzagDecoder::new(Arc::clone(&graph), config);
         assert_single_allocation_per_decode(&format!("zigzag {label}"), &mut zigzag, &llrs);
-        let mut layered = LayeredDecoder::new(Arc::clone(&graph), config);
-        assert_single_allocation_per_decode(&format!("layered {label}"), &mut layered, &llrs);
     }
 }

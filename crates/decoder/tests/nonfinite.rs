@@ -11,19 +11,18 @@
 
 use dvbs2_decoder::test_support::{llrs_for_codeword, noisy_llrs, rotation_partition, small_code};
 use dvbs2_decoder::{
-    BitFlippingDecoder, CheckRule, Decoder, DecoderConfig, FloodingDecoder, LayeredDecoder,
-    Precision, QCheckArithmetic, QuantizedZigzagDecoder, Quantizer, ZigzagDecoder,
+    BitFlippingDecoder, CheckRule, Decoder, DecoderConfig, FloodingDecoder, Precision,
+    QCheckArithmetic, QuantizedZigzagDecoder, Quantizer, ZigzagDecoder,
 };
 use dvbs2_ldpc::BitVec;
 use std::sync::Arc;
 
 /// Every soft decoder in the matrix: every core the float schedules pick —
 /// flooding and zigzag on the rotation planes (min-sum, and sum-product at
-/// f32) and on the scalar pass and sweep (f64 sum-product, the table rule),
-/// layered — at both precisions where the core has two; the quantized decoder
-/// on each of its paths (sequential,
-/// scalar fused over the 360-lane rotation cut, SIMD lane planes over the
-/// same cut).
+/// f32) and on the scalar pass and sweep (f64 sum-product, the table rule)
+/// — at both precisions where the core has two; the quantized decoder on
+/// each of its paths (sequential, scalar fused over the 360-lane rotation
+/// cut, SIMD lane planes over the same cut).
 fn soft_decoders(graph: &Arc<dvbs2_ldpc::TannerGraph>) -> Vec<Box<dyn Decoder>> {
     let f64_cfg = DecoderConfig::default();
     let f32_cfg = DecoderConfig::default().with_precision(Precision::F32);
@@ -44,8 +43,6 @@ fn soft_decoders(graph: &Arc<dvbs2_ldpc::TannerGraph>) -> Vec<Box<dyn Decoder>> 
         Box::new(ZigzagDecoder::new(Arc::clone(graph), ms_cfg)),
         Box::new(ZigzagDecoder::new(Arc::clone(graph), ms_f32_cfg)),
         Box::new(ZigzagDecoder::new(Arc::clone(graph), offset_cfg)),
-        Box::new(LayeredDecoder::new(Arc::clone(graph), f64_cfg)),
-        Box::new(LayeredDecoder::new(Arc::clone(graph), f32_cfg)),
         Box::new(QuantizedZigzagDecoder::new(Arc::clone(graph), Quantizer::paper_6bit(), f64_cfg)),
         Box::new(QuantizedZigzagDecoder::with_partition_fused(
             Arc::clone(graph),

@@ -19,8 +19,8 @@
 use dvbs2_decoder::test_support::{noisy_llrs, small_code};
 use dvbs2_decoder::{
     hard_decisions, hard_decisions_int, syndrome_ok, CheckRule, DecodeResult, Decoder,
-    DecoderConfig, FloodingDecoder, LayeredDecoder, QCheckArithmetic, QuantizedZigzagDecoder,
-    Quantizer, TileSchedule, TiledBatchDecoder, ZigzagDecoder,
+    DecoderConfig, FloodingDecoder, QCheckArithmetic, QuantizedZigzagDecoder, Quantizer,
+    TileSchedule, TiledBatchDecoder, ZigzagDecoder,
 };
 use dvbs2_ldpc::TannerGraph;
 use std::sync::Arc;
@@ -215,68 +215,6 @@ impl SeedZigzag {
     }
 }
 
-/// A scalar reference for the layered schedule: the running-totals sweep
-/// with per-check scratch copies, in the plain per-frame form. Pins the
-/// schedule's totals/early-stop behavior.
-struct SeedLayered {
-    graph: Arc<TannerGraph>,
-    config: DecoderConfig,
-    c2v: Vec<f64>,
-    totals: Vec<f64>,
-    scratch_in: Vec<f64>,
-    scratch_out: Vec<f64>,
-}
-
-impl SeedLayered {
-    fn new(graph: Arc<TannerGraph>, config: DecoderConfig) -> Self {
-        let edges = graph.edge_count();
-        let vars = graph.var_count();
-        let max_degree = (0..graph.check_count()).map(|c| graph.check_degree(c)).max().unwrap_or(0);
-        SeedLayered {
-            graph,
-            config,
-            c2v: vec![0.0; edges],
-            totals: vec![0.0; vars],
-            scratch_in: vec![0.0; max_degree],
-            scratch_out: vec![0.0; max_degree],
-        }
-    }
-
-    fn decode(&mut self, channel_llrs: &[f64]) -> DecodeResult {
-        let graph = Arc::clone(&self.graph);
-        self.c2v.fill(0.0);
-        self.totals.copy_from_slice(channel_llrs);
-        let mut iterations = 0;
-        let mut converged = false;
-
-        for _ in 0..self.config.max_iterations {
-            iterations += 1;
-            for c in 0..graph.check_count() {
-                let range = graph.check_edges(c);
-                let d = range.len();
-                for (i, e) in range.clone().enumerate() {
-                    let v = graph.edge_vars()[e] as usize;
-                    self.scratch_in[i] = self.totals[v] - self.c2v[e];
-                }
-                self.config.rule.extrinsic(&self.scratch_in[..d], &mut self.scratch_out[..d]);
-                for (i, e) in range.enumerate() {
-                    let v = graph.edge_vars()[e] as usize;
-                    self.totals[v] += self.scratch_out[i] - self.c2v[e];
-                    self.c2v[e] = self.scratch_out[i];
-                }
-            }
-            if self.config.early_stop && syndrome_ok(&graph, &hard_decisions(&self.totals)) {
-                converged = true;
-                break;
-            }
-        }
-        if !converged {
-            converged = syndrome_ok(&graph, &hard_decisions(&self.totals));
-        }
-        DecodeResult { bits: hard_decisions(&self.totals), iterations, converged }
-    }
-}
-
 /// The sequential quantized zigzag sweep as `QuantizedZigzagDecoder::new`
 /// ran it before it moved onto the fused plan, embedded as a reference:
 /// edge-indexed planes, per-check scratch copies, one forward value threaded
@@ -410,10 +348,8 @@ fn assert_matches_seed(config: DecoderConfig) {
     let graph = Arc::new(graph);
     let mut new_flood = FloodingDecoder::new(Arc::clone(&graph), config);
     let mut new_zigzag = ZigzagDecoder::new(Arc::clone(&graph), config);
-    let mut new_layered = LayeredDecoder::new(Arc::clone(&graph), config);
     let mut seed_flood = SeedFlooding::new(Arc::clone(&graph), config);
     let mut seed_zigzag = SeedZigzag::new(Arc::clone(&graph), config);
-    let mut seed_layered = SeedLayered::new(Arc::clone(&graph), config);
 
     for (ebn0_db, seed) in frame_seeds() {
         let (_, llrs) = noisy_llrs(&code, ebn0_db, seed);
@@ -429,12 +365,6 @@ fn assert_matches_seed(config: DecoderConfig) {
             z_new, z_old,
             "zigzag diverged from seed at Eb/N0 {ebn0_db} dB, frame seed {seed}"
         );
-        let l_new = new_layered.decode(&llrs);
-        let l_old = seed_layered.decode(&llrs);
-        assert_eq!(
-            l_new, l_old,
-            "layered diverged from seed at Eb/N0 {ebn0_db} dB, frame seed {seed}"
-        );
     }
 }
 
@@ -449,15 +379,13 @@ fn assert_tiled_matches_seed(config: DecoderConfig) {
     let views: Vec<&[f64]> = frames.iter().map(|f| f.as_slice()).collect();
     let mut seed_flood = SeedFlooding::new(Arc::clone(&graph), config);
     let mut seed_zigzag = SeedZigzag::new(Arc::clone(&graph), config);
-    let mut seed_layered = SeedLayered::new(Arc::clone(&graph), config);
-    for schedule in [TileSchedule::Flooding, TileSchedule::Zigzag, TileSchedule::Layered] {
+    for schedule in [TileSchedule::Flooding, TileSchedule::Zigzag] {
         let mut tiled = TiledBatchDecoder::new(Arc::clone(&graph), config, schedule, views.len());
         let got = tiled.decode_batch(&views);
         for (i, llrs) in frames.iter().enumerate() {
             let want = match schedule {
                 TileSchedule::Flooding => seed_flood.decode(llrs),
                 TileSchedule::Zigzag => seed_zigzag.decode(llrs),
-                TileSchedule::Layered => seed_layered.decode(llrs),
             };
             assert_eq!(got[i], want, "tiled {schedule:?} diverged from seed on frame {i}");
         }

@@ -14,14 +14,13 @@
 
 use dvbs2_decoder::test_support::{noisy_llrs, small_code};
 use dvbs2_decoder::{
-    CheckRule, Decoder, DecoderConfig, FloodingDecoder, LayeredDecoder, Precision, SimdTier,
-    TileSchedule, TiledBatchDecoder, ZigzagDecoder,
+    CheckRule, Decoder, DecoderConfig, FloodingDecoder, Precision, SimdTier, TileSchedule,
+    TiledBatchDecoder, ZigzagDecoder,
 };
 use dvbs2_ldpc::TannerGraph;
 use std::sync::Arc;
 
-const SCHEDULES: [TileSchedule; 3] =
-    [TileSchedule::Flooding, TileSchedule::Zigzag, TileSchedule::Layered];
+const SCHEDULES: [TileSchedule; 2] = [TileSchedule::Flooding, TileSchedule::Zigzag];
 
 fn single_frame(
     graph: &Arc<TannerGraph>,
@@ -31,7 +30,6 @@ fn single_frame(
     match schedule {
         TileSchedule::Flooding => Box::new(FloodingDecoder::new(Arc::clone(graph), config)),
         TileSchedule::Zigzag => Box::new(ZigzagDecoder::new(Arc::clone(graph), config)),
-        TileSchedule::Layered => Box::new(LayeredDecoder::new(Arc::clone(graph), config)),
     }
 }
 

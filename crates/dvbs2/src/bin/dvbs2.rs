@@ -21,7 +21,7 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  dvbs2 info  [RATE] [--short]\n  dvbs2 ber   RATE EBN0_DB [--frames N] \
-         [--short] [--decoder zigzag|flooding|layered|quantized|bitflip]\n  dvbs2 hw    [RATE]\n  \
+         [--short] [--decoder zigzag|flooding|quantized|bitflip]\n  dvbs2 hw    [RATE]\n  \
          dvbs2 vectors RATE EBN0_DB FRAMES SEED\nRATE is one of 1/4 1/3 2/5 1/2 3/5 2/3 3/4 4/5 \
          5/6 8/9 9/10"
     );
@@ -36,7 +36,6 @@ fn parse_decoder(s: &str) -> Option<DecoderKind> {
     match s {
         "zigzag" => Some(DecoderKind::Zigzag),
         "flooding" => Some(DecoderKind::Flooding),
-        "layered" => Some(DecoderKind::Layered),
         "quantized" => Some(DecoderKind::Quantized(Quantizer::paper_6bit())),
         "bitflip" => Some(DecoderKind::BitFlipping),
         _ => None,

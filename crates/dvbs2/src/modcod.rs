@@ -15,8 +15,7 @@ use crate::{DecoderKind, Dvbs2System, SystemConfig};
 use dvbs2_channel::Modulation;
 use dvbs2_decoder::{Decoder, DecoderConfig, Quantizer};
 use dvbs2_ldpc::{CodeError, CodeParams, CodeRate, FrameSize};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// One MODCOD: the transmission parameters a PLHEADER announces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -202,59 +201,6 @@ impl ModcodTable {
     }
 }
 
-/// A point-in-time view of a [`ModcodRegistry`]: the table plus the epoch
-/// it was installed under.
-#[derive(Debug, Clone)]
-pub struct ModcodSnapshot {
-    /// Monotonic reconfiguration epoch (0 for the initial table).
-    pub epoch: u64,
-    /// The table active at that epoch, shared without copying entries.
-    pub table: Arc<ModcodTable>,
-}
-
-/// A hot-swappable MODCOD table: the reconfiguration point of a long-lived
-/// decode service.
-///
-/// Readers take cheap epoch-tagged [`ModcodSnapshot`]s; a swap installs a
-/// whole new table under the next epoch atomically (readers see either the
-/// old snapshot or the new one, never a torn mix). Snapshots are `Arc`s, so
-/// in-flight work started under an old epoch keeps its table alive until it
-/// finishes — exactly the drain semantics a rolling shard replacement
-/// needs.
-#[derive(Debug)]
-pub struct ModcodRegistry {
-    inner: RwLock<Arc<ModcodTable>>,
-    epoch: AtomicU64,
-}
-
-impl ModcodRegistry {
-    /// Installs the initial table at epoch 0.
-    pub fn new(table: ModcodTable) -> Self {
-        ModcodRegistry { inner: RwLock::new(Arc::new(table)), epoch: AtomicU64::new(0) }
-    }
-
-    /// The current table and its epoch.
-    pub fn snapshot(&self) -> ModcodSnapshot {
-        let guard = self.inner.read().expect("no panics hold the registry lock");
-        // Epoch is read under the same lock a swap writes it under, so the
-        // pair is consistent.
-        ModcodSnapshot { epoch: self.epoch.load(Ordering::Relaxed), table: Arc::clone(&guard) }
-    }
-
-    /// The current epoch without snapshotting the table.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// Atomically replaces the table, bumping the epoch. Returns the new
-    /// epoch.
-    pub fn swap(&self, table: ModcodTable) -> u64 {
-        let mut guard = self.inner.write().expect("no panics hold the registry lock");
-        *guard = Arc::new(table);
-        self.epoch.fetch_add(1, Ordering::Relaxed) + 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,36 +274,17 @@ mod tests {
     }
 
     #[test]
-    fn registry_swaps_are_epoch_tagged_and_keep_old_snapshots_alive() {
-        let registry = ModcodRegistry::new(table());
-        let before = registry.snapshot();
-        assert_eq!(before.epoch, 0);
-        assert_eq!(before.table.len(), 4);
-        let new_epoch = registry.swap(
-            ModcodTable::build(&[Modcod::new(Modulation::Qpsk, CodeRate::R1_2, FrameSize::Short)])
-                .unwrap(),
-        );
-        assert_eq!(new_epoch, 1);
-        assert_eq!(registry.epoch(), 1);
-        let after = registry.snapshot();
-        assert_eq!((after.epoch, after.table.len()), (1, 1));
-        // The pre-swap snapshot still serves its (replaced) table.
-        assert_eq!(before.table.len(), 4);
-        assert_eq!(before.table.entry(1).modcod.rate, CodeRate::R3_4);
-    }
-
-    #[test]
     fn explicit_profiles_override_the_defaults() {
         let m = Modcod::new(Modulation::Bpsk, CodeRate::R1_2, FrameSize::Short);
         let profile = DecoderProfile {
-            kind: DecoderKind::Layered,
+            kind: DecoderKind::Flooding,
             config: DecoderConfig::default().with_max_iterations(12),
         };
         let t = ModcodTable::with_profiles(&[(m, profile)]).unwrap();
-        assert!(matches!(t.entry(0).profile.kind, DecoderKind::Layered));
+        assert!(matches!(t.entry(0).profile.kind, DecoderKind::Flooding));
         assert_eq!(t.entry(0).profile.config.max_iterations, 12);
         let mut dec = t.entry(0).make_decoder();
-        assert_eq!(dec.name(), "layered");
+        assert_eq!(dec.name(), "flooding sum-product");
         let out = dec.decode(&vec![4.0; t.entry(0).frame_len()]);
         assert!(out.converged);
     }

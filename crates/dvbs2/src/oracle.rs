@@ -14,7 +14,7 @@
 //! | timed/untimed | [`HardwareDecoder`] ↔ [`GoldenModel`] | full [`DecodeResult`] equality plus per-iteration message-digest equality, bit for bit, converged or not, **with or without an injected [`RamFault`]** (both models carry the same fault) |
 //! | boundary-exact | golden ↔ [`QuantizedZigzagDecoder`] in hardware-partitioned mode ([`hw_chain_partition`]) | full [`DecodeResult`] equality — the partition replays the 360 sub-chains and the schedule's per-check input order |
 //! | fixed-point | golden ↔ sequential [`QuantizedZigzagDecoder`] (LUT) | agreement on *decoded words* only — the parallel golden model deliberately deviates from the sequential zigzag at the 360 chain boundaries |
-//! | float schedules | flooding / zigzag / layered (f64) | all converged members produce the same codeword |
+//! | float schedules | flooding / zigzag (f64) | all converged members produce the same codeword |
 //! | precision | engine f32 ↔ f64 (same schedule/rule) | both-converged ⇒ same codeword |
 //! | bit flipping | [`BitFlippingDecoder`] alone | iteration cap; converged ⇒ clean syndrome and syndrome weight not above the channel hard decisions' — *never* word agreement (see the matrix class) |
 //! | everyone | every soft decoder | `converged` ⇒ clean syndrome; iterations ≤ cap |

@@ -6,8 +6,7 @@ use super::context::{CaseContext, ContextCache};
 use super::spec::{ArithmeticKind, CaseSpec};
 use dvbs2_decoder::{
     syndrome_ok, syndrome_weight, BitFlippingDecoder, CheckRule, DecodeResult, Decoder,
-    DecoderConfig, FloodingDecoder, LayeredDecoder, Precision, QuantizedZigzagDecoder, SimdTier,
-    ZigzagDecoder,
+    DecoderConfig, FloodingDecoder, Precision, QuantizedZigzagDecoder, SimdTier, ZigzagDecoder,
 };
 use dvbs2_hardware::{
     Arbitration, CoreConfig, DecoderFabric, FabricConfig, FaultScenario, FuFault, GoldenModel,
@@ -392,7 +391,6 @@ fn matrix(ev: &mut Evidence, v: &mut Verdicts) {
     run("flooding-f32", &mut FloodingDecoder::new(graph(), f32_config));
     run("zigzag-f64", &mut ZigzagDecoder::new(graph(), f64_config));
     run("zigzag-f32", &mut ZigzagDecoder::new(graph(), f32_config));
-    run("layered-f64", &mut LayeredDecoder::new(graph(), f64_config));
     run("flooding-ms-f64", &mut FloodingDecoder::new(graph(), ms));
     run("flooding-ms-f32", &mut FloodingDecoder::new(graph(), ms.with_precision(Precision::F32)));
     run("qzigzag-lut", &mut QuantizedZigzagDecoder::new(graph(), quantizer, f64_config));

@@ -6,8 +6,8 @@ use super::contracts::{run_case_with, Class, Verdicts, Violation};
 use super::spec::{anchor_ebn0_db, force_fabric, force_fault, parse_fault, CaseSpec};
 use dvbs2_channel::mix_seed;
 use dvbs2_decoder::{
-    syndrome_ok, Decoder, DecoderConfig, FloodingDecoder, LayeredDecoder, Precision,
-    QuantizedZigzagDecoder, ZigzagDecoder,
+    syndrome_ok, Decoder, DecoderConfig, FloodingDecoder, Precision, QuantizedZigzagDecoder,
+    ZigzagDecoder,
 };
 use dvbs2_hardware::{CoreConfig, HardwareDecoder};
 use dvbs2_ldpc::{CodeRate, FrameSize, PARALLELISM};
@@ -274,7 +274,6 @@ pub fn run_fault_suite(rate: CodeRate, frame: FrameSize, master_seed: u64) -> Or
             vec![
                 FloodingDecoder::new(graph(), config).decode(llrs),
                 ZigzagDecoder::new(graph(), f32_config).decode(llrs),
-                LayeredDecoder::new(graph(), config).decode(llrs),
                 QuantizedZigzagDecoder::new(graph(), quantizer, config).decode(llrs),
                 HardwareDecoder::new(ctx.code.system.code(), ctx.schedule.clone(), core_config)
                     .decode(llrs)

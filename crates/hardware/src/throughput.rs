@@ -66,11 +66,6 @@ impl ThroughputModel {
         params.k as f64 / self.cycles(params) as f64 * self.clock_mhz
     }
 
-    /// Coded (channel-symbol) throughput in Mbit/s.
-    pub fn coded_throughput_mbps(&self, params: &CodeParams) -> f64 {
-        params.n as f64 / self.cycles(params) as f64 * self.clock_mhz
-    }
-
     /// Cycles per frame when frame I/O fully overlaps decoding (a
     /// double-buffered channel RAM loads frame `n+1` while frame `n`
     /// decodes — the paper's Eq. 8 serializes the I/O term instead).
@@ -250,13 +245,6 @@ impl FabricModel {
     /// fabric past `k · f_clk / (C/P_IO)`.
     pub fn io_ceiling_mbps(&self, params: &CodeParams) -> f64 {
         params.k as f64 / self.io_cycles(params) as f64 * self.core.clock_mhz
-    }
-
-    /// Whether the shared bus, not the cores, bounds throughput (decode
-    /// fully hidden behind frame I/O).
-    pub fn io_bound(&self, params: &CodeParams) -> bool {
-        let decode = (self.decode_cycles(params) + 2 * self.link_latency) as f64;
-        decode / (self.cores as f64) < self.io_cycles(params) as f64
     }
 
     /// Predicted makespan of a batch: waves of `min(P, F)` synchronized

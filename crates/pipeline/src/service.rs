@@ -441,13 +441,6 @@ impl DecodePipeline {
         Some(frame)
     }
 
-    /// The next decoded frame if one is ready right now.
-    pub fn try_next_decoded(&self) -> Option<DecodedFrame> {
-        let frame = self.shared.egress.try_next()?.frame;
-        self.shared.consumed();
-        Some(frame)
-    }
-
     /// A consistent-at-quiescence snapshot of the pipeline counters.
     pub fn stats(&self) -> PipelineStats {
         self.shared.stats.snapshot()

@@ -16,8 +16,8 @@
 //!   shed early while a shard still has queueing headroom, throughput-bound
 //!   tenants are admitted until hard backpressure.
 //! * Hot reconfiguration — [`ServiceTier::reconfigure`] installs a new
-//!   [`ModcodTable`](dvbs2::ModcodTable) through an epoch-tagged
-//!   [`ModcodRegistry`](dvbs2::ModcodRegistry) and rolls the shard fleet:
+//!   [`ModcodTable`](dvbs2::ModcodTable) under the next epoch and rolls
+//!   the shard fleet:
 //!   old shards drain what they admitted, new shards take over routing, no
 //!   stream drops or reorders a frame.
 //! * Fault-driven migration — a shard whose workers trip the

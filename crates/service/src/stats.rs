@@ -102,7 +102,7 @@ pub struct ServiceStats {
     /// closed — the tier's twin of the pipeline's `dropped`. Zero in any
     /// healthy run: only a worker that died holding a frame leaves one.
     pub orphaned: u64,
-    /// The MODCOD registry epoch at snapshot time.
+    /// The MODCOD-table epoch at snapshot time.
     pub epoch: u64,
     /// End-to-end latency (shard admission to in-order release) of the
     /// delivered frames.

@@ -14,7 +14,7 @@
 use crate::stats::{ServiceStats, ServiceStatsCore, TenantStats};
 use crate::tenant::{SlaClass, TenantPolicy, TenantState};
 use dvbs2::framing::{extract_bbframe, BbHeader, FramingError};
-use dvbs2::{ModcodRegistry, ModcodTable};
+use dvbs2::ModcodTable;
 use dvbs2_channel::StreamKey;
 use dvbs2_ldpc::BitVec;
 use dvbs2_pipeline::{
@@ -24,7 +24,7 @@ use dvbs2_pipeline::{
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -205,7 +205,9 @@ struct RouteState {
 }
 
 struct Inner {
-    registry: ModcodRegistry,
+    /// The MODCOD-table epoch (0 for the initial table), written under the
+    /// route lock by the reconfiguration that installs a table.
+    epoch: AtomicU64,
     config: ServiceConfig,
     stats: ServiceStatsCore,
     /// Immutable after start; per-tenant state is interior-atomic.
@@ -238,7 +240,7 @@ impl ServiceTier {
             assert!(dup.is_none(), "tenant {} registered twice", policy.tenant);
         }
         let inner = Arc::new(Inner {
-            registry: ModcodRegistry::new(table),
+            epoch: AtomicU64::new(0),
             stats: ServiceStatsCore::default(),
             tenants,
             route: Mutex::new(RouteState::default()),
@@ -247,11 +249,10 @@ impl ServiceTier {
         });
         {
             let mut route = inner.route.lock().expect("no panics hold the route lock");
-            let snapshot = inner.registry.snapshot();
             for index in 0..inner.config.shards {
                 let fault =
                     inner.config.fault_injection.filter(|f| f.shard == index).map(|f| f.injection);
-                inner.spawn_shard(&mut route, snapshot.epoch, (*snapshot.table).clone(), fault);
+                inner.spawn_shard(&mut route, 0, &table, fault);
             }
         }
         let monitor = (inner.config.health_poll_ms > 0).then(|| {
@@ -380,8 +381,7 @@ impl ServiceTier {
     pub fn reconfigure(&self, table: ModcodTable) -> u64 {
         let inner = &self.inner;
         let mut route = inner.route.lock().expect("no panics hold the route lock");
-        let epoch = inner.registry.swap(table);
-        let snapshot = inner.registry.snapshot();
+        let epoch = inner.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         // Retired pools whose workers have all exited go; dropping them
         // joins nothing that is still decoding.
         route.retired.retain(|pool| !pool.is_drained());
@@ -389,7 +389,7 @@ impl ServiceTier {
         // stream whose shard is gone re-picks on its next frame.
         let old = std::mem::take(&mut route.shards);
         for _ in 0..inner.config.shards {
-            inner.spawn_shard(&mut route, snapshot.epoch, (*snapshot.table).clone(), None);
+            inner.spawn_shard(&mut route, epoch, &table, None);
         }
         // The new fleet's workers are counted on the egress before the old
         // fleet closes, so `next_output` never sees no running worker.
@@ -404,7 +404,7 @@ impl ServiceTier {
 
     /// The current MODCOD-table epoch.
     pub fn epoch(&self) -> u64 {
-        self.inner.registry.epoch()
+        self.inner.epoch.load(Ordering::Relaxed)
     }
 
     /// A point-in-time snapshot of the service counters. A tenant's
@@ -416,7 +416,8 @@ impl ServiceTier {
             let delivered = released.iter().filter(|(key, _)| key.tenant == state.policy.tenant);
             TenantStats::from_state(state, delivered.map(|(_, count)| count).sum())
         });
-        inner.stats.snapshot(inner.registry.epoch(), inner.egress.stats(), tenants.collect())
+        let epoch = inner.epoch.load(Ordering::Relaxed);
+        inner.stats.snapshot(epoch, inner.egress.stats(), tenants.collect())
     }
 
     /// A point-in-time view of every active shard.
@@ -478,20 +479,16 @@ impl Inner {
         &self,
         route: &mut RouteState,
         epoch: u64,
-        table: ModcodTable,
+        table: &ModcodTable,
         fault: Option<WorkerFaultInjection>,
     ) {
         let uid = route.next_shard_uid;
         route.next_shard_uid += 1;
         let config = PipelineConfig { fault_injection: fault, ..self.config.pipeline };
         let affinity = (0..table.len()).map(|_| AtomicBool::new(false)).collect();
-        route.shards.push(Shard {
-            uid,
-            epoch,
-            pipeline: DecodePipeline::start_shard(table, config, &self.egress, (uid, epoch)),
-            affinity,
-            streams: AtomicUsize::new(0),
-        });
+        let pipeline =
+            DecodePipeline::start_shard(table.clone(), config, &self.egress, (uid, epoch));
+        route.shards.push(Shard { uid, epoch, pipeline, affinity, streams: AtomicUsize::new(0) });
     }
 
     /// Hands a released frame to the consumer: its tenant's budget unit

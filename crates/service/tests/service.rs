@@ -274,7 +274,7 @@ fn hot_modcod_reconfiguration_rolls_shards_without_losing_a_frame() {
             }
         }
         let epoch = tier.reconfigure(new_table.clone());
-        assert_eq!(epoch, 1, "the registry swap is epoch-tagged");
+        assert_eq!(epoch, 1, "the table swap is epoch-tagged");
         for _ in 0..AFTER {
             for key in keys {
                 // The new table has two slots; exercise the new one.
