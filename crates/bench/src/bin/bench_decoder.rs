@@ -49,8 +49,7 @@ const FLAGS: &[Flag] =
 
 /// Lines of Rust under `dir`, build output excluded: the recorded
 /// trajectory of the "net LoC goes down" aim. With `net_of_tests` a file
-/// counts only its lines before its first `#[cfg(test)]`, and `tests.rs`
-/// files not at all.
+/// counts its [`net_lines`], and `tests.rs` files not at all.
 fn rust_lines(dir: &std::path::Path, net_of_tests: bool) -> usize {
     let Ok(entries) = std::fs::read_dir(dir) else { return 0 };
     entries
@@ -67,14 +66,58 @@ fn rust_lines(dir: &std::path::Path, net_of_tests: bool) -> usize {
                 0
             } else if path.extension().is_some_and(|ext| ext == "rs") {
                 std::fs::read_to_string(&path).map_or(0, |text| {
-                    let test_module = |line: &&str| net_of_tests && line.trim() == "#[cfg(test)]";
-                    text.lines().take_while(|line| !test_module(line)).count()
+                    if net_of_tests {
+                        net_lines(&text)
+                    } else {
+                        text.lines().count()
+                    }
                 })
             } else {
                 0
             }
         })
         .sum()
+}
+
+/// A file's lines without its tests: everything before the `#[cfg(test)]`
+/// of its `mod tests` (or `pub(crate) mod tests`, inline or in its own
+/// file), less every other `#[cfg(test)]` item, from the attribute to the
+/// item's last line (its closing brace, or its `;`).
+fn net_lines(text: &str) -> usize {
+    let lines: Vec<&str> = text.lines().collect();
+    let (mut count, mut at) = (0, 0);
+    while at < lines.len() {
+        if lines[at].trim() != "#[cfg(test)]" {
+            count += 1;
+            at += 1;
+            continue;
+        }
+        let item = lines[at + 1..].iter().position(|line| !line.trim().starts_with("#["));
+        let item = item.map_or(lines.len(), |i| at + 1 + i);
+        let head = lines.get(item).map_or("", |line| line.trim());
+        if ["mod tests {", "mod tests;"].contains(&head.trim_start_matches("pub(crate) ")) {
+            break;
+        }
+        // Skip the item: through the line that closes its first brace, or
+        // its first `;` outside any brace.
+        let (mut depth, mut opened) = (0i64, false);
+        at = item;
+        while at < lines.len() {
+            let line = lines[at];
+            at += 1;
+            for ch in line.chars() {
+                match ch {
+                    '{' => (depth, opened) = (depth + 1, true),
+                    '}' => depth -= 1,
+                    _ => {}
+                }
+            }
+            if (opened && depth <= 0) || (!opened && line.trim_end().ends_with(';')) {
+                break;
+            }
+        }
+    }
+    count
 }
 
 /// The seed repository's min-sum check kernel, verbatim: branchy
@@ -301,6 +344,39 @@ const MIN_SUM_SPEEDUP_GATE: f64 = 0.75;
 /// forward chain to flooding's passes and reads about 0.6–0.8x of it.
 const ZIGZAG_VS_FLOODING_GATE: f64 = 0.5;
 
+/// How many capped-at-0 decodes of the served decoder a warm
+/// `make_decoder_for` of it may cost, in the same run. Reading the lane
+/// plan from the graph's quasi-cyclic record brought it to about 2 (its
+/// scratch); walking the graph per decoder (an edge-slot map and a
+/// per-slot variable plane) read about 16.
+const MAKE_DECODER_GATE: f64 = 4.0;
+
+/// A warm `make_decoder_for(kind, config)` on R1/2 `frame`, in µs: the
+/// mean of a batch of builds after one, best of `rounds` batches. The
+/// decoders are dropped outside the timed batch.
+fn measure_make_decoder(
+    frame: FrameSize,
+    kind: DecoderKind,
+    config: DecoderConfig,
+    rounds: usize,
+) -> Result<f64, Box<dyn std::error::Error>> {
+    const BATCH: usize = 8;
+    let system =
+        Dvbs2System::new(SystemConfig { rate: CodeRate::R1_2, frame, ..SystemConfig::default() })?;
+    drop(system.make_decoder_for(kind, config));
+    let mut best = f64::INFINITY;
+    for _ in 0..rounds {
+        let mut built = Vec::with_capacity(BATCH);
+        let start = Instant::now();
+        for _ in 0..BATCH {
+            built.push(system.make_decoder_for(kind, config));
+        }
+        best = best.min(start.elapsed().as_secs_f64() * 1e6 / BATCH as f64);
+        drop(built);
+    }
+    Ok(best)
+}
+
 /// The clear-sky profile `serve_clear_sky` serves on every slot.
 fn clear_sky() -> DecoderConfig {
     DecoderConfig::default()
@@ -497,6 +573,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Ok((rate, ebn0_db, lane))
         })
         .collect::<Result<Vec<_>, Box<dyn std::error::Error>>>()?;
+    let served = DecoderKind::Quantized(Quantizer::paper_6bit());
+    let make_decoder_us = |kind, config| -> Result<[f64; 2], Box<dyn std::error::Error>> {
+        let [short, normal] = [FrameSize::Short, FrameSize::Normal]
+            .map(|frame| measure_make_decoder(frame, kind, config, early_rounds));
+        Ok([short?, normal?])
+    };
+    let served_builds = make_decoder_us(served, DecoderConfig::default())?;
+    let clear_sky_builds = make_decoder_us(DecoderKind::Flooding, clear_sky())?;
+    for (name, [short, normal]) in
+        [("served quantized lanes", served_builds), ("clear-sky flooding", clear_sky_builds)]
+    {
+        println!(
+            "make_decoder_for {name:<24} {short:>8.1} us short, {normal:>8.1} us normal (R1/2, warm)"
+        );
+    }
+    let build_vs_capped = served_builds[0] / early_stop.fixed_us_per_frame;
+    println!(
+        "served make_decoder_for vs its capped-at-0 decode (R1/2 short): {build_vs_capped:.2}x"
+    );
     let early_stop_cost = early_stop.us_per_iteration / early_stop.fixed_us_per_iteration;
     let fixed_cost_share = early_stop.fixed_us_per_frame * early_stop.frames_per_s / 1e6;
 
@@ -535,6 +630,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .sum();
     let decoder_src = root.join("crates/decoder/src");
     let hardware_src = root.join("crates/hardware/src");
+    let frames = |[short, normal]: [f64; 2]| {
+        Object::new().with("short", Json::Num(short, 1)).with("normal", Json::Num(normal, 1))
+    };
     let pair = |flooding: f64, zigzag: f64| {
         Object::new().with("flooding", Json::Num(flooding, 3)).with("zigzag", Json::Num(zigzag, 3))
     };
@@ -587,6 +685,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .with("cost_vs_fixed", Json::Num(early_stop_cost, 3))
                 .with("fixed_us_per_frame", Json::Num(early_stop.fixed_us_per_frame, 1))
                 .with("fixed_share_of_frame", Json::Num(fixed_cost_share, 3)),
+        )
+        .with(
+            "make_decoder_us",
+            Object::new()
+                .with("code", "R1/2, warm make_decoder_for")
+                .with("served", frames(served_builds))
+                .with("flooding_min_sum_f32_clear_sky", frames(clear_sky_builds))
+                .with("served_short_vs_fixed_us_per_frame", Json::Num(build_vs_capped, 3)),
         )
         .with(
             "flooding_min_sum_f32_clear_sky",
@@ -665,5 +771,47 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         std::process::exit(1);
     }
+    // And a served decoder's set-up must stay its scratch: a few decodes'
+    // worth, not a walk over the graph.
+    if build_vs_capped > MAKE_DECODER_GATE {
+        eprintln!(
+            "FAIL: a warm served make_decoder_for costs {build_vs_capped:.2}x its capped-at-0 \
+             decode (gate {MAKE_DECODER_GATE}x)"
+        );
+        std::process::exit(1);
+    }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::net_lines;
+
+    #[test]
+    fn net_lines_skip_test_items_and_stop_at_the_test_module() {
+        let text = "\
+use a;
+#[cfg(test)]
+use b;
+fn f() {}
+#[cfg(test)]
+#[allow(dead_code)]
+fn reference() {
+    if x { y }
+}
+fn g() {
+}
+#[cfg(test)]
+mod tests {
+    fn t() {}
+}
+";
+        // `use a`, `fn f`, `fn g` (two lines): the test-only `use` and
+        // function go, and the module ends the count.
+        assert_eq!(net_lines(text), 4);
+        let crate_tests = "fn f() {}\n#[cfg(test)]\npub(crate) mod tests {\n}\n";
+        assert_eq!(net_lines(crate_tests), 1);
+        assert_eq!(net_lines("fn f() {}\n"), 1);
+        assert_eq!(net_lines("fn f() {}\n#[cfg(test)]\nmod tests;\n"), 1);
+    }
 }

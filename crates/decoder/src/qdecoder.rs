@@ -191,8 +191,10 @@ enum Datapath {
 /// run it with one lane in graph order (the sequential zigzag of the paper's
 /// Fig. 2b), [`with_partition_fused`](Self::with_partition_fused) with the
 /// caller's cut, and [`with_partition`](Self::with_partition) runs the same
-/// cut on the SIMD lane planes when they can express it. Either way a
-/// decoder holds exactly one datapath.
+/// cut on the SIMD lane planes when they can express it.
+/// [`natural_lanes`](Self::natural_lanes) runs the natural schedule's cut
+/// on the lanes straight from the graph's quasi-cyclic record: the served
+/// decoder. Either way a decoder holds exactly one datapath.
 ///
 /// # Chain-boundary semantics vs the hardware `GoldenModel`
 ///
@@ -372,11 +374,50 @@ impl QuantizedZigzagDecoder {
                 }
             }
         }
-        let lanes = simd.and_then(|tier| SimdQuant::try_build(&graph, &cut, &arithmetic, tier));
+        let lanes =
+            simd.and_then(|tier| SimdQuant::try_build(&graph, Some(&cut), &arithmetic, tier));
         let datapath = match lanes {
             Some(lanes) => Datapath::Lanes(Box::new(lanes)),
             None => Datapath::Fused(Box::new(FusedState::new(&graph, &cut))),
         };
+        Self::assemble(graph, arithmetic, config, datapath)
+    }
+
+    /// The served datapath: the natural check-node schedule on the SIMD
+    /// lanes, read from the graph's quasi-cyclic record — 360 sub-chains,
+    /// each check's inputs in address-table order, one lane column per 360
+    /// edges. It decodes bit for bit as
+    /// [`with_partition`](Self::with_partition) under
+    /// `dvbs2_hardware::hw_chain_partition` with the natural schedule, and
+    /// so as the hardware `GoldenModel`, but builds without walking the
+    /// graph: it allocates the decoder's scratch and reads a few hundred
+    /// columns.
+    ///
+    /// `None` when the lanes cannot run it: a graph without the record
+    /// (see [`TannerGraph::quasi_cyclic`]), or an arithmetic outside the
+    /// `i8` word (7 bits and more). The scalar fused sweep needs that
+    /// partition's explicit edge order; the caller builds it then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.simd` forces a tier this CPU does not support.
+    pub fn natural_lanes(
+        graph: Arc<TannerGraph>,
+        arithmetic: QCheckArithmetic,
+        config: DecoderConfig,
+    ) -> Option<Self> {
+        let tier = SimdTier::resolve(config.simd);
+        graph.quasi_cyclic()?;
+        let lanes = SimdQuant::try_build(&graph, None, &arithmetic, tier)?;
+        Some(Self::assemble(graph, arithmetic, config, Datapath::Lanes(Box::new(lanes))))
+    }
+
+    fn assemble(
+        graph: Arc<TannerGraph>,
+        arithmetic: QCheckArithmetic,
+        config: DecoderConfig,
+        datapath: Datapath,
+    ) -> Self {
         QuantizedZigzagDecoder {
             arithmetic,
             max_iterations: config.max_iterations,

@@ -62,7 +62,9 @@
 //! determinism, not by tolerance. The LUT correction gather is replaced by
 //! a threshold decomposition ([`QBoxplus::corr_thresholds`]) that is
 //! *verified* against the table at construction. The variable-node side reads the code's
-//! quasi-cyclic rotations ([`build_rotation`]). A partition or arithmetic
+//! quasi-cyclic rotations ([`RotEntry`], [`lane_columns`]): from the
+//! graph's record for the natural schedule, or from a caller's cut,
+//! validated. A partition or arithmetic
 //! the lanes cannot express exactly (no rotation, a quantizer too wide for
 //! the `i8` word — 7 bits or more — or for `i16` totals, a non-decomposable
 //! table, `q_rows < 2`, a padded row of more than [`ROW_LANES`] lanes) gets
@@ -90,7 +92,7 @@ use crate::qdecoder::{ChainPartition, Fnv};
 use crate::quant::{QBoxplus, QCheckArithmetic, Quantizer};
 use crate::simd::SimdTier;
 use crate::DecodeResult;
-use dvbs2_ldpc::{BitVec, TannerGraph, PARALLELISM};
+use dvbs2_ldpc::{BitVec, QcEntry, QuasiCyclic, TannerGraph, PARALLELISM};
 use std::ops::{Add, BitXor, Neg, Shr, Sub};
 
 /// The message word of a [`FuLanes`] row: the [`Lane`] of its row kernels,
@@ -483,8 +485,9 @@ pub(crate) struct SimdQuant {
     /// The variable-node plan, row-major (`info_d` entries per residue
     /// row): real DVB-S2 codes are quasi-cyclic with lifting 360, so the
     /// `lanes` variables of one (row, position) plane vector are one
-    /// 360-block rotated by a constant offset, verified against the graph
-    /// at build time. Bases are plane offsets at the `pitch`.
+    /// 360-block rotated by a constant offset, read from the graph's
+    /// record or verified against a caller's cut at build time. Bases are
+    /// plane offsets at the `pitch`.
     rot: Vec<RotEntry>,
     // --- i8 message state, lane-major on the `pitch`, pad lanes zero ---
     v2c: Vec<i8>,
@@ -512,13 +515,26 @@ pub(crate) struct SimdQuant {
 /// messages at plane offset `base` belong to variables
 /// `block + (u + off) % lanes`, which the doubled block planes hold
 /// contiguously from `at = 2·block + off`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RotEntry {
     pub(crate) base: u32,
     at: u32,
 }
 
 impl RotEntry {
+    /// The vector at plane offset `base` whose lane `u` reads variable
+    /// `block + (u + off) % lanes`.
+    pub(crate) fn rotated(base: usize, block: usize, off: usize) -> RotEntry {
+        RotEntry { base: base as u32, at: (2 * block + off) as u32 }
+    }
+
+    /// The 360-lane vector at plane offset `base` of a record input: lane
+    /// `u` reads `input.var(u)`, so lane 0 reads the block at its offset.
+    pub(crate) fn of_input(base: usize, input: &QcEntry) -> RotEntry {
+        let block = input.group as usize * PARALLELISM;
+        RotEntry::rotated(base, block, input.var(0) - block)
+    }
+
     /// The vector's `lanes`-block (its first variable) and rotation offset.
     pub(crate) fn block_and_off(&self, lanes: usize) -> (usize, usize) {
         let at = self.at as usize;
@@ -527,23 +543,25 @@ impl RotEntry {
 }
 
 impl SimdQuant {
-    /// Builds the lane plan for a graph/partition/arithmetic triple, or
+    /// Builds the lane plan for a graph, a cut and an arithmetic, or
     /// returns `None` when the combination is not exactly expressible in
     /// `i8` message lanes with `i16` totals over the code's rotations (the
-    /// caller builds the scalar fused datapath instead).
+    /// caller builds the scalar fused datapath instead). `cut: None` is the
+    /// natural schedule read from the graph's record ([`lane_columns`]);
+    /// `None` without one.
     ///
-    /// Assumes the partition has already been validated by
+    /// Assumes a cut has already been validated by
     /// `QuantizedZigzagDecoder::with_partition` (divisibility, permutation,
     /// uniform information degree).
     pub(crate) fn try_build(
         graph: &TannerGraph,
-        partition: &ChainPartition,
+        cut: Option<&ChainPartition>,
         arithmetic: &QCheckArithmetic,
         tier: SimdTier,
     ) -> Option<SimdQuant> {
         let n_check = graph.check_count();
         let k = graph.info_len();
-        let lanes = partition.lanes();
+        let lanes = cut.map_or(PARALLELISM, ChainPartition::lanes);
         let q_rows = n_check / lanes;
         let info_d = graph.check_edges(0).len() - 1;
         let stride = info_d + 2;
@@ -556,15 +574,7 @@ impl SimdQuant {
         fu.tier()?;
         let pitch = fu.pitch();
 
-        // Bake the schedule permutation into the lane-major slot map, find
-        // the rotation of every plane vector in it, then move each vector's
-        // base from the `lanes` layout to the `pitch`.
-        let edge_slot =
-            lane_edge_slots(graph, partition.edge_order(), lanes, q_rows, stride, info_d);
-        let mut rot = build_rotation(graph, &edge_slot, lanes, q_rows, stride, info_d)?;
-        for e in &mut rot {
-            e.base = e.base / lanes as u32 * pitch as u32;
-        }
+        let rot = lane_columns(graph, cut, pitch)?;
         // A total is the channel plus at most `d_max` messages of at most
         // `max_mag`, so with `dd = max(d_max, 2)` a channel clamped to
         // `info_rail = i16::MAX − dd·max_mag` cannot wrap one, and
@@ -572,7 +582,8 @@ impl SimdQuant {
         // messages can add. Release builds do not check those adds; the
         // test profile's overflow checks are the proof.
         let max_mag32 = i32::from(fu.max_mag);
-        let dd = (0..k).map(|v| graph.var_edges(v).len()).max().unwrap_or(0).max(2) as i32;
+        let degrees = graph.var_offsets()[..=k].windows(2).map(|w| w[1] - w[0]);
+        let dd = degrees.max().unwrap_or(0).max(2) as i32;
         let info_rail = i16::MAX as i32 - dd * max_mag32;
         if info_rail <= dd * max_mag32 {
             return None;
@@ -726,118 +737,74 @@ impl SimdQuant {
     }
 }
 
-/// The plane slot `(r·stride + i)·lanes + u` of input `i` (in `order`, or
-/// graph order) of each check `c = u·q_rows + r`; parity edges `u32::MAX`.
-pub(crate) fn lane_edge_slots(
+/// The lane columns of `cut`, or of the natural schedule read from the
+/// graph's record when `cut` is `None`: [`cut_columns`] or
+/// [`record_columns`].
+pub(crate) fn lane_columns(
     graph: &TannerGraph,
-    order: Option<&[u32]>,
-    lanes: usize,
-    q_rows: usize,
-    stride: usize,
-    info_d: usize,
-) -> Vec<u32> {
-    let mut edge_slot = vec![u32::MAX; graph.edge_count()];
-    for c in 0..lanes * q_rows {
-        let (u, r) = (c / q_rows, c % q_rows);
-        let start = graph.check_edges(c).start;
-        for i in 0..info_d {
-            let e = match order {
-                Some(ord) => start + ord[c * info_d + i] as usize,
-                None => start + i,
-            };
-            edge_slot[e] = ((r * stride + i) * lanes + u) as u32;
-        }
-    }
-    edge_slot
-}
-
-/// The per-check input order of a hardware chain partition, under which
-/// [`build_rotation`] finds every plane vector: input `i` of check
-/// `c = u·q + r` is check `r`'s input `i` rotated `u` lanes within its
-/// 360-block. `None` when some rotated variable is not an input of its
-/// check. Every check must start with `info_d` information edges.
-pub(crate) fn rotation_order(graph: &TannerGraph) -> Option<Vec<u32>> {
-    const LANES: usize = PARALLELISM;
-    let n_check = graph.check_count();
-    let q_rows = n_check / LANES;
-    if q_rows == 0 || !n_check.is_multiple_of(LANES) {
-        return None;
-    }
-    let info_d = graph.check_edges(0).len().checked_sub(1)?;
-    let inputs = |c: usize| &graph.edge_vars()[graph.check_edges(c).start..][..info_d];
-    // Each variable's position among the current check's inputs, taken
-    // (reset to `u32::MAX`) when matched, so no input is matched twice.
-    let mut position = vec![u32::MAX; graph.var_count()];
-    let mut order = Vec::with_capacity(n_check * info_d);
-    for u in 0..LANES {
-        for r in 0..q_rows {
-            let c = u * q_rows + r;
-            for (p, &v) in inputs(c).iter().enumerate() {
-                position[v as usize] = p as u32;
-            }
-            for &v0 in inputs(r) {
-                let v0 = v0 as usize;
-                let v = v0 - v0 % LANES + (v0 % LANES + u) % LANES;
-                let pos = std::mem::replace(&mut position[v], u32::MAX);
-                if pos == u32::MAX {
-                    return None;
-                }
-                order.push(pos);
-            }
-            for &v in inputs(c) {
-                position[v as usize] = u32::MAX;
-            }
-        }
-    }
-    Some(order)
-}
-
-/// Detects the quasi-cyclic rotation structure of every (row, position)
-/// plane vector: real hardware partitions map the 360 lanes of a position
-/// onto one 360-variable block rotated by the schedule shift. Orders that
-/// break the pattern (graph order, other lane counts, synthetic test
-/// orders) get `None`, and their decoders the scalar fused datapath.
-pub(crate) fn build_rotation(
-    graph: &TannerGraph,
-    edge_slot: &[u32],
-    lanes: usize,
-    q_rows: usize,
-    stride: usize,
-    info_d: usize,
+    cut: Option<&ChainPartition>,
+    pitch: usize,
 ) -> Option<Vec<RotEntry>> {
-    let k = graph.info_len();
-    let mut slot_var = vec![u32::MAX; q_rows * stride * lanes];
-    for c in 0..graph.check_count() {
-        let range = graph.check_edges(c);
-        for e in range.start..range.start + info_d {
-            slot_var[edge_slot[e] as usize] = graph.var_of_edge(e) as u32;
-        }
+    match cut {
+        None => Some(record_columns(graph.quasi_cyclic()?, pitch)),
+        Some(cut) => cut_columns(graph, cut, pitch),
     }
-    let mut rot = Vec::with_capacity(q_rows * info_d);
+}
+
+/// The natural schedule's lane columns, read from the graph's record:
+/// column `i` of residue row `r` is the row's `i`-th input in table order,
+/// at plane offset `(r·stride + i)·pitch`. One step per 360 edges.
+fn record_columns(record: &QuasiCyclic, pitch: usize) -> Vec<RotEntry> {
+    let stride = record.row_len() + 2;
+    let mut columns = Vec::with_capacity(record.rows() * record.row_len());
+    for r in 0..record.rows() {
+        let inputs = record.row(r).iter().enumerate();
+        columns
+            .extend(inputs.map(|(i, input)| RotEntry::of_input((r * stride + i) * pitch, input)));
+    }
+    columns
+}
+
+/// The lane columns of a caller's cut (its edge order, or graph order),
+/// at plane offsets `(r·stride + i)·pitch`: lane 0's input fixes each
+/// column's block and offset, and every other lane must read that block
+/// rotated. `None` when some lane does not (graph order, other lane
+/// counts, synthetic test orders), and the decoder takes the scalar fused
+/// datapath.
+fn cut_columns(graph: &TannerGraph, cut: &ChainPartition, pitch: usize) -> Option<Vec<RotEntry>> {
+    let (k, lanes) = (graph.info_len(), cut.lanes());
+    let q_rows = graph.check_count() / lanes;
+    let info_d = graph.check_degree(0) - 1;
+    let stride = info_d + 2;
+    let (offsets, vars, order) = (graph.check_offsets(), graph.edge_vars(), cut.edge_order());
+    let input = |c: usize, i: usize| {
+        let position = order.map_or(i, |order| order[c * info_d + i] as usize);
+        vars[offsets[c] as usize + position] as usize
+    };
+    let mut columns = Vec::with_capacity(q_rows * info_d);
     for r in 0..q_rows {
         for i in 0..info_d {
-            let base = (r * stride + i) * lanes;
-            let v0 = slot_var[base] as usize;
-            if v0 >= k {
+            let v0 = input(r, i);
+            let (block, off) = (v0 - v0 % lanes, v0 % lanes);
+            if v0 >= k || block + lanes > k {
                 return None;
             }
-            let off = v0 % lanes;
-            let block = v0 - off;
-            if block + lanes > k {
-                return None;
-            }
-            for u in 0..lanes {
-                if slot_var[base + u] as usize != block + (u + off) % lanes {
-                    return None;
-                }
-            }
-            rot.push(RotEntry { base: base as u32, at: (2 * block + off) as u32 });
+            columns.push(RotEntry::rotated((r * stride + i) * pitch, block, off));
         }
     }
-    // Every information variable lies in a whole block some entry covers;
+    for c in q_rows..lanes * q_rows {
+        let (u, row) = (c / q_rows, &columns[(c % q_rows) * info_d..][..info_d]);
+        for (i, column) in row.iter().enumerate() {
+            let (block, off) = column.block_and_off(lanes);
+            if input(c, i) != block + (u + off) % lanes {
+                return None;
+            }
+        }
+    }
+    // Every information variable lies in a whole block some column covers;
     // the doubled planes are cut into blocks on the strength of it.
     assert!(k.is_multiple_of(lanes), "{k} information bits are not whole {lanes}-blocks");
-    Some(rot)
+    Some(columns)
 }
 
 /// One lane-wide boxplus combine via the threshold-decomposed correction:
@@ -1279,7 +1246,7 @@ mod tests {
             let partition = rotation_partition(graph);
             for tier in SimdTier::available() {
                 let what = format!("{name} {tier:?}");
-                let mut sq = SimdQuant::try_build(graph, &partition, &arith, tier).unwrap();
+                let mut sq = SimdQuant::try_build(graph, Some(&partition), &arith, tier).unwrap();
                 let (lanes, q_rows) = (sq.lanes, sq.q_rows);
                 let mut rng = SplitMix64(0x5EED ^ k as u64);
                 for round in 0..4 {
@@ -1365,7 +1332,7 @@ mod tests {
             noisy[v] = channel[v];
         }
         for tier in SimdTier::available() {
-            let mut sq = SimdQuant::try_build(&graph, &partition, &arith, tier).unwrap();
+            let mut sq = SimdQuant::try_build(&graph, Some(&partition), &arith, tier).unwrap();
             let (lanes, q_rows) = (sq.lanes, sq.q_rows);
             assert_eq!(i32::from(sq.info_rail), rail, "{tier:?}");
             sq.load(&channel);

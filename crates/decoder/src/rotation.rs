@@ -3,14 +3,15 @@
 //! residue row `r`, so every pass reads and writes dense rotated slices
 //! with no index planes. The flooding and the zigzag steps run on the one
 //! layout, under min-sum and `f32` exact sum-product alike; this module
-//! holds what they share — the layout choice the spine makes, the plan, the
-//! transposition in and out of the store, the information gather, the
-//! variable-node pass and the syndrome test.
+//! holds what they share — the layout choice the spine makes, the plan
+//! (read from the graph's quasi-cyclic record), the transposition in and
+//! out of the store, the information gather, the variable-node pass and
+//! the syndrome test.
 
 use crate::bp::Store;
 use crate::engine::{tier_clones, Precision, RowKernel};
 use crate::llr_ops::{CheckRule, LlrFloat};
-use crate::qsimd::{build_rotation, lane_edge_slots, rotation_order, RotEntry};
+use crate::qsimd::RotEntry;
 use crate::simd::SimdTier;
 use crate::DecoderConfig;
 use dvbs2_ldpc::{TannerGraph, PARALLELISM as LANES};
@@ -20,7 +21,7 @@ use std::ops::Range;
 /// columns of 360 lanes back to back in `c2v`, the information columns,
 /// then the left and the right parity column. Parity totals and channel
 /// values are transposed to `[k + r·360 + u]`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RotationPlanes {
     pub(crate) k: usize,
     pub(crate) q: usize,
@@ -50,60 +51,65 @@ impl RotationPlanes {
         on_planes.then(|| Self::build(graph)).flatten()
     }
 
-    /// The planes of `graph`, or `None` without the structure: `K` and
-    /// `M = N − K` whole 360-blocks, check `c`'s inputs `info_d >= 2`
-    /// information edges followed by parities `K + c − 1` (unless `c = 0`)
-    /// and `K + c`, and every lane of every row a rotation of lane 0.
+    /// The planes of `graph`, read from its quasi-cyclic record, or `None`
+    /// without one or with fewer than two information inputs per check (so
+    /// check 0 has degree >= 3, the row kernels' domain). Column `i` of row
+    /// `r` is the row's `i`-th input in lane 0's ascending-variable order —
+    /// the scalar pass's order at check `r` — rotated along the row.
     pub(crate) fn build(graph: &TannerGraph) -> Option<Self> {
-        let (k, m) = (graph.info_len(), graph.check_count());
-        if !k.is_multiple_of(LANES) || graph.var_count() != k + m {
+        let record = graph.quasi_cyclic()?;
+        let (q, info_d) = (record.rows(), record.row_len());
+        if info_d < 2 {
             return None;
         }
-        // Check 0 then has degree >= 3, the row kernels' domain.
-        let info_d = graph.check_degree(0).checked_sub(1).filter(|&d| d >= 2)?;
-        let (offsets, vars) = (graph.check_offsets(), graph.edge_vars());
-        let ira = (0..m).all(|c| {
-            let inputs = &vars[offsets[c] as usize..offsets[c + 1] as usize];
-            let parity = (k + c.max(1) - 1) as u32..=(k + c) as u32;
-            inputs.get(info_d..).is_some_and(|p| p.iter().copied().eq(parity))
-                && inputs[..info_d].iter().all(|&v| (v as usize) < k)
-        });
-        if !ira {
-            return None;
+        let stride = info_d + 2;
+        let mut info = Vec::with_capacity(q * info_d);
+        let mut row = Vec::with_capacity(info_d);
+        for r in 0..q {
+            row.clear();
+            row.extend_from_slice(record.row(r));
+            row.sort_unstable_by_key(|input| input.var(0));
+            let base = |i: usize| (r * stride + i) * LANES;
+            info.extend(
+                row.iter().enumerate().map(|(i, input)| RotEntry::of_input(base(i), input)),
+            );
         }
-        let (q, stride) = (m / LANES, info_d + 2);
-        let order = rotation_order(graph)?;
-        let slots = lane_edge_slots(graph, Some(&order), LANES, q, stride, info_d);
-        let info = build_rotation(graph, &slots, LANES, q, stride, info_d)?;
+        Some(Self::from_columns(graph.info_len(), q, stride, info))
+    }
 
+    /// The planes over the information columns `info` (row-major, bases at
+    /// 360 lanes): the segments and terms of the variable-node pass are cut
+    /// from the columns' offsets, one step per column.
+    pub(crate) fn from_columns(k: usize, q: usize, stride: usize, info: Vec<RotEntry>) -> Self {
+        let info_d = stride - 2;
         let mut by_block = vec![Vec::new(); k / LANES];
         for (j, column) in info.iter().enumerate() {
             let (block, off) = column.block_and_off(LANES);
             by_block[block / LANES].push((j / info_d, column.base as usize, off));
         }
-        let (mut segments, mut terms) = (Vec::new(), Vec::new());
+        let (mut segments, mut terms) = (Vec::new(), Vec::with_capacity(info.len() * 2));
+        let (mut cuts, mut run) = (Vec::new(), Vec::new());
         for (b, columns) in by_block.iter().enumerate() {
             // Variable `w` of the block is lane `(w − off) mod 360` of a
             // column: between two offsets no lane wraps, so every lane's
             // checks keep the order they have at the segment's start.
-            let mut cuts: Vec<usize> = columns.iter().map(|c| c.2).chain([0, LANES]).collect();
+            cuts.clear();
+            cuts.extend(columns.iter().map(|c| c.2).chain([0, LANES]));
             cuts.sort_unstable();
             cuts.dedup();
             for cut in cuts.windows(2) {
-                let mut run: Vec<(usize, usize)> = columns
-                    .iter()
-                    .map(|&(r, base, off)| {
-                        let u = (cut[0] + LANES - off) % LANES;
-                        (u * q + r, base + u)
-                    })
-                    .collect();
+                run.clear();
+                run.extend(columns.iter().map(|&(r, base, off)| {
+                    let u = (cut[0] + LANES - off) % LANES;
+                    (u * q + r, base + u)
+                }));
                 run.sort_unstable();
                 let first = terms.len();
                 terms.extend(run.iter().map(|&(_, at)| at));
                 segments.push((b * LANES + cut[0]..b * LANES + cut[1], first..terms.len()));
             }
         }
-        Some(RotationPlanes { k, q, stride, info, segments, terms })
+        RotationPlanes { k, q, stride, info, segments, terms }
     }
 
     /// The store's `v2c`, `c2v` and `next` lengths on the planes: one row

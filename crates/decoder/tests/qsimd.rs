@@ -281,3 +281,59 @@ fn unavailable_forced_tier_panics() {
         assert!(result.is_err(), "{tier:?} should be rejected on this CPU");
     }
 }
+
+/// The natural schedule as an explicit cut, spelled out edge by edge from
+/// the record: check `u·q + r`'s input `i` is row `r`'s `i`-th entry at
+/// lane `u` (what `dvbs2_hardware::hw_chain_partition` builds from the ROM).
+fn natural_cut(graph: &TannerGraph) -> ChainPartition {
+    let record = graph.quasi_cyclic().expect("a code's graph keeps its record");
+    let (q, row_len) = (record.rows(), record.row_len());
+    let mut order = Vec::new();
+    for c in 0..graph.check_count() {
+        let inputs = &graph.edge_vars()[graph.check_edges(c)][..row_len];
+        for entry in record.row(c % q) {
+            let position = inputs.iter().position(|&v| v as usize == entry.var(c / q));
+            order.push(position.expect("the record's variable is an input") as u32);
+        }
+    }
+    ChainPartition::new(360, Some(order))
+}
+
+/// The served constructor reads the natural schedule from the record and
+/// decodes bit for bit as the fused sweep over the same schedule spelled
+/// out edge by edge, at every tier and arithmetic the lanes take; it
+/// declines a 7-bit word and a graph without the record.
+#[test]
+fn natural_lanes_are_the_natural_cut() {
+    let (_, graph) = small_code();
+    let graph = Arc::new(graph);
+    let cut = natural_cut(&graph);
+    for (name, arith) in arithmetics() {
+        for tier in SimdTier::available() {
+            let config = DecoderConfig::default().with_simd_tier(Some(tier));
+            let lanes =
+                QuantizedZigzagDecoder::natural_lanes(Arc::clone(&graph), arith.clone(), config);
+            let mut lanes = lanes.expect("the lanes run 5 and 6 bits");
+            assert_eq!(lanes.simd_tier(), Some(tier), "{name}");
+            let mut fused = QuantizedZigzagDecoder::with_partition_fused(
+                Arc::clone(&graph),
+                arith.clone(),
+                config,
+                cut.clone(),
+            );
+            let channels = noisy_channels(&lanes, 2, 9900);
+            assert_bit_exact(&mut lanes, &mut fused, &channels, &format!("{name} {tier:?}"));
+        }
+    }
+    let config = DecoderConfig::default();
+    let seven = QCheckArithmetic::lut(Quantizer::new(7, 0.25));
+    assert!(QuantizedZigzagDecoder::natural_lanes(Arc::clone(&graph), seven, config).is_none());
+    let mut edges = Vec::new();
+    for c in 0..graph.check_count() {
+        edges.extend(graph.check_edges(c).map(|e| (c as u32, graph.var_of_edge(e) as u32)));
+    }
+    let generic = Arc::new(TannerGraph::from_edges(graph.var_count(), graph.check_count(), &edges));
+    assert!(generic.quasi_cyclic().is_none());
+    let lut = QCheckArithmetic::lut(Quantizer::paper_6bit());
+    assert!(QuantizedZigzagDecoder::natural_lanes(generic, lut, config).is_none());
+}

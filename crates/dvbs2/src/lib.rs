@@ -70,8 +70,8 @@ pub mod prelude {
 
 use dvbs2_channel::{AwgnChannel, FrameOutcome, Modulation};
 use dvbs2_decoder::{
-    ChainPartition, Decoder, DecoderConfig, FloodingDecoder, QCheckArithmetic,
-    QuantizedZigzagDecoder, Quantizer, ZigzagDecoder,
+    Decoder, DecoderConfig, FloodingDecoder, QCheckArithmetic, QuantizedZigzagDecoder, Quantizer,
+    ZigzagDecoder,
 };
 use dvbs2_hardware::{hw_chain_partition, CnSchedule, ConnectivityRom};
 use dvbs2_ldpc::{
@@ -79,7 +79,7 @@ use dvbs2_ldpc::{
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Which decoder the system instantiates.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -91,8 +91,11 @@ pub enum DecoderKind {
     Zigzag,
     /// The paper's datapath with the given message quantizer: the zigzag
     /// schedule cut into the core's 360 functional-unit sub-chains, each
-    /// check's inputs in the natural check-node schedule's order
-    /// (`hw_chain_partition`), on the SIMD lane planes. With
+    /// check's inputs in the natural check-node schedule's order, on the
+    /// SIMD lane planes, whose plan is read from the graph's quasi-cyclic
+    /// record ([`QuantizedZigzagDecoder::natural_lanes`]; a quantizer wider
+    /// than the lanes' word takes the scalar fused sweep over
+    /// `hw_chain_partition`'s edge order). With
     /// [`Quantizer::paper_6bit`] it is word-, iteration- and
     /// convergence-equal to the hardware `GoldenModel` on that schedule,
     /// and it is what every MODCOD slot serves by default
@@ -149,10 +152,6 @@ pub struct Dvbs2System {
     code: DvbS2Code,
     graph: Arc<TannerGraph>,
     encoder: Encoder,
-    /// The [`DecoderKind::Quantized`] plan: built by the first decoder that
-    /// needs it, shared by every later one (each worker of each shard
-    /// reaches this system through its `Arc<ModcodEntry>`).
-    hw_partition: OnceLock<ChainPartition>,
 }
 
 impl Dvbs2System {
@@ -165,7 +164,7 @@ impl Dvbs2System {
         let code = DvbS2Code::new(config.rate, config.frame)?;
         let graph = Arc::new(code.tanner_graph());
         let encoder = code.encoder()?;
-        Ok(Dvbs2System { config, code, graph, encoder, hw_partition: OnceLock::new() })
+        Ok(Dvbs2System { config, code, graph, encoder })
     }
 
     /// The configuration.
@@ -199,6 +198,11 @@ impl Dvbs2System {
     /// MODCOD dispatch table uses this to attach per-MODCOD decoder
     /// profiles to one shared code context. The one place a
     /// [`DecoderKind`] becomes a decoder.
+    ///
+    /// Every call pays for its own decoder and nothing else is kept here:
+    /// the lane and rotation plans are read from the shared graph's
+    /// quasi-cyclic record, a few hundred columns, so a decoder costs its
+    /// scratch.
     pub fn make_decoder_for(
         &self,
         kind: DecoderKind,
@@ -209,16 +213,27 @@ impl Dvbs2System {
             DecoderKind::Flooding => Box::new(FloodingDecoder::new(graph, config)),
             DecoderKind::Zigzag => Box::new(ZigzagDecoder::new(graph, config)),
             DecoderKind::Quantized(q) => {
-                let partition = self.hw_partition.get_or_init(|| {
-                    let rom = ConnectivityRom::build(self.code.params(), self.code.table());
-                    hw_chain_partition(&rom, &CnSchedule::natural(&rom), &graph)
-                });
-                Box::new(QuantizedZigzagDecoder::with_partition(
-                    graph,
+                let lanes = QuantizedZigzagDecoder::natural_lanes(
+                    Arc::clone(&graph),
                     QCheckArithmetic::lut(q),
                     config,
-                    partition.clone(),
-                ))
+                );
+                match lanes {
+                    Some(lanes) => Box::new(lanes),
+                    // Wider than the lanes' word: the scalar fused sweep,
+                    // which needs the schedule as an explicit edge order.
+                    None => {
+                        let rom = ConnectivityRom::build(self.code.params(), self.code.table());
+                        let partition =
+                            hw_chain_partition(&rom, &CnSchedule::natural(&rom), &graph);
+                        Box::new(QuantizedZigzagDecoder::with_partition(
+                            graph,
+                            QCheckArithmetic::lut(q),
+                            config,
+                            partition,
+                        ))
+                    }
+                }
             }
             DecoderKind::BitFlipping => {
                 Box::new(dvbs2_decoder::BitFlippingDecoder::new(graph, config))

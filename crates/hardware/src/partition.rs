@@ -9,7 +9,12 @@
 //! schedule's word order per residue row; the graph's order is ascending
 //! variable index. [`hw_chain_partition`] computes the per-check permutation
 //! between the two and packages it with `lanes = 360` as a
-//! [`ChainPartition`].
+//! [`ChainPartition`], walking every check. The served decoder does not
+//! need it: on the lanes the natural schedule's order is read from the
+//! graph's quasi-cyclic record
+//! ([`dvbs2_decoder::QuantizedZigzagDecoder::natural_lanes`]). This
+//! explicit order serves annealed schedules, the scalar fused sweep and
+//! the differential oracle.
 
 use crate::rom::ConnectivityRom;
 use crate::schedule::CnSchedule;
@@ -187,6 +192,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every plan the record yields equals the per-edge walk's on all 21
+    /// rate points: the lane columns under the natural schedule (the
+    /// record's own order, and its partition), an annealed one (the
+    /// oracle's options) and the test rotation order; the float planes'
+    /// columns, segments and terms.
+    #[test]
+    fn record_plans_equal_the_walks_on_every_rate_point() {
+        use dvbs2_decoder::test_support::{
+            lane_columns, rotation_partition, rotation_planes, walked_lane_columns,
+            walked_rotation_planes,
+        };
+        let mut points = 0;
+        for frame in [FrameSize::Normal, FrameSize::Short] {
+            for rate in CodeRate::ALL {
+                let Ok(code) = DvbS2Code::new(rate, frame) else { continue };
+                let what = format!("{rate} {frame}");
+                let graph = code.tanner_graph();
+                let rom = ConnectivityRom::build(code.params(), code.table());
+                let natural = hw_chain_partition(&rom, &CnSchedule::natural(&rom), &graph);
+                let options = AnnealOptions { moves: 600, ..AnnealOptions::default() };
+                let annealed = optimize_schedule(&rom, MemoryConfig::default(), options).schedule;
+                let annealed = hw_chain_partition(&rom, &annealed, &graph);
+                let walked = walked_lane_columns(&graph, &natural).expect("natural rotates");
+                assert_eq!(lane_columns(&graph, None), Some(walked), "{what}: the record");
+                for (cut, name) in [
+                    (natural, "natural"),
+                    (annealed, "annealed"),
+                    (rotation_partition(&graph), "rotation order"),
+                ] {
+                    let walked = walked_lane_columns(&graph, &cut);
+                    assert!(walked.is_some(), "{what} {name}: the walk finds the rotations");
+                    assert_eq!(lane_columns(&graph, Some(&cut)), walked, "{what} {name}");
+                }
+                let planes = rotation_planes(&graph);
+                assert!(planes.is_some(), "{what}: the float planes build");
+                assert_eq!(planes, walked_rotation_planes(&graph), "{what}: float planes");
+                points += 1;
+            }
+        }
+        assert_eq!(points, 21);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * [`AddressTable`] — the random connectivity (Eq. 2), generated
 //!   synthetically with the standard's exact structure (see `DESIGN.md`);
 //! * [`ParityCheckMatrix`] and [`TannerGraph`] — sparse views for syndrome
-//!   checks and message-passing decoders;
+//!   checks and message-passing decoders; a code's graph keeps the table's
+//!   residue rows ([`QuasiCyclic`]), which every 360-lane plan reads;
 //! * [`Encoder`] — linear-time IRA encoding (Eq. 2–3).
 //!
 //! # Example
@@ -48,7 +49,7 @@ pub use matrix::ParityCheckMatrix;
 pub use params::{CodeParams, DegreeClass};
 pub use rate::{CodeRate, FrameSize, PARALLELISM};
 pub use tables::{AddressTable, TableOptions};
-pub use tanner::TannerGraph;
+pub use tanner::{QcEntry, QuasiCyclic, TannerGraph};
 
 /// A fully-constructed DVB-S2 LDPC code: parameters plus address table.
 ///

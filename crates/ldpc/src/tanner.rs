@@ -10,9 +10,68 @@
 //!
 //! For DVB-S2 codes, within each check the information edges come first and
 //! the (up to two) parity edges last, which the zigzag decoder relies on.
+//! A DVB-S2 graph also keeps its address table's residue rows
+//! ([`QuasiCyclic`]): the rotation structure every 360-lane plan is read
+//! from.
 
 use crate::params::CodeParams;
+use crate::rate::PARALLELISM;
 use crate::tables::AddressTable;
+
+/// One information input of a residue row: the address-table entry
+/// `x = shift·q + r` of information group `group`. Lane `u` of the row
+/// (check `u·q + r`, functional unit `u`) reads variable
+/// `group·360 + (u − shift) mod 360` — the paper's shift ROM entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QcEntry {
+    /// The information group (`x`'s table row).
+    pub group: u32,
+    /// The cyclic shift `x div q`.
+    pub shift: u32,
+}
+
+impl QcEntry {
+    /// The information variable lane `u` of this input reads.
+    #[inline]
+    pub fn var(&self, u: usize) -> usize {
+        self.group as usize * PARALLELISM + (u + PARALLELISM - self.shift as usize) % PARALLELISM
+    }
+}
+
+/// The quasi-cyclic record of a DVB-S2 graph: for each of the `q` residue
+/// rows, the `row_len` [`QcEntry`]s of its information inputs in address-
+/// table order (the connectivity ROM's word order, so the natural
+/// check-node schedule). Check `u·q + r` holds row `r`'s inputs rotated to
+/// lane `u`, so every 360-lane plan is read from here in one step per 360
+/// edges, without walking the edges.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct QuasiCyclic {
+    q: usize,
+    row_len: usize,
+    entries: Vec<QcEntry>,
+}
+
+impl QuasiCyclic {
+    /// Number of residue rows, `q = (N − K) / 360`.
+    pub fn rows(&self) -> usize {
+        self.q
+    }
+
+    /// Information inputs per check, `check_degree − 2`.
+    pub fn row_len(&self) -> usize {
+        self.row_len
+    }
+
+    /// The inputs of residue row `r`, in table order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= self.rows()`.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[QcEntry] {
+        &self.entries[r * self.row_len..][..self.row_len]
+    }
+}
 
 /// A bipartite variable/check graph with a flat edge numbering.
 ///
@@ -35,6 +94,9 @@ pub struct TannerGraph {
     var_of_edge: Vec<u32>,
     var_ptr: Vec<u32>,
     edge_of_var: Vec<u32>,
+    /// The residue rows of a DVB-S2 graph with balanced rows; `None` for
+    /// generic graphs.
+    qc: Option<QuasiCyclic>,
 }
 
 impl TannerGraph {
@@ -65,22 +127,32 @@ impl TannerGraph {
             var_of_edge[fill[c as usize] as usize] = v;
             fill[c as usize] += 1;
         }
-
-        let mut vcounts = vec![0u32; n_vars + 1];
+        let mut var_ptr = vec![0u32; n_vars + 1];
         for &v in &var_of_edge {
-            vcounts[v as usize + 1] += 1;
+            var_ptr[v as usize + 1] += 1;
         }
         for i in 1..=n_vars {
-            vcounts[i] += vcounts[i - 1];
+            var_ptr[i] += var_ptr[i - 1];
         }
-        let var_ptr = vcounts.clone();
-        let mut vfill = vcounts;
-        let mut edge_of_var = vec![0u32; edges.len()];
+        Self::with_var_side(n_vars, n_checks, check_ptr, var_of_edge, var_ptr, None)
+    }
+
+    /// Completes a graph from its check side and the variable-major offsets:
+    /// each variable's edge ids, ascending.
+    fn with_var_side(
+        n_vars: usize,
+        n_checks: usize,
+        check_ptr: Vec<u32>,
+        var_of_edge: Vec<u32>,
+        var_ptr: Vec<u32>,
+        qc: Option<QuasiCyclic>,
+    ) -> Self {
+        let mut vfill = var_ptr.clone();
+        let mut edge_of_var = vec![0u32; var_of_edge.len()];
         for (e, &v) in var_of_edge.iter().enumerate() {
             edge_of_var[vfill[v as usize] as usize] = e as u32;
             vfill[v as usize] += 1;
         }
-
         TannerGraph {
             n_vars,
             n_checks,
@@ -89,29 +161,98 @@ impl TannerGraph {
             var_of_edge,
             var_ptr,
             edge_of_var,
+            qc,
         }
     }
 
     /// Builds the Tanner graph of a DVB-S2 code. Information edges of every
-    /// check precede its parity edges, and `info_len` is set to `K`.
+    /// check precede its parity edges (ascending variable index among the
+    /// information edges, then `K + c − 1` unless `c = 0`, then `K + c`),
+    /// and `info_len` is set to `K`.
+    ///
+    /// The check side is read straight from the table's residue rows: entry
+    /// `x = shift·q + r` of group `g` feeds check `u·q + r` from variable
+    /// `g·360 + (u − shift) mod 360` (Eq. 2). With every row of the same
+    /// length (the standard's residue balance) the rows are kept as the
+    /// graph's [`QuasiCyclic`] record.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `N − K = 360·q` and the table has one row per
+    /// 360-bit information group.
     pub fn for_code(params: &CodeParams, table: &AddressTable) -> Self {
-        let mut edges = Vec::with_capacity(params.e_in() + params.e_pn());
-        for m in 0..params.k {
-            for j in table.check_indices(params, m) {
-                edges.push((j as u32, m as u32));
+        const P: usize = PARALLELISM;
+        let (n, k, m, q) = (params.n, params.k, params.n_check, params.q);
+        assert!(
+            q * P == m && n == k + m && table.rows().len() * P == k,
+            "the table and parameters do not describe a 360-lane quasi-cyclic IRA code"
+        );
+        // The residue rows, table order kept within each row.
+        let mut row_ptr = vec![0usize; q + 1];
+        for &x in table.rows().iter().flatten() {
+            row_ptr[x as usize % q + 1] += 1;
+        }
+        for r in 0..q {
+            row_ptr[r + 1] += row_ptr[r];
+        }
+        let mut fill = row_ptr.clone();
+        let mut entries = vec![QcEntry { group: 0, shift: 0 }; row_ptr[q]];
+        for (g, row) in table.rows().iter().enumerate() {
+            for &x in row {
+                let r = x as usize % q;
+                entries[fill[r]] = QcEntry { group: g as u32, shift: x / q as u32 };
+                fill[r] += 1;
             }
         }
-        // Parity edges appended last so the stable grouping puts them at the
-        // end of each check's edge range.
-        for j in 0..params.n_check {
-            edges.push((j as u32, (params.k + j) as u32));
-            if j + 1 < params.n_check {
-                edges.push(((j + 1) as u32, (params.k + j) as u32));
+        let inputs = |r: usize| &entries[row_ptr[r]..row_ptr[r + 1]];
+
+        let edges = entries.len() * P + (2 * m).saturating_sub(1);
+        let mut check_ptr = Vec::with_capacity(m + 1);
+        let mut var_of_edge = Vec::with_capacity(edges);
+        check_ptr.push(0);
+        for u in 0..P {
+            for r in 0..q {
+                let (j, start) = (u * q + r, var_of_edge.len());
+                var_of_edge.extend(inputs(r).iter().map(|e| e.var(u) as u32));
+                // Table order is group-major: only a group's own inputs to
+                // one row can leave lane `u` out of ascending order, so an
+                // insertion sort mostly only compares.
+                let row = &mut var_of_edge[start..];
+                for i in 1..row.len() {
+                    let mut at = i;
+                    while at > 0 && row[at - 1] > row[at] {
+                        row.swap(at - 1, at);
+                        at -= 1;
+                    }
+                }
+                if j > 0 {
+                    var_of_edge.push((k + j - 1) as u32);
+                }
+                var_of_edge.push((k + j) as u32);
+                check_ptr.push(var_of_edge.len() as u32);
             }
         }
-        let mut graph = Self::from_edges(params.n, params.n_check, &edges);
-        graph.info_len = params.k;
+        let mut var_ptr = Vec::with_capacity(n + 1);
+        var_ptr.push(0u32);
+        let info_degrees = table.rows().iter().flat_map(|row| std::iter::repeat_n(row.len(), P));
+        let parity_degrees = (0..m).map(|j| if j + 1 < m { 2 } else { 1 });
+        for degree in info_degrees.chain(parity_degrees) {
+            var_ptr.push(var_ptr[var_ptr.len() - 1] + degree as u32);
+        }
+
+        let row_len = if q == 0 { 0 } else { inputs(0).len() };
+        let balanced = (0..q).all(|r| inputs(r).len() == row_len);
+        let qc = balanced.then_some(QuasiCyclic { q, row_len, entries });
+        let mut graph = Self::with_var_side(n, m, check_ptr, var_of_edge, var_ptr, qc);
+        graph.info_len = k;
         graph
+    }
+
+    /// The quasi-cyclic record of a graph built by
+    /// [`for_code`](Self::for_code) from residue-balanced rows, `None`
+    /// otherwise.
+    pub fn quasi_cyclic(&self) -> Option<&QuasiCyclic> {
+        self.qc.as_ref()
     }
 
     /// Number of variable nodes.
@@ -328,6 +469,69 @@ mod tests {
         let p = CodeParams::new(rate, FrameSize::Normal).unwrap();
         let t = AddressTable::generate(&p, TableOptions::default());
         (p, TannerGraph::for_code(&p, &t))
+    }
+
+    /// The counting-sort construction the direct build replaced: every
+    /// `(check, var)` pair of Eq. 2 in variable order, then the parity
+    /// chain, grouped by check.
+    fn counting_sort_reference(p: &CodeParams, t: &AddressTable) -> TannerGraph {
+        let mut edges = Vec::new();
+        for m in 0..p.k {
+            edges.extend(t.check_indices(p, m).map(|j| (j as u32, m as u32)));
+        }
+        for j in 0..p.n_check {
+            edges.push((j as u32, (p.k + j) as u32));
+            if j + 1 < p.n_check {
+                edges.push(((j + 1) as u32, (p.k + j) as u32));
+            }
+        }
+        let mut graph = TannerGraph::from_edges(p.n, p.n_check, &edges);
+        graph.info_len = p.k;
+        graph
+    }
+
+    #[test]
+    fn the_direct_build_equals_the_counting_sort_on_every_rate_point() {
+        let mut points = 0;
+        for frame in [FrameSize::Normal, FrameSize::Short] {
+            for p in CodeParams::all(frame) {
+                let t = AddressTable::generate(&p, TableOptions::default());
+                let g = TannerGraph::for_code(&p, &t);
+                let want = counting_sort_reference(&p, &t);
+                let what = format!("{} {frame}", p.rate);
+                assert_eq!(g.info_len(), want.info_len(), "{what}");
+                assert!(g.check_offsets() == want.check_offsets(), "{what}: check offsets");
+                assert!(g.edge_vars() == want.edge_vars(), "{what}: edge variables");
+                assert!(g.var_offsets() == want.var_offsets(), "{what}: variable offsets");
+                assert!(g.var_edge_table() == want.var_edge_table(), "{what}: variable edges");
+                assert!(want.quasi_cyclic().is_none(), "{what}: a generic graph has no record");
+
+                // The record is the table's residue rows, table order, and
+                // reproduces every check's information inputs.
+                let qc = g.quasi_cyclic().expect("balanced rows keep the record");
+                assert_eq!((qc.rows(), qc.row_len()), (p.q, p.check_degree - 2), "{what}");
+                let mut rows = vec![Vec::new(); p.q];
+                for (group, row) in t.rows().iter().enumerate() {
+                    for &x in row {
+                        let entry = QcEntry { group: group as u32, shift: x / p.q as u32 };
+                        rows[x as usize % p.q].push(entry);
+                    }
+                }
+                for (r, row) in rows.iter().enumerate() {
+                    assert_eq!(qc.row(r), &row[..], "{what}: residue row {r}");
+                }
+                for c in (0..p.n_check).step_by(97) {
+                    let (u, r) = (c / p.q, c % p.q);
+                    let mut inputs: Vec<usize> = qc.row(r).iter().map(|e| e.var(u)).collect();
+                    inputs.sort_unstable();
+                    let graph_inputs: Vec<usize> =
+                        g.check_edges(c).take(qc.row_len()).map(|e| g.var_of_edge(e)).collect();
+                    assert_eq!(inputs, graph_inputs, "{what}: check {c}");
+                }
+                points += 1;
+            }
+        }
+        assert_eq!(points, 21, "11 normal and 10 short rate points");
     }
 
     #[test]
