@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 
 /// The change whose code the committed records were taken with. Bump it in
 /// the change that re-records them.
-pub const RECORDED_BY: &str = "plans are read from the graph's record";
+pub const RECORDED_BY: &str = "the core's check rows run on the narrowest word";
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

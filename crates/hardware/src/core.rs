@@ -9,26 +9,31 @@
 //! measured side of the Eq. 8 throughput comparison.
 //!
 //! The write queue carries word addresses and arrival cycles only, because
-//! timing depends on addresses alone. A message word moves once, as `i16`:
+//! timing depends on addresses alone. A message word moves once per phase:
 //! the functional units write their outputs into a staging image, and when
 //! a word's write issues to a bank the shuffle network rotates it into the
 //! RAM, where its commit-point fault strikes. The units read their inputs
 //! where they lie. The RAM is held as two images so that both phases read
-//! in place: the information image (word-major, the golden model's layout)
-//! and the check image (row-major in schedule order). Each phase reads one
-//! image and commits every word into the other, so after a check phase the
-//! information image is the whole RAM — what the digests, the totals and
-//! the next information phase read. The information image and the frame
-//! around the phases (RAM clear, unit reset, digest, early stop, totals and
-//! verdict) are the [`Frame`] the core shares with the golden model; the
-//! check image, the staging image and the write queue are the core's own.
+//! in place: the information image (word-major `i16`, the golden model's
+//! layout) and the check image (row-major in schedule order). Each phase
+//! reads one image and commits every word into the other, so after a check
+//! phase the information image is the whole RAM — what the digests, the
+//! totals and the next information phase read. The check image, the
+//! staging image and the check rows hold the narrowest word the quantizer
+//! allows: `i8` wherever the units' `i8` lanes hold it (4 to 6 bits, the
+//! paper's word), `i16` otherwise; a check-phase commit widens its word as
+//! it rotates it. The information image and the frame around the phases
+//! (RAM clear, unit reset, digest, early stop, totals and verdict) are the
+//! [`Frame`] the core shares with the golden model; the check image, the
+//! staging image and the write queue are the core's own.
 
 use crate::fault::{CommitPhase, CommitPoint, FaultScenario};
+use crate::functional_unit::FunctionalUnitArray;
 use crate::golden::Frame;
 use crate::memory::MemoryConfig;
 use crate::rom::ConnectivityRom;
 use crate::schedule::CnSchedule;
-use dvbs2_decoder::{DecodeResult, Quantizer, SimdTier};
+use dvbs2_decoder::{DecodeResult, FuWord, Quantizer, SimdTier};
 use dvbs2_ldpc::{CodeParams, DvbS2Code, PARALLELISM};
 use std::collections::VecDeque;
 
@@ -198,32 +203,59 @@ impl WriteQueue {
 /// The cycle-accurate IP core model.
 #[derive(Debug)]
 pub struct HardwareDecoder {
+    config: CoreConfig,
+    datapath: Datapath,
+}
+
+/// The core on its check word, chosen once at construction: `i8` wherever
+/// the functional units' `i8` lanes hold the quantizer (4 to 6 bits), `i16`
+/// otherwise (the `i16` lanes up to 15 bits, the per-unit loop at 16).
+#[derive(Debug)]
+enum Datapath {
+    Narrow(Core<i8>),
+    Wide(Core<i16>),
+}
+
+/// Evaluates `$body` with `$core` bound to the datapath's [`Core`].
+macro_rules! on_core {
+    ($datapath:expr, |$core:ident| $body:expr) => {
+        match $datapath {
+            Datapath::Narrow($core) => $body,
+            Datapath::Wide($core) => $body,
+        }
+    };
+}
+
+/// The core on check word `W`.
+#[derive(Debug)]
+struct Core<W> {
     /// The ROM, units, fault scenario, information image and the frame's
     /// iteration loop, shared with [`crate::GoldenModel`]: the information
     /// phase reads the information image and the check phase commits to it.
-    frame: Frame,
-    config: CoreConfig,
-    timed: TimedRam,
+    frame: Frame<W>,
+    timed: TimedRam<W>,
 }
 
 /// What the core's memory subsystem holds beyond the shared information
 /// image, and the two timed phases that move words through it.
 #[derive(Debug)]
-struct TimedRam {
+struct TimedRam<W> {
     /// The schedule's read sequence, the check phase's read per cycle.
     reads: Vec<u32>,
-    /// The message RAM's check image: row `r` of the schedule is
-    /// `row_len + 2` contiguous vectors, the row's words in schedule order
-    /// and then the functional units' two parity input slots. The check
-    /// phase reads it and the information phase commits to it.
-    rows: Vec<i16>,
+    /// The message RAM's check image, in the units' word: row `r` of the
+    /// schedule is `row_len + 2` contiguous vectors of the units' pitch
+    /// (384 lanes on `i8`, 360 on `i16`), the row's words in schedule order
+    /// and then the functional units' two parity input slots, each
+    /// vector's pad lanes past 360 zero. The check phase reads it and the
+    /// information phase commits to it.
+    rows: Vec<W>,
     /// Vector index of each word in `rows`.
     slot: Vec<u32>,
-    /// The functional units' outputs, unrotated, until their writes issue:
-    /// the information phase's at `stage[word * 360..]`, the check phase's
-    /// at the word's vector index in `rows` (the image is as large as
-    /// `rows`, whose row stride the lane update needs).
-    stage: Vec<i16>,
+    /// The functional units' outputs, unrotated and in their word, until
+    /// their writes issue: the information phase's at `stage[word * 360..]`,
+    /// the check phase's at the word's vector in `rows` (the image is as
+    /// large as `rows`, whose row stride the lane update needs).
+    stage: Vec<W>,
     queue: WriteQueue,
     fu_latency: usize,
 }
@@ -236,24 +268,15 @@ impl HardwareDecoder {
     ///
     /// Panics if the schedule does not match the code's ROM.
     pub fn new(code: &DvbS2Code, schedule: CnSchedule, config: CoreConfig) -> Self {
-        let frame = Frame::new(code, schedule, config.quantizer);
-        let (q, words) = (frame.params.q, frame.rom.words());
-        let stride = frame.rom.row_len() + 2;
-        let mut slot = vec![0; words];
-        for r in 0..q {
-            for (i, &w) in frame.schedule.row(r).iter().enumerate() {
-                slot[w as usize] = (r * stride + i) as u32;
+        let (params, quantizer) = (code.params(), config.quantizer);
+        let datapath = match FunctionalUnitArray::<i8>::on_lanes(params, quantizer) {
+            Some(fu) => Datapath::Narrow(Core::new(Frame::new(code, schedule, fu), config.memory)),
+            None => {
+                let fu = FunctionalUnitArray::new(params, quantizer);
+                Datapath::Wide(Core::new(Frame::new(code, schedule, fu), config.memory))
             }
-        }
-        let timed = TimedRam {
-            reads: frame.schedule.read_sequence(),
-            rows: vec![0; q * stride * PARALLELISM],
-            slot,
-            stage: vec![0; q * stride * PARALLELISM],
-            queue: WriteQueue::new(words, config.memory),
-            fu_latency: config.memory.fu_latency,
         };
-        HardwareDecoder { frame, config, timed }
+        HardwareDecoder { config, datapath }
     }
 
     /// Builds the core with the natural (unoptimized) schedule.
@@ -264,7 +287,7 @@ impl HardwareDecoder {
 
     /// The code parameters.
     pub fn params(&self) -> &CodeParams {
-        &self.frame.params
+        on_core!(&self.datapath, |core| &core.frame.params)
     }
 
     /// The configuration.
@@ -274,14 +297,23 @@ impl HardwareDecoder {
 
     /// The schedule driving the check phase.
     pub fn schedule(&self) -> &CnSchedule {
-        &self.frame.schedule
+        on_core!(&self.datapath, |core| &core.frame.schedule)
     }
 
     /// The dispatch tier the functional units' lane-wide check update runs
     /// at, or `None` when the quantizer takes the per-unit fallback (see
     /// [`FunctionalUnitArray::simd_tier`](crate::FunctionalUnitArray::simd_tier)).
     pub fn simd_tier(&self) -> Option<SimdTier> {
-        self.frame.fu.simd_tier()
+        on_core!(&self.datapath, |core| core.frame.fu.simd_tier())
+    }
+
+    /// Bits of the word the check image and the check rows hold: 8 where
+    /// the `i8` lanes hold the quantizer, 16 otherwise.
+    pub fn check_word_bits(&self) -> u32 {
+        match self.datapath {
+            Datapath::Narrow(_) => i8::BITS,
+            Datapath::Wide(_) => i16::BITS,
+        }
     }
 
     /// Injects a complete [`FaultScenario`] (multiple RAM faults, transient
@@ -293,17 +325,17 @@ impl HardwareDecoder {
     ///
     /// Panics if any fault addresses memory or units outside the core.
     pub fn set_scenario(&mut self, scenario: FaultScenario) {
-        self.frame.set_scenario(scenario);
+        on_core!(&mut self.datapath, |core| core.frame.set_scenario(scenario))
     }
 
     /// The active fault scenario (empty when fault-free).
     pub fn scenario(&self) -> &FaultScenario {
-        &self.frame.scenario
+        on_core!(&self.datapath, |core| &core.frame.scenario)
     }
 
     /// Quantizes float channel LLRs with the core's quantizer.
     pub fn quantize_channel(&self, llrs: &[f64]) -> Vec<i32> {
-        self.frame.quantize_channel(llrs)
+        on_core!(&self.datapath, |core| core.frame.quantize_channel(llrs))
     }
 
     /// Decodes float channel LLRs (quantizing them first).
@@ -320,7 +352,7 @@ impl HardwareDecoder {
     /// error) if the memory schedule would ever read a word whose write-back
     /// is still in flight.
     pub fn decode_quantized(&mut self, channel: &[i32]) -> HwDecodeOutput {
-        self.decode_inner(channel, None)
+        on_core!(&mut self.datapath, |core| core.decode(channel, &self.config, None))
     }
 
     /// Decodes one frame and records a per-iteration digest of the complete
@@ -337,11 +369,41 @@ impl HardwareDecoder {
         channel: &[i32],
         trace: &mut Vec<u64>,
     ) -> HwDecodeOutput {
-        self.decode_inner(channel, Some(trace))
+        on_core!(&mut self.datapath, |core| core.decode(channel, &self.config, Some(trace)))
+    }
+}
+
+impl<W: FuWord> Core<W>
+where
+    i16: From<W>,
+{
+    fn new(frame: Frame<W>, memory: MemoryConfig) -> Self {
+        let (q, words, pitch) = (frame.params.q, frame.rom.words(), frame.fu.pitch());
+        let stride = frame.rom.row_len() + 2;
+        let mut slot = vec![0; words];
+        for r in 0..q {
+            for (i, &w) in frame.schedule.row(r).iter().enumerate() {
+                slot[w as usize] = (r * stride + i) as u32;
+            }
+        }
+        let timed = TimedRam {
+            reads: frame.schedule.read_sequence(),
+            rows: vec![W::default(); q * stride * pitch],
+            slot,
+            stage: vec![W::default(); q * stride * pitch],
+            queue: WriteQueue::new(words, memory),
+            fu_latency: memory.fu_latency,
+        };
+        Core { frame, timed }
     }
 
-    fn decode_inner(&mut self, channel: &[i32], trace: Option<&mut Vec<u64>>) -> HwDecodeOutput {
-        let CoreConfig { max_iterations, early_stop, p_io, .. } = self.config;
+    fn decode(
+        &mut self,
+        channel: &[i32],
+        config: &CoreConfig,
+        trace: Option<&mut Vec<u64>>,
+    ) -> HwDecodeOutput {
+        let CoreConfig { max_iterations, early_stop, p_io, .. } = *config;
         let mut cycles = CycleBreakdown {
             io_cycles: self.frame.params.n.div_ceil(p_io),
             ..CycleBreakdown::default()
@@ -362,7 +424,10 @@ impl HardwareDecoder {
     }
 }
 
-impl TimedRam {
+impl<W: FuWord> TimedRam<W>
+where
+    i16: From<W>,
+{
     /// Timed information phase: sequential word reads (one per cycle); once
     /// a group's words are read the functional units take them in place and
     /// stage their outputs, and each output is rotated into the check image
@@ -370,11 +435,11 @@ impl TimedRam {
     /// occupancy).
     fn information_phase(
         &mut self,
-        f: &mut Frame,
+        f: &mut Frame<W>,
         channel: &[i32],
         iteration: u32,
     ) -> (usize, usize) {
-        let p = PARALLELISM;
+        let (p, pitch) = (PARALLELISM, f.fu.pitch());
         let quantizer = *f.fu.quantizer();
         let point = CommitPoint { iteration, phase: CommitPhase::Info };
         self.queue.begin_phase();
@@ -412,8 +477,8 @@ impl TimedRam {
                 }
             }
             self.queue.step(cycle, read_bank, |w| {
-                let slot = self.slot[w] as usize;
-                let lanes = &mut self.rows[slot * p..(slot + 1) * p];
+                let at = self.slot[w] as usize * pitch;
+                let lanes = &mut self.rows[at..at + p];
                 let shift = f.rom.entry(w).shift as usize;
                 f.shuffle.rotate(&self.stage[w * p..(w + 1) * p], shift, lanes);
                 f.scenario.corrupt_word(w, lanes, &quantizer, point);
@@ -426,10 +491,11 @@ impl TimedRam {
     /// Timed check phase: the annealed read sequence, FU pipeline, inverse
     /// shuffle on write-back, 4-bank conflict buffer. After a row's last
     /// read the functional units take its words in place and stage their
-    /// outputs, and each output is rotated back into the information image
-    /// when its write issues. Returns (cycles, max buffer occupancy).
-    fn check_phase(&mut self, f: &mut Frame, iteration: u32) -> (usize, usize) {
-        let p = PARALLELISM;
+    /// outputs, and each output is rotated back into the information image,
+    /// widened to `i16` in the same pass, when its write issues. Returns
+    /// (cycles, max buffer occupancy).
+    fn check_phase(&mut self, f: &mut Frame<W>, iteration: u32) -> (usize, usize) {
+        let (p, pitch) = (PARALLELISM, f.fu.pitch());
         let quantizer = *f.fu.quantizer();
         let point = CommitPoint { iteration, phase: CommitPhase::Check };
         let row_len = f.rom.row_len();
@@ -443,7 +509,7 @@ impl TimedRam {
                 read_bank = Some(self.queue.read(w as usize));
                 pos_in_row += 1;
                 if pos_in_row == row_len {
-                    let span = r * (row_len + 2) * p..(r + 1) * (row_len + 2) * p;
+                    let span = r * (row_len + 2) * pitch..(r + 1) * (row_len + 2) * pitch;
                     let out = &mut self.stage[span.clone()];
                     f.fu.process_cn_row(r, &mut self.rows[span], out);
                     for (pos, &w) in f.schedule.row(r).iter().enumerate() {
@@ -454,10 +520,10 @@ impl TimedRam {
                 }
             }
             self.queue.step(cycle, read_bank, |w| {
-                let slot = self.slot[w] as usize;
+                let at = self.slot[w] as usize * pitch;
                 let lanes = &mut f.ram[w * p..(w + 1) * p];
                 let inv = f.shuffle.inverse_shift(f.rom.entry(w).shift as usize);
-                f.shuffle.rotate(&self.stage[slot * p..(slot + 1) * p], inv, lanes);
+                f.shuffle.rotate(&self.stage[at..at + p], inv, lanes);
                 f.scenario.corrupt_word(w, lanes, &quantizer, point);
             });
             cycle += 1;
@@ -940,6 +1006,84 @@ mod tests {
         let hw_out = hw.decode_quantized_traced(&channel, &mut hw_trace);
         assert_eq!(hw_out.result, golden.decode_quantized_traced(&channel, &mut golden_trace));
         assert_eq!(hw_trace, golden_trace);
+    }
+
+    #[test]
+    fn each_width_takes_the_narrowest_check_word() {
+        // The `i8` lanes' own eligibility picks the word: 4 to 6 bits run
+        // the check image and rows on `i8`, 7 to 15 bits on the `i16` lanes,
+        // 16 bits on the per-unit loop over `i16` rows, and so does a 6-bit
+        // table neither lane word carries (seven correction steps).
+        let code = short_code();
+        let lanes = Some(SimdTier::detect());
+        let widths = (4..=16).map(|bits| {
+            let (word, tier) = match bits {
+                4..=6 => (8, lanes),
+                7..=15 => (16, lanes),
+                _ => (16, None),
+            };
+            (Quantizer::new(bits, 0.25), word, tier)
+        });
+        let tables = [(Quantizer::paper_5bit(), 8, lanes), (Quantizer::new(6, 0.1), 16, None)];
+        for (quantizer, word, tier) in widths.chain(tables) {
+            let hw = core(&code, CoreConfig { quantizer, ..CoreConfig::default() });
+            assert_eq!((hw.check_word_bits(), hw.simd_tier()), (word, tier), "{quantizer:?}");
+        }
+    }
+
+    #[test]
+    fn widths_off_the_paper_point_are_bit_exact_on_their_check_word() {
+        // The oracle draws 5 and 6 bits, which the core runs on `i8`. 4 bits
+        // (`i8`) and 7 and 8 bits (the `i16` lanes) are held to the same
+        // contract here: decisions and per-iteration digests against the
+        // golden model's `i16` rows, fault-free and with RAM faults at both
+        // commit points plus a unit fault, and cycles equal to the paper
+        // core's, since timing depends on addresses alone.
+        use crate::fault::{FaultActivation, FuFault, TimedRamFault};
+        let code = short_code();
+        let rom = ConnectivityRom::build(code.params(), code.table());
+        let (_, llrs) = noisy_llrs(&code, 2.4, 4711);
+        let paper = CoreConfig { max_iterations: 4, ..CoreConfig::default() };
+        let mut paper_core = core(&code, paper);
+        let cycles = paper_core.decode(&llrs).cycles;
+        let faulted = |max_mag: i32| {
+            // Permanent faults strike the power-on fill and every commit of
+            // both phases; the seeded one some commits of each.
+            FaultScenario::single(RamFault::StuckWord { word: 3, value: 3 * max_mag })
+                .with_ram(TimedRamFault::permanent(RamFault::FlippedBits { word: 7, mask: 0b101 }))
+                .with_ram(TimedRamFault {
+                    fault: RamFault::FlippedBits { word: 12, mask: -1 },
+                    activation: FaultActivation::Random { seed: 0x8B17, per_mille: 500 },
+                })
+                .with_fu(Some(FuFault::StuckMag { unit: 200, value: max_mag / 2 }))
+        };
+        for (quantizer, word) in [
+            (Quantizer::new(4, 1.0), 8),
+            (Quantizer::new(7, 0.25), 16),
+            (Quantizer::new(8, 0.25), 16),
+        ] {
+            let config = CoreConfig { quantizer, ..paper };
+            let mut hw = core(&code, config);
+            assert_eq!(hw.check_word_bits(), word, "{quantizer:?}");
+            assert!(hw.simd_tier().is_some(), "{quantizer:?} runs on the lanes");
+            let mut golden =
+                GoldenModel::new(&code, CnSchedule::natural(&rom), quantizer, 4, false);
+            let channel = hw.quantize_channel(&llrs);
+            let mut traces = Vec::new();
+            for scenario in [FaultScenario::none(), faulted(quantizer.max_mag())] {
+                hw.set_scenario(scenario);
+                golden.set_scenario(scenario);
+                let (mut hw_trace, mut golden_trace) = (Vec::new(), Vec::new());
+                let out = hw.decode_quantized_traced(&channel, &mut hw_trace);
+                let label = format!("{quantizer:?} {scenario:?}");
+                let golden_out = golden.decode_quantized_traced(&channel, &mut golden_trace);
+                assert_eq!(out.result, golden_out, "{label}: results diverged");
+                assert_eq!(hw_trace, golden_trace, "{label}: message traces diverged");
+                assert_eq!(out.cycles, cycles, "{label}: timing moved");
+                traces.push(hw_trace);
+            }
+            assert_ne!(traces[0], traces[1], "{quantizer:?}: the faults must strike");
+        }
     }
 
     #[test]

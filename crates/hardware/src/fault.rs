@@ -33,7 +33,7 @@
 //! domain, so a fault perturbs message values without ever leaving the
 //! value domain a fault-free decode operates in.
 
-use dvbs2_decoder::Quantizer;
+use dvbs2_decoder::{FuWord, Quantizer};
 use dvbs2_ldpc::PARALLELISM;
 
 /// A modeled defect in the message RAM, for fault-injection testing (the
@@ -79,14 +79,18 @@ impl RamFault {
     /// the [`Quantizer`] makes the domain invariant explicit instead of an
     /// accident of mirrored clamping).
     ///
-    /// The RAM holds `i16` lanes; a quantizer has at most 16 bits, so every
-    /// snapped value fits.
-    pub(crate) fn corrupt(&self, lanes: &mut [i16], quantizer: &Quantizer) {
+    /// The lanes are the word of the image the commit lands in: `i16` in
+    /// the information image, which holds any quantizer (at most 16 bits),
+    /// and `i8` in the core's check image where the `i8` lanes hold the
+    /// quantizer. The lane is corrupted as the `i32` it widens to and the
+    /// snapped result narrowed back, which is exact: it lies in
+    /// `±max_mag`, inside the word.
+    pub(crate) fn corrupt<W: FuWord>(&self, lanes: &mut [W], quantizer: &Quantizer) {
         match *self {
-            RamFault::StuckWord { value, .. } => lanes.fill(quantizer.saturate(value) as i16),
+            RamFault::StuckWord { value, .. } => lanes.fill(W::narrow(quantizer.saturate(value))),
             RamFault::FlippedBits { mask, .. } => {
                 for lane in lanes {
-                    *lane = quantizer.saturate(*lane as i32 ^ mask) as i16;
+                    *lane = W::narrow(quantizer.saturate(i32::from(lane.widen()) ^ mask));
                 }
             }
         }
@@ -371,10 +375,10 @@ impl FaultScenario {
 
     /// Applies every RAM fault active at `point` that targets `word` to the
     /// freshly committed `lanes`, in scenario order.
-    pub(crate) fn corrupt_word(
+    pub(crate) fn corrupt_word<W: FuWord>(
         &self,
         word: usize,
-        lanes: &mut [i16],
+        lanes: &mut [W],
         quantizer: &Quantizer,
         point: CommitPoint,
     ) {
@@ -450,12 +454,12 @@ mod tests {
         let quantizer = Quantizer::paper_6bit();
         let max = quantizer.max_mag();
         for value in [-100, -32, -31, -1, 0, 1, 30, 31, 99] {
-            let mut lanes = vec![5, -17, 31];
+            let mut lanes = vec![5i16, -17, 31];
             RamFault::StuckWord { word: 0, value }.corrupt(&mut lanes, &quantizer);
             assert!(lanes.iter().all(|&v| v as i32 == value.clamp(-max, max)));
         }
         for mask in [0, 1, 0b10101, 63] {
-            let original = vec![5, -17, 31, 0, -31];
+            let original = vec![5i16, -17, 31, 0, -31];
             let mut lanes = original.clone();
             RamFault::FlippedBits { word: 0, mask }.corrupt(&mut lanes, &quantizer);
             for (&before, &after) in original.iter().zip(&lanes) {
@@ -464,68 +468,79 @@ mod tests {
         }
     }
 
+    /// Corrupts `W` lanes under every stuck value −70..=70 and ±`i32::MAX`
+    /// and every flip mask 0..=0xFFFF, `i32::MIN` and −1: each corrupted
+    /// lane must equal the `i32` formula applied to the lane's widened
+    /// value. Every in-rail lane value is covered below 16 bits; at 16 bits
+    /// the full mask range meets every 127th lane value plus the rails, and
+    /// the full rail meets the corner masks.
+    fn assert_corrupt_is_the_i32_formula<W: FuWord>(quantizer: Quantizer) {
+        let corner_masks = [0, 1, 0x5555, 0x7FFF, 0x8000, 0xFFFF, i32::MIN, -1];
+        let max = quantizer.max_mag();
+        let rail: Vec<W> = (-max..=max).map(W::narrow).collect();
+        let sparse: Vec<W> =
+            (-max..=max).filter(|&v| v % 127 == 0 || v.abs() >= max - 1).map(W::narrow).collect();
+        let full_masks = (0..=0xFFFF).chain([i32::MIN, -1]);
+        let cases: Vec<(&[W], RamFault)> = if max < 0x7FFF {
+            (-70..=70)
+                .chain([i32::MAX, -i32::MAX])
+                .map(|value| RamFault::StuckWord { word: 0, value })
+                .chain(full_masks.map(|mask| RamFault::FlippedBits { word: 0, mask }))
+                .map(|fault| (&rail[..], fault))
+                .collect()
+        } else {
+            (-70..=70)
+                .chain([i32::MAX, -i32::MAX])
+                .map(|value| (&rail[..], RamFault::StuckWord { word: 0, value }))
+                .chain(
+                    full_masks.map(|mask| (&sparse[..], RamFault::FlippedBits { word: 0, mask })),
+                )
+                .chain(
+                    corner_masks.map(|mask| (&rail[..], RamFault::FlippedBits { word: 0, mask })),
+                )
+                .collect()
+        };
+        let wide = |x: W| i32::from(x.widen());
+        for (lanes, fault) in cases {
+            let mut narrow = lanes.to_vec();
+            fault.corrupt(&mut narrow, &quantizer);
+            for (&before, &after) in lanes.iter().zip(&narrow) {
+                let want = match fault {
+                    RamFault::StuckWord { value, .. } => quantizer.saturate(value),
+                    RamFault::FlippedBits { mask, .. } => quantizer.saturate(wide(before) ^ mask),
+                };
+                let (before, bits) = (wide(before), quantizer.bits());
+                assert_eq!(wide(after), want, "{fault:?} on {before}, {bits} bits, i{}", W::BITS);
+            }
+        }
+    }
+
     #[test]
     fn corrupting_i16_lanes_equals_the_i32_formula() {
-        // The RAM holds `i16` lanes and the hooks narrow what they compute
-        // in `i32`. That is exact because every result is snapped into
-        // ±max_mag: each corrupted lane must equal the `i32` formula applied
-        // to the lane's widened value. Every in-rail lane value is covered
-        // at 4, 5 and 6 bits; at 16 bits (which the functional units run on
-        // the per-unit datapath) the full mask range meets every 127th lane
-        // value plus the rails, and the full rail meets the corner masks.
-        let corner_masks = [0, 1, 0x5555, 0x7FFF, 0x8000, 0xFFFF, i32::MIN, -1];
+        // The information image holds `i16` lanes and the hooks narrow what
+        // they compute in `i32`. That is exact because every result is
+        // snapped into ±max_mag. 16 bits is the widest quantizer, which the
+        // functional units run on the per-unit datapath.
         for quantizer in [
             Quantizer::new(4, 1.0),
             Quantizer::paper_5bit(),
             Quantizer::paper_6bit(),
             Quantizer::new(16, 1.0 / 4096.0),
         ] {
-            let max = quantizer.max_mag();
-            let rail: Vec<i16> = (-max..=max).map(|v| v as i16).collect();
-            let sparse: Vec<i16> = (-max..=max)
-                .filter(|&v| v % 127 == 0 || v.abs() >= max - 1)
-                .map(|v| v as i16)
-                .collect();
-            let full_masks = (0..=0xFFFF).chain([i32::MIN, -1]);
-            let cases: Vec<(&[i16], RamFault)> = if max < 0x7FFF {
-                (-70..=70)
-                    .chain([i32::MAX, -i32::MAX])
-                    .map(|value| RamFault::StuckWord { word: 0, value })
-                    .chain(full_masks.map(|mask| RamFault::FlippedBits { word: 0, mask }))
-                    .map(|fault| (&rail[..], fault))
-                    .collect()
-            } else {
-                (-70..=70)
-                    .chain([i32::MAX, -i32::MAX])
-                    .map(|value| (&rail[..], RamFault::StuckWord { word: 0, value }))
-                    .chain(
-                        full_masks
-                            .map(|mask| (&sparse[..], RamFault::FlippedBits { word: 0, mask })),
-                    )
-                    .chain(
-                        corner_masks
-                            .map(|mask| (&rail[..], RamFault::FlippedBits { word: 0, mask })),
-                    )
-                    .collect()
-            };
-            for (lanes, fault) in cases {
-                let mut narrow = lanes.to_vec();
-                fault.corrupt(&mut narrow, &quantizer);
-                for (&before, &after) in lanes.iter().zip(&narrow) {
-                    let wide = match fault {
-                        RamFault::StuckWord { value, .. } => quantizer.saturate(value),
-                        RamFault::FlippedBits { mask, .. } => {
-                            quantizer.saturate(before as i32 ^ mask)
-                        }
-                    };
-                    assert_eq!(
-                        after as i32,
-                        wide,
-                        "{fault:?} on {before}, {} bits",
-                        quantizer.bits()
-                    );
-                }
-            }
+            assert_corrupt_is_the_i32_formula::<i16>(quantizer);
+        }
+    }
+
+    #[test]
+    fn corrupting_i8_lanes_equals_the_i32_formula() {
+        // The core's check image holds `i8` lanes wherever the `i8` lanes
+        // hold the quantizer (4 to 6 bits), and an information-phase commit
+        // corrupts them there: exact for the same reason, so the check image
+        // holds commit-point faults as the `i16` image does.
+        for quantizer in [Quantizer::new(4, 1.0), Quantizer::paper_5bit(), Quantizer::paper_6bit()]
+        {
+            assert!(quantizer.max_mag() <= i8::MAX as i32);
+            assert_corrupt_is_the_i32_formula::<i8>(quantizer);
         }
     }
 

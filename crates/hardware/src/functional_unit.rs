@@ -12,30 +12,35 @@
 //! them isolates a defect in the memory/timing machinery.
 //!
 //! The lockstep is literal: a check row is one lane-wide update. The units
-//! read `i16` words where the caller keeps them — a group's words of the
-//! message RAM, a row's words followed by two slots into which the array
-//! writes every unit's two parity inputs as two more 360-wide vectors — and
-//! write their outputs where the caller asks, in the same layout.
-//! [`FuLanes`], the check row the software decoder's lane planes run (there
-//! on `i8` words, here on the RAM's `i16` words, 360 to a row), holds the
-//! units' chain state and sweeps all units at once. Quantizers the lanes
-//! cannot express take the per-unit [`QBoxplus::extrinsic`] loop over the
-//! same chain state, which is also what the lane row is tested against.
-//! `DESIGN.md` §7.8 has the layout and the exactness arguments.
+//! read their words where the caller keeps them — a group's `i16` words of
+//! the message RAM, a row's words followed by two slots into which the array
+//! writes every unit's two parity inputs as two more vectors — and write
+//! their outputs where the caller asks, in the same layout. [`FuLanes`], the
+//! check row the software decoder's lane planes run, holds the units' chain
+//! state and sweeps all units at once, on the array's word: `i8` at a
+//! 384-lane pitch where the `i8` lanes hold the quantizer (the
+//! cycle-accurate core at 4 to 6 bits), `i16` at 360 lanes otherwise (the
+//! RAM's word, on which the golden model runs at every width). Quantizers
+//! the lanes cannot express take the per-unit [`QBoxplus::extrinsic`] loop
+//! over the same chain state, which is also what the lane row is tested
+//! against. `DESIGN.md` §7.8 and §7.12 have the layout and the exactness
+//! arguments.
 
 use crate::fault::FuFault;
-use dvbs2_decoder::{FuLanes, QBoxplus, QCheckArithmetic, Quantizer, SimdTier};
+use dvbs2_decoder::{FuLanes, FuWord, QBoxplus, QCheckArithmetic, Quantizer, SimdTier};
 use dvbs2_ldpc::{CodeParams, PARALLELISM};
 
 /// Lockstep model of the `P = 360` functional units.
 ///
 /// The parity messages are row-major planes, `plane[r * 360 + u]` for check
 /// `j = u·q + r`: a row's 360 messages are one contiguous vector, and what a
-/// row hands to its neighbour is a contiguous copy. Every message fits `i16`
-/// (a [`Quantizer`] has at most 16 bits), and so does every word of the
-/// message RAM the array reads and feeds.
+/// row hands to its neighbour is a contiguous copy. The array's word `W` is
+/// its check rows', its outputs' and its chain state's: `i16` holds every
+/// quantizer (at most 16 bits) and is the message RAM's word, which the
+/// array reads; `i8` holds the quantizers the `i8` lanes take, on which the
+/// cycle-accurate core builds its array.
 #[derive(Debug, Clone)]
-pub struct FunctionalUnitArray {
+pub struct FunctionalUnitArray<W = i16> {
     boxplus: QBoxplus,
     /// Modeled datapath defect: a stuck sign/magnitude lane in one unit's
     /// output port, applied to every extrinsic output that unit produces.
@@ -47,7 +52,7 @@ pub struct FunctionalUnitArray {
     row_len: usize,
     /// The units' check row and their chain state: backward, forward,
     /// registers, boundaries.
-    units: FuLanes<i16>,
+    units: FuLanes<W>,
     /// The per-unit loop's parity channel `[r * 360 + u]`, kept wide, when
     /// check rows take that loop instead of the lanes.
     per_unit: Option<Vec<i32>>,
@@ -57,14 +62,24 @@ pub struct FunctionalUnitArray {
 }
 
 impl FunctionalUnitArray {
-    /// Creates the array for a code and message quantizer.
+    /// Creates the array for a code and message quantizer, on `i16` lanes,
+    /// or on the per-unit loop where those cannot express the quantizer.
     pub fn new(params: &CodeParams, quantizer: Quantizer) -> Self {
         Self::build(params, quantizer, None, false)
+    }
+}
+
+impl<W: FuWord> FunctionalUnitArray<W> {
+    /// The array on `W` lanes, or `None` when they cannot express the
+    /// quantizer ([`FuLanes::new`]'s eligibility: `i8` takes 4 to 6 bits
+    /// with at most four correction steps, `i16` up to 15 bits).
+    pub(crate) fn on_lanes(params: &CodeParams, quantizer: Quantizer) -> Option<Self> {
+        Some(Self::build(params, quantizer, None, false)).filter(|fu| fu.simd_tier().is_some())
     }
 
     /// The array at a pinned tier (`None`: [`SimdTier::detect`]), on the
     /// per-unit loop if `per_unit` or if the lanes cannot express the
-    /// quantizer.
+    /// quantizer. The per-unit loop holds the quantizer only where `W` does.
     fn build(
         params: &CodeParams,
         quantizer: Quantizer,
@@ -73,7 +88,7 @@ impl FunctionalUnitArray {
     ) -> Self {
         let arithmetic = QCheckArithmetic::lut(quantizer);
         let row_len = params.check_degree - 2;
-        let units = FuLanes::new(&arithmetic, PARALLELISM, params.q, row_len, forced);
+        let units = FuLanes::<W>::new(&arithmetic, PARALLELISM, params.q, row_len, forced);
         let per_unit = (per_unit || units.tier().is_none()).then(|| vec![0; params.n_check]);
         FunctionalUnitArray {
             boxplus: QBoxplus::new(quantizer),
@@ -98,6 +113,12 @@ impl FunctionalUnitArray {
     /// per-unit loop.
     pub fn simd_tier(&self) -> Option<SimdTier> {
         self.units.tier().filter(|_| self.per_unit.is_none())
+    }
+
+    /// Lanes per message column of a check row (384 on `i8` words, 360 on
+    /// `i16`): the units' 360, then pad lanes that hold zero.
+    pub(crate) fn pitch(&self) -> usize {
+        self.units.pitch()
     }
 
     /// Injects (or clears) a modeled datapath defect. Both the golden model
@@ -133,13 +154,14 @@ impl FunctionalUnitArray {
     /// `block_in` holds the group's `d` incoming check messages per lane
     /// (`block_in[i * 360 + t]`) — the group's words of the message RAM, read
     /// in place — and `channel` the group's 360 channel LLRs. Writes the
-    /// `d` extrinsic outputs to `block_out` in the same layout.
+    /// `d` extrinsic outputs to `block_out` in the same layout, in the
+    /// array's word: every output is saturated to `±max_mag`, which fits.
     ///
     /// # Panics
     ///
     /// Panics if `channel` is not 360 wide, `block_in` is not a whole,
     /// nonempty number of 360-wide words or `block_out` is not as long.
-    pub fn process_vn_group(&self, channel: &[i32], block_in: &[i16], block_out: &mut [i16]) {
+    pub fn process_vn_group(&self, channel: &[i32], block_in: &[i16], block_out: &mut [W]) {
         let p = PARALLELISM;
         assert_eq!(channel.len(), p, "channel block must be 360 wide");
         assert!(
@@ -159,12 +181,12 @@ impl FunctionalUnitArray {
         // `Quantizer::saturate`, as a `max`/`min` pair that vectorizes.
         for (out, word) in block_out.chunks_exact_mut(p).zip(block_in.chunks_exact(p)) {
             for ((o, &total), &x) in out.iter_mut().zip(&totals).zip(word) {
-                *o = (total - x as i32).max(-max_mag).min(max_mag) as i16;
+                *o = W::narrow((total - x as i32).max(-max_mag).min(max_mag));
             }
         }
         if let Some(f) = self.fault {
             for o in block_out.iter_mut().skip(f.unit()).step_by(p) {
-                *o = f.corrupt(*o as i32, q) as i16;
+                *o = W::narrow(f.corrupt(i32::from(o.widen()), q));
             }
         }
     }
@@ -177,32 +199,32 @@ impl FunctionalUnitArray {
 
     /// Check-node update for residue row `r` across all 360 units.
     ///
-    /// `row` is the row's `row_len + 2` input vectors, lane-major: vector
-    /// `i < row_len` holds the `i`-th information message (in schedule
-    /// order) of unit `u`'s check `j = u·q + r` at `row[i * 360 + u]`, inside
-    /// the quantizer's rail, and the last two vectors are the units' parity
-    /// input slots, which the update overwrites. `out` is as long: the
-    /// extrinsic information outputs land in its first `row_len` vectors in
-    /// the same order (`out[i * 360 + u]`), and the lane update keeps the
-    /// parity outputs in the last two. Parity messages update the internal
-    /// forward/backward state.
+    /// `row` is the row's `row_len + 2` input vectors of `pitch` lanes (360
+    /// on `i16` words, 384 on `i8`): vector `i < row_len`
+    /// holds the `i`-th information message (in schedule order) of unit
+    /// `u`'s check `j = u·q + r` at `row[i * pitch + u]`, inside the
+    /// quantizer's rail, and zero on the pad lanes; the last two vectors are
+    /// the units' parity input slots, which the update overwrites. `out` is
+    /// as long: the extrinsic information outputs land in its first
+    /// `row_len` vectors in the same order (`out[i * pitch + u]`), and the
+    /// lane update keeps the parity outputs in the last two. Parity
+    /// messages update the internal forward/backward state.
     ///
     /// # Panics
     ///
     /// Panics if `r >= q` or `row` or `out` is not `row_len + 2` vectors long.
-    pub fn process_cn_row(&mut self, r: usize, row: &mut [i16], out: &mut [i16]) {
-        let p = PARALLELISM;
+    pub fn process_cn_row(&mut self, r: usize, row: &mut [W], out: &mut [W]) {
         assert!(r < self.q_rows, "row {r} out of range");
-        assert_eq!(row.len(), (self.row_len + 2) * p, "a row is row_len + 2 vectors");
+        assert_eq!(row.len(), (self.row_len + 2) * self.pitch(), "a row is row_len + 2 vectors");
         assert_eq!(out.len(), row.len(), "output row size mismatch");
         if self.per_unit.is_some() {
             return self.cn_row_per_unit(r, row, out);
         }
-        let (fault, q) = (self.fault, *self.boxplus.quantizer());
+        let (fault, q, pitch) = (self.fault, *self.boxplus.quantizer(), self.pitch());
         self.units.row(r, row, out, |v_out| {
             if let Some(f) = fault {
-                for o in v_out.iter_mut().skip(f.unit()).step_by(p) {
-                    *o = f.corrupt(*o as i32, &q) as i16;
+                for o in v_out.iter_mut().skip(f.unit()).step_by(pitch) {
+                    *o = W::narrow(f.corrupt(i32::from(o.widen()), &q));
                 }
             }
         });
@@ -211,17 +233,18 @@ impl FunctionalUnitArray {
     /// The row one unit at a time: gather the unit's inputs, one scalar
     /// [`QBoxplus::extrinsic`], scatter back. The fallback for quantizers
     /// outside the lanes, and the reference the lane row is tested against.
-    fn cn_row_per_unit(&mut self, r: usize, row: &[i16], out: &mut [i16]) {
+    fn cn_row_per_unit(&mut self, r: usize, row: &[W], out: &mut [W]) {
         let Some(pchan) = &self.per_unit else {
             unreachable!("process_cn_row dispatches on the datapath");
         };
-        let p = PARALLELISM;
+        let (p, pitch) = (PARALLELISM, self.pitch());
         let (q_rows, row_len) = (self.q_rows, self.row_len);
+        let wide = |x: W| i32::from(x.widen());
         let q = *self.boxplus.quantizer();
         let (fwd, forward, backward) = self.units.chain_mut();
         for u in 0..p {
             for i in 0..row_len {
-                self.scratch_in[i] = row[i * p + u] as i32;
+                self.scratch_in[i] = wide(row[i * pitch + u]);
             }
             let mut d = row_len;
             // Check j - 1: the row above in the same unit, or the last row
@@ -232,11 +255,11 @@ impl FunctionalUnitArray {
                 _ => Some((r - 1) * p + u),
             };
             if let Some(slot) = left {
-                self.scratch_in[d] = q.sat_add(pchan[slot], fwd[u] as i32);
+                self.scratch_in[d] = q.sat_add(pchan[slot], wide(fwd[u]));
                 d += 1;
             }
             let right_pos = d;
-            self.scratch_in[d] = q.sat_add(pchan[r * p + u], backward[r * p + u] as i32);
+            self.scratch_in[d] = q.sat_add(pchan[r * p + u], wide(backward[r * p + u]));
             d += 1;
 
             self.boxplus.extrinsic(&self.scratch_in[..d], &mut self.scratch_out[..d]);
@@ -249,12 +272,12 @@ impl FunctionalUnitArray {
             }
 
             for i in 0..row_len {
-                out[i * p + u] = self.scratch_out[i] as i16;
+                out[i * pitch + u] = W::narrow(self.scratch_out[i]);
             }
             if let Some(slot) = left {
-                backward[slot] = self.scratch_out[row_len] as i16;
+                backward[slot] = W::narrow(self.scratch_out[row_len]);
             }
-            fwd[u] = self.scratch_out[right_pos] as i16;
+            fwd[u] = W::narrow(self.scratch_out[right_pos]);
         }
         forward[r * p..(r + 1) * p].copy_from_slice(fwd);
     }
@@ -464,17 +487,21 @@ mod tests {
     /// Two check phases over random in-rail blocks on `arrays` and on the
     /// check-order model, every residue row (row 0 and check 0 included):
     /// all of them must agree on every block, on the parity state after each
-    /// phase and on the parity totals. The arrays' parity input slots start
-    /// out as noise, which the update must overwrite.
-    fn assert_rows_agree(
+    /// phase and on the parity totals. The arrays' parity input slots and
+    /// outputs start out as noise on the units' lanes, which the update
+    /// must overwrite; pad lanes hold zero, as in the core's check image.
+    fn assert_rows_agree<W: FuWord>(
         params: &CodeParams,
         quantizer: Quantizer,
         fault: Option<FuFault>,
-        arrays: &mut [FunctionalUnitArray],
+        arrays: &mut [FunctionalUnitArray<W>],
         what: &str,
     ) {
         let p = PARALLELISM;
         let row_len = params.check_degree - 2;
+        let pitch = arrays[0].pitch();
+        let word_rail = (1 << (W::BITS - 1)) - 1;
+        let noise = |rng: &mut SmallRng| W::narrow(rng.random_range(-word_rail - 1..=word_rail));
         let m = quantizer.max_mag();
         let mut rng = SmallRng::seed_from_u64(0xF0 ^ m as u64);
         // Parity channel values on, just beyond and far beyond the rail: the
@@ -506,14 +533,23 @@ mod tests {
             for r in 0..params.q {
                 let block_in: Vec<i32> =
                     (0..row_len * p).map(|_| rng.random_range(-m..=m)).collect();
-                let noise = (0..2 * p).map(|_| rng.random_range(i16::MIN..=i16::MAX));
-                let row: Vec<i16> = block_in.iter().map(|&x| x as i16).chain(noise).collect();
+                let mut row = vec![W::default(); (row_len + 2) * pitch];
+                for (i, column) in row.chunks_exact_mut(pitch).enumerate() {
+                    for (u, x) in column[..p].iter_mut().enumerate() {
+                        *x = match block_in.get(i * p + u) {
+                            Some(&x) => W::narrow(x),
+                            None => noise(&mut rng),
+                        };
+                    }
+                }
                 let want = model.process_cn_row(r, &channel, &block_in);
                 for (index, fu) in arrays.iter_mut().enumerate() {
-                    let mut out: Vec<i16> =
-                        (0..row.len()).map(|_| rng.random_range(i16::MIN..=i16::MAX)).collect();
+                    let mut out: Vec<W> = (0..row.len()).map(|_| noise(&mut rng)).collect();
                     fu.process_cn_row(r, &mut row.clone(), &mut out);
-                    let got: Vec<i32> = out[..row_len * p].iter().map(|&x| x as i32).collect();
+                    let got: Vec<i32> = out[..row_len * pitch]
+                        .chunks_exact(pitch)
+                        .flat_map(|column| column[..p].iter().map(|&x| i32::from(x.widen())))
+                        .collect();
                     assert_eq!(got, want, "{what}: array {index} phase {phase} row {r}");
                 }
             }
@@ -524,7 +560,7 @@ mod tests {
                 assert_eq!(state, model.parity_state(), "{what}: array {index} phase {phase}");
             }
         }
-        let totals = |fu: &FunctionalUnitArray| {
+        let totals = |fu: &FunctionalUnitArray<W>| {
             let mut totals = vec![0i32; params.n];
             fu.parity_totals(&channel, &mut totals);
             totals
@@ -546,27 +582,39 @@ mod tests {
         ]
     }
 
+    /// The lane row and the per-unit loop on `W` words at every available
+    /// tier, each against the check-order model, under every fault of
+    /// [`fu_faults`].
+    fn assert_lanes_equal_the_per_unit_loop<W: FuWord>(params: &CodeParams, quantizer: Quantizer) {
+        let bits = quantizer.bits();
+        for tier in SimdTier::available() {
+            let lanes = FunctionalUnitArray::<W>::build(params, quantizer, Some(tier), false);
+            assert_eq!(lanes.simd_tier(), Some(tier), "{bits} bits must run on i{} lanes", W::BITS);
+            let per_unit = FunctionalUnitArray::<W>::build(params, quantizer, Some(tier), true);
+            assert_eq!(per_unit.simd_tier(), None);
+            for fault in fu_faults(quantizer.max_mag()) {
+                let what = format!("{bits} bits on i{}, {tier:?}, {fault:?}", W::BITS);
+                let mut arrays = [lanes.clone(), per_unit.clone()];
+                assert_rows_agree(params, quantizer, fault, &mut arrays, &what);
+            }
+        }
+    }
+
     #[test]
     fn lane_row_update_equals_the_per_unit_loop() {
         let params = CodeParams::new(CodeRate::R1_2, FrameSize::Short).unwrap();
-        // 15 bits at step 0.25 is the widest quantizer the lanes take
+        // 15 bits at step 0.25 is the widest quantizer the `i16` lanes take
         // (`2·max_mag = i16::MAX − 1`, three correction steps), and the one
-        // whose parity input `pchan + msg` reaches 3·max_mag + 1 > i16::MAX.
+        // whose parity input `pchan + msg` reaches 3·max_mag + 1 > i16::MAX;
+        // 6 bits is the widest the `i8` lanes take, on 384-lane columns.
         for quantizer in
             [Quantizer::paper_6bit(), Quantizer::paper_5bit(), Quantizer::new(15, 0.25)]
         {
-            for tier in SimdTier::available() {
-                let lanes = FunctionalUnitArray::build(&params, quantizer, Some(tier), false);
-                let bits = quantizer.bits();
-                assert_eq!(lanes.simd_tier(), Some(tier), "{bits} bits must run on the lanes");
-                let per_unit = FunctionalUnitArray::build(&params, quantizer, Some(tier), true);
-                assert_eq!(per_unit.simd_tier(), None);
-                for fault in fu_faults(quantizer.max_mag()) {
-                    let what = format!("{} bits, {tier:?}, {fault:?}", quantizer.bits());
-                    let mut arrays = [lanes.clone(), per_unit.clone()];
-                    assert_rows_agree(&params, quantizer, fault, &mut arrays, &what);
-                }
-            }
+            assert_lanes_equal_the_per_unit_loop::<i16>(&params, quantizer);
+        }
+        for quantizer in [Quantizer::paper_6bit(), Quantizer::paper_5bit(), Quantizer::new(4, 1.0)]
+        {
+            assert_lanes_equal_the_per_unit_loop::<i8>(&params, quantizer);
         }
     }
 
@@ -578,6 +626,7 @@ mod tests {
         for quantizer in [Quantizer::new(6, 0.1), Quantizer::new(16, 0.25)] {
             let fu = FunctionalUnitArray::new(&params, quantizer);
             assert_eq!(fu.simd_tier(), None, "{quantizer:?}");
+            assert!(FunctionalUnitArray::<i8>::on_lanes(&params, quantizer).is_none());
             for fault in fu_faults(quantizer.max_mag()) {
                 let what = format!("{quantizer:?}, {fault:?}");
                 assert_rows_agree(&params, quantizer, fault, &mut [fu.clone()], &what);

@@ -26,20 +26,21 @@ use crate::functional_unit::FunctionalUnitArray;
 use crate::rom::ConnectivityRom;
 use crate::schedule::CnSchedule;
 use crate::shuffle::ShuffleNetwork;
-use dvbs2_decoder::{hard_decisions_int, DecodeResult, Quantizer};
+use dvbs2_decoder::{hard_decisions_int, DecodeResult, FuWord, Quantizer};
 use dvbs2_ldpc::{CodeParams, DvbS2Code, PARALLELISM};
 
 /// What both hardware models hold: the code's ROM and schedule, the
 /// functional units, the shuffle network, the fault scenario, the message
 /// RAM's information image and the a-posteriori totals. [`Frame::decode`]
 /// runs a frame around one model's phases, so the iteration loop and the
-/// verdict exist once.
+/// verdict exist once. `W` is the functional units' word: `i16` in the
+/// golden model, the narrowest the quantizer allows in the timed core.
 #[derive(Debug, Clone)]
-pub(crate) struct Frame {
+pub(crate) struct Frame<W = i16> {
     pub(crate) params: CodeParams,
     pub(crate) rom: ConnectivityRom,
     pub(crate) schedule: CnSchedule,
-    pub(crate) fu: FunctionalUnitArray,
+    pub(crate) fu: FunctionalUnitArray<W>,
     pub(crate) shuffle: ShuffleNetwork,
     /// The corruption applies at logical commit points (each word
     /// write-back plus the initial RAM contents, keyed on iteration and
@@ -51,16 +52,16 @@ pub(crate) struct Frame {
     totals: Vec<i32>,
 }
 
-impl Frame {
+impl<W: FuWord> Frame<W> {
     /// # Panics
     ///
     /// Panics if the schedule does not match the code's ROM.
-    pub(crate) fn new(code: &DvbS2Code, schedule: CnSchedule, quantizer: Quantizer) -> Self {
+    pub(crate) fn new(code: &DvbS2Code, schedule: CnSchedule, fu: FunctionalUnitArray<W>) -> Self {
         let params = *code.params();
         let rom = ConnectivityRom::build(&params, code.table());
         schedule.validate(&rom).expect("schedule must match the code's ROM");
         Frame {
-            fu: FunctionalUnitArray::new(&params, quantizer),
+            fu,
             shuffle: ShuffleNetwork::new(PARALLELISM),
             scenario: FaultScenario::none(),
             ram: vec![0; rom.words() * PARALLELISM],
@@ -100,7 +101,7 @@ impl Frame {
         max_iterations: usize,
         early_stop: bool,
         mut trace: Option<&mut Vec<u64>>,
-        mut phases: impl FnMut(&mut Frame, u32),
+        mut phases: impl FnMut(&mut Self, u32),
     ) -> DecodeResult {
         assert_eq!(channel.len(), self.params.n, "LLR length mismatch");
         if let Some(t) = trace.as_deref_mut() {
@@ -287,7 +288,7 @@ impl GoldenModel {
     ) -> Self {
         let params = *code.params();
         GoldenModel {
-            frame: Frame::new(code, schedule, quantizer),
+            frame: Frame::new(code, schedule, FunctionalUnitArray::new(&params, quantizer)),
             max_iterations,
             early_stop,
             row: vec![0; params.check_degree * PARALLELISM],
@@ -585,7 +586,8 @@ mod tests {
             let code = DvbS2Code::new(rate, FrameSize::Short).unwrap();
             let params = code.params();
             let rom = ConnectivityRom::build(params, code.table());
-            let mut frame = Frame::new(&code, CnSchedule::natural(&rom), Quantizer::paper_6bit());
+            let fu = FunctionalUnitArray::new(params, Quantizer::paper_6bit());
+            let mut frame = Frame::new(&code, CnSchedule::natural(&rom), fu);
             let mut both = |totals: &[i32]| {
                 frame.totals.copy_from_slice(totals);
                 let row_wise = frame.syndrome_clean();

@@ -30,18 +30,25 @@ impl ShuffleNetwork {
     }
 
     /// Rotates `data` so that input lane `t` appears on output lane
-    /// `(t + shift) mod lanes`, writing into `out`.
+    /// `(t + shift) mod lanes`, writing into `out` and widening each lane
+    /// to the output's word on the way (the cycle-accurate core's `i8`
+    /// check image commits into its `i16` information image this way).
     ///
     /// # Panics
     ///
     /// Panics if slice lengths differ from the lane count.
-    pub fn rotate<T: Copy>(&self, data: &[T], shift: usize, out: &mut [T]) {
+    pub fn rotate<S: Copy, D: From<S>>(&self, data: &[S], shift: usize, out: &mut [D]) {
         assert_eq!(data.len(), self.lanes, "input width mismatch");
         assert_eq!(out.len(), self.lanes, "output width mismatch");
         let s = shift % self.lanes;
         let (head, tail) = data.split_at(self.lanes - s);
-        out[s..].copy_from_slice(head);
-        out[..s].copy_from_slice(tail);
+        let (low, high) = out.split_at_mut(s);
+        for (o, &x) in high.iter_mut().zip(head) {
+            *o = D::from(x);
+        }
+        for (o, &x) in low.iter_mut().zip(tail) {
+            *o = D::from(x);
+        }
     }
 
     /// The shift that undoes `shift` (used on check-phase write-back so
@@ -71,7 +78,7 @@ mod tests {
     fn rotate_moves_lane_zero_to_shift() {
         let net = ShuffleNetwork::new(8);
         let data: Vec<u32> = (0..8).collect();
-        let mut out = vec![0; 8];
+        let mut out = vec![0u32; 8];
         net.rotate(&data, 3, &mut out);
         assert_eq!(out, vec![5, 6, 7, 0, 1, 2, 3, 4]);
         assert_eq!(out[3], 0);
@@ -81,7 +88,7 @@ mod tests {
     fn rotate_by_zero_is_identity() {
         let net = ShuffleNetwork::new(360);
         let data: Vec<u32> = (0..360).collect();
-        let mut out = vec![0; 360];
+        let mut out = vec![0u32; 360];
         net.rotate(&data, 0, &mut out);
         assert_eq!(out, data);
         net.rotate(&data, 360, &mut out);
@@ -93,11 +100,24 @@ mod tests {
         let net = ShuffleNetwork::new(360);
         let data: Vec<u32> = (0..360).map(|i| i * 7).collect();
         for shift in [0usize, 1, 45, 180, 359] {
-            let mut mid = vec![0; 360];
-            let mut back = vec![0; 360];
+            let mut mid = vec![0u32; 360];
+            let mut back = vec![0u32; 360];
             net.rotate(&data, shift, &mut mid);
             net.rotate(&mid, net.inverse_shift(shift), &mut back);
             assert_eq!(back, data, "shift {shift}");
+        }
+    }
+
+    #[test]
+    fn rotate_widens_each_lane_to_the_output_word() {
+        let net = ShuffleNetwork::new(360);
+        let narrow: Vec<i8> = (0..360).map(|i| (i % 63) as i8 - 31).collect();
+        let wide: Vec<i16> = narrow.iter().map(|&x| x.into()).collect();
+        for shift in [0usize, 1, 24, 359] {
+            let (mut from_narrow, mut from_wide) = (vec![0i16; 360], vec![0i16; 360]);
+            net.rotate(&narrow, shift, &mut from_narrow);
+            net.rotate(&wide, shift, &mut from_wide);
+            assert_eq!(from_narrow, from_wide, "shift {shift}");
         }
     }
 
