@@ -41,15 +41,16 @@ const CORES: [usize; 5] = [1, 2, 4, 8, 16];
 /// exact under contention — but it must stay a *model*, not a guess.
 const MAKESPAN_GATE_PCT: f64 = 5.0;
 /// The cycle-accurate core may cost this many times the software lane
-/// reference's frame. At the paper's point both run the same row kernels on
-/// the same `i8` word over the same frame: the core keeps its check image in
-/// the narrowest word its quantizer allows. The core adds the per-cycle
-/// memory walk, the variable-node groups over its `i16` information image
-/// and one move per word per phase, the rotation at commit, which narrows
-/// or widens the word in the same pass (`BENCH_fabric.json` records the
-/// ratio; it read 2.2–2.9× while the core's check rows ran on `i16` words,
-/// and the per-unit loop costs about 13× the `i16` lanes). Beyond the gate
-/// the array has left the lanes, or the core copies its words again.
+/// reference's frame. At the paper's point both run the same row kernels
+/// and the same variable-node sums (`i8` words, `i16` sums) over the same
+/// frame: the core keeps its whole message RAM in the narrowest word its
+/// quantizer allows. The core adds the per-cycle memory walk and one move
+/// per word per phase, the plain rotation at commit (`BENCH_fabric.json`
+/// records the ratio; on the recording host it read 1.4–2.0× over ten
+/// runs, 2.0–2.3× alternated with eight of them while the information
+/// image was `i16`, 2.2–2.9× while the check rows were too, and the
+/// per-unit loop costs about 13× the `i16` lanes). Beyond the gate the
+/// array has left the lanes, or the core copies its words again.
 const CORE_OVER_LANES_GATE: f64 = 3.0;
 
 struct Row {

@@ -123,20 +123,37 @@ pub trait FuWord:
     /// which the functional-unit array reads in place.
     const PITCH_MULTIPLE: usize;
 
+    /// The word a variable-node group sums in, one word wider: `i16` for
+    /// `i8`, `i32` for `i16` ([`FuLanes::vn_group`]).
+    type Sum: Copy
+        + Default
+        + Ord
+        + Add<Output = Self::Sum>
+        + Sub<Output = Self::Sum>
+        + Neg<Output = Self::Sum>
+        + From<Self>
+        + Into<i32>;
+    /// The largest [`FuWord::Sum`].
+    const SUM_MAX: i32;
+
     /// `self + other`, saturating at the word's range.
     fn saturating_add(self, other: Self) -> Self;
     /// `x` as a word; `x` must fit.
     fn narrow(x: i32) -> Self;
     /// The word as an `i16`.
     fn widen(self) -> i16;
+    /// `x` as a [`FuWord::Sum`]; `x` must fit.
+    fn sum(x: i32) -> Self::Sum;
 }
 
 macro_rules! impl_fu_word {
-    ($($t:ty: max_mag $max_mag:expr, pitch $pitch:expr);*) => {$(
+    ($($t:ty: max_mag $max_mag:expr, pitch $pitch:expr, sum $sum:ty);*) => {$(
         impl FuWord for $t {
             const BITS: u32 = <$t>::BITS;
             const MAX_MAG: i32 = $max_mag;
             const PITCH_MULTIPLE: usize = $pitch;
+            type Sum = $sum;
+            const SUM_MAX: i32 = <$sum>::MAX as i32;
 
             #[inline(always)]
             fn saturating_add(self, other: Self) -> Self {
@@ -150,12 +167,16 @@ macro_rules! impl_fu_word {
             fn widen(self) -> i16 {
                 self.into()
             }
+            #[inline(always)]
+            fn sum(x: i32) -> $sum {
+                x as $sum
+            }
         }
     )*};
 }
 impl_fu_word!(
-    i8: max_mag (i8::MAX as i32 - 1) / 4, pitch 64;
-    i16: max_mag i16::MAX as i32 / 2, pitch 1
+    i8: max_mag (i8::MAX as i32 - 1) / 4, pitch 64, sum i16;
+    i16: max_mag i16::MAX as i32 / 2, pitch 1, sum i32
 );
 
 /// Correction-step thresholds the gather-free LUT kernel carries. The
@@ -343,6 +364,53 @@ impl<W: FuWord> FuLanes<W> {
     /// [`FuWord::PITCH_MULTIPLE`].
     pub fn pitch(&self) -> usize {
         self.pitch
+    }
+
+    /// The clamp of a variable-node group's channel: [`FuWord::SUM_MAX`]
+    /// less `d_max·max_mag`. A channel clamped there plus at most `d_max`
+    /// messages inside `±max_mag` cannot wrap the [`FuWord::Sum`], and the
+    /// clamp lies beyond anything the messages can add, so every output
+    /// and the sign of every total are the unclamped channel's. `None`
+    /// when the rail is not beyond `d_max·max_mag`.
+    pub fn vn_rail(&self, d_max: usize) -> Option<i32> {
+        let reach = d_max as i32 * i32::from(self.max_mag.widen());
+        let rail = W::SUM_MAX - reach;
+        (rail > reach).then_some(rail)
+    }
+
+    /// One variable-node group of every unit (Eq. 4) in the units' word,
+    /// summed one word wider: `v_in` holds the group's messages
+    /// (`v_in[i * lanes + u]`, inside `±max_mag`) and `channel` the units'
+    /// channel values, clamped to `±rail` ([`FuLanes::vn_rail`]), which
+    /// `totals` sums into, one per unit. Each extrinsic output
+    /// `channel + Σ v_in − v_in[i]`, saturated to `±max_mag`, lands in
+    /// `v_out` in the same layout; then `hook` runs over the outputs (the
+    /// hardware's unit fault). Runs at the row's tier, or at the build's
+    /// baseline when the row is outside the lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel` or `totals` is not `lanes` wide, `v_in` is not a
+    /// whole, nonempty number of `lanes`-wide words or `v_out` is not as
+    /// long.
+    pub fn vn_group(
+        &self,
+        rail: i32,
+        channel: &[i32],
+        v_in: &[W],
+        totals: &mut [W::Sum],
+        v_out: &mut [W],
+        hook: impl FnMut(&mut [W]),
+    ) {
+        let lanes = self.lanes;
+        assert!(channel.len() == lanes && totals.len() == lanes, "a group is {lanes} wide");
+        assert!(
+            !v_in.is_empty() && v_in.len().is_multiple_of(lanes),
+            "input block must be whole words"
+        );
+        assert_eq!(v_out.len(), v_in.len(), "output block size mismatch");
+        let tier = self.tier.unwrap_or(SimdTier::Scalar);
+        vn_group_tier(tier, self.max_mag, rail, channel, v_in, totals, v_out, hook)
     }
 
     /// Starts a frame: every chain message cleared and, on the lanes, the
@@ -575,19 +643,13 @@ impl SimdQuant {
         let pitch = fu.pitch();
 
         let rot = lane_columns(graph, cut, pitch)?;
-        // A total is the channel plus at most `d_max` messages of at most
-        // `max_mag`, so with `dd = max(d_max, 2)` a channel clamped to
-        // `info_rail = i16::MAX − dd·max_mag` cannot wrap one, and
-        // `info_rail > dd·max_mag` keeps the clamp beyond anything the
-        // messages can add. Release builds do not check those adds; the
-        // test profile's overflow checks are the proof.
-        let max_mag32 = i32::from(fu.max_mag);
+        // A total is the channel plus at most `d_max` messages, so with
+        // `dd = max(d_max, 2)` a channel clamped to the `i8` word's rail
+        // `info_rail = i16::MAX − dd·max_mag` cannot wrap one, and lies
+        // beyond anything the messages can add. Release builds do not check
+        // those adds; the test profile's overflow checks are the proof.
         let degrees = graph.var_offsets()[..=k].windows(2).map(|w| w[1] - w[0]);
-        let dd = degrees.max().unwrap_or(0).max(2) as i32;
-        let info_rail = i16::MAX as i32 - dd * max_mag32;
-        if info_rail <= dd * max_mag32 {
-            return None;
-        }
+        let info_rail = fu.vn_rail(degrees.max().unwrap_or(0).max(2) as usize)?;
 
         let plane = q_rows * stride * pitch;
         Some(SimdQuant {
@@ -973,6 +1035,36 @@ fn lane_syndrome(
     true
 }
 
+/// [`FuLanes::vn_group`]'s body. Inlined into each tier clone, so the
+/// group's loops vectorize there.
+#[inline(always)]
+fn vn_group<W: FuWord>(
+    max_mag: W,
+    rail: i32,
+    channel: &[i32],
+    v_in: &[W],
+    totals: &mut [W::Sum],
+    v_out: &mut [W],
+    mut hook: impl FnMut(&mut [W]),
+) {
+    let lanes = channel.len();
+    for (t, &x) in totals.iter_mut().zip(channel) {
+        *t = W::sum(x.clamp(-rail, rail));
+    }
+    for word in v_in.chunks_exact(lanes) {
+        for (t, &x) in totals.iter_mut().zip(word) {
+            *t = *t + x.into();
+        }
+    }
+    let m = W::Sum::from(max_mag);
+    for (out, word) in v_out.chunks_exact_mut(lanes).zip(v_in.chunks_exact(lanes)) {
+        for ((o, &t), &x) in out.iter_mut().zip(totals.iter()).zip(word) {
+            *o = W::narrow((t - x.into()).max(-m).min(m).into());
+        }
+    }
+    hook(v_out);
+}
+
 /// One check row of every unit, the five steps of [`FuLanes`], under the
 /// rule's `kernel`. Inlined into each tier clone with the kernel, so the
 /// row's loops vectorize there.
@@ -1114,6 +1206,19 @@ tier_clones!(
 tier_clones!(
     check_sweep_tier, check_sweep, check_sweep_avx2, check_sweep_avx512;
     (fu: &mut FuLanes<i8>, kernel: &mut impl RowKernel<i8>, v2c: &mut [i8], c2v: &mut [i8])
+);
+
+tier_clones!(
+    vn_group_tier<W: FuWord>, vn_group, vn_group_avx2, vn_group_avx512;
+    (
+        max_mag: W,
+        rail: i32,
+        channel: &[i32],
+        v_in: &[W],
+        totals: &mut [W::Sum],
+        v_out: &mut [W],
+        hook: impl FnMut(&mut [W]),
+    )
 );
 
 tier_clones!(

@@ -14,18 +14,18 @@
 //! a word's write issues to a bank the shuffle network rotates it into the
 //! RAM, where its commit-point fault strikes. The units read their inputs
 //! where they lie. The RAM is held as two images so that both phases read
-//! in place: the information image (word-major `i16`, the golden model's
-//! layout) and the check image (row-major in schedule order). Each phase
-//! reads one image and commits every word into the other, so after a check
-//! phase the information image is the whole RAM — what the digests, the
-//! totals and the next information phase read. The check image, the
-//! staging image and the check rows hold the narrowest word the quantizer
-//! allows: `i8` wherever the units' `i8` lanes hold it (4 to 6 bits, the
-//! paper's word), `i16` otherwise; a check-phase commit widens its word as
-//! it rotates it. The information image and the frame around the phases
-//! (RAM clear, unit reset, digest, early stop, totals and verdict) are the
-//! [`Frame`] the core shares with the golden model; the check image, the
-//! staging image and the write queue are the core's own.
+//! in place: the information image (word-major, the golden model's layout)
+//! and the check image (row-major in schedule order). Each phase reads one
+//! image and commits every word into the other, so after a check phase the
+//! information image is the whole RAM — what the digests, the totals and
+//! the next information phase read. Both images, the staging image and the
+//! functional units hold the narrowest word the quantizer allows: `i8`
+//! wherever the units' `i8` lanes hold it (4 to 6 bits, the paper's word),
+//! `i16` otherwise, so every commit is a plain rotation. The information
+//! image and the frame around the phases (RAM clear, unit reset, digest,
+//! early stop, totals and verdict) are the [`Frame`] the core shares with
+//! the golden model, whose word stays `i16`; the check image, the staging
+//! image and the write queue are the core's own.
 
 use crate::fault::{CommitPhase, CommitPoint, FaultScenario};
 use crate::functional_unit::FunctionalUnitArray;
@@ -207,7 +207,7 @@ pub struct HardwareDecoder {
     datapath: Datapath,
 }
 
-/// The core on its check word, chosen once at construction: `i8` wherever
+/// The core on its message word, chosen once at construction: `i8` wherever
 /// the functional units' `i8` lanes hold the quantizer (4 to 6 bits), `i16`
 /// otherwise (the `i16` lanes up to 15 bits, the per-unit loop at 16).
 #[derive(Debug)]
@@ -226,7 +226,7 @@ macro_rules! on_core {
     };
 }
 
-/// The core on check word `W`.
+/// The core on message word `W`.
 #[derive(Debug)]
 struct Core<W> {
     /// The ROM, units, fault scenario, information image and the frame's
@@ -307,8 +307,8 @@ impl HardwareDecoder {
         on_core!(&self.datapath, |core| core.frame.fu.simd_tier())
     }
 
-    /// Bits of the word the check image and the check rows hold: 8 where
-    /// the `i8` lanes hold the quantizer, 16 otherwise.
+    /// Bits of the word the message RAM's two images and the check rows
+    /// hold: 8 where the `i8` lanes hold the quantizer, 16 otherwise.
     pub fn check_word_bits(&self) -> u32 {
         match self.datapath {
             Datapath::Narrow(_) => i8::BITS,
@@ -373,10 +373,7 @@ impl HardwareDecoder {
     }
 }
 
-impl<W: FuWord> Core<W>
-where
-    i16: From<W>,
-{
+impl<W: FuWord> Core<W> {
     fn new(frame: Frame<W>, memory: MemoryConfig) -> Self {
         let (q, words, pitch) = (frame.params.q, frame.rom.words(), frame.fu.pitch());
         let stride = frame.rom.row_len() + 2;
@@ -424,10 +421,7 @@ where
     }
 }
 
-impl<W: FuWord> TimedRam<W>
-where
-    i16: From<W>,
-{
+impl<W: FuWord> TimedRam<W> {
     /// Timed information phase: sequential word reads (one per cycle); once
     /// a group's words are read the functional units take them in place and
     /// stage their outputs, and each output is rotated into the check image
@@ -491,9 +485,8 @@ where
     /// Timed check phase: the annealed read sequence, FU pipeline, inverse
     /// shuffle on write-back, 4-bank conflict buffer. After a row's last
     /// read the functional units take its words in place and stage their
-    /// outputs, and each output is rotated back into the information image,
-    /// widened to `i16` in the same pass, when its write issues. Returns
-    /// (cycles, max buffer occupancy).
+    /// outputs, and each output is rotated back into the information image
+    /// when its write issues. Returns (cycles, max buffer occupancy).
     fn check_phase(&mut self, f: &mut Frame<W>, iteration: u32) -> (usize, usize) {
         let (p, pitch) = (PARALLELISM, f.fu.pitch());
         let quantizer = *f.fu.quantizer();
@@ -1083,6 +1076,39 @@ mod tests {
                 traces.push(hw_trace);
             }
             assert_ne!(traces[0], traces[1], "{quantizer:?}: the faults must strike");
+        }
+    }
+
+    #[test]
+    fn timing_depends_on_addresses_alone() {
+        // DESIGN.md §7.12: the write queue carries addresses only, so every
+        // iteration's phases take the same cycles and buffer, whatever the
+        // frame, the faults or the check word.
+        use crate::fault::{FuFault, TimedRamFault};
+        let code = short_code();
+        let frames = [noisy_llrs(&code, 2.4, 61).1, noisy_llrs(&code, 0.5, 62).1];
+        let faulted = FaultScenario::single(RamFault::StuckWord { word: 3, value: 31 })
+            .with_ram(TimedRamFault::permanent(RamFault::FlippedBits { word: 9, mask: 0b11 }))
+            .with_fu(Some(FuFault::StuckSign { unit: 100, negative: true }));
+        let mut one_iteration = None;
+        for (quantizer, word) in [(Quantizer::paper_6bit(), 8), (Quantizer::new(7, 0.25), 16)] {
+            for max_iterations in [1, 2, 3, 30] {
+                let config = CoreConfig { quantizer, max_iterations, ..CoreConfig::default() };
+                let mut hw = core(&code, config);
+                assert_eq!(hw.check_word_bits(), word, "{quantizer:?}");
+                for scenario in [FaultScenario::none(), faulted] {
+                    hw.set_scenario(scenario);
+                    for (index, llrs) in frames.iter().enumerate() {
+                        let c = hw.decode(llrs).cycles;
+                        let got = (c.info_phase_cycles, c.check_phase_cycles, c.max_buffer);
+                        let (info, check, buffer) = *one_iteration.get_or_insert(got);
+                        let want = (max_iterations * info, max_iterations * check, buffer);
+                        let label = format!("i{word} cap {max_iterations} frame {index}");
+                        assert_eq!(got, want, "{label} {scenario:?}");
+                        assert_eq!(c.iterations, max_iterations, "{label}");
+                    }
+                }
+            }
         }
     }
 

@@ -79,9 +79,9 @@ impl RamFault {
     /// the [`Quantizer`] makes the domain invariant explicit instead of an
     /// accident of mirrored clamping).
     ///
-    /// The lanes are the word of the image the commit lands in: `i16` in
-    /// the information image, which holds any quantizer (at most 16 bits),
-    /// and `i8` in the core's check image where the `i8` lanes hold the
+    /// The lanes are the word of the RAM the commit lands in: the golden
+    /// model's `i16`, which holds any quantizer (at most 16 bits), or the
+    /// core's, `i8` in both images where the `i8` lanes hold the
     /// quantizer. The lane is corrupted as the `i32` it widens to and the
     /// snapped result narrowed back, which is exact: it lies in
     /// `±max_mag`, inside the word.
@@ -391,7 +391,7 @@ impl FaultScenario {
 
     /// Applies the power-on corruption to the freshly zero-filled message
     /// RAM (`ram[word * 360 + lane]` layout).
-    pub(crate) fn corrupt_power_on(&self, ram: &mut [i16], quantizer: &Quantizer) {
+    pub(crate) fn corrupt_power_on<W: FuWord>(&self, ram: &mut [W], quantizer: &Quantizer) {
         let p = PARALLELISM;
         let point = CommitPoint::power_on();
         for t in self.ram_faults() {
@@ -517,7 +517,7 @@ mod tests {
 
     #[test]
     fn corrupting_i16_lanes_equals_the_i32_formula() {
-        // The information image holds `i16` lanes and the hooks narrow what
+        // The golden model's RAM holds `i16` lanes and the hooks narrow what
         // they compute in `i32`. That is exact because every result is
         // snapped into ±max_mag. 16 bits is the widest quantizer, which the
         // functional units run on the per-unit datapath.
@@ -533,10 +533,10 @@ mod tests {
 
     #[test]
     fn corrupting_i8_lanes_equals_the_i32_formula() {
-        // The core's check image holds `i8` lanes wherever the `i8` lanes
-        // hold the quantizer (4 to 6 bits), and an information-phase commit
-        // corrupts them there: exact for the same reason, so the check image
-        // holds commit-point faults as the `i16` image does.
+        // The core's two images hold `i8` lanes wherever the `i8` lanes
+        // hold the quantizer (4 to 6 bits), and every commit corrupts them
+        // there: exact for the same reason, so the core holds commit-point
+        // faults as the golden model's `i16` RAM does.
         for quantizer in [Quantizer::new(4, 1.0), Quantizer::paper_5bit(), Quantizer::paper_6bit()]
         {
             assert!(quantizer.max_mag() <= i8::MAX as i32);

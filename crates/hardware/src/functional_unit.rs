@@ -11,16 +11,17 @@
 //! cycle-accurate core drive this same arithmetic, so any mismatch between
 //! them isolates a defect in the memory/timing machinery.
 //!
-//! The lockstep is literal: a check row is one lane-wide update. The units
-//! read their words where the caller keeps them — a group's `i16` words of
-//! the message RAM, a row's words followed by two slots into which the array
-//! writes every unit's two parity inputs as two more vectors — and write
-//! their outputs where the caller asks, in the same layout. [`FuLanes`], the
-//! check row the software decoder's lane planes run, holds the units' chain
-//! state and sweeps all units at once, on the array's word: `i8` at a
-//! 384-lane pitch where the `i8` lanes hold the quantizer (the
-//! cycle-accurate core at 4 to 6 bits), `i16` at 360 lanes otherwise (the
-//! RAM's word, on which the golden model runs at every width). Quantizers
+//! The lockstep is literal: a variable-node group and a check row are each
+//! one lane-wide update. The units read their words where the caller keeps
+//! them — a group's words of the message RAM, a row's words followed by two
+//! slots into which the array writes every unit's two parity inputs as two
+//! more vectors — and write their outputs where the caller asks, in the
+//! same layout. [`FuLanes`], the check row the software decoder's lane
+//! planes run, holds the units' chain state and sweeps all units at once,
+//! on the array's word: `i8` at a 384-lane pitch where the `i8` lanes hold
+//! the quantizer (the cycle-accurate core at 4 to 6 bits), `i16` at 360
+//! lanes otherwise (on which the golden model runs at every width); a group
+//! sums one word wider. The message RAM holds the array's word. Quantizers
 //! the lanes cannot express take the per-unit [`QBoxplus::extrinsic`] loop
 //! over the same chain state, which is also what the lane row is tested
 //! against. `DESIGN.md` §7.8 and §7.12 have the layout and the exactness
@@ -35,10 +36,10 @@ use dvbs2_ldpc::{CodeParams, PARALLELISM};
 /// The parity messages are row-major planes, `plane[r * 360 + u]` for check
 /// `j = u·q + r`: a row's 360 messages are one contiguous vector, and what a
 /// row hands to its neighbour is a contiguous copy. The array's word `W` is
-/// its check rows', its outputs' and its chain state's: `i16` holds every
-/// quantizer (at most 16 bits) and is the message RAM's word, which the
-/// array reads; `i8` holds the quantizers the `i8` lanes take, on which the
-/// cycle-accurate core builds its array.
+/// its inputs', its outputs' and its chain state's, and the message RAM's:
+/// `i16` holds every quantizer (at most 16 bits); `i8` holds the
+/// quantizers the `i8` lanes take, on which the cycle-accurate core builds
+/// its array.
 #[derive(Debug, Clone)]
 pub struct FunctionalUnitArray<W = i16> {
     boxplus: QBoxplus,
@@ -50,6 +51,9 @@ pub struct FunctionalUnitArray<W = i16> {
     k: usize,
     q_rows: usize,
     row_len: usize,
+    /// The clamp of the variable-node groups' channel
+    /// ([`FuLanes::vn_rail`] at the code's largest information degree).
+    vn_rail: i32,
     /// The units' check row and their chain state: backward, forward,
     /// registers, boundaries.
     units: FuLanes<W>,
@@ -90,12 +94,15 @@ impl<W: FuWord> FunctionalUnitArray<W> {
         let row_len = params.check_degree - 2;
         let units = FuLanes::<W>::new(&arithmetic, PARALLELISM, params.q, row_len, forced);
         let per_unit = (per_unit || units.tier().is_none()).then(|| vec![0; params.n_check]);
+        let d_max = params.hi.degree.max(params.lo.degree);
+        let vn_rail = units.vn_rail(d_max).expect("the word sums every group");
         FunctionalUnitArray {
             boxplus: QBoxplus::new(quantizer),
             fault: None,
             k: params.k,
             q_rows: params.q,
             row_len,
+            vn_rail,
             units,
             per_unit,
             scratch_in: vec![0; params.check_degree],
@@ -154,39 +161,31 @@ impl<W: FuWord> FunctionalUnitArray<W> {
     /// `block_in` holds the group's `d` incoming check messages per lane
     /// (`block_in[i * 360 + t]`) — the group's words of the message RAM, read
     /// in place — and `channel` the group's 360 channel LLRs. Writes the
-    /// `d` extrinsic outputs to `block_out` in the same layout, in the
-    /// array's word: every output is saturated to `±max_mag`, which fits.
+    /// `d` extrinsic outputs to `block_out` in the same layout, saturated to
+    /// `±max_mag`. The sums run one word wider than the array's word
+    /// ([`FuLanes::vn_group`]: `i16` on `i8` words, `i32` on `i16`), over
+    /// the channel clamped to a rail that leaves every output the one the
+    /// unclamped `i32` sum gives.
     ///
     /// # Panics
     ///
     /// Panics if `channel` is not 360 wide, `block_in` is not a whole,
     /// nonempty number of 360-wide words or `block_out` is not as long.
-    pub fn process_vn_group(&self, channel: &[i32], block_in: &[i16], block_out: &mut [W]) {
-        let p = PARALLELISM;
-        assert_eq!(channel.len(), p, "channel block must be 360 wide");
-        assert!(
-            !block_in.is_empty() && block_in.len().is_multiple_of(p),
-            "input block must be whole words"
-        );
-        assert_eq!(block_out.len(), block_in.len(), "output block size mismatch");
-        let q = self.boxplus.quantizer();
-        let max_mag = q.max_mag();
-        let mut totals = [0i32; PARALLELISM];
-        totals.copy_from_slice(channel);
-        for word in block_in.chunks_exact(p) {
-            for (total, &x) in totals.iter_mut().zip(word) {
-                *total += x as i32;
-            }
-        }
-        // `Quantizer::saturate`, as a `max`/`min` pair that vectorizes.
-        for (out, word) in block_out.chunks_exact_mut(p).zip(block_in.chunks_exact(p)) {
-            for ((o, &total), &x) in out.iter_mut().zip(&totals).zip(word) {
-                *o = W::narrow((total - x as i32).max(-max_mag).min(max_mag));
-            }
-        }
-        if let Some(f) = self.fault {
-            for o in block_out.iter_mut().skip(f.unit()).step_by(p) {
-                *o = W::narrow(f.corrupt(i32::from(o.widen()), q));
+    pub fn process_vn_group(&self, channel: &[i32], block_in: &[W], block_out: &mut [W]) {
+        let mut totals = [W::Sum::default(); PARALLELISM];
+        let fault = self.unit_fault(PARALLELISM);
+        self.units.vn_group(self.vn_rail, channel, block_in, &mut totals, block_out, fault);
+    }
+
+    /// The hook that applies the unit fault to a block of `stride`-lane
+    /// output vectors: every output of the faulty unit, corrupted.
+    fn unit_fault(&self, stride: usize) -> impl FnMut(&mut [W]) {
+        let (fault, q) = (self.fault, *self.boxplus.quantizer());
+        move |v_out| {
+            if let Some(f) = fault {
+                for o in v_out.iter_mut().skip(f.unit()).step_by(stride) {
+                    *o = W::narrow(f.corrupt(i32::from(o.widen()), &q));
+                }
             }
         }
     }
@@ -220,14 +219,8 @@ impl<W: FuWord> FunctionalUnitArray<W> {
         if self.per_unit.is_some() {
             return self.cn_row_per_unit(r, row, out);
         }
-        let (fault, q, pitch) = (self.fault, *self.boxplus.quantizer(), self.pitch());
-        self.units.row(r, row, out, |v_out| {
-            if let Some(f) = fault {
-                for o in v_out.iter_mut().skip(f.unit()).step_by(pitch) {
-                    *o = W::narrow(f.corrupt(i32::from(o.widen()), &q));
-                }
-            }
-        });
+        let fault = self.unit_fault(self.pitch());
+        self.units.row(r, row, out, fault);
     }
 
     /// The row one unit at a time: gather the unit's inputs, one scalar
@@ -331,37 +324,123 @@ mod tests {
         out
     }
 
+    /// `check` on the paper point's array on both words: the golden
+    /// model's `i16` and the cycle-accurate core's `i8`.
+    fn on_both_words(
+        check_i16: fn(FunctionalUnitArray<i16>),
+        check_i8: fn(FunctionalUnitArray<i8>),
+    ) {
+        let (params, fu) = array();
+        check_i16(fu);
+        check_i8(FunctionalUnitArray::on_lanes(&params, Quantizer::paper_6bit()).unwrap());
+    }
+
     #[test]
     fn vn_group_computes_extrinsic_totals() {
-        let (_, fu) = array();
-        let p = PARALLELISM;
-        let d = 3;
-        let channel = vec![2i32; p];
-        let mut block_in = vec![0i16; d * p];
-        for i in 0..d {
+        fn check<W: FuWord>(fu: FunctionalUnitArray<W>) {
+            let p = PARALLELISM;
+            let d = 3;
+            let channel = vec![2i32; p];
+            let mut block_in = vec![W::default(); d * p];
+            for i in 0..d {
+                for t in 0..p {
+                    block_in[i * p + t] = W::narrow(i as i32 + 1); // messages 1, 2, 3
+                }
+            }
+            let mut block_out = vec![W::default(); d * p];
+            fu.process_vn_group(&channel, &block_in, &mut block_out);
+            // total = 2 + 1 + 2 + 3 = 8; extrinsic_i = 8 - msg_i.
             for t in 0..p {
-                block_in[i * p + t] = i as i16 + 1; // messages 1, 2, 3
+                assert_eq!(block_out[t], W::narrow(7));
+                assert_eq!(block_out[p + t], W::narrow(6));
+                assert_eq!(block_out[2 * p + t], W::narrow(5));
             }
         }
-        let mut block_out = vec![0i16; d * p];
-        fu.process_vn_group(&channel, &block_in, &mut block_out);
-        // total = 2 + 1 + 2 + 3 = 8; extrinsic_i = 8 - msg_i.
-        for t in 0..p {
-            assert_eq!(block_out[t], 7);
-            assert_eq!(block_out[p + t], 6);
-            assert_eq!(block_out[2 * p + t], 5);
-        }
+        on_both_words(check, check);
     }
 
     #[test]
     fn vn_outputs_saturate() {
-        let (_, fu) = array();
-        let p = PARALLELISM;
-        let channel = vec![31i32; p];
-        let block_in = vec![31i16; p];
-        let mut block_out = vec![0i16; p];
-        fu.process_vn_group(&channel, &block_in, &mut block_out);
-        assert!(block_out.iter().all(|&o| o == 31)); // 62 - 31 = 31, at rail
+        fn check<W: FuWord>(fu: FunctionalUnitArray<W>) {
+            let p = PARALLELISM;
+            let channel = vec![31i32; p];
+            let block_in = vec![W::narrow(31); p];
+            let mut block_out = vec![W::default(); p];
+            fu.process_vn_group(&channel, &block_in, &mut block_out);
+            assert!(block_out.iter().all(|&o| o == W::narrow(31))); // 62 - 31 = 31, at rail
+        }
+        on_both_words(check, check);
+    }
+
+    /// Every group of degree 1 to `d_max` on `fu`, with and without each
+    /// fault of [`fu_faults`], against the extrinsic formula in `i64`, where
+    /// nothing wraps: each output is `channel + Σ messages − message`
+    /// saturated to `±max_mag`, and the faulty unit's corrupted after. Lane
+    /// `t` holds channel `channels[t % 9]` and, by `t / 9 % 3`, every
+    /// message at `+max_mag`, at `−max_mag` or drawn inside the rail.
+    fn assert_groups_equal_the_wide_formula<W: FuWord>(
+        mut fu: FunctionalUnitArray<W>,
+        d_max: usize,
+        channels: [i32; 9],
+    ) {
+        let (p, q) = (PARALLELISM, *fu.quantizer());
+        let m = q.max_mag();
+        let mut rng = SmallRng::seed_from_u64(0x7A11 ^ m as u64);
+        let channel: Vec<i32> = (0..p).map(|t| channels[t % 9]).collect();
+        for fault in fu_faults(m) {
+            fu.set_fault(fault);
+            for d in 1..=d_max {
+                let block_in: Vec<i32> = (0..d * p)
+                    .map(|i| match i % p / 9 % 3 {
+                        0 => m,
+                        1 => -m,
+                        _ => rng.random_range(-m..=m),
+                    })
+                    .collect();
+                let words: Vec<W> = block_in.iter().map(|&x| W::narrow(x)).collect();
+                let mut out = vec![W::default(); d * p];
+                fu.process_vn_group(&channel, &words, &mut out);
+                for t in 0..p {
+                    let column = (0..d).map(|i| i64::from(block_in[i * p + t]));
+                    let total = i64::from(channel[t]) + column.sum::<i64>();
+                    for i in 0..d {
+                        let x = total - i64::from(block_in[i * p + t]);
+                        let mut want = x.clamp(-i64::from(m), i64::from(m)) as i32;
+                        if let Some(f) = fault.filter(|f| f.unit() == t) {
+                            want = f.corrupt(want, &q);
+                        }
+                        let got = i32::from(out[i * p + t].widen());
+                        let what = format!("i{} {q:?} {fault:?} d {d} unit {t}", W::BITS);
+                        assert_eq!(got, want, "{what}: output {i}, channel {}", channel[t]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_group_update_is_exact_at_and_past_the_rail() {
+        // Rate 2/3 carries the codes' largest information degree, 13, so
+        // the rail is i16::MAX − 13·max_mag. On `i8` words the group sums in
+        // `i16` over the channel clamped there; the golden model's `i16`
+        // words sum in `i32`, clamped at i32::MAX − 13·max_mag.
+        let params = CodeParams::new(CodeRate::R2_3, FrameSize::Normal).unwrap();
+        let d_max = params.hi.degree;
+        assert_eq!(d_max, 13);
+        for quantizer in [Quantizer::new(4, 1.0), Quantizer::paper_5bit(), Quantizer::paper_6bit()]
+        {
+            let m = quantizer.max_mag();
+            let rail = i16::MAX as i32 - 13 * m;
+            let channels = [0, m, -m, rail, -rail, rail + 1, -rail - 1, i32::MAX, i32::MIN + 1];
+            let narrow = FunctionalUnitArray::<i8>::on_lanes(&params, quantizer);
+            let narrow = narrow.expect("the i8 lanes take 4 to 6 bits");
+            assert_groups_equal_the_wide_formula(narrow, d_max, channels);
+            let wide = i32::MAX - 13 * m;
+            let channels =
+                [rail, -rail, wide, -wide, wide + 1, -wide - 1, i32::MAX, i32::MIN + 1, m];
+            let wide = FunctionalUnitArray::new(&params, quantizer);
+            assert_groups_equal_the_wide_formula(wide, d_max, channels);
+        }
     }
 
     #[test]

@@ -33,8 +33,9 @@ use dvbs2_ldpc::{CodeParams, DvbS2Code, PARALLELISM};
 /// functional units, the shuffle network, the fault scenario, the message
 /// RAM's information image and the a-posteriori totals. [`Frame::decode`]
 /// runs a frame around one model's phases, so the iteration loop and the
-/// verdict exist once. `W` is the functional units' word: `i16` in the
-/// golden model, the narrowest the quantizer allows in the timed core.
+/// verdict exist once. `W` is the functional units' word and the
+/// information image's: `i16` in the golden model, the narrowest the
+/// quantizer allows in the timed core.
 #[derive(Debug, Clone)]
 pub(crate) struct Frame<W = i16> {
     pub(crate) params: CodeParams,
@@ -47,8 +48,9 @@ pub(crate) struct Frame<W = i16> {
     /// phase), so equally-faulted models stay bit-exact.
     pub(crate) scenario: FaultScenario,
     /// Message RAM, word-major: `ram[word * 360 + lane]`. Holds
-    /// check-to-variable messages in information layout between iterations.
-    pub(crate) ram: Vec<i16>,
+    /// check-to-variable messages in information layout between iterations,
+    /// each inside `±max_mag`, in the units' word.
+    pub(crate) ram: Vec<W>,
     totals: Vec<i32>,
 }
 
@@ -64,7 +66,7 @@ impl<W: FuWord> Frame<W> {
             fu,
             shuffle: ShuffleNetwork::new(PARALLELISM),
             scenario: FaultScenario::none(),
-            ram: vec![0; rom.words() * PARALLELISM],
+            ram: vec![W::default(); rom.words() * PARALLELISM],
             totals: vec![0; params.n],
             params,
             rom,
@@ -107,7 +109,7 @@ impl<W: FuWord> Frame<W> {
         if let Some(t) = trace.as_deref_mut() {
             t.clear();
         }
-        self.ram.fill(0);
+        self.ram.fill(W::default());
         // A stuck cell is stuck from power-on.
         let quantizer = *self.fu.quantizer();
         self.scenario.corrupt_power_on(&mut self.ram, &quantizer);
@@ -146,20 +148,18 @@ impl<W: FuWord> Frame<W> {
     /// functional units' parity state.
     fn compute_totals(&mut self, channel: &[i32]) {
         let p = PARALLELISM;
-        let (ram, totals) = (&self.ram, &mut self.totals);
-        for g in 0..self.params.groups() {
+        let groups = self.totals.chunks_exact_mut(p).zip(channel.chunks_exact(p));
+        for (g, (totals, chan)) in groups.take(self.params.groups()).enumerate() {
             let base = self.rom.group_base(g);
-            let d = self.params.group_degree(g);
-            for t in 0..p {
-                let m = g * p + t;
-                let mut total = channel[m];
-                for i in 0..d {
-                    total += ram[(base + i) * p + t] as i32;
+            totals.copy_from_slice(chan);
+            for word in self.ram[base * p..(base + self.params.group_degree(g)) * p].chunks_exact(p)
+            {
+                for (t, &x) in totals.iter_mut().zip(word) {
+                    *t += i32::from(x.widen());
                 }
-                totals[m] = total;
             }
         }
-        self.fu.parity_totals(channel, totals);
+        self.fu.parity_totals(channel, &mut self.totals);
     }
 
     /// Evaluates every parity equation on the hard decisions of the totals
@@ -208,7 +208,8 @@ impl<W: FuWord> Frame<W> {
     /// the ones an `i32` message RAM produced.
     fn message_digest(&self) -> u64 {
         let h = 0xCBF2_9CE4_8422_2325; // FNV-1a offset basis
-        fold_digest(fold_digest(h, self.ram.iter().map(|&x| x as i32)), self.fu.parity_state())
+        let ram = self.ram.iter().map(|&x| x.widen().into());
+        fold_digest(fold_digest(h, ram), self.fu.parity_state())
     }
 }
 
